@@ -1,153 +1,3 @@
 """corrlab: correlation-box ensembles, signaling verdicts, and causal geometry."""
 
-from .boxes import (
-    DichotomicBox,
-    JointReadoutModel,
-    Label,
-    Party,
-    Setting,
-    box_from_quantum,
-    check_no_signaling,
-    chsh_value,
-    correlation,
-    make_ghz_box,
-    make_local_deterministic_box,
-    make_pr_box,
-    make_tsirelson_box,
-)
-from .ensembles import (
-    EXACT_MAX_ROUNDS,
-    EnsembleRun,
-    ExactDistribution,
-    JammingRecords,
-    RunMode,
-    ScenarioKind,
-    ScenarioSpec,
-    convolve_iid_rounds,
-    jamming_exact_distribution,
-    run_ghz_scenario,
-    run_jamming_scenario,
-    run_pr_scenario,
-    run_tsirelson_scenario,
-)
-from .errors import (
-    BoxValidationError,
-    CorrlabError,
-    InvariantViolation,
-    LatticeMismatchError,
-    NonCommutingError,
-)
-from .quantum import (
-    GHZ_PRODUCT_CONSTRAINTS,
-    GHZ_STABILIZERS,
-    MeasurementRecord,
-    PauliObservable,
-    PureState,
-    bell_state,
-    commutator_norm,
-    commutes,
-    expectation,
-    ghz_assignment_search,
-    ghz_state,
-    joint_probabilities,
-    measure,
-    product_expectation,
-    sequential_measure,
-)
-from .signaling import (
-    SignalingVerdict,
-    Statistic,
-    ghz_verdict,
-    jamming_unary_exact,
-    pr_verdict,
-    total_variation,
-    tsirelson_verdict,
-    unary_condition_check,
-    variance_signature,
-    verdict,
-)
-from .spacetime import (
-    Boost,
-    CausalConfig,
-    DevicePolicy,
-    SpacetimeEvent,
-    binary_condition,
-    boost,
-    cone_overlap_apex,
-    in_future_cone,
-    loop_analysis,
-    policy_scan,
-    round_trip_chronology,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoxValidationError",
-    "Boost",
-    "CausalConfig",
-    "CorrlabError",
-    "DevicePolicy",
-    "DichotomicBox",
-    "EXACT_MAX_ROUNDS",
-    "EnsembleRun",
-    "ExactDistribution",
-    "GHZ_PRODUCT_CONSTRAINTS",
-    "GHZ_STABILIZERS",
-    "InvariantViolation",
-    "JammingRecords",
-    "JointReadoutModel",
-    "Label",
-    "LatticeMismatchError",
-    "MeasurementRecord",
-    "NonCommutingError",
-    "Party",
-    "PauliObservable",
-    "PureState",
-    "RunMode",
-    "ScenarioKind",
-    "ScenarioSpec",
-    "Setting",
-    "SignalingVerdict",
-    "SpacetimeEvent",
-    "Statistic",
-    "bell_state",
-    "binary_condition",
-    "boost",
-    "box_from_quantum",
-    "check_no_signaling",
-    "chsh_value",
-    "commutator_norm",
-    "commutes",
-    "cone_overlap_apex",
-    "convolve_iid_rounds",
-    "correlation",
-    "expectation",
-    "ghz_assignment_search",
-    "ghz_state",
-    "ghz_verdict",
-    "in_future_cone",
-    "jamming_exact_distribution",
-    "jamming_unary_exact",
-    "joint_probabilities",
-    "loop_analysis",
-    "make_ghz_box",
-    "make_local_deterministic_box",
-    "make_pr_box",
-    "make_tsirelson_box",
-    "measure",
-    "policy_scan",
-    "pr_verdict",
-    "product_expectation",
-    "round_trip_chronology",
-    "run_ghz_scenario",
-    "run_jamming_scenario",
-    "run_pr_scenario",
-    "run_tsirelson_scenario",
-    "sequential_measure",
-    "total_variation",
-    "tsirelson_verdict",
-    "unary_condition_check",
-    "variance_signature",
-    "verdict",
-]

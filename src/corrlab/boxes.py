@@ -10,41 +10,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .errors import BoxValidationError
 from .quantum import PureState, joint_probabilities, outcome_tuples
-
-
-class Party(Enum):
-    ALICE = 0
-    BOB = 1
-    JIM = 2
-
-
-class Label(Enum):
-    UNPRIMED = "u"
-    PRIMED = "p"
+from .reportio import encode
 
 
 LABELS: tuple[str, str] = ("u", "p")
 PROB_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Setting:
-    """One party's measurement choice: a/a', b/b', or Jim's x/y basis."""
-
-    party: Party
-    label: Label
-
-
 def _as_label(value) -> str:
-    if isinstance(value, Setting):
-        return value.label.value
-    if isinstance(value, Label):
-        return value.value
     if value in LABELS:
         return value
     raise BoxValidationError(f"unknown setting label {value!r}")
@@ -111,13 +88,10 @@ class DichotomicBox:
         return tuple(acc[o] for o in sub)
 
     def to_json_obj(self) -> dict:
-        def enc(p):
-            return f"{p.numerator}/{p.denominator}" if isinstance(p, Fraction) else float(p)
-
         return {
             "parties": self.parties,
             "settings": list(LABELS),
-            "table": {"|".join(k): [enc(p) for p in row] for k, row in sorted(self.table.items())},
+            "table": {"|".join(k): encode(row) for k, row in sorted(self.table.items())},
         }
 
 
@@ -270,30 +244,3 @@ def chsh_value(box: DichotomicBox) -> Fraction | float:
         - correlation(box, ("p", "p"))
     )
     return val
-
-
-class JointReadoutModel:
-    """Noiseless joint readout of Bob's pair (b, b') in the collective limit.
-
-    The four perfect (anti)correlations of the maximal box force the joint
-    assignment uniquely: when Alice measures the unprimed setting both of
-    Bob's values equal her outcome; under the primed setting b equals her
-    outcome and b' is its negative.  Ensemble runners accept any object
-    with this interface, which is the hook for future noise models.
-    """
-
-    def implied_pair(self, sender_choice: str, alice_outcome: int) -> tuple[int, int]:
-        if alice_outcome not in (1, -1):
-            raise ValueError("outcome must be +1 or -1")
-        label = _as_label(sender_choice)
-        if label == "u":
-            return (alice_outcome, alice_outcome)
-        return (alice_outcome, -alice_outcome)
-
-    def round_pmf(self, sender_choice: str) -> dict[tuple[int, int], Fraction]:
-        """Distribution of (b, b') for one round, Alice's outcome unbiased."""
-        half = Fraction(1, 2)
-        return {
-            self.implied_pair(sender_choice, 1): half,
-            self.implied_pair(sender_choice, -1): half,
-        }

@@ -17,27 +17,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import boxes, quantum, spacetime
-from .ensembles import (
-    EnsembleRun,
-    ExactDistribution,
-    RunMode,
-    ScenarioKind,
-    ScenarioSpec,
-    run_ghz_scenario,
-    run_jamming_scenario,
-    run_pr_scenario,
-    run_tsirelson_scenario,
-)
+from .ensembles import RunMode, ScenarioKind, run_jamming_scenario
 from .errors import InvariantViolation
-from .reportio import SCHEMA_VERSION, dump_report
-from .signaling import (
-    ghz_verdict,
-    jamming_unary_exact,
-    marginal_mapping,
-    pr_verdict,
-    total_variation,
-    tsirelson_verdict,
-)
+from .reportio import SCHEMA_VERSION, dump_report, encode
+from .signaling import SignalingVerdict, jamming_unary_exact, verdict
 
 _MODES = {"exact": RunMode.EXACT, "mc": RunMode.MONTE_CARLO}
 
@@ -52,164 +35,109 @@ def _envelope(command: str, config: dict, results: dict, checks: dict) -> dict:
     }
 
 
-def _scenario_config(args) -> dict:
-    return {
-        "n": args.n,
-        "trials": args.trials,
-        "seed": args.seed,
-        "mode": args.mode,
-        "format": args.format,
-    }
-
-
-def _dist_json(result) -> list[dict]:
-    """Serialize an exact or sampled collective distribution uniformly."""
-    if isinstance(result, ExactDistribution):
-        return result.to_json_obj()
-    dist = ExactDistribution.from_mapping(result.empirical(), result.labels, result.n_rounds)
-    return dist.to_json_obj()
-
-
-def _marginal_json(result, indices: tuple[int, ...]) -> list[dict]:
-    if isinstance(result, ExactDistribution):
-        return result.marginal(indices).to_json_obj()
-    mapping = marginal_mapping(result.empirical(), indices)
-    labels = tuple(result.labels[i] for i in indices)
-    dist = ExactDistribution.from_mapping(mapping, labels, result.n_rounds)
-    return dist.to_json_obj()
-
-
-def _frac_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _dist_csv_rows(choice: str, result, rows: list[list]) -> None:
-    if isinstance(result, ExactDistribution):
-        for point, prob in zip(result.support, result.probs):
-            rows.append([choice, *[_frac_str(v) for v in point], prob.numerator, prob.denominator])
-    else:
-        for trial, row in enumerate(result.collectives):
-            rows.append([choice, trial, *[float(v) for v in row]])
-
-
-def _dist_csv(results_by_choice: dict[str, ExactDistribution | EnsembleRun]) -> tuple[list[str], list[list]]:
-    first = next(iter(results_by_choice.values()))
-    if isinstance(first, ExactDistribution):
-        header = ["choice", *first.labels, "numerator", "denominator"]
-    else:
-        header = ["choice", "trial", *first.labels]
+def _dist_csv(v: SignalingVerdict) -> tuple[list[str], list[list]]:
+    """Exact pmf rows, or one row per sampled trial, for each distribution."""
+    labels = next(iter(v.distributions.values())).labels
     rows: list[list] = []
-    for choice, result in results_by_choice.items():
-        _dist_csv_rows(choice, result, rows)
+    if v.mode is RunMode.EXACT:
+        header = ["choice", *labels, "numerator", "denominator"]
+        for choice, dist in v.distributions.items():
+            for point, prob in zip(dist.support, dist.probs):
+                rows.append([choice, *encode(point), prob.numerator, prob.denominator])
+    else:
+        header = ["choice", "trial", *labels]
+        for choice, run in v.samples.items():
+            for trial, row in enumerate(run.collectives):
+                rows.append([choice, trial, *[float(x) for x in row]])
     return header, rows
 
 
-def cmd_pr_signal(args) -> tuple[dict, tuple | None]:
-    mode = _MODES[args.mode]
-    verdict = pr_verdict(args.n, mode, args.trials, args.seed)
-    dists = {}
-    for choice in ("u", "p"):
-        spec = ScenarioSpec(
-            kind=ScenarioKind.PR_BOX,
-            n_rounds=args.n,
-            sender_choice=choice,
-            trials=args.trials,
-            seed=args.seed,
-            mode=mode,
-        )
-        dists[choice] = run_pr_scenario(spec)
-    variance = verdict.extras["variance_signature"]
+def _pr_results(v: SignalingVerdict) -> tuple[dict, dict]:
+    dists = v.distributions
+    variance = v.extras["variance_signature"]
     results = {
-        "verdict": verdict.to_json_obj(),
         "variance_signature": variance,
-        "joint_distribution": {c: _dist_json(d) for c, d in dists.items()},
+        "joint_distribution": {c: d.to_json_obj() for c, d in dists.items()},
     }
     checks = {
-        "distinguishable": verdict.distinguishable,
+        "distinguishable": v.distinguishable,
         "variance_collapse": variance["u"]["var_diff"] == 0 and variance["p"]["var_sum"] == 0,
     }
-    if mode is RunMode.EXACT:
+    if v.mode is RunMode.EXACT:
         one = Fraction(1)
-        p_joint = dists["u"].probability(lambda v: v[0] == one and v[1] == one)
-        p_anti = dists["p"].probability(lambda v: v[0] == one and v[1] == -one)
+        p_joint = dists["u"].probability(lambda x: x[0] == one and x[1] == one)
+        p_anti = dists["p"].probability(lambda x: x[0] == one and x[1] == -one)
         results["rare_events"] = {
             "p_both_plus_under_u": p_joint,
             "p_plus_minus_under_p": p_anti,
         }
-        checks["rare_event_match"] = (
-            p_joint == Fraction(1, 2**args.n) and p_anti == Fraction(1, 2**args.n)
-        )
-    report = _envelope("pr-signal", _scenario_config(args), results, checks)
-    return report, _dist_csv(dists)
+        rare = Fraction(1, 2**v.n_rounds)
+        checks["rare_event_match"] = p_joint == rare and p_anti == rare
+    return results, checks
 
 
-def cmd_tsirelson(args) -> tuple[dict, tuple | None]:
-    mode = _MODES[args.mode]
-    verdict = tsirelson_verdict(args.n, mode, args.trials, args.seed)
+def _tsirelson_results(v: SignalingVerdict) -> tuple[dict, dict]:
     box = boxes.make_tsirelson_box()
     correlations = {
         "|".join(key): boxes.correlation(box, key)
         for key in (("u", "u"), ("u", "p"), ("p", "u"), ("p", "p"))
     }
     chsh = boxes.chsh_value(box)
-    dists = {}
-    for axis in ("z", "x"):
-        for choice in ("u", "p"):
-            spec = ScenarioSpec(
-                kind=ScenarioKind.TSIRELSON,
-                n_rounds=args.n,
-                sender_choice=choice,
-                trials=args.trials,
-                seed=args.seed,
-                mode=mode,
-            )
-            dists[f"{axis}|{choice}"] = run_tsirelson_scenario(spec, bob_axis=axis)
     results = {
-        "verdict": verdict.to_json_obj(),
         "box_correlations": correlations,
         "chsh": chsh,
-        "tv_per_axis": verdict.extras["tv_per_axis"],
-        "collective_variance": verdict.extras["collective_variance"],
-        "bob_distribution": {key: _dist_json(d) for key, d in dists.items()},
+        "tv_per_axis": v.extras["tv_per_axis"],
+        "collective_variance": v.extras["collective_variance"],
+        "bob_distribution": {key: d.to_json_obj() for key, d in v.distributions.items()},
     }
     checks = {
-        "no_signaling": not verdict.distinguishable,
+        "no_signaling": not v.distinguishable,
         "chsh_saturates_quantum_bound": abs(float(chsh) - 2.0 * math.sqrt(2.0)) < 1e-12,
         "no_signaling_box": boxes.check_no_signaling(box)["holds"],
     }
-    report = _envelope("tsirelson", _scenario_config(args), results, checks)
-    return report, _dist_csv(dists)
+    return results, checks
 
 
-def cmd_ghz_signal(args) -> tuple[dict, tuple | None]:
-    mode = _MODES[args.mode]
-    verdict = ghz_verdict(args.n, mode, args.trials, args.seed)
-    dists = {}
-    for choice in ("u", "p"):
-        spec = ScenarioSpec(
-            kind=ScenarioKind.GHZ,
-            n_rounds=args.n,
-            sender_choice=choice,
-            trials=args.trials,
-            seed=args.seed,
-            mode=mode,
-        )
-        dists[choice] = run_ghz_scenario(spec)
+def _ghz_results(v: SignalingVerdict) -> tuple[dict, dict]:
     results = {
-        "verdict": verdict.to_json_obj(),
-        "hit_probability": {"u": verdict.values[0], "p": verdict.values[1]},
-        "tv_joint_receiver": verdict.extras["tv_joint_receiver"],
-        "receiver_distribution": {c: _marginal_json(d, (0, 1)) for c, d in dists.items()},
+        "hit_probability": {"u": v.values[0], "p": v.values[1]},
+        "tv_joint_receiver": v.extras["tv_joint_receiver"],
+        "receiver_distribution": {
+            c: d.marginal((0, 1)).to_json_obj() for c, d in v.distributions.items()
+        },
     }
-    checks = {
-        "no_signaling": not verdict.distinguishable,
-        "hit_probabilities_equal": verdict.values[0] == verdict.values[1],
+    checks = {"no_signaling": not v.distinguishable}
+    if v.mode is RunMode.EXACT:
+        # Sampled hit probabilities are two noisy estimates; only the
+        # thresholded no_signaling check compares them.
+        checks["hit_probabilities_equal"] = v.values[0] == v.values[1]
+        checks["hit_probability_matches"] = v.values[0] == Fraction(1, 4**v.n_rounds)
+    return results, checks
+
+
+# Each scenario subcommand's kind, and the results and checks only it reports.
+_SCENARIOS = {
+    "pr-signal": (ScenarioKind.PR_BOX, _pr_results),
+    "tsirelson": (ScenarioKind.TSIRELSON, _tsirelson_results),
+    "ghz-signal": (ScenarioKind.GHZ, _ghz_results),
+}
+
+
+def cmd_scenario(args) -> tuple[dict, tuple | None]:
+    """pr-signal, tsirelson and ghz-signal: one verdict, then its tables and checks."""
+    kind, kind_results = _SCENARIOS[args.command]
+    v = verdict(kind, args.n, _MODES[args.mode], args.trials, args.seed)
+    results, checks = kind_results(v)
+    results["verdict"] = v.to_json_obj()
+    config = {
+        "n": args.n,
+        "trials": args.trials,
+        "seed": args.seed,
+        "mode": args.mode,
+        "format": args.format,
     }
-    if mode is RunMode.EXACT:
-        expected = Fraction(1, 4**args.n)
-        checks["hit_probability_matches"] = verdict.values[0] == expected
-    report = _envelope("ghz-signal", _scenario_config(args), results, checks)
-    return report, _dist_csv(dists)
+    report = _envelope(args.command, config, results, checks)
+    return report, _dist_csv(v) if args.format == "csv" else None
 
 
 def cmd_ghz_algebra(args) -> tuple[dict, tuple | None]:
@@ -299,6 +227,8 @@ def cmd_jamming(args) -> tuple[dict, tuple | None]:
         "format": args.format,
     }
     report = _envelope("jamming", config, results, checks)
+    if args.format != "csv":
+        return report, None
     header = ["triplet", "a_x", "b_x", "j"]
     rows = [[i, int(r[0]), int(r[1]), int(r[2])] for i, r in enumerate(records.outcomes)]
     return report, (header, rows)
@@ -397,9 +327,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 _COMMANDS = {
-    "pr-signal": cmd_pr_signal,
-    "tsirelson": cmd_tsirelson,
-    "ghz-signal": cmd_ghz_signal,
+    "pr-signal": cmd_scenario,
+    "tsirelson": cmd_scenario,
+    "ghz-signal": cmd_scenario,
     "ghz-algebra": cmd_ghz_algebra,
     "jamming": cmd_jamming,
     "causal": cmd_causal,

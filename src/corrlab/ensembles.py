@@ -18,7 +18,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .boxes import JointReadoutModel
 from .errors import InvariantViolation
 from .quantum import ghz_state, joint_probabilities, outcome_tuples
 
@@ -315,24 +314,27 @@ def _run_from_round_pmf(
     return EnsembleRun(labels=labels, sums=sums, n_rounds=spec.n_rounds, seed=spec.seed, rounds=rounds)
 
 
-def pr_round_pmf(sender_choice: str, readout: JointReadoutModel | None = None) -> dict:
-    """Per-round pmf of Bob's jointly read (b, b') pair."""
-    model = readout if readout is not None else JointReadoutModel()
-    return dict(model.round_pmf(sender_choice))
+def pr_round_pmf(sender_choice: str) -> dict[tuple[int, int], Fraction]:
+    """Per-round pmf of Bob's jointly read (b, b') pair.
+
+    The four perfect (anti)correlations of the maximal box fix the pair
+    from Alice's unbiased outcome: b equals it, and b' equals it under the
+    unprimed choice and is its negative under the primed one.
+    """
+    sign = 1 if sender_choice == "u" else -1
+    half = Fraction(1, 2)
+    return {(1, sign): half, (-1, -sign): half}
 
 
-def run_pr_scenario(
-    spec: ScenarioSpec, readout: JointReadoutModel | None = None
-) -> ExactDistribution | EnsembleRun:
+def run_pr_scenario(spec: ScenarioSpec) -> ExactDistribution | EnsembleRun:
     """Collective (B, B') statistics for the maximal bipartite box.
 
-    Alice's outcome is unbiased each round; the joint readout model fixes
-    Bob's pair from it, so under the unprimed choice B' = B identically
-    and under the primed choice B' = -B.
+    Under the unprimed choice B' = B identically and under the primed
+    choice B' = -B.
     """
     if spec.kind is not ScenarioKind.PR_BOX:
         raise ValueError("spec.kind must be PR_BOX")
-    pmf = pr_round_pmf(spec.sender_choice, readout)
+    pmf = pr_round_pmf(spec.sender_choice)
     stream = (_KIND_STREAM[spec.kind], _CHOICE_INDEX[spec.sender_choice])
     return _run_from_round_pmf(spec, pmf, ("B", "B_prime"), stream)
 
@@ -390,6 +392,13 @@ def run_tsirelson_scenario(
         0 if bob_axis == "z" else 1,
     )
     return _run_from_round_pmf(spec, pmf, (f"bob_{bob_axis}",), stream)
+
+
+SCENARIO_RUNNERS = {
+    ScenarioKind.PR_BOX: run_pr_scenario,
+    ScenarioKind.TSIRELSON: run_tsirelson_scenario,
+    ScenarioKind.GHZ: run_ghz_scenario,
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,12 +483,4 @@ def run_jamming_scenario(
 def scenario_exact_distribution(spec: ScenarioSpec, **kwargs) -> ExactDistribution:
     """Exact-mode result for any scenario kind, regardless of spec.mode."""
     exact_spec = replace(spec, mode=RunMode.EXACT)
-    return _dispatch(exact_spec, **kwargs)  # type: ignore[return-value]
-
-
-def _dispatch(spec: ScenarioSpec, **kwargs) -> ExactDistribution | EnsembleRun:
-    if spec.kind is ScenarioKind.PR_BOX:
-        return run_pr_scenario(spec, **kwargs)
-    if spec.kind is ScenarioKind.GHZ:
-        return run_ghz_scenario(spec)
-    return run_tsirelson_scenario(spec, **kwargs)
+    return SCENARIO_RUNNERS[spec.kind](exact_spec, **kwargs)  # type: ignore[return-value]

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping
 
 from .ensembles import (
+    SCENARIO_RUNNERS,
     EnsembleRun,
     ExactDistribution,
     JammingRecords,
@@ -23,16 +24,12 @@ from .ensembles import (
     ScenarioKind,
     ScenarioSpec,
     jamming_exact_distribution,
-    run_ghz_scenario,
-    run_pr_scenario,
-    run_tsirelson_scenario,
 )
 from .errors import LatticeMismatchError
 
 
 class Statistic(Enum):
     TOTAL_VARIATION = "total_variation"
-    VARIANCE_PAIR = "variance_pair"
     CONDITIONAL_PROBABILITY = "conditional_probability"
 
 
@@ -42,7 +39,12 @@ class SignalingVerdict:
 
     ``values`` holds the designated statistic evaluated under choice 0 and
     choice 1; the receiver can tell the choices apart exactly when the two
-    values differ by more than ``threshold``.
+    values differ by more than ``threshold``.  ``distributions`` holds the
+    distributions the verdict compared, keyed by sender choice (prefixed by
+    Bob's axis for the Tsirelson box): exact ones, or the empirical pmfs of
+    sampled runs.  ``samples`` holds those sampled runs themselves, for
+    per-trial output; it is empty in exact mode.  Neither goes into the
+    verdict's JSON.
     """
 
     scenario: ScenarioKind
@@ -55,6 +57,8 @@ class SignalingVerdict:
     seed: int
     trials: int | None = None
     extras: dict = field(default_factory=dict)
+    distributions: dict[str, ExactDistribution] = field(default_factory=dict, repr=False)
+    samples: dict[str, EnsembleRun] = field(default_factory=dict, repr=False)
 
     def to_json_obj(self) -> dict:
         return {
@@ -73,7 +77,7 @@ def _as_mapping(obj) -> tuple[dict, tuple[str, ...] | None, int | None]:
     """Coerce a distribution-like object to (mapping, labels, n_rounds)."""
     if isinstance(obj, ExactDistribution):
         return obj.as_mapping(), obj.labels, obj.n_rounds
-    if isinstance(obj, (EnsembleRun, JammingRecords)):
+    if isinstance(obj, JammingRecords):
         return obj.empirical(), obj.labels, obj.n_rounds
     if isinstance(obj, Mapping):
         mapping = dict(obj)
@@ -191,19 +195,6 @@ def jamming_unary_exact() -> dict:
     return unary_condition_check(d_x, d_z, include_joint=True)
 
 
-def _spec_pair(kind: ScenarioKind, n_rounds: int, mode: RunMode, trials: int, seed: int):
-    return (
-        ScenarioSpec(kind=kind, n_rounds=n_rounds, sender_choice="u", trials=trials, seed=seed, mode=mode),
-        ScenarioSpec(kind=kind, n_rounds=n_rounds, sender_choice="p", trials=trials, seed=seed, mode=mode),
-    )
-
-
-def _threshold_for(mode: RunMode, trials: int) -> Fraction | float:
-    if mode is RunMode.EXACT:
-        return Fraction(0)
-    return 5.0 / math.sqrt(trials)
-
-
 def _mode_value(value, mode: RunMode):
     """Report rationals in exact mode, floats in sampled mode.
 
@@ -213,6 +204,44 @@ def _mode_value(value, mode: RunMode):
     return value if mode is RunMode.EXACT else float(value)
 
 
+def _run_choices(spec: ScenarioSpec, **kwargs) -> dict[str, ExactDistribution | EnsembleRun]:
+    """Run the scenario once under each of the sender's choices."""
+    run = SCENARIO_RUNNERS[spec.kind]
+    return {choice: run(replace(spec, sender_choice=choice), **kwargs) for choice in ("u", "p")}
+
+
+def _distributions(runs: dict, mode: RunMode) -> dict[str, ExactDistribution]:
+    """Each run as an exact distribution: itself, or a sampled run's empirical pmf."""
+    if mode is RunMode.EXACT:
+        return dict(runs)
+    return {
+        key: ExactDistribution.from_mapping(run.empirical(), run.labels, run.n_rounds)
+        for key, run in runs.items()
+    }
+
+
+def _verdict(
+    spec: ScenarioSpec, statistic: Statistic, values: tuple, extras: dict, runs: dict, dists: dict
+) -> SignalingVerdict:
+    """The verdict on ``values``, thresholded as the spec's mode requires."""
+    sampled = spec.mode is RunMode.MONTE_CARLO
+    threshold = 5.0 / math.sqrt(spec.trials) if sampled else Fraction(0)
+    return SignalingVerdict(
+        scenario=spec.kind,
+        n_rounds=spec.n_rounds,
+        mode=spec.mode,
+        statistic=statistic,
+        values=values,
+        distinguishable=not _passes(abs(values[1] - values[0]), threshold),
+        threshold=threshold,
+        seed=spec.seed,
+        trials=spec.trials if sampled else None,
+        extras=extras,
+        distributions=dists,
+        samples=runs if sampled else {},
+    )
+
+
 def pr_verdict(n_rounds: int, mode: RunMode, trials: int = 100_000, seed: int = 0) -> SignalingVerdict:
     """Distinguishability of Alice's choice from Bob's joint (B, B') readout.
 
@@ -220,30 +249,12 @@ def pr_verdict(n_rounds: int, mode: RunMode, trials: int = 100_000, seed: int = 
     values are (0, TV between the two joint distributions).  The variance
     signatures of B+B' and B-B' under each choice ride along as extras.
     """
-    spec_u, spec_p = _spec_pair(ScenarioKind.PR_BOX, n_rounds, mode, trials, seed)
-    dist_u = run_pr_scenario(spec_u)
-    dist_p = run_pr_scenario(spec_p)
-    tv = _mode_value(total_variation(dist_u, dist_p), mode)
-    threshold = _threshold_for(mode, trials)
-    v0 = Fraction(0) if mode is RunMode.EXACT else 0.0
-    extras = {
-        "variance_signature": {
-            "u": variance_signature(dist_u),
-            "p": variance_signature(dist_p),
-        }
-    }
-    return SignalingVerdict(
-        scenario=ScenarioKind.PR_BOX,
-        n_rounds=n_rounds,
-        mode=mode,
-        statistic=Statistic.TOTAL_VARIATION,
-        values=(v0, tv),
-        distinguishable=not _passes(abs(tv - v0), threshold),
-        threshold=threshold,
-        seed=seed,
-        trials=trials if mode is RunMode.MONTE_CARLO else None,
-        extras=extras,
-    )
+    spec = ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=n_rounds, trials=trials, seed=seed, mode=mode)
+    runs = _run_choices(spec)
+    dists = _distributions(runs, mode)
+    values = (_mode_value(Fraction(0), mode), _mode_value(total_variation(dists["u"], dists["p"]), mode))
+    extras = {"variance_signature": {c: variance_signature(run) for c, run in runs.items()}}
+    return _verdict(spec, Statistic.TOTAL_VARIATION, values, extras, runs, dists)
 
 
 def tsirelson_verdict(n_rounds: int, mode: RunMode, trials: int = 100_000, seed: int = 0) -> SignalingVerdict:
@@ -253,45 +264,23 @@ def tsirelson_verdict(n_rounds: int, mode: RunMode, trials: int = 100_000, seed:
     rescaled sum and difference of his two tilted observables); the
     verdict statistic is the worse of the two total variations.
     """
-    tvs: dict[str, Fraction | float] = {}
-    variances: dict[str, dict] = {}
-    for axis in ("z", "x"):
-        spec_u, spec_p = _spec_pair(ScenarioKind.TSIRELSON, n_rounds, mode, trials, seed)
-        dist_u = run_tsirelson_scenario(spec_u, bob_axis=axis)
-        dist_p = run_tsirelson_scenario(spec_p, bob_axis=axis)
-        tvs[axis] = _mode_value(total_variation(dist_u, dist_p), mode)
-        variances[axis] = {
-            "u": dist_u.variance((1,)),
-            "p": dist_p.variance((1,)),
-        }
-    tv = max(tvs.values())
-    threshold = _threshold_for(mode, trials)
-    v0 = Fraction(0) if mode is RunMode.EXACT else 0.0
+    spec = ScenarioSpec(kind=ScenarioKind.TSIRELSON, n_rounds=n_rounds, trials=trials, seed=seed, mode=mode)
+    runs = {
+        f"{axis}|{choice}": run
+        for axis in ("z", "x")
+        for choice, run in _run_choices(spec, bob_axis=axis).items()
+    }
+    dists = _distributions(runs, mode)
+    tvs = {
+        axis: _mode_value(total_variation(dists[f"{axis}|u"], dists[f"{axis}|p"]), mode)
+        for axis in ("z", "x")
+    }
+    variances = {
+        axis: {c: runs[f"{axis}|{c}"].variance((1,)) for c in ("u", "p")} for axis in ("z", "x")
+    }
+    values = (_mode_value(Fraction(0), mode), max(tvs.values()))
     extras = {"tv_per_axis": tvs, "collective_variance": variances}
-    return SignalingVerdict(
-        scenario=ScenarioKind.TSIRELSON,
-        n_rounds=n_rounds,
-        mode=mode,
-        statistic=Statistic.TOTAL_VARIATION,
-        values=(v0, tv),
-        distinguishable=not _passes(abs(tv - v0), threshold),
-        threshold=threshold,
-        seed=seed,
-        trials=trials if mode is RunMode.MONTE_CARLO else None,
-        extras=extras,
-    )
-
-
-def _ghz_joint_hit_probability(result) -> Fraction:
-    """P(A_x = 1 and B_x = 1): every round of both collectives came up +1."""
-    one = Fraction(1)
-    if isinstance(result, ExactDistribution):
-        return result.probability(lambda v: v[0] == one and v[1] == one)
-    hits = Fraction(0)
-    for key, prob in result.empirical().items():
-        if key[0] == one and key[1] == one:
-            hits += prob
-    return hits
+    return _verdict(spec, Statistic.TOTAL_VARIATION, values, extras, runs, dists)
 
 
 def ghz_verdict(n_rounds: int, mode: RunMode, trials: int = 100_000, seed: int = 0) -> SignalingVerdict:
@@ -302,31 +291,25 @@ def ghz_verdict(n_rounds: int, mode: RunMode, trials: int = 100_000, seed: int =
     measures x or y.  The total variation over the joint (A_x, B_x)
     distribution rides along as the strongest accessible comparison.
     """
-    spec_u, spec_p = _spec_pair(ScenarioKind.GHZ, n_rounds, mode, trials, seed)
-    dist_u = run_ghz_scenario(spec_u)
-    dist_p = run_ghz_scenario(spec_p)
-    p_u = _mode_value(_ghz_joint_hit_probability(dist_u), mode)
-    p_p = _mode_value(_ghz_joint_hit_probability(dist_p), mode)
-    if isinstance(dist_u, ExactDistribution):
-        tv_joint = total_variation(dist_u.marginal((0, 1)), dist_p.marginal((0, 1)))
-    else:
-        m_u, _, _ = _as_mapping(dist_u)
-        m_p, _, _ = _as_mapping(dist_p)
-        tv_joint = total_variation(marginal_mapping(m_u, (0, 1)), marginal_mapping(m_p, (0, 1)))
-    threshold = _threshold_for(mode, trials)
-    extras = {"tv_joint_receiver": _mode_value(tv_joint, mode)}
-    return SignalingVerdict(
-        scenario=ScenarioKind.GHZ,
-        n_rounds=n_rounds,
-        mode=mode,
-        statistic=Statistic.CONDITIONAL_PROBABILITY,
-        values=(p_u, p_p),
-        distinguishable=not _passes(abs(p_u - p_p), threshold),
-        threshold=threshold,
-        seed=seed,
-        trials=trials if mode is RunMode.MONTE_CARLO else None,
-        extras=extras,
+    spec = ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=n_rounds, trials=trials, seed=seed, mode=mode)
+    runs = _run_choices(spec)
+    dists = _distributions(runs, mode)
+    receivers = {c: d.marginal((0, 1)) for c, d in dists.items()}
+    one = Fraction(1)
+    hits = tuple(
+        _mode_value(receivers[c].probability(lambda v: v[0] == one and v[1] == one), mode)
+        for c in ("u", "p")
     )
+    tv_joint = total_variation(receivers["u"], receivers["p"])
+    extras = {"tv_joint_receiver": _mode_value(tv_joint, mode)}
+    return _verdict(spec, Statistic.CONDITIONAL_PROBABILITY, hits, extras, runs, dists)
+
+
+_VERDICTS = {
+    ScenarioKind.PR_BOX: pr_verdict,
+    ScenarioKind.TSIRELSON: tsirelson_verdict,
+    ScenarioKind.GHZ: ghz_verdict,
+}
 
 
 def verdict(
@@ -337,10 +320,6 @@ def verdict(
     seed: int = 0,
 ) -> SignalingVerdict:
     """Run both sender choices for a scenario and render its verdict."""
-    if kind is ScenarioKind.PR_BOX:
-        return pr_verdict(n_rounds, mode, trials, seed)
-    if kind is ScenarioKind.TSIRELSON:
-        return tsirelson_verdict(n_rounds, mode, trials, seed)
-    if kind is ScenarioKind.GHZ:
-        return ghz_verdict(n_rounds, mode, trials, seed)
-    raise ValueError(f"unknown scenario kind {kind!r}")
+    if kind not in _VERDICTS:
+        raise ValueError(f"unknown scenario kind {kind!r}")
+    return _VERDICTS[kind](n_rounds, mode, trials, seed)

@@ -131,7 +131,7 @@ class DevicePolicy:
 
     def __post_init__(self):
         for name in (self.alice_map, self.bob_map):
-            if name not in _MAP_TABLE:
+            if not isinstance(name, str) or name not in _MAP_TABLE:
                 raise ValueError(f"unknown device map {name!r}; choose from {MAP_NAMES}")
 
     def alice(self, bit: int) -> int:

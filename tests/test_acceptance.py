@@ -304,7 +304,7 @@ def _sampled_tvs(runner, kind, choice, n, exact, trials, **kwargs) -> list[float
             seed=seed,
             mode=RunMode.MONTE_CARLO,
         )
-        tvs.append(float(total_variation(runner(spec, **kwargs), exact)))
+        tvs.append(float(total_variation(runner(spec, **kwargs).empirical(), exact)))
     return tvs
 
 

@@ -12,7 +12,6 @@ import oracles
 from corrlab.boxes import (
     LABELS,
     DichotomicBox,
-    JointReadoutModel,
     box_from_json_obj,
     box_from_quantum,
     check_no_signaling,
@@ -23,6 +22,7 @@ from corrlab.boxes import (
     make_pr_box,
     make_tsirelson_box,
 )
+from corrlab.ensembles import pr_round_pmf
 from corrlab.errors import BoxValidationError
 from corrlab.quantum import bell_state
 
@@ -245,29 +245,17 @@ class TestSerialization:
 
 
 class TestJointReadout:
-    def test_implied_pairs(self):
-        model = JointReadoutModel()
-        for outcome in (1, -1):
-            assert model.implied_pair("u", outcome) == (outcome, outcome)
-            assert model.implied_pair("p", outcome) == (outcome, -outcome)
-
     def test_round_pmf(self):
-        model = JointReadoutModel()
-        assert model.round_pmf("u") == {(1, 1): HALF, (-1, -1): HALF}
-        assert model.round_pmf("p") == {(1, -1): HALF, (-1, 1): HALF}
+        assert pr_round_pmf("u") == {(1, 1): HALF, (-1, -1): HALF}
+        assert pr_round_pmf("p") == {(1, -1): HALF, (-1, 1): HALF}
 
     def test_pmf_reproduces_box_correlations(self):
-        # the readout model is exactly the maximal box's conditional law with
+        # the round pmf is exactly the maximal box's conditional law with
         # Bob's two settings read jointly; b carries Alice's outcome verbatim
         box = make_pr_box()
-        model = JointReadoutModel()
         for choice in LABELS:
-            pmf = model.round_pmf(choice)
+            pmf = pr_round_pmf(choice)
             c_ab = sum(p * b * b for (b, _), p in pmf.items())
             c_abp = sum(p * b * bp for (b, bp), p in pmf.items())
             assert c_ab == correlation(box, (choice, "u"))
             assert c_abp == correlation(box, (choice, "p"))
-
-    def test_rejects_bad_outcome(self):
-        with pytest.raises(ValueError, match="outcome"):
-            JointReadoutModel().implied_pair("u", 0)

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import corrlab
+from corrlab import ensembles
 from corrlab.cli import main
+from corrlab.ensembles import EnsembleRun
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -26,6 +28,19 @@ def run_json(tmp_path, *args):
     code, text = run_cli(tmp_path, *args)
     assert code == 0
     return json.loads(text)
+
+
+def spy_calls(monkeypatch, owner, name) -> list:
+    """Record each call of owner.name while the test runs."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
 
 
 def run_proc(*args):
@@ -122,6 +137,26 @@ class TestGhzSignalCommand:
         )
         assert report["checks"]["no_signaling"] is True
         assert "hit_probability_matches" not in report["checks"]
+        assert "hit_probabilities_equal" not in report["checks"]
+
+
+@pytest.mark.parametrize("command, runs", [("pr-signal", 2), ("tsirelson", 4), ("ghz-signal", 2)])
+class TestEachDistributionRunsOnce:
+    """A scenario report computes each of its distributions exactly once."""
+
+    def test_exact(self, tmp_path, monkeypatch, command, runs):
+        calls = spy_calls(monkeypatch, ensembles, "convolve_iid_rounds")
+        assert run_cli(tmp_path, command, "--n", "3")[0] == 0
+        assert len(calls) == runs
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_sampled(self, tmp_path, monkeypatch, command, runs, fmt):
+        calls = spy_calls(monkeypatch, EnsembleRun, "empirical")
+        code, _ = run_cli(
+            tmp_path, command, "--n", "3", "--mode", "mc", "--trials", "200", "--format", fmt
+        )
+        assert code == 0
+        assert len(calls) == runs
 
 
 class TestGhzAlgebraCommand:
@@ -244,6 +279,15 @@ class TestCausalCommand:
         proc = run_proc("causal", "--config", str(config))
         assert proc.returncode == 2
         assert "both alice_map and bob_map" in proc.stderr
+
+
+    @pytest.mark.parametrize("bad", [[], {}])
+    def test_map_name_must_be_a_string(self, tmp_path, bad):
+        config = tmp_path / "maps.json"
+        config.write_text(json.dumps({"alice_map": bad, "bob_map": "echo"}))
+        proc = run_proc("causal", "--config", str(config))
+        assert proc.returncode == 2
+        assert "unknown device map" in proc.stderr
 
 
 class TestDeterminismAndErrors:
