@@ -102,9 +102,7 @@ def _ghz_results(v: SignalingVerdict) -> tuple[dict, dict]:
     results = {
         "hit_probability": {"u": v.values[0], "p": v.values[1]},
         "tv_joint_receiver": v.extras["tv_joint_receiver"],
-        "receiver_distribution": {
-            c: d.marginal((0, 1)).to_json_obj() for c, d in v.distributions.items()
-        },
+        "receiver_distribution": {c: d.to_json_obj() for c, d in v.extras["receivers"].items()},
     }
     checks = {"no_signaling": not v.distinguishable}
     if v.mode is RunMode.EXACT:
@@ -400,6 +398,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -22,8 +22,6 @@ from .errors import InvariantViolation
 from .quantum import ghz_state, joint_probabilities, outcome_tuples
 
 EXACT_MAX_ROUNDS = 24
-# Round records are kept for traces only below this many total outcomes.
-KEEP_ROUNDS_BUDGET = 10**7
 _SAMPLE_CHUNK = 1 << 16
 
 
@@ -58,7 +56,7 @@ class ScenarioSpec:
     trials: int = 100_000
     seed: int = 0
     mode: RunMode = RunMode.EXACT
-    keep_rounds: bool | None = None
+    keep_rounds: bool = False
 
     def __post_init__(self):
         if self.n_rounds < 1:
@@ -71,12 +69,6 @@ class ScenarioSpec:
             raise ValueError("trials must be positive")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
-
-    @property
-    def keep_rounds_resolved(self) -> bool:
-        if self.keep_rounds is not None:
-            return self.keep_rounds
-        return self.n_rounds * self.trials <= KEEP_ROUNDS_BUDGET
 
 
 def snap_dyadic(p: float, max_exp: int = 30, tol: float = 1e-12) -> Fraction:
@@ -222,9 +214,10 @@ class ExactDistribution:
 class EnsembleRun:
     """Monte Carlo samples of collective variables.
 
-    ``sums`` holds the per-trial componentwise sums of +1/-1 round
-    outcomes, so collectives are sums / n_rounds.  ``rounds`` optionally
-    retains the full per-round records for trace output.
+    ``sums`` is a (trials, k) int64 array of the per-trial componentwise
+    sums of +1/-1 round outcomes, so collectives are sums / n_rounds.
+    ``rounds`` holds the (trials, N, k) per-round records only when the
+    spec asked for them with ``keep_rounds=True``; otherwise it is None.
     """
 
     labels: tuple[str, ...]
@@ -243,12 +236,7 @@ class EnsembleRun:
 
     def empirical(self) -> dict[tuple[Fraction, ...], Fraction]:
         """Empirical pmf of the collectives, exact over the sample."""
-        uniq, counts = np.unique(self.sums, axis=0, return_counts=True)
-        out = {}
-        for row, c in zip(uniq, counts):
-            key = tuple(Fraction(int(s), self.n_rounds) for s in row)
-            out[key] = Fraction(int(c), self.trials)
-        return out
+        return _histogram(self.sums, self.n_rounds)
 
     def mean(self, coeffs: tuple[float, ...]) -> float:
         combo = self.collectives @ np.asarray(coeffs, dtype=float)
@@ -259,6 +247,27 @@ class EnsembleRun:
             raise ValueError("variance needs at least 2 samples")
         combo = self.collectives @ np.asarray(coeffs, dtype=float)
         return float(combo.var())
+
+
+def _histogram(rows: np.ndarray, n_rounds: int) -> dict[tuple[Fraction, ...], Fraction]:
+    """Empirical pmf {row / n_rounds: count / trials} of integer rows.
+
+    Each row becomes one int64 cell over the sample's own per-component
+    min..max box, so a 1-D sort counts them; keys come out in
+    lexicographic row order, as a row-wise unique would give them.
+    """
+    lo = rows.min(axis=0)
+    dims = tuple(int(d) for d in rows.max(axis=0) - lo + 1)
+    cells, counts = np.unique(
+        np.ravel_multi_index(tuple((rows - lo).T), dims), return_counts=True
+    )
+    columns = []
+    for offset, coords in zip(lo.tolist(), np.unravel_index(cells, dims)):
+        values = (coords + offset).tolist()
+        fractions = {v: Fraction(v, n_rounds) for v in set(values)}
+        columns.append([fractions[v] for v in values])
+    trials = rows.shape[0]
+    return {key: Fraction(c, trials) for key, c in zip(zip(*columns), counts.tolist())}
 
 
 def _stream_rng(seed: int, stream: tuple[int, ...]) -> np.random.Generator:
@@ -273,13 +282,18 @@ def _sample_outcome_rows(
     stream: tuple[int, ...],
     keep_rounds: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Draw (trials, N) round outcomes by inverse CDF in fixed-size chunks."""
+    """Draw (trials, N) round outcomes by inverse CDF in fixed-size chunks.
+
+    Each trial's component sum is N - 2 * (rounds whose atom is -1 in that
+    component), counted straight from the (chunk, N) atom indices.
+    """
     k = len(next(iter(round_pmf)))
     order = [o for o in outcome_tuples(k) if o in round_pmf]
     probs = np.array([float(round_pmf[o]) for o in order])
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
     atoms = np.array(order, dtype=np.int8)
+    negative = [atoms[:, c] < 0 for c in range(k)]
     rng = _stream_rng(seed, stream)
     sums = np.empty((trials, k), dtype=np.int64)
     rounds = np.empty((trials, n_rounds, k), dtype=np.int8) if keep_rounds else None
@@ -288,10 +302,11 @@ def _sample_outcome_rows(
         chunk = min(_SAMPLE_CHUNK, trials - done)
         u = rng.random((chunk, n_rounds))
         idx = np.searchsorted(cdf, u, side="right")
-        picked = atoms[idx]  # (chunk, N, k)
-        sums[done : done + chunk] = picked.sum(axis=1, dtype=np.int64)
+        block = sums[done : done + chunk]
+        for c, neg in enumerate(negative):
+            block[:, c] = n_rounds - 2 * np.count_nonzero(neg[idx], axis=1)
         if rounds is not None:
-            rounds[done : done + chunk] = picked
+            rounds[done : done + chunk] = atoms[idx]
         done += chunk
     return sums, rounds
 
@@ -309,7 +324,7 @@ def _run_from_round_pmf(
         }
         return ExactDistribution.from_mapping(mapping, labels, spec.n_rounds)
     sums, rounds = _sample_outcome_rows(
-        round_pmf, spec.n_rounds, spec.trials, spec.seed, stream, spec.keep_rounds_resolved
+        round_pmf, spec.n_rounds, spec.trials, spec.seed, stream, spec.keep_rounds
     )
     return EnsembleRun(labels=labels, sums=sums, n_rounds=spec.n_rounds, seed=spec.seed, rounds=rounds)
 
@@ -422,11 +437,7 @@ class JammingRecords:
         return 1
 
     def empirical(self) -> dict[tuple[Fraction, ...], Fraction]:
-        uniq, counts = np.unique(self.outcomes, axis=0, return_counts=True)
-        return {
-            tuple(Fraction(int(v)) for v in row): Fraction(int(c), self.trials)
-            for row, c in zip(uniq, counts)
-        }
+        return _histogram(self.outcomes, 1)
 
     def bin_by_jim(self) -> dict[int, np.ndarray]:
         """Rows with jim outcome +1 and -1 separately."""

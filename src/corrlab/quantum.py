@@ -83,9 +83,8 @@ class PauliObservable:
 
 def _apply_site(tensor: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
     """Contract a 2x2 matrix into one tensor index."""
-    moved = np.moveaxis(tensor, axis, 0)
-    out = np.tensordot(mat, moved, axes=([1], [0]))
-    return np.moveaxis(out, 0, axis)
+    out = np.matmul(mat, tensor.reshape(2**axis, 2, -1))
+    return out.reshape(tensor.shape)
 
 
 @dataclass(frozen=True, eq=False)

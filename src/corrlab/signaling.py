@@ -289,7 +289,8 @@ def ghz_verdict(n_rounds: int, mode: RunMode, trials: int = 100_000, seed: int =
     The statistic follows the rare-event argument: the probability that
     both A_x and B_x come out +1 in every round is 2^-2N whether Jim
     measures x or y.  The total variation over the joint (A_x, B_x)
-    distribution rides along as the strongest accessible comparison.
+    distribution rides along as the strongest accessible comparison, and
+    the receivers' (A_x, B_x) marginals ride along as ``receivers``.
     """
     spec = ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=n_rounds, trials=trials, seed=seed, mode=mode)
     runs = _run_choices(spec)
@@ -301,7 +302,7 @@ def ghz_verdict(n_rounds: int, mode: RunMode, trials: int = 100_000, seed: int =
         for c in ("u", "p")
     )
     tv_joint = total_variation(receivers["u"], receivers["p"])
-    extras = {"tv_joint_receiver": _mode_value(tv_joint, mode)}
+    extras = {"tv_joint_receiver": _mode_value(tv_joint, mode), "receivers": receivers}
     return _verdict(spec, Statistic.CONDITIONAL_PROBABILITY, hits, extras, runs, dists)
 
 

@@ -13,6 +13,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 
+import numpy as np
 import sympy as sp
 
 
@@ -118,6 +119,18 @@ def iid_sum_bruteforce(
                 sums[i] += o
         out[tuple(sums)] += prob
     return dict(out)
+
+
+def empirical_by_row_unique(
+    rows: np.ndarray, n_rounds: int
+) -> dict[tuple[Fraction, ...], Fraction]:
+    """Empirical pmf {row / n_rounds: count / trials} by a row-wise ``np.unique`` sort."""
+    uniq, counts = np.unique(rows, axis=0, return_counts=True)
+    trials = rows.shape[0]
+    return {
+        tuple(Fraction(int(s), n_rounds) for s in row): Fraction(int(c), trials)
+        for row, c in zip(uniq, counts)
+    }
 
 
 def binomial_mean_abs_deviation(n: int, p: float) -> float:

@@ -13,7 +13,7 @@ import pytest
 import corrlab
 from corrlab import ensembles
 from corrlab.cli import main
-from corrlab.ensembles import EnsembleRun
+from corrlab.ensembles import EnsembleRun, ExactDistribution
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -157,6 +157,14 @@ class TestEachDistributionRunsOnce:
         )
         assert code == 0
         assert len(calls) == runs
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_receiver_marginals(self, tmp_path, monkeypatch, command, runs, mode):
+        """ghz-signal builds each receiver marginal once; the others build none."""
+        calls = spy_calls(monkeypatch, ExactDistribution, "marginal")
+        code, _ = run_cli(tmp_path, command, "--n", "3", "--mode", mode, "--trials", "200")
+        assert code == 0
+        assert len(calls) == (2 if command == "ghz-signal" else 0)
 
 
 class TestGhzAlgebraCommand:
@@ -353,6 +361,21 @@ class TestDeterminismAndErrors:
 
     def test_unknown_subcommand(self):
         assert run_proc("frobnicate").returncode == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("pr-signal", "--mode", "mc", "--n", "1"),
+            ("jamming", "--jim", "z"),
+        ],
+    )
+    def test_out_of_memory_exits_2(self, args):
+        # Petabytes of samples: the first allocation fails before any work starts.
+        proc = run_proc(*args, "--trials", str(10**15))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: out of memory")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_large_n_allowed_in_sampled_mode(self, tmp_path):
         report = run_json(

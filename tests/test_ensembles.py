@@ -1,19 +1,21 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from corrlab.ensembles import (
     EXACT_MAX_ROUNDS,
-    KEEP_ROUNDS_BUDGET,
     EnsembleRun,
     ExactDistribution,
+    JammingRecords,
     RunMode,
     ScenarioKind,
     ScenarioSpec,
@@ -67,21 +69,10 @@ class TestSpecValidation:
             spec(ScenarioKind.PR_BOX, 4, seed=2**64)
 
     def test_keep_rounds_resolution(self):
-        s = spec(ScenarioKind.PR_BOX, 4, mode=RunMode.MONTE_CARLO, trials=100)
-        assert s.keep_rounds_resolved is True
-        big = spec(
-            ScenarioKind.PR_BOX, 11, mode=RunMode.MONTE_CARLO, trials=KEEP_ROUNDS_BUDGET // 10
-        )
-        assert big.n_rounds * big.trials > KEEP_ROUNDS_BUDGET
-        assert big.keep_rounds_resolved is False
-        forced = spec(
-            ScenarioKind.PR_BOX,
-            11,
-            mode=RunMode.MONTE_CARLO,
-            trials=KEEP_ROUNDS_BUDGET // 10,
-            keep_rounds=True,
-        )
-        assert forced.keep_rounds_resolved is True
+        # Round records are kept only on request, whatever the sample size.
+        for n, trials in ((4, 100), (11, 10**6)):
+            s = spec(ScenarioKind.PR_BOX, n, mode=RunMode.MONTE_CARLO, trials=trials)
+            assert s.keep_rounds is False
 
 
 class TestSnapping:
@@ -342,20 +333,61 @@ class TestMonteCarlo:
         assert np.all(prods == -1)
 
     def test_rounds_trace(self):
-        s = spec(ScenarioKind.PR_BOX, 4, mode=RunMode.MONTE_CARLO, trials=50, seed=1)
+        s = spec(
+            ScenarioKind.PR_BOX, 4, mode=RunMode.MONTE_CARLO, trials=50, seed=1, keep_rounds=True
+        )
         run = run_pr_scenario(s)
         assert run.rounds is not None
         assert run.rounds.shape == (50, 4, 2)
         assert np.array_equal(run.rounds.sum(axis=1), run.sums)
-        off = spec(
-            ScenarioKind.PR_BOX,
-            4,
-            mode=RunMode.MONTE_CARLO,
-            trials=50,
-            seed=1,
-            keep_rounds=False,
-        )
+        off = spec(ScenarioKind.PR_BOX, 4, mode=RunMode.MONTE_CARLO, trials=50, seed=1)
         assert run_pr_scenario(off).rounds is None
+
+    @pytest.mark.parametrize(
+        "runner, kind, n, choice, kwargs, digest",
+        [
+            (run_pr_scenario, ScenarioKind.PR_BOX, 60, "p", {},
+             "1080cf6a2f1f91af9a0b8f95b3866fd6626b13c1f0262e4813591b5ac9b3153e"),
+            (run_tsirelson_scenario, ScenarioKind.TSIRELSON, 6, "u", {"bob_axis": "x"},
+             "edc76319b692f68e8ce22b8f0b407bdf9ebe08fcf16471614702ab0461cb5231"),
+            (run_tsirelson_scenario, ScenarioKind.TSIRELSON, 6, "p", {"bob_axis": "x"},
+             "704a3a377424e1723631daa7f9e38d893e49a18b366a4a1db2af94f808ed916d"),
+            (run_ghz_scenario, ScenarioKind.GHZ, 60, "p", {},
+             "feac3cb5f4638ff082e4b141b460b76a056d91c8d98381fc128a4df358e90d7e"),
+        ],
+        ids=["pr-p-60", "tsirelson-x-u-6", "tsirelson-x-p-6", "ghz-p-60"],
+    )
+    def test_sampled_sums_are_pinned(self, runner, kind, n, choice, kwargs, digest):
+        """The seeded draws and their per-trial sums never change silently.
+
+        The digests are those of the gather-and-sum sampler that preceded
+        the per-component counts.
+        """
+        s = spec(kind, n, choice, mode=RunMode.MONTE_CARLO, trials=100_000, seed=0)
+        run = runner(s, **kwargs)
+        assert run.sums.dtype == np.int64
+        assert hashlib.sha256(run.sums.tobytes()).hexdigest() == digest
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(1, 3),
+        n=st.integers(1, 1000),
+        trials=st.integers(1, 500),
+        spread=st.integers(0, 1000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=3, n=1000, trials=1, spread=0, seed=0)
+    @example(k=2, n=7, trials=500, spread=0, seed=1)
+    @example(k=3, n=1000, trials=500, spread=1000, seed=2)
+    def test_empirical_matches_row_unique(self, k, n, trials, spread, seed):
+        rng = np.random.default_rng(seed)
+        low = rng.integers(0, n + 1, size=k)
+        negatives = np.minimum(low + rng.integers(0, spread + 1, size=(trials, k)), n)
+        sums = n - 2 * negatives.astype(np.int64)
+        run = EnsembleRun(labels=("c",) * k, sums=sums, n_rounds=n, seed=seed)
+        got = run.empirical()
+        want = oracles.empirical_by_row_unique(sums, n)
+        assert list(got.items()) == list(want.items())
 
     def test_empirical_pmf(self):
         run = run_pr_scenario(
@@ -444,6 +476,26 @@ class TestJamming:
     def test_z_choice_is_uncorrelated(self):
         records = run_jamming_scenario(5, "z", 4000, seed=6)
         assert abs(records.overall_correlation()) < 4.0 / math.sqrt(records.trials)
+
+    def test_outcomes_are_pinned(self):
+        records = run_jamming_scenario(6, "z", 100_000, seed=0)
+        assert records.outcomes.dtype == np.int8
+        digest = hashlib.sha256(records.outcomes.tobytes()).hexdigest()
+        assert digest == "ca1ad21ca91c3bedb91a6dac4d1a38ffe0cb36fbc41cee2a110d7880668fca26"
+
+    @settings(max_examples=100, deadline=None)
+    @given(trials=st.integers(1, 500), atoms=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    @example(trials=1, atoms=8, seed=0)
+    @example(trials=500, atoms=1, seed=1)
+    def test_empirical_matches_row_unique(self, trials, atoms, seed):
+        rng = np.random.default_rng(seed)
+        triplets = np.array(list(itertools.product((1, -1), repeat=3)), dtype=np.int8)
+        pool = triplets[rng.permutation(8)[:atoms]]
+        outcomes = pool[rng.integers(0, atoms, size=trials)]
+        records = JammingRecords(jim_choice="z", outcomes=outcomes, seed=seed)
+        got = records.empirical()
+        want = oracles.empirical_by_row_unique(outcomes, 1)
+        assert list(got.items()) == list(want.items())
 
     def test_replay(self):
         a = run_jamming_scenario(3, "z", 100, seed=12)
