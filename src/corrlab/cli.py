@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import boxes, quantum, spacetime
-from .ensembles import RunMode, ScenarioKind, run_jamming_scenario
+from .ensembles import EXACT_MAX_ROUNDS, RunMode, ScenarioKind, run_jamming_scenario
 from .errors import InvariantViolation
 from .reportio import SCHEMA_VERSION, dump_report, encode
 from .signaling import SignalingVerdict, jamming_unary_exact, verdict
@@ -340,7 +340,9 @@ def _add_output_flags(sp) -> None:
 
 
 def _add_scenario_flags(sp) -> None:
-    sp.add_argument("--n", type=int, default=6, help="rounds per trial (exact mode: at most 24)")
+    sp.add_argument(
+        "--n", type=int, default=6, help=f"rounds per trial (exact mode: at most {EXACT_MAX_ROUNDS})"
+    )
     sp.add_argument("--trials", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--mode", choices=("exact", "mc"), default="exact")

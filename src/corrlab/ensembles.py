@@ -9,6 +9,7 @@ trials with reproducible per-(seed, scenario, choice) random streams.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
@@ -103,33 +104,53 @@ def snap_pmf(pmf: Mapping[tuple[int, ...], float]) -> dict[tuple[int, ...], Frac
 def convolve_iid_rounds(
     round_pmf: Mapping[tuple[int, ...], Fraction], n_rounds: int
 ) -> dict[tuple[int, ...], Fraction]:
-    """Exact pmf of the componentwise sum of n_rounds i.i.d. outcome tuples.
+    """Exact pmf of the componentwise sum of n_rounds i.i.d. +1/-1 outcome tuples.
 
-    Works over integer weights on a common denominator, so the result is
-    exact for any N the support size allows.
+    The round pmf is a polynomial in k variables, one {0,1} exponent per
+    component (1 for +1), and the N-round pmf is its N-th power.  Kronecker
+    substitution (Harvey, arXiv:0712.4046) turns that into one big-int power:
+    component 0 gets the most significant stride (N+1)^(k-1), and every
+    integer weight over the common denominator gets a byte slot wide enough
+    for any coefficient of the power.  Keys come out in lexicographic order.
     """
-    denom = 1
-    for p in round_pmf.values():
-        denom = math.lcm(denom, p.denominator)
-    weights = {out: p.numerator * (denom // p.denominator) for out, p in round_pmf.items()}
-    k = len(next(iter(round_pmf)))
-    acc: dict[tuple[int, ...], int] = {(0,) * k: 1}
-    for _ in range(n_rounds):
-        nxt: dict[tuple[int, ...], int] = defaultdict(int)
-        for sums, w in acc.items():
-            for out, rw in weights.items():
-                nxt[tuple(s + o for s, o in zip(sums, out))] += w * rw
-        acc = dict(nxt)
+    outcomes = list(round_pmf)
+    k = len(outcomes[0])
+    for out in outcomes:
+        if len(out) != k:
+            raise ValueError(f"round pmf mixes outcome arities {k} and {len(out)}")
+        if any(o not in (1, -1) for o in out):
+            raise ValueError(f"round outcome {out} has an entry outside {{-1, +1}}")
+    denom = math.lcm(*(p.denominator for p in round_pmf.values()))
+    weights = [p.numerator * (denom // p.denominator) for p in round_pmf.values()]
+    if any(w < 0 for w in weights):
+        raise ValueError("round pmf has a negative probability")
+    base = n_rounds + 1
+    # Every coefficient of the power is at most sum(weights)**N, i.e. denom**N for a pmf.
+    width = (sum(weights) ** n_rounds).bit_length() // 8 + 1
+    poly = 0
+    for out, w in zip(outcomes, weights):
+        exponent = 0
+        for o in out:
+            exponent = exponent * base + (o > 0)
+        poly += w << (8 * width * exponent)
+    data = (poly**n_rounds).to_bytes(width * base**k, "little")
     total = denom**n_rounds
-    return {sums: Fraction(w, total) for sums, w in acc.items()}
+    keys = itertools.product(range(-n_rounds, n_rounds + 1, 2), repeat=k)
+    result = {}
+    for key, start in zip(keys, range(0, len(data), width)):
+        w = int.from_bytes(data[start : start + width], "little")
+        if w:
+            result[key] = Fraction(w, total)
+    return result
 
 
 @dataclass(frozen=True, eq=False)
 class ExactDistribution:
     """Joint pmf of collective variables with exact rational probabilities.
 
-    Support points are tuples of Fractions on the lattice {-1 + 2k/N};
-    probabilities sum to exactly 1.
+    Support points are distinct tuples of Fractions on the lattice
+    {-1 + 2k/N}, kept in sorted order; probabilities are non-negative and
+    sum to exactly 1.
     """
 
     labels: tuple[str, ...]
@@ -140,18 +161,30 @@ class ExactDistribution:
     def __post_init__(self):
         if len(self.support) != len(self.probs):
             raise ValueError("support and probability lengths differ")
-        if sum(self.probs, Fraction(0)) != 1:
+        denom = math.lcm(*(p.denominator for p in self.probs))
+        total = 0
+        for p in self.probs:
+            if p.numerator < 0:
+                raise ValueError(f"probability {p} is negative")
+            total += p.numerator * (denom // p.denominator)
+        if total != denom:
             raise ValueError("probabilities must sum to exactly 1")
+        n = self.n_rounds
         for point in self.support:
             if len(point) != len(self.labels):
                 raise ValueError("support tuple arity does not match labels")
             for v in point:
-                scaled = v * self.n_rounds
-                if scaled.denominator != 1 or abs(scaled.numerator) > self.n_rounds:
-                    raise ValueError(f"value {v} is off the N={self.n_rounds} lattice")
-        order = sorted(range(len(self.support)), key=lambda i: self.support[i])
-        object.__setattr__(self, "support", tuple(self.support[i] for i in order))
-        object.__setattr__(self, "probs", tuple(self.probs[i] for i in order))
+                if n % v.denominator or abs(v.numerator) > v.denominator:
+                    raise ValueError(f"value {v} is off the N={n} lattice")
+        # Strictly increasing input is sorted and free of duplicates already.
+        if any(a >= b for a, b in zip(self.support, self.support[1:])):
+            order = sorted(range(len(self.support)), key=self.support.__getitem__)
+            support = tuple(self.support[i] for i in order)
+            for a, b in zip(support, support[1:]):
+                if a == b:
+                    raise ValueError(f"support point {a} appears twice")
+            object.__setattr__(self, "support", support)
+            object.__setattr__(self, "probs", tuple(self.probs[i] for i in order))
 
     @classmethod
     def from_mapping(
@@ -318,11 +351,11 @@ def _run_from_round_pmf(
     stream: tuple[int, ...],
 ) -> ExactDistribution | EnsembleRun:
     if spec.mode is RunMode.EXACT:
-        sums = convolve_iid_rounds(round_pmf, spec.n_rounds)
-        mapping = {
-            tuple(Fraction(s, spec.n_rounds) for s in k): p for k, p in sums.items()
-        }
-        return ExactDistribution.from_mapping(mapping, labels, spec.n_rounds)
+        n = spec.n_rounds
+        lattice = {s: Fraction(s, n) for s in range(-n, n + 1, 2)}
+        sums = convolve_iid_rounds(round_pmf, n)
+        support = tuple(tuple(lattice[s] for s in key) for key in sums)
+        return ExactDistribution(labels, support, tuple(sums.values()), n)
     sums, rounds = _sample_outcome_rows(
         round_pmf, spec.n_rounds, spec.trials, spec.seed, stream, spec.keep_rounds
     )

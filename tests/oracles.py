@@ -121,6 +121,26 @@ def iid_sum_bruteforce(
     return dict(out)
 
 
+def convolve_by_dict(
+    round_pmf: dict[tuple[int, ...], Fraction], n: int
+) -> dict[tuple[int, ...], Fraction]:
+    """N-round sum pmf by N dict-of-tuples convolution steps over integer weights."""
+    denom = 1
+    for p in round_pmf.values():
+        denom = math.lcm(denom, p.denominator)
+    weights = {out: p.numerator * (denom // p.denominator) for out, p in round_pmf.items()}
+    k = len(next(iter(round_pmf)))
+    acc: dict[tuple[int, ...], int] = {(0,) * k: 1}
+    for _ in range(n):
+        nxt: dict[tuple[int, ...], int] = defaultdict(int)
+        for sums, w in acc.items():
+            for out, rw in weights.items():
+                nxt[tuple(s + o for s, o in zip(sums, out))] += w * rw
+        acc = dict(nxt)
+    total = denom**n
+    return {sums: Fraction(w, total) for sums, w in acc.items()}
+
+
 def empirical_by_row_unique(
     rows: np.ndarray, n_rounds: int
 ) -> dict[tuple[Fraction, ...], Fraction]:

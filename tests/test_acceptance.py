@@ -170,6 +170,27 @@ def test_ghz_rare_events_are_equal():
     )
 
 
+def test_ghz_rare_events_at_exact_limit():
+    n = ensembles.EXACT_MAX_ROUNDS
+    t0 = time.perf_counter()
+    verdict = ghz_verdict(n, RunMode.EXACT)
+    tv = verdict.extras["tv_joint_receiver"]
+    elapsed = time.perf_counter() - t0
+    want = Fraction(1, 4**n)
+    ok = (
+        verdict.values == (want, want)
+        and isinstance(tv, Fraction)
+        and tv == 0
+        and elapsed < 2.5
+    )
+    _gate(
+        f"three-party rare events at N={n}",
+        ok,
+        f"P(A_x=1,B_x=1) = {verdict.values[0]} under x and {verdict.values[1]} under y "
+        f"(want {want}), receiver joint TV={tv}, {elapsed:.2f} s of 2.5 s",
+    )
+
+
 def test_measured_pair_products():
     t0 = time.perf_counter()
     state = ghz_state()

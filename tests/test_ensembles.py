@@ -96,7 +96,73 @@ class TestSnapping:
             snap_pmf({(1,): 0.5, (-1,): 0.375})
 
 
+SHIPPED_ROUND_PMFS = {
+    **{f"pr-{c}": pr_round_pmf(c) for c in "up"},
+    **{f"tsirelson-{c}{axis}": tsirelson_round_pmf(c, axis) for c in "up" for axis in "zx"},
+    **{f"ghz-{c}": ghz_round_pmf(c) for c in "up"},
+}
+
+
+@st.composite
+def dyadic_round_pmfs(draw):
+    """Round pmfs over k in 1..3 components of +1/-1, with dyadic denominators up to 2^10."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    scale = 2 ** draw(st.integers(min_value=0, max_value=10))
+    atoms = draw(
+        st.lists(
+            st.sampled_from(list(itertools.product((1, -1), repeat=k))),
+            min_size=1,
+            max_size=min(2**k, scale),
+            unique=True,
+        )
+    )
+    cuts = draw(
+        st.lists(
+            st.integers(min_value=1, max_value=max(scale - 1, 1)),
+            min_size=len(atoms) - 1,
+            max_size=len(atoms) - 1,
+            unique=True,
+        )
+    )
+    bounds = [0, *sorted(cuts), scale]
+    return {atom: Fraction(hi - lo, scale) for atom, lo, hi in zip(atoms, bounds, bounds[1:])}
+
+
 class TestConvolution:
+    @given(dyadic_round_pmfs(), st.integers(min_value=1, max_value=12))
+    @example({(1,): Fraction(1)}, 12)
+    @example({(-1, 1, -1): Fraction(1)}, 7)
+    @example({(1,): Fraction(1023, 1024), (-1,): Fraction(1, 1024)}, 12)
+    @example({(1, 1, 1): Fraction(1, 1024), (-1, -1, -1): Fraction(1023, 1024)}, 12)
+    @settings(max_examples=200)
+    def test_matches_dict_convolution(self, pmf, n):
+        got = convolve_iid_rounds(pmf, n)
+        want = oracles.convolve_by_dict(pmf, n)
+        assert got == want
+        assert list(got) == sorted(want)
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_ROUND_PMFS))
+    def test_shipped_round_pmfs_at_exact_limit(self, name):
+        pmf = SHIPPED_ROUND_PMFS[name]
+        got = convolve_iid_rounds(pmf, EXACT_MAX_ROUNDS)
+        want = oracles.convolve_by_dict(pmf, EXACT_MAX_ROUNDS)
+        assert got == want
+        assert list(got) == sorted(want)
+
+    def test_rejects_mixed_arity(self):
+        with pytest.raises(ValueError, match="arities"):
+            convolve_iid_rounds({(1,): HALF, (1, -1): HALF}, 2)
+
+    @pytest.mark.parametrize("outcome", [(0,), (2,), (1, 3)])
+    def test_rejects_entries_outside_plus_minus_one(self, outcome):
+        other = (-1,) * len(outcome)
+        with pytest.raises(ValueError, match="outside"):
+            convolve_iid_rounds({outcome: HALF, other: HALF}, 2)
+
+    def test_rejects_negative_probability(self):
+        with pytest.raises(ValueError, match="negative"):
+            convolve_iid_rounds({(1,): Fraction(3, 2), (-1,): -HALF}, 2)
+
     def test_matches_bruteforce_for_pr_rounds(self):
         for choice in ("u", "p"):
             pmf = pr_round_pmf(choice)
@@ -187,6 +253,21 @@ class TestExactDistribution:
                 probs=(HALF,),
                 n_rounds=1,
             )
+
+    def test_negative_probability_validation(self):
+        with pytest.raises(ValueError, match="negative"):
+            ExactDistribution(
+                labels=("B",),
+                support=((Fraction(1),), (Fraction(-1),)),
+                probs=(Fraction(3, 2), -HALF),
+                n_rounds=1,
+            )
+
+    def test_duplicate_support_validation(self):
+        for support in (((Fraction(1),), (Fraction(1),)), ((Fraction(1),), (Fraction(-1),), (Fraction(1),))):
+            probs = tuple(Fraction(1, len(support)) for _ in support)
+            with pytest.raises(ValueError, match="twice"):
+                ExactDistribution(labels=("B",), support=support, probs=probs, n_rounds=1)
 
     def test_arity_validation(self):
         with pytest.raises(ValueError, match="arity"):
