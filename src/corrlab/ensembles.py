@@ -24,6 +24,7 @@ from .quantum import ghz_state, joint_probabilities, outcome_tuples
 
 EXACT_MAX_ROUNDS = 24
 _SAMPLE_CHUNK = 1 << 16
+_MAX_TABLE_CELLS = 1 << 16
 
 
 class ScenarioKind(Enum):
@@ -68,8 +69,13 @@ class ScenarioSpec:
             raise ValueError("sender_choice must be 'u' or 'p'")
         if self.mode is RunMode.MONTE_CARLO and self.trials < 1:
             raise ValueError("trials must be positive")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in 64 bits")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed: int) -> None:
+    """Reject seeds outside the 64-bit range every sampled run accepts."""
+    if not (0 <= seed < 2**64):
+        raise ValueError("seed must fit in 64 bits")
 
 
 def snap_dyadic(p: float, max_exp: int = 30, tol: float = 1e-12) -> Fraction:
@@ -174,7 +180,9 @@ class ExactDistribution:
             if len(point) != len(self.labels):
                 raise ValueError("support tuple arity does not match labels")
             for v in point:
-                if n % v.denominator or abs(v.numerator) > v.denominator:
+                # v = s/N for an integer s of N's parity with |s| <= N.
+                num, den = v.as_integer_ratio()
+                if n % den or abs(num) > den or (num * (n // den) - n) % 2:
                     raise ValueError(f"value {v} is off the N={n} lattice")
         # Strictly increasing input is sorted and free of duplicates already.
         if any(a >= b for a, b in zip(self.support, self.support[1:])):
@@ -315,31 +323,40 @@ def _sample_outcome_rows(
     stream: tuple[int, ...],
     keep_rounds: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Draw (trials, N) round outcomes by inverse CDF in fixed-size chunks.
+    """Draw (trials, N) round outcomes by table lookup in fixed-size chunks.
 
-    Each trial's component sum is N - 2 * (rounds whose atom is -1 in that
-    component), counted straight from the (chunk, N) atom indices.
+    The pmf must be dyadic with common denominator D = 2^d.  A table of D
+    cells holds each atom p*D times, and the top d bits of a raw PCG64 word
+    pick a cell (Marsaglia, Tsang & Wang, J. Stat. Softw. 11(3), 2004): the
+    same atoms, one word per round, as ``Generator.random`` plus
+    ``searchsorted`` over the CDF.  Each trial's component sum is
+    N - 2 * (rounds whose atom is -1 in that component).
     """
     k = len(next(iter(round_pmf)))
     order = [o for o in outcome_tuples(k) if o in round_pmf]
-    probs = np.array([float(round_pmf[o]) for o in order])
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    atoms = np.array(order, dtype=np.int8)
-    negative = [atoms[:, c] < 0 for c in range(k)]
-    rng = _stream_rng(seed, stream)
+    denom = math.lcm(*(round_pmf[o].denominator for o in order))
+    cells = [round_pmf[o].numerator * (denom // round_pmf[o].denominator) for o in order]
+    if denom & (denom - 1) or denom > _MAX_TABLE_CELLS or sum(cells) != denom:
+        raise InvariantViolation(f"round pmf with denominator {denom} is not dyadic over <= {_MAX_TABLE_CELLS} cells")
+    atoms_by_cell = np.repeat(np.array(order, dtype=np.int8), cells, axis=0)
+    negative = [atoms_by_cell[:, c] < 0 for c in range(k)]
+    # 64 - log2(D); a shift of 64 (D = 1) gives cell 0 for every word.
+    shift = 65 - denom.bit_length()
+    bitgen = _stream_rng(seed, stream).bit_generator
     sums = np.empty((trials, k), dtype=np.int64)
     rounds = np.empty((trials, n_rounds, k), dtype=np.int8) if keep_rounds else None
     done = 0
     while done < trials:
         chunk = min(_SAMPLE_CHUNK, trials - done)
-        u = rng.random((chunk, n_rounds))
-        idx = np.searchsorted(cdf, u, side="right")
+        raw = bitgen.random_raw((chunk, n_rounds))
+        np.right_shift(raw, shift, out=raw)
+        # Cells are below 2^16, so the int64 view indexes without a converted copy.
+        cell = raw.view(np.int64)
         block = sums[done : done + chunk]
         for c, neg in enumerate(negative):
-            block[:, c] = n_rounds - 2 * np.count_nonzero(neg[idx], axis=1)
+            block[:, c] = n_rounds - 2 * np.count_nonzero(neg[cell], axis=1)
         if rounds is not None:
-            rounds[done : done + chunk] = atoms[idx]
+            rounds[done : done + chunk] = atoms_by_cell[cell]
         done += chunk
     return sums, rounds
 
@@ -517,6 +534,7 @@ def run_jamming_scenario(
     """
     if n_rounds < 1 or trials < 1:
         raise ValueError("n_rounds and trials must be positive")
+    _check_seed(seed)
     pmf = jamming_round_pmf(jim_choice)
     total = n_rounds * trials
     stream = (_JAMMING_STREAM, 0 if jim_choice == "x" else 1)

@@ -141,6 +141,29 @@ def convolve_by_dict(
     return {sums: Fraction(w, total) for sums, w in acc.items()}
 
 
+def sample_by_searchsorted(
+    round_pmf: dict[tuple[int, ...], Fraction],
+    n_rounds: int,
+    trials: int,
+    seed: int,
+    stream: tuple[int, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial sums and (trials, N, k) round records by inverse CDF.
+
+    Draws ``Generator.random`` floats from the same per-(seed, stream)
+    generator as the package, all trials at once, and looks each up in the
+    float CDF of the atoms in ``outcome_tuples`` order with ``searchsorted``.
+    """
+    k = len(next(iter(round_pmf)))
+    order = [o for o in itertools.product((1, -1), repeat=k) if o in round_pmf]
+    cdf = np.cumsum([float(round_pmf[o]) for o in order])
+    cdf[-1] = 1.0
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, *stream)))
+    idx = np.searchsorted(cdf, rng.random((trials, n_rounds)), side="right")
+    rounds = np.array(order, dtype=np.int8)[idx]
+    return rounds.sum(axis=1, dtype=np.int64), rounds
+
+
 def empirical_by_row_unique(
     rows: np.ndarray, n_rounds: int
 ) -> dict[tuple[Fraction, ...], Fraction]:

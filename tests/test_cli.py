@@ -377,6 +377,16 @@ class TestDeterminismAndErrors:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize(
+        "args", [("jamming", "--jim", "z"), ("pr-signal", "--mode", "mc")], ids=["jamming", "pr-signal"]
+    )
+    def test_seed_must_fit_in_64_bits(self, capsys, args, seed):
+        assert main([*args, "--trials", "10", "--seed", seed]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: seed must fit in 64 bits\n"
+
     def test_large_n_allowed_in_sampled_mode(self, tmp_path):
         report = run_json(
             tmp_path, "pr-signal", "--n", "30", "--mode", "mc", "--trials", "200"

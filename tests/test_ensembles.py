@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from corrlab import ensembles
 from corrlab.ensembles import (
     EXACT_MAX_ROUNDS,
     EnsembleRun,
@@ -19,6 +20,7 @@ from corrlab.ensembles import (
     RunMode,
     ScenarioKind,
     ScenarioSpec,
+    _sample_outcome_rows,
     convolve_iid_rounds,
     ghz_round_pmf,
     jamming_exact_distribution,
@@ -104,10 +106,10 @@ SHIPPED_ROUND_PMFS = {
 
 
 @st.composite
-def dyadic_round_pmfs(draw):
-    """Round pmfs over k in 1..3 components of +1/-1, with dyadic denominators up to 2^10."""
+def dyadic_round_pmfs(draw, max_exp=10):
+    """Round pmfs over k in 1..3 components of +1/-1, with dyadic denominators up to 2^max_exp."""
     k = draw(st.integers(min_value=1, max_value=3))
-    scale = 2 ** draw(st.integers(min_value=0, max_value=10))
+    scale = 2 ** draw(st.integers(min_value=0, max_value=max_exp))
     atoms = draw(
         st.lists(
             st.sampled_from(list(itertools.product((1, -1), repeat=k))),
@@ -244,6 +246,12 @@ class TestExactDistribution:
                 probs=(Fraction(1),),
                 n_rounds=2,
             )
+
+    @pytest.mark.parametrize("value, n", [(Fraction(0), 1), (Fraction(0), 3), (HALF, 2), (HALF, 6)])
+    def test_lattice_parity_validation(self, value, n):
+        # N*v must have the parity of N: a sum of N +1/-1 outcomes.
+        with pytest.raises(ValueError, match="lattice"):
+            ExactDistribution(labels=("B",), support=((value,),), probs=(Fraction(1),), n_rounds=n)
 
     def test_probability_sum_validation(self):
         with pytest.raises(ValueError, match="sum to exactly 1"):
@@ -506,6 +514,59 @@ class TestMonteCarlo:
             for k in set(emp) | set(exact)
         ) / 2
         assert float(tv) < 5.0 / math.sqrt(trials)
+
+
+SAMPLER_STREAM = (7, 1)
+
+
+class TestTableLookupSampler:
+    """The table-lookup sampler draws what ``random`` plus ``searchsorted`` would."""
+
+    @given(
+        pmf=dyadic_round_pmfs(max_exp=16),
+        n=st.integers(1, 200),
+        trials=st.integers(1, 300),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(pmf={(1,): Fraction(1)}, n=200, trials=300, seed=0)
+    @example(pmf={(-1, 1, -1): Fraction(1)}, n=3, trials=5, seed=1)
+    @example(
+        pmf={(1, 1, 1): Fraction(1, 2**16), (-1, -1, -1): Fraction(2**16 - 1, 2**16)},
+        n=60,
+        trials=300,
+        seed=2,
+    )
+    @example(pmf=ghz_round_pmf("p"), n=60, trials=300, seed=3)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_searchsorted(self, pmf, n, trials, seed):
+        want_sums, want_rounds = oracles.sample_by_searchsorted(pmf, n, trials, seed, SAMPLER_STREAM)
+        sums, rounds = _sample_outcome_rows(pmf, n, trials, seed, SAMPLER_STREAM, keep_rounds=True)
+        assert np.array_equal(rounds, want_rounds)
+        assert np.array_equal(sums, want_sums)
+        sums, rounds = _sample_outcome_rows(pmf, n, trials, seed, SAMPLER_STREAM, keep_rounds=False)
+        assert rounds is None
+        assert np.array_equal(sums, want_sums)
+
+    def test_draws_do_not_depend_on_chunk_size(self, monkeypatch):
+        monkeypatch.setattr(ensembles, "_SAMPLE_CHUNK", 7)
+        pmf = ghz_round_pmf("p")
+        want_sums, want_rounds = oracles.sample_by_searchsorted(pmf, 5, 52, 11, SAMPLER_STREAM)
+        sums, rounds = _sample_outcome_rows(pmf, 5, 52, 11, SAMPLER_STREAM, keep_rounds=True)
+        assert np.array_equal(rounds, want_rounds)
+        assert np.array_equal(sums, want_sums)
+
+    @pytest.mark.parametrize(
+        "pmf",
+        [
+            {(1,): Fraction(1, 3), (-1,): Fraction(2, 3)},
+            {(1,): Fraction(1, 2**17), (-1,): Fraction(2**17 - 1, 2**17)},
+            {(1,): HALF, (-1,): Fraction(1, 4)},
+        ],
+        ids=["third", "denominator-2^17", "sums-to-3/4"],
+    )
+    def test_rejects_pmfs_without_a_small_dyadic_table(self, pmf):
+        with pytest.raises(InvariantViolation, match="dyadic"):
+            _sample_outcome_rows(pmf, 4, 10, 0, SAMPLER_STREAM, keep_rounds=False)
 
 
 class TestJamming:
