@@ -95,23 +95,6 @@ class DichotomicBox:
         }
 
 
-def box_from_json_obj(obj: dict) -> DichotomicBox:
-    def dec(p):
-        if isinstance(p, str):
-            num, den = p.split("/")
-            return Fraction(int(num), int(den))
-        if isinstance(p, int):
-            return Fraction(p)
-        return float(p)
-
-    try:
-        parties = int(obj["parties"])
-        table = {tuple(k.split("|")): tuple(dec(p) for p in row) for k, row in obj["table"].items()}
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise BoxValidationError(f"malformed box object: {exc}") from exc
-    return DichotomicBox(parties=parties, table=table)
-
-
 def correlation(box: DichotomicBox, settings) -> Fraction | float:
     """E[product of all outcomes] under the given settings."""
     row = box.row(settings)

@@ -8,16 +8,17 @@ sample tables) so identical invocations produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
 from pathlib import Path
 
+import numpy as np
+
 from . import boxes, quantum, spacetime
-from .ensembles import EXACT_MAX_ROUNDS, RunMode, ScenarioKind, run_jamming_scenario
+from .ensembles import EXACT_MAX_ROUNDS, JammingRecords, RunMode, ScenarioKind, run_jamming_scenario
 from .errors import InvariantViolation
 from .reportio import SCHEMA_VERSION, dump_report, encode
 from .signaling import SignalingVerdict, jamming_unary_exact, verdict
@@ -35,21 +36,45 @@ def _envelope(command: str, config: dict, results: dict, checks: dict) -> dict:
     }
 
 
-def _dist_csv(v: SignalingVerdict) -> tuple[list[str], list[list]]:
+def _table_lines(prefixes, table: np.ndarray, codes: np.ndarray) -> str:
+    """One line per row of ``codes``: its prefix, then ``table[code]`` for each column.
+
+    ``table`` holds each value's field text with its leading comma, so the
+    text of a lattice value is built once, not once per trial.
+    """
+    columns = table[codes].T
+    return "".join(chain.from_iterable(zip(prefixes, *columns, repeat("\n"))))
+
+
+def _dist_csv(v: SignalingVerdict) -> str:
     """Exact pmf rows, or one row per sampled trial, for each distribution."""
     labels = next(iter(v.distributions.values())).labels
-    rows: list[list] = []
     if v.mode is RunMode.EXACT:
         header = ["choice", *labels, "numerator", "denominator"]
-        for choice, dist in v.distributions.items():
-            for point, prob in zip(dist.support, dist.probs):
-                rows.append([choice, *encode(point), prob.numerator, prob.denominator])
+        lines = [
+            ",".join([choice, *encode(point), str(prob.numerator), str(prob.denominator)]) + "\n"
+            for choice, dist in v.distributions.items()
+            for point, prob in zip(dist.support, dist.probs)
+        ]
     else:
         header = ["choice", "trial", *labels]
+        lines = []
         for choice, run in v.samples.items():
-            for trial, row in enumerate(run.collectives):
-                rows.append([choice, trial, *[float(x) for x in row]])
-    return header, rows
+            n = run.n_rounds
+            table = np.array(["," + repr(s / n) for s in range(-n, n + 1)], dtype=object)
+            prefixes = map(f"{choice},".__add__, map(str, range(run.trials)))
+            lines.append(_table_lines(prefixes, table, run.sums + n))
+    return ",".join(header) + "\n" + "".join(lines)
+
+
+# Field text of a +1/-1 outcome, indexed by outcome + 1.
+_SIGN_FIELDS = np.array([",-1", ",0", ",1"], dtype=object)
+
+
+def _jamming_csv(records: JammingRecords) -> str:
+    """One row per triplet: its index and its (a_x, b_x, j) outcomes."""
+    prefixes = map(str, range(records.trials))
+    return "triplet,a_x,b_x,j\n" + _table_lines(prefixes, _SIGN_FIELDS, records.outcomes + 1)
 
 
 def _pr_results(v: SignalingVerdict) -> tuple[dict, dict]:
@@ -121,7 +146,7 @@ _SCENARIOS = {
 }
 
 
-def cmd_scenario(args) -> tuple[dict, tuple | None]:
+def cmd_scenario(args) -> tuple[dict, str | None]:
     """pr-signal, tsirelson and ghz-signal: one verdict, then its tables and checks."""
     kind, kind_results = _SCENARIOS[args.command]
     v = verdict(kind, args.n, _MODES[args.mode], args.trials, args.seed)
@@ -138,7 +163,7 @@ def cmd_scenario(args) -> tuple[dict, tuple | None]:
     return report, _dist_csv(v) if args.format == "csv" else None
 
 
-def cmd_ghz_algebra(args) -> tuple[dict, tuple | None]:
+def cmd_ghz_algebra(args) -> tuple[dict, str | None]:
     state = quantum.ghz_state()
     stabilizers = [
         {
@@ -191,7 +216,7 @@ def cmd_ghz_algebra(args) -> tuple[dict, tuple | None]:
     return report, None
 
 
-def cmd_jamming(args) -> tuple[dict, tuple | None]:
+def cmd_jamming(args) -> tuple[dict, str | None]:
     records = run_jamming_scenario(args.n, args.jim, args.trials, args.seed)
     binned = records.binned_correlations()
     bin_counts = {str(j): int(rows.shape[0]) for j, rows in records.bin_by_jim().items()}
@@ -225,14 +250,10 @@ def cmd_jamming(args) -> tuple[dict, tuple | None]:
         "format": args.format,
     }
     report = _envelope("jamming", config, results, checks)
-    if args.format != "csv":
-        return report, None
-    header = ["triplet", "a_x", "b_x", "j"]
-    rows = [[i, int(r[0]), int(r[1]), int(r[2])] for i, r in enumerate(records.outcomes)]
-    return report, (header, rows)
+    return report, _jamming_csv(records) if args.format == "csv" else None
 
 
-def cmd_causal(args) -> tuple[dict, tuple | None]:
+def cmd_causal(args) -> tuple[dict, str | None]:
     path = Path(args.config)
     try:
         data = json.loads(path.read_text())
@@ -308,15 +329,6 @@ def cmd_causal(args) -> tuple[dict, tuple | None]:
     return report, None
 
 
-def _render_csv(payload: tuple[list[str], list[list]]) -> str:
-    header, rows = payload
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -387,13 +399,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handler = _COMMANDS[args.command]
     try:
-        report, csv_payload = handler(args)
-        if args.format == "csv":
-            if csv_payload is None:
-                raise ValueError(f"csv output is not available for {args.command}")
-            text = _render_csv(csv_payload)
-        else:
+        report, text = handler(args)
+        if args.format != "csv":
             text = dump_report(report)
+        elif text is None:
+            raise ValueError(f"csv output is not available for {args.command}")
         _emit(text, args.out)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

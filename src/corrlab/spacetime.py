@@ -67,9 +67,6 @@ class Boost:
             x=g * (e.x - self.beta * e.t),
         )
 
-    def inverse(self) -> "Boost":
-        return Boost(-self.beta)
-
 
 def boost(e: SpacetimeEvent, beta: float) -> SpacetimeEvent:
     return Boost(beta).apply(e)

@@ -8,6 +8,8 @@ tests cannot share a bug.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 from collections import defaultdict
@@ -15,6 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 import sympy as sp
+
+from corrlab.ensembles import JammingRecords, RunMode
+from corrlab.reportio import encode
 
 
 def pr_bruteforce_joint(n: int, choice: str) -> dict[tuple[Fraction, Fraction], Fraction]:
@@ -174,6 +179,37 @@ def empirical_by_row_unique(
         tuple(Fraction(int(s), n_rounds) for s in row): Fraction(int(c), trials)
         for row, c in zip(uniq, counts)
     }
+
+
+def render_csv_by_writer(source) -> str:
+    """CSV report of a scenario verdict or of jamming records through ``csv.writer``.
+
+    Builds one Python row list per exact atom, sampled trial or triplet,
+    with floats for the sampled collectives and ints for jamming outcomes,
+    and leaves their text and any quoting to the ``csv`` module.
+    """
+    if isinstance(source, JammingRecords):
+        header = ["triplet", "a_x", "b_x", "j"]
+        rows = [[i, int(r[0]), int(r[1]), int(r[2])] for i, r in enumerate(source.outcomes)]
+    else:
+        v = source
+        labels = next(iter(v.distributions.values())).labels
+        rows = []
+        if v.mode is RunMode.EXACT:
+            header = ["choice", *labels, "numerator", "denominator"]
+            for choice, dist in v.distributions.items():
+                for point, prob in zip(dist.support, dist.probs):
+                    rows.append([choice, *encode(point), prob.numerator, prob.denominator])
+        else:
+            header = ["choice", "trial", *labels]
+            for choice, run in v.samples.items():
+                for trial, row in enumerate(run.collectives):
+                    rows.append([choice, trial, *[float(x) for x in row]])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def binomial_mean_abs_deviation(n: int, p: float) -> float:

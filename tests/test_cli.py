@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -8,12 +9,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import corrlab
-from corrlab import ensembles
+import oracles
+from corrlab import cli, ensembles, signaling
 from corrlab.cli import main
-from corrlab.ensembles import EnsembleRun, ExactDistribution
+from corrlab.ensembles import (
+    EnsembleRun,
+    ExactDistribution,
+    RunMode,
+    ScenarioKind,
+    run_jamming_scenario,
+)
+from corrlab.signaling import SignalingVerdict, Statistic, verdict
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -215,6 +227,116 @@ class TestJammingCommand:
         for row in rows[1:]:
             a, b, j = int(row[1]), int(row[2]), int(row[3])
             assert a * b * j == -1
+
+
+def sampled_verdict(samples: dict[str, EnsembleRun]) -> SignalingVerdict:
+    """A sampled verdict that carries the given runs and their empirical pmfs."""
+    run = next(iter(samples.values()))
+    return SignalingVerdict(
+        scenario=ScenarioKind.TSIRELSON,
+        n_rounds=run.n_rounds,
+        mode=RunMode.MONTE_CARLO,
+        statistic=Statistic.TOTAL_VARIATION,
+        values=(0.0, 0.0),
+        distinguishable=False,
+        threshold=0.0,
+        seed=run.seed,
+        trials=run.trials,
+        distributions=signaling._distributions(samples, RunMode.MONTE_CARLO),
+        samples=samples,
+    )
+
+
+def assert_same_text(text: str, expected: str) -> None:
+    """Byte-for-byte equality that reports the first differing line, not a diff of the whole text."""
+    if text == expected:
+        return
+    got, want = text.splitlines(keepends=True), expected.splitlines(keepends=True)
+    line = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    pytest.fail(
+        f"line {line} differs: {got[line:line + 1]!r} != {want[line:line + 1]!r} "
+        f"({len(got)} lines against {len(want)})"
+    )
+
+
+class TestCsvMatchesWriter:
+    """CSV reports are byte-identical to the ``csv.writer`` rendering of one row per record."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        k=st.integers(1, 3),
+        n=st.integers(1, 200),
+        trials=st.integers(1, 300),
+        runs=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=3, n=1, trials=1, runs=1, seed=0)
+    @example(k=2, n=7, trials=300, runs=4, seed=1)
+    @example(k=1, n=200, trials=2, runs=2, seed=2)
+    def test_sampled(self, k, n, trials, runs, seed):
+        rng = np.random.default_rng(seed)
+        labels = ("A_x", "B_x", "J_x")[:k]
+        samples = {}
+        for choice in ("z|u", "z|p", "x|u", "x|p")[:runs]:
+            sums = n - 2 * rng.integers(0, n + 1, size=(trials, k))
+            sums[0], sums[-1] = n, -n  # both ends of the lattice
+            samples[choice] = EnsembleRun(labels=labels, sums=sums, n_rounds=n, seed=seed)
+        v = sampled_verdict(samples)
+        assert_same_text(cli._dist_csv(v), oracles.render_csv_by_writer(v))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        jim=st.sampled_from(["x", "z"]),
+        n=st.integers(1, 20),
+        trials=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(jim="z", n=1, trials=1, seed=0)
+    def test_jamming(self, jim, n, trials, seed):
+        records = run_jamming_scenario(n, jim, trials, seed)
+        assert_same_text(cli._jamming_csv(records), oracles.render_csv_by_writer(records))
+
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(list(ScenarioKind)), n=st.integers(1, 24))
+    @example(kind=ScenarioKind.GHZ, n=24)
+    @example(kind=ScenarioKind.TSIRELSON, n=1)
+    @example(kind=ScenarioKind.PR_BOX, n=7)
+    def test_exact(self, kind, n):
+        v = verdict(kind, n, RunMode.EXACT, None, 0)
+        assert_same_text(cli._dist_csv(v), oracles.render_csv_by_writer(v))
+
+
+# sha256 of each report's stdout, recorded with the csv.writer renderer.
+CSV_REPORT_DIGESTS = [
+    (
+        ("pr-signal", "--mode", "mc", "--n", "6", "--trials", "10000", "--seed", "0"),
+        "80668e0a469c3c0469cc5a019764ff2a8484652f688bc17a9a489a7830e82ca7",
+    ),
+    (
+        ("tsirelson", "--mode", "mc", "--n", "6", "--trials", "10000", "--seed", "0"),
+        "4f4e77a7e4694740214de1e72b821c667b50bd448f429c3b81b5ab6f70f26644",
+    ),
+    (
+        ("ghz-signal", "--mode", "mc", "--n", "6", "--trials", "10000", "--seed", "0"),
+        "9cbaf7a7e503a783a121631d905e6e8b5ef61c04a34a509f06565ef9a806b65d",
+    ),
+    (
+        ("jamming", "--jim", "z", "--n", "6", "--trials", "10000"),
+        "1e21337f901d06174875e52e42ee9d375a559fa9ab2e2f642ef6d34f4ac15167",
+    ),
+    (
+        ("ghz-signal", "--n", "24"),
+        "660c289bf297c81102969884283b9659faad277b662389801fe4635399e57a7c",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, digest", CSV_REPORT_DIGESTS, ids=["pr-mc", "tsirelson-mc", "ghz-mc", "jamming-z", "ghz-exact-24"])
+def test_csv_reports_are_pinned(capsys, args, digest):
+    assert main([*args, "--format", "csv"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestCausalCommand:

@@ -72,7 +72,7 @@ class TestBoosts:
     @given(finite_coords, finite_coords, betas)
     def test_inverse_round_trip(self, t, x, beta):
         b = Boost(beta)
-        back = b.inverse().apply(b.apply(ev(t, x)))
+        back = Boost(-beta).apply(b.apply(ev(t, x)))
         scale = max(1.0, abs(t), abs(x)) * b.gamma**2
         assert back.t == pytest.approx(t, abs=1e-9 * scale)
         assert back.x == pytest.approx(x, abs=1e-9 * scale)
