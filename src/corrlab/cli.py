@@ -47,19 +47,19 @@ def _table_lines(prefixes, table: np.ndarray, codes: np.ndarray) -> str:
 
 
 def _dist_csv(v: SignalingVerdict) -> str:
-    """Exact pmf rows, or one row per sampled trial, for each distribution."""
-    labels = next(iter(v.distributions.values())).labels
+    """Exact pmf rows, or one row per sampled trial, for each run."""
+    labels = next(iter(v.runs.values())).labels
     if v.mode is RunMode.EXACT:
         header = ["choice", *labels, "numerator", "denominator"]
         lines = [
             ",".join([choice, *encode(point), str(prob.numerator), str(prob.denominator)]) + "\n"
-            for choice, dist in v.distributions.items()
+            for choice, dist in v.runs.items()
             for point, prob in zip(dist.support, dist.probs)
         ]
     else:
         header = ["choice", "trial", *labels]
         lines = []
-        for choice, run in v.samples.items():
+        for choice, run in v.runs.items():
             n = run.n_rounds
             table = np.array(["," + repr(s / n) for s in range(-n, n + 1)], dtype=object)
             prefixes = map(f"{choice},".__add__, map(str, range(run.trials)))
@@ -127,7 +127,7 @@ def _ghz_results(v: SignalingVerdict) -> tuple[dict, dict]:
     results = {
         "hit_probability": {"u": v.values[0], "p": v.values[1]},
         "tv_joint_receiver": v.extras["tv_joint_receiver"],
-        "receiver_distribution": {c: d.to_json_obj() for c, d in v.extras["receivers"].items()},
+        "receiver_distribution": {c: d.to_json_obj() for c, d in v.distributions.items()},
     }
     checks = {"no_signaling": not v.distinguishable}
     if v.mode is RunMode.EXACT:
@@ -149,7 +149,8 @@ _SCENARIOS = {
 def cmd_scenario(args) -> tuple[dict, str | None]:
     """pr-signal, tsirelson and ghz-signal: one verdict, then its tables and checks."""
     kind, kind_results = _SCENARIOS[args.command]
-    v = verdict(kind, args.n, _MODES[args.mode], args.trials, args.seed)
+    # A CSV report prints each run's every component; a JSON one only what its verdict compared.
+    v = verdict(kind, args.n, _MODES[args.mode], args.trials, args.seed, joint=args.format == "csv")
     results, checks = kind_results(v)
     results["verdict"] = v.to_json_obj()
     config = {
@@ -288,7 +289,10 @@ def cmd_causal(args) -> tuple[dict, str | None]:
     if "beta" in data:
         if "a_hat" not in events or "b_hat" not in events:
             raise ValueError("round-trip chronology needs a_hat and b_hat events")
-        beta = float(data["beta"])
+        try:
+            beta = float(data["beta"])
+        except (TypeError, ValueError):
+            raise ValueError("beta must be a number") from None
         chrono = spacetime.round_trip_chronology(
             alice_x=events["a_hat"].x,
             bob_x=events["b_hat"].x,

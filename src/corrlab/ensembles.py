@@ -23,6 +23,8 @@ from .errors import InvariantViolation
 from .quantum import ghz_state, joint_probabilities, outcome_tuples
 
 EXACT_MAX_ROUNDS = 24
+# Alice's and Bob's components of a three-party run: the receivers of Jim's choice.
+GHZ_RECEIVERS = (0, 1)
 _SAMPLE_CHUNK = 1 << 16
 _MAX_TABLE_CELLS = 1 << 16
 
@@ -105,6 +107,14 @@ def snap_pmf(pmf: Mapping[tuple[int, ...], float]) -> dict[tuple[int, ...], Frac
     if total != 1:
         raise InvariantViolation(f"snapped pmf sums to {total}, not 1")
     return out
+
+
+def marginal_mapping(mapping: Mapping, indices: tuple[int, ...]) -> dict:
+    """The pmf of the components ``indices`` of a pmf keyed by outcome tuples."""
+    out: dict = defaultdict(Fraction)
+    for key, prob in mapping.items():
+        out[tuple(key[i] for i in indices)] += prob
+    return dict(out)
 
 
 def convolve_iid_rounds(
@@ -212,13 +222,6 @@ class ExactDistribution:
     def probability(self, predicate: Callable[[tuple[Fraction, ...]], bool]) -> Fraction:
         return sum((p for v, p in zip(self.support, self.probs) if predicate(v)), Fraction(0))
 
-    def condition(self, predicate: Callable[[tuple[Fraction, ...]], bool]) -> "ExactDistribution":
-        mass = self.probability(predicate)
-        if mass == 0:
-            raise ValueError("conditioning event has probability zero")
-        kept = {v: p / mass for v, p in zip(self.support, self.probs) if predicate(v)}
-        return ExactDistribution.from_mapping(kept, self.labels, self.n_rounds)
-
     def marginal(self, indices: tuple[int, ...]) -> "ExactDistribution":
         acc: dict[tuple[Fraction, ...], Fraction] = defaultdict(Fraction)
         for v, p in zip(self.support, self.probs):
@@ -278,6 +281,12 @@ class EnsembleRun:
     def empirical(self) -> dict[tuple[Fraction, ...], Fraction]:
         """Empirical pmf of the collectives, exact over the sample."""
         return _histogram(self.sums, self.n_rounds)
+
+    def marginal(self, indices: tuple[int, ...]) -> "EnsembleRun":
+        """The same trials restricted to the components ``indices``."""
+        cols = list(indices)
+        rounds = None if self.rounds is None else self.rounds[:, :, cols]
+        return replace(self, labels=tuple(self.labels[i] for i in cols), sums=self.sums[:, cols], rounds=rounds)
 
     def mean(self, coeffs: tuple[float, ...]) -> float:
         combo = self.collectives @ np.asarray(coeffs, dtype=float)
@@ -411,18 +420,26 @@ def ghz_round_pmf(sender_choice: str) -> dict[tuple[int, int, int], Fraction]:
     return snap_pmf(born)
 
 
-def run_ghz_scenario(spec: ScenarioSpec) -> ExactDistribution | EnsembleRun:
+def run_ghz_scenario(spec: ScenarioSpec, receivers_only: bool = False) -> ExactDistribution | EnsembleRun:
     """Collective statistics for the three-party ensembles.
 
     Alice and Bob measure x on every triplet; Jim measures x or y per
-    ``sender_choice``.  Components are (A_x, B_x, J_<axis>).
+    ``sender_choice``.  Components are (A_x, B_x, J_<axis>), or with
+    ``receivers_only`` the receivers' (A_x, B_x) alone: the run then uses
+    their round marginal, since the marginal of an i.i.d. sum is the i.i.d.
+    sum of the round marginal.  A sampled receivers-only run draws from
+    that marginal, so its draws are not the receivers' columns of a whole
+    run on the same seed.
     """
     if spec.kind is not ScenarioKind.GHZ:
         raise ValueError("spec.kind must be GHZ")
     pmf = ghz_round_pmf(spec.sender_choice)
-    jim_label = "J_x" if spec.sender_choice == "u" else "J_y"
+    labels = ("A_x", "B_x", "J_x" if spec.sender_choice == "u" else "J_y")
+    if receivers_only:
+        pmf = marginal_mapping(pmf, GHZ_RECEIVERS)
+        labels = tuple(labels[i] for i in GHZ_RECEIVERS)
     stream = (_KIND_STREAM[spec.kind], _CHOICE_INDEX[spec.sender_choice])
-    return _run_from_round_pmf(spec, pmf, ("A_x", "B_x", jim_label), stream)
+    return _run_from_round_pmf(spec, pmf, labels, stream)
 
 
 def tsirelson_round_pmf(sender_choice: str, bob_axis: str) -> dict[tuple[int], Fraction]:

@@ -9,13 +9,13 @@ variation threshold of 5/sqrt(trials) as a smoke check.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping
 
 from .ensembles import (
+    GHZ_RECEIVERS,
     SCENARIO_RUNNERS,
     EnsembleRun,
     ExactDistribution,
@@ -24,6 +24,7 @@ from .ensembles import (
     ScenarioKind,
     ScenarioSpec,
     jamming_exact_distribution,
+    marginal_mapping,
 )
 from .errors import LatticeMismatchError
 
@@ -42,9 +43,12 @@ class SignalingVerdict:
     values differ by more than ``threshold``.  ``distributions`` holds the
     distributions the verdict compared, keyed by sender choice (prefixed by
     Bob's axis for the Tsirelson box): exact ones, or the empirical pmfs of
-    sampled runs.  ``samples`` holds those sampled runs themselves, for
-    per-trial output; it is empty in exact mode.  Neither goes into the
-    verdict's JSON.
+    sampled runs.  ``runs`` holds the runs themselves under the same keys,
+    as a CSV report prints them: exact distributions, or sampled runs with
+    their per-trial sums.  For the three-party box ``distributions`` keeps
+    only the receivers' (A_x, B_x), all its verdict compares, while its
+    sampled runs, and exact ones asked for as ``joint``, keep Jim's
+    component too.  Neither goes into the verdict's JSON.
     """
 
     scenario: ScenarioKind
@@ -58,7 +62,7 @@ class SignalingVerdict:
     trials: int | None = None
     extras: dict = field(default_factory=dict)
     distributions: dict[str, ExactDistribution] = field(default_factory=dict, repr=False)
-    samples: dict[str, EnsembleRun] = field(default_factory=dict, repr=False)
+    runs: dict[str, ExactDistribution | EnsembleRun] = field(default_factory=dict, repr=False)
 
     def to_json_obj(self) -> dict:
         return {
@@ -119,13 +123,6 @@ def variance_signature(dist) -> dict[str, Fraction | float]:
             "var_diff": dist.variance((1, -1)),
         }
     raise TypeError(f"cannot compute variances of {type(dist).__name__}")
-
-
-def marginal_mapping(mapping: Mapping, indices: tuple[int, ...]) -> dict:
-    out: dict = defaultdict(Fraction)
-    for key, prob in mapping.items():
-        out[tuple(key[i] for i in indices)] += prob
-    return dict(out)
 
 
 def _passes(tv, threshold) -> bool:
@@ -238,7 +235,7 @@ def _verdict(
         trials=spec.trials if sampled else None,
         extras=extras,
         distributions=dists,
-        samples=runs if sampled else {},
+        runs=runs,
     )
 
 
@@ -283,27 +280,38 @@ def tsirelson_verdict(n_rounds: int, mode: RunMode, trials: int = 100_000, seed:
     return _verdict(spec, Statistic.TOTAL_VARIATION, values, extras, runs, dists)
 
 
-def ghz_verdict(n_rounds: int, mode: RunMode, trials: int = 100_000, seed: int = 0) -> SignalingVerdict:
+def ghz_verdict(
+    n_rounds: int, mode: RunMode, trials: int = 100_000, seed: int = 0, joint: bool = False
+) -> SignalingVerdict:
     """Can Alice and Bob learn Jim's basis choice from their x collectives?
 
     The statistic follows the rare-event argument: the probability that
     both A_x and B_x come out +1 in every round is 2^-2N whether Jim
     measures x or y.  The total variation over the joint (A_x, B_x)
-    distribution rides along as the strongest accessible comparison, and
-    the receivers' (A_x, B_x) marginals ride along as ``receivers``.
+    distribution rides along as the strongest accessible comparison.
+
+    Every statistic is a function of the receivers' (A_x, B_x) pair, so
+    ``distributions`` holds theirs alone.  Exact mode convolves only their
+    round marginal, and with ``joint`` also runs the whole (A_x, B_x, J)
+    joint into ``runs``, for a report that prints it.  Sampled runs always
+    draw whole triplets, so their draws do not depend on what a report
+    prints, and only the receivers' two columns are histogrammed.
     """
     spec = ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=n_rounds, trials=trials, seed=seed, mode=mode)
-    runs = _run_choices(spec)
-    dists = _distributions(runs, mode)
-    receivers = {c: d.marginal((0, 1)) for c, d in dists.items()}
+    if mode is RunMode.EXACT:
+        receivers = _run_choices(spec, receivers_only=True)
+        runs = _run_choices(spec) if joint else receivers
+    else:
+        runs = _run_choices(spec)
+        receivers = _distributions({c: run.marginal(GHZ_RECEIVERS) for c, run in runs.items()}, mode)
     one = Fraction(1)
     hits = tuple(
         _mode_value(receivers[c].probability(lambda v: v[0] == one and v[1] == one), mode)
         for c in ("u", "p")
     )
     tv_joint = total_variation(receivers["u"], receivers["p"])
-    extras = {"tv_joint_receiver": _mode_value(tv_joint, mode), "receivers": receivers}
-    return _verdict(spec, Statistic.CONDITIONAL_PROBABILITY, hits, extras, runs, dists)
+    extras = {"tv_joint_receiver": _mode_value(tv_joint, mode)}
+    return _verdict(spec, Statistic.CONDITIONAL_PROBABILITY, hits, extras, runs, receivers)
 
 
 _VERDICTS = {
@@ -319,8 +327,14 @@ def verdict(
     mode: RunMode = RunMode.EXACT,
     trials: int = 100_000,
     seed: int = 0,
+    joint: bool = False,
 ) -> SignalingVerdict:
-    """Run both sender choices for a scenario and render its verdict."""
+    """Run both sender choices for a scenario and render its verdict.
+
+    Only ``ghz_verdict`` reads ``joint``; the other kinds' runs hold every component.
+    """
     if kind not in _VERDICTS:
         raise ValueError(f"unknown scenario kind {kind!r}")
+    if kind is ScenarioKind.GHZ:
+        return ghz_verdict(n_rounds, mode, trials, seed, joint)
     return _VERDICTS[kind](n_rounds, mode, trials, seed)

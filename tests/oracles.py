@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import sympy as sp
 
-from corrlab.ensembles import JammingRecords, RunMode
+from corrlab.ensembles import EnsembleRun, ExactDistribution, JammingRecords, RunMode
 from corrlab.reportio import encode
 
 
@@ -36,6 +36,16 @@ def pr_bruteforce_joint(n: int, choice: str) -> dict[tuple[Fraction, Fraction], 
         key = (Fraction(b_sum, n), Fraction(bp_sum, n))
         out[key] += weight
     return dict(out)
+
+
+def receivers_by_full_empirical(run: EnsembleRun) -> ExactDistribution:
+    """The (A_x, B_x) pmf of a sampled three-party run, by projecting its whole empirical pmf.
+
+    Builds the exact empirical distribution of all three components, then
+    sums out Jim's, instead of histogramming the receivers' columns alone.
+    """
+    full = ExactDistribution.from_mapping(run.empirical(), run.labels, run.n_rounds)
+    return full.marginal((0, 1))
 
 
 def binomial_collective_pmf(n: int) -> dict[Fraction, Fraction]:
@@ -193,16 +203,16 @@ def render_csv_by_writer(source) -> str:
         rows = [[i, int(r[0]), int(r[1]), int(r[2])] for i, r in enumerate(source.outcomes)]
     else:
         v = source
-        labels = next(iter(v.distributions.values())).labels
+        labels = next(iter(v.runs.values())).labels
         rows = []
         if v.mode is RunMode.EXACT:
             header = ["choice", *labels, "numerator", "denominator"]
-            for choice, dist in v.distributions.items():
+            for choice, dist in v.runs.items():
                 for point, prob in zip(dist.support, dist.probs):
                     rows.append([choice, *encode(point), prob.numerator, prob.denominator])
         else:
             header = ["choice", "trial", *labels]
-            for choice, run in v.samples.items():
+            for choice, run in v.runs.items():
                 for trial, row in enumerate(run.collectives):
                     rows.append([choice, trial, *[float(x) for x in row]])
     buf = io.StringIO()

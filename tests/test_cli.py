@@ -151,6 +151,21 @@ class TestGhzSignalCommand:
         assert "hit_probability_matches" not in report["checks"]
         assert "hit_probabilities_equal" not in report["checks"]
 
+    def test_exact_json_convolves_only_the_receivers(self, tmp_path, monkeypatch):
+        calls = spy_calls(monkeypatch, ensembles, "convolve_iid_rounds")
+        run_json(tmp_path, "ghz-signal", "--n", "4")
+        assert [len(next(iter(round_pmf))) for round_pmf, _ in calls] == [2, 2]
+
+    def test_exact_csv_prints_the_whole_joint(self, tmp_path, monkeypatch):
+        calls = spy_calls(monkeypatch, ensembles, "convolve_iid_rounds")
+        code, text = run_cli(tmp_path, "ghz-signal", "--n", "4", "--format", "csv")
+        assert code == 0
+        header, *rows = text.splitlines()
+        assert header == "choice,A_x,B_x,J_x,numerator,denominator"
+        assert {len(row.split(",")) for row in rows} == {6}
+        assert {row.split(",")[0] for row in rows} == {"u", "p"}
+        assert sorted(len(next(iter(round_pmf))) for round_pmf, _ in calls) == [2, 2, 3, 3]
+
 
 @pytest.mark.parametrize("command, runs", [("pr-signal", 2), ("tsirelson", 4), ("ghz-signal", 2)])
 class TestEachDistributionRunsOnce:
@@ -172,11 +187,11 @@ class TestEachDistributionRunsOnce:
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_receiver_marginals(self, tmp_path, monkeypatch, command, runs, mode):
-        """ghz-signal builds each receiver marginal once; the others build none."""
+        """No report projects a distribution: ghz-signal computes its receivers' directly."""
         calls = spy_calls(monkeypatch, ExactDistribution, "marginal")
         code, _ = run_cli(tmp_path, command, "--n", "3", "--mode", mode, "--trials", "200")
         assert code == 0
-        assert len(calls) == (2 if command == "ghz-signal" else 0)
+        assert len(calls) == 0
 
 
 class TestGhzAlgebraCommand:
@@ -229,9 +244,9 @@ class TestJammingCommand:
             assert a * b * j == -1
 
 
-def sampled_verdict(samples: dict[str, EnsembleRun]) -> SignalingVerdict:
+def sampled_verdict(runs: dict[str, EnsembleRun]) -> SignalingVerdict:
     """A sampled verdict that carries the given runs and their empirical pmfs."""
-    run = next(iter(samples.values()))
+    run = next(iter(runs.values()))
     return SignalingVerdict(
         scenario=ScenarioKind.TSIRELSON,
         n_rounds=run.n_rounds,
@@ -242,8 +257,8 @@ def sampled_verdict(samples: dict[str, EnsembleRun]) -> SignalingVerdict:
         threshold=0.0,
         seed=run.seed,
         trials=run.trials,
-        distributions=signaling._distributions(samples, RunMode.MONTE_CARLO),
-        samples=samples,
+        distributions=signaling._distributions(runs, RunMode.MONTE_CARLO),
+        runs=runs,
     )
 
 
@@ -302,7 +317,7 @@ class TestCsvMatchesWriter:
     @example(kind=ScenarioKind.TSIRELSON, n=1)
     @example(kind=ScenarioKind.PR_BOX, n=7)
     def test_exact(self, kind, n):
-        v = verdict(kind, n, RunMode.EXACT, None, 0)
+        v = verdict(kind, n, RunMode.EXACT, None, 0, joint=True)
         assert_same_text(cli._dist_csv(v), oracles.render_csv_by_writer(v))
 
 
@@ -334,6 +349,31 @@ CSV_REPORT_DIGESTS = [
 @pytest.mark.parametrize("args, digest", CSV_REPORT_DIGESTS, ids=["pr-mc", "tsirelson-mc", "ghz-mc", "jamming-z", "ghz-exact-24"])
 def test_csv_reports_are_pinned(capsys, args, digest):
     assert main([*args, "--format", "csv"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of each JSON report's stdout, recorded while ghz-signal still
+# projected the receivers out of the whole (A_x, B_x, J) joint.
+JSON_REPORT_DIGESTS = [
+    (("ghz-signal", "--n", "1"), "5fcf431f017df14d4fddd4b6c04d82a326ec71db0926c6ba3d835d44887aa212"),
+    (("ghz-signal", "--n", "6"), "a04c021c52dc29bce01c2981abf5186b53467d25c34d25195fa4be7108d095be"),
+    (("ghz-signal", "--n", "24"), "b5ab99b33fb819fd6933ee9555ba89c1fba90b5e252712d3b23f02589fc0f36f"),
+    (
+        ("ghz-signal", "--mode", "mc", "--n", "6", "--trials", "10000", "--seed", "0"),
+        "3fda914631b783296eeaf10ec1b37df8c1d98d2bdfa35ec6a6e6f4396068ccde",
+    ),
+    (
+        ("ghz-signal", "--mode", "mc", "--n", "60", "--trials", "10000", "--seed", "0"),
+        "005dee521151699d9e2d605d085d9ab339d07e1c01497a2823b1c74aec7fc240",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, digest", JSON_REPORT_DIGESTS, ids=["ghz-exact-1", "ghz-exact-6", "ghz-exact-24", "ghz-mc-6", "ghz-mc-60"])
+def test_json_reports_are_pinned(capsys, args, digest):
+    assert main(list(args)) == 0
     out, err = capsys.readouterr()
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -376,6 +416,22 @@ class TestCausalCommand:
             "underdetermined_pairs": 2,
             "pairs_without_unique_fixed_point": 4,
         }
+
+    @pytest.mark.parametrize("beta", [None, [1], {}], ids=["null", "list", "object"])
+    def test_beta_must_be_a_number(self, tmp_path, capsys, beta):
+        config = tmp_path / "beta.json"
+        config.write_text(json.dumps({"a_hat": {"t": 0, "x": 0}, "b_hat": {"t": 0, "x": 1}, "beta": beta}))
+        assert main(["causal", "--config", str(config)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: beta must be a number\n"
+
+    def test_beta_may_be_a_numeric_string(self, tmp_path):
+        config = tmp_path / "beta.json"
+        config.write_text(json.dumps({"a_hat": {"t": 0, "x": 0}, "b_hat": {"t": 0, "x": 1}, "beta": "0.5"}))
+        report = run_json(tmp_path, "causal", "--config", str(config))
+        assert report["results"]["round_trip"]["beta"] == 0.5
+        assert report["results"]["round_trip"]["retrocausal"] is True
 
     def test_partial_config(self, tmp_path):
         config = tmp_path / "partial.json"

@@ -211,15 +211,13 @@ class TestExactDistribution:
             (Fraction(1), Fraction(1)): Fraction(1, 4),
         }
 
-    def test_probability_and_condition(self):
+    def test_probability(self):
         dist = self._pr_n2()
         one = Fraction(1)
         assert dist.probability(lambda v: v[0] == one) == Fraction(1, 4)
-        cond = dist.condition(lambda v: v[0] >= 0)
-        assert cond.probability(lambda v: True) == 1
-        assert cond.as_mapping()[(Fraction(0), Fraction(0))] == Fraction(2, 3)
-        with pytest.raises(ValueError, match="probability zero"):
-            dist.condition(lambda v: v[0] == Fraction(1, 3))
+        assert dist.probability(lambda v: v[0] >= 0) == Fraction(3, 4)
+        assert dist.probability(lambda v: True) == 1
+        assert dist.probability(lambda v: v[0] == Fraction(1, 3)) == 0
 
     def test_marginal(self):
         dist = self._pr_n2()
@@ -420,6 +418,15 @@ class TestMonteCarlo:
         )
         prods = run.sums[:, 0] * run.sums[:, 1] * run.sums[:, 2]
         assert np.all(prods == -1)
+
+    def test_marginal_keeps_the_chosen_columns(self):
+        s = spec(ScenarioKind.GHZ, 3, "p", mode=RunMode.MONTE_CARLO, trials=50, seed=1, keep_rounds=True)
+        run = run_ghz_scenario(s)
+        marg = run.marginal((2, 0))
+        assert marg.labels == ("J_y", "A_x")
+        assert np.array_equal(marg.sums, run.sums[:, [2, 0]])
+        assert np.array_equal(marg.rounds, run.rounds[:, :, [2, 0]])
+        assert (marg.n_rounds, marg.seed) == (run.n_rounds, run.seed)
 
     def test_rounds_trace(self):
         s = spec(

@@ -4,15 +4,18 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from corrlab.ensembles import (
+    EXACT_MAX_ROUNDS,
     ExactDistribution,
     RunMode,
     ScenarioKind,
     ScenarioSpec,
     jamming_exact_distribution,
+    run_ghz_scenario,
     run_jamming_scenario,
     scenario_exact_distribution,
 )
@@ -216,6 +219,37 @@ class TestSampledVerdicts:
                 for seed in range(100)
             )
             assert agree >= 99, f"{kind.value}: {agree}/100"
+
+
+def assert_same_distribution(got, want):
+    """Same labels, round count, support in the same order and same probabilities."""
+    assert got.labels == want.labels
+    assert got.n_rounds == want.n_rounds
+    assert got.support == want.support
+    assert got.probs == want.probs
+
+
+class TestGhzReceivers:
+    """The three-party verdict compares the (A_x, B_x) marginals of the whole runs."""
+
+    @pytest.mark.parametrize("n", range(1, EXACT_MAX_ROUNDS + 1))
+    def test_exact(self, n):
+        v = ghz_verdict(n, RunMode.EXACT)
+        assert set(v.distributions) == {"u", "p"}
+        for choice, receivers in v.distributions.items():
+            joint = run_ghz_scenario(ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=n, sender_choice=choice))
+            assert_same_distribution(receivers, joint.marginal((0, 1)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 200), trials=st.integers(1, 300), seed=st.integers(0, 2**64 - 1))
+    @example(n=1, trials=1, seed=0)
+    @example(n=200, trials=300, seed=2**64 - 1)
+    def test_sampled(self, n, trials, seed):
+        v = ghz_verdict(n, RunMode.MONTE_CARLO, trials, seed)
+        assert set(v.distributions) == set(v.runs) == {"u", "p"}
+        for choice, run in v.runs.items():
+            assert run.labels[:2] == ("A_x", "B_x") and len(run.labels) == 3
+            assert_same_distribution(v.distributions[choice], oracles.receivers_by_full_empirical(run))
 
 
 class TestUnaryCondition:
