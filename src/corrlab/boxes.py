@@ -68,10 +68,6 @@ class DichotomicBox:
     def outcomes(self) -> tuple[tuple[int, ...], ...]:
         return outcome_tuples(self.parties)
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(p, Fraction) for row in self.table.values() for p in row)
-
     def row(self, labels) -> tuple[Fraction | float, ...]:
         key = tuple(_as_label(k) for k in labels)
         if len(key) != self.parties:

@@ -20,7 +20,7 @@ import numpy as np
 from . import boxes, quantum, spacetime
 from .ensembles import EXACT_MAX_ROUNDS, JammingRecords, RunMode, ScenarioKind, run_jamming_scenario
 from .errors import InvariantViolation
-from .reportio import SCHEMA_VERSION, dump_report, encode
+from .reportio import SCHEMA_VERSION, dump_report
 from .signaling import SignalingVerdict, jamming_unary_exact, verdict
 
 _MODES = {"exact": RunMode.EXACT, "mc": RunMode.MONTE_CARLO}
@@ -52,9 +52,9 @@ def _dist_csv(v: SignalingVerdict) -> str:
     if v.mode is RunMode.EXACT:
         header = ["choice", *labels, "numerator", "denominator"]
         lines = [
-            ",".join([choice, *encode(point), str(prob.numerator), str(prob.denominator)]) + "\n"
+            ",".join([choice, *point, str(num), str(den)]) + "\n"
             for choice, dist in v.runs.items()
-            for point, prob in zip(dist.support, dist.probs)
+            for point, num, den in dist.atoms()
         ]
     else:
         header = ["choice", "trial", *labels]
@@ -89,9 +89,8 @@ def _pr_results(v: SignalingVerdict) -> tuple[dict, dict]:
         "variance_collapse": variance["u"]["var_diff"] == 0 and variance["p"]["var_sum"] == 0,
     }
     if v.mode is RunMode.EXACT:
-        one = Fraction(1)
-        p_joint = dists["u"].probability(lambda x: x[0] == one and x[1] == one)
-        p_anti = dists["p"].probability(lambda x: x[0] == one and x[1] == -one)
+        p_joint = dists["u"].probability((1, 1))
+        p_anti = dists["p"].probability((1, -1))
         results["rare_events"] = {
             "p_both_plus_under_u": p_joint,
             "p_plus_minus_under_p": p_anti,
@@ -219,9 +218,8 @@ def cmd_ghz_algebra(args) -> tuple[dict, str | None]:
 
 def cmd_jamming(args) -> tuple[dict, str | None]:
     records = run_jamming_scenario(args.n, args.jim, args.trials, args.seed)
-    binned = records.binned_correlations()
-    bin_counts = {str(j): int(rows.shape[0]) for j, rows in records.bin_by_jim().items()}
-    overall = records.overall_correlation()
+    counts, binned, overall = records.correlations()
+    bin_counts = {str(j): c for j, c in counts.items()}
     unary = jamming_unary_exact()
     total = records.trials
     results = {
@@ -239,7 +237,7 @@ def cmd_jamming(args) -> tuple[dict, str | None]:
     else:
         bound = 4.0 / math.sqrt(total)
         per_bin_ok = all(
-            c is None or abs(c) < 4.0 / math.sqrt(max(1, int(bin_counts[str(j)])))
+            c is None or abs(c) < 4.0 / math.sqrt(counts[j])
             for j, c in binned.items()
         )
         checks["uncorrelated"] = abs(overall) < bound and per_bin_ok

@@ -2,20 +2,20 @@
 
 Each scenario runs N i.i.d. rounds per trial and reports collective
 variables, the per-component averages (1/N)*sum of +1/-1 round outcomes.
-Exact mode computes the full joint pmf of the collectives as rationals by
-N-fold convolution of the single-round pmf; Monte Carlo mode samples
-trials with reproducible per-(seed, scenario, choice) random streams.
+Exact mode computes the full joint pmf of the collectives, as integer
+weights over one denominator, by N-fold convolution of the single-round
+pmf; Monte Carlo mode samples trials with reproducible per-(seed,
+scenario, choice) random streams and histograms them on the same grid.
 """
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -109,149 +109,165 @@ def snap_pmf(pmf: Mapping[tuple[int, ...], float]) -> dict[tuple[int, ...], Frac
     return out
 
 
-def marginal_mapping(mapping: Mapping, indices: tuple[int, ...]) -> dict:
-    """The pmf of the components ``indices`` of a pmf keyed by outcome tuples."""
-    out: dict = defaultdict(Fraction)
-    for key, prob in mapping.items():
-        out[tuple(key[i] for i in indices)] += prob
-    return dict(out)
+def _cell(point: tuple, k: int, n: int) -> int:
+    """Index of the k-component value tuple ``point`` in the lexicographic N-round grid."""
+    if len(point) != k:
+        raise ValueError(f"value tuple {point} has arity {len(point)}, not the {k} of the labels")
+    cell = 0
+    for v in point:
+        # v = s/N for an integer s of N's parity with |s| <= N.
+        num, den = v.as_integer_ratio()
+        if n % den or abs(num) > den or (num * (n // den) - n) % 2:
+            raise ValueError(f"value {v} is off the N={n} lattice")
+        cell = cell * (n + 1) + (num * (n // den) + n) // 2
+    return cell
 
 
-def convolve_iid_rounds(
-    round_pmf: Mapping[tuple[int, ...], Fraction], n_rounds: int
-) -> dict[tuple[int, ...], Fraction]:
-    """Exact pmf of the componentwise sum of n_rounds i.i.d. +1/-1 outcome tuples.
-
-    The round pmf is a polynomial in k variables, one {0,1} exponent per
-    component (1 for +1), and the N-round pmf is its N-th power.  Kronecker
-    substitution (Harvey, arXiv:0712.4046) turns that into one big-int power:
-    component 0 gets the most significant stride (N+1)^(k-1), and every
-    integer weight over the common denominator gets a byte slot wide enough
-    for any coefficient of the power.  Keys come out in lexicographic order.
-    """
-    outcomes = list(round_pmf)
-    k = len(outcomes[0])
-    for out in outcomes:
-        if len(out) != k:
-            raise ValueError(f"round pmf mixes outcome arities {k} and {len(out)}")
-        if any(o not in (1, -1) for o in out):
-            raise ValueError(f"round outcome {out} has an entry outside {{-1, +1}}")
-    denom = math.lcm(*(p.denominator for p in round_pmf.values()))
-    weights = [p.numerator * (denom // p.denominator) for p in round_pmf.values()]
-    if any(w < 0 for w in weights):
-        raise ValueError("round pmf has a negative probability")
-    base = n_rounds + 1
-    # Every coefficient of the power is at most sum(weights)**N, i.e. denom**N for a pmf.
-    width = (sum(weights) ** n_rounds).bit_length() // 8 + 1
-    poly = 0
-    for out, w in zip(outcomes, weights):
-        exponent = 0
-        for o in out:
-            exponent = exponent * base + (o > 0)
-        poly += w << (8 * width * exponent)
-    data = (poly**n_rounds).to_bytes(width * base**k, "little")
-    total = denom**n_rounds
-    keys = itertools.product(range(-n_rounds, n_rounds + 1, 2), repeat=k)
-    result = {}
-    for key, start in zip(keys, range(0, len(data), width)):
-        w = int.from_bytes(data[start : start + width], "little")
-        if w:
-            result[key] = Fraction(w, total)
-    return result
+def _digits(cell: int, base: int, k: int) -> list[int]:
+    """The k base-``base`` digits of a grid cell, component 0's first."""
+    digits = [0] * k
+    for i in range(k - 1, -1, -1):
+        cell, digits[i] = divmod(cell, base)
+    return digits
 
 
 @dataclass(frozen=True, eq=False)
 class ExactDistribution:
-    """Joint pmf of collective variables with exact rational probabilities.
+    """Joint pmf of collective variables as integer weights over one denominator.
 
-    Support points are distinct tuples of Fractions on the lattice
-    {-1 + 2k/N}, kept in sorted order; probabilities are non-negative and
-    sum to exactly 1.
+    The collectives lie on the grid {-1, -1 + 2/N, ..., 1}^k, k =
+    len(labels).  The cell of component sums (s_0, ..., s_(k-1)) is the
+    base-(N+1) number with digits (s_c + N) / 2, so cell order is
+    lexicographic value order.  ``cells`` lists the cells of nonzero
+    probability in increasing order and ``weights`` their positive integer
+    weights; a cell's probability is its weight over ``denominator``.
+    Exact runs hold weights over denom^N, sampled histograms counts over
+    the trials, and neither stores the empty cells.
     """
 
     labels: tuple[str, ...]
-    support: tuple[tuple[Fraction, ...], ...]
-    probs: tuple[Fraction, ...]
     n_rounds: int
+    cells: list[int]
+    weights: list[int]
+    denominator: int
 
     def __post_init__(self):
-        if len(self.support) != len(self.probs):
-            raise ValueError("support and probability lengths differ")
-        denom = math.lcm(*(p.denominator for p in self.probs))
-        total = 0
-        for p in self.probs:
-            if p.numerator < 0:
-                raise ValueError(f"probability {p} is negative")
-            total += p.numerator * (denom // p.denominator)
-        if total != denom:
+        size = (self.n_rounds + 1) ** len(self.labels)
+        if len(self.cells) != len(self.weights):
+            raise ValueError(f"{len(self.cells)} cells for {len(self.weights)} weights")
+        if not self.cells or self.cells[0] < 0 or self.cells[-1] >= size:
+            raise ValueError(f"cells must lie in the {size} cells of the N={self.n_rounds} grid")
+        if any(a >= b for a, b in zip(self.cells, self.cells[1:])):
+            raise ValueError("a cell appears twice or out of order")
+        if min(self.weights) <= 0:
+            raise ValueError(f"weight {min(self.weights)} is negative or zero")
+        if sum(self.weights) != self.denominator:
             raise ValueError("probabilities must sum to exactly 1")
-        n = self.n_rounds
-        for point in self.support:
-            if len(point) != len(self.labels):
-                raise ValueError("support tuple arity does not match labels")
-            for v in point:
-                # v = s/N for an integer s of N's parity with |s| <= N.
-                num, den = v.as_integer_ratio()
-                if n % den or abs(num) > den or (num * (n // den) - n) % 2:
-                    raise ValueError(f"value {v} is off the N={n} lattice")
-        # Strictly increasing input is sorted and free of duplicates already.
-        if any(a >= b for a, b in zip(self.support, self.support[1:])):
-            order = sorted(range(len(self.support)), key=self.support.__getitem__)
-            support = tuple(self.support[i] for i in order)
-            for a, b in zip(support, support[1:]):
-                if a == b:
-                    raise ValueError(f"support point {a} appears twice")
-            object.__setattr__(self, "support", support)
-            object.__setattr__(self, "probs", tuple(self.probs[i] for i in order))
 
     @classmethod
     def from_mapping(
-        cls, mapping: Mapping[tuple[Fraction, ...], Fraction], labels: tuple[str, ...], n_rounds: int
+        cls, mapping: Mapping[tuple, Fraction], labels: tuple[str, ...], n_rounds: int
     ) -> "ExactDistribution":
-        items = [(k, v) for k, v in mapping.items() if v]
-        return cls(
-            labels=labels,
-            support=tuple(k for k, _ in items),
-            probs=tuple(v for _, v in items),
-            n_rounds=n_rounds,
+        """The pmf with probability ``mapping[v]`` at each value tuple v on the N grid, 0 elsewhere."""
+        denominator = math.lcm(*(p.denominator for p in mapping.values()))
+        pairs = sorted(
+            (_cell(point, len(labels), n_rounds), p.numerator * (denominator // p.denominator))
+            for point, p in mapping.items()
+            if p
         )
+        return cls(labels, n_rounds, [c for c, _ in pairs], [w for _, w in pairs], denominator)
 
-    def as_mapping(self) -> dict[tuple[Fraction, ...], Fraction]:
-        return dict(zip(self.support, self.probs))
+    @classmethod
+    def from_grid(
+        cls, labels: tuple[str, ...], n_rounds: int, weights: list[int], denominator: int
+    ) -> "ExactDistribution":
+        """The pmf with weight ``weights[c]`` at every cell c of the whole N grid."""
+        cells = [c for c, w in enumerate(weights) if w]
+        return cls(labels, n_rounds, cells, [weights[c] for c in cells], denominator)
 
-    def probability(self, predicate: Callable[[tuple[Fraction, ...]], bool]) -> Fraction:
-        return sum((p for v, p in zip(self.support, self.probs) if predicate(v)), Fraction(0))
+    def probability(self, point: tuple) -> Fraction:
+        """Probability of the value tuple ``point``."""
+        cell = _cell(point, len(self.labels), self.n_rounds)
+        i = bisect.bisect_left(self.cells, cell)
+        found = i < len(self.cells) and self.cells[i] == cell
+        return Fraction(self.weights[i] if found else 0, self.denominator)
 
     def marginal(self, indices: tuple[int, ...]) -> "ExactDistribution":
-        acc: dict[tuple[Fraction, ...], Fraction] = defaultdict(Fraction)
-        for v, p in zip(self.support, self.probs):
-            acc[tuple(v[i] for i in indices)] += p
+        """The pmf of the components ``indices``, in that order."""
+        base, k = self.n_rounds + 1, len(self.labels)
+        acc: dict[int, int] = {}
+        for cell, w in zip(self.cells, self.weights):
+            digits = _digits(cell, base, k)
+            out = 0
+            for i in indices:
+                out = out * base + digits[i]
+            acc[out] = acc.get(out, 0) + w
+        cells = sorted(acc)
         labels = tuple(self.labels[i] for i in indices)
-        return ExactDistribution.from_mapping(acc, labels, self.n_rounds)
+        return ExactDistribution(labels, self.n_rounds, cells, [acc[c] for c in cells], self.denominator)
 
-    def mean(self, coeffs: tuple[int | Fraction, ...]) -> Fraction:
-        total = Fraction(0)
-        for v, p in zip(self.support, self.probs):
-            total += p * sum((Fraction(c) * x for c, x in zip(coeffs, v)), Fraction(0))
-        return total
+    def _moments(self, coeffs: tuple[int, ...]) -> tuple[int, int]:
+        """Sums of w*t and w*t^2 over the cells, t = sum of coeffs times component sums."""
+        n, k = self.n_rounds, len(self.labels)
+        first = second = 0
+        for cell, w in zip(self.cells, self.weights):
+            t = sum(c * (2 * d - n) for c, d in zip(coeffs, _digits(cell, n + 1, k)))
+            first += w * t
+            second += w * t * t
+        return first, second
 
-    def variance(self, coeffs: tuple[int | Fraction, ...]) -> Fraction:
-        m = self.mean(coeffs)
-        total = Fraction(0)
-        for v, p in zip(self.support, self.probs):
-            s = sum((Fraction(c) * x for c, x in zip(coeffs, v)), Fraction(0))
-            total += p * s * s
-        return total - m * m
+    def mean(self, coeffs: tuple[int, ...]) -> Fraction:
+        first, _ = self._moments(coeffs)
+        return Fraction(first, self.denominator * self.n_rounds)
+
+    def variance(self, coeffs: tuple[int, ...]) -> Fraction:
+        first, second = self._moments(coeffs)
+        scale = self.denominator * self.n_rounds
+        return Fraction(second * self.denominator - first * first, scale * scale)
+
+    def atoms(self) -> Iterator[tuple[tuple[str, ...], int, int]]:
+        """Each nonzero cell in grid order: its values as "n/d" text, then its reduced probability."""
+        n, d, k = self.n_rounds, self.denominator, len(self.labels)
+        texts = []
+        for s in range(-n, n + 1, 2):
+            g = math.gcd(s, n)
+            texts.append(f"{s // g}/{n // g}")
+        for cell, w in zip(self.cells, self.weights):
+            g = math.gcd(w, d)
+            yield tuple(texts[x] for x in _digits(cell, n + 1, k)), w // g, d // g
 
     def to_json_obj(self) -> list[dict]:
         return [
-            {
-                "value": [f"{x.numerator}/{x.denominator}" for x in v],
-                "numerator": p.numerator,
-                "denominator": p.denominator,
-            }
-            for v, p in zip(self.support, self.probs)
+            {"value": list(point), "numerator": num, "denominator": den}
+            for point, num, den in self.atoms()
         ]
+
+
+def convolve_iid_rounds(round_pmf: ExactDistribution, n_rounds: int) -> list[int]:
+    """Weights over round_pmf.denominator**N of the sum of N i.i.d. rounds, on the whole N grid.
+
+    The one-round pmf is a polynomial in k variables, one {0,1} exponent
+    per component (1 for +1), and the N-round pmf is its N-th power.
+    Kronecker substitution (Harvey, arXiv:0712.4046) turns that into one
+    big-int power: component 0 gets the most significant stride (N+1)^(k-1),
+    and every integer weight gets a byte slot wide enough for any
+    coefficient of the power.  The slots come out in grid order, empty
+    cells included.
+    """
+    if round_pmf.n_rounds != 1:
+        raise ValueError(f"round pmf is an N={round_pmf.n_rounds} distribution, not a single round")
+    k = len(round_pmf.labels)
+    base = n_rounds + 1
+    # Every coefficient of the power is at most denominator**N.
+    width = (round_pmf.denominator**n_rounds).bit_length() // 8 + 1
+    poly = 0
+    for cell, w in zip(round_pmf.cells, round_pmf.weights):
+        exponent = 0
+        for d in _digits(cell, 2, k):
+            exponent = exponent * base + d
+        poly += w << (8 * width * exponent)
+    data = (poly**n_rounds).to_bytes(width * base**k, "little")
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,19 +294,15 @@ class EnsembleRun:
     def collectives(self) -> np.ndarray:
         return self.sums / float(self.n_rounds)
 
-    def empirical(self) -> dict[tuple[Fraction, ...], Fraction]:
-        """Empirical pmf of the collectives, exact over the sample."""
-        return _histogram(self.sums, self.n_rounds)
+    def empirical(self) -> ExactDistribution:
+        """Empirical pmf of the collectives: each grid cell's count over the trials."""
+        return _grid_counts(self.labels, self.sums, self.n_rounds)
 
     def marginal(self, indices: tuple[int, ...]) -> "EnsembleRun":
         """The same trials restricted to the components ``indices``."""
         cols = list(indices)
         rounds = None if self.rounds is None else self.rounds[:, :, cols]
         return replace(self, labels=tuple(self.labels[i] for i in cols), sums=self.sums[:, cols], rounds=rounds)
-
-    def mean(self, coeffs: tuple[float, ...]) -> float:
-        combo = self.collectives @ np.asarray(coeffs, dtype=float)
-        return float(combo.mean())
 
     def variance(self, coeffs: tuple[float, ...]) -> float:
         if self.trials < 2:
@@ -299,25 +311,18 @@ class EnsembleRun:
         return float(combo.var())
 
 
-def _histogram(rows: np.ndarray, n_rounds: int) -> dict[tuple[Fraction, ...], Fraction]:
-    """Empirical pmf {row / n_rounds: count / trials} of integer rows.
-
-    Each row becomes one int64 cell over the sample's own per-component
-    min..max box, so a 1-D sort counts them; keys come out in
-    lexicographic row order, as a row-wise unique would give them.
-    """
-    lo = rows.min(axis=0)
-    dims = tuple(int(d) for d in rows.max(axis=0) - lo + 1)
-    cells, counts = np.unique(
-        np.ravel_multi_index(tuple((rows - lo).T), dims), return_counts=True
-    )
-    columns = []
-    for offset, coords in zip(lo.tolist(), np.unravel_index(cells, dims)):
-        values = (coords + offset).tolist()
-        fractions = {v: Fraction(v, n_rounds) for v in set(values)}
-        columns.append([fractions[v] for v in values])
-    trials = rows.shape[0]
-    return {key: Fraction(c, trials) for key, c in zip(zip(*columns), counts.tolist())}
+def _grid_counts(labels: tuple[str, ...], sums: np.ndarray, n_rounds: int) -> ExactDistribution:
+    """The pmf of (trials, k) component sums: the occupied grid cells and their counts."""
+    base, k = n_rounds + 1, sums.shape[1]
+    # The narrowest unsigned type that holds every cell: uint8 for jamming's 8, object
+    # (Python ints) past 2^64, which k = 3 reaches beyond N of about 2.6e6.
+    digits = ((sums + n_rounds) // 2).astype(np.min_scalar_type(base**k - 1))
+    cells = digits[:, 0].copy()
+    for c in range(1, k):
+        cells *= base
+        cells += digits[:, c]
+    cells, counts = np.unique(cells, return_counts=True)
+    return ExactDistribution(labels, n_rounds, cells.tolist(), counts.tolist(), sums.shape[0])
 
 
 def _stream_rng(seed: int, stream: tuple[int, ...]) -> np.random.Generator:
@@ -325,7 +330,7 @@ def _stream_rng(seed: int, stream: tuple[int, ...]) -> np.random.Generator:
 
 
 def _sample_outcome_rows(
-    round_pmf: Mapping[tuple[int, ...], Fraction],
+    round_pmf: ExactDistribution,
     n_rounds: int,
     trials: int,
     seed: int,
@@ -341,13 +346,14 @@ def _sample_outcome_rows(
     ``searchsorted`` over the CDF.  Each trial's component sum is
     N - 2 * (rounds whose atom is -1 in that component).
     """
-    k = len(next(iter(round_pmf)))
-    order = [o for o in outcome_tuples(k) if o in round_pmf]
-    denom = math.lcm(*(round_pmf[o].denominator for o in order))
-    cells = [round_pmf[o].numerator * (denom // round_pmf[o].denominator) for o in order]
-    if denom & (denom - 1) or denom > _MAX_TABLE_CELLS or sum(cells) != denom:
+    k = len(round_pmf.labels)
+    denom = round_pmf.denominator
+    if denom & (denom - 1) or denom > _MAX_TABLE_CELLS:
         raise InvariantViolation(f"round pmf with denominator {denom} is not dyadic over <= {_MAX_TABLE_CELLS} cells")
-    atoms_by_cell = np.repeat(np.array(order, dtype=np.int8), cells, axis=0)
+    # outcome_tuples lists +1 first and the grid -1 first: grid cell c is outcome 2^k - 1 - c,
+    # and the table keeps outcome_tuples order.
+    outcomes = np.array(outcome_tuples(k), dtype=np.int8)[[(1 << k) - 1 - c for c in reversed(round_pmf.cells)]]
+    atoms_by_cell = np.repeat(outcomes, round_pmf.weights[::-1], axis=0)
     negative = [atoms_by_cell[:, c] < 0 for c in range(k)]
     # 64 - log2(D); a shift of 64 (D = 1) gives cell 0 for every word.
     shift = 65 - denom.bit_length()
@@ -371,25 +377,18 @@ def _sample_outcome_rows(
 
 
 def _run_from_round_pmf(
-    spec: ScenarioSpec,
-    round_pmf: Mapping[tuple[int, ...], Fraction],
-    labels: tuple[str, ...],
-    stream: tuple[int, ...],
+    spec: ScenarioSpec, round_pmf: ExactDistribution, stream: tuple[int, ...]
 ) -> ExactDistribution | EnsembleRun:
+    n = spec.n_rounds
     if spec.mode is RunMode.EXACT:
-        n = spec.n_rounds
-        lattice = {s: Fraction(s, n) for s in range(-n, n + 1, 2)}
-        sums = convolve_iid_rounds(round_pmf, n)
-        support = tuple(tuple(lattice[s] for s in key) for key in sums)
-        return ExactDistribution(labels, support, tuple(sums.values()), n)
-    sums, rounds = _sample_outcome_rows(
-        round_pmf, spec.n_rounds, spec.trials, spec.seed, stream, spec.keep_rounds
-    )
-    return EnsembleRun(labels=labels, sums=sums, n_rounds=spec.n_rounds, seed=spec.seed, rounds=rounds)
+        weights = convolve_iid_rounds(round_pmf, n)
+        return ExactDistribution.from_grid(round_pmf.labels, n, weights, round_pmf.denominator**n)
+    sums, rounds = _sample_outcome_rows(round_pmf, n, spec.trials, spec.seed, stream, spec.keep_rounds)
+    return EnsembleRun(labels=round_pmf.labels, sums=sums, n_rounds=n, seed=spec.seed, rounds=rounds)
 
 
-def pr_round_pmf(sender_choice: str) -> dict[tuple[int, int], Fraction]:
-    """Per-round pmf of Bob's jointly read (b, b') pair.
+def pr_round_pmf(sender_choice: str) -> ExactDistribution:
+    """Per-round pmf of Bob's jointly read (B, B') pair.
 
     The four perfect (anti)correlations of the maximal box fix the pair
     from Alice's unbiased outcome: b equals it, and b' equals it under the
@@ -397,7 +396,7 @@ def pr_round_pmf(sender_choice: str) -> dict[tuple[int, int], Fraction]:
     """
     sign = 1 if sender_choice == "u" else -1
     half = Fraction(1, 2)
-    return {(1, sign): half, (-1, -sign): half}
+    return ExactDistribution.from_mapping({(1, sign): half, (-1, -sign): half}, ("B", "B_prime"), 1)
 
 
 def run_pr_scenario(spec: ScenarioSpec) -> ExactDistribution | EnsembleRun:
@@ -408,16 +407,15 @@ def run_pr_scenario(spec: ScenarioSpec) -> ExactDistribution | EnsembleRun:
     """
     if spec.kind is not ScenarioKind.PR_BOX:
         raise ValueError("spec.kind must be PR_BOX")
-    pmf = pr_round_pmf(spec.sender_choice)
     stream = (_KIND_STREAM[spec.kind], _CHOICE_INDEX[spec.sender_choice])
-    return _run_from_round_pmf(spec, pmf, ("B", "B_prime"), stream)
+    return _run_from_round_pmf(spec, pr_round_pmf(spec.sender_choice), stream)
 
 
-def ghz_round_pmf(sender_choice: str) -> dict[tuple[int, int, int], Fraction]:
-    """Born pmf of (a_x, b_x, j) for one triplet, Jim on x ("u") or y ("p")."""
+def ghz_round_pmf(sender_choice: str) -> ExactDistribution:
+    """Born pmf of (A_x, B_x, J) for one triplet, Jim on x ("u") or y ("p")."""
     jim_factor = "X" if sender_choice == "u" else "Y"
-    born = joint_probabilities(ghz_state(), ("X", "X", jim_factor))
-    return snap_pmf(born)
+    born = snap_pmf(joint_probabilities(ghz_state(), ("X", "X", jim_factor)))
+    return ExactDistribution.from_mapping(born, ("A_x", "B_x", f"J_{jim_factor.lower()}"), 1)
 
 
 def run_ghz_scenario(spec: ScenarioSpec, receivers_only: bool = False) -> ExactDistribution | EnsembleRun:
@@ -434,15 +432,13 @@ def run_ghz_scenario(spec: ScenarioSpec, receivers_only: bool = False) -> ExactD
     if spec.kind is not ScenarioKind.GHZ:
         raise ValueError("spec.kind must be GHZ")
     pmf = ghz_round_pmf(spec.sender_choice)
-    labels = ("A_x", "B_x", "J_x" if spec.sender_choice == "u" else "J_y")
     if receivers_only:
-        pmf = marginal_mapping(pmf, GHZ_RECEIVERS)
-        labels = tuple(labels[i] for i in GHZ_RECEIVERS)
+        pmf = pmf.marginal(GHZ_RECEIVERS)
     stream = (_KIND_STREAM[spec.kind], _CHOICE_INDEX[spec.sender_choice])
-    return _run_from_round_pmf(spec, pmf, labels, stream)
+    return _run_from_round_pmf(spec, pmf, stream)
 
 
-def tsirelson_round_pmf(sender_choice: str, bob_axis: str) -> dict[tuple[int], Fraction]:
+def tsirelson_round_pmf(sender_choice: str, bob_axis: str) -> ExactDistribution:
     """Bob's exact per-round marginal on a Bell pair.
 
     Alice measures Z ("u") or X ("p"); Bob measures Z or X per
@@ -454,11 +450,8 @@ def tsirelson_round_pmf(sender_choice: str, bob_axis: str) -> dict[tuple[int], F
     from .quantum import bell_state
 
     alice_factor = "Z" if sender_choice == "u" else "X"
-    joint = joint_probabilities(bell_state(), (alice_factor, bob_axis.upper()))
-    marginal: dict[tuple[int], float] = defaultdict(float)
-    for (a, b), p in joint.items():
-        marginal[(b,)] += p
-    return snap_pmf(marginal)
+    joint = snap_pmf(joint_probabilities(bell_state(), (alice_factor, bob_axis.upper())))
+    return ExactDistribution.from_mapping(joint, ("alice", f"bob_{bob_axis}"), 1).marginal((1,))
 
 
 def run_tsirelson_scenario(
@@ -473,7 +466,7 @@ def run_tsirelson_scenario(
         _CHOICE_INDEX[spec.sender_choice],
         0 if bob_axis == "z" else 1,
     )
-    return _run_from_round_pmf(spec, pmf, (f"bob_{bob_axis}",), stream)
+    return _run_from_round_pmf(spec, pmf, stream)
 
 
 SCENARIO_RUNNERS = {
@@ -499,45 +492,33 @@ class JammingRecords:
     def trials(self) -> int:
         return int(self.outcomes.shape[0])
 
-    @property
-    def n_rounds(self) -> int:
-        return 1
+    def empirical(self) -> ExactDistribution:
+        """Counts of the 8 (a_x, b_x, j) outcomes over the triplets."""
+        return _grid_counts(self.labels, self.outcomes, 1)
 
-    def empirical(self) -> dict[tuple[Fraction, ...], Fraction]:
-        return _histogram(self.outcomes, 1)
+    def correlations(self) -> tuple[dict[int, int], dict[int, float | None], float]:
+        """Triplets per Jim outcome j, the a_x*b_x correlation within each bin, and overall.
 
-    def bin_by_jim(self) -> dict[int, np.ndarray]:
-        """Rows with jim outcome +1 and -1 separately."""
-        j = self.outcomes[:, 2]
-        return {1: self.outcomes[j == 1], -1: self.outcomes[j == -1]}
-
-    def binned_correlations(self) -> dict[int, float | None]:
-        out: dict[int, float | None] = {}
-        for j, rows in self.bin_by_jim().items():
-            if rows.shape[0] == 0:
-                out[j] = None
-                continue
-            out[j] = float(np.mean(rows[:, 0].astype(np.int64) * rows[:, 1]))
-        return out
-
-    def overall_correlation(self) -> float:
-        a = self.outcomes[:, 0].astype(np.int64)
-        return float(np.mean(a * self.outcomes[:, 1]))
+        Each correlation is (count with a_x = b_x - count with a_x != b_x) / count,
+        read from the 8 cells of ``empirical``; an empty bin has none.
+        """
+        counts = {1: 0, -1: 0}
+        agree = {1: 0, -1: 0}
+        emp = self.empirical()
+        for cell, c in zip(emp.cells, emp.weights):
+            a, b, j = (2 * d - 1 for d in _digits(cell, 2, 3))
+            counts[j] += c
+            agree[j] += c if a == b else -c
+        binned = {j: agree[j] / counts[j] if counts[j] else None for j in counts}
+        return counts, binned, (agree[1] + agree[-1]) / self.trials
 
 
-def jamming_round_pmf(jim_choice: str) -> dict[tuple[int, int, int], Fraction]:
+def jamming_round_pmf(jim_choice: str) -> ExactDistribution:
     """Exact Born pmf of (a_x, b_x, j) with Jim on x or z."""
     if jim_choice not in ("x", "z"):
         raise ValueError("jim_choice must be 'x' or 'z'")
-    born = joint_probabilities(ghz_state(), ("X", "X", jim_choice.upper()))
-    return snap_pmf(born)
-
-
-def jamming_exact_distribution(jim_choice: str) -> ExactDistribution:
-    """Single-triplet exact distribution, for the exact unary-condition check."""
-    pmf = jamming_round_pmf(jim_choice)
-    mapping = {tuple(Fraction(o) for o in k): p for k, p in pmf.items()}
-    return ExactDistribution.from_mapping(mapping, ("a_x", "b_x", f"j_{jim_choice}"), 1)
+    born = snap_pmf(joint_probabilities(ghz_state(), ("X", "X", jim_choice.upper())))
+    return ExactDistribution.from_mapping(born, ("a_x", "b_x", f"j_{jim_choice}"), 1)
 
 
 def run_jamming_scenario(

@@ -77,9 +77,6 @@ class PauliObservable:
         prefix = "-" if self.sign < 0 else ""
         return prefix + "*".join(parts)
 
-    def to_json_obj(self) -> dict:
-        return {"factors": list(self.factors), "sign": self.sign}
-
 
 def _apply_site(tensor: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
     """Contract a 2x2 matrix into one tensor index."""
@@ -115,12 +112,6 @@ class PureState:
     def tensor(self) -> np.ndarray:
         return self.amplitudes.reshape((2,) * self.n_qubits)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "n_qubits": self.n_qubits,
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class MeasurementRecord:
@@ -129,12 +120,6 @@ class MeasurementRecord:
     observable: PauliObservable
     outcome: int
     post_state: PureState
-
-    def to_json_obj(self) -> dict:
-        return {
-            "observable": self.observable.to_json_obj(),
-            "outcome": self.outcome,
-        }
 
 
 def bell_state() -> PureState:

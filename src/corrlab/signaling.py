@@ -12,19 +12,16 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping
 
 from .ensembles import (
     GHZ_RECEIVERS,
     SCENARIO_RUNNERS,
     EnsembleRun,
     ExactDistribution,
-    JammingRecords,
     RunMode,
     ScenarioKind,
     ScenarioSpec,
-    jamming_exact_distribution,
-    marginal_mapping,
+    jamming_round_pmf,
 )
 from .errors import LatticeMismatchError
 
@@ -77,40 +74,19 @@ class SignalingVerdict:
         }
 
 
-def _as_mapping(obj) -> tuple[dict, tuple[str, ...] | None, int | None]:
-    """Coerce a distribution-like object to (mapping, labels, n_rounds)."""
-    if isinstance(obj, ExactDistribution):
-        return obj.as_mapping(), obj.labels, obj.n_rounds
-    if isinstance(obj, JammingRecords):
-        return obj.empirical(), obj.labels, obj.n_rounds
-    if isinstance(obj, Mapping):
-        mapping = dict(obj)
-        total = sum(mapping.values())
-        exact = all(isinstance(p, Fraction) for p in mapping.values())
-        if (exact and total != 1) or (not exact and abs(float(total) - 1.0) > 1e-9):
-            raise ValueError(f"distribution sums to {total!r}, not 1")
-        return mapping, None, None
-    raise TypeError(f"cannot interpret {type(obj).__name__} as a distribution")
+def total_variation(p: ExactDistribution, q: ExactDistribution) -> Fraction:
+    """(1/2) * sum over the grid of |p - q|, exactly.
 
-
-def total_variation(p, q) -> Fraction | float:
-    """(1/2) * sum of |p - q| over the union of supports.
-
-    Exact rationals in, exact rational out.  Distributions carrying
-    metadata must agree on their round count and component labels.
+    The two distributions must share their round count and component labels.
     """
-    mp, labels_p, n_p = _as_mapping(p)
-    mq, labels_q, n_q = _as_mapping(q)
-    if n_p is not None and n_q is not None and n_p != n_q:
-        raise LatticeMismatchError(f"round counts differ: {n_p} vs {n_q}")
-    if labels_p is not None and labels_q is not None and labels_p != labels_q:
-        raise LatticeMismatchError(f"components differ: {labels_p} vs {labels_q}")
-    zero = Fraction(0)
-    acc = zero
-    for key in set(mp) | set(mq):
-        acc = acc + abs(mp.get(key, zero) - mq.get(key, zero))
-    half = acc / 2
-    return half if isinstance(half, Fraction) else float(half)
+    if p.n_rounds != q.n_rounds:
+        raise LatticeMismatchError(f"round counts differ: {p.n_rounds} vs {q.n_rounds}")
+    if p.labels != q.labels:
+        raise LatticeMismatchError(f"components differ: {p.labels} vs {q.labels}")
+    dp, dq = p.denominator, q.denominator
+    rest = dict(zip(q.cells, q.weights))
+    total = sum(abs(a * dq - rest.pop(cell, 0) * dp) for cell, a in zip(p.cells, p.weights))
+    return Fraction(total + sum(rest.values()) * dp, 2 * dp * dq)
 
 
 def variance_signature(dist) -> dict[str, Fraction | float]:
@@ -131,38 +107,29 @@ def _passes(tv, threshold) -> bool:
     return tv < threshold
 
 
-def unary_condition_check(records_0, records_1, *, threshold=None, include_joint: bool = False) -> dict:
+def unary_condition_check(
+    dist_0: ExactDistribution,
+    dist_1: ExactDistribution,
+    *,
+    threshold: Fraction | float = Fraction(0),
+    include_joint: bool = False,
+) -> dict:
     """Do the receivers' separate statistics hide the remote choice?
 
-    Compares, per component label shared by the two record sets, the
+    Compares, per component label shared by the two distributions, the
     marginal outcome distributions across the choices.  ``include_joint``
     additionally compares the joint distribution over the shared
-    components, which is the stronger collective statistic.
+    components, which is the stronger collective statistic.  The default
+    zero threshold suits exact distributions; sampled ones need their own.
     """
-    m0, labels_0, n_0 = _as_mapping(records_0)
-    m1, labels_1, n_1 = _as_mapping(records_1)
-    if labels_0 is None or labels_1 is None:
-        raise ValueError("unary check needs labeled record sets")
-    if n_0 != n_1:
-        raise LatticeMismatchError(f"round counts differ: {n_0} vs {n_1}")
-    common = [lab for lab in labels_0 if lab in labels_1]
+    common = [lab for lab in dist_0.labels if lab in dist_1.labels]
     if not common:
-        raise ValueError("record sets share no component labels")
-    if threshold is None:
-        exact = isinstance(records_0, ExactDistribution) and isinstance(records_1, ExactDistribution)
-        if exact:
-            threshold = Fraction(0)
-        else:
-            trials = min(getattr(records_0, "trials", 0), getattr(records_1, "trials", 0))
-            if trials < 1:
-                raise ValueError("need an explicit threshold for unlabeled sample sizes")
-            threshold = 5.0 / math.sqrt(trials)
-    per_component: dict[str, Fraction | float] = {}
+        raise ValueError("distributions share no component labels")
+    per_component: dict[str, Fraction] = {}
     for lab in common:
-        i0 = labels_0.index(lab)
-        i1 = labels_1.index(lab)
-        tv = total_variation(marginal_mapping(m0, (i0,)), marginal_mapping(m1, (i1,)))
-        per_component[lab] = tv
+        m0 = dist_0.marginal((dist_0.labels.index(lab),))
+        m1 = dist_1.marginal((dist_1.labels.index(lab),))
+        per_component[lab] = total_variation(m0, m1)
     max_tv = max(per_component.values())
     holds = _passes(max_tv, threshold)
     report = {
@@ -172,9 +139,9 @@ def unary_condition_check(records_0, records_1, *, threshold=None, include_joint
         "threshold": threshold,
     }
     if include_joint:
-        idx0 = tuple(labels_0.index(lab) for lab in common)
-        idx1 = tuple(labels_1.index(lab) for lab in common)
-        joint_tv = total_variation(marginal_mapping(m0, idx0), marginal_mapping(m1, idx1))
+        joint_0 = dist_0.marginal(tuple(dist_0.labels.index(lab) for lab in common))
+        joint_1 = dist_1.marginal(tuple(dist_1.labels.index(lab) for lab in common))
+        joint_tv = total_variation(joint_0, joint_1)
         report["joint_tv"] = joint_tv
         report["holds"] = holds and _passes(joint_tv, threshold)
     return report
@@ -187,9 +154,7 @@ def jamming_unary_exact() -> dict:
     identical whether Jim measures x or z, so the check holds with total
     variation exactly zero.
     """
-    d_x = jamming_exact_distribution("x")
-    d_z = jamming_exact_distribution("z")
-    return unary_condition_check(d_x, d_z, include_joint=True)
+    return unary_condition_check(jamming_round_pmf("x"), jamming_round_pmf("z"), include_joint=True)
 
 
 def _mode_value(value, mode: RunMode):
@@ -211,10 +176,7 @@ def _distributions(runs: dict, mode: RunMode) -> dict[str, ExactDistribution]:
     """Each run as an exact distribution: itself, or a sampled run's empirical pmf."""
     if mode is RunMode.EXACT:
         return dict(runs)
-    return {
-        key: ExactDistribution.from_mapping(run.empirical(), run.labels, run.n_rounds)
-        for key, run in runs.items()
-    }
+    return {key: run.empirical() for key, run in runs.items()}
 
 
 def _verdict(
@@ -304,11 +266,7 @@ def ghz_verdict(
     else:
         runs = _run_choices(spec)
         receivers = _distributions({c: run.marginal(GHZ_RECEIVERS) for c, run in runs.items()}, mode)
-    one = Fraction(1)
-    hits = tuple(
-        _mode_value(receivers[c].probability(lambda v: v[0] == one and v[1] == one), mode)
-        for c in ("u", "p")
-    )
+    hits = tuple(_mode_value(receivers[c].probability((1, 1)), mode) for c in ("u", "p"))
     tv_joint = total_variation(receivers["u"], receivers["p"])
     extras = {"tv_joint_receiver": _mode_value(tv_joint, mode)}
     return _verdict(spec, Statistic.CONDITIONAL_PROBABILITY, hits, extras, runs, receivers)

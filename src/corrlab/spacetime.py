@@ -85,13 +85,6 @@ class CausalConfig:
     b_hat: SpacetimeEvent
     j_hat: SpacetimeEvent
 
-    def to_json_obj(self) -> dict:
-        return {
-            "a_hat": self.a_hat.to_json_obj(),
-            "b_hat": self.b_hat.to_json_obj(),
-            "j_hat": self.j_hat.to_json_obj(),
-        }
-
 
 def cone_overlap_apex(a: SpacetimeEvent, b: SpacetimeEvent) -> SpacetimeEvent:
     """Apex of the intersection of two future light cones in 1+1D.

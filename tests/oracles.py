@@ -13,6 +13,7 @@ import io
 import itertools
 import math
 from collections import defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -38,14 +39,100 @@ def pr_bruteforce_joint(n: int, choice: str) -> dict[tuple[Fraction, Fraction], 
     return dict(out)
 
 
-def receivers_by_full_empirical(run: EnsembleRun) -> ExactDistribution:
+@dataclass(frozen=True, eq=False)
+class FractionDistribution:
+    """Joint pmf of collective variables as sorted Fraction tuples with Fraction probabilities.
+
+    Support points are distinct tuples of Fractions on the lattice
+    {-1 + 2k/N}, kept in sorted order; probabilities are non-negative and
+    sum to exactly 1.  The dict-and-Fraction route to every statistic of
+    ``ExactDistribution``.
+    """
+
+    labels: tuple[str, ...]
+    support: tuple[tuple[Fraction, ...], ...]
+    probs: tuple[Fraction, ...]
+    n_rounds: int
+
+    def __post_init__(self):
+        assert sum(self.probs) == 1 and all(p >= 0 for p in self.probs)
+        n = self.n_rounds
+        for point in self.support:
+            assert len(point) == len(self.labels)
+            for v in point:
+                assert v * n == int(v * n) and abs(v) <= 1 and (int(v * n) - n) % 2 == 0
+        order = sorted(range(len(self.support)), key=self.support.__getitem__)
+        object.__setattr__(self, "support", tuple(self.support[i] for i in order))
+        object.__setattr__(self, "probs", tuple(self.probs[i] for i in order))
+        assert len(set(self.support)) == len(self.support)
+
+    @classmethod
+    def from_mapping(cls, mapping, labels, n_rounds) -> "FractionDistribution":
+        items = [(tuple(Fraction(x) for x in k), Fraction(v)) for k, v in mapping.items() if v]
+        return cls(labels, tuple(k for k, _ in items), tuple(v for _, v in items), n_rounds)
+
+    def as_mapping(self) -> dict[tuple[Fraction, ...], Fraction]:
+        return dict(zip(self.support, self.probs))
+
+    def probability(self, predicate) -> Fraction:
+        return sum((p for v, p in zip(self.support, self.probs) if predicate(v)), Fraction(0))
+
+    def marginal(self, indices: tuple[int, ...]) -> "FractionDistribution":
+        acc: dict[tuple[Fraction, ...], Fraction] = defaultdict(Fraction)
+        for v, p in zip(self.support, self.probs):
+            acc[tuple(v[i] for i in indices)] += p
+        return FractionDistribution.from_mapping(acc, tuple(self.labels[i] for i in indices), self.n_rounds)
+
+    def mean(self, coeffs) -> Fraction:
+        return sum((p * sum(Fraction(c) * x for c, x in zip(coeffs, v)) for v, p in zip(self.support, self.probs)), Fraction(0))
+
+    def variance(self, coeffs) -> Fraction:
+        m = self.mean(coeffs)
+        total = Fraction(0)
+        for v, p in zip(self.support, self.probs):
+            s = sum(Fraction(c) * x for c, x in zip(coeffs, v))
+            total += p * s * s
+        return total - m * m
+
+    def to_json_obj(self) -> list[dict]:
+        return [
+            {
+                "value": [f"{x.numerator}/{x.denominator}" for x in v],
+                "numerator": p.numerator,
+                "denominator": p.denominator,
+            }
+            for v, p in zip(self.support, self.probs)
+        ]
+
+
+def total_variation_by_union(p: FractionDistribution, q: FractionDistribution) -> Fraction:
+    """(1/2) * sum of |p - q| over the union of the two supports."""
+    mp, mq = p.as_mapping(), q.as_mapping()
+    return sum((abs(mp.get(k, 0) - mq.get(k, 0)) for k in set(mp) | set(mq)), Fraction(0)) / 2
+
+
+def lattice_mapping(dist: ExactDistribution) -> dict[tuple[Fraction, ...], Fraction]:
+    """The nonzero cells of a lattice distribution as {value tuple: probability}, in grid order."""
+    n = dist.n_rounds
+    out = {}
+    for cell, w in zip(dist.cells, dist.weights):
+        point = []
+        for _ in dist.labels:
+            cell, digit = divmod(cell, n + 1)
+            point.insert(0, Fraction(2 * digit - n, n))
+        out[tuple(point)] = Fraction(w, dist.denominator)
+    return out
+
+
+def receivers_by_full_empirical(run: EnsembleRun) -> FractionDistribution:
     """The (A_x, B_x) pmf of a sampled three-party run, by projecting its whole empirical pmf.
 
-    Builds the exact empirical distribution of all three components, then
-    sums out Jim's, instead of histogramming the receivers' columns alone.
+    Builds the empirical distribution of all three components by a
+    row-wise unique, then sums out Jim's, instead of histogramming the
+    receivers' columns alone.
     """
-    full = ExactDistribution.from_mapping(run.empirical(), run.labels, run.n_rounds)
-    return full.marginal((0, 1))
+    full = empirical_by_row_unique(run.sums, run.n_rounds)
+    return FractionDistribution.from_mapping(full, run.labels, run.n_rounds).marginal((0, 1))
 
 
 def binomial_collective_pmf(n: int) -> dict[Fraction, Fraction]:
@@ -208,7 +295,7 @@ def render_csv_by_writer(source) -> str:
         if v.mode is RunMode.EXACT:
             header = ["choice", *labels, "numerator", "denominator"]
             for choice, dist in v.runs.items():
-                for point, prob in zip(dist.support, dist.probs):
+                for point, prob in lattice_mapping(dist).items():
                     rows.append([choice, *encode(point), prob.numerator, prob.denominator])
         else:
             header = ["choice", "trial", *labels]

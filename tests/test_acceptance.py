@@ -16,6 +16,7 @@ import numpy as np
 import oracles
 from corrlab import ensembles
 from corrlab.ensembles import (
+    ExactDistribution,
     RunMode,
     ScenarioKind,
     ScenarioSpec,
@@ -118,15 +119,14 @@ def test_collective_readout_signals():
 
 
 def test_rare_event_probabilities():
-    one = Fraction(1)
     du = scenario_exact_distribution(
         ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=8, sender_choice="u")
     )
     dp = scenario_exact_distribution(
         ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=8, sender_choice="p")
     )
-    p_joint = du.probability(lambda v: v[0] == one and v[1] == one)
-    p_anti = dp.probability(lambda v: v[0] == one and v[1] == -one)
+    p_joint = du.probability((1, 1))
+    p_anti = dp.probability((1, -1))
     ok = p_joint == Fraction(1, 2**8) and p_anti == Fraction(1, 2**8)
     _gate(
         "rare collective events at N=8",
@@ -222,10 +222,10 @@ def test_jamming_statistics():
     trials = 20_000
     x = run_jamming_scenario(1, "x", trials, seed=0)
     z = run_jamming_scenario(1, "z", trials, seed=0)
-    binned = x.binned_correlations()
+    _, binned, _ = x.correlations()
     every_triplet = bool(np.all(x.outcomes.astype(np.int64).prod(axis=1) == -1))
     x_ok = binned[1] == -1.0 and binned[-1] == 1.0 and every_triplet
-    z_corr = z.overall_correlation()
+    _, _, z_corr = z.correlations()
     z_ok = abs(z_corr) < 4.0 / math.sqrt(trials)
     unary = jamming_unary_exact()
     unary_ok = unary["holds"] and unary["max_marginal_tv"] == 0
@@ -309,7 +309,7 @@ def _cell_bound(exact, trials: int) -> tuple[float, float]:
     whatever the support size.  Cells whose E_cell stays small keep the
     flat 5/sqrt(trials) bound.
     """
-    e_cell = oracles.expected_sampling_tv(exact.probs, trials)
+    e_cell = oracles.expected_sampling_tv(oracles.lattice_mapping(exact).values(), trials)
     return e_cell, max(5.0 / math.sqrt(trials), e_cell + 2.5 / math.sqrt(trials))
 
 
@@ -392,9 +392,11 @@ def test_sampled_gate_rejects_shifted_round_pmf(monkeypatch):
         for n in (5, 6)
     }
     shift = Fraction(1, 2**7)
-    shifted = ghz_round_pmf("p")
-    shifted[(1, 1, 1)] -= shift
-    shifted[(-1, -1, -1)] += shift
+    true_round = ghz_round_pmf("p")
+    mapping = oracles.lattice_mapping(true_round)
+    mapping[(1, 1, 1)] -= shift
+    mapping[(-1, -1, -1)] += shift
+    shifted = ExactDistribution.from_mapping(mapping, true_round.labels, 1)
     monkeypatch.setattr(ensembles, "ghz_round_pmf", lambda choice: shifted)
     rows = []
     caught = True

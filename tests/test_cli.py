@@ -154,7 +154,7 @@ class TestGhzSignalCommand:
     def test_exact_json_convolves_only_the_receivers(self, tmp_path, monkeypatch):
         calls = spy_calls(monkeypatch, ensembles, "convolve_iid_rounds")
         run_json(tmp_path, "ghz-signal", "--n", "4")
-        assert [len(next(iter(round_pmf))) for round_pmf, _ in calls] == [2, 2]
+        assert [len(round_pmf.labels) for round_pmf, _ in calls] == [2, 2]
 
     def test_exact_csv_prints_the_whole_joint(self, tmp_path, monkeypatch):
         calls = spy_calls(monkeypatch, ensembles, "convolve_iid_rounds")
@@ -164,7 +164,7 @@ class TestGhzSignalCommand:
         assert header == "choice,A_x,B_x,J_x,numerator,denominator"
         assert {len(row.split(",")) for row in rows} == {6}
         assert {row.split(",")[0] for row in rows} == {"u", "p"}
-        assert sorted(len(next(iter(round_pmf))) for round_pmf, _ in calls) == [2, 2, 3, 3]
+        assert sorted(len(round_pmf.labels) for round_pmf, _ in calls) == [2, 2, 3, 3]
 
 
 @pytest.mark.parametrize("command, runs", [("pr-signal", 2), ("tsirelson", 4), ("ghz-signal", 2)])
@@ -187,11 +187,16 @@ class TestEachDistributionRunsOnce:
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_receiver_marginals(self, tmp_path, monkeypatch, command, runs, mode):
-        """No report projects a distribution: ghz-signal computes its receivers' directly."""
+        """No report projects an N-round distribution: only round pmfs are projected, once per run.
+
+        tsirelson takes Bob's round marginal and exact ghz-signal its receivers'; sampled
+        ghz-signal keeps the receivers' columns of its runs, and pr-signal projects nothing.
+        """
         calls = spy_calls(monkeypatch, ExactDistribution, "marginal")
         code, _ = run_cli(tmp_path, command, "--n", "3", "--mode", mode, "--trials", "200")
         assert code == 0
-        assert len(calls) == 0
+        projected = runs if command == "tsirelson" or (command, mode) == ("ghz-signal", "exact") else 0
+        assert [dist.n_rounds for dist, _ in calls] == [1] * projected
 
 
 class TestGhzAlgebraCommand:
@@ -570,3 +575,11 @@ class TestDeterminismAndErrors:
             tmp_path, "pr-signal", "--n", "30", "--mode", "mc", "--trials", "200"
         )
         assert report["results"]["verdict"]["N"] == 30
+
+    @pytest.mark.parametrize("command", ["pr-signal", "tsirelson", "ghz-signal"])
+    def test_large_n_with_few_trials(self, tmp_path, monkeypatch, command):
+        # The (N+1)^2 grid has 4e8 cells; a histogram holds only the trials' cells.
+        calls = spy_calls(monkeypatch, EnsembleRun, "empirical")
+        report = run_json(tmp_path, command, "--n", "20000", "--mode", "mc", "--trials", "50")
+        assert report["results"]["verdict"]["N"] == 20000
+        assert calls

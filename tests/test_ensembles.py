@@ -23,7 +23,6 @@ from corrlab.ensembles import (
     _sample_outcome_rows,
     convolve_iid_rounds,
     ghz_round_pmf,
-    jamming_exact_distribution,
     jamming_round_pmf,
     pr_round_pmf,
     run_ghz_scenario,
@@ -36,8 +35,21 @@ from corrlab.ensembles import (
     tsirelson_round_pmf,
 )
 from corrlab.errors import InvariantViolation
+from corrlab.signaling import total_variation
 
 HALF = Fraction(1, 2)
+LABELS = ("c0", "c1", "c2")
+
+
+def round_distribution(pmf: dict) -> ExactDistribution:
+    """A one-round pmf {outcome tuple: probability} as an N=1 lattice distribution."""
+    return ExactDistribution.from_mapping(pmf, LABELS[: len(next(iter(pmf)))], 1)
+
+
+def dense_weights(mapping: dict, n: int, k: int, denominator: int) -> list[int]:
+    """The weights over ``denominator`` of a {sum tuple: probability} pmf, on the N grid in lexicographic order."""
+    cells = itertools.product(range(-n, n + 1, 2), repeat=k)
+    return [mapping.get(cell, 0) * denominator for cell in cells]
 
 
 def spec(kind, n, choice="u", mode=RunMode.EXACT, trials=1000, seed=0, **kw):
@@ -106,9 +118,10 @@ SHIPPED_ROUND_PMFS = {
 
 
 @st.composite
-def dyadic_round_pmfs(draw, max_exp=10):
+def dyadic_round_pmfs(draw, max_exp=10, k=None):
     """Round pmfs over k in 1..3 components of +1/-1, with dyadic denominators up to 2^max_exp."""
-    k = draw(st.integers(min_value=1, max_value=3))
+    if k is None:
+        k = draw(st.integers(min_value=1, max_value=3))
     scale = 2 ** draw(st.integers(min_value=0, max_value=max_exp))
     atoms = draw(
         st.lists(
@@ -138,46 +151,51 @@ class TestConvolution:
     @example({(1, 1, 1): Fraction(1, 1024), (-1, -1, -1): Fraction(1023, 1024)}, 12)
     @settings(max_examples=200)
     def test_matches_dict_convolution(self, pmf, n):
-        got = convolve_iid_rounds(pmf, n)
+        round_pmf = round_distribution(pmf)
+        got = convolve_iid_rounds(round_pmf, n)
         want = oracles.convolve_by_dict(pmf, n)
-        assert got == want
-        assert list(got) == sorted(want)
+        assert got == dense_weights(want, n, len(round_pmf.labels), round_pmf.denominator**n)
 
     @pytest.mark.parametrize("name", sorted(SHIPPED_ROUND_PMFS))
     def test_shipped_round_pmfs_at_exact_limit(self, name):
         pmf = SHIPPED_ROUND_PMFS[name]
-        got = convolve_iid_rounds(pmf, EXACT_MAX_ROUNDS)
-        want = oracles.convolve_by_dict(pmf, EXACT_MAX_ROUNDS)
-        assert got == want
-        assert list(got) == sorted(want)
+        n = EXACT_MAX_ROUNDS
+        got = convolve_iid_rounds(pmf, n)
+        want = oracles.convolve_by_dict(oracles.lattice_mapping(pmf), n)
+        assert got == dense_weights(want, n, len(pmf.labels), pmf.denominator**n)
 
     def test_rejects_mixed_arity(self):
-        with pytest.raises(ValueError, match="arities"):
-            convolve_iid_rounds({(1,): HALF, (1, -1): HALF}, 2)
+        with pytest.raises(ValueError, match="arity"):
+            round_distribution({(1,): HALF, (1, -1): HALF})
 
     @pytest.mark.parametrize("outcome", [(0,), (2,), (1, 3)])
     def test_rejects_entries_outside_plus_minus_one(self, outcome):
         other = (-1,) * len(outcome)
-        with pytest.raises(ValueError, match="outside"):
-            convolve_iid_rounds({outcome: HALF, other: HALF}, 2)
+        with pytest.raises(ValueError, match="off the N=1 lattice"):
+            round_distribution({outcome: HALF, other: HALF})
 
     def test_rejects_negative_probability(self):
         with pytest.raises(ValueError, match="negative"):
-            convolve_iid_rounds({(1,): Fraction(3, 2), (-1,): -HALF}, 2)
+            round_distribution({(1,): Fraction(3, 2), (-1,): -HALF})
+
+    def test_rejects_a_round_pmf_over_more_rounds(self):
+        with pytest.raises(ValueError, match="single round"):
+            convolve_iid_rounds(run_pr_scenario(spec(ScenarioKind.PR_BOX, 2)), 2)
 
     def test_matches_bruteforce_for_pr_rounds(self):
         for choice in ("u", "p"):
             pmf = pr_round_pmf(choice)
             for n in (1, 2, 3, 6, 10):
                 got = convolve_iid_rounds(pmf, n)
-                want = oracles.iid_sum_bruteforce(pmf, n)
-                assert got == want
+                want = oracles.iid_sum_bruteforce(oracles.lattice_mapping(pmf), n)
+                assert got == dense_weights(want, n, 2, pmf.denominator**n)
 
     def test_matches_bruteforce_for_ghz_rounds(self):
         for choice in ("u", "p"):
             pmf = ghz_round_pmf(choice)
             for n in (1, 2, 3, 4):
-                assert convolve_iid_rounds(pmf, n) == oracles.iid_sum_bruteforce(pmf, n)
+                want = oracles.iid_sum_bruteforce(oracles.lattice_mapping(pmf), n)
+                assert convolve_iid_rounds(pmf, n) == dense_weights(want, n, 3, pmf.denominator**n)
 
     @given(
         st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=2),
@@ -187,8 +205,11 @@ class TestConvolution:
     def test_mean_and_variance_scale_linearly(self, weights, n):
         total = sum(weights)
         pmf = {(1,): Fraction(weights[0], total), (-1,): Fraction(weights[1], total)}
-        convolved = convolve_iid_rounds(pmf, n)
-        assert sum(convolved.values()) == 1
+        round_pmf = round_distribution(pmf)
+        weights_n = convolve_iid_rounds(round_pmf, n)
+        denominator = round_pmf.denominator**n
+        assert sum(weights_n) == denominator
+        convolved = {(s,): Fraction(w, denominator) for s, w in zip(range(-n, n + 1, 2), weights_n)}
         m1 = sum(p * k[0] for k, p in pmf.items())
         v1 = sum(p * k[0] * k[0] for k, p in pmf.items()) - m1 * m1
         mn = sum(p * k[0] for k, p in convolved.items())
@@ -203,9 +224,9 @@ class TestExactDistribution:
 
     def test_support_is_sorted_and_normalized(self):
         dist = self._pr_n2()
-        assert dist.support == tuple(sorted(dist.support))
-        assert sum(dist.probs, Fraction(0)) == 1
-        assert dist.as_mapping() == {
+        assert sum(dist.weights) == dist.denominator
+        assert [row["value"] for row in dist.to_json_obj()] == [["-1/1", "-1/1"], ["0/1", "0/1"], ["1/1", "1/1"]]
+        assert oracles.lattice_mapping(dist) == {
             (Fraction(-1), Fraction(-1)): Fraction(1, 4),
             (Fraction(0), Fraction(0)): HALF,
             (Fraction(1), Fraction(1)): Fraction(1, 4),
@@ -213,21 +234,24 @@ class TestExactDistribution:
 
     def test_probability(self):
         dist = self._pr_n2()
-        one = Fraction(1)
-        assert dist.probability(lambda v: v[0] == one) == Fraction(1, 4)
-        assert dist.probability(lambda v: v[0] >= 0) == Fraction(3, 4)
-        assert dist.probability(lambda v: True) == 1
-        assert dist.probability(lambda v: v[0] == Fraction(1, 3)) == 0
+        assert dist.probability((1, 1)) == Fraction(1, 4)
+        assert dist.probability((Fraction(0), 0)) == HALF
+        assert dist.probability((1, -1)) == 0
+        with pytest.raises(ValueError, match="lattice"):
+            dist.probability((Fraction(1, 3), 0))
+        with pytest.raises(ValueError, match="arity"):
+            dist.probability((1,))
 
     def test_marginal(self):
         dist = self._pr_n2()
         marg = dist.marginal((0,))
         assert marg.labels == ("B",)
-        assert marg.as_mapping() == {
+        assert oracles.lattice_mapping(marg) == {
             (Fraction(-1),): Fraction(1, 4),
             (Fraction(0),): HALF,
             (Fraction(1),): Fraction(1, 4),
         }
+        assert dist.marginal((1, 0)).labels == ("B_prime", "B")
 
     def test_mean_and_variance(self):
         dist = self._pr_n2()
@@ -238,55 +262,87 @@ class TestExactDistribution:
 
     def test_lattice_validation(self):
         with pytest.raises(ValueError, match="lattice"):
-            ExactDistribution(
-                labels=("B",),
-                support=((Fraction(1, 3),),),
-                probs=(Fraction(1),),
-                n_rounds=2,
-            )
+            ExactDistribution.from_mapping({(Fraction(1, 3),): Fraction(1)}, ("B",), 2)
 
     @pytest.mark.parametrize("value, n", [(Fraction(0), 1), (Fraction(0), 3), (HALF, 2), (HALF, 6)])
     def test_lattice_parity_validation(self, value, n):
         # N*v must have the parity of N: a sum of N +1/-1 outcomes.
         with pytest.raises(ValueError, match="lattice"):
-            ExactDistribution(labels=("B",), support=((value,),), probs=(Fraction(1),), n_rounds=n)
+            ExactDistribution.from_mapping({(value,): Fraction(1)}, ("B",), n)
 
     def test_probability_sum_validation(self):
         with pytest.raises(ValueError, match="sum to exactly 1"):
-            ExactDistribution(
-                labels=("B",),
-                support=((Fraction(1),),),
-                probs=(HALF,),
-                n_rounds=1,
-            )
+            ExactDistribution.from_mapping({(Fraction(1),): HALF}, ("B",), 1)
+        with pytest.raises(ValueError, match="sum to exactly 1"):
+            ExactDistribution(("B",), 1, [0, 1], [1, 2], 2)
 
     def test_negative_probability_validation(self):
         with pytest.raises(ValueError, match="negative"):
-            ExactDistribution(
-                labels=("B",),
-                support=((Fraction(1),), (Fraction(-1),)),
-                probs=(Fraction(3, 2), -HALF),
-                n_rounds=1,
-            )
+            ExactDistribution.from_mapping({(Fraction(1),): Fraction(3, 2), (Fraction(-1),): -HALF}, ("B",), 1)
 
     def test_duplicate_support_validation(self):
-        for support in (((Fraction(1),), (Fraction(1),)), ((Fraction(1),), (Fraction(-1),), (Fraction(1),))):
-            probs = tuple(Fraction(1, len(support)) for _ in support)
+        for cells in ([1, 1], [0, 1, 0]):
             with pytest.raises(ValueError, match="twice"):
-                ExactDistribution(labels=("B",), support=support, probs=probs, n_rounds=1)
+                ExactDistribution(("B",), 1, cells, [1] * len(cells), len(cells))
+
+    def test_cell_validation(self):
+        # Cells lie on the (N+1)^k grid, one positive weight each.
+        for cells, weights in (([4], [1]), ([-1], [1]), ([0, 3], [1]), ([0, 3], [2, 0]), ([], [])):
+            with pytest.raises(ValueError, match="cell|weight"):
+                ExactDistribution(("B", "B_prime"), 1, cells, weights, 2)
 
     def test_arity_validation(self):
         with pytest.raises(ValueError, match="arity"):
-            ExactDistribution(
-                labels=("B", "B_prime"),
-                support=((Fraction(1),),),
-                probs=(Fraction(1),),
-                n_rounds=1,
-            )
+            ExactDistribution.from_mapping({(Fraction(1),): Fraction(1)}, ("B", "B_prime"), 1)
 
     def test_json_shape(self):
         rows = self._pr_n2().to_json_obj()
         assert rows[0] == {"value": ["-1/1", "-1/1"], "numerator": 1, "denominator": 4}
+
+
+@st.composite
+def lattice_cases(draw):
+    """(round pmf, second round pmf of the same arity, N, integer coefficients)."""
+    first = draw(dyadic_round_pmfs())
+    k = len(next(iter(first)))
+    second = draw(dyadic_round_pmfs(k=k))
+    n = draw(st.integers(min_value=1, max_value=12))
+    coeffs = tuple(draw(st.integers(min_value=-3, max_value=3)) for _ in range(k))
+    return first, second, n, coeffs
+
+
+class TestLatticeAgainstFractionOracle:
+    """Every statistic of the lattice type equals the Fraction-tuple oracle's."""
+
+    @staticmethod
+    def _both(pmf, n):
+        round_pmf = round_distribution(pmf)
+        dist = ExactDistribution.from_grid(round_pmf.labels, n, convolve_iid_rounds(round_pmf, n), round_pmf.denominator**n)
+        sums = oracles.convolve_by_dict(pmf, n)
+        values = {tuple(Fraction(s, n) for s in key): p for key, p in sums.items()}
+        return dist, oracles.FractionDistribution.from_mapping(values, round_pmf.labels, n)
+
+    @given(lattice_cases())
+    @example(({(1,): Fraction(1)}, {(-1,): Fraction(1)}, 1, (1,)))
+    @example(({(1, -1, 1): Fraction(1)}, {(-1, 1, -1): Fraction(1)}, 12, (3, -3, 1)))
+    @settings(max_examples=60, deadline=None)
+    def test_statistics(self, case):
+        first, second, n, coeffs = case
+        dist, oracle = self._both(first, n)
+        other, other_oracle = self._both(second, n)
+        k = len(dist.labels)
+        assert dist.to_json_obj() == oracle.to_json_obj()
+        want = oracle.as_mapping()
+        for point in itertools.product([Fraction(s, n) for s in range(-n, n + 1, 2)], repeat=k):
+            assert dist.probability(point) == want.get(point, 0)
+        for size in range(1, k + 1):
+            for indices in itertools.permutations(range(k), size):
+                marg, marg_oracle = dist.marginal(indices), oracle.marginal(indices)
+                assert marg.labels == marg_oracle.labels
+                assert marg.to_json_obj() == marg_oracle.to_json_obj()
+        assert dist.mean(coeffs) == oracle.mean(coeffs)
+        assert dist.variance(coeffs) == oracle.variance(coeffs)
+        assert total_variation(dist, other) == oracles.total_variation_by_union(oracle, other_oracle)
 
 
 class TestMaximalBoxScenario:
@@ -294,13 +350,13 @@ class TestMaximalBoxScenario:
         for n in (1, 3, 6):
             du = scenario_exact_distribution(spec(ScenarioKind.PR_BOX, n, "u"))
             dp = scenario_exact_distribution(spec(ScenarioKind.PR_BOX, n, "p"))
-            assert all(v[1] == v[0] for v in du.support)
-            assert all(v[1] == -v[0] for v in dp.support)
+            assert all(v[1] == v[0] for v in oracles.lattice_mapping(du))
+            assert all(v[1] == -v[0] for v in oracles.lattice_mapping(dp))
 
     def test_collective_marginal_is_binomial(self):
         for choice in ("u", "p"):
             dist = scenario_exact_distribution(spec(ScenarioKind.PR_BOX, 6, choice))
-            marg = dist.marginal((0,)).as_mapping()
+            marg = oracles.lattice_mapping(dist.marginal((0,)))
             want = {(k,): v for k, v in oracles.binomial_collective_pmf(6).items()}
             assert marg == want
 
@@ -308,7 +364,7 @@ class TestMaximalBoxScenario:
         for choice in ("u", "p"):
             for n in (1, 2, 5):
                 dist = scenario_exact_distribution(spec(ScenarioKind.PR_BOX, n, choice))
-                assert dist.as_mapping() == oracles.pr_bruteforce_joint(n, choice)
+                assert oracles.lattice_mapping(dist) == oracles.pr_bruteforce_joint(n, choice)
 
     def test_labels(self):
         dist = scenario_exact_distribution(spec(ScenarioKind.PR_BOX, 2))
@@ -322,20 +378,20 @@ class TestMaximalBoxScenario:
 class TestGhzScenario:
     def test_round_pmf_matches_symbolic_born_rule(self):
         for choice, jim_factor in (("u", "X"), ("p", "Y")):
-            pmf = ghz_round_pmf(choice)
+            pmf = oracles.lattice_mapping(ghz_round_pmf(choice))
             exact = oracles.symbolic_joint_pmf(oracles.ghz_vector(), ("X", "X", jim_factor))
             assert pmf == {k: v for k, v in exact.items() if v}
 
     def test_x_choice_support_parity(self):
         # with Jim on x every triplet satisfies a*b*j = -1
-        pmf = ghz_round_pmf("u")
+        pmf = oracles.lattice_mapping(ghz_round_pmf("u"))
         assert len(pmf) == 4
         for (a, b, j), p in pmf.items():
             assert a * b * j == -1
             assert p == Fraction(1, 4)
 
     def test_y_choice_is_uniform(self):
-        pmf = ghz_round_pmf("p")
+        pmf = oracles.lattice_mapping(ghz_round_pmf("p"))
         assert len(pmf) == 8
         assert set(pmf.values()) == {Fraction(1, 8)}
 
@@ -360,7 +416,9 @@ class TestTsirelsonScenario:
     def test_round_pmf_is_unbiased(self):
         for choice in ("u", "p"):
             for axis in ("z", "x"):
-                assert tsirelson_round_pmf(choice, axis) == {(1,): HALF, (-1,): HALF}
+                pmf = tsirelson_round_pmf(choice, axis)
+                assert pmf.labels == (f"bob_{axis}",)
+                assert oracles.lattice_mapping(pmf) == {(1,): HALF, (-1,): HALF}
 
     def test_bad_axis(self):
         with pytest.raises(ValueError, match="bob_axis"):
@@ -369,7 +427,7 @@ class TestTsirelsonScenario:
     def test_collective_is_binomial(self):
         dist = scenario_exact_distribution(spec(ScenarioKind.TSIRELSON, 6))
         want = {(k,): v for k, v in oracles.binomial_collective_pmf(6).items()}
-        assert dist.as_mapping() == want
+        assert oracles.lattice_mapping(dist) == want
         assert dist.labels == ("bob_z",)
 
     def test_axis_label(self):
@@ -475,23 +533,26 @@ class TestMonteCarlo:
     @example(k=3, n=1000, trials=1, spread=0, seed=0)
     @example(k=2, n=7, trials=500, spread=0, seed=1)
     @example(k=3, n=1000, trials=500, spread=1000, seed=2)
+    # (N+1)^3 passes 2^64 here, so the cells are Python ints.
+    @example(k=3, n=2**22, trials=500, spread=2**22, seed=3)
     def test_empirical_matches_row_unique(self, k, n, trials, spread, seed):
         rng = np.random.default_rng(seed)
         low = rng.integers(0, n + 1, size=k)
         negatives = np.minimum(low + rng.integers(0, spread + 1, size=(trials, k)), n)
         sums = n - 2 * negatives.astype(np.int64)
-        run = EnsembleRun(labels=("c",) * k, sums=sums, n_rounds=n, seed=seed)
+        run = EnsembleRun(labels=LABELS[:k], sums=sums, n_rounds=n, seed=seed)
         got = run.empirical()
+        assert (got.labels, got.n_rounds, got.denominator) == (run.labels, n, trials)
         want = oracles.empirical_by_row_unique(sums, n)
-        assert list(got.items()) == list(want.items())
+        assert list(oracles.lattice_mapping(got).items()) == list(want.items())
 
     def test_empirical_pmf(self):
         run = run_pr_scenario(
             spec(ScenarioKind.PR_BOX, 2, mode=RunMode.MONTE_CARLO, trials=400, seed=2)
         )
         emp = run.empirical()
-        assert sum(emp.values()) == 1
-        assert all(v[1] == v[0] for v in emp)
+        assert sum(emp.weights) == emp.denominator == 400
+        assert all(v[1] == v[0] for v in oracles.lattice_mapping(emp))
         assert run.trials == 400
         np.testing.assert_allclose(run.collectives, run.sums / 2.0)
 
@@ -500,7 +561,6 @@ class TestMonteCarlo:
             spec(ScenarioKind.PR_BOX, 3, mode=RunMode.MONTE_CARLO, trials=300, seed=8)
         )
         combo = run.collectives @ np.array([1.0, -1.0])
-        assert run.mean((1.0, -1.0)) == pytest.approx(float(combo.mean()))
         assert run.variance((1.0, -1.0)) == pytest.approx(float(combo.var()))
 
     def test_variance_needs_two_samples(self):
@@ -514,12 +574,7 @@ class TestMonteCarlo:
         trials = 40_000
         s = spec(ScenarioKind.PR_BOX, 4, mode=RunMode.MONTE_CARLO, trials=trials, seed=3)
         run = run_pr_scenario(s)
-        exact = scenario_exact_distribution(s).as_mapping()
-        emp = run.empirical()
-        tv = sum(
-            abs(emp.get(k, Fraction(0)) - exact.get(k, Fraction(0)))
-            for k in set(emp) | set(exact)
-        ) / 2
+        tv = total_variation(run.empirical(), scenario_exact_distribution(s))
         assert float(tv) < 5.0 / math.sqrt(trials)
 
 
@@ -543,21 +598,22 @@ class TestTableLookupSampler:
         trials=300,
         seed=2,
     )
-    @example(pmf=ghz_round_pmf("p"), n=60, trials=300, seed=3)
+    @example(pmf=oracles.lattice_mapping(ghz_round_pmf("p")), n=60, trials=300, seed=3)
     @settings(max_examples=200, deadline=None)
     def test_matches_searchsorted(self, pmf, n, trials, seed):
         want_sums, want_rounds = oracles.sample_by_searchsorted(pmf, n, trials, seed, SAMPLER_STREAM)
-        sums, rounds = _sample_outcome_rows(pmf, n, trials, seed, SAMPLER_STREAM, keep_rounds=True)
+        round_pmf = round_distribution(pmf)
+        sums, rounds = _sample_outcome_rows(round_pmf, n, trials, seed, SAMPLER_STREAM, keep_rounds=True)
         assert np.array_equal(rounds, want_rounds)
         assert np.array_equal(sums, want_sums)
-        sums, rounds = _sample_outcome_rows(pmf, n, trials, seed, SAMPLER_STREAM, keep_rounds=False)
+        sums, rounds = _sample_outcome_rows(round_pmf, n, trials, seed, SAMPLER_STREAM, keep_rounds=False)
         assert rounds is None
         assert np.array_equal(sums, want_sums)
 
     def test_draws_do_not_depend_on_chunk_size(self, monkeypatch):
         monkeypatch.setattr(ensembles, "_SAMPLE_CHUNK", 7)
         pmf = ghz_round_pmf("p")
-        want_sums, want_rounds = oracles.sample_by_searchsorted(pmf, 5, 52, 11, SAMPLER_STREAM)
+        want_sums, want_rounds = oracles.sample_by_searchsorted(oracles.lattice_mapping(pmf), 5, 52, 11, SAMPLER_STREAM)
         sums, rounds = _sample_outcome_rows(pmf, 5, 52, 11, SAMPLER_STREAM, keep_rounds=True)
         assert np.array_equal(rounds, want_rounds)
         assert np.array_equal(sums, want_sums)
@@ -567,29 +623,28 @@ class TestTableLookupSampler:
         [
             {(1,): Fraction(1, 3), (-1,): Fraction(2, 3)},
             {(1,): Fraction(1, 2**17), (-1,): Fraction(2**17 - 1, 2**17)},
-            {(1,): HALF, (-1,): Fraction(1, 4)},
         ],
-        ids=["third", "denominator-2^17", "sums-to-3/4"],
+        ids=["third", "denominator-2^17"],
     )
     def test_rejects_pmfs_without_a_small_dyadic_table(self, pmf):
         with pytest.raises(InvariantViolation, match="dyadic"):
-            _sample_outcome_rows(pmf, 4, 10, 0, SAMPLER_STREAM, keep_rounds=False)
+            _sample_outcome_rows(round_distribution(pmf), 4, 10, 0, SAMPLER_STREAM, keep_rounds=False)
 
 
 class TestJamming:
     def test_round_pmf_matches_symbolic_born_rule(self):
         for choice, jim_factor in (("x", "X"), ("z", "Z")):
-            pmf = jamming_round_pmf(choice)
+            pmf = oracles.lattice_mapping(jamming_round_pmf(choice))
             exact = oracles.symbolic_joint_pmf(oracles.ghz_vector(), ("X", "X", jim_factor))
             assert pmf == {k: v for k, v in exact.items() if v}
 
     def test_x_choice_support(self):
-        pmf = jamming_round_pmf("x")
+        pmf = oracles.lattice_mapping(jamming_round_pmf("x"))
         assert len(pmf) == 4
         assert all(a * b * j == -1 for a, b, j in pmf)
 
     def test_z_choice_is_uniform(self):
-        pmf = jamming_round_pmf("z")
+        pmf = oracles.lattice_mapping(jamming_round_pmf("z"))
         assert len(pmf) == 8
         assert set(pmf.values()) == {Fraction(1, 8)}
 
@@ -600,10 +655,10 @@ class TestJamming:
             run_jamming_scenario(0, "x", 10, 0)
 
     def test_exact_distribution(self):
-        dist = jamming_exact_distribution("x")
+        dist = jamming_round_pmf("x")
         assert dist.labels == ("a_x", "b_x", "j_x")
         assert dist.n_rounds == 1
-        assert set(dist.probs) == {Fraction(1, 4)}
+        assert set(oracles.lattice_mapping(dist).values()) == {Fraction(1, 4)}
 
     def test_records(self):
         records = run_jamming_scenario(6, "x", 200, seed=5)
@@ -612,19 +667,27 @@ class TestJamming:
         assert records.labels == ("a_x", "b_x", "j_x")
         prods = records.outcomes.astype(np.int64).prod(axis=1)
         assert np.all(prods == -1)
-        assert sum(records.empirical().values()) == 1
+        emp = records.empirical()
+        assert emp.labels == records.labels
+        assert sum(emp.weights) == emp.denominator == 1200
 
     def test_binned_correlations_are_exact_for_x(self):
         records = run_jamming_scenario(4, "x", 500, seed=6)
-        binned = records.binned_correlations()
+        counts, binned, overall = records.correlations()
         assert binned[1] == -1.0
         assert binned[-1] == 1.0
-        bins = records.bin_by_jim()
-        assert bins[1].shape[0] + bins[-1].shape[0] == records.trials
+        j = records.outcomes[:, 2]
+        assert counts == {1: np.count_nonzero(j == 1), -1: np.count_nonzero(j == -1)}
+        assert counts[1] + counts[-1] == records.trials
+        assert overall == float(np.mean(records.outcomes[:, 0].astype(np.int64) * records.outcomes[:, 1]))
 
     def test_z_choice_is_uncorrelated(self):
         records = run_jamming_scenario(5, "z", 4000, seed=6)
-        assert abs(records.overall_correlation()) < 4.0 / math.sqrt(records.trials)
+        counts, binned, overall = records.correlations()
+        assert abs(overall) < 4.0 / math.sqrt(records.trials)
+        for j in (1, -1):
+            rows = records.outcomes[records.outcomes[:, 2] == j].astype(np.int64)
+            assert binned[j] == float(np.mean(rows[:, 0] * rows[:, 1]))
 
     def test_outcomes_are_pinned(self):
         records = run_jamming_scenario(6, "z", 100_000, seed=0)
@@ -644,7 +707,7 @@ class TestJamming:
         records = JammingRecords(jim_choice="z", outcomes=outcomes, seed=seed)
         got = records.empirical()
         want = oracles.empirical_by_row_unique(outcomes, 1)
-        assert list(got.items()) == list(want.items())
+        assert list(oracles.lattice_mapping(got).items()) == list(want.items())
 
     def test_replay(self):
         a = run_jamming_scenario(3, "z", 100, seed=12)

@@ -43,9 +43,9 @@ def test_expected_sampling_tv_of_point_mass_is_zero():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_expected_sampling_tv_matches_normal_approximation(choice, n):
     trials = 100_000
-    probs = scenario_exact_distribution(
-        ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=n, sender_choice=choice)
-    ).probs
+    probs = oracles.lattice_mapping(
+        scenario_exact_distribution(ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=n, sender_choice=choice))
+    ).values()
     normal = sum(
         math.sqrt(2 * float(p) * (1 - float(p)) / (math.pi * trials)) for p in probs
     ) / 2

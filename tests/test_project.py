@@ -1,0 +1,64 @@
+"""Checks that tie the package to the files around it: README's example and the benchmark's spans."""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import corrlab
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = Path(corrlab.__file__).resolve().parent.parent
+
+
+def test_readme_python_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+# Runs in a fresh interpreter, so the wrappers that install() puts on corrlab
+# never reach another test.
+_TRACED_REPORTS = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import spans
+import corrlab
+from corrlab import cli
+
+tracer = spans.Tracer()
+spans.install(tracer, {layer: getattr(corrlab, layer) for layer in spans.LAYERS})
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = tracer.run_root(lambda: [
+        cli.main(["ghz-signal", "--n", "4"]),
+        cli.main(["pr-signal", "--mode", "mc", "--n", "3", "--trials", "200"]),
+    ])
+tracer.verify()
+print(json.dumps({"codes": codes, "calls": dict(tracer.calls)}))
+"""
+
+
+def test_benchmark_spans_find_their_functions():
+    """The names the benchmark's per-layer metrics wrap still exist and still run in reports."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_REPORTS, str(ROOT / "perfbench")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0]
+    for name in (
+        "ensembles.convolve_iid_rounds",
+        "ensembles.ExactDistribution.__post_init__",
+        "ensembles.EnsembleRun.empirical",
+        "signaling.total_variation",
+    ):
+        assert result["calls"].get(name, 0) > 0, name

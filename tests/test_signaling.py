@@ -14,7 +14,7 @@ from corrlab.ensembles import (
     RunMode,
     ScenarioKind,
     ScenarioSpec,
-    jamming_exact_distribution,
+    jamming_round_pmf,
     run_ghz_scenario,
     run_jamming_scenario,
     scenario_exact_distribution,
@@ -25,7 +25,6 @@ from corrlab.signaling import (
     Statistic,
     ghz_verdict,
     jamming_unary_exact,
-    marginal_mapping,
     pr_verdict,
     total_variation,
     tsirelson_verdict,
@@ -50,18 +49,18 @@ class TestTotalVariation:
         assert isinstance(tv, Fraction) and tv == 0
 
     @staticmethod
-    def _difference_law(dist):
+    def _half_difference_law(dist):
         out: dict = {}
-        for v, p in dist.as_mapping().items():
-            key = (v[0] - v[1],)
+        for v, p in oracles.lattice_mapping(dist).items():
+            key = ((v[0] - v[1]) / 2,)
             out[key] = out.get(key, Fraction(0)) + p
-        return out
+        return ExactDistribution.from_mapping(out, ("half_diff",), dist.n_rounds)
 
     def test_difference_collective(self):
-        # B - B' is a point mass at 0 under "u" and the law of 2B under "p"
-        diff_u = self._difference_law(exact_pr(4, "u"))
-        diff_p = self._difference_law(exact_pr(4, "p"))
-        assert diff_u == {(Fraction(0),): Fraction(1)}
+        # (B - B')/2 is a point mass at 0 under "u" and the law of B under "p"
+        diff_u = self._half_difference_law(exact_pr(4, "u"))
+        diff_p = self._half_difference_law(exact_pr(4, "p"))
+        assert oracles.lattice_mapping(diff_u) == {(Fraction(0),): Fraction(1)}
         assert total_variation(diff_u, diff_p) == Fraction(5, 8)  # 1 - C(4,2)/2^4
 
     def test_joint_distributions(self):
@@ -81,24 +80,18 @@ class TestTotalVariation:
             total_variation(pr, ghz)
 
     def test_rejects_unnormalized_mapping(self):
-        with pytest.raises(ValueError, match="sums to"):
-            total_variation({(0,): HALF}, {(0,): Fraction(1)})
-
-    def test_rejects_unknown_type(self):
-        with pytest.raises(TypeError, match="cannot interpret"):
-            total_variation(42, {(0,): Fraction(1)})
+        # An unnormalized pmf cannot become a distribution, so no TV ever sees one.
+        with pytest.raises(ValueError, match="sum to exactly 1"):
+            total_variation(ExactDistribution.from_mapping({(0,): HALF}, ("B",), 2), exact_pr(2, "u").marginal((0,)))
 
 
 @st.composite
 def rational_pmfs(draw):
-    support = draw(
-        st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=5, unique=True)
-    )
-    weights = [draw(st.integers(min_value=0, max_value=9)) for _ in support]
+    """Pmfs with arbitrary rational probabilities on the N=3 lattice {-1, -1/3, 1/3, 1}."""
+    weights = [draw(st.integers(min_value=0, max_value=9)) for _ in range(4)]
     if sum(weights) == 0:
         weights[0] = 1
-    total = sum(weights)
-    return {(k,): Fraction(w, total) for k, w in zip(support, weights) if w}
+    return ExactDistribution.from_grid(("c",), 3, weights, sum(weights))
 
 
 class TestMetricProperties:
@@ -108,7 +101,7 @@ class TestMetricProperties:
         d_pq = total_variation(p, q)
         assert 0 <= d_pq <= 1
         assert d_pq == total_variation(q, p)
-        assert (d_pq == 0) == (p == q)
+        assert (d_pq == 0) == (oracles.lattice_mapping(p) == oracles.lattice_mapping(q))
         assert d_pq <= total_variation(p, r) + total_variation(r, q)
 
 
@@ -222,11 +215,10 @@ class TestSampledVerdicts:
 
 
 def assert_same_distribution(got, want):
-    """Same labels, round count, support in the same order and same probabilities."""
+    """Same labels, round count, and atoms in the same order with the same probabilities."""
     assert got.labels == want.labels
     assert got.n_rounds == want.n_rounds
-    assert got.support == want.support
-    assert got.probs == want.probs
+    assert got.to_json_obj() == want.to_json_obj()
 
 
 class TestGhzReceivers:
@@ -265,18 +257,17 @@ class TestUnaryCondition:
     def test_sampled_records(self):
         x = run_jamming_scenario(4, "x", 5000, seed=0)
         z = run_jamming_scenario(4, "z", 5000, seed=0)
-        report = unary_condition_check(x, z, include_joint=True)
+        threshold = 5.0 / math.sqrt(x.trials)
+        report = unary_condition_check(x.empirical(), z.empirical(), threshold=threshold, include_joint=True)
         assert report["holds"] is True
-        assert report["threshold"] == pytest.approx(5.0 / math.sqrt(20_000))
+        assert report["threshold"] == threshold
+        assert 0 < report["max_marginal_tv"] <= report["joint_tv"] < threshold
 
     def test_detects_biased_marginal(self):
-        biased = ExactDistribution(
-            labels=("a_x", "b_x", "j_x"),
-            support=((Fraction(1), Fraction(1), Fraction(1)), (Fraction(-1), Fraction(-1), Fraction(-1))),
-            probs=(Fraction(3, 5), Fraction(2, 5)),
-            n_rounds=1,
+        biased = ExactDistribution.from_mapping(
+            {(1, 1, 1): Fraction(3, 5), (-1, -1, -1): Fraction(2, 5)}, ("a_x", "b_x", "j_x"), 1
         )
-        report = unary_condition_check(biased, jamming_exact_distribution("z"))
+        report = unary_condition_check(biased, jamming_round_pmf("z"))
         assert report["holds"] is False
         assert report["max_marginal_tv"] == Fraction(1, 10)
 
@@ -292,10 +283,6 @@ class TestUnaryCondition:
         with pytest.raises(LatticeMismatchError, match="round counts"):
             unary_condition_check(exact_pr(4, "u"), exact_pr(6, "p"))
 
-    def test_needs_labels(self):
-        with pytest.raises(ValueError, match="labeled"):
-            unary_condition_check({(1,): Fraction(1)}, {(1,): Fraction(1)})
-
     def test_needs_shared_labels(self):
         pr = exact_pr(1, "u")
         ghz = scenario_exact_distribution(
@@ -306,8 +293,9 @@ class TestUnaryCondition:
 
     def test_marginal_mapping(self):
         mapping = {(1, 1): HALF, (1, -1): Fraction(1, 4), (-1, 1): Fraction(1, 4)}
-        assert marginal_mapping(mapping, (0,)) == {(1,): Fraction(3, 4), (-1,): Fraction(1, 4)}
-        assert marginal_mapping(mapping, (1, 0)) == {
+        dist = ExactDistribution.from_mapping(mapping, ("a_x", "b_x"), 1)
+        assert oracles.lattice_mapping(dist.marginal((0,))) == {(1,): Fraction(3, 4), (-1,): Fraction(1, 4)}
+        assert oracles.lattice_mapping(dist.marginal((1, 0))) == {
             (1, 1): HALF,
             (-1, 1): Fraction(1, 4),
             (1, -1): Fraction(1, 4),
