@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -254,6 +255,31 @@ class TestMeasurement:
             2 * trials
         )
         assert tv < 4.0 / math.sqrt(trials)
+
+    def test_outcomes_are_pinned(self):
+        """The seeded measurement outcomes never change silently.
+
+        Two batches measure the GHZ pairs of the measured-pair-products gate;
+        the third measures a tilted two-qubit observable together with its
+        two single-site factors on the Bell state, so every outcome there
+        depends on the post state of the one before.
+        """
+        batches = (
+            (ghz_state(), (obs("X", "X", "I"), obs("Y", "Y", "I")), 2024),
+            (ghz_state(), (obs("X", "Y", "I"), obs("Y", "X", "I")), 2025),
+            (bell_state(), (obs("Z", 0.7), obs("Z", "I"), obs("I", 0.7)), 2026),
+        )
+        digest = hashlib.sha256()
+        for state, observables, seed in batches:
+            rng = np.random.default_rng(seed)
+            outcomes = np.array(
+                [[r.outcome for r in sequential_measure(state, observables, rng)] for _ in range(1000)],
+                dtype=np.int8,
+            )
+            if len(observables) == 3:
+                assert np.all(outcomes[:, 0] == outcomes[:, 1] * outcomes[:, 2])
+            digest.update(outcomes.tobytes())
+        assert digest.hexdigest() == "72e02b51953b83d51a0c832cbe7fa408400715247e0d41f50ccd31ff0a172a85"
 
 
 class TestJointProbabilities:
