@@ -26,6 +26,8 @@ EXACT_MAX_ROUNDS = 24
 # Alice's and Bob's components of a three-party run: the receivers of Jim's choice.
 GHZ_RECEIVERS = (0, 1)
 _SAMPLE_CHUNK = 1 << 16
+# Raw 64-bit words drawn per chunk (8 MiB), so sampling memory stays flat in N.
+_SAMPLE_WORDS = 1 << 20
 _MAX_TABLE_CELLS = 1 << 16
 
 
@@ -337,7 +339,7 @@ def _sample_outcome_rows(
     stream: tuple[int, ...],
     keep_rounds: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Draw (trials, N) round outcomes by table lookup in fixed-size chunks.
+    """Draw (trials, N) round outcomes by table lookup in chunks of at most 2^20 words.
 
     The pmf must be dyadic with common denominator D = 2^d.  A table of D
     cells holds each atom p*D times, and the top d bits of a raw PCG64 word
@@ -360,9 +362,11 @@ def _sample_outcome_rows(
     bitgen = _stream_rng(seed, stream).bit_generator
     sums = np.empty((trials, k), dtype=np.int64)
     rounds = np.empty((trials, n_rounds, k), dtype=np.int8) if keep_rounds else None
+    # Whole trials per chunk, so every chunk size reads the same word stream.
+    chunk_trials = min(_SAMPLE_CHUNK, max(1, _SAMPLE_WORDS // n_rounds))
     done = 0
     while done < trials:
-        chunk = min(_SAMPLE_CHUNK, trials - done)
+        chunk = min(chunk_trials, trials - done)
         raw = bitgen.random_raw((chunk, n_rounds))
         np.right_shift(raw, shift, out=raw)
         # Cells are below 2^16, so the int64 view indexes without a converted copy.
@@ -373,6 +377,7 @@ def _sample_outcome_rows(
         if rounds is not None:
             rounds[done : done + chunk] = atoms_by_cell[cell]
         done += chunk
+        del raw, cell  # free this chunk's words before the next draw
     return sums, rounds
 
 

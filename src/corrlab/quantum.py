@@ -5,6 +5,13 @@ complex arrays with qubit 0 as the slowest (most significant) index.
 Observables are tensor products of single-site spin operators, each a
 Pauli letter or an angle in the xz-plane, so every observable squares
 to the identity and measurements are dichotomic with outcomes +1/-1.
+
+An observable acts on the flat vector as a signed permutation: its Pauli
+letters flip the bits of their sites and multiply by a phase in
+{+1, -1, +i, -i} (the stabilizer-simulation view of Aaronson & Gottesman,
+Phys. Rev. A 70, 052328 (2004)), and each tilted site adds one diagonal
+and one bit-flip term.  Dense matrices are built only to check
+commutation.
 """
 
 from __future__ import annotations
@@ -42,6 +49,8 @@ def _factor_matrix(factor: str | float) -> np.ndarray:
         except KeyError:
             raise ValueError(f"unknown spin factor {factor!r}") from None
     theta = float(factor)
+    if not math.isfinite(theta):
+        raise ValueError(f"spin angle must be finite, got {factor!r}")
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, s], [s, -c]], dtype=complex)
 
@@ -78,10 +87,51 @@ class PauliObservable:
         return prefix + "*".join(parts)
 
 
-def _apply_site(tensor: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    """Contract a 2x2 matrix into one tensor index."""
-    out = np.matmul(mat, tensor.reshape(2**axis, 2, -1))
-    return out.reshape(tensor.shape)
+@lru_cache(maxsize=256)
+def _signed_permutation(observable: PauliObservable) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The observable as (index, phase, tilted sites) over the 2^n basis states.
+
+    The sign and the Pauli letters give (O psi)[i] = phase[i] * psi[index[i]]
+    with index[i] = i ^ mask: X and Y flip their site's bit, Y and Z
+    contribute +-1 or +-i by the bit of i.  Each tilted site then adds, in
+    turn, cos(theta) * Z (one diagonal term) and sin(theta) * X (one flip
+    term), as (rows, [[c], [-c]], s) for the site's (rows, 2, -1) view of
+    the vector.
+    """
+    n = observable.n_qubits
+    basis = np.arange(2**n)
+    mask = 0
+    phase = np.full(2**n, observable.sign, dtype=complex)
+    tilted = []
+    for k, factor in enumerate(observable.factors):
+        bit = 1 << (n - 1 - k)
+        down = (basis & bit) != 0
+        if factor == "X":
+            mask |= bit
+        elif factor == "Y":
+            mask |= bit
+            phase *= np.where(down, 1j, -1j)
+        elif factor == "Z":
+            phase[down] *= -1
+        elif factor != "I":
+            mat = _factor_matrix(factor)
+            tilted.append((2**k, mat.diagonal().reshape(2, 1), mat[0, 1]))
+    index = basis ^ mask
+    index.setflags(write=False)
+    phase.setflags(write=False)
+    return index, phase, tuple(tilted)
+
+
+def _apply(observable: PauliObservable, amps: np.ndarray) -> np.ndarray:
+    """O|psi> on the flat amplitude vector."""
+    index, phase, tilted = _signed_permutation(observable)
+    if index.size != amps.size:
+        raise ValueError("observable and state act on different qubit counts")
+    out = phase * amps[index]
+    for rows, diag, s in tilted:
+        view = out.reshape(rows, 2, -1)
+        out = (diag * view + s * view[:, ::-1]).reshape(-1)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,17 +150,13 @@ class PureState:
         n = int(amps.size).bit_length() - 1
         if 2**n != amps.size or not (1 <= n <= MAX_QUBITS):
             raise ValueError(f"amplitude vector length {amps.size} is not a supported qubit count")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-12:
+        norm = math.sqrt(np.vdot(amps, amps).real)
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"state is not normalized (norm={norm!r})")
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "n_qubits", n)
-
-    @property
-    def tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape((2,) * self.n_qubits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,21 +185,11 @@ def ghz_state() -> PureState:
 
 def apply_observable(observable: PauliObservable, state: PureState) -> np.ndarray:
     """Return O|psi> as a tensor of shape (2,)*n."""
-    if observable.n_qubits != state.n_qubits:
-        raise ValueError("observable and state act on different qubit counts")
-    out = state.tensor
-    for axis, factor in enumerate(observable.factors):
-        if factor == "I":
-            continue
-        out = _apply_site(out, _factor_matrix(factor), axis)
-    if observable.sign < 0:
-        out = -out
-    return out
+    return _apply(observable, state.amplitudes).reshape((2,) * state.n_qubits)
 
 
 def expectation(state: PureState, observable: PauliObservable) -> float:
-    applied = apply_observable(observable, state)
-    return float(np.vdot(state.tensor, applied).real)
+    return float(np.vdot(state.amplitudes, _apply(observable, state.amplitudes)).real)
 
 
 @lru_cache(maxsize=256)
@@ -195,15 +231,18 @@ def measure(state: PureState, observable: PauliObservable, rng: np.random.Genera
     Outcome +1 occurs with Born probability (1 + <O>)/2; the post state is
     the normalized projection onto the sampled eigenspace.
     """
-    applied = apply_observable(observable, state)
-    exp = float(np.vdot(state.tensor, applied).real)
+    amps = state.amplitudes
+    applied = _apply(observable, amps)
+    exp = float(np.vdot(amps, applied).real)
     p_plus = min(1.0, max(0.0, (1.0 + exp) / 2.0))
     outcome = 1 if rng.random() < p_plus else -1
-    projected = (state.tensor + outcome * applied) / 2.0
-    norm = float(np.linalg.norm(projected))
-    if norm < 1e-9:
+    # Twice the projection (psi + outcome * O psi) / 2: the factor 2 cancels in
+    # the normalisation, and the branch vanishes when the projection's norm is below 1e-9.
+    doubled = amps + applied if outcome == 1 else amps - applied
+    norm = math.sqrt(np.vdot(doubled, doubled).real)
+    if norm < 2e-9:
         raise InvariantViolation("sampled a branch of vanishing probability")
-    post = PureState((projected / norm).reshape(-1))
+    post = PureState(doubled / norm)
     return MeasurementRecord(observable=observable, outcome=outcome, post_state=post)
 
 
@@ -242,9 +281,7 @@ def product_expectation(state: PureState, a: PauliObservable, b: PauliObservable
     the operator product has a definite value even though neither factor
     does.
     """
-    va = apply_observable(a, state)
-    vb = apply_observable(b, state)
-    value = np.vdot(va.reshape(-1), vb.reshape(-1))
+    value = np.vdot(_apply(a, state.amplitudes), _apply(b, state.amplitudes))
     if abs(value.imag) > 1e-12:
         raise InvariantViolation(f"product expectation has imaginary part {value.imag!r}")
     return float(value.real)
@@ -265,21 +302,29 @@ def joint_probabilities(
 
     Single-site operators on distinct qubits always commute, so the joint
     distribution is well defined.  Keys run over all outcome tuples in
-    canonical order (+1 before -1, qubit 0 slowest).
+    canonical order (+1 before -1, qubit 0 slowest).  Each branch applies
+    the site projectors (I + o*M_k)/2 in site order, sharing the branches
+    of its prefix.
     """
     n = state.n_qubits
     if len(factors) != n:
         raise ValueError("need exactly one factor per qubit")
-    mats = [_factor_matrix(f) for f in factors]
-    eye = np.eye(2, dtype=complex)
-    probs: dict[tuple[int, ...], float] = {}
-    for outcome in outcome_tuples(n):
-        vec = state.tensor
-        for axis, (mat, o) in enumerate(zip(mats, outcome)):
-            vec = _apply_site(vec, (eye + o * mat) / 2.0, axis)
-        probs[outcome] = float(np.vdot(vec, vec).real)
+    sites = [PauliObservable(("I",) * k + (f,) + ("I",) * (n - 1 - k)) for k, f in enumerate(factors)]
+
+    def branches(vec: np.ndarray, k: int):
+        if k == n:
+            yield vec
+            return
+        applied = _apply(sites[k], vec)
+        for o in (1, -1):
+            yield from branches((vec + o * applied) / 2.0, k + 1)
+
+    probs = {
+        outcome: float(np.vdot(vec, vec).real)
+        for outcome, vec in zip(outcome_tuples(n), branches(state.amplitudes, 0))
+    }
     total = sum(probs.values())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise InvariantViolation(f"joint outcome probabilities sum to {total!r}")
     return probs
 

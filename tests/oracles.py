@@ -206,6 +206,52 @@ def symbolic_joint_pmf(state: sp.Matrix, factors) -> dict[tuple[int, ...], Fract
     return pmf
 
 
+# The engine's former kernel: one 2x2 matmul per site on the (2,)*n tensor.
+_DENSE_SITE = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def _site_matrix(factor) -> np.ndarray:
+    if isinstance(factor, str):
+        return _DENSE_SITE[factor]
+    c, s = math.cos(factor), math.sin(factor)
+    return np.array([[c, s], [s, -c]], dtype=complex)
+
+
+def _contract(amps: np.ndarray, mats) -> np.ndarray:
+    """Contract one 2x2 matrix into each tensor index of a flat vector, site 0 first; None skips a site."""
+    vec = amps
+    for axis, mat in enumerate(mats):
+        if mat is not None:
+            vec = np.matmul(mat, vec.reshape(2**axis, 2, -1)).reshape(-1)
+    return vec
+
+
+def apply_by_matmul(observable, amps: np.ndarray) -> np.ndarray:
+    """O|psi> on a flat vector by one 2x2 matmul per non-identity site, then the sign."""
+    out = _contract(amps, [None if f == "I" else _site_matrix(f) for f in observable.factors])
+    return -out if observable.sign < 0 else out
+
+
+def joint_probability_by_matmul(amps: np.ndarray, factors, outcome: tuple[int, ...]) -> float:
+    """Born probability of one joint outcome: the 2x2 projectors (I + o*M)/2 contracted site by site."""
+    eye = np.eye(2, dtype=complex)
+    vec = _contract(amps, [(eye + o * _site_matrix(f)) / 2.0 for o, f in zip(outcome, factors)])
+    return float(np.vdot(vec, vec).real)
+
+
+def measure_by_matmul(amps: np.ndarray, observable, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """Outcome and normalized post state of one projective measurement, by the matmul route."""
+    applied = apply_by_matmul(observable, amps)
+    p_plus = min(1.0, max(0.0, (1.0 + float(np.vdot(amps, applied).real)) / 2.0))
+    outcome = 1 if rng.random() < p_plus else -1
+    projected = (amps + outcome * applied) / 2.0
+    return outcome, projected / np.linalg.norm(projected)
+
 def iid_sum_bruteforce(
     round_pmf: dict[tuple[int, ...], Fraction], n: int
 ) -> dict[tuple[int, ...], Fraction]:

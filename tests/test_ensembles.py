@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -617,6 +618,28 @@ class TestTableLookupSampler:
         sums, rounds = _sample_outcome_rows(pmf, 5, 52, 11, SAMPLER_STREAM, keep_rounds=True)
         assert np.array_equal(rounds, want_rounds)
         assert np.array_equal(sums, want_sums)
+
+    @pytest.mark.parametrize("words", [13, 3], ids=["2-trials", "1-trial"])
+    def test_draws_do_not_depend_on_word_budget(self, monkeypatch, words):
+        monkeypatch.setattr(ensembles, "_SAMPLE_WORDS", words)
+        pmf = ghz_round_pmf("p")
+        want_sums, want_rounds = oracles.sample_by_searchsorted(oracles.lattice_mapping(pmf), 5, 52, 11, SAMPLER_STREAM)
+        sums, rounds = _sample_outcome_rows(pmf, 5, 52, 11, SAMPLER_STREAM, keep_rounds=True)
+        assert np.array_equal(rounds, want_rounds)
+        assert np.array_equal(sums, want_sums)
+
+    def test_peak_memory_is_flat_in_rounds(self):
+        """A chunk holds at most 2^20 raw words (8 MiB), so N = 400 peaks no higher than N = 60."""
+
+        def peak_bytes(n):
+            tracemalloc.start()
+            try:
+                run_pr_scenario(spec(ScenarioKind.PR_BOX, n, mode=RunMode.MONTE_CARLO, trials=20_000))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(400) <= peak_bytes(60) + (2 << 20)
 
     @pytest.mark.parametrize(
         "pmf",

@@ -26,9 +26,10 @@ def test_readme_python_example_runs():
 _TRACED_REPORTS = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
+import numpy as np
 import spans
 import corrlab
-from corrlab import cli
+from corrlab import cli, quantum
 
 tracer = spans.Tracer()
 spans.install(tracer, {layer: getattr(corrlab, layer) for layer in spans.LAYERS})
@@ -36,6 +37,11 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = tracer.run_root(lambda: [
         cli.main(["ghz-signal", "--n", "4"]),
         cli.main(["pr-signal", "--mode", "mc", "--n", "3", "--trials", "200"]),
+        len(quantum.sequential_measure(
+            quantum.ghz_state(),
+            (quantum.PauliObservable(("X", "X", "I")), quantum.PauliObservable(("Y", "Y", "I"))),
+            np.random.default_rng(0),
+        )),
     ])
 tracer.verify()
 print(json.dumps({"codes": codes, "calls": dict(tracer.calls)}))
@@ -43,7 +49,12 @@ print(json.dumps({"codes": codes, "calls": dict(tracer.calls)}))
 
 
 def test_benchmark_spans_find_their_functions():
-    """The names the benchmark's per-layer metrics wrap still exist and still run in reports."""
+    """The names the benchmark's per-layer metrics wrap still exist and still run in reports.
+
+    The traced run holds one exact report, one sampled report and one
+    sequential measurement of a GHZ pair, so inlining or renaming a wrapped
+    function fails here instead of zeroing its metric.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -54,8 +65,11 @@ def test_benchmark_spans_find_their_functions():
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0, 0, 2]
     for name in (
+        "quantum.sequential_measure",
+        "quantum.measure",
+        "quantum.joint_probabilities",
         "ensembles.convolve_iid_rounds",
         "ensembles.ExactDistribution.__post_init__",
         "ensembles.EnsembleRun.empirical",

@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from corrlab.errors import NonCommutingError
+from corrlab.errors import InvariantViolation, NonCommutingError
 from corrlab.quantum import (
     GHZ_PRODUCT_CONSTRAINTS,
     GHZ_STABILIZERS,
@@ -62,6 +62,11 @@ class TestStates:
         with pytest.raises(ValueError, match="qubit count"):
             PureState(amps)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="normalized"):
+            PureState(np.array([bad, 0.0]))
+
     def test_amplitudes_are_read_only(self):
         state = bell_state()
         with pytest.raises(ValueError):
@@ -76,6 +81,13 @@ class TestObservables:
     def test_rejects_bad_sign(self):
         with pytest.raises(ValueError, match="sign"):
             obs("X", sign=2)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angle(self, angle):
+        with pytest.raises(ValueError, match="finite"):
+            obs(angle, "Z")
+        with pytest.raises(ValueError, match="finite"):
+            joint_probabilities(bell_state(), (angle, "Z"))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one factor"):
@@ -309,6 +321,13 @@ class TestJointProbabilities:
             for outcome, p in numeric.items():
                 assert p == pytest.approx(float(exact[outcome]), abs=1e-12)
 
+    def test_rejects_probabilities_that_are_not_numbers(self):
+        state = bell_state()
+        # A state that slipped past the normalisation check.
+        object.__setattr__(state, "amplitudes", np.array([math.nan, 0.0, 0.0, 0.0], dtype=complex))
+        with pytest.raises(InvariantViolation, match="sum to nan"):
+            joint_probabilities(state, ("Z", "Z"))
+
     def test_needs_factor_per_qubit(self):
         with pytest.raises(ValueError, match="one factor per qubit"):
             joint_probabilities(ghz_state(), ("X", "X"))
@@ -372,3 +391,54 @@ def test_measure_zero_probability_branch_is_never_sampled():
     state = PureState(np.array([1.0, 0.0]))
     for _ in range(50):
         assert measure(state, obs("Z"), rng).outcome == 1
+
+
+_SITE_FACTORS = st.lists(
+    st.one_of(st.sampled_from("IXYZ"), st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)),
+    min_size=MAX_QUBITS,
+    max_size=MAX_QUBITS,
+)
+_TWELVE = ["X", 0.3, "Y", "Z", -2.5, "I", "Y", 1.0, "X", -0.1, "Z", 7.0]
+
+
+@given(
+    n=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    a_factors=_SITE_FACTORS,
+    b_factors=_SITE_FACTORS,
+    a_sign=st.sampled_from((1, -1)),
+    b_sign=st.sampled_from((1, -1)),
+)
+@example(n=MAX_QUBITS, seed=0, a_factors=_TWELVE, b_factors=_TWELVE[::-1], a_sign=-1, b_sign=1)
+@settings(max_examples=150)
+def test_signed_permutation_matches_matmul(n, seed, a_factors, b_factors, a_sign, b_sign):
+    """Every operation on the signed-permutation kernel agrees with the 2x2-matmul oracle to 1e-12."""
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    state = PureState(vec / np.linalg.norm(vec))
+    amps = state.amplitudes
+    a = PauliObservable(tuple(a_factors[:n]), sign=a_sign)
+    b = PauliObservable(tuple(b_factors[:n]), sign=b_sign)
+    va, vb = oracles.apply_by_matmul(a, amps), oracles.apply_by_matmul(b, amps)
+
+    np.testing.assert_allclose(apply_observable(a, state).reshape(-1), va, rtol=0, atol=1e-12)
+    assert expectation(state, a) == pytest.approx(np.vdot(amps, va).real, abs=1e-12)
+
+    product = np.vdot(va, vb)
+    if abs(product.imag) > 1e-9:
+        with pytest.raises(InvariantViolation, match="imaginary"):
+            product_expectation(state, a, b)
+    elif abs(product.imag) < 1e-13:
+        assert product_expectation(state, a, b) == pytest.approx(product.real, abs=1e-12)
+
+    probs = joint_probabilities(state, a.factors)
+    assert list(probs) == list(outcome_tuples(n))
+    # every outcome up to n = 6, every 64th beyond
+    for outcome in list(probs)[:: 2 ** max(0, n - 6)]:
+        want = oracles.joint_probability_by_matmul(amps, a.factors, outcome)
+        assert probs[outcome] == pytest.approx(want, abs=1e-12)
+
+    rec = measure(state, a, np.random.default_rng(seed))
+    outcome, post = oracles.measure_by_matmul(amps, a, np.random.default_rng(seed))
+    assert rec.outcome == outcome
+    np.testing.assert_allclose(rec.post_state.amplitudes, post, rtol=0, atol=1e-12)
