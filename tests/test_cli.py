@@ -359,25 +359,76 @@ def test_csv_reports_are_pinned(capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# sha256 of each JSON report's stdout, recorded while ghz-signal still
-# projected the receivers out of the whole (A_x, B_x, J) joint.
+# sha256 of each JSON report's stdout. The ghz-signal digests were recorded
+# while it still projected the receivers out of the whole (A_x, B_x, J) joint,
+# the others while reports were still written by json.dumps. Causal configs are
+# passed relative to the repository root, which their reports echo.
 JSON_REPORT_DIGESTS = [
-    (("ghz-signal", "--n", "1"), "5fcf431f017df14d4fddd4b6c04d82a326ec71db0926c6ba3d835d44887aa212"),
-    (("ghz-signal", "--n", "6"), "a04c021c52dc29bce01c2981abf5186b53467d25c34d25195fa4be7108d095be"),
-    (("ghz-signal", "--n", "24"), "b5ab99b33fb819fd6933ee9555ba89c1fba90b5e252712d3b23f02589fc0f36f"),
-    (
+    pytest.param(("ghz-signal", "--n", "1"), "5fcf431f017df14d4fddd4b6c04d82a326ec71db0926c6ba3d835d44887aa212", id="ghz-exact-1"),
+    pytest.param(("ghz-signal", "--n", "6"), "a04c021c52dc29bce01c2981abf5186b53467d25c34d25195fa4be7108d095be", id="ghz-exact-6"),
+    pytest.param(("ghz-signal", "--n", "24"), "b5ab99b33fb819fd6933ee9555ba89c1fba90b5e252712d3b23f02589fc0f36f", id="ghz-exact-24"),
+    pytest.param(
         ("ghz-signal", "--mode", "mc", "--n", "6", "--trials", "10000", "--seed", "0"),
         "3fda914631b783296eeaf10ec1b37df8c1d98d2bdfa35ec6a6e6f4396068ccde",
+        id="ghz-mc-6",
     ),
-    (
+    pytest.param(
         ("ghz-signal", "--mode", "mc", "--n", "60", "--trials", "10000", "--seed", "0"),
         "005dee521151699d9e2d605d085d9ab339d07e1c01497a2823b1c74aec7fc240",
+        id="ghz-mc-60",
+    ),
+    pytest.param(("pr-signal", "--n", "1"), "9eef09e47e108a4e821be0a7e76d446c36a3a608f07d51ffa4870b90bdffd7c9", id="pr-exact-1"),
+    pytest.param(("pr-signal", "--n", "24"), "7f2f9c38436b010e38b5d3b2b8e3c614cbd3e0a7bea93ffafd005d419bcd6a48", id="pr-exact-24"),
+    pytest.param(("tsirelson", "--n", "1"), "e1c5a49a150602ba399e6206a11e255c57a8aab7d4fde6ec31ee5f4ed3611057", id="tsirelson-exact-1"),
+    pytest.param(("tsirelson", "--n", "24"), "4d0602451d697c8a2dc41a07960635699e7d97b22ea0f9c3cf4d66fce81600dc", id="tsirelson-exact-24"),
+    pytest.param(
+        ("pr-signal", "--mode", "mc", "--n", "6", "--trials", "10000", "--seed", "0"),
+        "f987b1d915f446d4734ecb8366937d2819048c6cf0d0e8ae00f9184850c56970",
+        id="pr-mc-6",
+    ),
+    pytest.param(
+        ("tsirelson", "--mode", "mc", "--n", "6", "--trials", "10000", "--seed", "0"),
+        "6c6deadb93a3163b9515b534946e8fd2dd0227d85f9b3eba2b3b50a3a0a1ac71",
+        id="tsirelson-mc-6",
+    ),
+    pytest.param(("jamming", "--jim", "x"), "ad4ed758fb09d840a9c8809e0dfee020e957ae088a41ed3015bb71902cec4288", id="jamming-x"),
+    pytest.param(("ghz-algebra",), "45475d9a230f789cab63eed14d9e260ad8eca487dbfe061c936b5fde815e01a1", id="ghz-algebra"),
+    pytest.param(
+        ("causal", "--config", "scenarios/causal_loop.json"),
+        "0a13dac865e0bf422831b2b7474ca58422b7883135f6bf48ad5da7b144790cd9",
+        id="causal-loop",
+    ),
+    pytest.param(
+        ("causal", "--config", "scenarios/jammer_after_measurements.json"),
+        "4eff91c150fa48132286287c27544d69475948ae567dd32e456815d9817c6e7b",
+        id="causal-jammer-after-measurements",
+    ),
+    pytest.param(
+        ("causal", "--config", "scenarios/jammer_inside_overlap.json"),
+        "ac4b8d6ae78ad22f9b2a88cc79a268c81663450c2cd9e5d019ba8aa2916e4364",
+        id="causal-jammer-inside-overlap",
+    ),
+    pytest.param(
+        ("causal", "--config", "scenarios/jammer_outside_overlap.json"),
+        "8091c7c46c2f08ba6d71e9670b521cb2c316854e68b6317b3f2b5651a79f8270",
+        id="causal-jammer-outside-overlap",
+    ),
+    pytest.param(
+        ("causal", "--config", "scenarios/timelike_separated_measurements.json"),
+        "c0542325279b34855bfb332eb4aed48398cca3ec63b12b6d7786525b3e2e00ea",
+        id="causal-timelike-separated-measurements",
     ),
 ]
 
 
-@pytest.mark.parametrize("args, digest", JSON_REPORT_DIGESTS, ids=["ghz-exact-1", "ghz-exact-6", "ghz-exact-24", "ghz-mc-6", "ghz-mc-60"])
-def test_json_reports_are_pinned(capsys, args, digest):
+def test_json_reports_cover_every_scenario_file():
+    pinned = {p.values[0][-1] for p in JSON_REPORT_DIGESTS if p.values[0][0] == "causal"}
+    assert pinned == {f"scenarios/{path.name}" for path in SCENARIOS.glob("*.json")}
+
+
+@pytest.mark.parametrize("args, digest", JSON_REPORT_DIGESTS)
+def test_json_reports_are_pinned(capsys, monkeypatch, args, digest):
+    monkeypatch.chdir(SCENARIOS.parent)
     assert main(list(args)) == 0
     out, err = capsys.readouterr()
     assert err == ""
