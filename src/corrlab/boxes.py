@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .errors import BoxValidationError
 from .quantum import PureState, joint_probabilities, outcome_tuples
-from .reportio import encode
 
 
 LABELS: tuple[str, str] = ("u", "p")
@@ -87,7 +86,7 @@ class DichotomicBox:
         return {
             "parties": self.parties,
             "settings": list(LABELS),
-            "table": {"|".join(k): encode(row) for k, row in sorted(self.table.items())},
+            "table": {"|".join(k): list(row) for k, row in sorted(self.table.items())},
         }
 
 

@@ -82,7 +82,7 @@ def _pr_results(v: SignalingVerdict) -> tuple[dict, dict]:
     variance = v.extras["variance_signature"]
     results = {
         "variance_signature": variance,
-        "joint_distribution": {c: d.to_json_obj() for c, d in dists.items()},
+        "joint_distribution": dists,
     }
     checks = {
         "distinguishable": v.distinguishable,
@@ -112,7 +112,7 @@ def _tsirelson_results(v: SignalingVerdict) -> tuple[dict, dict]:
         "chsh": chsh,
         "tv_per_axis": v.extras["tv_per_axis"],
         "collective_variance": v.extras["collective_variance"],
-        "bob_distribution": {key: d.to_json_obj() for key, d in v.distributions.items()},
+        "bob_distribution": v.distributions,
     }
     checks = {
         "no_signaling": not v.distinguishable,
@@ -126,7 +126,7 @@ def _ghz_results(v: SignalingVerdict) -> tuple[dict, dict]:
     results = {
         "hit_probability": {"u": v.values[0], "p": v.values[1]},
         "tv_joint_receiver": v.extras["tv_joint_receiver"],
-        "receiver_distribution": {c: d.to_json_obj() for c, d in v.distributions.items()},
+        "receiver_distribution": v.distributions,
     }
     checks = {"no_signaling": not v.distinguishable}
     if v.mode is RunMode.EXACT:
@@ -289,7 +289,7 @@ def cmd_causal(args) -> tuple[dict, str | None]:
             raise ValueError("round-trip chronology needs a_hat and b_hat events")
         try:
             beta = float(data["beta"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError("beta must be a number") from None
         chrono = spacetime.round_trip_chronology(
             alice_x=events["a_hat"].x,

@@ -238,12 +238,6 @@ class ExactDistribution:
             g = math.gcd(w, d)
             yield tuple(texts[x] for x in _digits(cell, n + 1, k)), w // g, d // g
 
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {"value": list(point), "numerator": num, "denominator": den}
-            for point, num, den in self.atoms()
-        ]
-
 
 def convolve_iid_rounds(round_pmf: ExactDistribution, n_rounds: int) -> list[int]:
     """Weights over round_pmf.denominator**N of the sum of N i.i.d. rounds, on the whole N grid.

@@ -1,46 +1,114 @@
-"""Deterministic JSON encoding for reports.
+"""Deterministic JSON text for reports.
 
 Rationals are rendered as "numerator/denominator" strings so exact values
 survive serialization; keys are sorted and no timestamps are embedded, so
 identical inputs produce byte-identical reports.
+
+The text is the one the standard ``json`` module writes with ``indent=2``
+and ``sort_keys=True``, written in one pass.  Each distribution's atoms
+are filled into one template for their indent, with each lattice value's
+text built once per distribution.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import is_dataclass
 from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .ensembles import ExactDistribution
+
 SCHEMA_VERSION = 1
 
+_INDENT = "  "
 
-def encode(obj):
-    """Recursively convert a report structure to plain JSON-ready values."""
+
+def _float_text(x: float) -> str:
+    """A float as json writes it, non-finite values included."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _distribution_text(dist: ExactDistribution, nl: str) -> str:
+    """A distribution's atoms as a JSON list, one {denominator, numerator, value} object each.
+
+    ``nl`` is the newline and indent of the line the list opens on.
+    """
+    atom, field = nl + _INDENT, nl + 2 * _INDENT
+    value = field + _INDENT
+    template = (
+        f'{{{field}"denominator": %d,{field}"numerator": %d,{field}"value": [{value}'
+        + f",{value}".join(['"%s"'] * len(dist.labels))
+        + f"{field}]{atom}}}"
+    )
+    body = f",{atom}".join([template % (den, num, *point) for point, num, den in dist.atoms()])
+    return f"[{atom}{body}{nl}]"
+
+
+def _write(obj, out: list[str], nl: str) -> None:
+    """Append the JSON text of ``obj`` to ``out``; ``nl`` is the newline and indent of its first line."""
     if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
-        return obj
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if is_dataclass(obj) and hasattr(obj, "to_json_obj"):
-        return encode(obj.to_json_obj())
-    if isinstance(obj, dict):
-        return {str(k): encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [encode(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [encode(v) for v in obj.tolist()]
-    raise TypeError(f"cannot encode {type(obj).__name__} into a report")
+        out.append(f'"{obj.numerator}/{obj.denominator}"')
+    elif isinstance(obj, Enum):
+        _write(obj.value, out, nl)
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_float_text(float(obj)))
+    elif isinstance(obj, ExactDistribution):
+        out.append(_distribution_text(obj, nl))
+    elif is_dataclass(obj) and hasattr(obj, "to_json_obj"):
+        _write(obj.to_json_obj(), out, nl)
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        # str() first, as keys sort and collide by their text.
+        fields = {str(k): v for k, v in obj.items()}
+        inner = nl + _INDENT
+        sep = "{" + inner
+        for key in sorted(fields):
+            out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+            _write(fields[key], out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        items = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        if not len(items):
+            out.append("[]")
+            return
+        inner = nl + _INDENT
+        sep = "[" + inner
+        for item in items:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        raise TypeError(f"cannot encode {type(obj).__name__} into a report")
+
+
+def encode(obj) -> str:
+    """JSON text of a report structure: indent 2, keys sorted, exact values as "n/d" strings."""
+    out: list[str] = []
+    _write(obj, out, "\n")
+    return "".join(out)
 
 
 def dump_report(report: dict) -> str:
-    return json.dumps(encode(report), indent=2, sort_keys=True) + "\n"
+    return encode(report) + "\n"

@@ -42,7 +42,7 @@ class SpacetimeEvent:
 def event_from_json_obj(obj) -> SpacetimeEvent:
     try:
         return SpacetimeEvent(t=float(obj["t"]), x=float(obj["x"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed event object {obj!r}") from exc
 
 
@@ -183,7 +183,7 @@ def round_trip_chronology(alice_x: float, bob_x: float, send_t: float, beta: flo
     is read off where that line crosses Alice's worldline.  The reply is
     retrocausal when it arrives strictly before the send.
     """
-    if abs(beta) >= 1:
+    if not abs(beta) < 1:  # also refuses NaN
         raise ValueError("boost velocity must satisfy |beta| < 1")
     reply_t = send_t - beta * (bob_x - alice_x)
     reply = SpacetimeEvent(t=reply_t, x=alice_x)

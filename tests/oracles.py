@@ -11,16 +11,17 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
+from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 import sympy as sp
 
 from corrlab.ensembles import EnsembleRun, ExactDistribution, JammingRecords, RunMode
-from corrlab.reportio import encode
 
 
 def pr_bruteforce_joint(n: int, choice: str) -> dict[tuple[Fraction, Fraction], Fraction]:
@@ -94,13 +95,10 @@ class FractionDistribution:
             total += p * s * s
         return total - m * m
 
-    def to_json_obj(self) -> list[dict]:
+    def atoms(self) -> list[tuple[tuple[str, ...], int, int]]:
+        """Each support point as "n/d" text with its probability's numerator and denominator."""
         return [
-            {
-                "value": [f"{x.numerator}/{x.denominator}" for x in v],
-                "numerator": p.numerator,
-                "denominator": p.denominator,
-            }
+            (tuple(f"{x.numerator}/{x.denominator}" for x in v), p.numerator, p.denominator)
             for v, p in zip(self.support, self.probs)
         ]
 
@@ -342,7 +340,7 @@ def render_csv_by_writer(source) -> str:
             header = ["choice", *labels, "numerator", "denominator"]
             for choice, dist in v.runs.items():
                 for point, prob in lattice_mapping(dist).items():
-                    rows.append([choice, *encode(point), prob.numerator, prob.denominator])
+                    rows.append([choice, *plain_values(point), prob.numerator, prob.denominator])
         else:
             header = ["choice", "trial", *labels]
             for choice, run in v.runs.items():
@@ -353,6 +351,47 @@ def render_csv_by_writer(source) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def plain_values(obj):
+    """A report structure as plain JSON values, by one converted copy of every node.
+
+    Fractions become "n/d" strings, enums their values, numpy scalars and
+    arrays Python ones, dataclasses their ``to_json_obj()``, and each
+    ``ExactDistribution`` the list of its atoms read through
+    ``lattice_mapping``.  The report writer's former first pass.
+    """
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
+        return obj
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    if isinstance(obj, ExactDistribution):
+        return [
+            {"value": plain_values(point), "numerator": p.numerator, "denominator": p.denominator}
+            for point, p in lattice_mapping(obj).items()
+        ]
+    if is_dataclass(obj) and hasattr(obj, "to_json_obj"):
+        return plain_values(obj.to_json_obj())
+    if isinstance(obj, dict):
+        return {str(k): plain_values(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain_values(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [plain_values(v) for v in obj.tolist()]
+    raise TypeError(f"cannot encode {type(obj).__name__} into a report")
+
+
+def dump_by_json(report) -> str:
+    """A report's text through ``json.dumps`` of its plain values, indent 2 and keys sorted."""
+    return json.dumps(plain_values(report), indent=2, sort_keys=True) + "\n"
 
 
 def binomial_mean_abs_deviation(n: int, p: float) -> float:

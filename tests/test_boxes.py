@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from corrlab.boxes import (
 from corrlab.ensembles import pr_round_pmf
 from corrlab.errors import BoxValidationError
 from corrlab.quantum import bell_state
+from corrlab.reportio import encode
 
 RT2 = math.sqrt(2.0)
 HALF = Fraction(1, 2)
@@ -218,7 +220,7 @@ class TestValidation:
 
 class TestSerialization:
     def test_json_shape(self):
-        obj = make_pr_box().to_json_obj()
+        obj = json.loads(encode(make_pr_box()))
         assert obj["parties"] == 2
         assert obj["settings"] == ["u", "p"]
         assert set(obj["table"]) == {"u|u", "u|p", "p|u", "p|p"}

@@ -7,16 +7,19 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import corrlab
 import oracles
-from corrlab import cli, ensembles, signaling
+from corrlab import cli, ensembles, reportio, signaling
 from corrlab.cli import main
 from corrlab.ensembles import (
     EnsembleRun,
@@ -326,6 +329,112 @@ class TestCsvMatchesWriter:
         assert_same_text(cli._dist_csv(v), oracles.render_csv_by_writer(v))
 
 
+class _Axis(Enum):
+    PLUS = 1
+    MINUS = "minus"
+
+
+@dataclass(frozen=True)
+class _Wrapped:
+    """A dataclass the writer reaches through its ``to_json_obj``."""
+
+    payload: object
+
+    def to_json_obj(self):
+        return {"payload": self.payload, "tag": self.__class__.__name__}
+
+
+@st.composite
+def lattice_distributions(draw):
+    """An ExactDistribution with random weights on a small grid."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    weights = draw(st.lists(st.integers(0, 2**70), min_size=(n + 1) ** k, max_size=(n + 1) ** k))
+    weights[draw(st.integers(0, len(weights) - 1))] += 1
+    return ExactDistribution.from_grid(("A_x", "B_x", "J_x")[:k], n, weights, sum(weights))
+
+
+_JSON_LEAVES = st.one_of(
+    st.fractions(),
+    st.sampled_from([*ScenarioKind, *RunMode, *_Axis]),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.none(),
+    st.integers(),
+    st.integers(-(10**400), 10**400),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.text(),
+    lattice_distributions(),
+    hnp.arrays(
+        st.sampled_from([np.int64, np.float64, np.bool_]),
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3),
+    ),
+)
+_JSON_KEYS = st.one_of(st.text(), st.integers(-3, 3), st.booleans(), st.none(), st.sampled_from(list(RunMode)))
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_JSON_KEYS, children, max_size=4),
+        children.map(_Wrapped),
+    ),
+    max_leaves=20,
+)
+
+# Every subcommand as shipped, exact and sampled at a small trial count; causal
+# configs relative to the repository root.
+SHIPPED_REPORTS = [
+    *[
+        (command, *mode)
+        for command in ("pr-signal", "tsirelson", "ghz-signal")
+        for mode in (("--n", "7"), ("--n", "24"), ("--mode", "mc", "--n", "9", "--trials", "300"))
+    ],
+    ("ghz-algebra",),
+    ("jamming", "--jim", "x", "--trials", "300"),
+    ("jamming", "--jim", "z", "--trials", "300"),
+    *[("causal", "--config", f"scenarios/{path.name}") for path in sorted(SCENARIOS.glob("*.json"))],
+]
+
+
+class TestJsonMatchesOracle:
+    """JSON reports are byte-identical to ``json.dumps(indent=2, sort_keys=True)`` of their plain values."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_TREES)
+    @example(1e400)
+    @example(-0.0)
+    @example({"é\u0001": -1e400, "\u2028": float("nan")})
+    @example({"": {}, "list": [], "tuple": (), "array": np.zeros(0), "nested": [{}, [[]]]})
+    @example({1: "int key", "1": "str key", True: "bool key"})
+    @example([[ExactDistribution.from_grid(("B",), 2, [1, 0, 3], 4)], {"d": ExactDistribution.from_grid(("B",), 1, [0, 1], 1)}])
+    def test_trees(self, tree):
+        assert_same_text(reportio.dump_report(tree), oracles.dump_by_json(tree))
+
+    @pytest.mark.parametrize("args", SHIPPED_REPORTS, ids=" ".join)
+    def test_shipped_reports(self, monkeypatch, args):
+        monkeypatch.chdir(SCENARIOS.parent)
+        parsed = cli.build_parser().parse_args(list(args))
+        report, _ = cli._COMMANDS[parsed.command](parsed)
+        assert_same_text(reportio.dump_report(report), oracles.dump_by_json(report))
+
+    def test_causal_echoes_any_config(self, tmp_path, capsys):
+        config = tmp_path / "odd.json"
+        config.write_text(
+            '{"a_hat": {"t": 0, "x": -1}, "b_hat": {"t": 0, "x": 1e0}, "note": "\\u00e9\\u0001\\ud834",'
+            ' "big": ' + "9" * 401 + ', "zero": -0.0, "huge": 1e400, "nan": NaN, "empty": [{}, []]}'
+        )
+        assert main(["causal", "--config", str(config)]) == 0
+        out, _ = capsys.readouterr()
+        report = json.loads(out)
+        assert report["config"]["config"]["big"] == int("9" * 401)
+        assert out == oracles.dump_by_json(report)
+
+
 # sha256 of each report's stdout, recorded with the csv.writer renderer.
 CSV_REPORT_DIGESTS = [
     (
@@ -473,7 +582,7 @@ class TestCausalCommand:
             "pairs_without_unique_fixed_point": 4,
         }
 
-    @pytest.mark.parametrize("beta", [None, [1], {}], ids=["null", "list", "object"])
+    @pytest.mark.parametrize("beta", [None, [1], {}, 10**400], ids=["null", "list", "object", "huge-int"])
     def test_beta_must_be_a_number(self, tmp_path, capsys, beta):
         config = tmp_path / "beta.json"
         config.write_text(json.dumps({"a_hat": {"t": 0, "x": 0}, "b_hat": {"t": 0, "x": 1}, "beta": beta}))
@@ -481,6 +590,25 @@ class TestCausalCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: beta must be a number\n"
+
+    @pytest.mark.parametrize("beta", [float("nan"), "nan"], ids=["nan", "nan-string"])
+    def test_nan_beta_is_not_a_boost(self, tmp_path, capsys, beta):
+        config = tmp_path / "beta.json"
+        config.write_text(json.dumps({"a_hat": {"t": 0, "x": 0}, "b_hat": {"t": 0, "x": 1}, "beta": beta}))
+        assert main(["causal", "--config", str(config)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: boost velocity must satisfy |beta| < 1\n"
+
+    @pytest.mark.parametrize("event", [{"t": 10**400, "x": 0}, {"t": 0, "x": -(10**400)}], ids=["huge-t", "huge-x"])
+    def test_event_coordinates_must_fit_a_float(self, tmp_path, capsys, event):
+        config = tmp_path / "event.json"
+        config.write_text(json.dumps({"a_hat": event, "b_hat": {"t": 0, "x": 1}}))
+        assert main(["causal", "--config", str(config)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: malformed event object ")
+        assert err.count("\n") == 1
 
     def test_beta_may_be_a_numeric_string(self, tmp_path):
         config = tmp_path / "beta.json"

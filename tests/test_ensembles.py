@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -36,6 +37,7 @@ from corrlab.ensembles import (
     tsirelson_round_pmf,
 )
 from corrlab.errors import InvariantViolation
+from corrlab.reportio import encode
 from corrlab.signaling import total_variation
 
 HALF = Fraction(1, 2)
@@ -226,7 +228,7 @@ class TestExactDistribution:
     def test_support_is_sorted_and_normalized(self):
         dist = self._pr_n2()
         assert sum(dist.weights) == dist.denominator
-        assert [row["value"] for row in dist.to_json_obj()] == [["-1/1", "-1/1"], ["0/1", "0/1"], ["1/1", "1/1"]]
+        assert [point for point, _, _ in dist.atoms()] == [("-1/1", "-1/1"), ("0/1", "0/1"), ("1/1", "1/1")]
         assert oracles.lattice_mapping(dist) == {
             (Fraction(-1), Fraction(-1)): Fraction(1, 4),
             (Fraction(0), Fraction(0)): HALF,
@@ -297,7 +299,7 @@ class TestExactDistribution:
             ExactDistribution.from_mapping({(Fraction(1),): Fraction(1)}, ("B", "B_prime"), 1)
 
     def test_json_shape(self):
-        rows = self._pr_n2().to_json_obj()
+        rows = json.loads(encode(self._pr_n2()))
         assert rows[0] == {"value": ["-1/1", "-1/1"], "numerator": 1, "denominator": 4}
 
 
@@ -332,7 +334,7 @@ class TestLatticeAgainstFractionOracle:
         dist, oracle = self._both(first, n)
         other, other_oracle = self._both(second, n)
         k = len(dist.labels)
-        assert dist.to_json_obj() == oracle.to_json_obj()
+        assert list(dist.atoms()) == oracle.atoms()
         want = oracle.as_mapping()
         for point in itertools.product([Fraction(s, n) for s in range(-n, n + 1, 2)], repeat=k):
             assert dist.probability(point) == want.get(point, 0)
@@ -340,7 +342,7 @@ class TestLatticeAgainstFractionOracle:
             for indices in itertools.permutations(range(k), size):
                 marg, marg_oracle = dist.marginal(indices), oracle.marginal(indices)
                 assert marg.labels == marg_oracle.labels
-                assert marg.to_json_obj() == marg_oracle.to_json_obj()
+                assert list(marg.atoms()) == marg_oracle.atoms()
         assert dist.mean(coeffs) == oracle.mean(coeffs)
         assert dist.variance(coeffs) == oracle.variance(coeffs)
         assert total_variation(dist, other) == oracles.total_variation_by_union(oracle, other_oracle)

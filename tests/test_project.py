@@ -53,7 +53,9 @@ def test_benchmark_spans_find_their_functions():
 
     The traced run holds one exact report, one sampled report and one
     sequential measurement of a GHZ pair, so inlining or renaming a wrapped
-    function fails here instead of zeroing its metric.
+    function fails here instead of zeroing its metric.  Each JSON report is
+    one ``dump_report`` span around one ``encode`` span, so a writer that
+    skips ``encode``, or reaches it once per node, fails here too.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
@@ -76,3 +78,5 @@ def test_benchmark_spans_find_their_functions():
         "signaling.total_variation",
     ):
         assert result["calls"].get(name, 0) > 0, name
+    for name in ("reportio.dump_report", "reportio.encode"):
+        assert result["calls"].get(name, 0) == 2, name
