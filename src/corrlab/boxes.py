@@ -82,13 +82,6 @@ class DichotomicBox:
             acc[tuple(full[i] for i in keep)] += p
         return tuple(acc[o] for o in sub)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "parties": self.parties,
-            "settings": list(LABELS),
-            "table": {"|".join(k): list(row) for k, row in sorted(self.table.items())},
-        }
-
 
 def correlation(box: DichotomicBox, settings) -> Fraction | float:
     """E[product of all outcomes] under the given settings."""
@@ -102,12 +95,13 @@ def correlation(box: DichotomicBox, settings) -> Fraction | float:
     return acc if isinstance(acc, Fraction) else float(acc)
 
 
-def check_no_signaling(box: DichotomicBox, tol: float = PROB_TOL) -> dict:
+def check_no_signaling(box: DichotomicBox) -> dict:
     """Verify each party subset's marginal ignores the remaining settings.
 
     Looks at every nonempty proper subset of parties: its marginal outcome
     distribution, given its own labels, must not depend on how the other
-    parties are set.  Exact boxes give an exactly zero deviation.
+    parties are set, up to ``PROB_TOL``.  Exact boxes give an exactly zero
+    deviation.
     """
     n = box.parties
     max_dev: Fraction | float = Fraction(0)
@@ -132,7 +126,7 @@ def check_no_signaling(box: DichotomicBox, tol: float = PROB_TOL) -> dict:
                             max_dev = dev
     if not isinstance(max_dev, Fraction):
         max_dev = float(max_dev)
-    return {"holds": bool(max_dev <= tol), "max_marginal_deviation": max_dev}
+    return {"holds": bool(max_dev <= PROB_TOL), "max_marginal_deviation": max_dev}
 
 
 def make_pr_box() -> DichotomicBox:

@@ -46,9 +46,19 @@ def _table_lines(prefixes, table: np.ndarray, codes: np.ndarray) -> str:
     return "".join(chain.from_iterable(zip(prefixes, *columns, repeat("\n"))))
 
 
+def _csv_columns(runs) -> list[str]:
+    """Each component's column name: its label, or its axis-free stem where the runs' labels differ.
+
+    Bob's z and x runs name his component ``bob``, Jim's x and y runs ``J``;
+    the choice column says which axis each row holds.
+    """
+    columns = zip(*(run.labels for run in runs))
+    return [col[0] if len(set(col)) == 1 else col[0].rsplit("_", 1)[0] for col in columns]
+
+
 def _dist_csv(v: SignalingVerdict) -> str:
     """Exact pmf rows, or one row per sampled trial, for each run."""
-    labels = next(iter(v.runs.values())).labels
+    labels = _csv_columns(v.runs.values())
     if v.mode is RunMode.EXACT:
         header = ["choice", *labels, "numerator", "denominator"]
         lines = [
@@ -80,10 +90,7 @@ def _jamming_csv(records: JammingRecords) -> str:
 def _pr_results(v: SignalingVerdict) -> tuple[dict, dict]:
     dists = v.distributions
     variance = v.extras["variance_signature"]
-    results = {
-        "variance_signature": variance,
-        "joint_distribution": dists,
-    }
+    results = {"joint_distribution": dists}
     checks = {
         "distinguishable": v.distinguishable,
         "variance_collapse": variance["u"]["var_diff"] == 0 and variance["p"]["var_sum"] == 0,
@@ -110,8 +117,6 @@ def _tsirelson_results(v: SignalingVerdict) -> tuple[dict, dict]:
     results = {
         "box_correlations": correlations,
         "chsh": chsh,
-        "tv_per_axis": v.extras["tv_per_axis"],
-        "collective_variance": v.extras["collective_variance"],
         "bob_distribution": v.distributions,
     }
     checks = {
@@ -125,7 +130,6 @@ def _tsirelson_results(v: SignalingVerdict) -> tuple[dict, dict]:
 def _ghz_results(v: SignalingVerdict) -> tuple[dict, dict]:
     results = {
         "hit_probability": {"u": v.values[0], "p": v.values[1]},
-        "tv_joint_receiver": v.extras["tv_joint_receiver"],
         "receiver_distribution": v.distributions,
     }
     checks = {"no_signaling": not v.distinguishable}
@@ -137,7 +141,8 @@ def _ghz_results(v: SignalingVerdict) -> tuple[dict, dict]:
     return results, checks
 
 
-# Each scenario subcommand's kind, and the results and checks only it reports.
+# Each scenario subcommand's kind, and the results and checks only it reports
+# besides its verdict's extras.
 _SCENARIOS = {
     "pr-signal": (ScenarioKind.PR_BOX, _pr_results),
     "tsirelson": (ScenarioKind.TSIRELSON, _tsirelson_results),
@@ -151,6 +156,7 @@ def cmd_scenario(args) -> tuple[dict, str | None]:
     # A CSV report prints each run's every component; a JSON one only what its verdict compared.
     v = verdict(kind, args.n, _MODES[args.mode], args.trials, args.seed, joint=args.format == "csv")
     results, checks = kind_results(v)
+    results.update(v.extras)
     results["verdict"] = v.to_json_obj()
     config = {
         "n": args.n,
@@ -260,6 +266,8 @@ def cmd_causal(args) -> tuple[dict, str | None]:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"config file {path} nests too deeply to read") from None
     if not isinstance(data, dict):
         raise ValueError("causal config must be a JSON object")
 

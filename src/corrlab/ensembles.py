@@ -82,19 +82,18 @@ def _check_seed(seed: int) -> None:
         raise ValueError("seed must fit in 64 bits")
 
 
-def snap_dyadic(p: float, max_exp: int = 30, tol: float = 1e-12) -> Fraction:
-    """Round a Born-rule float to the nearest dyadic rational.
+def snap_dyadic(p: float) -> Fraction:
+    """Round a Born-rule float to the nearest multiple of 2^-30.
 
     The per-round probabilities of every scenario here are exact multiples
-    of 2^-3, computed to a few ulps, so the float must sit within ``tol``
-    of the snapped value.  The tolerance is far below the 2^-31 lattice
+    of 2^-3, computed to a few ulps, so the float must sit within 1e-12 of
+    the snapped value.  The tolerance is far below the 2^-31 lattice
     half-spacing, so garbage like 0.3 is rejected rather than silently
     rounded.
     """
-    scale = 1 << max_exp
-    snapped = Fraction(round(p * scale), scale)
-    if abs(float(snapped) - p) > tol:
-        raise InvariantViolation(f"probability {p!r} is not dyadic within {tol}")
+    snapped = Fraction(round(p * 2**30), 2**30)
+    if abs(float(snapped) - p) > 1e-12:
+        raise InvariantViolation(f"probability {p!r} is not dyadic within 1e-12")
     return snapped
 
 
@@ -218,10 +217,6 @@ class ExactDistribution:
             second += w * t * t
         return first, second
 
-    def mean(self, coeffs: tuple[int, ...]) -> Fraction:
-        first, _ = self._moments(coeffs)
-        return Fraction(first, self.denominator * self.n_rounds)
-
     def variance(self, coeffs: tuple[int, ...]) -> Fraction:
         first, second = self._moments(coeffs)
         scale = self.denominator * self.n_rounds
@@ -279,7 +274,6 @@ class EnsembleRun:
     labels: tuple[str, ...]
     sums: np.ndarray
     n_rounds: int
-    seed: int
     rounds: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -383,7 +377,7 @@ def _run_from_round_pmf(
         weights = convolve_iid_rounds(round_pmf, n)
         return ExactDistribution.from_grid(round_pmf.labels, n, weights, round_pmf.denominator**n)
     sums, rounds = _sample_outcome_rows(round_pmf, n, spec.trials, spec.seed, stream, spec.keep_rounds)
-    return EnsembleRun(labels=round_pmf.labels, sums=sums, n_rounds=n, seed=spec.seed, rounds=rounds)
+    return EnsembleRun(labels=round_pmf.labels, sums=sums, n_rounds=n, rounds=rounds)
 
 
 def pr_round_pmf(sender_choice: str) -> ExactDistribution:
@@ -481,7 +475,6 @@ class JammingRecords:
 
     jim_choice: str
     outcomes: np.ndarray  # (m, 3) of +1/-1, columns (a_x, b_x, j)
-    seed: int
 
     @property
     def labels(self) -> tuple[str, str, str]:
@@ -536,7 +529,7 @@ def run_jamming_scenario(
     total = n_rounds * trials
     stream = (_JAMMING_STREAM, 0 if jim_choice == "x" else 1)
     sums, _ = _sample_outcome_rows(pmf, 1, total, seed, stream, keep_rounds=False)
-    return JammingRecords(jim_choice=jim_choice, outcomes=sums.astype(np.int8), seed=seed)
+    return JammingRecords(jim_choice=jim_choice, outcomes=sums.astype(np.int8))
 
 
 def scenario_exact_distribution(spec: ScenarioSpec, **kwargs) -> ExactDistribution:

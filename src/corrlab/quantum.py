@@ -136,14 +136,14 @@ def _apply(observable: PauliObservable, amps: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized pure state of ``n_qubits`` qubits.
+    """Normalized pure state of ``n_qubits`` qubits, read from the vector's length.
 
     Amplitudes are stored flat, basis index with qubit 0 most significant
     and spin-up mapped to bit 0.
     """
 
     amplitudes: np.ndarray = field(repr=False)
-    n_qubits: int = 0
+    n_qubits: int = field(init=False)
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
@@ -181,11 +181,6 @@ def ghz_state() -> PureState:
     amps[0] = r
     amps[7] = -r
     return PureState(amps)
-
-
-def apply_observable(observable: PauliObservable, state: PureState) -> np.ndarray:
-    """Return O|psi> as a tensor of shape (2,)*n."""
-    return _apply(observable, state.amplitudes).reshape((2,) * state.n_qubits)
 
 
 def expectation(state: PureState, observable: PauliObservable) -> float:

@@ -13,7 +13,6 @@ text built once per distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import is_dataclass
 from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -72,8 +71,6 @@ def _write(obj, out: list[str], nl: str) -> None:
         out.append(_float_text(float(obj)))
     elif isinstance(obj, ExactDistribution):
         out.append(_distribution_text(obj, nl))
-    elif is_dataclass(obj) and hasattr(obj, "to_json_obj"):
-        _write(obj.to_json_obj(), out, nl)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")

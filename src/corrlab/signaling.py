@@ -56,7 +56,6 @@ class SignalingVerdict:
     distinguishable: bool
     threshold: Fraction | float
     seed: int
-    trials: int | None = None
     extras: dict = field(default_factory=dict)
     distributions: dict[str, ExactDistribution] = field(default_factory=dict, repr=False)
     runs: dict[str, ExactDistribution | EnsembleRun] = field(default_factory=dict, repr=False)
@@ -89,16 +88,14 @@ def total_variation(p: ExactDistribution, q: ExactDistribution) -> Fraction:
     return Fraction(total + sum(rest.values()) * dp, 2 * dp * dq)
 
 
-def variance_signature(dist) -> dict[str, Fraction | float]:
+def variance_signature(dist: ExactDistribution | EnsembleRun) -> dict[str, Fraction | float]:
     """Variances of the sum and difference of a two-component collective."""
-    if isinstance(dist, (ExactDistribution, EnsembleRun)):
-        if len(dist.labels) != 2:
-            raise ValueError("variance signature needs exactly two components")
-        return {
-            "var_sum": dist.variance((1, 1)),
-            "var_diff": dist.variance((1, -1)),
-        }
-    raise TypeError(f"cannot compute variances of {type(dist).__name__}")
+    if len(dist.labels) != 2:
+        raise ValueError("variance signature needs exactly two components")
+    return {
+        "var_sum": dist.variance((1, 1)),
+        "var_diff": dist.variance((1, -1)),
+    }
 
 
 def _passes(tv, threshold) -> bool:
@@ -183,8 +180,7 @@ def _verdict(
     spec: ScenarioSpec, statistic: Statistic, values: tuple, extras: dict, runs: dict, dists: dict
 ) -> SignalingVerdict:
     """The verdict on ``values``, thresholded as the spec's mode requires."""
-    sampled = spec.mode is RunMode.MONTE_CARLO
-    threshold = 5.0 / math.sqrt(spec.trials) if sampled else Fraction(0)
+    threshold = 5.0 / math.sqrt(spec.trials) if spec.mode is RunMode.MONTE_CARLO else Fraction(0)
     return SignalingVerdict(
         scenario=spec.kind,
         n_rounds=spec.n_rounds,
@@ -194,19 +190,21 @@ def _verdict(
         distinguishable=not _passes(abs(values[1] - values[0]), threshold),
         threshold=threshold,
         seed=spec.seed,
-        trials=spec.trials if sampled else None,
         extras=extras,
         distributions=dists,
         runs=runs,
     )
 
 
-def pr_verdict(n_rounds: int, mode: RunMode, trials: int = 100_000, seed: int = 0) -> SignalingVerdict:
+def pr_verdict(
+    n_rounds: int, mode: RunMode, trials: int = 100_000, seed: int = 0, joint: bool = False
+) -> SignalingVerdict:
     """Distinguishability of Alice's choice from Bob's joint (B, B') readout.
 
     The statistic is total variation against the choice-0 reference, so
     values are (0, TV between the two joint distributions).  The variance
     signatures of B+B' and B-B' under each choice ride along as extras.
+    ``joint`` changes nothing: the runs already hold both of Bob's components.
     """
     spec = ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=n_rounds, trials=trials, seed=seed, mode=mode)
     runs = _run_choices(spec)
@@ -216,12 +214,15 @@ def pr_verdict(n_rounds: int, mode: RunMode, trials: int = 100_000, seed: int = 
     return _verdict(spec, Statistic.TOTAL_VARIATION, values, extras, runs, dists)
 
 
-def tsirelson_verdict(n_rounds: int, mode: RunMode, trials: int = 100_000, seed: int = 0) -> SignalingVerdict:
+def tsirelson_verdict(
+    n_rounds: int, mode: RunMode, trials: int = 100_000, seed: int = 0, joint: bool = False
+) -> SignalingVerdict:
     """Distinguishability of Alice's choice from Bob's two collectives.
 
     Bob's accessible collectives are the z and x ensemble averages (the
     rescaled sum and difference of his two tilted observables); the
-    verdict statistic is the worse of the two total variations.
+    verdict statistic is the worse of the two total variations.  ``joint``
+    changes nothing: each run holds Bob's one component, all there is.
     """
     spec = ScenarioSpec(kind=ScenarioKind.TSIRELSON, n_rounds=n_rounds, trials=trials, seed=seed, mode=mode)
     runs = {
@@ -289,10 +290,8 @@ def verdict(
 ) -> SignalingVerdict:
     """Run both sender choices for a scenario and render its verdict.
 
-    Only ``ghz_verdict`` reads ``joint``; the other kinds' runs hold every component.
+    ``joint`` asks for runs that hold every component, as a CSV report prints them.
     """
     if kind not in _VERDICTS:
         raise ValueError(f"unknown scenario kind {kind!r}")
-    if kind is ScenarioKind.GHZ:
-        return ghz_verdict(n_rounds, mode, trials, seed, joint)
-    return _VERDICTS[kind](n_rounds, mode, trials, seed)
+    return _VERDICTS[kind](n_rounds, mode, trials, seed, joint)

@@ -30,11 +30,6 @@ class SpacetimeEvent:
         if not (math.isfinite(self.t) and math.isfinite(self.x)):
             raise ValueError("event coordinates must be finite")
 
-    @property
-    def interval(self) -> float:
-        """t^2 - x^2 relative to the origin."""
-        return self.t * self.t - self.x * self.x
-
     def to_json_obj(self) -> dict:
         return {"t": self.t, "x": self.x}
 

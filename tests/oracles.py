@@ -13,8 +13,9 @@ import io
 import itertools
 import json
 import math
+import os
 from collections import defaultdict
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -334,7 +335,11 @@ def render_csv_by_writer(source) -> str:
         rows = [[i, int(r[0]), int(r[1]), int(r[2])] for i, r in enumerate(source.outcomes)]
     else:
         v = source
-        labels = next(iter(v.runs.values())).labels
+        # A column's runs share its label, or name it by the stem before their axes.
+        labels = [
+            os.path.commonprefix(col).rstrip("_") if len(set(col)) > 1 else col[0]
+            for col in zip(*(run.labels for run in v.runs.values()))
+        ]
         rows = []
         if v.mode is RunMode.EXACT:
             header = ["choice", *labels, "numerator", "denominator"]
@@ -357,9 +362,9 @@ def plain_values(obj):
     """A report structure as plain JSON values, by one converted copy of every node.
 
     Fractions become "n/d" strings, enums their values, numpy scalars and
-    arrays Python ones, dataclasses their ``to_json_obj()``, and each
-    ``ExactDistribution`` the list of its atoms read through
-    ``lattice_mapping``.  The report writer's former first pass.
+    arrays Python ones, and each ``ExactDistribution`` the list of its
+    atoms read through ``lattice_mapping``.  The report writer's former
+    first pass.
     """
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
@@ -378,8 +383,6 @@ def plain_values(obj):
             {"value": plain_values(point), "numerator": p.numerator, "denominator": p.denominator}
             for point, p in lattice_mapping(obj).items()
         ]
-    if is_dataclass(obj) and hasattr(obj, "to_json_obj"):
-        return plain_values(obj.to_json_obj())
     if isinstance(obj, dict):
         return {str(k): plain_values(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

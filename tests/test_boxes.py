@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from fractions import Fraction
 
@@ -25,7 +24,6 @@ from corrlab.boxes import (
 from corrlab.ensembles import pr_round_pmf
 from corrlab.errors import BoxValidationError
 from corrlab.quantum import bell_state
-from corrlab.reportio import encode
 
 RT2 = math.sqrt(2.0)
 HALF = Fraction(1, 2)
@@ -216,15 +214,6 @@ class TestValidation:
     def test_chsh_needs_two_parties(self):
         with pytest.raises(BoxValidationError, match="bipartite"):
             chsh_value(make_ghz_box())
-
-
-class TestSerialization:
-    def test_json_shape(self):
-        obj = json.loads(encode(make_pr_box()))
-        assert obj["parties"] == 2
-        assert obj["settings"] == ["u", "p"]
-        assert set(obj["table"]) == {"u|u", "u|p", "p|u", "p|p"}
-        assert obj["table"]["u|u"] == ["1/2", "0/1", "0/1", "1/2"]
 
 
 class TestJointReadout:

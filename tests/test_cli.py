@@ -7,7 +7,6 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from hypothesis.extra import numpy as hnp
 import corrlab
 import oracles
 from corrlab import cli, ensembles, reportio, signaling
+from corrlab.boxes import make_pr_box
 from corrlab.cli import main
 from corrlab.ensembles import (
     EnsembleRun,
@@ -29,6 +29,7 @@ from corrlab.ensembles import (
     run_jamming_scenario,
 )
 from corrlab.signaling import SignalingVerdict, Statistic, verdict
+from corrlab.spacetime import SpacetimeEvent
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -164,7 +165,7 @@ class TestGhzSignalCommand:
         code, text = run_cli(tmp_path, "ghz-signal", "--n", "4", "--format", "csv")
         assert code == 0
         header, *rows = text.splitlines()
-        assert header == "choice,A_x,B_x,J_x,numerator,denominator"
+        assert header == "choice,A_x,B_x,J,numerator,denominator"
         assert {len(row.split(",")) for row in rows} == {6}
         assert {row.split(",")[0] for row in rows} == {"u", "p"}
         assert sorted(len(round_pmf.labels) for round_pmf, _ in calls) == [2, 2, 3, 3]
@@ -263,8 +264,7 @@ def sampled_verdict(runs: dict[str, EnsembleRun]) -> SignalingVerdict:
         values=(0.0, 0.0),
         distinguishable=False,
         threshold=0.0,
-        seed=run.seed,
-        trials=run.trials,
+        seed=0,
         distributions=signaling._distributions(runs, RunMode.MONTE_CARLO),
         runs=runs,
     )
@@ -303,7 +303,7 @@ class TestCsvMatchesWriter:
         for choice in ("z|u", "z|p", "x|u", "x|p")[:runs]:
             sums = n - 2 * rng.integers(0, n + 1, size=(trials, k))
             sums[0], sums[-1] = n, -n  # both ends of the lattice
-            samples[choice] = EnsembleRun(labels=labels, sums=sums, n_rounds=n, seed=seed)
+            samples[choice] = EnsembleRun(labels=labels, sums=sums, n_rounds=n)
         v = sampled_verdict(samples)
         assert_same_text(cli._dist_csv(v), oracles.render_csv_by_writer(v))
 
@@ -332,16 +332,6 @@ class TestCsvMatchesWriter:
 class _Axis(Enum):
     PLUS = 1
     MINUS = "minus"
-
-
-@dataclass(frozen=True)
-class _Wrapped:
-    """A dataclass the writer reaches through its ``to_json_obj``."""
-
-    payload: object
-
-    def to_json_obj(self):
-        return {"payload": self.payload, "tag": self.__class__.__name__}
 
 
 @st.composite
@@ -381,7 +371,6 @@ _JSON_TREES = st.recursive(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(_JSON_KEYS, children, max_size=4),
-        children.map(_Wrapped),
     ),
     max_leaves=20,
 )
@@ -422,6 +411,14 @@ class TestJsonMatchesOracle:
         report, _ = cli._COMMANDS[parsed.command](parsed)
         assert_same_text(reportio.dump_report(report), oracles.dump_by_json(report))
 
+    @pytest.mark.parametrize("obj", [SpacetimeEvent(t=0.0, x=1.0), make_pr_box()], ids=["event", "box"])
+    def test_dataclasses_are_not_encoded(self, obj):
+        """A report holds a dataclass only as the plain values its ``to_json_obj`` returns."""
+        with pytest.raises(TypeError, match="cannot encode"):
+            reportio.encode({"x": obj})
+        with pytest.raises(TypeError, match="cannot encode"):
+            oracles.dump_by_json({"x": obj})
+
     def test_causal_echoes_any_config(self, tmp_path, capsys):
         config = tmp_path / "odd.json"
         config.write_text(
@@ -435,7 +432,32 @@ class TestJsonMatchesOracle:
         assert out == oracles.dump_by_json(report)
 
 
-# sha256 of each report's stdout, recorded with the csv.writer renderer.
+# Each component column of a scenario CSV: the runs' shared label, or the stem
+# before the axis where the runs measure different axes.
+CSV_COMPONENT_COLUMNS = {
+    "pr-signal": ["B", "B_prime"],
+    "tsirelson": ["bob"],
+    "ghz-signal": ["A_x", "B_x", "J"],
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize("command", list(CSV_COMPONENT_COLUMNS))
+def test_csv_header_holds_for_every_run(command, mode):
+    kind, _ = cli._SCENARIOS[command]
+    v = verdict(kind, 2, cli._MODES[mode], 50, 0, joint=True)
+    header = cli._dist_csv(v).split("\n", 1)[0].split(",")
+    columns = header[1:-2] if mode == "exact" else header[2:]
+    assert columns == CSV_COMPONENT_COLUMNS[command]
+    for run in v.runs.values():
+        assert len(run.labels) == len(columns)
+        for name, label in zip(columns, run.labels):
+            assert label == name or label.startswith(name + "_"), (name, label)
+
+
+# sha256 of each report's stdout, recorded with the csv.writer renderer. The
+# tsirelson and ghz-signal digests were re-recorded when component columns that
+# differ between runs took their axis-free stem.
 CSV_REPORT_DIGESTS = [
     (
         ("pr-signal", "--mode", "mc", "--n", "6", "--trials", "10000", "--seed", "0"),
@@ -443,11 +465,11 @@ CSV_REPORT_DIGESTS = [
     ),
     (
         ("tsirelson", "--mode", "mc", "--n", "6", "--trials", "10000", "--seed", "0"),
-        "4f4e77a7e4694740214de1e72b821c667b50bd448f429c3b81b5ab6f70f26644",
+        "a9b18c56916f44c2a19a013d273f5f8c79490958a76e6574b678ba5f533bcc9d",
     ),
     (
         ("ghz-signal", "--mode", "mc", "--n", "6", "--trials", "10000", "--seed", "0"),
-        "9cbaf7a7e503a783a121631d905e6e8b5ef61c04a34a509f06565ef9a806b65d",
+        "922a46b26f1f77ab476cedf9cdaf06a12ec5503b3012e1de91b1fc9c448e4e51",
     ),
     (
         ("jamming", "--jim", "z", "--n", "6", "--trials", "10000"),
@@ -455,7 +477,7 @@ CSV_REPORT_DIGESTS = [
     ),
     (
         ("ghz-signal", "--n", "24"),
-        "660c289bf297c81102969884283b9659faad277b662389801fe4635399e57a7c",
+        "a66ed37f5e3e63187a748a0f58b102a14737a684ca0222ed3b06b221d7e1a334",
     ),
 ]
 
@@ -642,6 +664,16 @@ class TestCausalCommand:
         proc = run_proc("causal", "--config", str(config))
         assert proc.returncode == 2
         assert "no analyzable sections" in proc.stderr
+
+    def test_deeply_nested_config(self, tmp_path, capsys):
+        config = tmp_path / "deep.json"
+        config.write_text(
+            '{"a_hat": {"t": 0, "x": 0}, "b_hat": {"t": 0, "x": 1}, "deep": ' + "[" * 5000 + "]" * 5000 + "}"
+        )
+        assert main(["causal", "--config", str(config)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: config file {config} nests too deeply to read\n"
 
     def test_loop_needs_both_maps(self, tmp_path):
         config = tmp_path / "half.json"

