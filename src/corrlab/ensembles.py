@@ -6,11 +6,16 @@ Exact mode computes the full joint pmf of the collectives, as integer
 weights over one denominator, by N-fold convolution of the single-round
 pmf; Monte Carlo mode samples trials with reproducible per-(seed,
 scenario, choice) random streams and histograms them on the same grid.
+A sampled trial is a few random bit-planes, each word of which holds one
+bit of 64 rounds, and its component sums are popcounts of bit-sliced
+indicators.  Seeded draws changed when this sampler replaced the
+one-word-per-round table lookup.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -20,14 +25,14 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import InvariantViolation
-from .quantum import ghz_state, joint_probabilities, outcome_tuples
+from .quantum import ghz_state, joint_probabilities
 
 EXACT_MAX_ROUNDS = 24
 # Alice's and Bob's components of a three-party run: the receivers of Jim's choice.
 GHZ_RECEIVERS = (0, 1)
 _SAMPLE_CHUNK = 1 << 16
-# Raw 64-bit words drawn per chunk (8 MiB), so sampling memory stays flat in N.
-_SAMPLE_WORDS = 1 << 20
+# Live 64-bit words per sampled chunk (2 MiB), so sampling memory stays flat in N.
+_SAMPLE_WORDS = 1 << 18
 _MAX_TABLE_CELLS = 1 << 16
 
 
@@ -319,6 +324,39 @@ def _stream_rng(seed: int, stream: tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, *stream)))
 
 
+def _negative_runs(round_pmf: ExactDistribution) -> list[tuple[bool, list[int]]]:
+    """Where each component is -1 in the table rows: its value at row 0 and the rows where it flips.
+
+    The table lists the atoms in ``outcome_tuples`` order (+1 first), the
+    reverse of grid cell order, in which a digit of 0 is -1; atom i holds
+    the rows [lo_i, hi_i), hi_i - lo_i being its weight.
+    """
+    k = len(round_pmf.labels)
+    digits = [_digits(cell, 2, k) for cell in reversed(round_pmf.cells)]
+    bounds = [0, *itertools.accumulate(round_pmf.weights[::-1])]
+    runs = []
+    for c in range(k):
+        negative = [row[c] == 0 for row in digits]
+        flips = [bounds[i] for i in range(1, len(digits)) if negative[i] != negative[i - 1]]
+        runs.append((negative[0], flips))
+    return runs
+
+
+def _at_least(planes: np.ndarray, t: int, out: np.ndarray) -> None:
+    """Set ``out`` to the bit-sliced comparison row >= t, for 0 < t < 2^d, 64 rounds per word.
+
+    Plane j of ``planes`` (chunk, d, words) holds bit j of each round's row.
+    Below t's lowest set bit every row ties, so the comparison starts there
+    and climbs: a set bit of t needs the row's bit too, a clear bit of t is
+    beaten by it.
+    """
+    low = (t & -t).bit_length() - 1
+    np.copyto(out, planes[:, low])
+    for j in range(low + 1, planes.shape[1]):
+        step = np.bitwise_and if t >> j & 1 else np.bitwise_or
+        step(out, planes[:, j], out=out)
+
+
 def _sample_outcome_rows(
     round_pmf: ExactDistribution,
     n_rounds: int,
@@ -327,45 +365,60 @@ def _sample_outcome_rows(
     stream: tuple[int, ...],
     keep_rounds: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Draw (trials, N) round outcomes by table lookup in chunks of at most 2^20 words.
+    """Draw (trials, N) rounds as random bit-planes and count each component's -1 rounds by popcount.
 
     The pmf must be dyadic with common denominator D = 2^d.  A table of D
-    cells holds each atom p*D times, and the top d bits of a raw PCG64 word
-    pick a cell (Marsaglia, Tsang & Wang, J. Stat. Softw. 11(3), 2004): the
-    same atoms, one word per round, as ``Generator.random`` plus
-    ``searchsorted`` over the CDF.  Each trial's component sum is
-    N - 2 * (rounds whose atom is -1 in that component).
+    rows holds each atom p*D times, in ``outcome_tuples`` order, and a
+    round is a uniform row.  A trial draws d bit-planes of ceil(N/64) raw
+    PCG64 words, all of its planes in a row, so the stream does not depend
+    on the chunk size: bit b of word w of plane j is bit j of the row of
+    round 64*w + b.  Component c is -1 on a union of row runs, which
+    bit-sliced comparators row >= t evaluate for 64 rounds per word (E.
+    Biham, FSE 1997).  Each trial's sum is N - 2 * the popcount of that
+    indicator (Knuth, TAOCP 4A, 7.1.3).  These draws replaced a table
+    lookup on one raw word per round, so seeded samples differ from
+    corrlab releases before the bit-sliced sampler.
     """
     k = len(round_pmf.labels)
     denom = round_pmf.denominator
     if denom & (denom - 1) or denom > _MAX_TABLE_CELLS:
         raise InvariantViolation(f"round pmf with denominator {denom} is not dyadic over <= {_MAX_TABLE_CELLS} cells")
-    # outcome_tuples lists +1 first and the grid -1 first: grid cell c is outcome 2^k - 1 - c,
-    # and the table keeps outcome_tuples order.
-    outcomes = np.array(outcome_tuples(k), dtype=np.int8)[[(1 << k) - 1 - c for c in reversed(round_pmf.cells)]]
-    atoms_by_cell = np.repeat(outcomes, round_pmf.weights[::-1], axis=0)
-    negative = [atoms_by_cell[:, c] < 0 for c in range(k)]
-    # 64 - log2(D); a shift of 64 (D = 1) gives cell 0 for every word.
-    shift = 65 - denom.bit_length()
+    d = denom.bit_length() - 1
+    runs = _negative_runs(round_pmf)
+    words = -(-n_rounds // 64)
+    tail = n_rounds % 64
     bitgen = _stream_rng(seed, stream).bit_generator
     sums = np.empty((trials, k), dtype=np.int64)
     rounds = np.empty((trials, n_rounds, k), dtype=np.int8) if keep_rounds else None
-    # Whole trials per chunk, so every chunk size reads the same word stream.
-    chunk_trials = min(_SAMPLE_CHUNK, max(1, _SAMPLE_WORDS // n_rounds))
+    # Live words per trial: the planes, the indicator, one comparator, the popcounts
+    # and, for round records, the unpacked indicator bytes.
+    live = words * (d + 3 + (8 if keep_rounds else 0))
+    chunk_trials = min(_SAMPLE_CHUNK, max(1, _SAMPLE_WORDS // live))
     done = 0
     while done < trials:
         chunk = min(chunk_trials, trials - done)
-        raw = bitgen.random_raw((chunk, n_rounds))
-        np.right_shift(raw, shift, out=raw)
-        # Cells are below 2^16, so the int64 view indexes without a converted copy.
-        cell = raw.view(np.int64)
+        planes = bitgen.random_raw((chunk, d, words))
+        if tail:
+            # Rounds past N read as row 0, which no comparator with t > 0 counts.
+            planes[:, :, -1] &= np.uint64((1 << tail) - 1)
+        indicator = np.empty((chunk, words), dtype=np.uint64)
+        at_least = np.empty_like(indicator)
         block = sums[done : done + chunk]
-        for c, neg in enumerate(negative):
-            block[:, c] = n_rounds - 2 * np.count_nonzero(neg[cell], axis=1)
-        if rounds is not None:
-            rounds[done : done + chunk] = atoms_by_cell[cell]
+        for c, (negative_first, flips) in enumerate(runs):
+            # A round's bit is the parity of c's flips at or below its row: 1 where c differs from row 0.
+            indicator.fill(0)
+            for t in flips:
+                _at_least(planes, t, at_least)
+                indicator ^= at_least
+            negatives = np.bitwise_count(indicator).sum(axis=1, dtype=np.int64)
+            if negative_first:
+                negatives = n_rounds - negatives
+            block[:, c] = n_rounds - 2 * negatives
+            if rounds is not None:
+                bits = np.unpackbits(indicator.astype("<u8", copy=False).view(np.uint8), axis=1, count=n_rounds, bitorder="little")
+                rounds[done : done + chunk, :, c] = 1 - 2 * (bits ^ negative_first).view(np.int8)
         done += chunk
-        del raw, cell  # free this chunk's words before the next draw
+        del planes, indicator, at_least  # free this chunk's words before the next draw
     return sums, rounds
 
 
@@ -520,16 +573,16 @@ def run_jamming_scenario(
 
     All three single-site observables commute, so sampling the joint Born
     distribution is equivalent to measuring Jim first and then Alice and
-    Bob on the post-measurement state.
+    Bob on the post-measurement state.  The triplets are the rounds of one
+    long sampled trial, unpacked from its bit-planes.
     """
     if n_rounds < 1 or trials < 1:
         raise ValueError("n_rounds and trials must be positive")
     _check_seed(seed)
     pmf = jamming_round_pmf(jim_choice)
-    total = n_rounds * trials
     stream = (_JAMMING_STREAM, 0 if jim_choice == "x" else 1)
-    sums, _ = _sample_outcome_rows(pmf, 1, total, seed, stream, keep_rounds=False)
-    return JammingRecords(jim_choice=jim_choice, outcomes=sums.astype(np.int8))
+    _, rounds = _sample_outcome_rows(pmf, n_rounds * trials, 1, seed, stream, keep_rounds=True)
+    return JammingRecords(jim_choice=jim_choice, outcomes=rounds[0])
 
 
 def scenario_exact_distribution(spec: ScenarioSpec, **kwargs) -> ExactDistribution:

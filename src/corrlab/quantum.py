@@ -146,15 +146,19 @@ class PureState:
     n_qubits: int = field(init=False)
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        if amps.ndim != 1:
+            amps = amps.reshape(-1)
         n = int(amps.size).bit_length() - 1
         if 2**n != amps.size or not (1 <= n <= MAX_QUBITS):
             raise ValueError(f"amplitude vector length {amps.size} is not a supported qubit count")
         norm = math.sqrt(np.vdot(amps, amps).real)
         if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"state is not normalized (norm={norm!r})")
-        amps = amps.copy()
-        amps.setflags(write=False)
+        # A read-only vector that owns its memory cannot change under the state; any other is copied.
+        if amps.flags.writeable or not amps.flags.owndata:
+            amps = amps.copy()
+            amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "n_qubits", n)
 
@@ -237,7 +241,9 @@ def measure(state: PureState, observable: PauliObservable, rng: np.random.Genera
     norm = math.sqrt(np.vdot(doubled, doubled).real)
     if norm < 2e-9:
         raise InvariantViolation("sampled a branch of vanishing probability")
-    post = PureState(doubled / norm)
+    doubled /= norm
+    doubled.setflags(write=False)
+    post = PureState(doubled)
     return MeasurementRecord(observable=observable, outcome=outcome, post_state=post)
 
 

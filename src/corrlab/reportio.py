@@ -101,9 +101,16 @@ def _write(obj, out: list[str], nl: str) -> None:
 
 
 def encode(obj) -> str:
-    """JSON text of a report structure: indent 2, keys sorted, exact values as "n/d" strings."""
+    """JSON text of a report structure: indent 2, keys sorted, exact values as "n/d" strings.
+
+    The writer recurses once per nesting level, so a structure too deep for
+    the interpreter's stack is refused with a ValueError.
+    """
     out: list[str] = []
-    _write(obj, out, "\n")
+    try:
+        _write(obj, out, "\n")
+    except RecursionError:
+        raise ValueError("report nests too deeply to write") from None
     return "".join(out)
 
 

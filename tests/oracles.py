@@ -288,26 +288,32 @@ def convolve_by_dict(
     return {sums: Fraction(w, total) for sums, w in acc.items()}
 
 
-def sample_by_searchsorted(
+def sums_by_table_lookup(
     round_pmf: dict[tuple[int, ...], Fraction],
     n_rounds: int,
     trials: int,
     seed: int,
     stream: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial sums and (trials, N, k) round records by inverse CDF.
+    """Per-trial sums and (trials, N, k) round records by one table lookup per round.
 
-    Draws ``Generator.random`` floats from the same per-(seed, stream)
-    generator as the package, all trials at once, and looks each up in the
-    float CDF of the atoms in ``outcome_tuples`` order with ``searchsorted``.
+    Draws the same raw bit-planes as the package, d planes of ceil(N/64)
+    PCG64 words per trial for a denominator D = 2^d, all trials at once.
+    Round i's table row has bit j equal to bit i % 64 of word i // 64 of
+    plane j, and the table holds the atoms in ``outcome_tuples`` order, each
+    p*D times.
     """
     k = len(next(iter(round_pmf)))
     order = [o for o in itertools.product((1, -1), repeat=k) if o in round_pmf]
-    cdf = np.cumsum([float(round_pmf[o]) for o in order])
-    cdf[-1] = 1.0
+    denom = math.lcm(*(p.denominator for p in round_pmf.values()))
+    d = denom.bit_length() - 1
+    table = np.repeat(np.array(order, dtype=np.int8), [int(round_pmf[o] * denom) for o in order], axis=0)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, *stream)))
-    idx = np.searchsorted(cdf, rng.random((trials, n_rounds)), side="right")
-    rounds = np.array(order, dtype=np.int8)[idx]
+    planes = rng.bit_generator.random_raw((trials, d, -(-n_rounds // 64)))
+    i = np.arange(n_rounds)
+    bits = (planes[:, :, i // 64] >> (i % 64).astype(np.uint64)) & np.uint64(1)
+    rows = (bits << np.arange(d, dtype=np.uint64)[:, None]).sum(axis=1, dtype=np.uint64)
+    rounds = table[rows.astype(np.int64)]
     return rounds.sum(axis=1, dtype=np.int64), rounds
 
 

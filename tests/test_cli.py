@@ -457,23 +457,24 @@ def test_csv_header_holds_for_every_run(command, mode):
 
 # sha256 of each report's stdout, recorded with the csv.writer renderer. The
 # tsirelson and ghz-signal digests were re-recorded when component columns that
-# differ between runs took their axis-free stem.
+# differ between runs took their axis-free stem, and the sampled ones when the
+# bit-sliced sampler moved every seeded draw.
 CSV_REPORT_DIGESTS = [
     (
         ("pr-signal", "--mode", "mc", "--n", "6", "--trials", "10000", "--seed", "0"),
-        "80668e0a469c3c0469cc5a019764ff2a8484652f688bc17a9a489a7830e82ca7",
+        "8443dd9a168570c81638e40089ec10e93a7337a62db601bedc26e47871f2be20",
     ),
     (
         ("tsirelson", "--mode", "mc", "--n", "6", "--trials", "10000", "--seed", "0"),
-        "a9b18c56916f44c2a19a013d273f5f8c79490958a76e6574b678ba5f533bcc9d",
+        "a0c686210b74bb563fdddbe7cf9708454e18c2a6d6cbbef8d6a0527134afa31c",
     ),
     (
         ("ghz-signal", "--mode", "mc", "--n", "6", "--trials", "10000", "--seed", "0"),
-        "922a46b26f1f77ab476cedf9cdaf06a12ec5503b3012e1de91b1fc9c448e4e51",
+        "dbf9fdcf16a3e32bbf56c7613ce804d747b2cf2d7bebf5ea34a3d949070264e8",
     ),
     (
         ("jamming", "--jim", "z", "--n", "6", "--trials", "10000"),
-        "1e21337f901d06174875e52e42ee9d375a559fa9ab2e2f642ef6d34f4ac15167",
+        "5863fc8c030ccf0224916f53f896a91e2f2bf1d8b2c1d2eea9f717211ab25606",
     ),
     (
         ("ghz-signal", "--n", "24"),
@@ -492,20 +493,21 @@ def test_csv_reports_are_pinned(capsys, args, digest):
 
 # sha256 of each JSON report's stdout. The ghz-signal digests were recorded
 # while it still projected the receivers out of the whole (A_x, B_x, J) joint,
-# the others while reports were still written by json.dumps. Causal configs are
-# passed relative to the repository root, which their reports echo.
+# the others while reports were still written by json.dumps; the sampled ones
+# were re-recorded when the bit-sliced sampler moved every seeded draw. Causal
+# configs are passed relative to the repository root, which their reports echo.
 JSON_REPORT_DIGESTS = [
     pytest.param(("ghz-signal", "--n", "1"), "5fcf431f017df14d4fddd4b6c04d82a326ec71db0926c6ba3d835d44887aa212", id="ghz-exact-1"),
     pytest.param(("ghz-signal", "--n", "6"), "a04c021c52dc29bce01c2981abf5186b53467d25c34d25195fa4be7108d095be", id="ghz-exact-6"),
     pytest.param(("ghz-signal", "--n", "24"), "b5ab99b33fb819fd6933ee9555ba89c1fba90b5e252712d3b23f02589fc0f36f", id="ghz-exact-24"),
     pytest.param(
         ("ghz-signal", "--mode", "mc", "--n", "6", "--trials", "10000", "--seed", "0"),
-        "3fda914631b783296eeaf10ec1b37df8c1d98d2bdfa35ec6a6e6f4396068ccde",
+        "4e610fee9bb99c620657f5d400221afead99fc5add75672e6008787e0259fb95",
         id="ghz-mc-6",
     ),
     pytest.param(
         ("ghz-signal", "--mode", "mc", "--n", "60", "--trials", "10000", "--seed", "0"),
-        "005dee521151699d9e2d605d085d9ab339d07e1c01497a2823b1c74aec7fc240",
+        "2bb24f194d81c3046a74ae1738068b500f1385ccd4c78fc4f78a74eee082605b",
         id="ghz-mc-60",
     ),
     pytest.param(("pr-signal", "--n", "1"), "9eef09e47e108a4e821be0a7e76d446c36a3a608f07d51ffa4870b90bdffd7c9", id="pr-exact-1"),
@@ -514,15 +516,15 @@ JSON_REPORT_DIGESTS = [
     pytest.param(("tsirelson", "--n", "24"), "4d0602451d697c8a2dc41a07960635699e7d97b22ea0f9c3cf4d66fce81600dc", id="tsirelson-exact-24"),
     pytest.param(
         ("pr-signal", "--mode", "mc", "--n", "6", "--trials", "10000", "--seed", "0"),
-        "f987b1d915f446d4734ecb8366937d2819048c6cf0d0e8ae00f9184850c56970",
+        "9264c5edf1ae5ab1b6699201636ebb44a06ca7c850869ef0de7bffab34c1df12",
         id="pr-mc-6",
     ),
     pytest.param(
         ("tsirelson", "--mode", "mc", "--n", "6", "--trials", "10000", "--seed", "0"),
-        "6c6deadb93a3163b9515b534946e8fd2dd0227d85f9b3eba2b3b50a3a0a1ac71",
+        "bbdb9d2b4aa7c24860fc5ec9ec030c97e236b94783f5a582fbe4200df6b1d25e",
         id="tsirelson-mc-6",
     ),
-    pytest.param(("jamming", "--jim", "x"), "ad4ed758fb09d840a9c8809e0dfee020e957ae088a41ed3015bb71902cec4288", id="jamming-x"),
+    pytest.param(("jamming", "--jim", "x"), "d9fd03abc79c176abd50aa49a3e5bd6a7ff628cde0dffc2ff83b34269529784b", id="jamming-x"),
     pytest.param(("ghz-algebra",), "45475d9a230f789cab63eed14d9e260ad8eca487dbfe061c936b5fde815e01a1", id="ghz-algebra"),
     pytest.param(
         ("causal", "--config", "scenarios/causal_loop.json"),
@@ -665,15 +667,24 @@ class TestCausalCommand:
         assert proc.returncode == 2
         assert "no analyzable sections" in proc.stderr
 
-    def test_deeply_nested_config(self, tmp_path, capsys):
+    @pytest.mark.parametrize("depth", [987, 988, 989, 5000])
+    def test_deeply_nested_config(self, tmp_path, depth):
+        """A config too deep to read or to echo into the report is refused, whichever fails first.
+
+        From ``python -m corrlab``, ``json.loads`` still reads 987-989 nested
+        arrays, and the report writer, 3 levels further in, runs out of stack.
+        """
         config = tmp_path / "deep.json"
         config.write_text(
-            '{"a_hat": {"t": 0, "x": 0}, "b_hat": {"t": 0, "x": 1}, "deep": ' + "[" * 5000 + "]" * 5000 + "}"
+            '{"a_hat": {"t": 0, "x": 0}, "b_hat": {"t": 0, "x": 1}, "deep": ' + "[" * depth + "]" * depth + "}"
         )
-        assert main(["causal", "--config", str(config)]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"error: config file {config} nests too deeply to read\n"
+        proc = run_proc("causal", "--config", str(config))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr in (
+            f"error: config file {config} nests too deeply to read\n",
+            "error: report nests too deeply to write\n",
+        )
 
     def test_loop_needs_both_maps(self, tmp_path):
         config = tmp_path / "half.json"

@@ -504,21 +504,21 @@ class TestMonteCarlo:
         "runner, kind, n, choice, kwargs, digest",
         [
             (run_pr_scenario, ScenarioKind.PR_BOX, 60, "p", {},
-             "1080cf6a2f1f91af9a0b8f95b3866fd6626b13c1f0262e4813591b5ac9b3153e"),
+             "8c15111cff5594f424d56790e428f7c88f8a0bf20350a0a0afb025128c4e4d00"),
             (run_tsirelson_scenario, ScenarioKind.TSIRELSON, 6, "u", {"bob_axis": "x"},
-             "edc76319b692f68e8ce22b8f0b407bdf9ebe08fcf16471614702ab0461cb5231"),
+             "fbb43d5dd70a5cf88a115f2b09925ce6b18a3380464bc84427150b289a2e5a25"),
             (run_tsirelson_scenario, ScenarioKind.TSIRELSON, 6, "p", {"bob_axis": "x"},
-             "704a3a377424e1723631daa7f9e38d893e49a18b366a4a1db2af94f808ed916d"),
+             "e55b75020ae8b0b72a853ebb459387aa2591b02c8aefe05775298ce4d5ab84dc"),
             (run_ghz_scenario, ScenarioKind.GHZ, 60, "p", {},
-             "feac3cb5f4638ff082e4b141b460b76a056d91c8d98381fc128a4df358e90d7e"),
+             "7bec7772185ab8a29db67dfff02473e51094e144f116b2a543817a9c8e7177f0"),
         ],
         ids=["pr-p-60", "tsirelson-x-u-6", "tsirelson-x-p-6", "ghz-p-60"],
     )
     def test_sampled_sums_are_pinned(self, runner, kind, n, choice, kwargs, digest):
         """The seeded draws and their per-trial sums never change silently.
 
-        The digests are those of the gather-and-sum sampler that preceded
-        the per-component counts.
+        The digests are those of the bit-sliced sampler, recorded when it
+        replaced the one-word-per-round table lookup.
         """
         s = spec(kind, n, choice, mode=RunMode.MONTE_CARLO, trials=100_000, seed=0)
         run = runner(s, **kwargs)
@@ -585,7 +585,7 @@ SAMPLER_STREAM = (7, 1)
 
 
 class TestTableLookupSampler:
-    """The table-lookup sampler draws what ``random`` plus ``searchsorted`` would."""
+    """The bit-sliced sampler draws what one table lookup per round on the same bit-planes would."""
 
     @given(
         pmf=dyadic_round_pmfs(max_exp=16),
@@ -602,9 +602,11 @@ class TestTableLookupSampler:
         seed=2,
     )
     @example(pmf=oracles.lattice_mapping(ghz_round_pmf("p")), n=60, trials=300, seed=3)
+    @example(pmf=oracles.lattice_mapping(ghz_round_pmf("u")), n=64, trials=50, seed=4)
+    @example(pmf=oracles.lattice_mapping(tsirelson_round_pmf("p", "x")), n=129, trials=50, seed=5)
     @settings(max_examples=200, deadline=None)
-    def test_matches_searchsorted(self, pmf, n, trials, seed):
-        want_sums, want_rounds = oracles.sample_by_searchsorted(pmf, n, trials, seed, SAMPLER_STREAM)
+    def test_matches_table_lookup(self, pmf, n, trials, seed):
+        want_sums, want_rounds = oracles.sums_by_table_lookup(pmf, n, trials, seed, SAMPLER_STREAM)
         round_pmf = round_distribution(pmf)
         sums, rounds = _sample_outcome_rows(round_pmf, n, trials, seed, SAMPLER_STREAM, keep_rounds=True)
         assert np.array_equal(rounds, want_rounds)
@@ -616,19 +618,32 @@ class TestTableLookupSampler:
     def test_draws_do_not_depend_on_chunk_size(self, monkeypatch):
         monkeypatch.setattr(ensembles, "_SAMPLE_CHUNK", 7)
         pmf = ghz_round_pmf("p")
-        want_sums, want_rounds = oracles.sample_by_searchsorted(oracles.lattice_mapping(pmf), 5, 52, 11, SAMPLER_STREAM)
-        sums, rounds = _sample_outcome_rows(pmf, 5, 52, 11, SAMPLER_STREAM, keep_rounds=True)
+        want_sums, want_rounds = oracles.sums_by_table_lookup(oracles.lattice_mapping(pmf), 130, 52, 11, SAMPLER_STREAM)
+        sums, rounds = _sample_outcome_rows(pmf, 130, 52, 11, SAMPLER_STREAM, keep_rounds=True)
         assert np.array_equal(rounds, want_rounds)
         assert np.array_equal(sums, want_sums)
 
-    @pytest.mark.parametrize("words", [13, 3], ids=["2-trials", "1-trial"])
+    # A trial of 130 rounds of the Jim-on-y pmf keeps 3 words of each of its
+    # 3 planes live, plus 3 * 11 words of indicator, comparator, popcounts and
+    # unpacked rounds: 42 words.
+    @pytest.mark.parametrize("words", [84, 3], ids=["2-trials", "1-trial"])
     def test_draws_do_not_depend_on_word_budget(self, monkeypatch, words):
         monkeypatch.setattr(ensembles, "_SAMPLE_WORDS", words)
         pmf = ghz_round_pmf("p")
-        want_sums, want_rounds = oracles.sample_by_searchsorted(oracles.lattice_mapping(pmf), 5, 52, 11, SAMPLER_STREAM)
-        sums, rounds = _sample_outcome_rows(pmf, 5, 52, 11, SAMPLER_STREAM, keep_rounds=True)
+        want_sums, want_rounds = oracles.sums_by_table_lookup(oracles.lattice_mapping(pmf), 130, 52, 11, SAMPLER_STREAM)
+        sums, rounds = _sample_outcome_rows(pmf, 130, 52, 11, SAMPLER_STREAM, keep_rounds=True)
         assert np.array_equal(rounds, want_rounds)
         assert np.array_equal(sums, want_sums)
+
+    @pytest.mark.parametrize("choice", ["x", "z"])
+    def test_jamming_triplets_are_the_table_rows_of_their_bits(self, choice):
+        """Jamming's triplets are the rounds of one long trial, in bit order."""
+        records = run_jamming_scenario(7, choice, 30, seed=4)
+        stream = (ensembles._JAMMING_STREAM, 0 if choice == "x" else 1)
+        pmf = oracles.lattice_mapping(jamming_round_pmf(choice))
+        _, want = oracles.sums_by_table_lookup(pmf, 7 * 30, 1, 4, stream)
+        assert records.outcomes.dtype == np.int8
+        assert np.array_equal(records.outcomes, want[0])
 
     def test_peak_memory_is_flat_in_rounds(self):
         """A chunk holds at most 2^20 raw words (8 MiB), so N = 400 peaks no higher than N = 60."""
@@ -718,7 +733,7 @@ class TestJamming:
         records = run_jamming_scenario(6, "z", 100_000, seed=0)
         assert records.outcomes.dtype == np.int8
         digest = hashlib.sha256(records.outcomes.tobytes()).hexdigest()
-        assert digest == "ca1ad21ca91c3bedb91a6dac4d1a38ffe0cb36fbc41cee2a110d7880668fca26"
+        assert digest == "a551fb9e78d6c8ba028e312f2e1559cfbcd80e7500f0a1ea77365fb6dd0522a9"
 
     @settings(max_examples=100, deadline=None)
     @given(trials=st.integers(1, 500), atoms=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))

@@ -1,5 +1,5 @@
 """Checks that tie the package to the files around it: README's example, the benchmark's spans,
-and a consumer inside the package for every public name."""
+a consumer inside the package for every public name, and the numpy pin."""
 
 from __future__ import annotations
 
@@ -11,6 +11,8 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 import corrlab
 
@@ -130,3 +132,16 @@ def test_public_names_have_a_consumer():
         if node.name not in UNCALLED_PUBLIC_NAMES and read[node.name] == _references(node)[node.name]
     ]
     assert not unused, f"public names with no consumer in the package: {unused}"
+
+
+def test_numpy_pin_admits_the_installed_numpy():
+    """pyproject's numpy floor is met by the numpy under test and has the ``bitwise_count`` sampling needs.
+
+    ``np.bitwise_count`` first shipped in numpy 2.0.
+    """
+    pins = re.findall(r'"numpy>=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    assert len(pins) == 1
+    floor = tuple(map(int, pins[0]))
+    installed = tuple(map(int, re.match(r"(\d+)\.(\d+)", np.__version__).groups()))
+    assert (2, 0) <= floor <= installed
+    assert hasattr(np, "bitwise_count")

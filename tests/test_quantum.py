@@ -77,6 +77,18 @@ class TestStates:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
 
+    def test_only_a_vector_nobody_can_write_is_kept_uncopied(self):
+        owned = np.array([1.0, 0.0], dtype=complex)
+        owned.setflags(write=False)
+        assert PureState(owned).amplitudes is owned
+        writable = np.array([1.0, 0.0], dtype=complex)
+        view = writable[::-1]
+        view.setflags(write=False)
+        states = [PureState(writable), PureState(view)]
+        writable[:] = [0.0, 1.0]
+        assert states[0].amplitudes.tolist() == [1.0, 0.0]
+        assert states[1].amplitudes.tolist() == [0.0, 1.0]
+
 
 class TestObservables:
     def test_rejects_unknown_letter(self):
