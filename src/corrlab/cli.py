@@ -11,13 +11,12 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
-from . import boxes, quantum, spacetime
+from . import quantum, spacetime
 from .ensembles import EXACT_MAX_ROUNDS, JammingRecords, RunMode, ScenarioKind, run_jamming_scenario
 from .errors import InvariantViolation
 from .reportio import SCHEMA_VERSION, dump_report
@@ -87,77 +86,13 @@ def _jamming_csv(records: JammingRecords) -> str:
     return "triplet,a_x,b_x,j\n" + _table_lines(prefixes, _SIGN_FIELDS, records.outcomes + 1)
 
 
-def _pr_results(v: SignalingVerdict) -> tuple[dict, dict]:
-    dists = v.distributions
-    variance = v.extras["variance_signature"]
-    results = {"joint_distribution": dists}
-    checks = {
-        "distinguishable": v.distinguishable,
-        "variance_collapse": variance["u"]["var_diff"] == 0 and variance["p"]["var_sum"] == 0,
-    }
-    if v.mode is RunMode.EXACT:
-        p_joint = dists["u"].probability((1, 1))
-        p_anti = dists["p"].probability((1, -1))
-        results["rare_events"] = {
-            "p_both_plus_under_u": p_joint,
-            "p_plus_minus_under_p": p_anti,
-        }
-        rare = Fraction(1, 2**v.n_rounds)
-        checks["rare_event_match"] = p_joint == rare and p_anti == rare
-    return results, checks
-
-
-def _tsirelson_results(v: SignalingVerdict) -> tuple[dict, dict]:
-    box = boxes.make_tsirelson_box()
-    correlations = {
-        "|".join(key): boxes.correlation(box, key)
-        for key in (("u", "u"), ("u", "p"), ("p", "u"), ("p", "p"))
-    }
-    chsh = boxes.chsh_value(box)
-    results = {
-        "box_correlations": correlations,
-        "chsh": chsh,
-        "bob_distribution": v.distributions,
-    }
-    checks = {
-        "no_signaling": not v.distinguishable,
-        "chsh_saturates_quantum_bound": abs(float(chsh) - 2.0 * math.sqrt(2.0)) < 1e-12,
-        "no_signaling_box": boxes.check_no_signaling(box)["holds"],
-    }
-    return results, checks
-
-
-def _ghz_results(v: SignalingVerdict) -> tuple[dict, dict]:
-    results = {
-        "hit_probability": {"u": v.values[0], "p": v.values[1]},
-        "receiver_distribution": v.distributions,
-    }
-    checks = {"no_signaling": not v.distinguishable}
-    if v.mode is RunMode.EXACT:
-        # Sampled hit probabilities are two noisy estimates; only the
-        # thresholded no_signaling check compares them.
-        checks["hit_probabilities_equal"] = v.values[0] == v.values[1]
-        checks["hit_probability_matches"] = v.values[0] == Fraction(1, 4**v.n_rounds)
-    return results, checks
-
-
-# Each scenario subcommand's kind, and the results and checks only it reports
-# besides its verdict's extras.
-_SCENARIOS = {
-    "pr-signal": (ScenarioKind.PR_BOX, _pr_results),
-    "tsirelson": (ScenarioKind.TSIRELSON, _tsirelson_results),
-    "ghz-signal": (ScenarioKind.GHZ, _ghz_results),
-}
+_SCENARIOS = {"pr-signal": ScenarioKind.PR_BOX, "tsirelson": ScenarioKind.TSIRELSON, "ghz-signal": ScenarioKind.GHZ}
 
 
 def cmd_scenario(args) -> tuple[dict, str | None]:
-    """pr-signal, tsirelson and ghz-signal: one verdict, then its tables and checks."""
-    kind, kind_results = _SCENARIOS[args.command]
+    """pr-signal, tsirelson and ghz-signal: one verdict, which holds the report's results and checks."""
     # A CSV report prints each run's every component; a JSON one only what its verdict compared.
-    v = verdict(kind, args.n, _MODES[args.mode], args.trials, args.seed, joint=args.format == "csv")
-    results, checks = kind_results(v)
-    results.update(v.extras)
-    results["verdict"] = v.to_json_obj()
+    v = verdict(_SCENARIOS[args.command], args.n, _MODES[args.mode], args.trials, args.seed, joint=args.format == "csv")
     config = {
         "n": args.n,
         "trials": args.trials,
@@ -165,7 +100,7 @@ def cmd_scenario(args) -> tuple[dict, str | None]:
         "mode": args.mode,
         "format": args.format,
     }
-    report = _envelope(args.command, config, results, checks)
+    report = _envelope(args.command, config, {**v.results, "verdict": v.to_json_obj()}, v.checks)
     return report, _dist_csv(v) if args.format == "csv" else None
 
 

@@ -30,7 +30,6 @@ from .quantum import ghz_state, joint_probabilities
 EXACT_MAX_ROUNDS = 24
 # Alice's and Bob's components of a three-party run: the receivers of Jim's choice.
 GHZ_RECEIVERS = (0, 1)
-_SAMPLE_CHUNK = 1 << 16
 # Live 64-bit words per sampled chunk (2 MiB), so sampling memory stays flat in N.
 _SAMPLE_WORDS = 1 << 18
 _MAX_TABLE_CELLS = 1 << 16
@@ -285,10 +284,6 @@ class EnsembleRun:
     def trials(self) -> int:
         return int(self.sums.shape[0])
 
-    @property
-    def collectives(self) -> np.ndarray:
-        return self.sums / float(self.n_rounds)
-
     def empirical(self) -> ExactDistribution:
         """Empirical pmf of the collectives: each grid cell's count over the trials."""
         return _grid_counts(self.labels, self.sums, self.n_rounds)
@@ -298,12 +293,6 @@ class EnsembleRun:
         cols = list(indices)
         rounds = None if self.rounds is None else self.rounds[:, :, cols]
         return replace(self, labels=tuple(self.labels[i] for i in cols), sums=self.sums[:, cols], rounds=rounds)
-
-    def variance(self, coeffs: tuple[float, ...]) -> float:
-        if self.trials < 2:
-            raise ValueError("variance needs at least 2 samples")
-        combo = self.collectives @ np.asarray(coeffs, dtype=float)
-        return float(combo.var())
 
 
 def _grid_counts(labels: tuple[str, ...], sums: np.ndarray, n_rounds: int) -> ExactDistribution:
@@ -393,7 +382,7 @@ def _sample_outcome_rows(
     # Live words per trial: the planes, the indicator, one comparator, the popcounts
     # and, for round records, the unpacked indicator bytes.
     live = words * (d + 3 + (8 if keep_rounds else 0))
-    chunk_trials = min(_SAMPLE_CHUNK, max(1, _SAMPLE_WORDS // live))
+    chunk_trials = max(1, _SAMPLE_WORDS // live)
     done = 0
     while done < trials:
         chunk = min(chunk_trials, trials - done)

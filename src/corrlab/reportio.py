@@ -17,8 +17,6 @@ from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 from .ensembles import ExactDistribution
 
 SCHEMA_VERSION = 1
@@ -63,12 +61,12 @@ def _write(obj, out: list[str], nl: str) -> None:
         out.append(encode_basestring_ascii(obj))
     elif obj is None:
         out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
+    elif isinstance(obj, bool):
         out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(int.__repr__(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_float_text(float(obj)))
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
     elif isinstance(obj, ExactDistribution):
         out.append(_distribution_text(obj, nl))
     elif isinstance(obj, dict):
@@ -84,14 +82,13 @@ def _write(obj, out: list[str], nl: str) -> None:
             _write(fields[key], out, inner)
             sep = "," + inner
         out.append(nl + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        if not len(items):
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
             out.append("[]")
             return
         inner = nl + _INDENT
         sep = "[" + inner
-        for item in items:
+        for item in obj:
             out.append(sep)
             _write(item, out, inner)
             sep = "," + inner

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 
+from . import boxes
 from .ensembles import (
     GHZ_RECEIVERS,
     SCENARIO_RUNNERS,
@@ -37,15 +38,17 @@ class SignalingVerdict:
 
     ``values`` holds the designated statistic evaluated under choice 0 and
     choice 1; the receiver can tell the choices apart exactly when the two
-    values differ by more than ``threshold``.  ``distributions`` holds the
-    distributions the verdict compared, keyed by sender choice (prefixed by
-    Bob's axis for the Tsirelson box): exact ones, or the empirical pmfs of
-    sampled runs.  ``runs`` holds the runs themselves under the same keys,
-    as a CSV report prints them: exact distributions, or sampled runs with
-    their per-trial sums.  For the three-party box ``distributions`` keeps
-    only the receivers' (A_x, B_x), all its verdict compares, while its
+    values differ by more than ``threshold``.  ``results`` and ``checks``
+    are the scenario's whole report section besides the verdict itself:
+    every statistic in them is read from the per-choice distributions the
+    verdict compared (exact ones, or the empirical pmfs of sampled runs),
+    as a rational in exact mode and a float in sampled mode.  ``runs``
+    holds the runs under the keys of those distributions (sender choice,
+    prefixed by Bob's axis for the Tsirelson box), as a CSV report prints
+    them: exact distributions, or sampled runs with their per-trial sums.
+    The three-party box compares only the receivers' (A_x, B_x), while its
     sampled runs, and exact ones asked for as ``joint``, keep Jim's
-    component too.  Neither goes into the verdict's JSON.
+    component too.
     """
 
     scenario: ScenarioKind
@@ -56,8 +59,8 @@ class SignalingVerdict:
     distinguishable: bool
     threshold: Fraction | float
     seed: int
-    extras: dict = field(default_factory=dict)
-    distributions: dict[str, ExactDistribution] = field(default_factory=dict, repr=False)
+    results: dict = field(default_factory=dict, repr=False)
+    checks: dict = field(default_factory=dict)
     runs: dict[str, ExactDistribution | EnsembleRun] = field(default_factory=dict, repr=False)
 
     def to_json_obj(self) -> dict:
@@ -88,7 +91,7 @@ def total_variation(p: ExactDistribution, q: ExactDistribution) -> Fraction:
     return Fraction(total + sum(rest.values()) * dp, 2 * dp * dq)
 
 
-def variance_signature(dist: ExactDistribution | EnsembleRun) -> dict[str, Fraction | float]:
+def variance_signature(dist: ExactDistribution) -> dict[str, Fraction]:
     """Variances of the sum and difference of a two-component collective."""
     if len(dist.labels) != 2:
         raise ValueError("variance signature needs exactly two components")
@@ -155,11 +158,14 @@ def jamming_unary_exact() -> dict:
 
 
 def _mode_value(value, mode: RunMode):
-    """Report rationals in exact mode, floats in sampled mode.
+    """Report rationals in exact mode, floats in sampled mode, through nested dicts.
 
     Empirical pmfs are exact over the sample, so their statistics come out
-    as Fractions; rendering them as floats keeps sampled reports uniform.
+    as Fractions; each is floated once, so a sampled report prints the
+    correctly rounded statistic of its sample.
     """
+    if isinstance(value, dict):
+        return {key: _mode_value(v, mode) for key, v in value.items()}
     return value if mode is RunMode.EXACT else float(value)
 
 
@@ -176,10 +182,11 @@ def _distributions(runs: dict, mode: RunMode) -> dict[str, ExactDistribution]:
     return {key: run.empirical() for key, run in runs.items()}
 
 
-def _verdict(
-    spec: ScenarioSpec, statistic: Statistic, values: tuple, extras: dict, runs: dict, dists: dict
-) -> SignalingVerdict:
-    """The verdict on ``values``, thresholded as the spec's mode requires."""
+def _verdict(spec: ScenarioSpec, statistic: Statistic, values: tuple, runs: dict) -> SignalingVerdict:
+    """The verdict on ``values``, thresholded as the spec's mode requires.
+
+    Its ``results`` and ``checks`` start empty for the scenario to fill in.
+    """
     threshold = 5.0 / math.sqrt(spec.trials) if spec.mode is RunMode.MONTE_CARLO else Fraction(0)
     return SignalingVerdict(
         scenario=spec.kind,
@@ -190,8 +197,6 @@ def _verdict(
         distinguishable=not _passes(abs(values[1] - values[0]), threshold),
         threshold=threshold,
         seed=spec.seed,
-        extras=extras,
-        distributions=dists,
         runs=runs,
     )
 
@@ -203,15 +208,29 @@ def pr_verdict(
 
     The statistic is total variation against the choice-0 reference, so
     values are (0, TV between the two joint distributions).  The variance
-    signatures of B+B' and B-B' under each choice ride along as extras.
-    ``joint`` changes nothing: the runs already hold both of Bob's components.
+    signatures of B+B' and B-B' under each choice ride along, and exact
+    runs add the rare events P(B=B'=1 | u) and P(B=1, B'=-1 | p), each
+    2^-N.  ``joint`` changes nothing: the runs already hold both of Bob's
+    components.
     """
     spec = ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=n_rounds, trials=trials, seed=seed, mode=mode)
     runs = _run_choices(spec)
     dists = _distributions(runs, mode)
-    values = (_mode_value(Fraction(0), mode), _mode_value(total_variation(dists["u"], dists["p"]), mode))
-    extras = {"variance_signature": {c: variance_signature(run) for c, run in runs.items()}}
-    return _verdict(spec, Statistic.TOTAL_VARIATION, values, extras, runs, dists)
+    tv = total_variation(dists["u"], dists["p"])
+    variance = _mode_value({c: variance_signature(dist) for c, dist in dists.items()}, mode)
+    v = _verdict(spec, Statistic.TOTAL_VARIATION, (_mode_value(Fraction(0), mode), _mode_value(tv, mode)), runs)
+    v.results.update(joint_distribution=dists, variance_signature=variance)
+    v.checks.update(
+        distinguishable=v.distinguishable,
+        variance_collapse=variance["u"]["var_diff"] == 0 and variance["p"]["var_sum"] == 0,
+    )
+    if mode is RunMode.EXACT:
+        p_joint = dists["u"].probability((1, 1))
+        p_anti = dists["p"].probability((1, -1))
+        v.results["rare_events"] = {"p_both_plus_under_u": p_joint, "p_plus_minus_under_p": p_anti}
+        rare = Fraction(1, 2**n_rounds)
+        v.checks["rare_event_match"] = p_joint == rare and p_anti == rare
+    return v
 
 
 def tsirelson_verdict(
@@ -221,7 +240,8 @@ def tsirelson_verdict(
 
     Bob's accessible collectives are the z and x ensemble averages (the
     rescaled sum and difference of his two tilted observables); the
-    verdict statistic is the worse of the two total variations.  ``joint``
+    verdict statistic is the worse of the two total variations.  The
+    Bell-state box's correlations and CHSH value ride along.  ``joint``
     changes nothing: each run holds Bob's one component, all there is.
     """
     spec = ScenarioSpec(kind=ScenarioKind.TSIRELSON, n_rounds=n_rounds, trials=trials, seed=seed, mode=mode)
@@ -231,16 +251,24 @@ def tsirelson_verdict(
         for choice, run in _run_choices(spec, bob_axis=axis).items()
     }
     dists = _distributions(runs, mode)
-    tvs = {
-        axis: _mode_value(total_variation(dists[f"{axis}|u"], dists[f"{axis}|p"]), mode)
-        for axis in ("z", "x")
-    }
-    variances = {
-        axis: {c: runs[f"{axis}|{c}"].variance((1,)) for c in ("u", "p")} for axis in ("z", "x")
-    }
-    values = (_mode_value(Fraction(0), mode), max(tvs.values()))
-    extras = {"tv_per_axis": tvs, "collective_variance": variances}
-    return _verdict(spec, Statistic.TOTAL_VARIATION, values, extras, runs, dists)
+    tvs = _mode_value({axis: total_variation(dists[f"{axis}|u"], dists[f"{axis}|p"]) for axis in ("z", "x")}, mode)
+    variances = {axis: {c: dists[f"{axis}|{c}"].variance((1,)) for c in ("u", "p")} for axis in ("z", "x")}
+    v = _verdict(spec, Statistic.TOTAL_VARIATION, (_mode_value(Fraction(0), mode), max(tvs.values())), runs)
+    box = boxes.make_tsirelson_box()
+    chsh = boxes.chsh_value(box)
+    v.results.update(
+        box_correlations={f"{a}|{b}": boxes.correlation(box, (a, b)) for a in ("u", "p") for b in ("u", "p")},
+        chsh=chsh,
+        bob_distribution=dists,
+        tv_per_axis=tvs,
+        collective_variance=_mode_value(variances, mode),
+    )
+    v.checks.update(
+        no_signaling=not v.distinguishable,
+        chsh_saturates_quantum_bound=abs(float(chsh) - 2.0 * math.sqrt(2.0)) < 1e-12,
+        no_signaling_box=boxes.check_no_signaling(box)["holds"],
+    )
+    return v
 
 
 def ghz_verdict(
@@ -254,11 +282,12 @@ def ghz_verdict(
     distribution rides along as the strongest accessible comparison.
 
     Every statistic is a function of the receivers' (A_x, B_x) pair, so
-    ``distributions`` holds theirs alone.  Exact mode convolves only their
-    round marginal, and with ``joint`` also runs the whole (A_x, B_x, J)
-    joint into ``runs``, for a report that prints it.  Sampled runs always
-    draw whole triplets, so their draws do not depend on what a report
-    prints, and only the receivers' two columns are histogrammed.
+    the report's distributions are theirs alone.  Exact mode convolves
+    only their round marginal, and with ``joint`` also runs the whole
+    (A_x, B_x, J) joint into ``runs``, for a report that prints it.
+    Sampled runs always draw whole triplets, so their draws do not depend
+    on what a report prints, and only the receivers' two columns are
+    histogrammed.
     """
     spec = ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=n_rounds, trials=trials, seed=seed, mode=mode)
     if mode is RunMode.EXACT:
@@ -267,10 +296,20 @@ def ghz_verdict(
     else:
         runs = _run_choices(spec)
         receivers = _distributions({c: run.marginal(GHZ_RECEIVERS) for c, run in runs.items()}, mode)
-    hits = tuple(_mode_value(receivers[c].probability((1, 1)), mode) for c in ("u", "p"))
-    tv_joint = total_variation(receivers["u"], receivers["p"])
-    extras = {"tv_joint_receiver": _mode_value(tv_joint, mode)}
-    return _verdict(spec, Statistic.CONDITIONAL_PROBABILITY, hits, extras, runs, receivers)
+    hits = _mode_value({c: dist.probability((1, 1)) for c, dist in receivers.items()}, mode)
+    v = _verdict(spec, Statistic.CONDITIONAL_PROBABILITY, (hits["u"], hits["p"]), runs)
+    v.results.update(
+        hit_probability=hits,
+        receiver_distribution=receivers,
+        tv_joint_receiver=_mode_value(total_variation(receivers["u"], receivers["p"]), mode),
+    )
+    v.checks["no_signaling"] = not v.distinguishable
+    if mode is RunMode.EXACT:
+        # Sampled hit probabilities are two noisy estimates; only the
+        # thresholded no_signaling check compares them.
+        v.checks["hit_probabilities_equal"] = hits["u"] == hits["p"]
+        v.checks["hit_probability_matches"] = hits["u"] == Fraction(1, 4**n_rounds)
+    return v
 
 
 _VERDICTS = {

@@ -9,6 +9,7 @@ tests cannot share a bug.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -236,6 +237,14 @@ def apply_by_matmul(observable, amps: np.ndarray) -> np.ndarray:
     return -out if observable.sign < 0 else out
 
 
+def commutator_norm_by_dense(a, b) -> float:
+    """Frobenius norm of ab - ba from the observables' dense Kronecker-product matrices."""
+    ma, mb = (
+        obs.sign * functools.reduce(np.kron, [_site_matrix(f) for f in obs.factors], np.eye(1)) for obs in (a, b)
+    )
+    return float(np.linalg.norm(ma @ mb - mb @ ma))
+
+
 def joint_probability_by_matmul(amps: np.ndarray, factors, outcome: tuple[int, ...]) -> float:
     """Born probability of one joint outcome: the 2x2 projectors (I + o*M)/2 contracted site by site."""
     eye = np.eye(2, dtype=complex)
@@ -355,7 +364,7 @@ def render_csv_by_writer(source) -> str:
         else:
             header = ["choice", "trial", *labels]
             for choice, run in v.runs.items():
-                for trial, row in enumerate(run.collectives):
+                for trial, row in enumerate(run.sums / run.n_rounds):
                     rows.append([choice, trial, *[float(x) for x in row]])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -367,23 +376,16 @@ def render_csv_by_writer(source) -> str:
 def plain_values(obj):
     """A report structure as plain JSON values, by one converted copy of every node.
 
-    Fractions become "n/d" strings, enums their values, numpy scalars and
-    arrays Python ones, and each ``ExactDistribution`` the list of its
-    atoms read through ``lattice_mapping``.  The report writer's former
-    first pass.
+    Fractions become "n/d" strings, enums their values, and each
+    ``ExactDistribution`` the list of its atoms read through
+    ``lattice_mapping``.  The report writer's former first pass.
     """
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, Enum):
         return obj.value
-    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
+    if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
     if isinstance(obj, ExactDistribution):
         return [
             {"value": plain_values(point), "numerator": p.numerator, "denominator": p.denominator}
@@ -393,8 +395,6 @@ def plain_values(obj):
         return {str(k): plain_values(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [plain_values(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [plain_values(v) for v in obj.tolist()]
     raise TypeError(f"cannot encode {type(obj).__name__} into a report")
 
 

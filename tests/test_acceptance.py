@@ -94,7 +94,7 @@ def test_ghz_assignment_search_is_empty():
 def test_collective_readout_signals():
     t0 = time.perf_counter()
     verdict = pr_verdict(6, RunMode.EXACT)
-    sig = verdict.extras["variance_signature"]
+    sig = verdict.results["variance_signature"]
     tv = verdict.values[1]
     var_b = scenario_exact_distribution(
         ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=6, sender_choice="u")
@@ -138,7 +138,7 @@ def test_rare_event_probabilities():
 def test_tsirelson_statistics_are_silent():
     t0 = time.perf_counter()
     verdict = tsirelson_verdict(6, RunMode.EXACT)
-    tvs = verdict.extras["tv_per_axis"]
+    tvs = verdict.results["tv_per_axis"]
     exact_zero = all(isinstance(tv, Fraction) and tv == 0 for tv in tvs.values())
     elapsed = time.perf_counter() - t0
     ok = exact_zero and not verdict.distinguishable and elapsed < 1.0
@@ -153,7 +153,7 @@ def test_tsirelson_statistics_are_silent():
 def test_ghz_rare_events_are_equal():
     t0 = time.perf_counter()
     verdict = ghz_verdict(5, RunMode.EXACT)
-    tv = verdict.extras["tv_joint_receiver"]
+    tv = verdict.results["tv_joint_receiver"]
     elapsed = time.perf_counter() - t0
     ok = (
         verdict.values == (Fraction(1, 1024), Fraction(1, 1024))
@@ -174,7 +174,7 @@ def test_ghz_rare_events_at_exact_limit():
     n = ensembles.EXACT_MAX_ROUNDS
     t0 = time.perf_counter()
     verdict = ghz_verdict(n, RunMode.EXACT)
-    tv = verdict.extras["tv_joint_receiver"]
+    tv = verdict.results["tv_joint_receiver"]
     elapsed = time.perf_counter() - t0
     want = Fraction(1, 4**n)
     ok = (

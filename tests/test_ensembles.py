@@ -557,21 +557,13 @@ class TestMonteCarlo:
         assert sum(emp.weights) == emp.denominator == 400
         assert all(v[1] == v[0] for v in oracles.lattice_mapping(emp))
         assert run.trials == 400
-        np.testing.assert_allclose(run.collectives, run.sums / 2.0)
 
     def test_mean_and_variance_match_numpy(self):
         run = run_pr_scenario(
             spec(ScenarioKind.PR_BOX, 3, mode=RunMode.MONTE_CARLO, trials=300, seed=8)
         )
-        combo = run.collectives @ np.array([1.0, -1.0])
-        assert run.variance((1.0, -1.0)) == pytest.approx(float(combo.var()))
-
-    def test_variance_needs_two_samples(self):
-        run = run_pr_scenario(
-            spec(ScenarioKind.PR_BOX, 3, mode=RunMode.MONTE_CARLO, trials=1, seed=8)
-        )
-        with pytest.raises(ValueError, match="2 samples"):
-            run.variance((1.0, 1.0))
+        combo = (run.sums / 3.0) @ np.array([1.0, -1.0])
+        assert float(run.empirical().variance((1, -1))) == pytest.approx(float(combo.var()))
 
     def test_convergence_to_exact(self):
         trials = 40_000
@@ -615,18 +607,11 @@ class TestTableLookupSampler:
         assert rounds is None
         assert np.array_equal(sums, want_sums)
 
-    def test_draws_do_not_depend_on_chunk_size(self, monkeypatch):
-        monkeypatch.setattr(ensembles, "_SAMPLE_CHUNK", 7)
-        pmf = ghz_round_pmf("p")
-        want_sums, want_rounds = oracles.sums_by_table_lookup(oracles.lattice_mapping(pmf), 130, 52, 11, SAMPLER_STREAM)
-        sums, rounds = _sample_outcome_rows(pmf, 130, 52, 11, SAMPLER_STREAM, keep_rounds=True)
-        assert np.array_equal(rounds, want_rounds)
-        assert np.array_equal(sums, want_sums)
-
     # A trial of 130 rounds of the Jim-on-y pmf keeps 3 words of each of its
     # 3 planes live, plus 3 * 11 words of indicator, comparator, popcounts and
-    # unpacked rounds: 42 words.
-    @pytest.mark.parametrize("words", [84, 3], ids=["2-trials", "1-trial"])
+    # unpacked rounds: 42 words.  294 words hold 7 of the 52 trials, which
+    # leaves a last chunk of 3.
+    @pytest.mark.parametrize("words", [294, 84, 3], ids=["7-trials", "2-trials", "1-trial"])
     def test_draws_do_not_depend_on_word_budget(self, monkeypatch, words):
         monkeypatch.setattr(ensembles, "_SAMPLE_WORDS", words)
         pmf = ghz_round_pmf("p")
@@ -646,7 +631,7 @@ class TestTableLookupSampler:
         assert np.array_equal(records.outcomes, want[0])
 
     def test_peak_memory_is_flat_in_rounds(self):
-        """A chunk holds at most 2^20 raw words (8 MiB), so N = 400 peaks no higher than N = 60."""
+        """A chunk holds at most 2^18 live words (2 MiB), so N = 400 peaks no higher than N = 60."""
 
         def peak_bytes(n):
             tracemalloc.start()

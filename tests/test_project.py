@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import ast
 import json
-import os
 import re
 import subprocess
 import sys
@@ -15,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import corrlab
+from child_env import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(corrlab.__file__).resolve().parent.parent
@@ -62,13 +62,11 @@ def test_benchmark_spans_find_their_functions():
     one ``dump_report`` span around one ``encode`` span, so a writer that
     skips ``encode``, or reaches it once per node, fails here too.
     """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", _TRACED_REPORTS, str(ROOT / "perfbench")],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)

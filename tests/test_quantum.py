@@ -285,6 +285,20 @@ class TestMeasurement:
         )
         assert tv < 4.0 / math.sqrt(trials)
 
+    def test_sequential_on_twelve_qubits(self):
+        """Commutation is checked at every supported qubit count, not only up to 10."""
+        n = MAX_QUBITS
+        amps = np.zeros(2**n, dtype=complex)
+        amps[0] = amps[-1] = 1 / RT2
+        state = PureState(amps)
+        z0, z1 = obs("Z", *"I" * (n - 1)), obs("I", "Z", *"I" * (n - 2))
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            first, second = sequential_measure(state, (z0, z1), rng)
+            assert first.outcome == second.outcome
+        with pytest.raises(NonCommutingError):
+            sequential_measure(state, (z0, obs("X", *"I" * (n - 1))), rng)
+
     def test_outcomes_are_pinned(self):
         """The seeded measurement outcomes never change silently.
 
@@ -459,3 +473,21 @@ def test_signed_permutation_matches_matmul(n, seed, a_factors, b_factors, a_sign
     outcome, post = oracles.measure_by_matmul(amps, a, np.random.default_rng(seed))
     assert rec.outcome == outcome
     np.testing.assert_allclose(rec.post_state.amplitudes, post, rtol=0, atol=1e-12)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=10),
+    a_factors=_SITE_FACTORS,
+    b_factors=_SITE_FACTORS,
+    a_sign=st.sampled_from((1, -1)),
+    b_sign=st.sampled_from((1, -1)),
+)
+@example(n=10, a_factors=_TWELVE, b_factors=_TWELVE[::-1], a_sign=1, b_sign=-1)
+@example(n=10, a_factors=_TWELVE, b_factors=["X", 0.3, *"IIIIIIII"], a_sign=1, b_sign=-1)
+@settings(max_examples=40)
+def test_commutator_norm_matches_dense(n, a_factors, b_factors, a_sign, b_sign):
+    """The kernel's commutator norm agrees with the dense Kronecker-product oracle up to 10 qubits."""
+    a = PauliObservable(tuple(a_factors[:n]), sign=a_sign)
+    b = PauliObservable(tuple(b_factors[:n]), sign=b_sign)
+    want = oracles.commutator_norm_by_dense(a, b)
+    assert commutator_norm(a, b) == pytest.approx(want, rel=1e-12, abs=1e-12)

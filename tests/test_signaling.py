@@ -130,7 +130,7 @@ class TestExactVerdicts:
         assert v.statistic is Statistic.TOTAL_VARIATION
         assert v.values == (Fraction(0), Fraction(11, 16))
         assert v.threshold == Fraction(0)
-        sig = v.extras["variance_signature"]
+        sig = v.results["variance_signature"]
         assert sig["u"] == {"var_sum": Fraction(2, 3), "var_diff": Fraction(0)}
         assert sig["p"] == {"var_sum": Fraction(0), "var_diff": Fraction(2, 3)}
 
@@ -138,18 +138,18 @@ class TestExactVerdicts:
         v = tsirelson_verdict(6, RunMode.EXACT)
         assert v.distinguishable is False
         for axis in ("z", "x"):
-            tv = v.extras["tv_per_axis"][axis]
+            tv = v.results["tv_per_axis"][axis]
             # identically zero, not merely below threshold
             assert isinstance(tv, Fraction) and tv == 0
             for choice in ("u", "p"):
-                assert v.extras["collective_variance"][axis][choice] == Fraction(1, 6)
+                assert v.results["collective_variance"][axis][choice] == Fraction(1, 6)
 
     def test_ghz_rare_event_probabilities_are_equal(self):
         v = ghz_verdict(5, RunMode.EXACT)
         assert v.statistic is Statistic.CONDITIONAL_PROBABILITY
         assert v.values == (Fraction(1, 1024), Fraction(1, 1024))
         assert v.distinguishable is False
-        tv = v.extras["tv_joint_receiver"]
+        tv = v.results["tv_joint_receiver"]
         assert isinstance(tv, Fraction) and tv == 0
 
     def test_dispatcher(self):
@@ -198,6 +198,28 @@ class TestSampledVerdicts:
         assert tsirelson_verdict(6, RunMode.MONTE_CARLO, trials=20_000, seed=3).distinguishable is False
         assert ghz_verdict(6, RunMode.MONTE_CARLO, trials=20_000, seed=3).distinguishable is False
 
+    @pytest.mark.parametrize("trials", [1, 2, 3, 300])
+    def test_variances_are_the_samples_exact_variances(self, trials):
+        """Each sampled variance is float() of the exact variance of its sample, 0.0 for one trial."""
+
+        def sample_variance(sums, coeffs, n):
+            values = [Fraction(sum(c * int(s) for c, s in zip(coeffs, row)), n) for row in sums]
+            mean = sum(values) / len(values)
+            return float(sum((x - mean) ** 2 for x in values) / len(values))
+
+        pr = pr_verdict(6, RunMode.MONTE_CARLO, trials, seed=5)
+        for choice, run in pr.runs.items():
+            assert pr.results["variance_signature"][choice] == {
+                "var_sum": sample_variance(run.sums, (1, 1), 6),
+                "var_diff": sample_variance(run.sums, (1, -1), 6),
+            }
+        ts = tsirelson_verdict(6, RunMode.MONTE_CARLO, trials, seed=5)
+        for key, run in ts.runs.items():
+            axis, choice = key.split("|")
+            assert ts.results["collective_variance"][axis][choice] == sample_variance(run.sums, (1,), 6)
+        if trials == 1:
+            assert pr.results["variance_signature"]["u"]["var_sum"] == 0.0
+
     def test_agreement_with_exact_across_seeds(self):
         # sampled verdicts at trials = 10^5 must match the exact verdicts in
         # at least 99 of the 100 seeds 0..99, per scenario kind
@@ -234,8 +256,8 @@ class TestGhzReceivers:
     @pytest.mark.parametrize("n", range(1, EXACT_MAX_ROUNDS + 1))
     def test_exact(self, n):
         v = ghz_verdict(n, RunMode.EXACT)
-        assert set(v.distributions) == {"u", "p"}
-        for choice, receivers in v.distributions.items():
+        assert set(v.results["receiver_distribution"]) == {"u", "p"}
+        for choice, receivers in v.results["receiver_distribution"].items():
             joint = run_ghz_scenario(ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=n, sender_choice=choice))
             assert_same_distribution(receivers, joint.marginal((0, 1)))
 
@@ -245,10 +267,11 @@ class TestGhzReceivers:
     @example(n=200, trials=300, seed=2**64 - 1)
     def test_sampled(self, n, trials, seed):
         v = ghz_verdict(n, RunMode.MONTE_CARLO, trials, seed)
-        assert set(v.distributions) == set(v.runs) == {"u", "p"}
+        receivers = v.results["receiver_distribution"]
+        assert set(receivers) == set(v.runs) == {"u", "p"}
         for choice, run in v.runs.items():
             assert run.labels[:2] == ("A_x", "B_x") and len(run.labels) == 3
-            assert_same_distribution(v.distributions[choice], oracles.receivers_by_full_empirical(run))
+            assert_same_distribution(receivers[choice], oracles.receivers_by_full_empirical(run))
 
 
 class TestUnaryCondition:
