@@ -291,6 +291,10 @@ _COMMANDS = {
 }
 
 
+# The commands whose handlers also return a CSV report.
+_CSV_COMMANDS = {*_SCENARIOS, "jamming"}
+
+
 def _add_output_flags(sp) -> None:
     sp.add_argument("--out", default=None, help="write the report to this path instead of stdout")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
@@ -344,11 +348,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handler = _COMMANDS[args.command]
     try:
+        if args.format == "csv" and args.command not in _CSV_COMMANDS:
+            raise ValueError(f"csv output is not available for {args.command}")
         report, text = handler(args)
         if args.format != "csv":
             text = dump_report(report)
-        elif text is None:
-            raise ValueError(f"csv output is not available for {args.command}")
         _emit(text, args.out)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -5,7 +5,9 @@ variables, the per-component averages (1/N)*sum of +1/-1 round outcomes.
 Exact mode computes the full joint pmf of the collectives, as integer
 weights over one denominator, by N-fold convolution of the single-round
 pmf; Monte Carlo mode samples trials with reproducible per-(seed,
-scenario, choice) random streams and histograms them on the same grid.
+scenario, choice) random streams and histograms them on the same grid,
+by counting every grid cell when the grid is small next to the trials and
+by sorting the trials' cells when it is not.
 A sampled trial is a few random bit-planes, each word of which holds one
 bit of 64 rounds, and its component sums are popcounts of bit-sliced
 indicators.  Seeded draws changed when this sampler replaced the
@@ -33,6 +35,8 @@ GHZ_RECEIVERS = (0, 1)
 # Live 64-bit words per sampled chunk (2 MiB), so sampling memory stays flat in N.
 _SAMPLE_WORDS = 1 << 18
 _MAX_TABLE_CELLS = 1 << 16
+# Grid cells per trial up to which a histogram counts every cell rather than sorting the trials.
+_COUNT_CELLS_PER_TRIAL = 4
 
 
 class ScenarioKind(Enum):
@@ -296,17 +300,36 @@ class EnsembleRun:
 
 
 def _grid_counts(labels: tuple[str, ...], sums: np.ndarray, n_rounds: int) -> ExactDistribution:
-    """The pmf of (trials, k) component sums: the occupied grid cells and their counts."""
+    """The pmf of (trials, k) component sums: the occupied grid cells and their counts.
+
+    A grid of at most ``_COUNT_CELLS_PER_TRIAL`` cells per trial is counted
+    whole, in time linear in the trials: a trial's cell is the sum over
+    components of s_c (N+1)^(k-1-c) plus N * sum_j (N+1)^j, halved, which
+    is exact since every s_c + N is even, and ``np.bincount`` lists the
+    occupied cells in order.  A larger grid sorts the trials' cells instead,
+    so the count array never outgrows the sums by more than that factor.
+    """
     base, k = n_rounds + 1, sums.shape[1]
-    # The narrowest unsigned type that holds every cell: uint8 for jamming's 8, object
-    # (Python ints) past 2^64, which k = 3 reaches beyond N of about 2.6e6.
-    digits = ((sums + n_rounds) // 2).astype(np.min_scalar_type(base**k - 1))
+    trials, size = sums.shape[0], base**k
+    if size <= _COUNT_CELLS_PER_TRIAL * trials:
+        cells = sums[:, 0].astype(np.intp)
+        for c in range(1, k):
+            cells *= base
+            cells += sums[:, c]
+        cells += n_rounds * sum(base**j for j in range(k))
+        cells >>= 1
+        counts = np.bincount(cells, minlength=size)
+        cells = np.flatnonzero(counts)
+        return ExactDistribution(labels, n_rounds, cells.tolist(), counts[cells].tolist(), trials)
+    # The narrowest unsigned type that holds every cell: object (Python ints)
+    # past 2^64, which k = 3 reaches beyond N of about 2.6e6.
+    digits = ((sums + n_rounds) // 2).astype(np.min_scalar_type(size - 1))
     cells = digits[:, 0].copy()
     for c in range(1, k):
         cells *= base
         cells += digits[:, c]
     cells, counts = np.unique(cells, return_counts=True)
-    return ExactDistribution(labels, n_rounds, cells.tolist(), counts.tolist(), sums.shape[0])
+    return ExactDistribution(labels, n_rounds, cells.tolist(), counts.tolist(), trials)
 
 
 def _stream_rng(seed: int, stream: tuple[int, ...]) -> np.random.Generator:

@@ -204,18 +204,27 @@ def _commutes(a: PauliObservable, b: PauliObservable) -> bool:
 def commutator_norm(a: PauliObservable, b: PauliObservable) -> float:
     """Frobenius norm of [a, b] = ab - ba: the root of the summed squares of its columns.
 
-    Each block of columns is ab - ba applied to a block of basis vectors.
+    A site where one factor is "I" or both are the same commutes, so it
+    splits off [a, b] as a tensor factor a_k b_k, a 2x2 unitary whose
+    squared norm is exactly 2.  The m such sites are dropped and scale the
+    squares by 2^m.  Each block of columns of the rest is ab - ba applied
+    to a block of basis vectors.
     """
     if a.n_qubits != b.n_qubits:
         raise ValueError("observables act on different qubit counts")
-    dim = 2**a.n_qubits
+    kept = [(fa, fb) for fa, fb in zip(a.factors, b.factors) if "I" not in (fa, fb) and fa != fb]
+    if not kept:
+        return 0.0
+    a_kept = PauliObservable(tuple(fa for fa, _ in kept), a.sign)
+    b_kept = PauliObservable(tuple(fb for _, fb in kept), b.sign)
+    dim = 2 ** len(kept)
     step = max(1, _COMMUTATOR_BLOCK // dim)
     squares = 0.0
     for start in range(0, dim, step):
         basis = np.eye(dim, min(step, dim - start), -start, dtype=complex)
-        columns = _apply(a, _apply(b, basis)) - _apply(b, _apply(a, basis))
+        columns = _apply(a_kept, _apply(b_kept, basis)) - _apply(b_kept, _apply(a_kept, basis))
         squares += np.vdot(columns, columns).real
-    return math.sqrt(squares)
+    return math.sqrt(squares * 2 ** (a.n_qubits - len(kept)))
 
 
 def commutes(a: PauliObservable, b: PauliObservable) -> bool:

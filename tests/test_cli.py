@@ -225,10 +225,16 @@ class TestGhzAlgebraCommand:
         }
         assert all(report["checks"].values())
 
-    def test_no_csv_available(self):
-        proc = run_proc("ghz-algebra", "--format", "csv")
+    @pytest.mark.parametrize(
+        "args",
+        [("ghz-algebra",), ("causal", "--config", "no-such-config.json")],
+        ids=["ghz-algebra", "causal-missing-config"],
+    )
+    def test_no_csv_available(self, args):
+        """CSV is refused before the command runs, so a missing config is never read."""
+        proc = run_proc(*args, "--format", "csv")
         assert proc.returncode == 2
-        assert "csv output is not available" in proc.stderr
+        assert proc.stderr == f"error: csv output is not available for {args[0]}\n"
 
 
 class TestJammingCommand:
@@ -522,7 +528,24 @@ JSON_REPORT_DIGESTS = [
         "c9bb03a97c68984e967ff1550fc9ffff443f9a9d16348cfaaa90768aa7f396cd",
         id="tsirelson-mc-6",
     ),
+    pytest.param(
+        ("pr-signal", "--mode", "mc", "--n", "60"),
+        "a6d588824118bf59ae2be6815d02db3a50784feec41e41b2e223431adccfc677",
+        id="pr-mc-60",
+    ),
+    pytest.param(
+        ("tsirelson", "--mode", "mc", "--n", "60"),
+        "97aef83e09ca03652bed195243c19ee6052ec8e8d68fb9b5cd1234860d98a24d",
+        id="tsirelson-mc-60",
+    ),
+    # Its (N+1)^2 = 4e8-cell grid dwarfs the 50 trials, so the histogram sorts them.
+    pytest.param(
+        ("pr-signal", "--mode", "mc", "--n", "20000", "--trials", "50"),
+        "90cf773505c4c972562b396a6621dae4eceba787a5241e0a29ae4d7ce15e5bc9",
+        id="pr-mc-20000-sorted",
+    ),
     pytest.param(("jamming", "--jim", "x"), "d9fd03abc79c176abd50aa49a3e5bd6a7ff628cde0dffc2ff83b34269529784b", id="jamming-x"),
+    pytest.param(("jamming", "--jim", "z"), "1ea266a0a2d76c0e5103133f3765bc001e9b59ad758db1bfca5df5b97070205c", id="jamming-z"),
     pytest.param(("ghz-algebra",), "45475d9a230f789cab63eed14d9e260ad8eca487dbfe061c936b5fde815e01a1", id="ghz-algebra"),
     pytest.param(
         ("causal", "--config", "scenarios/causal_loop.json"),

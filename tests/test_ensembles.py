@@ -442,6 +442,20 @@ class TestTsirelsonScenario:
             run_tsirelson_scenario(spec(ScenarioKind.GHZ, 2))
 
 
+def grid_at_switch(k: int, m: int, past: bool) -> dict:
+    """An empirical() case whose (N+1)^k grid has exactly the most cells still counted, or one more.
+
+    With C cells counted per trial, N + 1 = C*m and C^(k-1) * m^k trials put
+    the grid at C times the trials; N + 1 = C*m + 1 and ((N+1)^k - 1) / C
+    trials put it one cell past.
+    """
+    per_trial = ensembles._COUNT_CELLS_PER_TRIAL
+    base = per_trial * m + past
+    trials = (base**k - past) // per_trial
+    assert base**k == per_trial * trials + past
+    return {"k": k, "n": base - 1, "trials": trials, "spread": base - 1, "seed": 4 + k}
+
+
 class TestMonteCarlo:
     def test_deterministic_replay(self):
         s = spec(ScenarioKind.PR_BOX, 6, mode=RunMode.MONTE_CARLO, trials=500, seed=9)
@@ -538,6 +552,13 @@ class TestMonteCarlo:
     @example(k=3, n=1000, trials=500, spread=1000, seed=2)
     # (N+1)^3 passes 2^64 here, so the cells are Python ints.
     @example(k=3, n=2**22, trials=500, spread=2**22, seed=3)
+    # The largest grids still counted, and the smallest sorted ones.
+    @example(**grid_at_switch(1, 125, past=False))
+    @example(**grid_at_switch(1, 125, past=True))
+    @example(**grid_at_switch(2, 5, past=False))
+    @example(**grid_at_switch(2, 5, past=True))
+    @example(**grid_at_switch(3, 3, past=False))
+    @example(**grid_at_switch(3, 2, past=True))
     def test_empirical_matches_row_unique(self, k, n, trials, spread, seed):
         rng = np.random.default_rng(seed)
         low = rng.integers(0, n + 1, size=k)
@@ -547,6 +568,19 @@ class TestMonteCarlo:
         got = run.empirical()
         assert (got.labels, got.n_rounds, got.denominator) == (run.labels, n, trials)
         want = oracles.empirical_by_row_unique(sums, n)
+        assert list(oracles.lattice_mapping(got).items()) == list(want.items())
+
+    def test_empirical_never_allocates_the_whole_grid(self):
+        """N = 20000 has 4e8 (B, B') cells, 3.2 GB of counts, which 50 trials must not allocate."""
+        run = run_pr_scenario(spec(ScenarioKind.PR_BOX, 20_000, mode=RunMode.MONTE_CARLO, trials=50))
+        tracemalloc.start()
+        try:
+            got = run.empirical()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        want = oracles.empirical_by_row_unique(run.sums, 20_000)
         assert list(oracles.lattice_mapping(got).items()) == list(want.items())
 
     def test_empirical_pmf(self):
@@ -733,6 +767,13 @@ class TestJamming:
         got = records.empirical()
         want = oracles.empirical_by_row_unique(outcomes, 1)
         assert list(oracles.lattice_mapping(got).items()) == list(want.items())
+
+    @pytest.mark.parametrize("choice", ["x", "z"])
+    def test_sampled_empirical_matches_row_unique(self, choice):
+        records = run_jamming_scenario(6, choice, 1000, seed=9)
+        assert records.outcomes.dtype == np.int8
+        want = oracles.empirical_by_row_unique(records.outcomes, 1)
+        assert list(oracles.lattice_mapping(records.empirical()).items()) == list(want.items())
 
     def test_replay(self):
         a = run_jamming_scenario(3, "z", 100, seed=12)
