@@ -5,9 +5,8 @@ variables, the per-component averages (1/N)*sum of +1/-1 round outcomes.
 Exact mode computes the full joint pmf of the collectives, as integer
 weights over one denominator, by N-fold convolution of the single-round
 pmf; Monte Carlo mode samples trials with reproducible per-(seed,
-scenario, choice) random streams and histograms them on the same grid,
-by counting every grid cell when the grid is small next to the trials and
-by sorting the trials' cells when it is not.
+scenario, choice) random streams and histograms them on the same grid:
+its cells are counted, or the trials' cells sorted where it dwarfs them.
 A sampled trial is a few random bit-planes, each word of which holds one
 bit of 64 rounds, and its component sums are popcounts of bit-sliced
 indicators.  Seeded draws changed when this sampler replaced the
@@ -35,7 +34,7 @@ GHZ_RECEIVERS = (0, 1)
 # Live 64-bit words per sampled chunk (2 MiB), so sampling memory stays flat in N.
 _SAMPLE_WORDS = 1 << 18
 _MAX_TABLE_CELLS = 1 << 16
-# Grid cells per trial up to which a histogram counts every cell rather than sorting the trials.
+# Grid cells per trial up to which a histogram counts every cell, so counts never outgrow the sums.
 _COUNT_CELLS_PER_TRIAL = 4
 
 
@@ -302,12 +301,9 @@ class EnsembleRun:
 def _grid_counts(labels: tuple[str, ...], sums: np.ndarray, n_rounds: int) -> ExactDistribution:
     """The pmf of (trials, k) component sums: the occupied grid cells and their counts.
 
-    A grid of at most ``_COUNT_CELLS_PER_TRIAL`` cells per trial is counted
-    whole, in time linear in the trials: a trial's cell is the sum over
-    components of s_c (N+1)^(k-1-c) plus N * sum_j (N+1)^j, halved, which
-    is exact since every s_c + N is even, and ``np.bincount`` lists the
-    occupied cells in order.  A larger grid sorts the trials' cells instead,
-    so the count array never outgrows the sums by more than that factor.
+    A grid of at most ``_COUNT_CELLS_PER_TRIAL`` cells per trial is counted with ``np.bincount``,
+    in time linear in the trials; a trial's cell is (sum_c s_c (N+1)^(k-1-c) + N sum_j (N+1)^j) / 2,
+    exact since every s_c + N is even.  A larger grid sorts the trials' cells instead.
     """
     base, k = n_rounds + 1, sums.shape[1]
     trials, size = sums.shape[0], base**k

@@ -204,19 +204,17 @@ def _commutes(a: PauliObservable, b: PauliObservable) -> bool:
 def commutator_norm(a: PauliObservable, b: PauliObservable) -> float:
     """Frobenius norm of [a, b] = ab - ba: the root of the summed squares of its columns.
 
-    A site where one factor is "I" or both are the same commutes, so it
-    splits off [a, b] as a tensor factor a_k b_k, a 2x2 unitary whose
-    squared norm is exactly 2.  The m such sites are dropped and scale the
-    squares by 2^m.  Each block of columns of the rest is ab - ba applied
-    to a block of basis vectors.
+    A site where one factor is "I" or both are equal commutes, so its a_k b_k,
+    a 2x2 unitary of squared norm 2, splits off as a tensor factor: the m such
+    sites are dropped and scale the squares by 2^m.  Each block of columns of
+    the rest is ab - ba applied to a block of basis vectors.
     """
     if a.n_qubits != b.n_qubits:
         raise ValueError("observables act on different qubit counts")
-    kept = [(fa, fb) for fa, fb in zip(a.factors, b.factors) if "I" not in (fa, fb) and fa != fb]
+    kept = [i for i, (fa, fb) in enumerate(zip(a.factors, b.factors)) if "I" not in (fa, fb) and fa != fb]
     if not kept:
         return 0.0
-    a_kept = PauliObservable(tuple(fa for fa, _ in kept), a.sign)
-    b_kept = PauliObservable(tuple(fb for _, fb in kept), b.sign)
+    a_kept, b_kept = (PauliObservable(tuple(o.factors[i] for i in kept), o.sign) for o in (a, b))
     dim = 2 ** len(kept)
     step = max(1, _COMMUTATOR_BLOCK // dim)
     squares = 0.0

@@ -501,7 +501,7 @@ def test_commutator_norm_matches_dense(n, a_factors, b_factors, a_sign, b_sign):
 def test_commutator_norm_costs_only_the_sites_that_do_not_commute():
     """At 12 qubits with two non-commuting sites, the norm is 2^5 times theirs, well inside 0.5 s.
 
-    Applied to every basis vector of all twelve sites, this pair took over 3 s.
+    Applying all twelve sites to every basis vector takes over 3 s for this pair.
     """
     b_factors = ("Y", *_TWELVE[1:4], 1.5, *_TWELVE[5:])
     a, b = PauliObservable(tuple(_TWELVE)), PauliObservable(b_factors, sign=-1)
