@@ -8,6 +8,7 @@ sample tables) so identical invocations produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -310,7 +311,12 @@ def _add_scenario_flags(sp) -> None:
     _add_output_flags(sp)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    Parsing leaves no state on it: each parse fills a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="corrlab",
         description="Ensemble signaling experiments and causal-geometry checks for correlation boxes.",

@@ -236,9 +236,12 @@ class ExactDistribution:
         for s in range(-n, n + 1, 2):
             g = math.gcd(s, n)
             texts.append(f"{s // g}/{n // g}")
-        for cell, w in zip(self.cells, self.weights):
-            g = math.gcd(w, d)
-            yield tuple(texts[x] for x in _digits(cell, n + 1, k)), w // g, d // g
+        # Component c of a cell is its base-(N+1) digit at stride (N+1)^(k-1-c).
+        base = n + 1
+        strides = [base ** (k - 1 - c) for c in range(k)]
+        columns = [[texts[cell // stride % base] for cell in self.cells] for stride in strides]
+        gcds = [math.gcd(w, d) for w in self.weights]
+        return zip(zip(*columns), [w // g for w, g in zip(self.weights, gcds)], [d // g for g in gcds])
 
 
 def convolve_iid_rounds(round_pmf: ExactDistribution, n_rounds: int) -> list[int]:
