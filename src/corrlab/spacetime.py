@@ -35,8 +35,12 @@ class SpacetimeEvent:
 
 
 def event_from_json_obj(obj) -> SpacetimeEvent:
+    """The event {"t": ..., "x": ...}; a coordinate is a number or a numeric string, never a bool."""
     try:
-        return SpacetimeEvent(t=float(obj["t"]), x=float(obj["x"]))
+        t, x = obj["t"], obj["x"]
+        if isinstance(t, bool) or isinstance(x, bool):
+            raise TypeError("a bool is not a coordinate")
+        return SpacetimeEvent(t=float(t), x=float(x))
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed event object {obj!r}") from exc
 
@@ -87,11 +91,22 @@ def cone_overlap_apex(a: SpacetimeEvent, b: SpacetimeEvent) -> SpacetimeEvent:
     In null coordinates u = t - x, v = t + x a future cone is a quadrant
     u >= u0, v >= v0, so the intersection is again a quadrant whose corner
     has the componentwise maxima.  That corner is the earliest event
-    causally after both inputs.
+    causally after both inputs; when it is one of them, it is returned as
+    given.  The null coordinates are computed in halves, u/2 = t/2 - x/2,
+    which cannot overflow for finite events, so every apex within float
+    range comes out, and one beyond it is refused.
     """
-    u = max(a.t - a.x, b.t - b.x)
-    v = max(a.t + a.x, b.t + b.x)
-    return SpacetimeEvent(t=(u + v) / 2.0, x=(v - u) / 2.0)
+    hu_a, hv_a = a.t / 2 - a.x / 2, a.t / 2 + a.x / 2
+    hu_b, hv_b = b.t / 2 - b.x / 2, b.t / 2 + b.x / 2
+    if hu_a >= hu_b and hv_a >= hv_b:
+        return a
+    if hu_b >= hu_a and hv_b >= hv_a:
+        return b
+    hu, hv = max(hu_a, hu_b), max(hv_a, hv_b)
+    t, x = hu + hv, hv - hu
+    if not (math.isfinite(t) and math.isfinite(x)):
+        raise ValueError("the apex of the two cones' overlap lies beyond the float range")
+    return SpacetimeEvent(t=t, x=x)
 
 
 def binary_condition(config: CausalConfig) -> dict:

@@ -623,7 +623,9 @@ class TestCausalCommand:
             "pairs_without_unique_fixed_point": 4,
         }
 
-    @pytest.mark.parametrize("beta", [None, [1], {}, 10**400], ids=["null", "list", "object", "huge-int"])
+    @pytest.mark.parametrize(
+        "beta", [None, [1], {}, 10**400, True, False], ids=["null", "list", "object", "huge-int", "true", "false"]
+    )
     def test_beta_must_be_a_number(self, tmp_path, capsys, beta):
         config = tmp_path / "beta.json"
         config.write_text(json.dumps({"a_hat": {"t": 0, "x": 0}, "b_hat": {"t": 0, "x": 1}, "beta": beta}))
@@ -631,6 +633,30 @@ class TestCausalCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: beta must be a number\n"
+
+    @pytest.mark.parametrize("event", [{"t": True, "x": 0}, {"t": 0, "x": False}], ids=["true-t", "false-x"])
+    def test_event_coordinates_must_not_be_bools(self, tmp_path, capsys, event):
+        config = tmp_path / "event.json"
+        config.write_text(json.dumps({"a_hat": event, "b_hat": {"t": 0, "x": 1}}))
+        assert main(["causal", "--config", str(config)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: malformed event object {event!r}\n"
+
+    def test_apex_at_the_float_range(self, tmp_path):
+        # Its null coordinate t - x = 2e308 is beyond the float range; the apex is not.
+        event = {"t": 1e308, "x": -1e308}
+        config = tmp_path / "edge.json"
+        config.write_text(json.dumps({"a_hat": event, "b_hat": event}))
+        assert run_json(tmp_path, "causal", "--config", str(config))["results"]["overlap_apex"] == event
+
+    def test_apex_beyond_the_float_range(self, tmp_path, capsys):
+        config = tmp_path / "beyond.json"
+        config.write_text(json.dumps({"a_hat": {"t": 1e308, "x": 1e308}, "b_hat": {"t": 1e308, "x": -1e308}}))
+        assert main(["causal", "--config", str(config)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the apex of the two cones' overlap lies beyond the float range\n"
 
     @pytest.mark.parametrize("beta", [float("nan"), "nan"], ids=["nan", "nan-string"])
     def test_nan_beta_is_not_a_boost(self, tmp_path, capsys, beta):
@@ -718,6 +744,37 @@ class TestCausalCommand:
         proc = run_proc("causal", "--config", str(config))
         assert proc.returncode == 2
         assert "unknown device map" in proc.stderr
+
+
+class TestSharedParser:
+    """``main`` parses every call on one parser, built on first use, so no parse may leave state on it."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_in_turn_match_fresh_processes(self, capsys, monkeypatch):
+        # Help text wraps at the terminal width; fix it for both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = [
+            ("pr-signal", "--mode", "mc", "--trials", "200", "--format", "csv"),
+            ("pr-signal", "--n", "x"),
+            ("jamming", "--jim", "z", "--trials", "100"),
+            ("ghz-algebra",),
+            ("pr-signal",),
+            ("--help",),
+            ("jamming", "--help"),
+        ]
+        codes = []
+        for args in calls:
+            try:
+                code = main(list(args))
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            proc = run_proc(*args)
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), args
+            codes.append(code)
+        assert codes == [0, 2, 0, 0, 0, 0, 0]
 
 
 class TestDeterminismAndErrors:

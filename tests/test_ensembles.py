@@ -315,6 +315,21 @@ def lattice_cases(draw):
     return first, second, n, coeffs
 
 
+@st.composite
+def sparse_grid_points(draw):
+    """(N, distinct component-sum tuples): a few points of an N grid far larger than the support."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=30000))
+    sums = st.integers(min_value=0, max_value=n).map(lambda j: 2 * j - n)
+    return n, draw(st.lists(st.tuples(*[sums] * k), min_size=1, max_size=6, unique=True))
+
+
+def grid_ends(k: int, n: int) -> tuple:
+    """Points whose components sit at both ends of the N grid and one step in, no two in the same order."""
+    ends = [-n, n, n - 2, 2 - n]
+    return n, [tuple(ends[(i + c) % 4] for c in range(k)) for i in range(4)]
+
+
 class TestLatticeAgainstFractionOracle:
     """Every statistic of the lattice type equals the Fraction-tuple oracle's."""
 
@@ -346,6 +361,23 @@ class TestLatticeAgainstFractionOracle:
                 assert list(marg.atoms()) == marg_oracle.atoms()
         assert dist.variance(coeffs) == oracle.variance(coeffs)
         assert total_variation(dist, other) == oracles.total_variation_by_union(oracle, other_oracle)
+
+    @given(sparse_grid_points())
+    @example(grid_ends(1, 3999))
+    @example(grid_ends(2, 3999))
+    @example(grid_ends(3, 3999))
+    @example(grid_ends(1, 20000))
+    @example(grid_ends(2, 20000))
+    @example(grid_ends(3, 20000))
+    @settings(max_examples=60, deadline=None)
+    def test_atoms_on_sparse_large_grids(self, case):
+        """Each component's digit is read at its own stride of the (N+1)^k grid: the sorted-histogram sizes."""
+        n, points = case
+        k = len(points[0])
+        total = len(points) * (len(points) + 1) // 2
+        mapping = {tuple(Fraction(s, n) for s in p): Fraction(i + 1, total) for i, p in enumerate(points)}
+        dist = ExactDistribution.from_mapping(mapping, LABELS[:k], n)
+        assert list(dist.atoms()) == oracles.FractionDistribution.from_mapping(mapping, LABELS[:k], n).atoms()
 
 
 class TestMaximalBoxScenario:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -50,6 +50,9 @@ class TestEvents:
         assert event_from_json_obj(e.to_json_obj()) == e
         with pytest.raises(ValueError, match="malformed"):
             event_from_json_obj({"t": 1.0})
+        with pytest.raises(ValueError, match="malformed"):
+            event_from_json_obj({"t": True, "x": 0.0})
+        assert event_from_json_obj({"t": "1.5", "x": -2}) == e
 
 
 class TestBoosts:
@@ -131,6 +134,25 @@ class TestConeOverlap:
         if in_future_cone(a, e) and in_future_cone(b, e):
             # every event in the overlap is in the apex's cone
             assert (e.t - apex.t) >= abs(e.x - apex.x) - tol
+
+
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False))
+    @example(1e308, -1e308)
+    @example(1.0, 1e-20)
+    @example(5e-324, -5e-324)
+    def test_apex_of_an_event_with_itself_is_the_event(self, t, x):
+        e = ev(t, x)
+        assert cone_overlap_apex(e, e) == e
+
+    def test_apex_past_null_coordinates_beyond_the_float_range(self):
+        # The apex's null coordinates u = v = 1.5e308 overflow when added; their halves do not.
+        apex = cone_overlap_apex(ev(1e308, -0.5e308), ev(1e308, 0.5e308))
+        assert apex.t == pytest.approx(1.5e308, rel=1e-15)
+        assert apex.x == 0.0
+
+    def test_apex_beyond_the_float_range_is_refused(self):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            cone_overlap_apex(ev(1e308, 1e308), ev(1e308, -1e308))
 
 
 class TestBinaryCondition:
