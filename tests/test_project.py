@@ -4,6 +4,7 @@ a consumer inside the package for every public name, and the numpy pin."""
 from __future__ import annotations
 
 import ast
+import importlib.util
 import json
 import re
 import subprocess
@@ -15,6 +16,7 @@ import numpy as np
 
 import corrlab
 from child_env import child_env
+from corrlab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(corrlab.__file__).resolve().parent.parent
@@ -143,3 +145,21 @@ def test_numpy_pin_admits_the_installed_numpy():
     installed = tuple(map(int, re.match(r"(\d+)\.(\d+)", np.__version__).groups()))
     assert (2, 0) <= floor <= installed
     assert hasattr(np, "bitwise_count")
+
+
+def test_report_diff_covers_every_subcommand():
+    """tools/report_diff.py runs each subcommand in both formats, and causal on every shipped config."""
+    spec = importlib.util.spec_from_file_location("report_diff", ROOT / "tools" / "report_diff.py")
+    report_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report_diff)
+    cmds = report_diff.commands("edge")
+    formats = {
+        (argv[0], argv[argv.index("--format") + 1] if "--format" in argv else "json")
+        for argv in cmds
+        if argv and argv[0] in cli._COMMANDS
+    }
+    assert formats == {(command, fmt) for command in cli._COMMANDS for fmt in ("json", "csv")}
+    configs = {argv[2] for argv in cmds if argv[:2] == ["causal", "--config"]}
+    assert {f"scenarios/{path.name}" for path in (ROOT / "scenarios").glob("*.json")} <= configs
+    assert {f"edge/{name}" for name in (*report_diff.EDGE_CONFIGS, *report_diff.EDGE_TEXTS)} <= configs
+    assert len(cmds) == len({tuple(argv) for argv in cmds})
