@@ -371,7 +371,7 @@ class TestLatticeAgainstFractionOracle:
     @example(grid_ends(3, 20000))
     @settings(max_examples=60, deadline=None)
     def test_atoms_on_sparse_large_grids(self, case):
-        """Each component's digit is read at its own stride of the (N+1)^k grid: the sorted-histogram sizes."""
+        """Each component's text is read at its own stride, on grids as large as sampled histograms reach."""
         n, points = case
         k = len(points[0])
         total = len(points) * (len(points) + 1) // 2

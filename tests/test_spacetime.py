@@ -135,7 +135,6 @@ class TestConeOverlap:
             # every event in the overlap is in the apex's cone
             assert (e.t - apex.t) >= abs(e.x - apex.x) - tol
 
-
     @given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False))
     @example(1e308, -1e308)
     @example(1.0, 1e-20)
