@@ -232,9 +232,7 @@ def cmd_causal(args) -> tuple[dict, str | None]:
         if "a_hat" not in events or "b_hat" not in events:
             raise ValueError("round-trip chronology needs a_hat and b_hat events")
         try:
-            if isinstance(data["beta"], bool):
-                raise TypeError("a bool is not a number")
-            beta = float(data["beta"])
+            beta = spacetime.json_number(data["beta"])
         except (TypeError, ValueError, OverflowError):
             raise ValueError("beta must be a number") from None
         chrono = spacetime.round_trip_chronology(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 FIXED_POINT_DOMAIN = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -34,15 +35,29 @@ class SpacetimeEvent:
         return {"t": self.t, "x": self.x}
 
 
+def json_number(value) -> float:
+    """A JSON number or numeric string as a float; a bool is not a number.
+
+    Raises TypeError, ValueError or OverflowError for anything else.
+    """
+    if isinstance(value, bool):
+        raise TypeError("a bool is not a number")
+    return float(value)
+
+
 def event_from_json_obj(obj) -> SpacetimeEvent:
-    """The event {"t": ..., "x": ...}; a coordinate is a number or a numeric string, never a bool."""
     try:
-        t, x = obj["t"], obj["x"]
-        if isinstance(t, bool) or isinstance(x, bool):
-            raise TypeError("a bool is not a coordinate")
-        return SpacetimeEvent(t=float(t), x=float(x))
+        return SpacetimeEvent(t=json_number(obj["t"]), x=json_number(obj["x"]))
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed event object {obj!r}") from exc
+
+
+def _round_once(value: Fraction, what: str) -> float:
+    """The float nearest an exact rational, or ValueError when it is past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} lies beyond the float range") from None
 
 
 @dataclass(frozen=True)
@@ -72,8 +87,15 @@ def boost(e: SpacetimeEvent, beta: float) -> SpacetimeEvent:
 
 
 def in_future_cone(apex: SpacetimeEvent, e: SpacetimeEvent) -> bool:
-    """Closed future light cone: (e.t - apex.t) >= |e.x - apex.x|."""
-    return (e.t - apex.t) >= abs(e.x - apex.x)
+    """Closed future light cone: (e.t - apex.t) >= |e.x - apex.x|.
+
+    Where a float difference overflows, the comparison is made exactly on
+    the rationals the coordinates stand for.
+    """
+    dt, dx = e.t - apex.t, e.x - apex.x
+    if math.isfinite(dt) and math.isfinite(dx):
+        return dt >= abs(dx)
+    return Fraction(e.t) - Fraction(apex.t) >= abs(Fraction(e.x) - Fraction(apex.x))
 
 
 @dataclass(frozen=True)
@@ -92,21 +114,24 @@ def cone_overlap_apex(a: SpacetimeEvent, b: SpacetimeEvent) -> SpacetimeEvent:
     u >= u0, v >= v0, so the intersection is again a quadrant whose corner
     has the componentwise maxima.  That corner is the earliest event
     causally after both inputs; when it is one of them, it is returned as
-    given.  The null coordinates are computed in halves, u/2 = t/2 - x/2,
-    which cannot overflow for finite events, so every apex within float
-    range comes out, and one beyond it is refused.
+    given.  Where the float corner overflows, it is computed exactly and
+    rounded once, so every apex within float range comes out, and one
+    beyond it is refused.
     """
-    hu_a, hv_a = a.t / 2 - a.x / 2, a.t / 2 + a.x / 2
-    hu_b, hv_b = b.t / 2 - b.x / 2, b.t / 2 + b.x / 2
-    if hu_a >= hu_b and hv_a >= hv_b:
+    if in_future_cone(b, a):
         return a
-    if hu_b >= hu_a and hv_b >= hv_a:
+    if in_future_cone(a, b):
         return b
-    hu, hv = max(hu_a, hu_b), max(hv_a, hv_b)
-    t, x = hu + hv, hv - hu
-    if not (math.isfinite(t) and math.isfinite(x)):
-        raise ValueError("the apex of the two cones' overlap lies beyond the float range")
-    return SpacetimeEvent(t=t, x=x)
+    u = max(a.t - a.x, b.t - b.x)
+    v = max(a.t + a.x, b.t + b.x)
+    t, x = (u + v) / 2.0, (v - u) / 2.0
+    if math.isfinite(t) and math.isfinite(x):
+        return SpacetimeEvent(t=t, x=x)
+    ta, xa, tb, xb = Fraction(a.t), Fraction(a.x), Fraction(b.t), Fraction(b.x)
+    u = max(ta - xa, tb - xb)
+    v = max(ta + xa, tb + xb)
+    what = "the apex of the two cones' overlap"
+    return SpacetimeEvent(t=_round_once((u + v) / 2, what), x=_round_once((v - u) / 2, what))
 
 
 def binary_condition(config: CausalConfig) -> dict:
@@ -196,6 +221,9 @@ def round_trip_chronology(alice_x: float, bob_x: float, send_t: float, beta: flo
     if not abs(beta) < 1:  # also refuses NaN
         raise ValueError("boost velocity must satisfy |beta| < 1")
     reply_t = send_t - beta * (bob_x - alice_x)
+    if not math.isfinite(reply_t):
+        exact = Fraction(send_t) - Fraction(beta) * (Fraction(bob_x) - Fraction(alice_x))
+        reply_t = _round_once(exact, "the reply's arrival")
     reply = SpacetimeEvent(t=reply_t, x=alice_x)
     return {
         "reply_arrival": reply,

@@ -650,6 +650,14 @@ class TestCausalCommand:
         config.write_text(json.dumps({"a_hat": event, "b_hat": event}))
         assert run_json(tmp_path, "causal", "--config", str(config))["results"]["overlap_apex"] == event
 
+    def test_jammer_cone_at_the_float_range(self, tmp_path):
+        # The apex is a_hat; from j_hat, dt = 1.9e308 while |dx| = 2e308 overflows: not in its cone.
+        event = {"t": 1e308, "x": -1e308}
+        config = tmp_path / "edge.json"
+        config.write_text(json.dumps({"a_hat": event, "b_hat": event, "j_hat": {"t": -9e307, "x": 1e308}}))
+        binary = run_json(tmp_path, "causal", "--config", str(config))["results"]["binary_condition"]
+        assert binary == {"holds": False, "overlap_apex": event}
+
     def test_apex_beyond_the_float_range(self, tmp_path, capsys):
         config = tmp_path / "beyond.json"
         config.write_text(json.dumps({"a_hat": {"t": 1e308, "x": 1e308}, "b_hat": {"t": 1e308, "x": -1e308}}))

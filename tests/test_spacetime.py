@@ -99,6 +99,14 @@ class TestCones:
         assert not in_future_cone(apex, ev(0.5, 1.0))
         assert not in_future_cone(apex, ev(-1.0, 0.0))
 
+    def test_memberships_past_overflowing_differences(self):
+        # dx = 2e308 overflows while dt = 1.9e308 does not: outside the cone
+        assert not in_future_cone(ev(-9e307, 1e308), ev(1e308, -1e308))
+        # dt and dx both overflow to inf; exactly, dt = |dx| and dt > |dx|
+        assert in_future_cone(ev(-1e308, -1e308), ev(1e308, 1e308))
+        assert in_future_cone(ev(-1e308, 0.0), ev(1e308, 1e308))
+        assert not in_future_cone(ev(-1e308, -1e308), ev(1e308, 1e308 + 1e292))
+
     @given(finite_coords, finite_coords, finite_coords, finite_coords, betas)
     @settings(max_examples=120)
     def test_membership_is_boost_invariant(self, at, ax, et, ex, beta):
@@ -113,6 +121,11 @@ class TestConeOverlap:
     def test_symmetric_configuration(self):
         apex = cone_overlap_apex(ev(0.0, -1.0), ev(0.0, 1.0))
         assert (apex.t, apex.x) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("x", [5e-324, 1.5e-323])
+    def test_symmetric_configuration_at_subnormal_scale(self, x):
+        apex = cone_overlap_apex(ev(0.0, -x), ev(0.0, x))
+        assert (apex.t, apex.x) == (x, 0.0)
 
     def test_nested_cones(self):
         # one cone inside the other: the later apex wins
@@ -144,10 +157,9 @@ class TestConeOverlap:
         assert cone_overlap_apex(e, e) == e
 
     def test_apex_past_null_coordinates_beyond_the_float_range(self):
-        # The apex's null coordinates u = v = 1.5e308 overflow when added; their halves do not.
+        # The apex's null coordinates u = v = 1.5e308 overflow when added; the exact apex does not.
         apex = cone_overlap_apex(ev(1e308, -0.5e308), ev(1e308, 0.5e308))
-        assert apex.t == pytest.approx(1.5e308, rel=1e-15)
-        assert apex.x == 0.0
+        assert apex == ev(1e308 + 0.5e308, 0.0)
 
     def test_apex_beyond_the_float_range_is_refused(self):
         with pytest.raises(ValueError, match="beyond the float range"):
@@ -290,6 +302,16 @@ class TestChronology:
     def test_rejects_superluminal(self):
         with pytest.raises(ValueError, match="beta"):
             round_trip_chronology(0.0, 1.0, 0.0, 1.0)
+
+    def test_reply_past_an_overflowing_separation(self):
+        # bob_x - alice_x = 2e308 overflows; the reply time -2e307 does not
+        report = round_trip_chronology(alice_x=-1e308, bob_x=1e308, send_t=0.0, beta=0.1)
+        assert report["reply_arrival"] == ev(-0.1 * 1e308 * 2, -1e308)
+        assert report["retrocausal"] is True
+
+    def test_reply_beyond_the_float_range_is_refused(self):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            round_trip_chronology(alice_x=-1e308, bob_x=1e308, send_t=1e308, beta=-0.9)
 
     @given(
         st.floats(min_value=-10, max_value=10),

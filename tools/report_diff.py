@@ -47,6 +47,13 @@ EDGE_CONFIGS = {
     "edge-apex.json": {"a_hat": {"t": 1e308, "x": -1e308}, "b_hat": {"t": 1e308, "x": -1e308}},
     "wide-apex.json": {"a_hat": {"t": 1e308, "x": -5e307}, "b_hat": {"t": 1e308, "x": 5e307}},
     "beyond-apex.json": {"a_hat": {"t": 1e308, "x": 1e308}, "b_hat": {"t": 1e308, "x": -1e308}},
+    "edge-jammer.json": {
+        "a_hat": {"t": 1e308, "x": -1e308},
+        "b_hat": {"t": 1e308, "x": -1e308},
+        "j_hat": {"t": -9e307, "x": 1e308},
+    },
+    "subnormal-apex.json": {"a_hat": {"t": 0, "x": -5e-324}, "b_hat": {"t": 0, "x": 5e-324}, "j_hat": {"t": 0, "x": -5e-324}},
+    "wide-reply.json": {"a_hat": {"t": 0, "x": -1e308}, "b_hat": {"t": 0, "x": 1e308}, "beta": 0.1},
     "missing-x.json": {"a_hat": {"t": 0}, "b_hat": _EAST},
     "half-loop.json": {"alice_map": "echo"},
     "bad-map.json": {"alice_map": [], "bob_map": "echo"},
