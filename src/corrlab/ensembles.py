@@ -131,14 +131,6 @@ def _cell(point: tuple, k: int, n: int) -> int:
     return cell
 
 
-def _digits(cell: int, base: int, k: int) -> list[int]:
-    """The k base-``base`` digits of a grid cell, component 0's first."""
-    digits = [0] * k
-    for i in range(k - 1, -1, -1):
-        cell, digits[i] = divmod(cell, base)
-    return digits
-
-
 @dataclass(frozen=True, eq=False)
 class ExactDistribution:
     """Joint pmf of collective variables as integer weights over one denominator.
@@ -200,26 +192,34 @@ class ExactDistribution:
         found = i < len(self.cells) and self.cells[i] == cell
         return Fraction(self.weights[i] if found else 0, self.denominator)
 
+    def _digit_columns(self) -> list[list[int]]:
+        """Each component's digit (s_c + N) / 2 in every cell, component 0's column first.
+
+        Component c of a cell is its base-(N+1) digit at stride (N+1)^(k-1-c).
+        """
+        base, k = self.n_rounds + 1, len(self.labels)
+        strides = [base ** (k - 1 - c) for c in range(k)]
+        return [[cell // stride % base for cell in self.cells] for stride in strides]
+
     def marginal(self, indices: tuple[int, ...]) -> "ExactDistribution":
         """The pmf of the components ``indices``, in that order."""
-        base, k = self.n_rounds + 1, len(self.labels)
+        base, columns = self.n_rounds + 1, self._digit_columns()
+        out = [0] * len(self.cells)
+        for i in indices:
+            out = [o * base + d for o, d in zip(out, columns[i])]
         acc: dict[int, int] = {}
-        for cell, w in zip(self.cells, self.weights):
-            digits = _digits(cell, base, k)
-            out = 0
-            for i in indices:
-                out = out * base + digits[i]
-            acc[out] = acc.get(out, 0) + w
+        for cell, w in zip(out, self.weights):
+            acc[cell] = acc.get(cell, 0) + w
         cells = sorted(acc)
         labels = tuple(self.labels[i] for i in indices)
         return ExactDistribution(labels, self.n_rounds, cells, [acc[c] for c in cells], self.denominator)
 
     def _moments(self, coeffs: tuple[int, ...]) -> tuple[int, int]:
         """Sums of w*t and w*t^2 over the cells, t = sum of coeffs times component sums."""
-        n, k = self.n_rounds, len(self.labels)
+        n = self.n_rounds
         first = second = 0
-        for cell, w in zip(self.cells, self.weights):
-            t = sum(c * (2 * d - n) for c, d in zip(coeffs, _digits(cell, n + 1, k)))
+        for digits, w in zip(zip(*self._digit_columns()), self.weights):
+            t = sum(c * (2 * d - n) for c, d in zip(coeffs, digits))
             first += w * t
             second += w * t * t
         return first, second
@@ -231,15 +231,12 @@ class ExactDistribution:
 
     def atoms(self) -> Iterator[tuple[tuple[str, ...], int, int]]:
         """Each nonzero cell in grid order: its values as "n/d" text, then its reduced probability."""
-        n, d, k = self.n_rounds, self.denominator, len(self.labels)
+        n, d = self.n_rounds, self.denominator
         texts = []
         for s in range(-n, n + 1, 2):
             g = math.gcd(s, n)
             texts.append(f"{s // g}/{n // g}")
-        # Component c of a cell is its base-(N+1) digit at stride (N+1)^(k-1-c).
-        base = n + 1
-        strides = [base ** (k - 1 - c) for c in range(k)]
-        columns = [[texts[cell // stride % base] for cell in self.cells] for stride in strides]
+        columns = [[texts[digit] for digit in column] for column in self._digit_columns()]
         gcds = [math.gcd(w, d) for w in self.weights]
         return zip(zip(*columns), [w // g for w, g in zip(self.weights, gcds)], [d // g for g in gcds])
 
@@ -262,9 +259,9 @@ def convolve_iid_rounds(round_pmf: ExactDistribution, n_rounds: int) -> list[int
     # Every coefficient of the power is at most denominator**N.
     width = (round_pmf.denominator**n_rounds).bit_length() // 8 + 1
     poly = 0
-    for cell, w in zip(round_pmf.cells, round_pmf.weights):
+    for digits, w in zip(zip(*round_pmf._digit_columns()), round_pmf.weights):
         exponent = 0
-        for d in _digits(cell, 2, k):
+        for d in digits:
             exponent = exponent * base + d
         poly += w << (8 * width * exponent)
     data = (poly**n_rounds).to_bytes(width * base**k, "little")
@@ -304,30 +301,27 @@ class EnsembleRun:
 def _grid_counts(labels: tuple[str, ...], sums: np.ndarray, n_rounds: int) -> ExactDistribution:
     """The pmf of (trials, k) component sums: the occupied grid cells and their counts.
 
-    A grid of at most ``_COUNT_CELLS_PER_TRIAL`` cells per trial is counted with ``np.bincount``,
-    in time linear in the trials; a trial's cell is (sum_c s_c (N+1)^(k-1-c) + N sum_j (N+1)^j) / 2,
-    exact since every s_c + N is even.  A larger grid sorts the trials' cells instead.
+    A trial's cell is (sum_c s_c (N+1)^(k-1-c) + N sum_j (N+1)^j) / 2, exact since every
+    s_c + N is even.  Twice a cell stays below 2^63 on a grid of fewer than 2^62 cells, so
+    cells are int64 there and Python ints (object) on a larger grid, which k = 3 reaches
+    beyond N of about 1.66e6.  A grid of at most ``_COUNT_CELLS_PER_TRIAL`` cells per trial
+    is counted with ``np.bincount``, in time linear in the trials; a larger one sorts the
+    trials' cells instead.
     """
     base, k = n_rounds + 1, sums.shape[1]
     trials, size = sums.shape[0], base**k
-    if size <= _COUNT_CELLS_PER_TRIAL * trials:
-        cells = sums[:, 0].astype(np.intp)
-        for c in range(1, k):
-            cells *= base
-            cells += sums[:, c]
-        cells += n_rounds * sum(base**j for j in range(k))
-        cells >>= 1
-        counts = np.bincount(cells, minlength=size)
-        cells = np.flatnonzero(counts)
-        return ExactDistribution(labels, n_rounds, cells.tolist(), counts[cells].tolist(), trials)
-    # The narrowest unsigned type that holds every cell: object (Python ints)
-    # past 2^64, which k = 3 reaches beyond N of about 2.6e6.
-    digits = ((sums + n_rounds) // 2).astype(np.min_scalar_type(size - 1))
-    cells = digits[:, 0].copy()
+    cells = sums[:, 0].astype(np.int64 if size < 2**62 else object)
     for c in range(1, k):
         cells *= base
-        cells += digits[:, c]
-    cells, counts = np.unique(cells, return_counts=True)
+        cells += sums[:, c]
+    cells += n_rounds * sum(base**j for j in range(k))
+    cells >>= 1
+    if size <= _COUNT_CELLS_PER_TRIAL * trials:
+        counts = np.bincount(cells, minlength=size)
+        cells = np.flatnonzero(counts)
+        counts = counts[cells]
+    else:
+        cells, counts = np.unique(cells, return_counts=True)
     return ExactDistribution(labels, n_rounds, cells.tolist(), counts.tolist(), trials)
 
 
@@ -342,13 +336,11 @@ def _negative_runs(round_pmf: ExactDistribution) -> list[tuple[bool, list[int]]]
     reverse of grid cell order, in which a digit of 0 is -1; atom i holds
     the rows [lo_i, hi_i), hi_i - lo_i being its weight.
     """
-    k = len(round_pmf.labels)
-    digits = [_digits(cell, 2, k) for cell in reversed(round_pmf.cells)]
     bounds = [0, *itertools.accumulate(round_pmf.weights[::-1])]
     runs = []
-    for c in range(k):
-        negative = [row[c] == 0 for row in digits]
-        flips = [bounds[i] for i in range(1, len(digits)) if negative[i] != negative[i - 1]]
+    for column in round_pmf._digit_columns():
+        negative = [d == 0 for d in reversed(column)]
+        flips = [bounds[i] for i in range(1, len(negative)) if negative[i] != negative[i - 1]]
         runs.append((negative[0], flips))
     return runs
 
@@ -561,8 +553,8 @@ class JammingRecords:
         counts = {1: 0, -1: 0}
         agree = {1: 0, -1: 0}
         emp = self.empirical()
-        for cell, c in zip(emp.cells, emp.weights):
-            a, b, j = (2 * d - 1 for d in _digits(cell, 2, 3))
+        for digits, c in zip(zip(*emp._digit_columns()), emp.weights):
+            a, b, j = (2 * d - 1 for d in digits)
             counts[j] += c
             agree[j] += c if a == b else -c
         binned = {j: agree[j] / counts[j] if counts[j] else None for j in counts}

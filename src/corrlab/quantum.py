@@ -30,30 +30,20 @@ _COMMUTATOR_TOL = 1e-10
 # stays in cache (blocks of 2^16 were slower at 12 qubits).
 _COMMUTATOR_BLOCK = 1 << 12
 
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def _factor_matrix(factor: str | float) -> np.ndarray:
-    """2x2 matrix for one site: a Pauli letter or an xz-plane angle.
+def _tilt(factor: str | float) -> tuple[float, float] | None:
+    """One site's (cos(theta), sin(theta)) for an xz-plane angle theta, or None for a Pauli letter.
 
     Angle theta means cos(theta)*Z + sin(theta)*X, which has eigenvalues
     +1/-1 for every theta.
     """
     if isinstance(factor, str):
-        try:
-            return _PAULI[factor]
-        except KeyError:
-            raise ValueError(f"unknown spin factor {factor!r}") from None
+        if factor not in ("I", "X", "Y", "Z"):
+            raise ValueError(f"unknown spin factor {factor!r}")
+        return None
     theta = float(factor)
     if not math.isfinite(theta):
         raise ValueError(f"spin angle must be finite, got {factor!r}")
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [s, -c]], dtype=complex)
+    return math.cos(theta), math.sin(theta)
 
 
 @dataclass(frozen=True)
@@ -74,7 +64,7 @@ class PauliObservable:
         if not self.factors:
             raise ValueError("observable needs at least one factor")
         for f in self.factors:
-            _factor_matrix(f)  # validates
+            _tilt(f)  # validates
 
     @property
     def n_qubits(self) -> int:
@@ -115,8 +105,8 @@ def _signed_permutation(observable: PauliObservable) -> tuple[np.ndarray, np.nda
         elif factor == "Z":
             phase[down] *= -1
         elif factor != "I":
-            mat = _factor_matrix(factor)
-            tilted.append((2**k, mat.diagonal().reshape(2, 1), mat[0, 1]))
+            c, s = _tilt(factor)
+            tilted.append((2**k, np.array([[c], [-c]], dtype=complex), s))
     index = basis ^ mask
     index.setflags(write=False)
     phase.setflags(write=False)

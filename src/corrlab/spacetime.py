@@ -2,7 +2,9 @@
 
 Units have c = 1.  Light cones are closed, so lightlike separation counts
 as inside; the containment questions below are stated as closed-cone
-membership and are stable on the boundary.
+membership.  Cone memberships, overlap apexes and reply times are computed
+exactly on the rationals the float coordinates stand for, and a reported
+coordinate is rounded once, so the boundary is decided without rounding.
 """
 
 from __future__ import annotations
@@ -87,14 +89,7 @@ def boost(e: SpacetimeEvent, beta: float) -> SpacetimeEvent:
 
 
 def in_future_cone(apex: SpacetimeEvent, e: SpacetimeEvent) -> bool:
-    """Closed future light cone: (e.t - apex.t) >= |e.x - apex.x|.
-
-    Where a float difference overflows, the comparison is made exactly on
-    the rationals the coordinates stand for.
-    """
-    dt, dx = e.t - apex.t, e.x - apex.x
-    if math.isfinite(dt) and math.isfinite(dx):
-        return dt >= abs(dx)
+    """Closed future light cone: (e.t - apex.t) >= |e.x - apex.x|, compared exactly."""
     return Fraction(e.t) - Fraction(apex.t) >= abs(Fraction(e.x) - Fraction(apex.x))
 
 
@@ -107,43 +102,48 @@ class CausalConfig:
     j_hat: SpacetimeEvent
 
 
-def cone_overlap_apex(a: SpacetimeEvent, b: SpacetimeEvent) -> SpacetimeEvent:
-    """Apex of the intersection of two future light cones in 1+1D.
+def _overlap_corner(a: SpacetimeEvent, b: SpacetimeEvent) -> tuple[Fraction, Fraction]:
+    """The exact (t, x) of the apex of the overlap of a's and b's future cones.
 
     In null coordinates u = t - x, v = t + x a future cone is a quadrant
     u >= u0, v >= v0, so the intersection is again a quadrant whose corner
-    has the componentwise maxima.  That corner is the earliest event
-    causally after both inputs; when it is one of them, it is returned as
-    given.  Where the float corner overflows, it is computed exactly and
-    rounded once, so every apex within float range comes out, and one
-    beyond it is refused.
+    has the componentwise maxima.
+    """
+    ta, xa, tb, xb = Fraction(a.t), Fraction(a.x), Fraction(b.t), Fraction(b.x)
+    u = max(ta - xa, tb - xb)
+    v = max(ta + xa, tb + xb)
+    return (u + v) / 2, (v - u) / 2
+
+
+def cone_overlap_apex(a: SpacetimeEvent, b: SpacetimeEvent) -> SpacetimeEvent:
+    """Apex of the intersection of two future light cones in 1+1D.
+
+    The apex is the earliest event causally after both inputs; when it is
+    one of them, it is returned as given.  Otherwise it is computed exactly
+    and each coordinate rounded once, so every apex within float range
+    comes out, and one beyond it is refused.
     """
     if in_future_cone(b, a):
         return a
     if in_future_cone(a, b):
         return b
-    u = max(a.t - a.x, b.t - b.x)
-    v = max(a.t + a.x, b.t + b.x)
-    t, x = (u + v) / 2.0, (v - u) / 2.0
-    if math.isfinite(t) and math.isfinite(x):
-        return SpacetimeEvent(t=t, x=x)
-    ta, xa, tb, xb = Fraction(a.t), Fraction(a.x), Fraction(b.t), Fraction(b.x)
-    u = max(ta - xa, tb - xb)
-    v = max(ta + xa, tb + xb)
+    t, x = _overlap_corner(a, b)
     what = "the apex of the two cones' overlap"
-    return SpacetimeEvent(t=_round_once((u + v) / 2, what), x=_round_once((v - u) / 2, what))
+    return SpacetimeEvent(t=_round_once(t, what), x=_round_once(x, what))
 
 
 def binary_condition(config: CausalConfig) -> dict:
     """Does the overlap of the futures of a_hat and b_hat sit inside j_hat's future?
 
     In 1+1D the overlap region is itself a (closed) future cone, so it is
-    contained in another future cone exactly when its apex is.
+    contained in another future cone exactly when its apex is.  The verdict
+    is read from the exact apex, not from the rounded one reported.
     """
-    apex = cone_overlap_apex(config.a_hat, config.b_hat)
+    t, x = _overlap_corner(config.a_hat, config.b_hat)
+    j = config.j_hat
     return {
-        "holds": in_future_cone(config.j_hat, apex),
-        "overlap_apex": apex,
+        "holds": t - Fraction(j.t) >= abs(x - Fraction(j.x)),
+        "overlap_apex": cone_overlap_apex(config.a_hat, config.b_hat),
     }
 
 
@@ -216,16 +216,15 @@ def round_trip_chronology(alice_x: float, bob_x: float, send_t: float, beta: flo
     instantaneously in the frame boosted by beta, i.e. along the primed
     simultaneity line t - beta*x = const through his reception event, and
     is read off where that line crosses Alice's worldline.  The reply is
-    retrocausal when it arrives strictly before the send.
+    retrocausal when it arrives strictly before the send.  Its time is
+    computed exactly: the verdict is read from the exact time, and the
+    reported arrival rounds it once.
     """
     if not abs(beta) < 1:  # also refuses NaN
         raise ValueError("boost velocity must satisfy |beta| < 1")
-    reply_t = send_t - beta * (bob_x - alice_x)
-    if not math.isfinite(reply_t):
-        exact = Fraction(send_t) - Fraction(beta) * (Fraction(bob_x) - Fraction(alice_x))
-        reply_t = _round_once(exact, "the reply's arrival")
-    reply = SpacetimeEvent(t=reply_t, x=alice_x)
+    exact = Fraction(send_t) - Fraction(beta) * (Fraction(bob_x) - Fraction(alice_x))
+    reply = SpacetimeEvent(t=_round_once(exact, "the reply's arrival"), x=alice_x)
     return {
         "reply_arrival": reply,
-        "retrocausal": reply_t < send_t,
+        "retrocausal": exact < send_t,
     }

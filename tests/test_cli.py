@@ -658,6 +658,15 @@ class TestCausalCommand:
         binary = run_json(tmp_path, "causal", "--config", str(config))["results"]["binary_condition"]
         assert binary == {"holds": False, "overlap_apex": event}
 
+    def test_jammer_cone_below_float_resolution(self, tmp_path):
+        # The apex is (1, 0); from j_hat, dt = 1 - 1e-17 < |dx| = 1, though 1 - 1e-17 rounds to 1.0.
+        config = tmp_path / "tilted.json"
+        config.write_text(
+            json.dumps({"a_hat": {"t": 0, "x": -1}, "b_hat": {"t": 0, "x": 1}, "j_hat": {"t": 1e-17, "x": 1}})
+        )
+        binary = run_json(tmp_path, "causal", "--config", str(config))["results"]["binary_condition"]
+        assert binary == {"holds": False, "overlap_apex": {"t": 1.0, "x": 0.0}}
+
     def test_apex_beyond_the_float_range(self, tmp_path, capsys):
         config = tmp_path / "beyond.json"
         config.write_text(json.dumps({"a_hat": {"t": 1e308, "x": 1e308}, "b_hat": {"t": 1e308, "x": -1e308}}))

@@ -582,7 +582,7 @@ class TestMonteCarlo:
     @example(k=3, n=1000, trials=1, spread=0, seed=0)
     @example(k=2, n=7, trials=500, spread=0, seed=1)
     @example(k=3, n=1000, trials=500, spread=1000, seed=2)
-    # (N+1)^3 passes 2^64 here, so the cells are Python ints.
+    # (N+1)^3 passes 2^62 here, so the cells are Python ints.
     @example(k=3, n=2**22, trials=500, spread=2**22, seed=3)
     # The largest grids still counted, and the smallest sorted ones.
     @example(**grid_at_switch(1, 125, past=False))
@@ -599,6 +599,14 @@ class TestMonteCarlo:
         run = EnsembleRun(labels=LABELS[:k], sums=sums, n_rounds=n)
         got = run.empirical()
         assert (got.labels, got.n_rounds, got.denominator) == (run.labels, n, trials)
+        want = oracles.empirical_by_row_unique(sums, n)
+        assert list(oracles.lattice_mapping(got).items()) == list(want.items())
+
+    @pytest.mark.parametrize("n", [1_664_509, 1_664_510])
+    def test_empirical_at_the_ends_of_the_int64_grid(self, n):
+        """(N+1)^3 is just below 2^62 at N = 1664509, so cells are int64, and past it at N = 1664510."""
+        sums = np.array([[n, n, n], [-n, -n, -n], [n, -n, n], [n, n, n]], dtype=np.int64)
+        got = EnsembleRun(labels=LABELS, sums=sums, n_rounds=n).empirical()
         want = oracles.empirical_by_row_unique(sums, n)
         assert list(oracles.lattice_mapping(got).items()) == list(want.items())
 

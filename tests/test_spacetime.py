@@ -107,6 +107,10 @@ class TestCones:
         assert in_future_cone(ev(-1e308, 0.0), ev(1e308, 1e308))
         assert not in_future_cone(ev(-1e308, -1e308), ev(1e308, 1e308 + 1e292))
 
+    def test_membership_below_float_resolution(self):
+        # dt = 1 - 1e-17 < |dx| = 1, though 1.0 - 1e-17 rounds to 1.0
+        assert not in_future_cone(ev(1e-17, 1.0), ev(1.0, 0.0))
+
     @given(finite_coords, finite_coords, finite_coords, finite_coords, betas)
     @settings(max_examples=120)
     def test_membership_is_boost_invariant(self, at, ax, et, ex, beta):
@@ -156,6 +160,11 @@ class TestConeOverlap:
         e = ev(t, x)
         assert cone_overlap_apex(e, e) == e
 
+    def test_apex_is_rounded_once(self):
+        # The exact apex rounds to t = 0.65; float null coordinates, rounded twice, gave 0.6499999999999999.
+        apex = cone_overlap_apex(ev(0.1, 0.7), ev(0.3, -0.2))
+        assert (apex.t, apex.x) == (0.65, 0.14999999999999997)
+
     def test_apex_past_null_coordinates_beyond_the_float_range(self):
         # The apex's null coordinates u = v = 1.5e308 overflow when added; the exact apex does not.
         apex = cone_overlap_apex(ev(1e308, -0.5e308), ev(1e308, 0.5e308))
@@ -185,6 +194,12 @@ class TestBinaryCondition:
         )
         assert report["holds"] is True
         assert (report["overlap_apex"].t, report["overlap_apex"].x) == (2.0, 0.0)
+
+    def test_verdict_reads_the_exact_apex(self):
+        # The apex is reported as (0.65, 0.14999999999999997) but lies 3 * 2^-56 earlier, outside a jammer there.
+        report = binary_condition(self._config(0.65, 0.14999999999999997, a=(0.1, 0.7), b=(0.3, -0.2)))
+        assert report["holds"] is False
+        assert report["overlap_apex"] == ev(0.65, 0.14999999999999997)
 
     def test_matches_grid_oracle(self):
         cases = [
@@ -309,6 +324,12 @@ class TestChronology:
         assert report["reply_arrival"] == ev(-0.1 * 1e308 * 2, -1e308)
         assert report["retrocausal"] is True
 
+    def test_reply_below_float_resolution(self):
+        # The reply lands at 1 - 1e-17, before the send, though its time rounds to 1.0.
+        report = round_trip_chronology(alice_x=0.0, bob_x=1.0, send_t=1.0, beta=1e-17)
+        assert report["reply_arrival"] == ev(1.0, 0.0)
+        assert report["retrocausal"] is True
+
     def test_reply_beyond_the_float_range_is_refused(self):
         with pytest.raises(ValueError, match="beyond the float range"):
             round_trip_chronology(alice_x=-1e308, bob_x=1e308, send_t=1e308, beta=-0.9)
@@ -320,9 +341,8 @@ class TestChronology:
         st.floats(min_value=0.01, max_value=0.99),
     )
     @settings(max_examples=60)
+    @example(alice_x=0.0, bob_x=1e-15, send_t=10.0, beta=0.5)
     def test_retrocausal_exactly_when_bob_is_ahead(self, alice_x, bob_x, send_t, beta):
-        # a shift below float resolution at send_t cannot move the reply time
-        shift = beta * (bob_x - alice_x)
-        assume(shift == 0 or abs(shift) > 1e-9 * max(1.0, abs(send_t)))
+        # beta > 0, so the reply lands before the send exactly when Bob is ahead, however small the shift
         report = round_trip_chronology(alice_x, bob_x, send_t, beta)
-        assert report["retrocausal"] == (shift > 0)
+        assert report["retrocausal"] == (bob_x > alice_x)

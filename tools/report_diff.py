@@ -54,6 +54,15 @@ EDGE_CONFIGS = {
     },
     "subnormal-apex.json": {"a_hat": {"t": 0, "x": -5e-324}, "b_hat": {"t": 0, "x": 5e-324}, "j_hat": {"t": 0, "x": -5e-324}},
     "wide-reply.json": {"a_hat": {"t": 0, "x": -1e308}, "b_hat": {"t": 0, "x": 1e308}, "beta": 0.1},
+    # Light-cone boundaries below float resolution at the coordinates.
+    "tilted-jammer.json": {"a_hat": {"t": 0, "x": -1}, "b_hat": _EAST, "j_hat": {"t": 1e-17, "x": 1}},
+    "slow-reply.json": {"a_hat": {"t": 1, "x": 0}, "b_hat": {"t": 1, "x": 1}, "beta": 1e-17},
+    "decimal-apex.json": {"a_hat": {"t": 0.1, "x": 0.7}, "b_hat": {"t": 0.3, "x": -0.2}},
+    "jammer-at-rounded-apex.json": {
+        "a_hat": {"t": 0.1, "x": 0.7},
+        "b_hat": {"t": 0.3, "x": -0.2},
+        "j_hat": {"t": 0.65, "x": 0.14999999999999997},
+    },
     "missing-x.json": {"a_hat": {"t": 0}, "b_hat": _EAST},
     "half-loop.json": {"alice_map": "echo"},
     "bad-map.json": {"alice_map": [], "bob_map": "echo"},
