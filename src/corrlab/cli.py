@@ -12,7 +12,6 @@ import functools
 import json
 import math
 import sys
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -36,14 +35,46 @@ def _envelope(command: str, config: dict, results: dict, checks: dict) -> dict:
     }
 
 
-def _table_lines(prefixes, table: np.ndarray, codes: np.ndarray) -> str:
-    """One line per row of ``codes``: its prefix, then ``table[code]`` for each column.
+def _index_digits(rows: int) -> list[np.ndarray]:
+    """The decimal text of 0..rows-1 as right-aligned (rows, 1) uint8 digit columns, NUL for a leading zero.
 
-    ``table`` holds each value's field text with its leading comma, so the
-    text of a lattice value is built once, not once per trial.
+    Digit j of i is i // 10**(w-1-j) % 10 + 48; it is computed once per run
+    of equal digits and repeated over the run.
     """
-    columns = table[codes].T
-    return "".join(chain.from_iterable(zip(prefixes, *columns, repeat("\n"))))
+    width = len(str(max(rows - 1, 0)))
+    columns = []
+    for j in range(width):
+        place = 10 ** (width - 1 - j)
+        runs = np.arange(-(-rows // place)) % 10 + ord("0")
+        column = np.repeat(runs.astype(np.uint8), place)[:rows]
+        if j < width - 1:
+            column[:place] = 0
+        columns.append(column[:, None])
+    return columns
+
+
+def _table_lines(prefix: str, fields: np.ndarray, codes: np.ndarray) -> str:
+    """One line per row of ``codes``: ``prefix``, the row's index, then ``fields[code]`` for each column.
+
+    ``fields`` is an ``S`` array of each value's field text, leading comma
+    included, so the text of a lattice value is built once, not once per
+    row.  The lines are one (rows, width) uint8 matrix, stacked from a fixed
+    number of blocks: the prefix's bytes, the index digits, each column's
+    fields gathered from ``fields`` (NUL-padded to the widest) and the
+    newline.  Dropping every NUL in one pass leaves the text, decoded once.
+    """
+    rows = len(codes)
+    head = np.frombuffer(prefix.encode("ascii"), np.uint8)
+    matrix = np.concatenate(
+        [
+            np.broadcast_to(head, (rows, head.size)),
+            *_index_digits(rows),
+            *(fields.take(c).view(np.uint8).reshape(rows, fields.itemsize) for c in codes.T),
+            np.broadcast_to(np.uint8(ord("\n")), (rows, 1)),
+        ],
+        axis=1,
+    ).ravel()
+    return str(matrix[matrix != 0], "ascii")
 
 
 def _csv_columns(runs) -> list[str]:
@@ -57,7 +88,12 @@ def _csv_columns(runs) -> list[str]:
 
 
 def _dist_csv(v: SignalingVerdict) -> str:
-    """Exact pmf rows, or one row per sampled trial, for each run."""
+    """Exact pmf rows, or one row per sampled trial, for each run.
+
+    A sampled run's rows are one byte matrix built by ``_table_lines``: the
+    choice, the trial index and each component's collective, looked up in
+    the field text of the run's 2N+1 lattice values.
+    """
     labels = _csv_columns(v.runs.values())
     if v.mode is RunMode.EXACT:
         header = ["choice", *labels, "numerator", "denominator"]
@@ -71,20 +107,18 @@ def _dist_csv(v: SignalingVerdict) -> str:
         lines = []
         for choice, run in v.runs.items():
             n = run.n_rounds
-            table = np.array(["," + repr(s / n) for s in range(-n, n + 1)], dtype=object)
-            prefixes = map(f"{choice},".__add__, map(str, range(run.trials)))
-            lines.append(_table_lines(prefixes, table, run.sums + n))
+            fields = np.array([f",{s / n!r}".encode("ascii") for s in range(-n, n + 1)])
+            lines.append(_table_lines(f"{choice},", fields, run.sums + n))
     return ",".join(header) + "\n" + "".join(lines)
 
 
 # Field text of a +1/-1 outcome, indexed by outcome + 1.
-_SIGN_FIELDS = np.array([",-1", ",0", ",1"], dtype=object)
+_SIGN_FIELDS = np.array([b",-1", b",0", b",1"])
 
 
 def _jamming_csv(records: JammingRecords) -> str:
-    """One row per triplet: its index and its (a_x, b_x, j) outcomes."""
-    prefixes = map(str, range(records.trials))
-    return "triplet,a_x,b_x,j\n" + _table_lines(prefixes, _SIGN_FIELDS, records.outcomes + 1)
+    """One row per triplet: its index and its (a_x, b_x, j) outcomes, built as one byte matrix by ``_table_lines``."""
+    return "triplet,a_x,b_x,j\n" + _table_lines("", _SIGN_FIELDS, records.outcomes + 1)
 
 
 _SCENARIOS = {"pr-signal": ScenarioKind.PR_BOX, "tsirelson": ScenarioKind.TSIRELSON, "ghz-signal": ScenarioKind.GHZ}
@@ -215,18 +249,17 @@ def cmd_causal(args) -> tuple[dict, str | None]:
     checks: dict = {}
 
     if "a_hat" in events and "b_hat" in events:
-        apex = spacetime.cone_overlap_apex(events["a_hat"], events["b_hat"])
-        results["overlap_apex"] = apex.to_json_obj()
         if "j_hat" in events:
             config = spacetime.CausalConfig(
                 a_hat=events["a_hat"], b_hat=events["b_hat"], j_hat=events["j_hat"]
             )
             binary = spacetime.binary_condition(config)
-            results["binary_condition"] = {
-                "holds": binary["holds"],
-                "overlap_apex": binary["overlap_apex"].to_json_obj(),
-            }
+            apex = binary["overlap_apex"]
+            results["binary_condition"] = {"holds": binary["holds"], "overlap_apex": apex.to_json_obj()}
             checks["binary_condition_holds"] = binary["holds"]
+        else:
+            apex = spacetime.cone_overlap_apex(events["a_hat"], events["b_hat"])
+        results["overlap_apex"] = apex.to_json_obj()
 
     if "beta" in data:
         if "a_hat" not in events or "b_hat" not in events:

@@ -6,6 +6,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from enum import Enum
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from child_env import child_env
-from corrlab import cli, ensembles, reportio
+from corrlab import cli, ensembles, reportio, spacetime
 from corrlab.boxes import make_pr_box
 from corrlab.cli import main
 from corrlab.ensembles import (
@@ -303,6 +304,12 @@ class TestCsvMatchesWriter:
     @example(k=3, n=1, trials=1, runs=1, seed=0)
     @example(k=2, n=7, trials=300, runs=4, seed=1)
     @example(k=1, n=200, trials=2, runs=2, seed=2)
+    # Row counts on each side of a power of ten, where the trial index gains a digit.
+    @example(k=1, n=3, trials=9, runs=2, seed=3)
+    @example(k=2, n=1, trials=10, runs=1, seed=4)
+    @example(k=3, n=2, trials=11, runs=3, seed=5)
+    @example(k=3, n=6, trials=100, runs=4, seed=6)
+    @example(k=2, n=60, trials=1001, runs=2, seed=7)
     def test_sampled(self, k, n, trials, runs, seed):
         rng = np.random.default_rng(seed)
         labels = ("A_x", "B_x", "J_x")[:k]
@@ -322,9 +329,26 @@ class TestCsvMatchesWriter:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(jim="z", n=1, trials=1, seed=0)
+    # n * trials triplets on each side of a power of ten, where the index gains a digit.
+    @example(jim="x", n=3, trials=3, seed=1)
+    @example(jim="z", n=2, trials=5, seed=2)
+    @example(jim="x", n=1, trials=11, seed=3)
+    @example(jim="z", n=10, trials=10, seed=4)
+    @example(jim="x", n=7, trials=143, seed=5)
     def test_jamming(self, jim, n, trials, seed):
         records = run_jamming_scenario(n, jim, trials, seed)
         assert_same_text(cli._jamming_csv(records), oracles.render_csv_by_writer(records))
+
+    def test_jamming_peak_memory(self):
+        """6e5 triplets: the text builder's peak stays under six times the text it returns."""
+        records = run_jamming_scenario(6, "z", 100_000, 0)
+        tracemalloc.start()
+        try:
+            text = cli._jamming_csv(records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * len(text)
 
     @settings(max_examples=25, deadline=None)
     @given(kind=st.sampled_from(list(ScenarioKind)), n=st.integers(1, 24))
@@ -475,13 +499,31 @@ CSV_REPORT_DIGESTS = [
         "5863fc8c030ccf0224916f53f896a91e2f2bf1d8b2c1d2eea9f717211ab25606",
     ),
     (
+        ("jamming", "--jim", "x", "--n", "6", "--trials", "10000"),
+        "7dad9d099a7ef1166bda6c81c514625f40cadbcf7774ef0b309f39a15dc01058",
+    ),
+    # A 121-field table of wide floats.
+    (
+        ("pr-signal", "--mode", "mc", "--n", "60", "--trials", "10000", "--seed", "0"),
+        "b9b462fff97fe122d952b0b08040749f54c0b27f5b6d2149723d6587ba7c0ac7",
+    ),
+    # 6e5 triplets, whose index text runs from 1 to 6 digits.
+    (
+        ("jamming", "--jim", "z"),
+        "f0e06c251b493de7cf887c2b3e14eae791ce46af3058af29d71abd643cabd8a5",
+    ),
+    (
         ("ghz-signal", "--n", "24"),
         "a66ed37f5e3e63187a748a0f58b102a14737a684ca0222ed3b06b221d7e1a334",
     ),
 ]
 
 
-@pytest.mark.parametrize("args, digest", CSV_REPORT_DIGESTS, ids=["pr-mc", "tsirelson-mc", "ghz-mc", "jamming-z", "ghz-exact-24"])
+@pytest.mark.parametrize(
+    "args, digest",
+    CSV_REPORT_DIGESTS,
+    ids=["pr-mc", "tsirelson-mc", "ghz-mc", "jamming-z", "jamming-x", "pr-mc-60", "jamming-z-default", "ghz-exact-24"],
+)
 def test_csv_reports_are_pinned(capsys, args, digest):
     assert main([*args, "--format", "csv"]) == 0
     out, err = capsys.readouterr()
@@ -594,6 +636,12 @@ class TestCausalCommand:
         binary = report["results"]["binary_condition"]
         assert binary["holds"] is True
         assert binary["overlap_apex"] == {"t": 1.0, "x": 0.0}
+
+    def test_overlap_apex_is_computed_once(self, tmp_path, monkeypatch):
+        calls = spy_calls(monkeypatch, spacetime, "cone_overlap_apex")
+        report = self._run(tmp_path, "jammer_inside_overlap.json")
+        assert len(calls) == 1
+        assert report["results"]["overlap_apex"] == report["results"]["binary_condition"]["overlap_apex"]
 
     def test_jammer_outside_overlap(self, tmp_path):
         report = self._run(tmp_path, "jammer_outside_overlap.json")

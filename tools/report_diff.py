@@ -92,6 +92,8 @@ def commands(config_dir: str) -> list[list[str]]:
         cmds += [
             [command, "--mode", "mc"],
             [command, "--mode", "mc", "--n", "60"],
+            [command, "--mode", "mc", "--format", "csv"],
+            [command, "--mode", "mc", "--n", "60", "--format", "csv"],
             [command, "--mode", "mc", "--n", "60", "--trials", "10000"],
             [command, "--mode", "mc", "--n", "1", "--trials", "1"],
             # Sampled grids at and one past the cell count where the histogram sorts.
@@ -113,6 +115,10 @@ def commands(config_dir: str) -> list[list[str]]:
             ["jamming", "--jim", jim],
             ["jamming", "--jim", jim, "--n", "1", "--trials", "1"],
             ["jamming", "--jim", jim, "--trials", "300", "--format", "csv"],
+            # Triplet indices of one to six digits.
+            ["jamming", "--jim", jim, "--format", "csv"],
+            ["jamming", "--jim", jim, "--n", "1", "--trials", "10", "--format", "csv"],
+            ["jamming", "--jim", jim, "--n", "10", "--trials", "100", "--format", "csv"],
             ["jamming", "--jim", jim, "--trials", "0"],
             ["jamming", "--jim", jim, "--trials", str(10**15)],
         ]
