@@ -301,7 +301,7 @@ class TestMeasurement:
             sequential_measure(state, (z0, obs("X", *"I" * (n - 1))), rng)
 
     def test_outcomes_are_pinned(self):
-        """The seeded measurement outcomes never change silently.
+        """The seeded measurement outcomes and post-state bits never change silently.
 
         Two batches measure the GHZ pairs of the measured-pair-products gate;
         the third measures a tilted two-qubit observable together with its
@@ -313,17 +313,19 @@ class TestMeasurement:
             (ghz_state(), (obs("X", "Y", "I"), obs("Y", "X", "I")), 2025),
             (bell_state(), (obs("Z", 0.7), obs("Z", "I"), obs("I", 0.7)), 2026),
         )
-        digest = hashlib.sha256()
+        digest, posts = hashlib.sha256(), hashlib.sha256()
         for state, observables, seed in batches:
             rng = np.random.default_rng(seed)
-            outcomes = np.array(
-                [[r.outcome for r in sequential_measure(state, observables, rng)] for _ in range(1000)],
-                dtype=np.int8,
-            )
+            batch = [sequential_measure(state, observables, rng) for _ in range(1000)]
+            outcomes = np.array([[r.outcome for r in records] for records in batch], dtype=np.int8)
             if len(observables) == 3:
                 assert np.all(outcomes[:, 0] == outcomes[:, 1] * outcomes[:, 2])
             digest.update(outcomes.tobytes())
+            for records in batch:
+                for r in records:
+                    posts.update(r.post_state.amplitudes.tobytes())
         assert digest.hexdigest() == "72e02b51953b83d51a0c832cbe7fa408400715247e0d41f50ccd31ff0a172a85"
+        assert posts.hexdigest() == "fb346422f5cb09c93d17536e19275d32af1cb8625d97c305b6b8629e874de885"
 
 
 class TestJointProbabilities:
