@@ -222,26 +222,42 @@ def commutes(a: PauliObservable, b: PauliObservable) -> bool:
     return _commutes(a, b)
 
 
+@lru_cache(maxsize=64)
+def _born_branches(key: bytes, observable: PauliObservable) -> tuple[float, PureState | None, PureState | None]:
+    """(p(+1), post state after +1, post state after -1) of the state whose amplitude bytes are ``key``.
+
+    Keyed on content, so equal states share an entry and a returned post state hits
+    it again when measured next; a branch of norm below 1e-9 is None.  An entry holds
+    at most three 2^n-amplitude vectors, 192 KiB at MAX_QUBITS, so about 12 MiB in all.
+    """
+    amps = np.frombuffer(key, complex)
+    applied = _apply(observable, amps)
+    p_plus = min(1.0, max(0.0, (1.0 + float(np.vdot(amps, applied).real)) / 2.0))
+    posts = [None, None]
+    # Twice each projection (psi +- O psi) / 2: the factor 2 cancels in the normalisation.
+    for i, doubled in enumerate((amps + applied, amps - applied)):
+        norm = math.sqrt(np.vdot(doubled, doubled).real)
+        if norm >= 2e-9:
+            doubled /= norm
+            doubled.setflags(write=False)
+            posts[i] = PureState(doubled)
+    return p_plus, posts[0], posts[1]
+
+
 def measure(state: PureState, observable: PauliObservable, rng: np.random.Generator) -> MeasurementRecord:
     """Projective measurement of a dichotomic observable.
 
     Outcome +1 occurs with Born probability (1 + <O>)/2; the post state is
-    the normalized projection onto the sampled eigenspace.
+    the normalized projection onto the sampled eigenspace, shared by every
+    caller measuring an equal state: only the draw differs between calls.
     """
-    amps = state.amplitudes
-    applied = _apply(observable, amps)
-    exp = float(np.vdot(amps, applied).real)
-    p_plus = min(1.0, max(0.0, (1.0 + exp) / 2.0))
+    if observable.n_qubits != state.n_qubits:
+        raise ValueError("observable and state act on different qubit counts")
+    p_plus, plus, minus = _born_branches(state.amplitudes.tobytes(), observable)
     outcome = 1 if rng.random() < p_plus else -1
-    # Twice the projection (psi + outcome * O psi) / 2: the factor 2 cancels in
-    # the normalisation, and the branch vanishes when the projection's norm is below 1e-9.
-    doubled = amps + applied if outcome == 1 else amps - applied
-    norm = math.sqrt(np.vdot(doubled, doubled).real)
-    if norm < 2e-9:
+    post = plus if outcome == 1 else minus
+    if post is None:
         raise InvariantViolation("sampled a branch of vanishing probability")
-    doubled /= norm
-    doubled.setflags(write=False)
-    post = PureState(doubled)
     return MeasurementRecord(observable=observable, outcome=outcome, post_state=post)
 
 

@@ -102,16 +102,20 @@ class CausalConfig:
     j_hat: SpacetimeEvent
 
 
+def _null_coordinates(e: SpacetimeEvent) -> tuple[Fraction, Fraction]:
+    """The exact (u, v) = (t - x, t + x): e's closed future cone is the quadrant u' >= u, v' >= v."""
+    t, x = Fraction(e.t), Fraction(e.x)
+    return t - x, t + x
+
+
 def _overlap_corner(a: SpacetimeEvent, b: SpacetimeEvent) -> tuple[Fraction, Fraction]:
     """The exact (t, x) of the apex of the overlap of a's and b's future cones.
 
-    In null coordinates u = t - x, v = t + x a future cone is a quadrant
-    u >= u0, v >= v0, so the intersection is again a quadrant whose corner
-    has the componentwise maxima.
+    The intersection of two quadrants is again a quadrant, whose corner has
+    the componentwise maxima of their null coordinates.
     """
-    ta, xa, tb, xb = Fraction(a.t), Fraction(a.x), Fraction(b.t), Fraction(b.x)
-    u = max(ta - xa, tb - xb)
-    v = max(ta + xa, tb + xb)
+    (ua, va), (ub, vb) = _null_coordinates(a), _null_coordinates(b)
+    u, v = max(ua, ub), max(va, vb)
     return (u + v) / 2, (v - u) / 2
 
 
@@ -136,13 +140,14 @@ def binary_condition(config: CausalConfig) -> dict:
     """Does the overlap of the futures of a_hat and b_hat sit inside j_hat's future?
 
     In 1+1D the overlap region is itself a (closed) future cone, so it is
-    contained in another future cone exactly when its apex is.  The verdict
-    is read from the exact apex, not from the rounded one reported.
+    contained in another future cone exactly when its apex is: when each of
+    the apex's null coordinates, the maxima over a_hat and b_hat, reaches
+    j_hat's.  The verdict is read from these exact values, not from the
+    rounded apex reported, and the apex is computed once, by cone_overlap_apex.
     """
-    t, x = _overlap_corner(config.a_hat, config.b_hat)
-    j = config.j_hat
+    (ua, va), (ub, vb), (uj, vj) = map(_null_coordinates, (config.a_hat, config.b_hat, config.j_hat))
     return {
-        "holds": t - Fraction(j.t) >= abs(x - Fraction(j.x)),
+        "holds": max(ua, ub) >= uj and max(va, vb) >= vj,
         "overlap_apex": cone_overlap_apex(config.a_hat, config.b_hat),
     }
 

@@ -643,6 +643,13 @@ class TestCausalCommand:
         assert len(calls) == 1
         assert report["results"]["overlap_apex"] == report["results"]["binary_condition"]["overlap_apex"]
 
+    def test_overlap_corner_is_computed_once(self, tmp_path, monkeypatch):
+        """The exact corner behind both the reported apex and the verdict is computed once."""
+        calls = spy_calls(monkeypatch, spacetime, "_overlap_corner")
+        report = self._run(tmp_path, "jammer_inside_overlap.json")
+        assert len(calls) == 1
+        assert report["results"]["binary_condition"] == {"holds": True, "overlap_apex": {"t": 1.0, "x": 0.0}}
+
     def test_jammer_outside_overlap(self, tmp_path):
         report = self._run(tmp_path, "jammer_outside_overlap.json")
         assert report["results"]["binary_condition"]["holds"] is False

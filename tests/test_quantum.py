@@ -18,6 +18,7 @@ from corrlab.quantum import (
     PauliObservable,
     PureState,
     _apply,
+    _born_branches,
     bell_state,
     commutator_norm,
     commutes,
@@ -427,6 +428,37 @@ def test_measure_zero_probability_branch_is_never_sampled():
         assert measure(state, obs("Z"), rng).outcome == 1
 
 
+class _DrawsOne:
+    """An rng stub whose every draw is 1.0, past every Born probability."""
+
+    def random(self):
+        return 1.0
+
+
+class TestBornBranchCache:
+    def test_qubit_counts_are_checked_before_the_lookup(self):
+        before = _born_branches.cache_info()
+        with pytest.raises(ValueError, match="different qubit counts"):
+            measure(ghz_state(), obs("Z", "I"), np.random.default_rng(0))
+        after = _born_branches.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_vanishing_branch_is_refused_on_every_call(self):
+        """The cached None branch raises each time it is sampled, not only when first computed."""
+        state = PureState(np.array([1.0, 0.0]))
+        for _ in range(3):
+            with pytest.raises(InvariantViolation, match="sampled a branch of vanishing probability"):
+                measure(state, obs("Z"), _DrawsOne())
+
+    def test_cache_size_is_bounded(self):
+        maxsize = _born_branches.cache_info().maxsize
+        rng = np.random.default_rng(3)
+        for _ in range(maxsize + 10):
+            vec = rng.normal(size=8) + 1j * rng.normal(size=8)
+            measure(PureState(vec / np.linalg.norm(vec)), obs("X", "Y", "Z"), rng)
+        assert _born_branches.cache_info().currsize <= maxsize
+
+
 _SITE_FACTORS = st.lists(
     st.one_of(st.sampled_from("IXYZ"), st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)),
     min_size=MAX_QUBITS,
@@ -472,10 +504,14 @@ def test_signed_permutation_matches_matmul(n, seed, a_factors, b_factors, a_sign
         want = oracles.joint_probability_by_matmul(amps, a.factors, outcome)
         assert probs[outcome] == pytest.approx(want, abs=1e-12)
 
-    rec = measure(state, a, np.random.default_rng(seed))
     outcome, post = oracles.measure_by_matmul(amps, a, np.random.default_rng(seed))
-    assert rec.outcome == outcome
-    np.testing.assert_allclose(rec.post_state.amplitudes, post, rtol=0, atol=1e-12)
+    # The first call may fill the cache; the same state and an equal fresh one then hit it.
+    for measured in (state, state, PureState(amps.copy())):
+        rec = measure(measured, a, np.random.default_rng(seed))
+        assert rec.outcome == outcome
+        np.testing.assert_allclose(rec.post_state.amplitudes, post, rtol=0, atol=1e-12)
+        # Cached post states are shared between callers, so none of them may write.
+        assert not rec.post_state.amplitudes.flags.writeable
 
 
 @given(
