@@ -92,7 +92,7 @@ def _dist_csv(v: SignalingVerdict) -> str:
 
     A sampled run's rows are one byte matrix built by ``_table_lines``: the
     choice, the trial index and each component's collective, looked up in
-    the field text of the run's 2N+1 lattice values.
+    the field text of only the lattice values from the run's least sum to its greatest.
     """
     labels = _csv_columns(v.runs.values())
     if v.mode is RunMode.EXACT:
@@ -106,9 +106,9 @@ def _dist_csv(v: SignalingVerdict) -> str:
         header = ["choice", "trial", *labels]
         lines = []
         for choice, run in v.runs.items():
-            n = run.n_rounds
-            fields = np.array([f",{s / n!r}".encode("ascii") for s in range(-n, n + 1)])
-            lines.append(_table_lines(f"{choice},", fields, run.sums + n))
+            n, lo, hi = run.n_rounds, int(run.sums.min()), int(run.sums.max())
+            fields = np.array([f",{s / n!r}".encode("ascii") for s in range(lo, hi + 1)])
+            lines.append(_table_lines(f"{choice},", fields, run.sums - lo))
     return ",".join(header) + "\n" + "".join(lines)
 
 

@@ -283,10 +283,6 @@ class EnsembleRun:
     n_rounds: int
     rounds: np.ndarray | None = field(default=None, repr=False)
 
-    @property
-    def trials(self) -> int:
-        return int(self.sums.shape[0])
-
     def empirical(self) -> ExactDistribution:
         """Empirical pmf of the collectives: each grid cell's count over the trials."""
         return _grid_counts(self.labels, self.sums, self.n_rounds)

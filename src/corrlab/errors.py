@@ -20,11 +20,4 @@ class LatticeMismatchError(CorrlabError, ValueError):
 
 
 class NonCommutingError(CorrlabError, ValueError):
-    """A joint measurement was requested for observables that do not commute.
-
-    ``pair`` holds the indices of the first offending observable pair.
-    """
-
-    def __init__(self, message: str, pair: tuple[int, int] | None = None):
-        super().__init__(message)
-        self.pair = pair
+    """A joint measurement was requested for observables that do not commute."""

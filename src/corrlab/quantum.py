@@ -51,16 +51,13 @@ class PauliObservable:
     """Tensor product of single-site dichotomic spin operators.
 
     ``factors`` holds one entry per qubit: "I", "X", "Y", "Z", or a float
-    angle theta for cos(theta)*Z + sin(theta)*X.  ``sign`` flips the whole
-    operator.  Squares to the identity, so eigenvalues are +1/-1.
+    angle theta for cos(theta)*Z + sin(theta)*X.  Squares to the identity,
+    so eigenvalues are +1/-1.
     """
 
     factors: tuple[str | float, ...]
-    sign: int = 1
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
         if not self.factors:
             raise ValueError("observable needs at least one factor")
         for f in self.factors:
@@ -74,15 +71,14 @@ class PauliObservable:
         parts = []
         for f in self.factors:
             parts.append(f if isinstance(f, str) else f"theta({f:+.4f})")
-        prefix = "-" if self.sign < 0 else ""
-        return prefix + "*".join(parts)
+        return "*".join(parts)
 
 
 @lru_cache(maxsize=256)
 def _signed_permutation(observable: PauliObservable) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The observable as (index, phase, tilted sites) over the 2^n basis states.
 
-    The sign and the Pauli letters give (O psi)[i] = phase[i] * psi[index[i]]
+    The Pauli letters give (O psi)[i] = phase[i] * psi[index[i]]
     with index[i] = i ^ mask: X and Y flip their site's bit, Y and Z
     contribute +-1 or +-i by the bit of i.  Each tilted site then adds, in
     turn, cos(theta) * Z (one diagonal term) and sin(theta) * X (one flip
@@ -92,7 +88,7 @@ def _signed_permutation(observable: PauliObservable) -> tuple[np.ndarray, np.nda
     n = observable.n_qubits
     basis = np.arange(2**n)
     mask = 0
-    phase = np.full(2**n, observable.sign, dtype=complex)
+    phase = np.ones(2**n, dtype=complex)
     tilted = []
     for k, factor in enumerate(observable.factors):
         bit = 1 << (n - 1 - k)
@@ -160,9 +156,8 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementRecord:
-    """One projective measurement: what was measured, what came out, what remains."""
+    """One projective measurement: what came out, and what remains."""
 
-    observable: PauliObservable
     outcome: int
     post_state: PureState
 
@@ -186,11 +181,6 @@ def expectation(state: PureState, observable: PauliObservable) -> float:
     return float(np.vdot(state.amplitudes, _apply(observable, state.amplitudes)).real)
 
 
-@lru_cache(maxsize=1024)
-def _commutes(a: PauliObservable, b: PauliObservable) -> bool:
-    return commutator_norm(a, b) < _COMMUTATOR_TOL
-
-
 def commutator_norm(a: PauliObservable, b: PauliObservable) -> float:
     """Frobenius norm of [a, b] = ab - ba: the root of the summed squares of its columns.
 
@@ -204,7 +194,7 @@ def commutator_norm(a: PauliObservable, b: PauliObservable) -> float:
     kept = [i for i, (fa, fb) in enumerate(zip(a.factors, b.factors)) if "I" not in (fa, fb) and fa != fb]
     if not kept:
         return 0.0
-    a_kept, b_kept = (PauliObservable(tuple(o.factors[i] for i in kept), o.sign) for o in (a, b))
+    a_kept, b_kept = (PauliObservable(tuple(o.factors[i] for i in kept)) for o in (a, b))
     dim = 2 ** len(kept)
     step = max(1, _COMMUTATOR_BLOCK // dim)
     squares = 0.0
@@ -215,11 +205,14 @@ def commutator_norm(a: PauliObservable, b: PauliObservable) -> float:
     return math.sqrt(squares * 2 ** (a.n_qubits - len(kept)))
 
 
+@lru_cache(maxsize=1024)
 def commutes(a: PauliObservable, b: PauliObservable) -> bool:
-    """True when [a, b] vanishes (Frobenius norm below 1e-10)."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("observables act on different qubit counts")
-    return _commutes(a, b)
+    """True when [a, b] vanishes (Frobenius norm below 1e-10).
+
+    Cached per pair; a pair on different qubit counts raises each time, as
+    ``commutator_norm`` does, since a raised call is not cached.
+    """
+    return commutator_norm(a, b) < _COMMUTATOR_TOL
 
 
 @lru_cache(maxsize=64)
@@ -258,7 +251,7 @@ def measure(state: PureState, observable: PauliObservable, rng: np.random.Genera
     post = plus if outcome == 1 else minus
     if post is None:
         raise InvariantViolation("sampled a branch of vanishing probability")
-    return MeasurementRecord(observable=observable, outcome=outcome, post_state=post)
+    return MeasurementRecord(outcome=outcome, post_state=post)
 
 
 def sequential_measure(
@@ -276,10 +269,7 @@ def sequential_measure(
     for i in range(len(obs)):
         for j in range(i + 1, len(obs)):
             if not commutes(obs[i], obs[j]):
-                raise NonCommutingError(
-                    f"observables {obs[i].label()} and {obs[j].label()} do not commute",
-                    pair=(i, j),
-                )
+                raise NonCommutingError(f"observables {obs[i].label()} and {obs[j].label()} do not commute")
     records = []
     current = state
     for o in obs:

@@ -107,20 +107,14 @@ def _passes(tv, threshold) -> bool:
     return tv < threshold
 
 
-def unary_condition_check(
-    dist_0: ExactDistribution,
-    dist_1: ExactDistribution,
-    *,
-    threshold: Fraction | float = Fraction(0),
-    include_joint: bool = False,
-) -> dict:
+def unary_condition_check(dist_0: ExactDistribution, dist_1: ExactDistribution) -> dict:
     """Do the receivers' separate statistics hide the remote choice?
 
     Compares, per component label shared by the two distributions, the
-    marginal outcome distributions across the choices.  ``include_joint``
-    additionally compares the joint distribution over the shared
-    components, which is the stronger collective statistic.  The default
-    zero threshold suits exact distributions; sampled ones need their own.
+    marginal outcome distributions across the choices, and then the joint
+    distribution over the shared components, which is the stronger
+    collective statistic.  The check holds only when every total variation
+    is exactly zero.
     """
     common = [lab for lab in dist_0.labels if lab in dist_1.labels]
     if not common:
@@ -131,20 +125,16 @@ def unary_condition_check(
         m1 = dist_1.marginal((dist_1.labels.index(lab),))
         per_component[lab] = total_variation(m0, m1)
     max_tv = max(per_component.values())
-    holds = _passes(max_tv, threshold)
-    report = {
-        "holds": holds,
+    joint_0 = dist_0.marginal(tuple(dist_0.labels.index(lab) for lab in common))
+    joint_1 = dist_1.marginal(tuple(dist_1.labels.index(lab) for lab in common))
+    joint_tv = total_variation(joint_0, joint_1)
+    return {
+        "holds": max_tv == 0 and joint_tv == 0,
         "max_marginal_tv": max_tv,
         "per_component": per_component,
-        "threshold": threshold,
+        "threshold": Fraction(0),
+        "joint_tv": joint_tv,
     }
-    if include_joint:
-        joint_0 = dist_0.marginal(tuple(dist_0.labels.index(lab) for lab in common))
-        joint_1 = dist_1.marginal(tuple(dist_1.labels.index(lab) for lab in common))
-        joint_tv = total_variation(joint_0, joint_1)
-        report["joint_tv"] = joint_tv
-        report["holds"] = holds and _passes(joint_tv, threshold)
-    return report
 
 
 def jamming_unary_exact() -> dict:
@@ -154,7 +144,7 @@ def jamming_unary_exact() -> dict:
     identical whether Jim measures x or z, so the check holds with total
     variation exactly zero.
     """
-    return unary_condition_check(jamming_round_pmf("x"), jamming_round_pmf("z"), include_joint=True)
+    return unary_condition_check(jamming_round_pmf("x"), jamming_round_pmf("z"))
 
 
 def _mode_value(value, mode: RunMode):

@@ -62,30 +62,15 @@ def _round_once(value: Fraction, what: str) -> float:
         raise ValueError(f"{what} lies beyond the float range") from None
 
 
-@dataclass(frozen=True)
-class Boost:
-    """Lorentz boost with velocity beta, |beta| < 1."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.beta) or abs(self.beta) >= 1:
-            raise ValueError("boost velocity must satisfy |beta| < 1")
-
-    @property
-    def gamma(self) -> float:
-        return 1.0 / math.sqrt(1.0 - self.beta * self.beta)
-
-    def apply(self, e: SpacetimeEvent) -> SpacetimeEvent:
-        g = self.gamma
-        return SpacetimeEvent(
-            t=g * (e.t - self.beta * e.x),
-            x=g * (e.x - self.beta * e.t),
-        )
-
-
 def boost(e: SpacetimeEvent, beta: float) -> SpacetimeEvent:
-    return Boost(beta).apply(e)
+    """The event in the frame moving with velocity beta, |beta| < 1."""
+    if not math.isfinite(beta) or abs(beta) >= 1:
+        raise ValueError("boost velocity must satisfy |beta| < 1")
+    g = 1.0 / math.sqrt(1.0 - beta * beta)
+    return SpacetimeEvent(
+        t=g * (e.t - beta * e.x),
+        x=g * (e.x - beta * e.t),
+    )
 
 
 def in_future_cone(apex: SpacetimeEvent, e: SpacetimeEvent) -> bool:
@@ -164,12 +149,6 @@ class DevicePolicy:
             if not isinstance(name, str) or name not in _MAP_TABLE:
                 raise ValueError(f"unknown device map {name!r}; choose from {MAP_NAMES}")
 
-    def alice(self, bit: int) -> int:
-        return _MAP_TABLE[self.alice_map](bit)
-
-    def bob(self, bit: int) -> int:
-        return _MAP_TABLE[self.bob_map](bit)
-
 
 def loop_analysis(policy: DevicePolicy) -> dict:
     """Solve the closed loop i_A = alice(i_B), i_B = bob(i_A) over bits.
@@ -178,10 +157,11 @@ def loop_analysis(policy: DevicePolicy) -> dict:
     fixed points is the self-contradictory configuration; two fixed
     points means the loop is consistent but underdetermined.
     """
+    alice, bob = _MAP_TABLE[policy.alice_map], _MAP_TABLE[policy.bob_map]
     fixed_points = [
         (i_a, i_b)
         for i_a, i_b in FIXED_POINT_DOMAIN
-        if policy.alice(i_b) == i_a and policy.bob(i_a) == i_b
+        if alice(i_b) == i_a and bob(i_a) == i_b
     ]
     return {
         "consistent": len(fixed_points) >= 1,

@@ -185,8 +185,8 @@ def bell_vector() -> sp.Matrix:
     return v
 
 
-def symbolic_expectation(state: sp.Matrix, factors, sign: int = 1) -> sp.Expr:
-    op = sign * _kron(*[_symbolic_factor(f) for f in factors])
+def symbolic_expectation(state: sp.Matrix, factors) -> sp.Expr:
+    op = _kron(*[_symbolic_factor(f) for f in factors])
     return sp.simplify((state.H * op * state)[0, 0])
 
 
@@ -232,16 +232,13 @@ def _contract(amps: np.ndarray, mats) -> np.ndarray:
 
 
 def apply_by_matmul(observable, amps: np.ndarray) -> np.ndarray:
-    """O|psi> on a flat vector by one 2x2 matmul per non-identity site, then the sign."""
-    out = _contract(amps, [None if f == "I" else _site_matrix(f) for f in observable.factors])
-    return -out if observable.sign < 0 else out
+    """O|psi> on a flat vector by one 2x2 matmul per non-identity site."""
+    return _contract(amps, [None if f == "I" else _site_matrix(f) for f in observable.factors])
 
 
 def commutator_norm_by_dense(a, b) -> float:
     """Frobenius norm of ab - ba from the observables' dense Kronecker-product matrices."""
-    ma, mb = (
-        obs.sign * functools.reduce(np.kron, [_site_matrix(f) for f in obs.factors], np.eye(1)) for obs in (a, b)
-    )
+    ma, mb = (functools.reduce(np.kron, [_site_matrix(f) for f in obs.factors], np.eye(1)) for obs in (a, b))
     return float(np.linalg.norm(ma @ mb - mb @ ma))
 
 

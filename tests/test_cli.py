@@ -300,23 +300,33 @@ class TestCsvMatchesWriter:
         trials=st.integers(1, 300),
         runs=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
+        flips=st.tuples(st.integers(0, 200), st.integers(0, 200)),
     )
-    @example(k=3, n=1, trials=1, runs=1, seed=0)
-    @example(k=2, n=7, trials=300, runs=4, seed=1)
-    @example(k=1, n=200, trials=2, runs=2, seed=2)
+    @example(k=3, n=1, trials=1, runs=1, seed=0, flips=(0, 200))
+    @example(k=2, n=7, trials=300, runs=4, seed=1, flips=(0, 200))
+    @example(k=1, n=200, trials=2, runs=2, seed=2, flips=(0, 200))
     # Row counts on each side of a power of ten, where the trial index gains a digit.
-    @example(k=1, n=3, trials=9, runs=2, seed=3)
-    @example(k=2, n=1, trials=10, runs=1, seed=4)
-    @example(k=3, n=2, trials=11, runs=3, seed=5)
-    @example(k=3, n=6, trials=100, runs=4, seed=6)
-    @example(k=2, n=60, trials=1001, runs=2, seed=7)
-    def test_sampled(self, k, n, trials, runs, seed):
+    @example(k=1, n=3, trials=9, runs=2, seed=3, flips=(0, 200))
+    @example(k=2, n=1, trials=10, runs=1, seed=4, flips=(0, 200))
+    @example(k=3, n=2, trials=11, runs=3, seed=5, flips=(0, 200))
+    @example(k=3, n=6, trials=100, runs=4, seed=6, flips=(0, 200))
+    @example(k=2, n=60, trials=1001, runs=2, seed=7, flips=(0, 200))
+    # A long lattice of few trials, whose sums span 401 of its 40001 values.
+    @example(k=2, n=20000, trials=50, runs=2, seed=8, flips=(9900, 10100))
+    # Every trial has the same sum.
+    @example(k=3, n=7, trials=20, runs=2, seed=9, flips=(3, 3))
+    # Sums from -4 to 2: the span is not centred on zero.
+    @example(k=2, n=6, trials=30, runs=3, seed=10, flips=(2, 5))
+    def test_sampled(self, k, n, trials, runs, seed, flips):
+        """``flips`` bounds each trial's count of -1 rounds, so the sums span all of the lattice or part of it."""
         rng = np.random.default_rng(seed)
         labels = ("A_x", "B_x", "J_x")[:k]
+        fewest, most = sorted(min(f, n) for f in flips)
         samples = {}
         for choice in ("z|u", "z|p", "x|u", "x|p")[:runs]:
-            sums = n - 2 * rng.integers(0, n + 1, size=(trials, k))
-            sums[0], sums[-1] = n, -n  # both ends of the lattice
+            sums = n - 2 * rng.integers(fewest, most + 1, size=(trials, k))
+            # Both ends of the span, in the first and the last column.
+            sums[0, 0], sums[-1, -1] = n - 2 * fewest, n - 2 * most
             samples[choice] = EnsembleRun(labels=labels, sums=sums, n_rounds=n)
         v = sampled_verdict(samples)
         assert_same_text(cli._dist_csv(v), oracles.render_csv_by_writer(v))

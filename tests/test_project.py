@@ -163,3 +163,9 @@ def test_report_diff_covers_every_subcommand():
     assert {f"scenarios/{path.name}" for path in (ROOT / "scenarios").glob("*.json")} <= configs
     assert {f"edge/{name}" for name in (*report_diff.EDGE_CONFIGS, *report_diff.EDGE_TEXTS)} <= configs
     assert len(cmds) == len({tuple(argv) for argv in cmds})
+    # A sampled CSV run of fewer trials than rounds, whose sums cover only part of the lattice.
+    assert any(
+        int(argv[argv.index("--n") + 1]) > int(argv[argv.index("--trials") + 1])
+        for argv in cmds
+        if {"mc", "csv", "--n", "--trials"} <= set(argv)
+    )

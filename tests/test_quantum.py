@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from corrlab import quantum
 from corrlab.errors import InvariantViolation, NonCommutingError
 from corrlab.quantum import (
     GHZ_PRODUCT_CONSTRAINTS,
@@ -35,8 +36,8 @@ from corrlab.quantum import (
 RT2 = math.sqrt(2.0)
 
 
-def obs(*factors, sign=1):
-    return PauliObservable(tuple(factors), sign=sign)
+def obs(*factors):
+    return PauliObservable(tuple(factors))
 
 
 class TestStates:
@@ -97,10 +98,6 @@ class TestObservables:
         with pytest.raises(ValueError, match="unknown spin factor"):
             obs("X", "Q")
 
-    def test_rejects_bad_sign(self):
-        with pytest.raises(ValueError, match="sign"):
-            obs("X", sign=2)
-
     @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_angle(self, angle):
         with pytest.raises(ValueError, match="finite"):
@@ -114,7 +111,6 @@ class TestObservables:
 
     def test_label(self):
         assert obs("X", "I", "Z").label() == "X*I*Z"
-        assert obs("X", sign=-1).label() == "-X"
         assert "theta" in obs(math.pi / 4).label()
 
     def test_angle_matches_pauli_combination(self):
@@ -144,7 +140,7 @@ class TestExpectations:
         state = ghz_state()
         vec = oracles.ghz_vector()
         for o, _ in GHZ_STABILIZERS:
-            exact = oracles.symbolic_expectation(vec, o.factors, o.sign)
+            exact = oracles.symbolic_expectation(vec, o.factors)
             assert expectation(state, o) == pytest.approx(float(exact), abs=1e-12)
 
     def test_ghz_pairwise_z_agreement(self):
@@ -180,10 +176,6 @@ class TestExpectations:
             exact = oracles.symbolic_expectation(oracles.bell_vector(), (a, b))
             assert float(exact) == pytest.approx(want, abs=1e-12)
 
-    def test_sign_flips_expectation(self):
-        state = ghz_state()
-        assert expectation(state, obs("X", "X", "X", sign=-1)) == pytest.approx(1.0)
-
 
 class TestCommutation:
     def test_pair_products_on_ghz(self):
@@ -212,6 +204,33 @@ class TestCommutation:
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError, match="qubit counts"):
             commutes(obs("X"), obs("X", "X"))
+
+
+class TestCommutesCache:
+    def test_each_pair_is_checked_once(self, monkeypatch):
+        """Repeated batches on GHZ pairs compute one commutator per distinct ordered pair; every other check hits."""
+        norm = quantum.commutator_norm
+        calls = []
+        monkeypatch.setattr(quantum, "commutator_norm", lambda a, b: calls.append((a, b)) or norm(a, b))
+        commutes.cache_clear()
+        pairs = [(obs("X", "X", "I"), obs("Y", "Y", "I")), (obs("X", "Y", "I"), obs("Y", "X", "I"))]
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            for pair in pairs:
+                for _ in range(100):
+                    sequential_measure(ghz_state(), pair, rng)
+        assert calls == pairs
+        info = commutes.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (598, 2, 2)
+
+    def test_mismatched_pair_raises_on_every_call(self):
+        size = commutes.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(ValueError, match="different qubit counts"):
+                commutes(obs("X"), obs("X", "X"))
+            with pytest.raises(ValueError, match="different qubit counts"):
+                sequential_measure(bell_state(), (obs("Z", "I"), obs("Z")), np.random.default_rng(0))
+        assert commutes.cache_info().currsize == size
 
 
 class TestMeasurement:
@@ -256,9 +275,8 @@ class TestMeasurement:
 
     def test_sequential_requires_commuting(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(NonCommutingError) as err:
+        with pytest.raises(NonCommutingError, match=r"^observables X\*I\*I and Y\*I\*I do not commute$"):
             sequential_measure(ghz_state(), (obs("X", "I", "I"), obs("Y", "I", "I")), rng)
-        assert err.value.pair == (0, 1)
 
     def test_sequential_product_identity(self):
         # per-trial identity o1*o2 = -o3 from (XX)(YY) = -ZZ on the GHZ state
@@ -277,7 +295,7 @@ class TestMeasurement:
             c = {}
             for _ in range(trials):
                 recs = sequential_measure(ghz_state(), order, rng)
-                by_obs = {r.observable: r.outcome for r in recs}
+                by_obs = {o: r.outcome for o, r in zip(order, recs, strict=True)}
                 key = (by_obs[pair[0]], by_obs[pair[1]])
                 c[key] = c.get(key, 0) + 1
             counts[tag] = c
@@ -472,19 +490,17 @@ _TWELVE = ["X", 0.3, "Y", "Z", -2.5, "I", "Y", 1.0, "X", -0.1, "Z", 7.0]
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     a_factors=_SITE_FACTORS,
     b_factors=_SITE_FACTORS,
-    a_sign=st.sampled_from((1, -1)),
-    b_sign=st.sampled_from((1, -1)),
 )
-@example(n=MAX_QUBITS, seed=0, a_factors=_TWELVE, b_factors=_TWELVE[::-1], a_sign=-1, b_sign=1)
+@example(n=MAX_QUBITS, seed=0, a_factors=_TWELVE, b_factors=_TWELVE[::-1])
 @settings(max_examples=150)
-def test_signed_permutation_matches_matmul(n, seed, a_factors, b_factors, a_sign, b_sign):
+def test_signed_permutation_matches_matmul(n, seed, a_factors, b_factors):
     """Every operation on the signed-permutation kernel agrees with the 2x2-matmul oracle to 1e-12."""
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     state = PureState(vec / np.linalg.norm(vec))
     amps = state.amplitudes
-    a = PauliObservable(tuple(a_factors[:n]), sign=a_sign)
-    b = PauliObservable(tuple(b_factors[:n]), sign=b_sign)
+    a = PauliObservable(tuple(a_factors[:n]))
+    b = PauliObservable(tuple(b_factors[:n]))
     va, vb = oracles.apply_by_matmul(a, amps), oracles.apply_by_matmul(b, amps)
 
     np.testing.assert_allclose(_apply(a, amps), va, rtol=0, atol=1e-12)
@@ -518,20 +534,18 @@ def test_signed_permutation_matches_matmul(n, seed, a_factors, b_factors, a_sign
     n=st.integers(min_value=1, max_value=10),
     a_factors=_SITE_FACTORS,
     b_factors=_SITE_FACTORS,
-    a_sign=st.sampled_from((1, -1)),
-    b_sign=st.sampled_from((1, -1)),
 )
-@example(n=10, a_factors=_TWELVE, b_factors=_TWELVE[::-1], a_sign=1, b_sign=-1)
-@example(n=10, a_factors=_TWELVE, b_factors=["X", 0.3, *"IIIIIIII"], a_sign=1, b_sign=-1)
+@example(n=10, a_factors=_TWELVE, b_factors=_TWELVE[::-1])
+@example(n=10, a_factors=_TWELVE, b_factors=["X", 0.3, *"IIIIIIII"])
 # Three commuting sites ("I" once, equal factors twice) scale the norm 2*sqrt(2) of [X, Y] to 8.
-@example(n=4, a_factors=["X", 0.3, "I", "Z"], b_factors=["Y", 0.3, "Z", "Z"], a_sign=1, b_sign=1)
+@example(n=4, a_factors=["X", 0.3, "I", "Z"], b_factors=["Y", 0.3, "Z", "Z"])
 # Every site commutes.
-@example(n=5, a_factors=["X", 0.3, "I", "Z", "Y"], b_factors=["X", 0.3, "Y", "Z", "I"], a_sign=-1, b_sign=1)
+@example(n=5, a_factors=["X", 0.3, "I", "Z", "Y"], b_factors=["X", 0.3, "Y", "Z", "I"])
 @settings(max_examples=40)
-def test_commutator_norm_matches_dense(n, a_factors, b_factors, a_sign, b_sign):
+def test_commutator_norm_matches_dense(n, a_factors, b_factors):
     """The kernel's commutator norm agrees with the dense Kronecker-product oracle up to 10 qubits."""
-    a = PauliObservable(tuple(a_factors[:n]), sign=a_sign)
-    b = PauliObservable(tuple(b_factors[:n]), sign=b_sign)
+    a = PauliObservable(tuple(a_factors[:n]))
+    b = PauliObservable(tuple(b_factors[:n]))
     want = oracles.commutator_norm_by_dense(a, b)
     assert commutator_norm(a, b) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -542,10 +556,10 @@ def test_commutator_norm_costs_only_the_sites_that_do_not_commute():
     Applying all twelve sites to every basis vector takes over 3 s for this pair.
     """
     b_factors = ("Y", *_TWELVE[1:4], 1.5, *_TWELVE[5:])
-    a, b = PauliObservable(tuple(_TWELVE)), PauliObservable(b_factors, sign=-1)
+    a, b = PauliObservable(tuple(_TWELVE)), PauliObservable(b_factors)
     start = time.perf_counter()
     got = commutator_norm(a, b)
     elapsed = time.perf_counter() - start
-    sites = oracles.commutator_norm_by_dense(PauliObservable(("X", -2.5)), PauliObservable(("Y", 1.5), sign=-1))
+    sites = oracles.commutator_norm_by_dense(PauliObservable(("X", -2.5)), PauliObservable(("Y", 1.5)))
     assert got == pytest.approx(2**5 * sites, rel=1e-12)
     assert elapsed < 0.5, f"{elapsed:.3f} s against a 0.5 s budget"

@@ -17,7 +17,6 @@ from corrlab.ensembles import (
     ScenarioSpec,
     jamming_round_pmf,
     run_ghz_scenario,
-    run_jamming_scenario,
     scenario_exact_distribution,
 )
 from corrlab.errors import LatticeMismatchError
@@ -284,15 +283,6 @@ class TestUnaryCondition:
         for tv in report["per_component"].values():
             assert isinstance(tv, Fraction) and tv == 0
 
-    def test_sampled_records(self):
-        x = run_jamming_scenario(4, "x", 5000, seed=0)
-        z = run_jamming_scenario(4, "z", 5000, seed=0)
-        threshold = 5.0 / math.sqrt(x.trials)
-        report = unary_condition_check(x.empirical(), z.empirical(), threshold=threshold, include_joint=True)
-        assert report["holds"] is True
-        assert report["threshold"] == threshold
-        assert 0 < report["max_marginal_tv"] <= report["joint_tv"] < threshold
-
     def test_detects_biased_marginal(self):
         biased = ExactDistribution.from_mapping(
             {(1, 1, 1): Fraction(3, 5), (-1, -1, -1): Fraction(2, 5)}, ("a_x", "b_x", "j_x"), 1
@@ -304,7 +294,7 @@ class TestUnaryCondition:
     def test_joint_readout_defeats_the_unary_condition(self):
         # marginals of B and B' are identical across the choices, but the
         # jointly read pair is not: the bipartite signaling result restated
-        report = unary_condition_check(exact_pr(6, "u"), exact_pr(6, "p"), include_joint=True)
+        report = unary_condition_check(exact_pr(6, "u"), exact_pr(6, "p"))
         assert report["max_marginal_tv"] == Fraction(0)
         assert report["joint_tv"] == Fraction(11, 16)
         assert report["holds"] is False

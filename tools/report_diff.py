@@ -108,6 +108,8 @@ def commands(config_dir: str) -> list[list[str]]:
             [command, "--help"],
         ]
     cmds.append(["ghz-signal", "--mode", "mc", "--n", "400"])
+    # One sampled trial of one component per run: each run's CSV field table holds a single value.
+    cmds.append(["tsirelson", "--mode", "mc", "--n", "3", "--trials", "1", "--format", "csv"])
     for fmt in ("json", "csv"):
         cmds.append(["ghz-algebra", "--format", fmt])
     for jim in ("x", "z"):
