@@ -8,14 +8,21 @@ pmf; Monte Carlo mode samples trials with reproducible per-(seed,
 scenario, choice) random streams and histograms them on the same grid:
 its cells are counted, or the trials' cells sorted where it dwarfs them.
 A sampled trial is a few random bit-planes, each word of which holds one
-bit of 64 rounds, and its component sums are popcounts of bit-sliced
-indicators.  Seeded draws changed when this sampler replaced the
-one-word-per-round table lookup.
+bit of the table rows of 64 rounds.  Each component's indicator, the
+rounds where it differs from row 0, is one straight-line Boolean program
+over the planes, compiled from its truth table by Shannon expansion as in
+a reduced ordered decision diagram (R. E. Bryant, "Graph-based algorithms
+for Boolean function manipulation", IEEE Trans. Comput. C-35, 677, 1986),
+and its sums are popcounts of that indicator.  A run computes only the
+components its caller reads, and a jamming run keeps its indicator words
+and counts its histogram from them.  Seeded draws changed when this
+sampler replaced the one-word-per-round table lookup.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -325,35 +332,153 @@ def _stream_rng(seed: int, stream: tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, *stream)))
 
 
-def _negative_runs(round_pmf: ExactDistribution) -> list[tuple[bool, list[int]]]:
-    """Where each component is -1 in the table rows: its value at row 0 and the rows where it flips.
+def _compile_indicators(
+    round_pmf: ExactDistribution, columns: tuple[int, ...]
+) -> tuple[list[tuple], int, list[bool]]:
+    """A straight-line Boolean program over the bit-planes that marks, per column, the rows differing from row 0.
 
     The table lists the atoms in ``outcome_tuples`` order (+1 first), the
     reverse of grid cell order, in which a digit of 0 is -1; atom i holds
-    the rows [lo_i, hi_i), hi_i - lo_i being its weight.
+    the rows [lo_i, hi_i), hi_i - lo_i being its weight.  A column's
+    indicator is a truth table over the D = 2^d rows, an int with bit r set
+    where row r's value differs from row 0's.  It compiles by Shannon
+    expansion on the top plane b, f = b ? f1 : f0, memoised per (table,
+    planes) as in a reduced decision diagram (R. E. Bryant, IEEE Trans.
+    Comput. C-35, 677, 1986): equal halves skip b, a constant half leaves
+    one AND or OR of b or of NOT b, complementary halves one XOR, and any
+    other pair the mux f0 ^ (b & (f0 ^ f1)).  An operation already made is
+    reused.
+
+    Each step is (ufunc, out, x, y) on operands ~j, plane j, and r >= 0,
+    register r: ``ufunc(x, y, out=r)``, y None for NOT; or (None, position,
+    x, None), which outputs column ``columns[position]``'s indicator.  A
+    register is reused once its value is dead, so the register count is the
+    program's peak; a column equal to row 0 on every row outputs a register
+    that no step writes.  Also returns each column's value at row 0, True
+    for -1.
     """
+    denom = round_pmf.denominator
+    if denom & (denom - 1) or denom > _MAX_TABLE_CELLS:
+        raise InvariantViolation(f"round pmf with denominator {denom} is not dyadic over <= {_MAX_TABLE_CELLS} cells")
+    # Node i is steps[i], (ufunc, x, y); an output step is (None, node or None for 0, position).
+    steps: list[tuple] = []
+    made: dict[tuple, int] = {}
+    nodes: dict[tuple[int, int], int | None] = {}
+
+    def emit(ufunc, x: int, y: int | None = None) -> int:
+        if (ufunc, x, y) not in made:
+            made[ufunc, x, y] = len(steps)
+            steps.append((ufunc, x, y))
+        return made[ufunc, x, y]
+
+    def node(table: int, j: int) -> int | None:
+        """The operand of planes 0..j-1 whose 2^j-bit truth table is ``table``, never all ones; None for 0."""
+        if table and (table, j) not in nodes:
+            half = 1 << (j - 1)
+            ones = (1 << half) - 1
+            f0, f1, b = table & ones, table >> half, ~(j - 1)
+            if f0 == f1:
+                out = node(f0, j - 1)
+            elif f0 == 0:
+                out = b if f1 == ones else emit(np.bitwise_and, b, node(f1, j - 1))
+            elif f0 == ones:
+                out = emit(np.invert, b) if f1 == 0 else emit(np.bitwise_or, emit(np.invert, b), node(f1, j - 1))
+            elif f1 == 0:
+                out = emit(np.bitwise_and, emit(np.invert, b), node(f0, j - 1))
+            elif f1 == ones:
+                out = emit(np.bitwise_or, b, node(f0, j - 1))
+            elif f1 == f0 ^ ones:
+                out = emit(np.bitwise_xor, b, node(f0, j - 1))
+            else:
+                low = node(f0, j - 1)
+                out = emit(np.bitwise_xor, low, emit(np.bitwise_and, b, emit(np.bitwise_xor, low, node(f1, j - 1))))
+            nodes[table, j] = out
+        return nodes.get((table, j))
+
     bounds = [0, *itertools.accumulate(round_pmf.weights[::-1])]
-    runs = []
-    for column in round_pmf._digit_columns():
-        negative = [d == 0 for d in reversed(column)]
-        flips = [bounds[i] for i in range(1, len(negative)) if negative[i] != negative[i - 1]]
-        runs.append((negative[0], flips))
-    return runs
+    digit_columns = round_pmf._digit_columns()
+    negative_first = []
+    for position, c in enumerate(columns):
+        negative = [digit == 0 for digit in reversed(digit_columns[c])]
+        table = sum((1 << hi) - (1 << lo) for neg, lo, hi in zip(negative, bounds, bounds[1:]) if neg != negative[0])
+        steps.append((None, node(table, denom.bit_length() - 1), position))
+        negative_first.append(negative[0])
+
+    def reads(ufunc, x, y) -> list[int]:
+        return [v for v in ((x,) if ufunc is None else (x, y)) if v is not None and v >= 0]
+
+    last_read = {v: i for i, step in enumerate(steps) for v in reads(*step)}
+    register: dict[int | None, int] = {}
+    free: list[int] = []
+    program = []
+    for i, (ufunc, x, y) in enumerate(steps):
+        if x is None and None not in register:
+            register[None] = len(register) + len(free)  # a fresh register, never written
+        x = x if x is not None and x < 0 else register[x]
+        if ufunc is not None and y is not None and y >= 0:
+            y = register[y]
+        for v in reads(*steps[i]):
+            if last_read[v] == i:
+                free.append(register.pop(v))
+        if ufunc is None:
+            program.append((None, y, x, None))
+        else:
+            register[i] = free.pop() if free else len(register) + len(free)
+            program.append((ufunc, register[i], x, y))
+    return program, len(register) + len(free), negative_first
 
 
-def _at_least(planes: np.ndarray, t: int, out: np.ndarray) -> None:
-    """Set ``out`` to the bit-sliced comparison row >= t, for 0 < t < 2^d, 64 rounds per word.
+def _indicator_chunks(
+    round_pmf: ExactDistribution,
+    n_rounds: int,
+    trials: int,
+    seed: int,
+    stream: tuple[int, ...],
+    columns: tuple[int, ...],
+    spare: int,
+) -> Iterator[tuple[slice, int, bool, np.ndarray, np.ndarray]]:
+    """Draw (trials, N) rounds as random bit-planes and yield each chunk's column indicators and their bit counts.
 
-    Plane j of ``planes`` (chunk, d, words) holds bit j of each round's row.
-    Below t's lowest set bit every row ties, so the comparison starts there
-    and climbs: a set bit of t needs the row's bit too, a clear bit of t is
-    beaten by it.
+    The pmf must be dyadic with common denominator D = 2^d.  A table of D
+    rows holds each atom p*D times, in ``outcome_tuples`` order, and a
+    round is a uniform row.  A trial draws d bit-planes of ceil(N/64) raw
+    PCG64 words, all of its planes in a row, so the stream does not depend
+    on the chunk size: bit b of word w of plane j is bit j of the row of
+    round 64*w + b.  The program of ``_compile_indicators`` then marks, 64
+    rounds per word, where each of ``columns`` differs from row 0, and a
+    popcount per word (Knuth, TAOCP 4A, 7.1.3) counts them.
+
+    Yields, per chunk and column: the chunk's trials, the position in
+    ``columns``, whether row 0 is -1 there, the (chunk, ceil(N/64))
+    indicator words and their uint8 popcounts, both overwritten after the
+    next yield.  A chunk holds at most ``_SAMPLE_WORDS`` live words, which
+    count the planes, the registers, the popcounts and ``spare`` words of
+    the caller's per indicator word.
     """
-    low = (t & -t).bit_length() - 1
-    np.copyto(out, planes[:, low])
-    for j in range(low + 1, planes.shape[1]):
-        step = np.bitwise_and if t >> j & 1 else np.bitwise_or
-        step(out, planes[:, j], out=out)
+    program, registers, negative_first = _compile_indicators(round_pmf, columns)
+    d = round_pmf.denominator.bit_length() - 1
+    words = -(-n_rounds // 64)
+    tail = n_rounds % 64
+    chunk_trials = min(trials, max(1, _SAMPLE_WORDS // (words * (d + registers + 1 + spare))))
+    buffers = np.zeros((registers, chunk_trials, words), dtype=np.uint64)
+    bit_counts = np.empty((chunk_trials, words), dtype=np.uint8)
+    bitgen = _stream_rng(seed, stream).bit_generator
+    for done in range(0, trials, chunk_trials):
+        chunk = min(chunk_trials, trials - done)
+        planes = bitgen.random_raw((chunk, d, words))
+        if tail:
+            # Rounds past N read as row 0, where every indicator is clear.
+            planes[:, :, -1] &= np.uint64((1 << tail) - 1)
+        regs = buffers[:, :chunk]
+        for ufunc, out, x, y in program:
+            x = regs[x] if x >= 0 else planes[:, ~x]
+            if ufunc is None:
+                yield slice(done, done + chunk), out, negative_first[out], x, np.bitwise_count(x, out=bit_counts[:chunk])
+            elif y is None:
+                ufunc(x, out=regs[out])
+            else:
+                ufunc(x, regs[y] if y >= 0 else planes[:, ~y], out=regs[out])
+        del planes, regs, x  # free this chunk's planes before the next draw
 
 
 def _sample_outcome_rows(
@@ -363,73 +488,53 @@ def _sample_outcome_rows(
     seed: int,
     stream: tuple[int, ...],
     keep_rounds: bool,
+    columns: tuple[int, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Draw (trials, N) rounds as random bit-planes and count each component's -1 rounds by popcount.
+    """Each trial's sums over N rounds of the components ``columns`` (all by default), from ``_indicator_chunks``.
 
-    The pmf must be dyadic with common denominator D = 2^d.  A table of D
-    rows holds each atom p*D times, in ``outcome_tuples`` order, and a
-    round is a uniform row.  A trial draws d bit-planes of ceil(N/64) raw
-    PCG64 words, all of its planes in a row, so the stream does not depend
-    on the chunk size: bit b of word w of plane j is bit j of the row of
-    round 64*w + b.  Component c is -1 on a union of row runs, which
-    bit-sliced comparators row >= t evaluate for 64 rounds per word (E.
-    Biham, FSE 1997).  Each trial's sum is N - 2 * the popcount of that
-    indicator (Knuth, TAOCP 4A, 7.1.3).  These draws replaced a table
-    lookup on one raw word per round, so seeded samples differ from
+    A column's sum is N - 2 * the count of its -1 rounds, the rounds its
+    indicator marks, or those it leaves clear where row 0 is -1.  Every
+    column comes from the same whole rounds, so a run of some columns holds
+    those columns of a run of all on the same seed.  These draws replaced a
+    table lookup on one raw word per round, so seeded samples differ from
     corrlab releases before the bit-sliced sampler.
     """
-    k = len(round_pmf.labels)
-    denom = round_pmf.denominator
-    if denom & (denom - 1) or denom > _MAX_TABLE_CELLS:
-        raise InvariantViolation(f"round pmf with denominator {denom} is not dyadic over <= {_MAX_TABLE_CELLS} cells")
-    d = denom.bit_length() - 1
-    runs = _negative_runs(round_pmf)
-    words = -(-n_rounds // 64)
-    tail = n_rounds % 64
-    bitgen = _stream_rng(seed, stream).bit_generator
-    sums = np.empty((trials, k), dtype=np.int64)
-    rounds = np.empty((trials, n_rounds, k), dtype=np.int8) if keep_rounds else None
-    # Live words per trial: the planes, the indicator, one comparator, the popcounts
-    # and, for round records, the unpacked indicator bytes.
-    live = words * (d + 3 + (8 if keep_rounds else 0))
-    chunk_trials = max(1, _SAMPLE_WORDS // live)
-    done = 0
-    while done < trials:
-        chunk = min(chunk_trials, trials - done)
-        planes = bitgen.random_raw((chunk, d, words))
-        if tail:
-            # Rounds past N read as row 0, which no comparator with t > 0 counts.
-            planes[:, :, -1] &= np.uint64((1 << tail) - 1)
-        indicator = np.empty((chunk, words), dtype=np.uint64)
-        at_least = np.empty_like(indicator)
-        block = sums[done : done + chunk]
-        for c, (negative_first, flips) in enumerate(runs):
-            # A round's bit is the parity of c's flips at or below its row: 1 where c differs from row 0.
-            indicator.fill(0)
-            for t in flips:
-                _at_least(planes, t, at_least)
-                indicator ^= at_least
-            negatives = np.bitwise_count(indicator).sum(axis=1, dtype=np.int64)
-            if negative_first:
-                negatives = n_rounds - negatives
-            block[:, c] = n_rounds - 2 * negatives
-            if rounds is not None:
-                bits = np.unpackbits(indicator.astype("<u8", copy=False).view(np.uint8), axis=1, count=n_rounds, bitorder="little")
-                rounds[done : done + chunk, :, c] = 1 - 2 * (bits ^ negative_first).view(np.int8)
-        done += chunk
-        del planes, indicator, at_least  # free this chunk's words before the next draw
+    if columns is None:
+        columns = tuple(range(len(round_pmf.labels)))
+    # Column-major, so that each column's sums are written contiguously.
+    sums = np.empty((len(columns), trials), dtype=np.int64).T
+    rounds = np.empty((trials, n_rounds, len(columns)), dtype=np.int8) if keep_rounds else None
+    # Round records unpack each indicator word into 8 words of bytes.
+    chunks = _indicator_chunks(round_pmf, n_rounds, trials, seed, stream, columns, 8 if keep_rounds else 0)
+    for rows, position, negative_first, indicator, bit_counts in chunks:
+        column = sums[rows, position]
+        np.sum(bit_counts, axis=1, dtype=np.int64, out=column)
+        column *= 2 if negative_first else -2
+        column += -n_rounds if negative_first else n_rounds
+        if rounds is not None:
+            bits = np.unpackbits(indicator.astype("<u8", copy=False).view(np.uint8), axis=1, count=n_rounds, bitorder="little")
+            rounds[rows, :, position] = 1 - 2 * (bits ^ negative_first).view(np.int8)
     return sums, rounds
 
 
 def _run_from_round_pmf(
-    spec: ScenarioSpec, round_pmf: ExactDistribution, stream: tuple[int, ...]
+    spec: ScenarioSpec, round_pmf: ExactDistribution, stream: tuple[int, ...], columns: tuple[int, ...] | None = None
 ) -> ExactDistribution | EnsembleRun:
+    """The run of the round pmf's components ``columns`` (all by default).
+
+    Exact runs convolve the columns' round marginal, since the marginal of
+    an i.i.d. sum is the i.i.d. sum of the round marginal; sampled runs draw
+    whole rounds and sum only those columns.
+    """
     n = spec.n_rounds
     if spec.mode is RunMode.EXACT:
+        if columns is not None:
+            round_pmf = round_pmf.marginal(columns)
         weights = convolve_iid_rounds(round_pmf, n)
         return ExactDistribution.from_grid(round_pmf.labels, n, weights, round_pmf.denominator**n)
-    sums, rounds = _sample_outcome_rows(round_pmf, n, spec.trials, spec.seed, stream, spec.keep_rounds)
-    return EnsembleRun(labels=round_pmf.labels, sums=sums, n_rounds=n, rounds=rounds)
+    sums, rounds = _sample_outcome_rows(round_pmf, n, spec.trials, spec.seed, stream, spec.keep_rounds, columns)
+    labels = round_pmf.labels if columns is None else tuple(round_pmf.labels[c] for c in columns)
+    return EnsembleRun(labels=labels, sums=sums, n_rounds=n, rounds=rounds)
 
 
 def pr_round_pmf(sender_choice: str) -> ExactDistribution:
@@ -468,19 +573,16 @@ def run_ghz_scenario(spec: ScenarioSpec, receivers_only: bool = False) -> ExactD
 
     Alice and Bob measure x on every triplet; Jim measures x or y per
     ``sender_choice``.  Components are (A_x, B_x, J_<axis>), or with
-    ``receivers_only`` the receivers' (A_x, B_x) alone: the run then uses
-    their round marginal, since the marginal of an i.i.d. sum is the i.i.d.
-    sum of the round marginal.  A sampled receivers-only run draws from
-    that marginal, so its draws are not the receivers' columns of a whole
-    run on the same seed.
+    ``receivers_only`` the receivers' (A_x, B_x) alone.  An exact
+    receivers-only run convolves their round marginal; a sampled one draws
+    whole triplets and sums only the receivers, so its sums are the first
+    two columns of a whole run on the same seed.
     """
     if spec.kind is not ScenarioKind.GHZ:
         raise ValueError("spec.kind must be GHZ")
-    pmf = ghz_round_pmf(spec.sender_choice)
-    if receivers_only:
-        pmf = pmf.marginal(GHZ_RECEIVERS)
     stream = (_KIND_STREAM[spec.kind], _CHOICE_INDEX[spec.sender_choice])
-    return _run_from_round_pmf(spec, pmf, stream)
+    columns = GHZ_RECEIVERS if receivers_only else None
+    return _run_from_round_pmf(spec, ghz_round_pmf(spec.sender_choice), stream, columns)
 
 
 def tsirelson_round_pmf(sender_choice: str, bob_axis: str) -> ExactDistribution:
@@ -521,24 +623,58 @@ SCENARIO_RUNNERS = {
 }
 
 
+def _clear_tail(words: np.ndarray, bits: int) -> None:
+    """Clear the bits past the first ``bits`` of each row of 64-bit words."""
+    if bits % 64:
+        words[..., -1] &= np.uint64((1 << bits % 64) - 1)
+
+
 @dataclass(frozen=True, eq=False)
 class JammingRecords:
-    """Per-triplet outcomes (a_x, b_x, jim) from a jamming run."""
+    """The (a_x, b_x, jim) outcomes of a jamming run's triplets, as three rows of indicator words.
+
+    Bit b of word w of row c of ``indicators``, a (3, ceil(trials/64))
+    uint64 array, is set where component c of triplet 64*w + b is -1; the
+    bits past ``trials`` are clear.
+    """
 
     jim_choice: str
-    outcomes: np.ndarray  # (m, 3) of +1/-1, columns (a_x, b_x, j)
+    trials: int
+    indicators: np.ndarray
 
     @property
     def labels(self) -> tuple[str, str, str]:
         return ("a_x", "b_x", f"j_{self.jim_choice}")
 
-    @property
-    def trials(self) -> int:
-        return int(self.outcomes.shape[0])
+    @functools.cached_property
+    def outcomes(self) -> np.ndarray:
+        """The (trials, 3) int8 outcomes of +1/-1, columns (a_x, b_x, j), unpacked from the indicators when first read."""
+        bytes_ = self.indicators.astype("<u8", copy=False).view(np.uint8)
+        bits = np.unpackbits(bytes_, axis=1, count=self.trials, bitorder="little").view(np.int8)
+        outcomes = np.multiply(bits.T, np.int8(-2), order="C")
+        outcomes += 1
+        return outcomes
 
     def empirical(self) -> ExactDistribution:
-        """Counts of the 8 (a_x, b_x, j) outcomes over the triplets."""
-        return _grid_counts(self.labels, self.outcomes, 1)
+        """Counts of the 8 (a_x, b_x, j) outcomes over the triplets.
+
+        A cell's count is the popcount of the AND of the indicators of its
+        -1 components and the complements, tail cleared, of its +1 ones.
+        """
+        minus = self.indicators
+        plus = ~minus
+        _clear_tail(plus, self.trials)
+        pair = np.empty_like(minus[0])
+        cell = np.empty_like(pair)
+        counts = []
+        # Grid cells in order: digit 0 is -1, and a_x is the most significant digit.
+        for a in (minus[0], plus[0]):
+            for b in (minus[1], plus[1]):
+                np.bitwise_and(a, b, out=pair)
+                for j in (minus[2], plus[2]):
+                    np.bitwise_and(pair, j, out=cell)
+                    counts.append(int(np.bitwise_count(cell).sum()))
+        return ExactDistribution.from_grid(self.labels, 1, counts, self.trials)
 
     def correlations(self) -> tuple[dict[int, int], dict[int, float | None], float]:
         """Triplets per Jim outcome j, the a_x*b_x correlation within each bin, and overall.
@@ -573,15 +709,23 @@ def run_jamming_scenario(
     All three single-site observables commute, so sampling the joint Born
     distribution is equivalent to measuring Jim first and then Alice and
     Bob on the post-measurement state.  The triplets are the rounds of one
-    long sampled trial, unpacked from its bit-planes.
+    long sampled trial, and the records keep its three indicator words.
     """
     if n_rounds < 1 or trials < 1:
         raise ValueError("n_rounds and trials must be positive")
     _check_seed(seed)
     pmf = jamming_round_pmf(jim_choice)
     stream = (_JAMMING_STREAM, 0 if jim_choice == "x" else 1)
-    _, rounds = _sample_outcome_rows(pmf, n_rounds * trials, 1, seed, stream, keep_rounds=True)
-    return JammingRecords(jim_choice=jim_choice, outcomes=rounds[0])
+    triplets = n_rounds * trials
+    indicators = np.empty((3, -(-triplets // 64)), dtype=np.uint64)
+    for _, c, negative_first, indicator, _ in _indicator_chunks(pmf, triplets, 1, seed, stream, (0, 1, 2), 0):
+        # The indicator marks where c differs from row 0: its -1 triplets, or its +1 ones where row 0 is -1.
+        if negative_first:
+            np.invert(indicator[0], out=indicators[c])
+        else:
+            indicators[c] = indicator[0]
+    _clear_tail(indicators, triplets)
+    return JammingRecords(jim_choice=jim_choice, trials=triplets, indicators=indicators)
 
 
 def scenario_exact_distribution(spec: ScenarioSpec, **kwargs) -> ExactDistribution:

@@ -47,8 +47,7 @@ class SignalingVerdict:
     prefixed by Bob's axis for the Tsirelson box), as a CSV report prints
     them: exact distributions, or sampled runs with their per-trial sums.
     The three-party box compares only the receivers' (A_x, B_x), while its
-    sampled runs, and exact ones asked for as ``joint``, keep Jim's
-    component too.
+    runs asked for as ``joint`` keep Jim's component too.
     """
 
     scenario: ScenarioKind
@@ -272,20 +271,21 @@ def ghz_verdict(
     distribution rides along as the strongest accessible comparison.
 
     Every statistic is a function of the receivers' (A_x, B_x) pair, so
-    the report's distributions are theirs alone.  Exact mode convolves
-    only their round marginal, and with ``joint`` also runs the whole
-    (A_x, B_x, J) joint into ``runs``, for a report that prints it.
-    Sampled runs always draw whole triplets, so their draws do not depend
-    on what a report prints, and only the receivers' two columns are
-    histogrammed.
+    the report's distributions are theirs alone, and only ``joint`` runs
+    the whole (A_x, B_x, J) joint into ``runs``, for a report that prints
+    it.  Exact mode convolves the receivers' round marginal.  Sampled runs
+    always draw whole triplets, so their draws do not depend on what a
+    report prints: a receivers-only run sums just their two columns, and a
+    joint run's first two columns are those sums.
     """
     spec = ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=n_rounds, trials=trials, seed=seed, mode=mode)
-    if mode is RunMode.EXACT:
+    if joint and mode is RunMode.MONTE_CARLO:
+        runs = _run_choices(spec)
+        receivers = {c: run.marginal(GHZ_RECEIVERS) for c, run in runs.items()}
+    else:
         receivers = _run_choices(spec, receivers_only=True)
         runs = _run_choices(spec) if joint else receivers
-    else:
-        runs = _run_choices(spec)
-        receivers = _distributions({c: run.marginal(GHZ_RECEIVERS) for c, run in runs.items()}, mode)
+    receivers = _distributions(receivers, mode)
     hits = _mode_value({c: dist.probability((1, 1)) for c, dist in receivers.items()}, mode)
     v = _verdict(spec, Statistic.CONDITIONAL_PROBABILITY, (hits["u"], hits["p"]), runs)
     v.results.update(

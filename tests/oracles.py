@@ -335,6 +335,31 @@ def empirical_by_row_unique(
     }
 
 
+def jamming_records_from_rows(rows: np.ndarray, jim_choice: str) -> JammingRecords:
+    """Jamming records of (m, 3) +1/-1 rows, packed one bit at a time.
+
+    Bit t % 64 of word t // 64 of indicator row c is set where rows[t, c] is -1.
+    """
+    m = len(rows)
+    words = [[0] * -(-m // 64) for _ in range(3)]
+    for t, row in enumerate(rows.tolist()):
+        for c, v in enumerate(row):
+            if v == -1:
+                words[c][t // 64] |= 1 << (t % 64)
+    return JammingRecords(jim_choice=jim_choice, trials=m, indicators=np.array(words, dtype=np.uint64))
+
+
+def jamming_correlations_by_rows(rows: np.ndarray) -> tuple[dict[int, int], dict[int, float | None], float]:
+    """Triplets per Jim outcome j, the a_x*b_x correlation within each bin, and overall, row by row."""
+    counts = {1: 0, -1: 0}
+    agree = {1: 0, -1: 0}
+    for a, b, j in rows.tolist():
+        counts[j] += 1
+        agree[j] += a * b
+    binned = {j: agree[j] / counts[j] if counts[j] else None for j in counts}
+    return counts, binned, (agree[1] + agree[-1]) / len(rows)
+
+
 def render_csv_by_writer(source) -> str:
     """CSV report of a scenario verdict or of jamming records through ``csv.writer``.
 

@@ -18,7 +18,6 @@ from corrlab.ensembles import (
     EXACT_MAX_ROUNDS,
     EnsembleRun,
     ExactDistribution,
-    JammingRecords,
     RunMode,
     ScenarioKind,
     ScenarioSpec,
@@ -659,17 +658,54 @@ class TestTableLookupSampler:
         trials=st.integers(1, 300),
         seed=st.integers(0, 2**64 - 1),
     )
+    # One-atom pmfs (d = 0): every column equals row 0, so it reads the register no step writes.
     @example(pmf={(1,): Fraction(1)}, n=200, trials=300, seed=0)
     @example(pmf={(-1, 1, -1): Fraction(1)}, n=3, trials=5, seed=1)
+    # Row >= 1 over 16 planes: a constant-one upper half at every plane, an OR chain.
     @example(
         pmf={(1, 1, 1): Fraction(1, 2**16), (-1, -1, -1): Fraction(2**16 - 1, 2**16)},
         n=60,
         trials=300,
         seed=2,
     )
+    # Jim on y: J_y is the parity of row bit 0, so its equal halves skip planes 2 and 1.
     @example(pmf=oracles.lattice_mapping(ghz_round_pmf("p")), n=60, trials=300, seed=3)
+    # Jim on x: J_x = b0 ^ b1, complementary halves.
     @example(pmf=oracles.lattice_mapping(ghz_round_pmf("u")), n=64, trials=50, seed=4)
     @example(pmf=oracles.lattice_mapping(tsirelson_round_pmf("p", "x")), n=129, trials=50, seed=5)
+    # Row >= 1 at d = 3, the OR of every plane.
+    @example(pmf={(1,): Fraction(1, 8), (-1,): Fraction(7, 8)}, n=65, trials=40, seed=6)
+    # c1 differs from row 0 on the single interior row 5 = b2 & ~b1 & b0 (AND, then AND-NOT); c0 on rows 6-7.
+    @example(pmf={(1, 1): Fraction(5, 8), (1, -1): Fraction(1, 8), (-1, 1): Fraction(1, 4)}, n=63, trials=40, seed=7)
+    # c2 differs on rows {1, 2, 4, 7}: complementary halves {1, 2} and {0, 3}, down to b1 ^ b0.
+    @example(
+        pmf={
+            (1, 1, 1): Fraction(1, 8),
+            (1, 1, -1): Fraction(1, 4),
+            (1, -1, 1): Fraction(1, 8),
+            (1, -1, -1): Fraction(1, 8),
+            (-1, 1, 1): Fraction(1, 4),
+            (-1, 1, -1): Fraction(1, 8),
+        },
+        n=130,
+        trials=20,
+        seed=8,
+    )
+    # c1 differs on rows 4-6: below b2, a constant-one lower half {4, 5} beside row 6, ~b1 | ~b0.
+    @example(pmf={(1, 1): Fraction(1, 2), (1, -1): Fraction(3, 8), (-1, 1): Fraction(1, 8)}, n=7, trials=40, seed=9)
+    # c2 differs on rows {1, 5, 6}: halves {1} and {1, 2}, neither equal, constant nor complementary, a mux.
+    @example(
+        pmf={
+            (1, 1, 1): Fraction(1, 8),
+            (1, 1, -1): Fraction(1, 8),
+            (1, -1, 1): Fraction(3, 8),
+            (1, -1, -1): Fraction(1, 4),
+            (-1, 1, 1): Fraction(1, 8),
+        },
+        n=64,
+        trials=40,
+        seed=10,
+    )
     @settings(max_examples=200, deadline=None)
     def test_matches_table_lookup(self, pmf, n, trials, seed):
         want_sums, want_rounds = oracles.sums_by_table_lookup(pmf, n, trials, seed, SAMPLER_STREAM)
@@ -682,10 +718,11 @@ class TestTableLookupSampler:
         assert np.array_equal(sums, want_sums)
 
     # A trial of 130 rounds of the Jim-on-y pmf keeps 3 words of each of its
-    # 3 planes live, plus 3 * 11 words of indicator, comparator, popcounts and
-    # unpacked rounds: 42 words.  294 words hold 7 of the 52 trials, which
-    # leaves a last chunk of 3.
-    @pytest.mark.parametrize("words", [294, 84, 3], ids=["7-trials", "2-trials", "1-trial"])
+    # 3 planes live, plus 3 * 9 words of popcounts and unpacked rounds; its
+    # program needs no register, since each component is one plane: 36
+    # words.  252 words hold 7 of the 52 trials, which leaves a last chunk
+    # of 3, and 72 words hold 2.
+    @pytest.mark.parametrize("words", [252, 72, 3], ids=["7-trials", "2-trials", "1-trial"])
     def test_draws_do_not_depend_on_word_budget(self, monkeypatch, words):
         monkeypatch.setattr(ensembles, "_SAMPLE_WORDS", words)
         pmf = ghz_round_pmf("p")
@@ -696,11 +733,13 @@ class TestTableLookupSampler:
 
     @pytest.mark.parametrize("choice", ["x", "z"])
     def test_jamming_triplets_are_the_table_rows_of_their_bits(self, choice):
-        """Jamming's triplets are the rounds of one long trial, in bit order."""
+        """Jamming's triplets are the rounds of one long trial, in bit order, kept as their packed -1 bits."""
         records = run_jamming_scenario(7, choice, 30, seed=4)
         stream = (ensembles._JAMMING_STREAM, 0 if choice == "x" else 1)
         pmf = oracles.lattice_mapping(jamming_round_pmf(choice))
         _, want = oracles.sums_by_table_lookup(pmf, 7 * 30, 1, 4, stream)
+        # 210 triplets leave 46 bits of tail, which stay clear even where row 0 is -1 (j under x).
+        assert np.array_equal(records.indicators, oracles.jamming_records_from_rows(want[0], choice).indicators)
         assert records.outcomes.dtype == np.int8
         assert np.array_equal(records.outcomes, want[0])
 
@@ -798,15 +837,24 @@ class TestJamming:
     @given(trials=st.integers(1, 500), atoms=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
     @example(trials=1, atoms=8, seed=0)
     @example(trials=500, atoms=1, seed=1)
+    # Triplets that fill the last word but one bit, all of it, and one bit of the next.
+    @example(trials=63, atoms=8, seed=2)
+    @example(trials=64, atoms=8, seed=3)
+    @example(trials=65, atoms=8, seed=4)
+    @example(trials=65, atoms=1, seed=5)
     def test_empirical_matches_row_unique(self, trials, atoms, seed):
         rng = np.random.default_rng(seed)
         triplets = np.array(list(itertools.product((1, -1), repeat=3)), dtype=np.int8)
         pool = triplets[rng.permutation(8)[:atoms]]
         outcomes = pool[rng.integers(0, atoms, size=trials)]
-        records = JammingRecords(jim_choice="z", outcomes=outcomes)
-        got = records.empirical()
         want = oracles.empirical_by_row_unique(outcomes, 1)
-        assert list(oracles.lattice_mapping(got).items()) == list(want.items())
+        for choice in ("x", "z"):
+            records = oracles.jamming_records_from_rows(outcomes, choice)
+            assert np.array_equal(records.outcomes, outcomes)
+            got = records.empirical()
+            assert got.labels == ("a_x", "b_x", f"j_{choice}")
+            assert list(oracles.lattice_mapping(got).items()) == list(want.items())
+            assert records.correlations() == oracles.jamming_correlations_by_rows(outcomes)
 
     @pytest.mark.parametrize("choice", ["x", "z"])
     def test_sampled_empirical_matches_row_unique(self, choice):

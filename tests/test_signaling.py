@@ -4,6 +4,7 @@ import inspect
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -265,12 +266,17 @@ class TestGhzReceivers:
     @example(n=1, trials=1, seed=0)
     @example(n=200, trials=300, seed=2**64 - 1)
     def test_sampled(self, n, trials, seed):
+        """A receivers-only sampled run sums the first two columns of the joint run on the same seed."""
         v = ghz_verdict(n, RunMode.MONTE_CARLO, trials, seed)
+        joint = ghz_verdict(n, RunMode.MONTE_CARLO, trials, seed, joint=True)
         receivers = v.results["receiver_distribution"]
-        assert set(receivers) == set(v.runs) == {"u", "p"}
+        assert set(receivers) == set(v.runs) == set(joint.runs) == {"u", "p"}
         for choice, run in v.runs.items():
-            assert run.labels[:2] == ("A_x", "B_x") and len(run.labels) == 3
-            assert_same_distribution(receivers[choice], oracles.receivers_by_full_empirical(run))
+            whole = joint.runs[choice]
+            assert run.labels == whole.labels[:2] == ("A_x", "B_x") and len(whole.labels) == 3
+            assert np.array_equal(run.sums, whole.sums[:, :2])
+            assert_same_distribution(receivers[choice], oracles.receivers_by_full_empirical(whole))
+            assert_same_distribution(joint.results["receiver_distribution"][choice], receivers[choice])
 
 
 class TestUnaryCondition:

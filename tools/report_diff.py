@@ -108,6 +108,10 @@ def commands(config_dir: str) -> list[list[str]]:
             [command, "--help"],
         ]
     cmds.append(["ghz-signal", "--mode", "mc", "--n", "400"])
+    # Rounds that fill one word, one word and a bit, and two words and two bits.
+    for n in ("64", "65", "130"):
+        for seed in ("0", "5"):
+            cmds += [["ghz-signal", "--mode", "mc", "--n", n, "--seed", seed, "--format", fmt] for fmt in ("json", "csv")]
     # One sampled trial of one component per run: each run's CSV field table holds a single value.
     cmds.append(["tsirelson", "--mode", "mc", "--n", "3", "--trials", "1", "--format", "csv"])
     for fmt in ("json", "csv"):
@@ -116,6 +120,9 @@ def commands(config_dir: str) -> list[list[str]]:
         cmds += [
             ["jamming", "--jim", jim],
             ["jamming", "--jim", jim, "--n", "1", "--trials", "1"],
+            # Triplet counts that are not a multiple of 64: 63 and 65.
+            ["jamming", "--jim", jim, "--n", "7", "--trials", "9"],
+            ["jamming", "--jim", jim, "--n", "1", "--trials", "65"],
             ["jamming", "--jim", jim, "--trials", "300", "--format", "csv"],
             # Triplet indices of one to six digits.
             ["jamming", "--jim", jim, "--format", "csv"],
