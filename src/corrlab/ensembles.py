@@ -492,8 +492,12 @@ def _sample_outcome_rows(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Each trial's sums over N rounds of the components ``columns`` (all by default), from ``_indicator_chunks``.
 
-    A column's sum is N - 2 * the count of its -1 rounds, the rounds its
-    indicator marks, or those it leaves clear where row 0 is -1.  Every
+    A column's indicator, 64 rounds per word, is the output of one
+    straight-line Boolean program over the random bit-planes, compiled once
+    per call from its truth table by Shannon expansion (R. E. Bryant, IEEE
+    Trans. Comput. C-35, 677, 1986; see ``_compile_indicators``).  Its sum
+    is N - 2 * the count of its -1 rounds, the rounds the indicator marks,
+    or those it leaves clear where row 0 is -1.  Every
     column comes from the same whole rounds, so a run of some columns holds
     those columns of a run of all on the same seed.  These draws replaced a
     table lookup on one raw word per round, so seeded samples differ from
