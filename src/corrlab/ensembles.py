@@ -13,10 +13,11 @@ rounds where it differs from row 0, is one straight-line Boolean program
 over the planes, compiled from its truth table by Shannon expansion as in
 a reduced ordered decision diagram (R. E. Bryant, "Graph-based algorithms
 for Boolean function manipulation", IEEE Trans. Comput. C-35, 677, 1986),
-and its sums are popcounts of that indicator.  A run computes only the
-components its caller reads, and a jamming run keeps its indicator words
-and counts its histogram from them.  Seeded draws changed when this
-sampler replaced the one-word-per-round table lookup.
+and its sums are popcounts of that indicator.  A receivers-only GHZ run
+samples the receivers' round marginal, which keeps the whole pmf's table
+rows, and a jamming run keeps its indicator words and counts its
+histogram from them.  Seeded draws changed when this sampler replaced
+the one-word-per-round table lookup.
 """
 
 from __future__ import annotations
@@ -332,9 +333,7 @@ def _stream_rng(seed: int, stream: tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, *stream)))
 
 
-def _compile_indicators(
-    round_pmf: ExactDistribution, columns: tuple[int, ...]
-) -> tuple[list[tuple], int, list[bool]]:
+def _compile_indicators(round_pmf: ExactDistribution) -> tuple[list[tuple], list[int], list[bool]]:
     """A straight-line Boolean program over the bit-planes that marks, per column, the rows differing from row 0.
 
     The table lists the atoms in ``outcome_tuples`` order (+1 first), the
@@ -349,18 +348,15 @@ def _compile_indicators(
     other pair the mux f0 ^ (b & (f0 ^ f1)).  An operation already made is
     reused.
 
-    Each step is (ufunc, out, x, y) on operands ~j, plane j, and r >= 0,
-    register r: ``ufunc(x, y, out=r)``, y None for NOT; or (None, position,
-    x, None), which outputs column ``columns[position]``'s indicator.  A
-    register is reused once its value is dead, so the register count is the
-    program's peak; a column equal to row 0 on every row outputs a register
-    that no step writes.  Also returns each column's value at row 0, True
-    for -1.
+    Operands are ~j for plane j and r >= 0 for register r.  Step r is
+    (ufunc, x, y), run as ``ufunc(x, y, out=r)``, y None for NOT.  Also
+    returns each column's output operand, where a column equal to row 0 on
+    every row reads the register after the last step, which no step writes,
+    and each column's value at row 0, True for -1.
     """
     denom = round_pmf.denominator
     if denom & (denom - 1) or denom > _MAX_TABLE_CELLS:
         raise InvariantViolation(f"round pmf with denominator {denom} is not dyadic over <= {_MAX_TABLE_CELLS} cells")
-    # Node i is steps[i], (ufunc, x, y); an output step is (None, node or None for 0, position).
     steps: list[tuple] = []
     made: dict[tuple, int] = {}
     nodes: dict[tuple[int, int], int | None] = {}
@@ -396,36 +392,14 @@ def _compile_indicators(
         return nodes.get((table, j))
 
     bounds = [0, *itertools.accumulate(round_pmf.weights[::-1])]
-    digit_columns = round_pmf._digit_columns()
-    negative_first = []
-    for position, c in enumerate(columns):
-        negative = [digit == 0 for digit in reversed(digit_columns[c])]
+    outputs, negative_first = [], []
+    for column in round_pmf._digit_columns():
+        negative = [digit == 0 for digit in reversed(column)]
         table = sum((1 << hi) - (1 << lo) for neg, lo, hi in zip(negative, bounds, bounds[1:]) if neg != negative[0])
-        steps.append((None, node(table, denom.bit_length() - 1), position))
+        outputs.append(node(table, denom.bit_length() - 1))
         negative_first.append(negative[0])
-
-    def reads(ufunc, x, y) -> list[int]:
-        return [v for v in ((x,) if ufunc is None else (x, y)) if v is not None and v >= 0]
-
-    last_read = {v: i for i, step in enumerate(steps) for v in reads(*step)}
-    register: dict[int | None, int] = {}
-    free: list[int] = []
-    program = []
-    for i, (ufunc, x, y) in enumerate(steps):
-        if x is None and None not in register:
-            register[None] = len(register) + len(free)  # a fresh register, never written
-        x = x if x is not None and x < 0 else register[x]
-        if ufunc is not None and y is not None and y >= 0:
-            y = register[y]
-        for v in reads(*steps[i]):
-            if last_read[v] == i:
-                free.append(register.pop(v))
-        if ufunc is None:
-            program.append((None, y, x, None))
-        else:
-            register[i] = free.pop() if free else len(register) + len(free)
-            program.append((ufunc, register[i], x, y))
-    return program, len(register) + len(free), negative_first
+    zero = len(steps)
+    return steps, [zero if v is None else v for v in outputs], negative_first
 
 
 def _indicator_chunks(
@@ -434,7 +408,6 @@ def _indicator_chunks(
     trials: int,
     seed: int,
     stream: tuple[int, ...],
-    columns: tuple[int, ...],
     spare: int,
 ) -> Iterator[tuple[slice, int, bool, np.ndarray, np.ndarray]]:
     """Draw (trials, N) rounds as random bit-planes and yield each chunk's column indicators and their bit counts.
@@ -445,17 +418,18 @@ def _indicator_chunks(
     PCG64 words, all of its planes in a row, so the stream does not depend
     on the chunk size: bit b of word w of plane j is bit j of the row of
     round 64*w + b.  The program of ``_compile_indicators`` then marks, 64
-    rounds per word, where each of ``columns`` differs from row 0, and a
-    popcount per word (Knuth, TAOCP 4A, 7.1.3) counts them.
+    rounds per word, where each column differs from row 0, and a popcount
+    per word (Knuth, TAOCP 4A, 7.1.3) counts them.
 
-    Yields, per chunk and column: the chunk's trials, the position in
-    ``columns``, whether row 0 is -1 there, the (chunk, ceil(N/64))
-    indicator words and their uint8 popcounts, both overwritten after the
-    next yield.  A chunk holds at most ``_SAMPLE_WORDS`` live words, which
-    count the planes, the registers, the popcounts and ``spare`` words of
-    the caller's per indicator word.
+    Yields, per chunk and column: the chunk's trials, the column, whether
+    row 0 is -1 there, the (chunk, ceil(N/64)) indicator words and their
+    uint8 popcounts, both overwritten after the next yield.  A chunk holds
+    at most ``_SAMPLE_WORDS`` live words, which count the planes, one
+    register per step, the popcounts and ``spare`` words of the caller's
+    per indicator word.
     """
-    program, registers, negative_first = _compile_indicators(round_pmf, columns)
+    steps, outputs, negative_first = _compile_indicators(round_pmf)
+    registers = len(steps) + (len(steps) in outputs)
     d = round_pmf.denominator.bit_length() - 1
     words = -(-n_rounds // 64)
     tail = n_rounds % 64
@@ -470,14 +444,15 @@ def _indicator_chunks(
             # Rounds past N read as row 0, where every indicator is clear.
             planes[:, :, -1] &= np.uint64((1 << tail) - 1)
         regs = buffers[:, :chunk]
-        for ufunc, out, x, y in program:
+        for out, (ufunc, x, y) in enumerate(steps):
             x = regs[x] if x >= 0 else planes[:, ~x]
-            if ufunc is None:
-                yield slice(done, done + chunk), out, negative_first[out], x, np.bitwise_count(x, out=bit_counts[:chunk])
-            elif y is None:
+            if y is None:
                 ufunc(x, out=regs[out])
             else:
                 ufunc(x, regs[y] if y >= 0 else planes[:, ~y], out=regs[out])
+        for c, v in enumerate(outputs):
+            x = regs[v] if v >= 0 else planes[:, ~v]
+            yield slice(done, done + chunk), c, negative_first[c], x, np.bitwise_count(x, out=bit_counts[:chunk])
         del planes, regs, x  # free this chunk's planes before the next draw
 
 
@@ -488,57 +463,44 @@ def _sample_outcome_rows(
     seed: int,
     stream: tuple[int, ...],
     keep_rounds: bool,
-    columns: tuple[int, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Each trial's sums over N rounds of the components ``columns`` (all by default), from ``_indicator_chunks``.
+    """Each trial's component sums over N rounds, from ``_indicator_chunks``.
 
     A column's indicator, 64 rounds per word, is the output of one
     straight-line Boolean program over the random bit-planes, compiled once
     per call from its truth table by Shannon expansion (R. E. Bryant, IEEE
     Trans. Comput. C-35, 677, 1986; see ``_compile_indicators``).  Its sum
     is N - 2 * the count of its -1 rounds, the rounds the indicator marks,
-    or those it leaves clear where row 0 is -1.  Every
-    column comes from the same whole rounds, so a run of some columns holds
-    those columns of a run of all on the same seed.  These draws replaced a
+    or those it leaves clear where row 0 is -1.  These draws replaced a
     table lookup on one raw word per round, so seeded samples differ from
     corrlab releases before the bit-sliced sampler.
     """
-    if columns is None:
-        columns = tuple(range(len(round_pmf.labels)))
+    k = len(round_pmf.labels)
     # Column-major, so that each column's sums are written contiguously.
-    sums = np.empty((len(columns), trials), dtype=np.int64).T
-    rounds = np.empty((trials, n_rounds, len(columns)), dtype=np.int8) if keep_rounds else None
+    sums = np.empty((k, trials), dtype=np.int64).T
+    rounds = np.empty((trials, n_rounds, k), dtype=np.int8) if keep_rounds else None
     # Round records unpack each indicator word into 8 words of bytes.
-    chunks = _indicator_chunks(round_pmf, n_rounds, trials, seed, stream, columns, 8 if keep_rounds else 0)
-    for rows, position, negative_first, indicator, bit_counts in chunks:
-        column = sums[rows, position]
+    chunks = _indicator_chunks(round_pmf, n_rounds, trials, seed, stream, 8 if keep_rounds else 0)
+    for rows, c, negative_first, indicator, bit_counts in chunks:
+        column = sums[rows, c]
         np.sum(bit_counts, axis=1, dtype=np.int64, out=column)
         column *= 2 if negative_first else -2
         column += -n_rounds if negative_first else n_rounds
         if rounds is not None:
             bits = np.unpackbits(indicator.astype("<u8", copy=False).view(np.uint8), axis=1, count=n_rounds, bitorder="little")
-            rounds[rows, :, position] = 1 - 2 * (bits ^ negative_first).view(np.int8)
+            rounds[rows, :, c] = 1 - 2 * (bits ^ negative_first).view(np.int8)
     return sums, rounds
 
 
 def _run_from_round_pmf(
-    spec: ScenarioSpec, round_pmf: ExactDistribution, stream: tuple[int, ...], columns: tuple[int, ...] | None = None
+    spec: ScenarioSpec, round_pmf: ExactDistribution, stream: tuple[int, ...]
 ) -> ExactDistribution | EnsembleRun:
-    """The run of the round pmf's components ``columns`` (all by default).
-
-    Exact runs convolve the columns' round marginal, since the marginal of
-    an i.i.d. sum is the i.i.d. sum of the round marginal; sampled runs draw
-    whole rounds and sum only those columns.
-    """
     n = spec.n_rounds
     if spec.mode is RunMode.EXACT:
-        if columns is not None:
-            round_pmf = round_pmf.marginal(columns)
         weights = convolve_iid_rounds(round_pmf, n)
         return ExactDistribution.from_grid(round_pmf.labels, n, weights, round_pmf.denominator**n)
-    sums, rounds = _sample_outcome_rows(round_pmf, n, spec.trials, spec.seed, stream, spec.keep_rounds, columns)
-    labels = round_pmf.labels if columns is None else tuple(round_pmf.labels[c] for c in columns)
-    return EnsembleRun(labels=labels, sums=sums, n_rounds=n, rounds=rounds)
+    sums, rounds = _sample_outcome_rows(round_pmf, n, spec.trials, spec.seed, stream, spec.keep_rounds)
+    return EnsembleRun(labels=round_pmf.labels, sums=sums, n_rounds=n, rounds=rounds)
 
 
 def pr_round_pmf(sender_choice: str) -> ExactDistribution:
@@ -577,16 +539,20 @@ def run_ghz_scenario(spec: ScenarioSpec, receivers_only: bool = False) -> ExactD
 
     Alice and Bob measure x on every triplet; Jim measures x or y per
     ``sender_choice``.  Components are (A_x, B_x, J_<axis>), or with
-    ``receivers_only`` the receivers' (A_x, B_x) alone.  An exact
-    receivers-only run convolves their round marginal; a sampled one draws
-    whole triplets and sums only the receivers, so its sums are the first
-    two columns of a whole run on the same seed.
+    ``receivers_only`` the receivers' (A_x, B_x) alone: the run then uses
+    their round marginal, since the marginal of an i.i.d. sum is the i.i.d.
+    sum of the round marginal.  That marginal keeps the denominator, and
+    (A_x, B_x) are the leading digits, so each of its atoms holds the same
+    table rows as the whole pmf's atoms it merges: a sampled receivers-only
+    run draws the receivers' columns of a whole run on the same seed.
     """
     if spec.kind is not ScenarioKind.GHZ:
         raise ValueError("spec.kind must be GHZ")
+    pmf = ghz_round_pmf(spec.sender_choice)
+    if receivers_only:
+        pmf = pmf.marginal(GHZ_RECEIVERS)
     stream = (_KIND_STREAM[spec.kind], _CHOICE_INDEX[spec.sender_choice])
-    columns = GHZ_RECEIVERS if receivers_only else None
-    return _run_from_round_pmf(spec, ghz_round_pmf(spec.sender_choice), stream, columns)
+    return _run_from_round_pmf(spec, pmf, stream)
 
 
 def tsirelson_round_pmf(sender_choice: str, bob_axis: str) -> ExactDistribution:
@@ -722,7 +688,7 @@ def run_jamming_scenario(
     stream = (_JAMMING_STREAM, 0 if jim_choice == "x" else 1)
     triplets = n_rounds * trials
     indicators = np.empty((3, -(-triplets // 64)), dtype=np.uint64)
-    for _, c, negative_first, indicator, _ in _indicator_chunks(pmf, triplets, 1, seed, stream, (0, 1, 2), 0):
+    for _, c, negative_first, indicator, _ in _indicator_chunks(pmf, triplets, 1, seed, stream, 0):
         # The indicator marks where c differs from row 0: its -1 triplets, or its +1 ones where row 0 is -1.
         if negative_first:
             np.invert(indicator[0], out=indicators[c])

@@ -273,10 +273,10 @@ def ghz_verdict(
     Every statistic is a function of the receivers' (A_x, B_x) pair, so
     the report's distributions are theirs alone, and only ``joint`` runs
     the whole (A_x, B_x, J) joint into ``runs``, for a report that prints
-    it.  Exact mode convolves the receivers' round marginal.  Sampled runs
-    always draw whole triplets, so their draws do not depend on what a
-    report prints: a receivers-only run sums just their two columns, and a
-    joint run's first two columns are those sums.
+    it.  Both modes run the receivers' round marginal otherwise.  It keeps
+    the round pmf's table rows, so sampled draws do not depend on what a
+    report prints: a joint run's first two columns are the receivers-only
+    run's sums.
     """
     spec = ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=n_rounds, trials=trials, seed=seed, mode=mode)
     if joint and mode is RunMode.MONTE_CARLO:

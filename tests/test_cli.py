@@ -200,13 +200,13 @@ class TestEachDistributionRunsOnce:
     def test_receiver_marginals(self, tmp_path, monkeypatch, command, runs, mode):
         """No report projects an N-round distribution: only round pmfs are projected, once per run.
 
-        tsirelson takes Bob's round marginal and exact ghz-signal its receivers'; sampled
-        ghz-signal keeps the receivers' columns of its runs, and pr-signal projects nothing.
+        tsirelson takes Bob's round marginal and ghz-signal its receivers' in both modes, and
+        pr-signal projects nothing.
         """
         calls = spy_calls(monkeypatch, ExactDistribution, "marginal")
         code, _ = run_cli(tmp_path, command, "--n", "3", "--mode", mode, "--trials", "200")
         assert code == 0
-        projected = runs if command == "tsirelson" or (command, mode) == ("ghz-signal", "exact") else 0
+        projected = runs if command in ("tsirelson", "ghz-signal") else 0
         assert [dist.n_rounds for dist, _ in calls] == [1] * projected
 
 
