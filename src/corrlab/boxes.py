@@ -9,6 +9,7 @@ floats for Born-rule boxes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,25 +75,33 @@ class DichotomicBox:
         return self.table[key]
 
     def marginal(self, labels, keep: tuple[int, ...]) -> tuple[Fraction | float, ...]:
-        """Marginal outcome distribution of the parties in ``keep``."""
+        """Marginal outcome distribution of the parties in ``keep``.
+
+        Each entry sums its row entries in their own arithmetic: a float where
+        one of them is a float, a Fraction otherwise.
+        """
         row = self.row(labels)
-        sub = outcome_tuples(len(keep))
-        acc = {o: Fraction(0) for o in sub}
+        acc: dict[tuple[int, ...], Fraction | float] = {}
         for full, p in zip(self.outcomes, row):
-            acc[tuple(full[i] for i in keep)] += p
-        return tuple(acc[o] for o in sub)
+            o = tuple(full[i] for i in keep)
+            acc[o] = acc[o] + p if o in acc else p
+        return tuple(_exact_unless_float(acc[o]) for o in outcome_tuples(len(keep)))
+
+
+def _exact_unless_float(value) -> Fraction | float:
+    """A float sum as a float, and any other (int or Fraction) as a Fraction."""
+    if isinstance(value, float):
+        return float(value)
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def correlation(box: DichotomicBox, settings) -> Fraction | float:
     """E[product of all outcomes] under the given settings."""
-    row = box.row(settings)
-    acc = Fraction(0)
-    for outcome, p in zip(box.outcomes, row):
-        prod = 1
-        for o in outcome:
-            prod *= o
-        acc = acc + prod * p
-    return acc if isinstance(acc, Fraction) else float(acc)
+    acc = 0
+    # Added in order, not with sum(), whose float path compensates rounding since Python 3.12.
+    for outcome, p in zip(box.outcomes, box.row(settings)):
+        acc = acc + math.prod(outcome) * p
+    return _exact_unless_float(acc)
 
 
 def check_no_signaling(box: DichotomicBox) -> dict:

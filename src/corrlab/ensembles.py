@@ -18,6 +18,12 @@ samples the receivers' round marginal, which keeps the whole pmf's table
 rows, and a jamming run keeps its indicator words and counts its
 histogram from them.  Seeded draws changed when this sampler replaced
 the one-word-per-round table lookup.
+
+The Born round pmfs (GHZ, Tsirelson with Bob's marginal, and jamming) are
+built once per process, in a 16-entry cache that their 8 pmfs fit, from
+``quantum.joint_probabilities``, which keeps its own 64-entry cache per
+(state amplitudes, factor tuple).  A distribution's cells and weights are
+tuples, so no caller can change a cached pmf.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import InvariantViolation
-from .quantum import ghz_state, joint_probabilities
+from .quantum import bell_state, ghz_state, joint_probabilities
 
 EXACT_MAX_ROUNDS = 24
 # Alice's and Bob's components of a three-party run: the receivers of Jim's choice.
@@ -146,20 +152,23 @@ class ExactDistribution:
     The collectives lie on the grid {-1, -1 + 2/N, ..., 1}^k, k =
     len(labels).  The cell of component sums (s_0, ..., s_(k-1)) is the
     base-(N+1) number with digits (s_c + N) / 2, so cell order is
-    lexicographic value order.  ``cells`` lists the cells of nonzero
+    lexicographic value order.  ``cells`` holds the cells of nonzero
     probability in increasing order and ``weights`` their positive integer
-    weights; a cell's probability is its weight over ``denominator``.
-    Exact runs hold weights over denom^N, sampled histograms counts over
-    the trials, and neither stores the empty cells.
+    weights, both as tuples; a cell's probability is its weight over
+    ``denominator``.  Exact runs hold weights over denom^N, sampled
+    histograms counts over the trials, and neither stores the empty cells.
     """
 
     labels: tuple[str, ...]
     n_rounds: int
-    cells: list[int]
-    weights: list[int]
+    cells: tuple[int, ...]
+    weights: tuple[int, ...]
     denominator: int
 
     def __post_init__(self):
+        # Tuples, so that no caller can change a cached round pmf under the others.
+        object.__setattr__(self, "cells", tuple(self.cells))
+        object.__setattr__(self, "weights", tuple(self.weights))
         size = (self.n_rounds + 1) ** len(self.labels)
         if len(self.cells) != len(self.weights):
             raise ValueError(f"{len(self.cells)} cells for {len(self.weights)} weights")
@@ -503,6 +512,22 @@ def _run_from_round_pmf(
     return EnsembleRun(labels=round_pmf.labels, sums=sums, n_rounds=n, rounds=rounds)
 
 
+@functools.lru_cache(maxsize=16)
+def _born_round_pmf(
+    state: str, factors: tuple[str, ...], labels: tuple[str, ...], keep: tuple[int, ...] | None = None
+) -> ExactDistribution:
+    """The snapped Born pmf of one round of ``factors`` on the "ghz" or "bell" state, labelled ``labels``.
+
+    With ``keep``, the round marginal of those components.  A round pmf is a
+    pure function of its arguments and immutable, so each is built once per
+    process: the Born round pmfs of every scenario are 8 entries, 2 GHZ, 4
+    Tsirelson and 2 jamming ones, of at most 8 atoms each.
+    """
+    born = snap_pmf(joint_probabilities(ghz_state() if state == "ghz" else bell_state(), factors))
+    pmf = ExactDistribution.from_mapping(born, labels, 1)
+    return pmf if keep is None else pmf.marginal(keep)
+
+
 def pr_round_pmf(sender_choice: str) -> ExactDistribution:
     """Per-round pmf of Bob's jointly read (B, B') pair.
 
@@ -530,8 +555,7 @@ def run_pr_scenario(spec: ScenarioSpec) -> ExactDistribution | EnsembleRun:
 def ghz_round_pmf(sender_choice: str) -> ExactDistribution:
     """Born pmf of (A_x, B_x, J) for one triplet, Jim on x ("u") or y ("p")."""
     jim_factor = "X" if sender_choice == "u" else "Y"
-    born = snap_pmf(joint_probabilities(ghz_state(), ("X", "X", jim_factor)))
-    return ExactDistribution.from_mapping(born, ("A_x", "B_x", f"J_{jim_factor.lower()}"), 1)
+    return _born_round_pmf("ghz", ("X", "X", jim_factor), ("A_x", "B_x", f"J_{jim_factor.lower()}"))
 
 
 def run_ghz_scenario(spec: ScenarioSpec, receivers_only: bool = False) -> ExactDistribution | EnsembleRun:
@@ -564,11 +588,8 @@ def tsirelson_round_pmf(sender_choice: str, bob_axis: str) -> ExactDistribution:
     """
     if bob_axis not in ("z", "x"):
         raise ValueError("bob_axis must be 'z' or 'x'")
-    from .quantum import bell_state
-
     alice_factor = "Z" if sender_choice == "u" else "X"
-    joint = snap_pmf(joint_probabilities(bell_state(), (alice_factor, bob_axis.upper())))
-    return ExactDistribution.from_mapping(joint, ("alice", f"bob_{bob_axis}"), 1).marginal((1,))
+    return _born_round_pmf("bell", (alice_factor, bob_axis.upper()), ("alice", f"bob_{bob_axis}"), (1,))
 
 
 def run_tsirelson_scenario(
@@ -667,8 +688,7 @@ def jamming_round_pmf(jim_choice: str) -> ExactDistribution:
     """Exact Born pmf of (a_x, b_x, j) with Jim on x or z."""
     if jim_choice not in ("x", "z"):
         raise ValueError("jim_choice must be 'x' or 'z'")
-    born = snap_pmf(joint_probabilities(ghz_state(), ("X", "X", jim_choice.upper())))
-    return ExactDistribution.from_mapping(born, ("a_x", "b_x", f"j_{jim_choice}"), 1)
+    return _born_round_pmf("ghz", ("X", "X", jim_choice.upper()), ("a_x", "b_x", f"j_{jim_choice}"))
 
 
 def run_jamming_scenario(

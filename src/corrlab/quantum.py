@@ -294,10 +294,12 @@ def product_expectation(state: PureState, a: PauliObservable, b: PauliObservable
 
 def outcome_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     """All +1/-1 outcome tuples for n sites, +1 first, site 0 slowest."""
-    out = []
-    for idx in range(2**n):
-        out.append(tuple(-1 if (idx >> (n - 1 - k)) & 1 else 1 for k in range(n)))
-    return tuple(out)
+    return _outcome_tuples(n)
+
+
+@lru_cache(maxsize=MAX_QUBITS + 1)
+def _outcome_tuples(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(-1 if (idx >> (n - 1 - k)) & 1 else 1 for k in range(n)) for idx in range(2**n))
 
 
 def joint_probabilities(
@@ -307,13 +309,27 @@ def joint_probabilities(
 
     Single-site operators on distinct qubits always commute, so the joint
     distribution is well defined.  Keys run over all outcome tuples in
-    canonical order (+1 before -1, qubit 0 slowest).  Each branch applies
-    the site projectors (I + o*M_k)/2 in site order, sharing the branches
-    of its prefix.
+    canonical order (+1 before -1, qubit 0 slowest).  The pmf is computed
+    once per process for each state content and factor tuple (see
+    ``_born_pmf``); every call returns a fresh dict.
     """
-    n = state.n_qubits
-    if len(factors) != n:
+    if len(factors) != state.n_qubits:
         raise ValueError("need exactly one factor per qubit")
+    return dict(_born_pmf(state.amplitudes.tobytes(), tuple(factors)))
+
+
+@lru_cache(maxsize=64)
+def _born_pmf(key: bytes, factors: tuple[str | float, ...]) -> dict[tuple[int, ...], float]:
+    """The ``joint_probabilities`` pmf of the state whose amplitude bytes are ``key``.
+
+    Keyed on content, as ``_born_branches`` is.  Each branch applies the site
+    projectors (I + o*M_k)/2 in site order, sharing the branches of its
+    prefix.  A pmf that does not sum to 1 raises, so it is never cached.  An
+    entry holds 2^n floats keyed by the shared outcome tuples and its 2^n
+    amplitude bytes, about 0.3 MiB at MAX_QUBITS, so about 20 MiB in all.
+    """
+    amps = np.frombuffer(key, complex)
+    n = len(factors)
     sites = [PauliObservable(("I",) * k + (f,) + ("I",) * (n - 1 - k)) for k, f in enumerate(factors)]
 
     def branches(vec: np.ndarray, k: int):
@@ -326,7 +342,7 @@ def joint_probabilities(
 
     probs = {
         outcome: float(np.vdot(vec, vec).real)
-        for outcome, vec in zip(outcome_tuples(n), branches(state.amplitudes, 0))
+        for outcome, vec in zip(outcome_tuples(n), branches(amps, 0))
     }
     total = sum(probs.values())
     if not abs(total - 1.0) <= 1e-9:

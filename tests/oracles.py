@@ -111,6 +111,27 @@ def total_variation_by_union(p: FractionDistribution, q: FractionDistribution) -
     return sum((abs(mp.get(k, 0) - mq.get(k, 0)) for k in set(mp) | set(mq)), Fraction(0)) / 2
 
 
+def box_marginal_from_zero(box, labels, keep: tuple[int, ...]) -> tuple:
+    """A box row's marginal on the parties ``keep``, each entry summed from Fraction(0).
+
+    The sums of ``DichotomicBox.marginal`` before it added entries in the
+    row's own arithmetic: an entry is a Fraction unless a float was added.
+    """
+    sub = list(itertools.product((1, -1), repeat=len(keep)))
+    acc = {o: Fraction(0) for o in sub}
+    for full, p in zip(itertools.product((1, -1), repeat=box.parties), box.row(labels)):
+        acc[tuple(full[i] for i in keep)] += p
+    return tuple(acc[o] for o in sub)
+
+
+def box_correlation_from_zero(box, settings) -> Fraction | float:
+    """E[product of all outcomes] summed from Fraction(0), then a float unless still a Fraction."""
+    acc = Fraction(0)
+    for outcome, p in zip(itertools.product((1, -1), repeat=box.parties), box.row(settings)):
+        acc = acc + math.prod(outcome) * p
+    return acc if isinstance(acc, Fraction) else float(acc)
+
+
 def lattice_mapping(dist: ExactDistribution) -> dict[tuple[Fraction, ...], Fraction]:
     """The nonzero cells of a lattice distribution as {value tuple: probability}, in grid order."""
     n = dist.n_rounds

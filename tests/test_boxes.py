@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -231,3 +231,41 @@ class TestJointReadout:
             c_abp = sum(p * b * bp for (b, bp), p in pmf.items())
             assert c_ab == correlation(box, (choice, "u"))
             assert c_abp == correlation(box, (choice, "p"))
+
+
+@st.composite
+def mixed_boxes(draw):
+    """A box whose rows hold Fractions, floats, ints (0 and 1) or a mix of them."""
+    parties = draw(st.sampled_from((2, 3)))
+    size = 2**parties
+    table = {}
+    for key in itertools.product(LABELS, repeat=parties):
+        weights = draw(st.lists(st.integers(0, 6), min_size=size, max_size=size).filter(any))
+        kinds = draw(st.lists(st.sampled_from((Fraction, float, int)), min_size=size, max_size=size))
+        total = sum(weights)
+        row = []
+        for w, kind in zip(weights, kinds):
+            if kind is float:
+                row.append(w / total)
+            elif kind is int and w in (0, total):
+                row.append(w // total)
+            else:
+                row.append(Fraction(w, total))
+        table[key] = tuple(row)
+    return DichotomicBox(parties=parties, table=table)
+
+
+@given(mixed_boxes())
+@example(DichotomicBox(parties=2, table={key: (0, 1, 0, 0) for key in itertools.product(LABELS, repeat=2)}))
+@example(make_tsirelson_box())
+@example(make_pr_box())
+@settings(max_examples=80)
+def test_sums_keep_the_row_arithmetic(box):
+    """Marginals and correlations equal sums from Fraction(0), in value and in type, entry by entry."""
+    for labels in itertools.product(LABELS, repeat=box.parties):
+        got, want = correlation(box, labels), oracles.box_correlation_from_zero(box, labels)
+        assert (type(got), got) == (type(want), want)
+        for size in range(1, box.parties):
+            for keep in itertools.combinations(range(box.parties), size):
+                got, want = box.marginal(labels, keep), oracles.box_marginal_from_zero(box, labels, keep)
+                assert [(type(g), g) for g in got] == [(type(w), w) for w in want]

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import oracles
 from child_env import child_env
-from corrlab import cli, ensembles, reportio, spacetime
+from corrlab import cli, ensembles, quantum, reportio, spacetime
 from corrlab.boxes import make_pr_box
 from corrlab.cli import main
 from corrlab.ensembles import (
@@ -201,13 +202,18 @@ class TestEachDistributionRunsOnce:
         """No report projects an N-round distribution: only round pmfs are projected, once per run.
 
         tsirelson takes Bob's round marginal and ghz-signal its receivers' in both modes, and
-        pr-signal projects nothing.
+        pr-signal projects nothing.  Bob's marginals are cached round pmfs, so a second report
+        in the same process projects only ghz-signal's receivers again.
         """
+        ensembles._born_round_pmf.cache_clear()
         calls = spy_calls(monkeypatch, ExactDistribution, "marginal")
-        code, _ = run_cli(tmp_path, command, "--n", "3", "--mode", mode, "--trials", "200")
-        assert code == 0
-        projected = runs if command in ("tsirelson", "ghz-signal") else 0
-        assert [dist.n_rounds for dist, _ in calls] == [1] * projected
+        cold = runs if command in ("tsirelson", "ghz-signal") else 0
+        warm = runs if command == "ghz-signal" else 0
+        for projected in (cold, warm):
+            calls.clear()
+            code, _ = run_cli(tmp_path, command, "--n", "3", "--mode", mode, "--trials", "200")
+            assert code == 0
+            assert [dist.n_rounds for dist, _ in calls] == [1] * projected
 
 
 class TestGhzAlgebraCommand:
@@ -857,6 +863,47 @@ class TestSharedParser:
             assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), args
             codes.append(code)
         assert codes == [0, 2, 0, 0, 0, 0, 0]
+
+
+WARM_COMMANDS = [
+    *(
+        (command, "--mode", mode, "--format", fmt, "--n", n, "--trials", "3000")
+        for command in ("pr-signal", "tsirelson", "ghz-signal")
+        for mode in ("exact", "mc")
+        for fmt in ("json", "csv")
+        for n in ("1", "6")
+    ),
+    *(
+        ("jamming", "--jim", jim, "--format", fmt, "--n", n, "--trials", "3000")
+        for jim in ("x", "z")
+        for fmt in ("json", "csv")
+        for n in ("1", "6")
+    ),
+]
+
+
+def test_warm_process_reports_match_fresh_processes(tmp_path):
+    """Every scenario report, made in turn in one process from cold caches, in two orders, has a fresh interpreter's bytes.
+
+    Round pmfs and Born pmfs are cached per process, so a report that left
+    state behind for the next would differ from the one-command processes.
+    """
+    env = child_env()
+
+    def fresh(args):
+        proc = subprocess.run([sys.executable, "-m", "corrlab", *args], capture_output=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, b""), args
+        return proc.stdout
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        expected = dict(zip(WARM_COMMANDS, pool.map(fresh, WARM_COMMANDS)))
+    out = tmp_path / "report.out"
+    for order in (WARM_COMMANDS, WARM_COMMANDS[::-1]):
+        ensembles._born_round_pmf.cache_clear()
+        quantum._born_pmf.cache_clear()
+        for args in order:
+            assert main([*args, "--out", str(out)]) == 0
+            assert out.read_bytes() == expected[args], args
 
 
 class TestDeterminismAndErrors:

@@ -220,6 +220,36 @@ class TestConvolution:
         assert vn == n * v1
 
 
+class TestRoundPmfCache:
+    BUILDERS = [
+        *((ghz_round_pmf, (c,)) for c in ("u", "p")),
+        *((tsirelson_round_pmf, (c, axis)) for c in ("u", "p") for axis in ("z", "x")),
+        *((jamming_round_pmf, (j,)) for j in ("x", "z")),
+    ]
+
+    @pytest.mark.parametrize("builder, args", BUILDERS)
+    def test_cached_pmf_is_immutable(self, builder, args):
+        pmf = builder(*args)
+        assert builder(*args) is pmf
+        assert type(pmf.cells) is tuple and type(pmf.weights) is tuple
+        with pytest.raises(TypeError):
+            pmf.weights[0] += 1
+        with pytest.raises(AttributeError):
+            pmf.cells = ()
+
+    def test_every_scenario_fits_the_bounded_cache(self):
+        ensembles._born_round_pmf.cache_clear()
+        for builder, args in self.BUILDERS * 2:
+            builder(*args)
+        info = ensembles._born_round_pmf.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (8, 8, 8)
+        assert info.maxsize is not None and info.maxsize >= 8
+
+    def test_constructor_takes_any_sequence_and_keeps_tuples(self):
+        dist = ExactDistribution(("B",), 1, [0, 1], [1, 1], 2)
+        assert (dist.cells, dist.weights) == ((0, 1), (1, 1))
+
+
 class TestExactDistribution:
     def _pr_n2(self):
         return scenario_exact_distribution(spec(ScenarioKind.PR_BOX, 2))

@@ -20,6 +20,7 @@ from corrlab.quantum import (
     PureState,
     _apply,
     _born_branches,
+    _born_pmf,
     bell_state,
     commutator_norm,
     commutes,
@@ -475,6 +476,56 @@ class TestBornBranchCache:
             vec = rng.normal(size=8) + 1j * rng.normal(size=8)
             measure(PureState(vec / np.linalg.norm(vec)), obs("X", "Y", "Z"), rng)
         assert _born_branches.cache_info().currsize <= maxsize
+
+
+class TestBornPmfCache:
+    def test_returned_dict_is_the_callers_own(self):
+        first = joint_probabilities(ghz_state(), ("X", "X", "Y"))
+        want = dict(first)
+        first[(1, 1, 1)] = 7.0
+        first.clear()
+        assert joint_probabilities(ghz_state(), ("X", "X", "Y")) == want
+
+    def test_equal_states_and_factors_share_an_entry(self):
+        joint_probabilities(bell_state(), ("Z", math.pi / 4))
+        before = _born_pmf.cache_info()
+        joint_probabilities(bell_state(), ["Z", math.pi / 4])
+        after = _born_pmf.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_unnormalised_state_raises_on_every_call(self):
+        state = bell_state()
+        # A state that slipped past the normalisation check.
+        object.__setattr__(state, "amplitudes", np.array([1.0, 0.0, 0.0, 1.0], dtype=complex))
+        size = _born_pmf.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(InvariantViolation, match="sum to 2.0"):
+                joint_probabilities(state, ("Z", "Z"))
+        assert _born_pmf.cache_info().currsize == size
+
+    def test_cache_size_is_bounded(self):
+        maxsize = _born_pmf.cache_info().maxsize
+        rng = np.random.default_rng(4)
+        for _ in range(maxsize + 10):
+            vec = rng.normal(size=4) + 1j * rng.normal(size=4)
+            joint_probabilities(PureState(vec / np.linalg.norm(vec)), ("X", "Z"))
+        assert _born_pmf.cache_info().currsize <= maxsize
+
+
+@given(
+    random_states(),
+    st.lists(st.one_of(st.sampled_from("IXYZ"), st.floats(-10, 10, allow_nan=False)), min_size=3, max_size=3),
+)
+@example(ghz_state(), ["X", "X", "Y"])
+@example(bell_state(), ["Z", math.pi / 4, "I"])
+@settings(max_examples=60)
+def test_joint_probabilities_match_the_uncached_pmf(state, factors):
+    """Twice in a row, a call equals the pmf computed afresh, entry by entry and bit for bit."""
+    factors = tuple(factors[: state.n_qubits])
+    want = _born_pmf.__wrapped__(state.amplitudes.tobytes(), factors)
+    for _ in range(2):
+        got = joint_probabilities(state, factors)
+        assert list(got.items()) == list(want.items())
 
 
 _SITE_FACTORS = st.lists(
