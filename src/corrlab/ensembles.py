@@ -20,10 +20,11 @@ histogram from them.  Seeded draws changed when this sampler replaced
 the one-word-per-round table lookup.
 
 The Born round pmfs (GHZ, Tsirelson with Bob's marginal, and jamming) are
-built once per process, in a 16-entry cache that their 8 pmfs fit, from
-``quantum.joint_probabilities``, which keeps its own 64-entry cache per
-(state amplitudes, factor tuple).  A distribution's cells and weights are
-tuples, so no caller can change a cached pmf.
+Pauli measurements on the GHZ or Bell state, whose amplitudes are
+integers over sqrt(2), so each is exact from the start: integer weights
+from ``quantum.pauli_weights``.  They are built once per process, in a
+16-entry cache that their 8 pmfs fit.  A distribution's cells and weights
+are tuples, so no caller can change a cached pmf.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import InvariantViolation
-from .quantum import bell_state, ghz_state, joint_probabilities
+from .quantum import BELL_ROOT2, GHZ_ROOT2, pauli_weights
 
 EXACT_MAX_ROUNDS = 24
 # Alice's and Bob's components of a three-party run: the receivers of Jim's choice.
@@ -101,34 +102,6 @@ def _check_seed(seed: int) -> None:
     """Reject seeds outside the 64-bit range every sampled run accepts."""
     if not (0 <= seed < 2**64):
         raise ValueError("seed must fit in 64 bits")
-
-
-def snap_dyadic(p: float) -> Fraction:
-    """Round a Born-rule float to the nearest multiple of 2^-30.
-
-    The per-round probabilities of every scenario here are exact multiples
-    of 2^-3, computed to a few ulps, so the float must sit within 1e-12 of
-    the snapped value.  The tolerance is far below the 2^-31 lattice
-    half-spacing, so garbage like 0.3 is rejected rather than silently
-    rounded.
-    """
-    snapped = Fraction(round(p * 2**30), 2**30)
-    if abs(float(snapped) - p) > 1e-12:
-        raise InvariantViolation(f"probability {p!r} is not dyadic within 1e-12")
-    return snapped
-
-
-def snap_pmf(pmf: Mapping[tuple[int, ...], float]) -> dict[tuple[int, ...], Fraction]:
-    """Snap a float pmf to exact dyadic rationals, dropping zero entries."""
-    out = {}
-    for outcome, p in pmf.items():
-        q = snap_dyadic(float(p))
-        if q:
-            out[outcome] = q
-    total = sum(out.values())
-    if total != 1:
-        raise InvariantViolation(f"snapped pmf sums to {total}, not 1")
-    return out
 
 
 def _cell(point: tuple, k: int, n: int) -> int:
@@ -514,17 +487,18 @@ def _run_from_round_pmf(
 
 @functools.lru_cache(maxsize=16)
 def _born_round_pmf(
-    state: str, factors: tuple[str, ...], labels: tuple[str, ...], keep: tuple[int, ...] | None = None
+    state: tuple[int, ...], factors: tuple[str, ...], labels: tuple[str, ...], keep: tuple[int, ...] | None = None
 ) -> ExactDistribution:
-    """The snapped Born pmf of one round of ``factors`` on the "ghz" or "bell" state, labelled ``labels``.
+    """The exact Born pmf of one round of ``factors`` on the integer state ``state``, labelled ``labels``.
 
-    With ``keep``, the round marginal of those components.  A round pmf is a
-    pure function of its arguments and immutable, so each is built once per
-    process: the Born round pmfs of every scenario are 8 entries, 2 GHZ, 4
-    Tsirelson and 2 jamming ones, of at most 8 atoms each.
+    Its weights are ``pauli_weights`` in grid order, the reverse of outcome
+    order, over their gcd.  With ``keep``, the round marginal of those
+    components.  Pure and immutable, so each is built once per process: the
+    8 Born round pmfs are 2 GHZ, 4 Tsirelson and 2 jamming ones.
     """
-    born = snap_pmf(joint_probabilities(ghz_state() if state == "ghz" else bell_state(), factors))
-    pmf = ExactDistribution.from_mapping(born, labels, 1)
+    weights = pauli_weights(state, factors)[::-1]
+    scale = math.gcd(*weights)
+    pmf = ExactDistribution.from_grid(labels, 1, [w // scale for w in weights], sum(weights) // scale)
     return pmf if keep is None else pmf.marginal(keep)
 
 
@@ -555,7 +529,7 @@ def run_pr_scenario(spec: ScenarioSpec) -> ExactDistribution | EnsembleRun:
 def ghz_round_pmf(sender_choice: str) -> ExactDistribution:
     """Born pmf of (A_x, B_x, J) for one triplet, Jim on x ("u") or y ("p")."""
     jim_factor = "X" if sender_choice == "u" else "Y"
-    return _born_round_pmf("ghz", ("X", "X", jim_factor), ("A_x", "B_x", f"J_{jim_factor.lower()}"))
+    return _born_round_pmf(GHZ_ROOT2, ("X", "X", jim_factor), ("A_x", "B_x", f"J_{jim_factor.lower()}"))
 
 
 def run_ghz_scenario(spec: ScenarioSpec, receivers_only: bool = False) -> ExactDistribution | EnsembleRun:
@@ -589,7 +563,7 @@ def tsirelson_round_pmf(sender_choice: str, bob_axis: str) -> ExactDistribution:
     if bob_axis not in ("z", "x"):
         raise ValueError("bob_axis must be 'z' or 'x'")
     alice_factor = "Z" if sender_choice == "u" else "X"
-    return _born_round_pmf("bell", (alice_factor, bob_axis.upper()), ("alice", f"bob_{bob_axis}"), (1,))
+    return _born_round_pmf(BELL_ROOT2, (alice_factor, bob_axis.upper()), ("alice", f"bob_{bob_axis}"), (1,))
 
 
 def run_tsirelson_scenario(
@@ -688,7 +662,7 @@ def jamming_round_pmf(jim_choice: str) -> ExactDistribution:
     """Exact Born pmf of (a_x, b_x, j) with Jim on x or z."""
     if jim_choice not in ("x", "z"):
         raise ValueError("jim_choice must be 'x' or 'z'")
-    return _born_round_pmf("ghz", ("X", "X", jim_choice.upper()), ("a_x", "b_x", f"j_{jim_choice}"))
+    return _born_round_pmf(GHZ_ROOT2, ("X", "X", jim_choice.upper()), ("a_x", "b_x", f"j_{jim_choice}"))
 
 
 def run_jamming_scenario(

@@ -162,19 +162,19 @@ class MeasurementRecord:
     post_state: PureState
 
 
+# The Bell and GHZ states times sqrt(2): integer amplitudes, so Pauli projections of them stay exact.
+BELL_ROOT2 = (1, 0, 0, 1)
+GHZ_ROOT2 = (1, 0, 0, 0, 0, 0, 0, -1)
+
+
 def bell_state() -> PureState:
     """(|up,up> + |down,down>)/sqrt(2) on two qubits."""
-    r = 1.0 / math.sqrt(2.0)
-    return PureState(np.array([r, 0.0, 0.0, r], dtype=complex))
+    return PureState(np.array(BELL_ROOT2, complex) / math.sqrt(2.0))
 
 
 def ghz_state() -> PureState:
     """(|up,up,up> - |down,down,down>)/sqrt(2) on three qubits."""
-    r = 1.0 / math.sqrt(2.0)
-    amps = np.zeros(8, dtype=complex)
-    amps[0] = r
-    amps[7] = -r
-    return PureState(amps)
+    return PureState(np.array(GHZ_ROOT2, complex) / math.sqrt(2.0))
 
 
 def expectation(state: PureState, observable: PauliObservable) -> float:
@@ -318,36 +318,60 @@ def joint_probabilities(
     return dict(_born_pmf(state.amplitudes.tobytes(), tuple(factors)))
 
 
+def _projections(amps: np.ndarray, factors: tuple[str | float, ...]):
+    """prod_k (I + o_k M_k) amps, 2^n times its projection, for each outcome tuple o in ``outcome_tuples`` order.
+
+    Depth first: outcome i redoes only the sites from its lowest set bit on,
+    and site k's image M_k prefix[k] serves both its +1 and -1 branches.
+    """
+    n = len(factors)
+    sites = [PauliObservable(("I",) * k + (f,) + ("I",) * (n - 1 - k)) for k, f in enumerate(factors)]
+    prefix, applied = [amps] * (n + 1), [amps] * n
+    for i, outcome in enumerate(outcome_tuples(n)):
+        for k in range(n - (i & -i).bit_length() if i else 0, n):
+            if outcome[k] == 1:
+                applied[k] = _apply(sites[k], prefix[k])
+            prefix[k + 1] = prefix[k] + outcome[k] * applied[k]
+        yield prefix[n]
+
+
 @lru_cache(maxsize=64)
 def _born_pmf(key: bytes, factors: tuple[str | float, ...]) -> dict[tuple[int, ...], float]:
     """The ``joint_probabilities`` pmf of the state whose amplitude bytes are ``key``.
 
-    Keyed on content, as ``_born_branches`` is.  Each branch applies the site
-    projectors (I + o*M_k)/2 in site order, sharing the branches of its
-    prefix.  A pmf that does not sum to 1 raises, so it is never cached.  An
-    entry holds 2^n floats keyed by the shared outcome tuples and its 2^n
-    amplitude bytes, about 0.3 MiB at MAX_QUBITS, so about 20 MiB in all.
+    Keyed on content, as ``_born_branches`` is.  Each probability is a
+    ``_projections`` squared norm over 4^n, equal to the bit to halving each
+    site's projector, since scaling by a power of two is exact.  A pmf that
+    does not sum to 1 raises, so it is never cached.  An entry holds 2^n
+    floats keyed by the shared outcome tuples and its 2^n amplitude bytes,
+    about 0.3 MiB at MAX_QUBITS, so about 20 MiB in all.
     """
-    amps = np.frombuffer(key, complex)
     n = len(factors)
-    sites = [PauliObservable(("I",) * k + (f,) + ("I",) * (n - 1 - k)) for k, f in enumerate(factors)]
-
-    def branches(vec: np.ndarray, k: int):
-        if k == n:
-            yield vec
-            return
-        applied = _apply(sites[k], vec)
-        for o in (1, -1):
-            yield from branches((vec + o * applied) / 2.0, k + 1)
-
-    probs = {
-        outcome: float(np.vdot(vec, vec).real)
-        for outcome, vec in zip(outcome_tuples(n), branches(amps, 0))
-    }
+    vecs = _projections(np.frombuffer(key, complex), factors)
+    probs = {outcome: float(np.vdot(vec, vec).real) / 4**n for outcome, vec in zip(outcome_tuples(n), vecs)}
     total = sum(probs.values())
     if not abs(total - 1.0) <= 1e-9:
         raise InvariantViolation(f"joint outcome probabilities sum to {total!r}")
     return probs
+
+
+def pauli_weights(amplitudes: tuple[int, ...], factors: tuple[str, ...]) -> list[int]:
+    """The exact weights |prod_k (I + o_k P_k) c|^2 of an integer vector c, in ``outcome_tuples`` order.
+
+    Pauli letters act as signed permutations with phases in {+-1, +-i}, so
+    amplitudes stay Gaussian integers, and p(o) on c/|c| is the weight over
+    |c|^2 * 4^n.  Integer-valued complex128 arithmetic is exact below 2^53,
+    which bounds every value here, so |c|^2 * 4^n >= 2^53 raises ValueError,
+    as do a factor other than I, X, Y, Z and a length other than 2^n.
+    """
+    n = len(factors)
+    if any(f not in ("I", "X", "Y", "Z") for f in factors):
+        raise ValueError(f"factors {factors!r} are not all Pauli letters")
+    if len(amplitudes) != 2**n:
+        raise ValueError(f"{len(amplitudes)} amplitudes for {n} factors")
+    if sum(a * a for a in amplitudes) * 4**n >= 2**53:
+        raise ValueError("weights reach 2^53, past exact float arithmetic")
+    return [int(np.vdot(vec, vec).real) for vec in _projections(np.array(amplitudes, complex), factors)]
 
 
 # Three-party correlation facts used by the ensemble and algebra layers.

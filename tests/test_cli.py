@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import shutil
 import subprocess
@@ -22,6 +24,7 @@ from corrlab import cli, ensembles, quantum, reportio, spacetime
 from corrlab.boxes import make_pr_box
 from corrlab.cli import main
 from corrlab.ensembles import (
+    EXACT_MAX_ROUNDS,
     EnsembleRun,
     ExactDistribution,
     RunMode,
@@ -1003,3 +1006,97 @@ class TestDeterminismAndErrors:
         report = run_json(tmp_path, command, "--n", "20000", "--mode", "mc", "--trials", "50")
         assert report["results"]["verdict"]["N"] == 20000
         assert calls
+
+
+# Integers at each edge the CLI checks: zero, the signs, the exact cap, and 64-bit overflow,
+# and one word that is no integer.  Any pair of the small ones keeps trials x N at most 625;
+# a run with a huge one is refused or fails its first allocation at once.
+_EDGE_INTS = [0, 1, -1, 6, EXACT_MAX_ROUNDS, EXACT_MAX_ROUNDS + 1, 2**63 - 1, 2**63, -(2**63), 2**64, 2**64 + 1, 10**30]
+_INT_ARGS = st.sampled_from([*map(str, _EDGE_INTS), "x"])
+
+
+@st.composite
+def _argvs(draw):
+    """One subcommand's argv, with edge-valued --n, --trials and --seed, in either format."""
+    command = draw(st.sampled_from(["pr-signal", "tsirelson", "ghz-signal", "jamming", "ghz-algebra"]))
+    argv = [command]
+    if command == "jamming":
+        argv += ["--jim", draw(st.sampled_from(["x", "z"]))]
+    elif command != "ghz-algebra":
+        argv += ["--mode", draw(st.sampled_from(["exact", "mc"]))]
+    if command != "ghz-algebra":
+        argv += ["--n", draw(_INT_ARGS), "--trials", draw(_INT_ARGS)]
+        if draw(st.booleans()):
+            argv += ["--seed", draw(_INT_ARGS)]
+    return argv + ["--format", draw(st.sampled_from(["json", "csv"]))]
+
+
+def _assert_clean_exit(argv: list[str]) -> None:
+    """``main(argv)`` exits 0 with a report that parses, or 2 or 3 with one ``error:`` or ``invariant violation:`` line.
+
+    An argparse usage error exits 2 through SystemExit, after its usage text.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2 and out.getvalue() == ""
+            assert ": error: " in err.getvalue().splitlines()[-1]
+            return
+    assert code in (0, 2, 3)
+    if code:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(("error:", "invariant violation:")), err.getvalue()
+    elif argv[-1] == "csv":
+        rows = list(csv.reader(io.StringIO(out.getvalue())))
+        assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}
+        assert err.getvalue() == ""
+    else:
+        json.loads(out.getvalue())
+        assert err.getvalue() == ""
+
+
+@given(_argvs())
+@example(["ghz-signal", "--mode", "exact", "--n", str(EXACT_MAX_ROUNDS), "--trials", "1", "--format", "csv"])
+@example(["jamming", "--jim", "z", "--n", "1", "--trials", str(2**63), "--seed", str(2**64), "--format", "json"])
+@settings(max_examples=150)
+def test_bad_arguments_never_end_in_a_traceback(argv):
+    _assert_clean_exit(argv)
+
+
+_NUMBERS = st.one_of(
+    st.floats(),
+    st.integers(-3, 3),
+    st.sampled_from([*_EDGE_INTS, 10**400, True, False, "0", "-1.5", "1e400", "nan", "t"]),
+)
+_JSON_TREES = st.recursive(
+    st.one_of(st.none(), _NUMBERS, st.text(max_size=6)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["t", "x", "y"]), inner, max_size=3),
+    max_leaves=6,
+)
+_EVENTS = st.one_of(
+    st.fixed_dictionaries({"t": _NUMBERS, "x": _NUMBERS}),
+    st.fixed_dictionaries({}, optional={"t": _NUMBERS, "x": _NUMBERS, "y": _NUMBERS}),
+    _JSON_TREES,
+)
+_MAPS = st.one_of(st.sampled_from(spacetime.MAP_NAMES), _JSON_TREES)
+_OPTIONAL_SECTIONS = {"j_hat": _EVENTS, "beta": st.one_of(st.floats(-1, 1), _NUMBERS), "alice_map": _MAPS, "bob_map": _MAPS}
+_CAUSAL_CONFIGS = st.one_of(
+    st.fixed_dictionaries({"a_hat": _EVENTS, "b_hat": _EVENTS}, optional=_OPTIONAL_SECTIONS),
+    st.fixed_dictionaries({}, optional={"a_hat": _EVENTS, "b_hat": _EVENTS, **_OPTIONAL_SECTIONS}),
+    _JSON_TREES,
+)
+
+
+@pytest.fixture(scope="module")
+def causal_config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("causal") / "config.json"
+
+
+@given(config=_CAUSAL_CONFIGS)
+@settings(max_examples=150)
+def test_bad_causal_configs_never_end_in_a_traceback(causal_config_path, config):
+    causal_config_path.write_text(json.dumps(config))
+    _assert_clean_exit(["causal", "--config", str(causal_config_path), "--format", "json"])

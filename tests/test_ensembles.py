@@ -31,8 +31,6 @@ from corrlab.ensembles import (
     run_pr_scenario,
     run_tsirelson_scenario,
     scenario_exact_distribution,
-    snap_dyadic,
-    snap_pmf,
     tsirelson_round_pmf,
 )
 from corrlab.errors import InvariantViolation
@@ -89,27 +87,6 @@ class TestSpecValidation:
         for n, trials in ((4, 100), (11, 10**6)):
             s = spec(ScenarioKind.PR_BOX, n, mode=RunMode.MONTE_CARLO, trials=trials)
             assert s.keep_rounds is False
-
-
-class TestSnapping:
-    def test_snaps_exact_dyadics(self):
-        assert snap_dyadic(0.25) == Fraction(1, 4)
-        assert snap_dyadic(0.125) == Fraction(1, 8)
-        assert snap_dyadic(0.0) == 0
-
-    def test_tolerates_float_noise(self):
-        assert snap_dyadic(0.5 + 1e-13) == HALF
-
-    def test_rejects_non_dyadic(self):
-        for bad in (0.3, 1 / 3, 0.1):
-            with pytest.raises(InvariantViolation, match="dyadic"):
-                snap_dyadic(bad)
-
-    def test_snap_pmf_drops_zeros_and_validates_total(self):
-        out = snap_pmf({(1,): 0.5, (-1,): 0.5, (0,): 0.0})
-        assert out == {(1,): HALF, (-1,): HALF}
-        with pytest.raises(InvariantViolation, match="sums to"):
-            snap_pmf({(1,): 0.5, (-1,): 0.375})
 
 
 SHIPPED_ROUND_PMFS = {
@@ -226,6 +203,24 @@ class TestRoundPmfCache:
         *((tsirelson_round_pmf, (c, axis)) for c in ("u", "p") for axis in ("z", "x")),
         *((jamming_round_pmf, (j,)) for j in ("x", "z")),
     ]
+
+    # (labels, cells, weights, denominator) of each.  A changed denominator would change how many
+    # bit-planes a sampled run draws, and so every seeded draw.
+    PINNED = [
+        (("A_x", "B_x", "J_x"), (0, 3, 5, 6), (1, 1, 1, 1), 4),
+        (("A_x", "B_x", "J_y"), tuple(range(8)), (1,) * 8, 8),
+        (("bob_z",), (0, 1), (1, 1), 2),
+        (("bob_x",), (0, 1), (2, 2), 4),
+        (("bob_z",), (0, 1), (2, 2), 4),
+        (("bob_x",), (0, 1), (1, 1), 2),
+        (("a_x", "b_x", "j_x"), (0, 3, 5, 6), (1, 1, 1, 1), 4),
+        (("a_x", "b_x", "j_z"), tuple(range(8)), (1,) * 8, 8),
+    ]
+
+    @pytest.mark.parametrize("builder, args, pinned", [(*b, p) for b, p in zip(BUILDERS, PINNED)])
+    def test_born_round_pmf_is_pinned(self, builder, args, pinned):
+        pmf = builder(*args)
+        assert (pmf.labels, pmf.cells, pmf.weights, pmf.denominator) == pinned
 
     @pytest.mark.parametrize("builder, args", BUILDERS)
     def test_cached_pmf_is_immutable(self, builder, args):

@@ -43,6 +43,7 @@ spans.install(tracer, {layer: getattr(corrlab, layer) for layer in spans.LAYERS}
 with contextlib.redirect_stdout(io.StringIO()):
     codes = tracer.run_root(lambda: [
         cli.main(["ghz-signal", "--n", "4"]),
+        cli.main(["tsirelson", "--n", "4"]),
         cli.main(["pr-signal", "--mode", "mc", "--n", "3", "--trials", "200"]),
         len(quantum.sequential_measure(
             quantum.ghz_state(),
@@ -58,9 +59,10 @@ print(json.dumps({"codes": codes, "calls": dict(tracer.calls)}))
 def test_benchmark_spans_find_their_functions():
     """The names the benchmark's per-layer metrics wrap still exist and still run in reports.
 
-    The traced run holds one exact report, one sampled report and one
+    The traced run holds two exact reports, one sampled report and one
     sequential measurement of a GHZ pair, so inlining or renaming a wrapped
-    function fails here instead of zeroing its metric.  Each JSON report is
+    function fails here instead of zeroing its metric.  The exact Tsirelson
+    report is the one whose box rows reach ``joint_probabilities``.  Each JSON report is
     one ``dump_report`` span around one ``encode`` span, so a writer that
     skips ``encode``, or reaches it once per node, fails here too.
     """
@@ -72,7 +74,7 @@ def test_benchmark_spans_find_their_functions():
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0, 2]
+    assert result["codes"] == [0, 0, 0, 2]
     for name in (
         "quantum.sequential_measure",
         "quantum.measure",
@@ -84,7 +86,7 @@ def test_benchmark_spans_find_their_functions():
     ):
         assert result["calls"].get(name, 0) > 0, name
     for name in ("reportio.dump_report", "reportio.encode"):
-        assert result["calls"].get(name, 0) == 2, name
+        assert result["calls"].get(name, 0) == 3, name
 
 
 # Public names that no code in the package calls, each kept for its reason.

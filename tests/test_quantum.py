@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ import oracles
 from corrlab import quantum
 from corrlab.errors import InvariantViolation, NonCommutingError
 from corrlab.quantum import (
+    BELL_ROOT2,
     GHZ_PRODUCT_CONSTRAINTS,
+    GHZ_ROOT2,
     GHZ_STABILIZERS,
     MAX_QUBITS,
     PauliObservable,
@@ -30,6 +34,7 @@ from corrlab.quantum import (
     joint_probabilities,
     measure,
     outcome_tuples,
+    pauli_weights,
     product_expectation,
     sequential_measure,
 )
@@ -51,6 +56,19 @@ class TestStates:
         assert amps[0] == pytest.approx(1 / RT2)
         assert amps[7] == pytest.approx(-1 / RT2)
         assert np.all(amps[1:7] == 0)
+
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (bell_state, "37fe4d07afc183c37066a83fb1e1ccff488c19a4bd0fe73a2ea8233dfe0ae1a0"),
+            (ghz_state, "8f58a6969d606590046b1025a2d439941eb2231f42ea357a9a89f68899c9fba2"),
+        ],
+    )
+    def test_amplitude_bytes_are_pinned(self, make, digest):
+        # The float Tsirelson box and the ghz-algebra numbers start from these bytes.
+        amps = make().amplitudes
+        assert amps[0].real.hex() == "0x1.6a09e667f3bccp-1"
+        assert hashlib.sha256(amps.tobytes()).hexdigest() == digest
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
@@ -385,6 +403,37 @@ class TestJointProbabilities:
     def test_needs_factor_per_qubit(self):
         with pytest.raises(ValueError, match="one factor per qubit"):
             joint_probabilities(ghz_state(), ("X", "X"))
+
+
+_PAULI_CASES = [
+    *((oracles.bell_vector, BELL_ROOT2, f) for f in itertools.product("IXYZ", repeat=2)),
+    *((oracles.ghz_vector, GHZ_ROOT2, f) for f in itertools.product("IXYZ", repeat=3)),
+]
+
+
+class TestPauliWeights:
+    @pytest.mark.parametrize("vector, root2, factors", _PAULI_CASES, ids=["".join(f) for _, _, f in _PAULI_CASES])
+    def test_matches_symbolic_born_rule(self, vector, root2, factors):
+        weights = pauli_weights(root2, factors)
+        total = sum(a * a for a in root2) * 4 ** len(factors)
+        assert sum(weights) == total
+        got = {o: Fraction(w, total) for o, w in zip(outcome_tuples(len(factors)), weights)}
+        assert got == oracles.symbolic_joint_pmf(vector(), factors)
+
+    def test_rejects_a_tilted_factor(self):
+        with pytest.raises(ValueError, match="Pauli letters"):
+            pauli_weights(BELL_ROOT2, ("Z", math.pi / 4))
+
+    def test_rejects_a_length_other_than_two_to_the_n(self):
+        with pytest.raises(ValueError, match="8 amplitudes for 2 factors"):
+            pauli_weights(GHZ_ROOT2, ("X", "X"))
+
+    def test_rejects_weights_past_exact_floats(self):
+        # |c|^2 * 4^n = 2^52 is exact; twice that reaches 2^53.
+        assert pauli_weights((2**25, 0), ("Z",)) == [2**52, 0]
+        assert pauli_weights((2**25, 0), ("X",)) == [2**51, 2**51]
+        with pytest.raises(ValueError, match="2\\^53"):
+            pauli_weights((2**25, 2**25), ("Z",))
 
 
 class TestAssignmentSearch:
