@@ -13,11 +13,12 @@ rounds where it differs from row 0, is one straight-line Boolean program
 over the planes, compiled from its truth table by Shannon expansion as in
 a reduced ordered decision diagram (R. E. Bryant, "Graph-based algorithms
 for Boolean function manipulation", IEEE Trans. Comput. C-35, 677, 1986),
-and its sums are popcounts of that indicator.  A receivers-only GHZ run
-samples the receivers' round marginal, which keeps the whole pmf's table
-rows, and a jamming run keeps its indicator words and counts its
-histogram from them.  Seeded draws changed when this sampler replaced
-the one-word-per-round table lookup.
+and its sums are popcounts of that indicator.  A scenario run keeps only
+those sums, never a round-by-round record, since every report reads the
+collectives alone.  A receivers-only GHZ run samples the receivers' round
+marginal, which keeps the whole pmf's table rows, and a jamming run keeps
+its indicator words and counts its histogram from them.  Seeded draws
+changed when this sampler replaced the one-word-per-round table lookup.
 
 The Born round pmfs (GHZ, Tsirelson with Bob's marginal, and jamming) are
 Pauli measurements on the GHZ or Bell state, whose amplitudes are
@@ -84,7 +85,6 @@ class ScenarioSpec:
     trials: int = 100_000
     seed: int = 0
     mode: RunMode = RunMode.EXACT
-    keep_rounds: bool = False
 
     def __post_init__(self):
         if self.n_rounds < 1:
@@ -93,7 +93,7 @@ class ScenarioSpec:
             raise ValueError(f"exact mode supports at most {EXACT_MAX_ROUNDS} rounds")
         if self.sender_choice not in _CHOICE_INDEX:
             raise ValueError("sender_choice must be 'u' or 'p'")
-        if self.mode is RunMode.MONTE_CARLO and self.trials < 1:
+        if self.trials < 1:
             raise ValueError("trials must be positive")
         _check_seed(self.seed)
 
@@ -263,15 +263,16 @@ class EnsembleRun:
     """Monte Carlo samples of collective variables.
 
     ``sums`` is a (trials, k) int64 array of the per-trial componentwise
-    sums of +1/-1 round outcomes, so collectives are sums / n_rounds.
-    ``rounds`` holds the (trials, N, k) per-round records only when the
-    spec asked for them with ``keep_rounds=True``; otherwise it is None.
+    sums of +1/-1 round outcomes, so collectives are sums / n_rounds; no
+    run keeps a round-by-round record.  ``rounds`` is always None.  It is
+    kept only because the benchmark's ``perfbench/spans.py:_observe_scenario``
+    reads ``result.rounds``, and goes together with that read.
     """
 
     labels: tuple[str, ...]
     sums: np.ndarray
     n_rounds: int
-    rounds: np.ndarray | None = field(default=None, repr=False)
+    rounds: None = field(default=None, repr=False)
 
     def empirical(self) -> ExactDistribution:
         """Empirical pmf of the collectives: each grid cell's count over the trials."""
@@ -280,8 +281,7 @@ class EnsembleRun:
     def marginal(self, indices: tuple[int, ...]) -> "EnsembleRun":
         """The same trials restricted to the components ``indices``."""
         cols = list(indices)
-        rounds = None if self.rounds is None else self.rounds[:, :, cols]
-        return replace(self, labels=tuple(self.labels[i] for i in cols), sums=self.sums[:, cols], rounds=rounds)
+        return replace(self, labels=tuple(self.labels[i] for i in cols), sums=self.sums[:, cols])
 
 
 def _grid_counts(labels: tuple[str, ...], sums: np.ndarray, n_rounds: int) -> ExactDistribution:
@@ -390,7 +390,6 @@ def _indicator_chunks(
     trials: int,
     seed: int,
     stream: tuple[int, ...],
-    spare: int,
 ) -> Iterator[tuple[slice, int, bool, np.ndarray, np.ndarray]]:
     """Draw (trials, N) rounds as random bit-planes and yield each chunk's column indicators and their bit counts.
 
@@ -405,17 +404,17 @@ def _indicator_chunks(
 
     Yields, per chunk and column: the chunk's trials, the column, whether
     row 0 is -1 there, the (chunk, ceil(N/64)) indicator words and their
-    uint8 popcounts, both overwritten after the next yield.  A chunk holds
-    at most ``_SAMPLE_WORDS`` live words, which count the planes, one
-    register per step, the popcounts and ``spare`` words of the caller's
-    per indicator word.
+    uint8 popcounts, both overwritten after the next yield: scenario runs
+    read the popcounts, and a jamming run copies its one trial's words.  A
+    chunk holds at most ``_SAMPLE_WORDS`` live words: the planes, one
+    register per step and the popcounts.
     """
     steps, outputs, negative_first = _compile_indicators(round_pmf)
     registers = len(steps) + (len(steps) in outputs)
     d = round_pmf.denominator.bit_length() - 1
     words = -(-n_rounds // 64)
     tail = n_rounds % 64
-    chunk_trials = min(trials, max(1, _SAMPLE_WORDS // (words * (d + registers + 1 + spare))))
+    chunk_trials = min(trials, max(1, _SAMPLE_WORDS // (words * (d + registers + 1))))
     buffers = np.zeros((registers, chunk_trials, words), dtype=np.uint64)
     bit_counts = np.empty((chunk_trials, words), dtype=np.uint8)
     bitgen = _stream_rng(seed, stream).bit_generator
@@ -444,8 +443,7 @@ def _sample_outcome_rows(
     trials: int,
     seed: int,
     stream: tuple[int, ...],
-    keep_rounds: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> np.ndarray:
     """Each trial's component sums over N rounds, from ``_indicator_chunks``.
 
     A column's indicator, 64 rounds per word, is the output of one
@@ -460,18 +458,12 @@ def _sample_outcome_rows(
     k = len(round_pmf.labels)
     # Column-major, so that each column's sums are written contiguously.
     sums = np.empty((k, trials), dtype=np.int64).T
-    rounds = np.empty((trials, n_rounds, k), dtype=np.int8) if keep_rounds else None
-    # Round records unpack each indicator word into 8 words of bytes.
-    chunks = _indicator_chunks(round_pmf, n_rounds, trials, seed, stream, 8 if keep_rounds else 0)
-    for rows, c, negative_first, indicator, bit_counts in chunks:
+    for rows, c, negative_first, _, bit_counts in _indicator_chunks(round_pmf, n_rounds, trials, seed, stream):
         column = sums[rows, c]
         np.sum(bit_counts, axis=1, dtype=np.int64, out=column)
         column *= 2 if negative_first else -2
         column += -n_rounds if negative_first else n_rounds
-        if rounds is not None:
-            bits = np.unpackbits(indicator.astype("<u8", copy=False).view(np.uint8), axis=1, count=n_rounds, bitorder="little")
-            rounds[rows, :, c] = 1 - 2 * (bits ^ negative_first).view(np.int8)
-    return sums, rounds
+    return sums
 
 
 def _run_from_round_pmf(
@@ -481,8 +473,8 @@ def _run_from_round_pmf(
     if spec.mode is RunMode.EXACT:
         weights = convolve_iid_rounds(round_pmf, n)
         return ExactDistribution.from_grid(round_pmf.labels, n, weights, round_pmf.denominator**n)
-    sums, rounds = _sample_outcome_rows(round_pmf, n, spec.trials, spec.seed, stream, spec.keep_rounds)
-    return EnsembleRun(labels=round_pmf.labels, sums=sums, n_rounds=n, rounds=rounds)
+    sums = _sample_outcome_rows(round_pmf, n, spec.trials, spec.seed, stream)
+    return EnsembleRun(labels=round_pmf.labels, sums=sums, n_rounds=n)
 
 
 @functools.lru_cache(maxsize=16)
@@ -682,7 +674,7 @@ def run_jamming_scenario(
     stream = (_JAMMING_STREAM, 0 if jim_choice == "x" else 1)
     triplets = n_rounds * trials
     indicators = np.empty((3, -(-triplets // 64)), dtype=np.uint64)
-    for _, c, negative_first, indicator, _ in _indicator_chunks(pmf, triplets, 1, seed, stream, 0):
+    for _, c, negative_first, indicator, _ in _indicator_chunks(pmf, triplets, 1, seed, stream):
         # The indicator marks where c differs from row 0: its -1 triplets, or its +1 ones where row 0 is -1.
         if negative_first:
             np.invert(indicator[0], out=indicators[c])

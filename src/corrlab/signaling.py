@@ -271,20 +271,17 @@ def ghz_verdict(
     distribution rides along as the strongest accessible comparison.
 
     Every statistic is a function of the receivers' (A_x, B_x) pair, so
-    the report's distributions are theirs alone, and only ``joint`` runs
-    the whole (A_x, B_x, J) joint into ``runs``, for a report that prints
-    it.  Both modes run the receivers' round marginal otherwise.  It keeps
-    the round pmf's table rows, so sampled draws do not depend on what a
-    report prints: a joint run's first two columns are the receivers-only
-    run's sums.
+    the report's distributions are theirs alone.  Without ``joint``, both
+    modes run only the receivers' round marginal.  With it, they run the
+    whole (A_x, B_x, J) joint into ``runs``, for a report that prints it,
+    and take the receivers' marginal of each run.  The receivers' round
+    marginal keeps the round pmf's table rows, so sampled draws do not
+    depend on what a report prints: a joint run's first two columns are
+    the receivers-only run's sums.
     """
     spec = ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=n_rounds, trials=trials, seed=seed, mode=mode)
-    if joint and mode is RunMode.MONTE_CARLO:
-        runs = _run_choices(spec)
-        receivers = {c: run.marginal(GHZ_RECEIVERS) for c, run in runs.items()}
-    else:
-        receivers = _run_choices(spec, receivers_only=True)
-        runs = _run_choices(spec) if joint else receivers
+    runs = _run_choices(spec, receivers_only=not joint)
+    receivers = {c: run.marginal(GHZ_RECEIVERS) for c, run in runs.items()} if joint else runs
     receivers = _distributions(receivers, mode)
     hits = _mode_value({c: dist.probability((1, 1)) for c, dist in receivers.items()}, mode)
     v = _verdict(spec, Statistic.CONDITIONAL_PROBABILITY, (hits["u"], hits["p"]), runs)

@@ -344,6 +344,19 @@ def sums_by_table_lookup(
     return rounds.sum(axis=1, dtype=np.int64), rounds
 
 
+def minus_one_words(rounds: np.ndarray) -> np.ndarray:
+    """The (k, trials, ceil(N/64)) uint64 words of (trials, N, k) +1/-1 round records, by ``np.packbits``.
+
+    Bit b of word w of column c's row t is set where rounds[t, 64*w + b, c]
+    is -1; the bits past N are clear.
+    """
+    trials, n, k = rounds.shape
+    words = -(-n // 64)
+    bits = np.zeros((k, trials, 64 * words), dtype=bool)
+    bits[:, :, :n] = np.moveaxis(rounds == -1, 2, 0)
+    return np.packbits(bits, axis=2, bitorder="little").view("<u8")
+
+
 def empirical_by_row_unique(
     rows: np.ndarray, n_rounds: int
 ) -> dict[tuple[Fraction, ...], Fraction]:

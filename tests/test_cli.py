@@ -179,7 +179,7 @@ class TestGhzSignalCommand:
         assert header == "choice,A_x,B_x,J,numerator,denominator"
         assert {len(row.split(",")) for row in rows} == {6}
         assert {row.split(",")[0] for row in rows} == {"u", "p"}
-        assert sorted(len(round_pmf.labels) for round_pmf, _ in calls) == [2, 2, 3, 3]
+        assert sorted(len(round_pmf.labels) for round_pmf, _ in calls) == [3, 3]
 
 
 @pytest.mark.parametrize("command, runs", [("pr-signal", 2), ("tsirelson", 4), ("ghz-signal", 2)])
@@ -202,7 +202,7 @@ class TestEachDistributionRunsOnce:
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_receiver_marginals(self, tmp_path, monkeypatch, command, runs, mode):
-        """No report projects an N-round distribution: only round pmfs are projected, once per run.
+        """No JSON report projects an N-round distribution: only round pmfs are projected, once per run.
 
         tsirelson takes Bob's round marginal and ghz-signal its receivers' in both modes, and
         pr-signal projects nothing.  Bob's marginals are cached round pmfs, so a second report
@@ -375,7 +375,7 @@ class TestCsvMatchesWriter:
     @example(kind=ScenarioKind.TSIRELSON, n=1)
     @example(kind=ScenarioKind.PR_BOX, n=7)
     def test_exact(self, kind, n):
-        v = verdict(kind, n, RunMode.EXACT, None, 0, joint=True)
+        v = verdict(kind, n, RunMode.EXACT, joint=True)
         assert_same_text(cli._dist_csv(v), oracles.render_csv_by_writer(v))
 
 
@@ -992,6 +992,16 @@ class TestDeterminismAndErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: seed must fit in 64 bits\n"
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    @pytest.mark.parametrize("command", ["pr-signal", "tsirelson", "ghz-signal"])
+    def test_trials_must_be_positive(self, capsys, command, mode, trials):
+        """Exact runs ignore ``--trials`` but still refuse one below 1, as sampled runs do."""
+        assert main([command, "--mode", mode, "--trials", trials]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: trials must be positive\n"
 
     def test_large_n_allowed_in_sampled_mode(self, tmp_path):
         report = run_json(

@@ -82,12 +82,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="seed"):
             spec(ScenarioKind.PR_BOX, 4, seed=2**64)
 
-    def test_keep_rounds_resolution(self):
-        # Round records are kept only on request, whatever the sample size.
-        for n, trials in ((4, 100), (11, 10**6)):
-            s = spec(ScenarioKind.PR_BOX, n, mode=RunMode.MONTE_CARLO, trials=trials)
-            assert s.keep_rounds is False
-
 
 SHIPPED_ROUND_PMFS = {
     **{f"pr-{c}": pr_round_pmf(c) for c in "up"},
@@ -551,24 +545,12 @@ class TestMonteCarlo:
         assert np.all(prods == -1)
 
     def test_marginal_keeps_the_chosen_columns(self):
-        s = spec(ScenarioKind.GHZ, 3, "p", mode=RunMode.MONTE_CARLO, trials=50, seed=1, keep_rounds=True)
+        s = spec(ScenarioKind.GHZ, 3, "p", mode=RunMode.MONTE_CARLO, trials=50, seed=1)
         run = run_ghz_scenario(s)
         marg = run.marginal((2, 0))
         assert marg.labels == ("J_y", "A_x")
         assert np.array_equal(marg.sums, run.sums[:, [2, 0]])
-        assert np.array_equal(marg.rounds, run.rounds[:, :, [2, 0]])
         assert marg.n_rounds == run.n_rounds
-
-    def test_rounds_trace(self):
-        s = spec(
-            ScenarioKind.PR_BOX, 4, mode=RunMode.MONTE_CARLO, trials=50, seed=1, keep_rounds=True
-        )
-        run = run_pr_scenario(s)
-        assert run.rounds is not None
-        assert run.rounds.shape == (50, 4, 2)
-        assert np.array_equal(run.rounds.sum(axis=1), run.sums)
-        off = spec(ScenarioKind.PR_BOX, 4, mode=RunMode.MONTE_CARLO, trials=50, seed=1)
-        assert run_pr_scenario(off).rounds is None
 
     @pytest.mark.parametrize(
         "runner, kind, n, choice, kwargs, digest",
@@ -674,6 +656,19 @@ class TestMonteCarlo:
 SAMPLER_STREAM = (7, 1)
 
 
+def sampled_words(round_pmf: ExactDistribution, n: int, trials: int, seed: int) -> tuple[np.ndarray, list[int]]:
+    """The -1 indicator words ``_indicator_chunks`` yields, as (k, trials, ceil(N/64)) words, and its chunk sizes."""
+    words = np.empty((len(round_pmf.labels), trials, -(-n // 64)), dtype=np.uint64)
+    chunks = []
+    for rows, c, negative_first, indicator, _ in ensembles._indicator_chunks(round_pmf, n, trials, seed, SAMPLER_STREAM):
+        # Copied before the next yield overwrites them; where row 0 is -1, the indicator marks the +1 rounds.
+        words[c, rows] = ~indicator if negative_first else indicator
+        if c == 0:
+            chunks.append(rows.stop - rows.start)
+    ensembles._clear_tail(words, n)
+    return words, chunks
+
+
 class TestTableLookupSampler:
     """The bit-sliced sampler draws what one table lookup per round on the same bit-planes would."""
 
@@ -735,26 +730,24 @@ class TestTableLookupSampler:
     def test_matches_table_lookup(self, pmf, n, trials, seed):
         want_sums, want_rounds = oracles.sums_by_table_lookup(pmf, n, trials, seed, SAMPLER_STREAM)
         round_pmf = round_distribution(pmf)
-        sums, rounds = _sample_outcome_rows(round_pmf, n, trials, seed, SAMPLER_STREAM, keep_rounds=True)
-        assert np.array_equal(rounds, want_rounds)
-        assert np.array_equal(sums, want_sums)
-        sums, rounds = _sample_outcome_rows(round_pmf, n, trials, seed, SAMPLER_STREAM, keep_rounds=False)
-        assert rounds is None
-        assert np.array_equal(sums, want_sums)
+        assert np.array_equal(_sample_outcome_rows(round_pmf, n, trials, seed, SAMPLER_STREAM), want_sums)
+        words, _ = sampled_words(round_pmf, n, trials, seed)
+        assert np.array_equal(words, oracles.minus_one_words(want_rounds))
 
     # A trial of 130 rounds of the Jim-on-y pmf keeps 3 words of each of its
-    # 3 planes live, plus 3 * 9 words of popcounts and unpacked rounds; its
-    # program needs no register, since each component is one plane: 36
-    # words.  252 words hold 7 of the 52 trials, which leaves a last chunk
-    # of 3, and 72 words hold 2.
-    @pytest.mark.parametrize("words", [252, 72, 3], ids=["7-trials", "2-trials", "1-trial"])
-    def test_draws_do_not_depend_on_word_budget(self, monkeypatch, words):
+    # 3 planes live, plus 3 words of popcounts; its program needs no
+    # register, since each component is one plane: 12 words.  84 words hold
+    # 7 of the 53 trials, which leaves a last chunk of 4, 24 words hold 2,
+    # which leaves a last chunk of 1, and 3 words hold 1.
+    @pytest.mark.parametrize("words, chunk", [(84, 7), (24, 2), (3, 1)], ids=["7-trials", "2-trials", "1-trial"])
+    def test_draws_do_not_depend_on_word_budget(self, monkeypatch, words, chunk):
         monkeypatch.setattr(ensembles, "_SAMPLE_WORDS", words)
         pmf = ghz_round_pmf("p")
-        want_sums, want_rounds = oracles.sums_by_table_lookup(oracles.lattice_mapping(pmf), 130, 52, 11, SAMPLER_STREAM)
-        sums, rounds = _sample_outcome_rows(pmf, 130, 52, 11, SAMPLER_STREAM, keep_rounds=True)
-        assert np.array_equal(rounds, want_rounds)
-        assert np.array_equal(sums, want_sums)
+        want_sums, want_rounds = oracles.sums_by_table_lookup(oracles.lattice_mapping(pmf), 130, 53, 11, SAMPLER_STREAM)
+        assert np.array_equal(_sample_outcome_rows(pmf, 130, 53, 11, SAMPLER_STREAM), want_sums)
+        words, chunks = sampled_words(pmf, 130, 53, 11)
+        assert chunks == [min(chunk, 53 - done) for done in range(0, 53, chunk)]
+        assert np.array_equal(words, oracles.minus_one_words(want_rounds))
 
     @pytest.mark.parametrize("choice", ["x", "z"])
     def test_jamming_triplets_are_the_table_rows_of_their_bits(self, choice):
@@ -791,7 +784,7 @@ class TestTableLookupSampler:
     )
     def test_rejects_pmfs_without_a_small_dyadic_table(self, pmf):
         with pytest.raises(InvariantViolation, match="dyadic"):
-            _sample_outcome_rows(round_distribution(pmf), 4, 10, 0, SAMPLER_STREAM, keep_rounds=False)
+            _sample_outcome_rows(round_distribution(pmf), 4, 10, 0, SAMPLER_STREAM)
 
 
 class TestJamming:

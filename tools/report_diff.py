@@ -103,6 +103,8 @@ def commands(config_dir: str) -> list[list[str]]:
             [command, "--n", "30", "--mode", "exact"],
             [command, "--n", "x"],
             [command, "--mode", "mc", "--trials", "0"],
+            [command, "--trials", "0"],
+            [command, "--trials", "-1"],
             [command, "--mode", "mc", "--trials", "10", "--seed", "-1"],
             [command, "--mode", "mc", "--trials", str(10**15)],
             [command, "--help"],
