@@ -8,12 +8,13 @@ pmf; Monte Carlo mode samples trials with reproducible per-(seed,
 scenario, choice) random streams and histograms them on the same grid:
 its cells are counted, or the trials' cells sorted where it dwarfs them.
 A sampled trial is a few random bit-planes, each word of which holds one
-bit of the table rows of 64 rounds.  Each component's indicator, the
-rounds where it differs from row 0, is one straight-line Boolean program
-over the planes, compiled from its truth table by Shannon expansion as in
-a reduced ordered decision diagram (R. E. Bryant, "Graph-based algorithms
-for Boolean function manipulation", IEEE Trans. Comput. C-35, 677, 1986),
-and its sums are popcounts of that indicator.  A scenario run keeps only
+bit of the table rows of 64 rounds.  Every sampled pmf is a Pauli
+measurement on a stabilizer state, or the maximal box's B' = +-B pair, so
+it is uniform over an affine set of outcomes (S. Aaronson and D.
+Gottesman, "Improved simulation of stabilizer circuits", Phys. Rev. A 70,
+052328, 2004).  Each component's indicator, the rounds where it differs
+from row 0, is then an XOR of bit-planes, and its sums are popcounts of
+that indicator (D. E. Knuth, TAOCP 4A, 7.1.3).  A scenario run keeps only
 those sums, never a round-by-round record, since every report reads the
 collectives alone.  A receivers-only GHZ run samples the receivers' round
 marginal, which keeps the whole pmf's table rows, and a jamming run keeps
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -66,6 +66,10 @@ class RunMode(Enum):
 
 
 _KIND_STREAM = {ScenarioKind.PR_BOX: 0, ScenarioKind.TSIRELSON: 1, ScenarioKind.GHZ: 2}
+# Components k of a scenario's sampled sums: (B, B'), Bob's one axis, and a whole GHZ run's (A_x, B_x, J).
+_KIND_COMPONENTS = {ScenarioKind.PR_BOX: 2, ScenarioKind.TSIRELSON: 1, ScenarioKind.GHZ: 3}
+# The most bytes numpy lets one array hold.
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 _JAMMING_STREAM = 3
 _CHOICE_INDEX = {"u": 0, "p": 1}
 
@@ -95,6 +99,10 @@ class ScenarioSpec:
             raise ValueError("sender_choice must be 'u' or 'p'")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        # A sampled run holds k int64 sums per trial in one array.
+        k = _KIND_COMPONENTS[self.kind]
+        if self.mode is RunMode.MONTE_CARLO and self.trials > _MAX_ARRAY_BYTES // (8 * k):
+            raise ValueError(f"trials must be at most {_MAX_ARRAY_BYTES // (8 * k)} to hold {k} int64 sums per trial")
         _check_seed(self.seed)
 
 
@@ -315,73 +323,33 @@ def _stream_rng(seed: int, stream: tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, *stream)))
 
 
-def _compile_indicators(round_pmf: ExactDistribution) -> tuple[list[tuple], list[int], list[bool]]:
-    """A straight-line Boolean program over the bit-planes that marks, per column, the rows differing from row 0.
+def _parity_planes(round_pmf: ExactDistribution) -> tuple[list[tuple[int, ...]], list[bool]]:
+    """Per column, the bit-planes whose XOR marks the table rows differing from row 0, and whether row 0 is -1 there.
 
-    The table lists the atoms in ``outcome_tuples`` order (+1 first), the
-    reverse of grid cell order, in which a digit of 0 is -1; atom i holds
-    the rows [lo_i, hi_i), hi_i - lo_i being its weight.  A column's
-    indicator is a truth table over the D = 2^d rows, an int with bit r set
-    where row r's value differs from row 0's.  It compiles by Shannon
-    expansion on the top plane b, f = b ? f1 : f0, memoised per (table,
-    planes) as in a reduced decision diagram (R. E. Bryant, IEEE Trans.
-    Comput. C-35, 677, 1986): equal halves skip b, a constant half leaves
-    one AND or OR of b or of NOT b, complementary halves one XOR, and any
-    other pair the mux f0 ^ (b & (f0 ^ f1)).  An operation already made is
-    reused.
-
-    Operands are ~j for plane j and r >= 0 for register r.  Step r is
-    (ufunc, x, y), run as ``ufunc(x, y, out=r)``, y None for NOT.  Also
-    returns each column's output operand, where a column equal to row 0 on
-    every row reads the register after the last step, which no step writes,
-    and each column's value at row 0, True for -1.
+    The table of D = 2^d rows lists the 2^r atoms in ``outcome_tuples``
+    order (+1 first), the reverse of grid cell order, so a uniform pmf puts
+    atom index i in row bits d-r .. d-1.  Sorted, the outcomes of an affine
+    set are an affine function of i: column c is -1 where row 0's value XOR
+    the parity of i's bits in c's mask is, so its indicator is the XOR of
+    planes d - r + j over the bits j of that mask, none where c is
+    constant.  A pmf that is not uniform over an affine outcome set raises.
     """
     denom = round_pmf.denominator
     if denom & (denom - 1) or denom > _MAX_TABLE_CELLS:
         raise InvariantViolation(f"round pmf with denominator {denom} is not dyadic over <= {_MAX_TABLE_CELLS} cells")
-    steps: list[tuple] = []
-    made: dict[tuple, int] = {}
-    nodes: dict[tuple[int, int], int | None] = {}
-
-    def emit(ufunc, x: int, y: int | None = None) -> int:
-        if (ufunc, x, y) not in made:
-            made[ufunc, x, y] = len(steps)
-            steps.append((ufunc, x, y))
-        return made[ufunc, x, y]
-
-    def node(table: int, j: int) -> int | None:
-        """The operand of planes 0..j-1 whose 2^j-bit truth table is ``table``, never all ones; None for 0."""
-        if table and (table, j) not in nodes:
-            half = 1 << (j - 1)
-            ones = (1 << half) - 1
-            f0, f1, b = table & ones, table >> half, ~(j - 1)
-            if f0 == f1:
-                out = node(f0, j - 1)
-            elif f0 == 0:
-                out = b if f1 == ones else emit(np.bitwise_and, b, node(f1, j - 1))
-            elif f0 == ones:
-                out = emit(np.invert, b) if f1 == 0 else emit(np.bitwise_or, emit(np.invert, b), node(f1, j - 1))
-            elif f1 == 0:
-                out = emit(np.bitwise_and, emit(np.invert, b), node(f0, j - 1))
-            elif f1 == ones:
-                out = emit(np.bitwise_or, b, node(f0, j - 1))
-            elif f1 == f0 ^ ones:
-                out = emit(np.bitwise_xor, b, node(f0, j - 1))
-            else:
-                low = node(f0, j - 1)
-                out = emit(np.bitwise_xor, low, emit(np.bitwise_and, b, emit(np.bitwise_xor, low, node(f1, j - 1))))
-            nodes[table, j] = out
-        return nodes.get((table, j))
-
-    bounds = [0, *itertools.accumulate(round_pmf.weights[::-1])]
-    outputs, negative_first = [], []
+    # Equal weights summing to D = 2^d leave 2^r atoms.
+    affine = min(round_pmf.weights) == max(round_pmf.weights)
+    d, r = denom.bit_length() - 1, len(round_pmf.weights).bit_length() - 1
+    planes, negative_first = [], []
     for column in round_pmf._digit_columns():
         negative = [digit == 0 for digit in reversed(column)]
-        table = sum((1 << hi) - (1 << lo) for neg, lo, hi in zip(negative, bounds, bounds[1:]) if neg != negative[0])
-        outputs.append(node(table, denom.bit_length() - 1))
+        mask = sum(1 << j for j in range(r) if negative[1 << j] != negative[0])
+        affine &= all(neg == negative[0] ^ (i & mask).bit_count() % 2 for i, neg in enumerate(negative))
+        planes.append(tuple(d - r + j for j in range(r) if mask >> j & 1))
         negative_first.append(negative[0])
-    zero = len(steps)
-    return steps, [zero if v is None else v for v in outputs], negative_first
+    if not affine:
+        raise InvariantViolation("round pmf is not uniform over an affine outcome set")
+    return planes, negative_first
 
 
 def _indicator_chunks(
@@ -398,24 +366,26 @@ def _indicator_chunks(
     round is a uniform row.  A trial draws d bit-planes of ceil(N/64) raw
     PCG64 words, all of its planes in a row, so the stream does not depend
     on the chunk size: bit b of word w of plane j is bit j of the row of
-    round 64*w + b.  The program of ``_compile_indicators`` then marks, 64
-    rounds per word, where each column differs from row 0, and a popcount
-    per word (Knuth, TAOCP 4A, 7.1.3) counts them.
+    round 64*w + b.  Each column's indicator, where it differs from row 0,
+    64 rounds per word, is the XOR of the planes ``_parity_planes`` names,
+    and a popcount per word (Knuth, TAOCP 4A, 7.1.3) counts it.
 
     Yields, per chunk and column: the chunk's trials, the column, whether
     row 0 is -1 there, the (chunk, ceil(N/64)) indicator words and their
     uint8 popcounts, both overwritten after the next yield: scenario runs
     read the popcounts, and a jamming run copies its one trial's words.  A
-    chunk holds at most ``_SAMPLE_WORDS`` live words: the planes, one
-    register per step and the popcounts.
+    one-plane column is a view of its plane; any other column is XORed into
+    one scratch row, zeros for no plane.  A chunk holds at most
+    ``_SAMPLE_WORDS`` live words: the planes, the scratch row if some column
+    needs it, and the popcounts.
     """
-    steps, outputs, negative_first = _compile_indicators(round_pmf)
-    registers = len(steps) + (len(steps) in outputs)
+    planes_of, negative_first = _parity_planes(round_pmf)
+    scratch_rows = int(any(len(p) != 1 for p in planes_of))
     d = round_pmf.denominator.bit_length() - 1
     words = -(-n_rounds // 64)
     tail = n_rounds % 64
-    chunk_trials = min(trials, max(1, _SAMPLE_WORDS // (words * (d + registers + 1))))
-    buffers = np.zeros((registers, chunk_trials, words), dtype=np.uint64)
+    chunk_trials = min(trials, max(1, _SAMPLE_WORDS // (words * (d + scratch_rows + 1))))
+    scratch = np.empty((scratch_rows * chunk_trials, words), dtype=np.uint64)
     bit_counts = np.empty((chunk_trials, words), dtype=np.uint8)
     bitgen = _stream_rng(seed, stream).bit_generator
     for done in range(0, trials, chunk_trials):
@@ -424,17 +394,16 @@ def _indicator_chunks(
         if tail:
             # Rounds past N read as row 0, where every indicator is clear.
             planes[:, :, -1] &= np.uint64((1 << tail) - 1)
-        regs = buffers[:, :chunk]
-        for out, (ufunc, x, y) in enumerate(steps):
-            x = regs[x] if x >= 0 else planes[:, ~x]
-            if y is None:
-                ufunc(x, out=regs[out])
+        for c, column in enumerate(planes_of):
+            if len(column) == 1:
+                x = planes[:, column[0]]
             else:
-                ufunc(x, regs[y] if y >= 0 else planes[:, ~y], out=regs[out])
-        for c, v in enumerate(outputs):
-            x = regs[v] if v >= 0 else planes[:, ~v]
+                x = scratch[:chunk]
+                x.fill(0)
+                for j in column:
+                    x ^= planes[:, j]
             yield slice(done, done + chunk), c, negative_first[c], x, np.bitwise_count(x, out=bit_counts[:chunk])
-        del planes, regs, x  # free this chunk's planes before the next draw
+        del planes, x  # free this chunk's planes before the next draw
 
 
 def _sample_outcome_rows(
@@ -446,14 +415,13 @@ def _sample_outcome_rows(
 ) -> np.ndarray:
     """Each trial's component sums over N rounds, from ``_indicator_chunks``.
 
-    A column's indicator, 64 rounds per word, is the output of one
-    straight-line Boolean program over the random bit-planes, compiled once
-    per call from its truth table by Shannon expansion (R. E. Bryant, IEEE
-    Trans. Comput. C-35, 677, 1986; see ``_compile_indicators``).  Its sum
-    is N - 2 * the count of its -1 rounds, the rounds the indicator marks,
-    or those it leaves clear where row 0 is -1.  These draws replaced a
-    table lookup on one raw word per round, so seeded samples differ from
-    corrlab releases before the bit-sliced sampler.
+    A column's indicator, 64 rounds per word, is an XOR of the random
+    bit-planes, since every sampled pmf is uniform over an affine outcome
+    set (see ``_parity_planes``).  Its sum is N - 2 * the count of its -1
+    rounds, the rounds the indicator marks, or those it leaves clear where
+    row 0 is -1.  These draws replaced a table lookup on one raw word per
+    round, so seeded samples differ from corrlab releases before the
+    bit-sliced sampler.
     """
     k = len(round_pmf.labels)
     # Column-major, so that each column's sums are written contiguously.
@@ -669,6 +637,10 @@ def run_jamming_scenario(
     """
     if n_rounds < 1 or trials < 1:
         raise ValueError("n_rounds and trials must be positive")
+    # The run holds 3 indicator words per 64 triplets in one array.
+    most = 64 * (_MAX_ARRAY_BYTES // (3 * 8)) // n_rounds
+    if trials > most:
+        raise ValueError(f"trials must be at most {most} at n={n_rounds} to hold 3 indicator words per 64 triplets")
     _check_seed(seed)
     pmf = jamming_round_pmf(jim_choice)
     stream = (_JAMMING_STREAM, 0 if jim_choice == "x" else 1)

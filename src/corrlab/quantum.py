@@ -16,6 +16,7 @@ applied to blocks of basis vectors, so no Kronecker product is ever formed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -299,7 +300,7 @@ def outcome_tuples(n: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=MAX_QUBITS + 1)
 def _outcome_tuples(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(-1 if (idx >> (n - 1 - k)) & 1 else 1 for k in range(n)) for idx in range(2**n))
+    return tuple(itertools.product((1, -1), repeat=n))
 
 
 def joint_probabilities(
@@ -387,12 +388,11 @@ GHZ_STABILIZERS: tuple[tuple[PauliObservable, int], ...] = (
 ASSIGNMENT_VARIABLES: tuple[str, ...] = ("a_x", "a_y", "b_x", "b_y", "j_x", "j_y")
 
 # Products of preassigned +1/-1 values that would have to reproduce the
-# stabilizer expectations above if every local spin had a definite value.
-GHZ_PRODUCT_CONSTRAINTS: tuple[tuple[tuple[str, str, str], int], ...] = (
-    (("a_y", "b_x", "j_y"), 1),
-    (("a_y", "b_y", "j_x"), 1),
-    (("a_x", "b_y", "j_y"), 1),
-    (("a_x", "b_x", "j_x"), -1),
+# stabilizer expectations above if every local spin had a definite value:
+# site k's letter L is party "abj"[k]'s variable for axis L.
+GHZ_PRODUCT_CONSTRAINTS: tuple[tuple[tuple[str, str, str], int], ...] = tuple(
+    (tuple(f"{party}_{letter.lower()}" for party, letter in zip("abj", obs.factors)), expected)
+    for obs, expected in GHZ_STABILIZERS
 )
 
 
@@ -407,19 +407,8 @@ def ghz_assignment_search(
     -1 on the left but every variable appears twice on the right.
     """
     solutions = []
-    names = ASSIGNMENT_VARIABLES
-    for bits in range(2 ** len(names)):
-        assignment = {
-            name: 1 - 2 * ((bits >> (len(names) - 1 - k)) & 1) for k, name in enumerate(names)
-        }
-        ok = True
-        for variables, required in constraints:
-            prod = 1
-            for v in variables:
-                prod *= assignment[v]
-            if prod != required:
-                ok = False
-                break
-        if ok:
+    for values in itertools.product((1, -1), repeat=len(ASSIGNMENT_VARIABLES)):
+        assignment = dict(zip(ASSIGNMENT_VARIABLES, values))
+        if all(math.prod(assignment[v] for v in variables) == required for variables, required in constraints):
             solutions.append(assignment)
     return solutions

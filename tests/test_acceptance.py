@@ -12,10 +12,12 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 import oracles
 from corrlab import ensembles
 from corrlab.ensembles import (
+    EnsembleRun,
     ExactDistribution,
     RunMode,
     ScenarioKind,
@@ -27,6 +29,7 @@ from corrlab.ensembles import (
     run_tsirelson_scenario,
     scenario_exact_distribution,
 )
+from corrlab.errors import InvariantViolation
 from corrlab.quantum import (
     GHZ_STABILIZERS,
     PauliObservable,
@@ -388,12 +391,14 @@ def test_sampled_distributions_match_exact():
     _gate("sampled distributions match exact", not failures, detail, elapsed, 120.0)
 
 
-def test_sampled_gate_rejects_shifted_round_pmf(monkeypatch):
+def test_sampled_gate_rejects_shifted_round_pmf():
     """The derived bound still catches a 2^-7 error in the GHZ round pmf.
 
-    The sampler draws from the Jim-on-y round pmf with 2^-7 of mass moved
-    from one outcome to another; every seed must then fail the gate's
-    per-cell criterion against the true exact pmf.
+    The Jim-on-y round pmf with 2^-7 of mass moved from one outcome to
+    another is no longer uniform over an affine outcome set, so the package
+    sampler refuses it, and the oracle draws it by table lookup on the
+    scenario's stream; every seed must then fail the gate's per-cell
+    criterion against the true exact pmf.
     """
     t0 = time.perf_counter()
     trials = GATE_TRIALS
@@ -409,12 +414,18 @@ def test_sampled_gate_rejects_shifted_round_pmf(monkeypatch):
     mapping[(1, 1, 1)] -= shift
     mapping[(-1, -1, -1)] += shift
     shifted = ExactDistribution.from_mapping(mapping, true_round.labels, 1)
-    monkeypatch.setattr(ensembles, "ghz_round_pmf", lambda choice: shifted)
+    # The GHZ scenario's stream under Jim's y choice.
+    stream = (2, 1)
+    with pytest.raises(InvariantViolation, match="affine"):
+        ensembles._sample_outcome_rows(shifted, 5, 10, 0, stream)
     rows = []
     caught = True
     for n, exact in exacts.items():
         _, threshold = _cell_bound(exact, trials)
-        tvs = _sampled_tvs(run_ghz_scenario, ScenarioKind.GHZ, "p", n, exact, trials)
+        tvs = []
+        for seed in GATE_SEEDS:
+            sums, _ = oracles.sums_by_table_lookup(mapping, n, trials, seed, stream)
+            tvs.append(float(total_variation(EnsembleRun(true_round.labels, sums, n).empirical(), exact)))
         rejected = sum(tv >= threshold for tv in tvs)
         caught &= rejected == len(tvs)
         rows.append(

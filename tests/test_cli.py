@@ -983,6 +983,22 @@ class TestDeterminismAndErrors:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("pr-signal", "--mode", "mc", "--n", "1", "--trials", str(2**63)),
+            ("pr-signal", "--mode", "mc", "--n", "1", "--trials", str(2**62)),
+            ("jamming", "--jim", "x", "--trials", str(10**30)),
+        ],
+        ids=["pr-2^63", "pr-2^62", "jamming-10^30"],
+    )
+    def test_trials_too_large_to_sample_exits_2(self, capsys, args):
+        # Past numpy's largest array: refused before any allocation, naming trials.
+        assert main(list(args)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: trials must be at most ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     @pytest.mark.parametrize(
         "args", [("jamming", "--jim", "z"), ("pr-signal", "--mode", "mc")], ids=["jamming", "pr-signal"]

@@ -76,6 +76,24 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="trials"):
             spec(ScenarioKind.PR_BOX, 4, mode=RunMode.MONTE_CARLO, trials=0)
 
+    @pytest.mark.parametrize("kind", list(ScenarioKind))
+    def test_rejects_trials_past_the_largest_sums_array(self, kind):
+        """A sampled run's k int64 sums per trial must fit numpy's largest array; exact runs ignore trials."""
+        k = len(scenario_exact_distribution(spec(kind, 1)).labels)
+        most = np.iinfo(np.intp).max // (8 * k)
+        spec(kind, 4, mode=RunMode.MONTE_CARLO, trials=most)
+        spec(kind, 4, trials=most + 1)
+        with pytest.raises(ValueError, match=f"trials must be at most {most} to hold {k} int64 sums per trial"):
+            spec(kind, 4, mode=RunMode.MONTE_CARLO, trials=most + 1)
+
+    @pytest.mark.parametrize("n", [1, 6, 7])
+    def test_jamming_rejects_trials_past_the_largest_indicator_array(self, n):
+        """3 indicator words per 64 triplets must fit numpy's largest array, refused before any allocation."""
+        most = 64 * (np.iinfo(np.intp).max // 24) // n
+        assert 3 * 8 * -(-n * most // 64) <= np.iinfo(np.intp).max < 3 * 8 * -(-n * (most + 1) // 64)
+        with pytest.raises(ValueError, match=f"trials must be at most {most} at n={n}"):
+            run_jamming_scenario(n, "x", most + 1, 0)
+
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError, match="seed"):
             spec(ScenarioKind.PR_BOX, 4, seed=-1)
@@ -114,6 +132,23 @@ def dyadic_round_pmfs(draw, max_exp=10, k=None):
     )
     bounds = [0, *sorted(cuts), scale]
     return {atom: Fraction(hi - lo, scale) for atom, lo, hi in zip(atoms, bounds, bounds[1:])}
+
+
+@st.composite
+def affine_round_pmfs(draw):
+    """Round pmfs over k in 1..3 components, uniform over an offset plus the span of up to k random bit vectors.
+
+    Bit k-1-c of a vector is set where component c is -1.
+    """
+    k = draw(st.integers(min_value=1, max_value=3))
+    vectors = draw(st.lists(st.integers(min_value=0, max_value=2**k - 1), max_size=k))
+    offset = draw(st.integers(min_value=0, max_value=2**k - 1))
+    span = {0}
+    for v in vectors:
+        span |= {s ^ v for s in span}
+    return {
+        tuple(-1 if (offset ^ s) >> (k - 1 - c) & 1 else 1 for c in range(k)): Fraction(1, len(span)) for s in span
+    }
 
 
 class TestConvolution:
@@ -673,58 +708,25 @@ class TestTableLookupSampler:
     """The bit-sliced sampler draws what one table lookup per round on the same bit-planes would."""
 
     @given(
-        pmf=dyadic_round_pmfs(max_exp=16),
+        pmf=affine_round_pmfs(),
         n=st.integers(1, 200),
         trials=st.integers(1, 300),
         seed=st.integers(0, 2**64 - 1),
     )
-    # One-atom pmfs (d = 0): every column equals row 0, so it reads the register no step writes.
+    # One-atom pmfs (d = 0): every column equals row 0, so it reads the zeroed scratch row.
     @example(pmf={(1,): Fraction(1)}, n=200, trials=300, seed=0)
     @example(pmf={(-1, 1, -1): Fraction(1)}, n=3, trials=5, seed=1)
-    # Row >= 1 over 16 planes: a constant-one upper half at every plane, an OR chain.
-    @example(
-        pmf={(1, 1, 1): Fraction(1, 2**16), (-1, -1, -1): Fraction(2**16 - 1, 2**16)},
-        n=60,
-        trials=300,
-        seed=2,
-    )
-    # Jim on y: J_y is the parity of row bit 0, so its equal halves skip planes 2 and 1.
+    # Jim on y: each component is one plane.
     @example(pmf=oracles.lattice_mapping(ghz_round_pmf("p")), n=60, trials=300, seed=3)
-    # Jim on x: J_x = b0 ^ b1, complementary halves.
+    # Jim on x: J_x is the XOR of planes 0 and 1, and row 0 is -1 there.
     @example(pmf=oracles.lattice_mapping(ghz_round_pmf("u")), n=64, trials=50, seed=4)
     @example(pmf=oracles.lattice_mapping(tsirelson_round_pmf("p", "x")), n=129, trials=50, seed=5)
-    # Row >= 1 at d = 3, the OR of every plane.
-    @example(pmf={(1,): Fraction(1, 8), (-1,): Fraction(7, 8)}, n=65, trials=40, seed=6)
-    # c1 differs from row 0 on the single interior row 5 = b2 & ~b1 & b0 (AND, then AND-NOT); c0 on rows 6-7.
-    @example(pmf={(1, 1): Fraction(5, 8), (1, -1): Fraction(1, 8), (-1, 1): Fraction(1, 4)}, n=63, trials=40, seed=7)
-    # c2 differs on rows {1, 2, 4, 7}: complementary halves {1, 2} and {0, 3}, down to b1 ^ b0.
+    # c2 = c0 XOR c1 with row 0 all +1: c2 is the XOR of planes 0 and 1, and row 0 is +1 there.
     @example(
-        pmf={
-            (1, 1, 1): Fraction(1, 8),
-            (1, 1, -1): Fraction(1, 4),
-            (1, -1, 1): Fraction(1, 8),
-            (1, -1, -1): Fraction(1, 8),
-            (-1, 1, 1): Fraction(1, 4),
-            (-1, 1, -1): Fraction(1, 8),
-        },
-        n=130,
-        trials=20,
-        seed=8,
-    )
-    # c1 differs on rows 4-6: below b2, a constant-one lower half {4, 5} beside row 6, ~b1 | ~b0.
-    @example(pmf={(1, 1): Fraction(1, 2), (1, -1): Fraction(3, 8), (-1, 1): Fraction(1, 8)}, n=7, trials=40, seed=9)
-    # c2 differs on rows {1, 5, 6}: halves {1} and {1, 2}, neither equal, constant nor complementary, a mux.
-    @example(
-        pmf={
-            (1, 1, 1): Fraction(1, 8),
-            (1, 1, -1): Fraction(1, 8),
-            (1, -1, 1): Fraction(3, 8),
-            (1, -1, -1): Fraction(1, 4),
-            (-1, 1, 1): Fraction(1, 8),
-        },
-        n=64,
+        pmf={outcome: Fraction(1, 4) for outcome in [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]},
+        n=65,
         trials=40,
-        seed=10,
+        seed=6,
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_table_lookup(self, pmf, n, trials, seed):
@@ -735,8 +737,8 @@ class TestTableLookupSampler:
         assert np.array_equal(words, oracles.minus_one_words(want_rounds))
 
     # A trial of 130 rounds of the Jim-on-y pmf keeps 3 words of each of its
-    # 3 planes live, plus 3 words of popcounts; its program needs no
-    # register, since each component is one plane: 12 words.  84 words hold
+    # 3 planes live, plus 3 words of popcounts; it needs no scratch row,
+    # since each component is one plane: 12 words.  84 words hold
     # 7 of the 53 trials, which leaves a last chunk of 4, 24 words hold 2,
     # which leaves a last chunk of 1, and 3 words hold 1.
     @pytest.mark.parametrize("words, chunk", [(84, 7), (24, 2), (3, 1)], ids=["7-trials", "2-trials", "1-trial"])
@@ -785,6 +787,76 @@ class TestTableLookupSampler:
     def test_rejects_pmfs_without_a_small_dyadic_table(self, pmf):
         with pytest.raises(InvariantViolation, match="dyadic"):
             _sample_outcome_rows(round_distribution(pmf), 4, 10, 0, SAMPLER_STREAM)
+
+    @pytest.mark.parametrize(
+        "pmf",
+        [
+            # Row >= 1 over 16 planes, and at d = 3.
+            {(1, 1, 1): Fraction(1, 2**16), (-1, -1, -1): Fraction(2**16 - 1, 2**16)},
+            {(1,): Fraction(1, 8), (-1,): Fraction(7, 8)},
+            # c1 differs from row 0 on the single interior row 5; c0 on rows 6-7.
+            {(1, 1): Fraction(5, 8), (1, -1): Fraction(1, 8), (-1, 1): Fraction(1, 4)},
+            # c2 differs on rows {1, 2, 4, 7}.
+            {
+                (1, 1, 1): Fraction(1, 8),
+                (1, 1, -1): Fraction(1, 4),
+                (1, -1, 1): Fraction(1, 8),
+                (1, -1, -1): Fraction(1, 8),
+                (-1, 1, 1): Fraction(1, 4),
+                (-1, 1, -1): Fraction(1, 8),
+            },
+            # c1 differs on rows 4-6.
+            {(1, 1): Fraction(1, 2), (1, -1): Fraction(3, 8), (-1, 1): Fraction(1, 8)},
+            # c2 differs on rows {1, 5, 6}.
+            {
+                (1, 1, 1): Fraction(1, 8),
+                (1, 1, -1): Fraction(1, 8),
+                (1, -1, 1): Fraction(3, 8),
+                (1, -1, -1): Fraction(1, 4),
+                (-1, 1, 1): Fraction(1, 8),
+            },
+            # Uniform over four outcomes, but no affine set: c0 is -1 on atom 3 alone.
+            {outcome: Fraction(1, 4) for outcome in [(1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)]},
+        ],
+        ids=["row-ge-1-16-planes", "row-ge-1-3-planes", "one-interior-row", "rows-1247", "rows-4-6", "rows-156", "uniform"],
+    )
+    def test_rejects_pmfs_not_uniform_over_an_affine_set(self, pmf):
+        with pytest.raises(InvariantViolation, match="affine"):
+            _sample_outcome_rows(round_distribution(pmf), 4, 10, 0, SAMPLER_STREAM)
+
+    @pytest.mark.parametrize(
+        "round_pmf, planes",
+        [
+            (pr_round_pmf("u"), ([(0,), (0,)], [False, False])),
+            (pr_round_pmf("p"), ([(0,), (0,)], [False, True])),
+            (tsirelson_round_pmf("u", "z"), ([(0,)], [False])),
+            (tsirelson_round_pmf("u", "x"), ([(1,)], [False])),
+            (tsirelson_round_pmf("p", "z"), ([(1,)], [False])),
+            (tsirelson_round_pmf("p", "x"), ([(0,)], [False])),
+            (ghz_round_pmf("u"), ([(1,), (0,), (0, 1)], [False, False, True])),
+            (ghz_round_pmf("p"), ([(2,), (1,), (0,)], [False, False, False])),
+            (ghz_round_pmf("u").marginal(ensembles.GHZ_RECEIVERS), ([(1,), (0,)], [False, False])),
+            (ghz_round_pmf("p").marginal(ensembles.GHZ_RECEIVERS), ([(2,), (1,)], [False, False])),
+            (jamming_round_pmf("x"), ([(1,), (0,), (0, 1)], [False, False, True])),
+            (jamming_round_pmf("z"), ([(2,), (1,), (0,)], [False, False, False])),
+        ],
+        ids=[
+            *(f"pr-{c}" for c in "up"),
+            *(f"tsirelson-{c}{axis}" for c in "up" for axis in "zx"),
+            *(f"ghz-{c}" for c in "up"),
+            *(f"ghz-receivers-{c}" for c in "up"),
+            *(f"jamming-{c}" for c in "xz"),
+        ],
+    )
+    def test_every_sampled_round_pmf_is_a_parity(self, round_pmf, planes):
+        """Each round pmf a CLI command samples marks its components with these planes' XORs.
+
+        A one-plane column is a view of its plane, and only the Jim-on-x
+        third component XORs two.  Where the table has more rows than
+        atoms (Tsirelson u on x and p on z, the Jim-on-y receivers) the
+        atom index sits in the top planes.
+        """
+        assert ensembles._parity_planes(round_pmf) == planes
 
 
 class TestJamming:

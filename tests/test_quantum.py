@@ -437,6 +437,15 @@ class TestPauliWeights:
 
 
 class TestAssignmentSearch:
+    def test_constraints_are_the_stabilizers_read_as_local_values(self):
+        """Site k's letter L of each stabilizer is party "abj"[k]'s value on axis L, and its product the expectation."""
+        assert GHZ_PRODUCT_CONSTRAINTS == (
+            (("a_y", "b_x", "j_y"), 1),
+            (("a_y", "b_y", "j_x"), 1),
+            (("a_x", "b_y", "j_y"), 1),
+            (("a_x", "b_x", "j_x"), -1),
+        )
+
     def test_full_constraints_have_no_solution(self):
         assert ghz_assignment_search() == []
         assert oracles.parity_solution_count(GHZ_PRODUCT_CONSTRAINTS) == 0

@@ -110,6 +110,9 @@ def commands(config_dir: str) -> list[list[str]]:
             [command, "--help"],
         ]
     cmds.append(["ghz-signal", "--mode", "mc", "--n", "400"])
+    # Trial counts past numpy's largest array: 2 int64 sums per trial, and 3 indicator words per 64 triplets.
+    cmds += [["pr-signal", "--mode", "mc", "--n", "1", "--trials", str(t)] for t in (2**63, 2**62)]
+    cmds.append(["jamming", "--jim", "x", "--trials", str(10**30)])
     # Rounds that fill one word, one word and a bit, and two words and two bits.
     for n in ("64", "65", "130"):
         for seed in ("0", "5"):
