@@ -91,8 +91,9 @@ def _dist_csv(v: SignalingVerdict) -> str:
     """Exact pmf rows, or one row per sampled trial, for each run.
 
     A sampled run's rows are one byte matrix built by ``_table_lines``: the
-    choice, the trial index and each component's collective, looked up in
-    the field text of only the lattice values from the run's least sum to its greatest.
+    choice, the trial index and each component's collective, looked up by
+    its count m of -1 rounds in the field text of (N - 2m) / N for only the
+    counts from the run's least to its greatest.
     """
     labels = _csv_columns(v.runs.values())
     if v.mode is RunMode.EXACT:
@@ -106,9 +107,9 @@ def _dist_csv(v: SignalingVerdict) -> str:
         header = ["choice", "trial", *labels]
         lines = []
         for choice, run in v.runs.items():
-            n, lo, hi = run.n_rounds, int(run.sums.min()), int(run.sums.max())
-            fields = np.array([f",{s / n!r}".encode("ascii") for s in range(lo, hi + 1)])
-            lines.append(_table_lines(f"{choice},", fields, run.sums - lo))
+            n, lo, hi = run.n_rounds, int(run.negatives.min()), int(run.negatives.max())
+            fields = np.array([f",{(n - 2 * m) / n!r}".encode("ascii") for m in range(lo, hi + 1)])
+            lines.append(_table_lines(f"{choice},", fields, (run.negatives - lo).T))
     return ",".join(header) + "\n" + "".join(lines)
 
 

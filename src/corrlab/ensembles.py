@@ -13,13 +13,17 @@ measurement on a stabilizer state, or the maximal box's B' = +-B pair, so
 it is uniform over an affine set of outcomes (S. Aaronson and D.
 Gottesman, "Improved simulation of stabilizer circuits", Phys. Rev. A 70,
 052328, 2004).  Each component's indicator, the rounds where it differs
-from row 0, is then an XOR of bit-planes, and its sums are popcounts of
-that indicator (D. E. Knuth, TAOCP 4A, 7.1.3).  A scenario run keeps only
-those sums, never a round-by-round record, since every report reads the
-collectives alone.  A receivers-only GHZ run samples the receivers' round
-marginal, which keeps the whole pmf's table rows, and a jamming run keeps
-its indicator words and counts its histogram from them.  Seeded draws
-changed when this sampler replaced the one-word-per-round table lookup.
+from row 0, is then an XOR of bit-planes, and its count of -1 rounds
+follows from the popcount of that indicator (D. E. Knuth, TAOCP 4A,
+7.1.3).  A scenario run keeps only those narrow -1 counts, one per
+component and trial in the narrowest unsigned dtype that holds N (uint8
+up to N = 255), never a round-by-round record or an int64 sum, since
+every report reads the collectives alone.  Its histogram builds grid
+cells from the counts in blocks of trials, in one reused int64 buffer.  A
+receivers-only GHZ run samples the receivers' round marginal, which keeps
+the whole pmf's table rows, and a jamming run keeps its indicator words
+and counts its histogram from them.  Seeded draws changed when this
+sampler replaced the one-word-per-round table lookup.
 
 The Born round pmfs (GHZ, Tsirelson with Bob's marginal, and jamming) are
 Pauli measurements on the GHZ or Bell state, whose amplitudes are
@@ -50,8 +54,10 @@ GHZ_RECEIVERS = (0, 1)
 # Live 64-bit words per sampled chunk (2 MiB), so sampling memory stays flat in N.
 _SAMPLE_WORDS = 1 << 18
 _MAX_TABLE_CELLS = 1 << 16
-# Grid cells per trial up to which a histogram counts every cell, so counts never outgrow the sums.
+# Grid cells per trial up to which a histogram counts every cell, so counts never outgrow the trials.
 _COUNT_CELLS_PER_TRIAL = 4
+# Trials per block of a histogram, whose cells share one reused buffer (128 KiB of int64).
+_HISTOGRAM_TRIALS = 1 << 14
 
 
 class ScenarioKind(Enum):
@@ -66,7 +72,7 @@ class RunMode(Enum):
 
 
 _KIND_STREAM = {ScenarioKind.PR_BOX: 0, ScenarioKind.TSIRELSON: 1, ScenarioKind.GHZ: 2}
-# Components k of a scenario's sampled sums: (B, B'), Bob's one axis, and a whole GHZ run's (A_x, B_x, J).
+# Components k of a scenario's sampled run: (B, B'), Bob's one axis, and a whole GHZ run's (A_x, B_x, J).
 _KIND_COMPONENTS = {ScenarioKind.PR_BOX: 2, ScenarioKind.TSIRELSON: 1, ScenarioKind.GHZ: 3}
 # The most bytes numpy lets one array hold.
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max
@@ -99,7 +105,7 @@ class ScenarioSpec:
             raise ValueError("sender_choice must be 'u' or 'p'")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        # A sampled run holds k int64 sums per trial in one array.
+        # A sampled run's sums, as ``EnsembleRun.sums`` builds them, hold k int64 per trial in one array.
         k = _KIND_COMPONENTS[self.kind]
         if self.mode is RunMode.MONTE_CARLO and self.trials > _MAX_ARRAY_BYTES // (8 * k):
             raise ValueError(f"trials must be at most {_MAX_ARRAY_BYTES // (8 * k)} to hold {k} int64 sums per trial")
@@ -270,53 +276,81 @@ def convolve_iid_rounds(round_pmf: ExactDistribution, n_rounds: int) -> list[int
 class EnsembleRun:
     """Monte Carlo samples of collective variables.
 
-    ``sums`` is a (trials, k) int64 array of the per-trial componentwise
-    sums of +1/-1 round outcomes, so collectives are sums / n_rounds; no
-    run keeps a round-by-round record.  ``rounds`` is always None.  It is
-    kept only because the benchmark's ``perfbench/spans.py:_observe_scenario``
-    reads ``result.rounds``, and goes together with that read.
+    ``negatives`` is a (k, trials) array whose row c holds each trial's
+    count m of -1 rounds of component c, in the narrowest unsigned dtype
+    that holds N (uint8 up to N = 255), so a trial's sum is N - 2m and its
+    collective (N - 2m) / N; no run keeps a round-by-round record.
+    ``sums`` is derived from the counts on each read, and ``rounds`` is
+    always None.  Both are kept only because the benchmark's
+    ``perfbench/spans.py:_observe_scenario`` reads ``result.sums`` and
+    ``result.rounds``, and go together with those reads.
     """
 
     labels: tuple[str, ...]
-    sums: np.ndarray
+    negatives: np.ndarray
     n_rounds: int
     rounds: None = field(default=None, repr=False)
 
+    @property
+    def sums(self) -> np.ndarray:
+        """The (trials, k) int64 sums N - 2m of the trials' +1/-1 round outcomes, built anew on each read."""
+        return self.n_rounds - 2 * self.negatives.T.astype(np.int64)
+
     def empirical(self) -> ExactDistribution:
         """Empirical pmf of the collectives: each grid cell's count over the trials."""
-        return _grid_counts(self.labels, self.sums, self.n_rounds)
+        return _grid_counts(self.labels, self.negatives, self.n_rounds)
 
     def marginal(self, indices: tuple[int, ...]) -> "EnsembleRun":
         """The same trials restricted to the components ``indices``."""
-        cols = list(indices)
-        return replace(self, labels=tuple(self.labels[i] for i in cols), sums=self.sums[:, cols])
+        rows = list(indices)
+        return replace(self, labels=tuple(self.labels[i] for i in rows), negatives=self.negatives[rows])
 
 
-def _grid_counts(labels: tuple[str, ...], sums: np.ndarray, n_rounds: int) -> ExactDistribution:
-    """The pmf of (trials, k) component sums: the occupied grid cells and their counts.
+def _grid_counts(labels: tuple[str, ...], negatives: np.ndarray, n_rounds: int) -> ExactDistribution:
+    """The pmf of (k, trials) counts of -1 rounds: the occupied grid cells and their counts.
 
-    A trial's cell is (sum_c s_c (N+1)^(k-1-c) + N sum_j (N+1)^j) / 2, exact since every
-    s_c + N is even.  Twice a cell stays below 2^63 on a grid of fewer than 2^62 cells, so
-    cells are int64 there and Python ints (object) on a larger grid, which k = 3 reaches
-    beyond N of about 1.66e6.  A grid of at most ``_COUNT_CELLS_PER_TRIAL`` cells per trial
-    is counted with ``np.bincount``, in time linear in the trials; a larger one sorts the
-    trials' cells instead.
+    A grid of at most ``_COUNT_CELLS_PER_TRIAL`` cells per trial adds each
+    block of cells into its counts with ``np.add.at``, in time linear in the
+    trials.  A larger grid sorts each block's cells into distinct cells and
+    their counts, then adds the blocks' counts up by distinct cell.
     """
-    base, k = n_rounds + 1, sums.shape[1]
-    trials, size = sums.shape[0], base**k
-    cells = sums[:, 0].astype(np.int64 if size < 2**62 else object)
-    for c in range(1, k):
-        cells *= base
-        cells += sums[:, c]
-    cells += n_rounds * sum(base**j for j in range(k))
-    cells >>= 1
+    k, trials = negatives.shape
+    size = (n_rounds + 1) ** k
     if size <= _COUNT_CELLS_PER_TRIAL * trials:
-        counts = np.bincount(cells, minlength=size)
+        counts = np.zeros(size, dtype=np.int64)
+        for cells in _block_cells(negatives, n_rounds):
+            np.add.at(counts, cells, 1)
         cells = np.flatnonzero(counts)
         counts = counts[cells]
     else:
-        cells, counts = np.unique(cells, return_counts=True)
+        runs = [np.unique(cells, return_counts=True) for cells in _block_cells(negatives, n_rounds)]
+        cells, merged = np.unique(np.concatenate([distinct for distinct, _ in runs]), return_inverse=True)
+        counts = np.zeros(len(cells), dtype=np.int64)
+        np.add.at(counts, merged, np.concatenate([block_counts for _, block_counts in runs]))
     return ExactDistribution(labels, n_rounds, cells.tolist(), counts.tolist(), trials)
+
+
+def _block_cells(negatives: np.ndarray, n_rounds: int) -> Iterator[np.ndarray]:
+    """The grid cells of each block of ``_HISTOGRAM_TRIALS`` trials of (k, trials) counts of -1 rounds.
+
+    Component c of a trial has digit (s_c + N) / 2 = N - m_c, so its cell is
+    (N+1)^k - 1 - sum_c m_c (N+1)^(k-1-c).  Every block is built in one
+    reused buffer, overwritten after the next yield, so no per-trial array
+    outlives a block: int64 on a grid of fewer than 2^62 cells, and Python
+    ints (object) on a larger grid, which k = 3 reaches beyond N of about
+    1.66e6.
+    """
+    k, trials = negatives.shape
+    size = (n_rounds + 1) ** k
+    buffer = np.empty(min(trials, _HISTOGRAM_TRIALS), dtype=np.int64 if size < 2**62 else object)
+    for start in range(0, trials, buffer.size):
+        rows = negatives[:, start : start + buffer.size]
+        cells = buffer[: rows.shape[1]]
+        cells[...] = rows[0]
+        for row in rows[1:]:
+            cells *= n_rounds + 1
+            cells += row
+        yield np.subtract(size - 1, cells, out=cells)
 
 
 def _stream_rng(seed: int, stream: tuple[int, ...]) -> np.random.Generator:
@@ -413,25 +447,25 @@ def _sample_outcome_rows(
     seed: int,
     stream: tuple[int, ...],
 ) -> np.ndarray:
-    """Each trial's component sums over N rounds, from ``_indicator_chunks``.
+    """Each column's count of -1 rounds in each trial, as a (k, trials) array, from ``_indicator_chunks``.
 
     A column's indicator, 64 rounds per word, is an XOR of the random
     bit-planes, since every sampled pmf is uniform over an affine outcome
-    set (see ``_parity_planes``).  Its sum is N - 2 * the count of its -1
-    rounds, the rounds the indicator marks, or those it leaves clear where
-    row 0 is -1.  These draws replaced a table lookup on one raw word per
-    round, so seeded samples differ from corrlab releases before the
-    bit-sliced sampler.
+    set (see ``_parity_planes``).  Its -1 rounds are the rounds the
+    indicator marks, or those it leaves clear where row 0 is -1, so a
+    count is the indicator's popcount or N minus it.  Counts are in
+    ``np.min_scalar_type(N)``, the narrowest unsigned dtype that holds N.
+    These draws replaced a table lookup on one raw word per round, so
+    seeded samples differ from corrlab releases before the bit-sliced
+    sampler.
     """
-    k = len(round_pmf.labels)
-    # Column-major, so that each column's sums are written contiguously.
-    sums = np.empty((k, trials), dtype=np.int64).T
+    negatives = np.empty((len(round_pmf.labels), trials), dtype=np.min_scalar_type(n_rounds))
     for rows, c, negative_first, _, bit_counts in _indicator_chunks(round_pmf, n_rounds, trials, seed, stream):
-        column = sums[rows, c]
-        np.sum(bit_counts, axis=1, dtype=np.int64, out=column)
-        column *= 2 if negative_first else -2
-        column += -n_rounds if negative_first else n_rounds
-    return sums
+        row = negatives[c, rows]
+        np.sum(bit_counts, axis=1, dtype=negatives.dtype, out=row)
+        if negative_first:
+            np.subtract(n_rounds, row, out=row)
+    return negatives
 
 
 def _run_from_round_pmf(
@@ -441,8 +475,8 @@ def _run_from_round_pmf(
     if spec.mode is RunMode.EXACT:
         weights = convolve_iid_rounds(round_pmf, n)
         return ExactDistribution.from_grid(round_pmf.labels, n, weights, round_pmf.denominator**n)
-    sums = _sample_outcome_rows(round_pmf, n, spec.trials, spec.seed, stream)
-    return EnsembleRun(labels=round_pmf.labels, sums=sums, n_rounds=n)
+    negatives = _sample_outcome_rows(round_pmf, n, spec.trials, spec.seed, stream)
+    return EnsembleRun(labels=round_pmf.labels, negatives=negatives, n_rounds=n)
 
 
 @functools.lru_cache(maxsize=16)

@@ -45,7 +45,7 @@ class SignalingVerdict:
     as a rational in exact mode and a float in sampled mode.  ``runs``
     holds the runs under the keys of those distributions (sender choice,
     prefixed by Bob's axis for the Tsirelson box), as a CSV report prints
-    them: exact distributions, or sampled runs with their per-trial sums.
+    them: exact distributions, or sampled runs with their per-trial -1 counts.
     The three-party box compares only the receivers' (A_x, B_x), while its
     runs asked for as ``joint`` keep Jim's component too.
     """
@@ -276,8 +276,8 @@ def ghz_verdict(
     whole (A_x, B_x, J) joint into ``runs``, for a report that prints it,
     and take the receivers' marginal of each run.  The receivers' round
     marginal keeps the round pmf's table rows, so sampled draws do not
-    depend on what a report prints: a joint run's first two columns are
-    the receivers-only run's sums.
+    depend on what a report prints: a joint run's first two components
+    are the receivers-only run's counts.
     """
     spec = ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=n_rounds, trials=trials, seed=seed, mode=mode)
     runs = _run_choices(spec, receivers_only=not joint)

@@ -344,6 +344,11 @@ def sums_by_table_lookup(
     return rounds.sum(axis=1, dtype=np.int64), rounds
 
 
+def minus_one_counts(rounds: np.ndarray) -> np.ndarray:
+    """The (k, trials) counts of -1 rounds of (trials, N, k) +1/-1 round records, in the narrowest dtype that holds N."""
+    return np.count_nonzero(rounds == -1, axis=1).T.astype(np.min_scalar_type(rounds.shape[1]))
+
+
 def minus_one_words(rounds: np.ndarray) -> np.ndarray:
     """The (k, trials, ceil(N/64)) uint64 words of (trials, N, k) +1/-1 round records, by ``np.packbits``.
 

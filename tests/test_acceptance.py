@@ -424,8 +424,9 @@ def test_sampled_gate_rejects_shifted_round_pmf():
         _, threshold = _cell_bound(exact, trials)
         tvs = []
         for seed in GATE_SEEDS:
-            sums, _ = oracles.sums_by_table_lookup(mapping, n, trials, seed, stream)
-            tvs.append(float(total_variation(EnsembleRun(true_round.labels, sums, n).empirical(), exact)))
+            _, rounds = oracles.sums_by_table_lookup(mapping, n, trials, seed, stream)
+            run = EnsembleRun(true_round.labels, oracles.minus_one_counts(rounds), n)
+            tvs.append(float(total_variation(run.empirical(), exact)))
         rejected = sum(tv >= threshold for tv in tvs)
         caught &= rejected == len(tvs)
         rows.append(

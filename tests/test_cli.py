@@ -333,10 +333,10 @@ class TestCsvMatchesWriter:
         fewest, most = sorted(min(f, n) for f in flips)
         samples = {}
         for choice in ("z|u", "z|p", "x|u", "x|p")[:runs]:
-            sums = n - 2 * rng.integers(fewest, most + 1, size=(trials, k))
+            negatives = rng.integers(fewest, most + 1, size=(trials, k)).T.astype(np.min_scalar_type(n))
             # Both ends of the span, in the first and the last column.
-            sums[0, 0], sums[-1, -1] = n - 2 * fewest, n - 2 * most
-            samples[choice] = EnsembleRun(labels=labels, sums=sums, n_rounds=n)
+            negatives[0, 0], negatives[-1, -1] = fewest, most
+            samples[choice] = EnsembleRun(labels=labels, negatives=negatives, n_rounds=n)
         v = sampled_verdict(samples)
         assert_same_text(cli._dist_csv(v), oracles.render_csv_by_writer(v))
 

@@ -632,12 +632,21 @@ class TestMonteCarlo:
     @example(**grid_at_switch(2, 5, past=True))
     @example(**grid_at_switch(3, 3, past=False))
     @example(**grid_at_switch(3, 2, past=True))
+    # The last N of uint8 and uint16 counts, and the first of uint16 and uint32.
+    @example(k=3, n=255, trials=500, spread=255, seed=11)
+    @example(k=3, n=256, trials=500, spread=256, seed=12)
+    @example(k=2, n=65535, trials=500, spread=65535, seed=13)
+    @example(k=2, n=65536, trials=500, spread=65536, seed=14)
+    # Histogram blocks whose last holds one trial: counted, sorted then merged, and of Python int cells.
+    @example(k=2, n=6, trials=2 * ensembles._HISTOGRAM_TRIALS + 1, spread=6, seed=15)
+    @example(k=2, n=1000, trials=2 * ensembles._HISTOGRAM_TRIALS + 1, spread=1000, seed=16)
+    @example(k=3, n=2**22, trials=ensembles._HISTOGRAM_TRIALS + 1, spread=2**22, seed=17)
     def test_empirical_matches_row_unique(self, k, n, trials, spread, seed):
         rng = np.random.default_rng(seed)
         low = rng.integers(0, n + 1, size=k)
         negatives = np.minimum(low + rng.integers(0, spread + 1, size=(trials, k)), n)
         sums = n - 2 * negatives.astype(np.int64)
-        run = EnsembleRun(labels=LABELS[:k], sums=sums, n_rounds=n)
+        run = EnsembleRun(labels=LABELS[:k], negatives=negatives.T.astype(np.min_scalar_type(n)), n_rounds=n)
         got = run.empirical()
         assert (got.labels, got.n_rounds, got.denominator) == (run.labels, n, trials)
         want = oracles.empirical_by_row_unique(sums, n)
@@ -646,9 +655,9 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("n", [1_664_509, 1_664_510])
     def test_empirical_at_the_ends_of_the_int64_grid(self, n):
         """(N+1)^3 is just below 2^62 at N = 1664509, so cells are int64, and past it at N = 1664510."""
-        sums = np.array([[n, n, n], [-n, -n, -n], [n, -n, n], [n, n, n]], dtype=np.int64)
-        got = EnsembleRun(labels=LABELS, sums=sums, n_rounds=n).empirical()
-        want = oracles.empirical_by_row_unique(sums, n)
+        negatives = np.array([[0, 0, 0], [n, n, n], [0, n, 0], [0, 0, 0]])
+        got = EnsembleRun(labels=LABELS, negatives=negatives.T.astype(np.min_scalar_type(n)), n_rounds=n).empirical()
+        want = oracles.empirical_by_row_unique(n - 2 * negatives, n)
         assert list(oracles.lattice_mapping(got).items()) == list(want.items())
 
     def test_empirical_never_allocates_the_whole_grid(self):
@@ -663,6 +672,33 @@ class TestMonteCarlo:
         assert peak < 1 << 20
         want = oracles.empirical_by_row_unique(run.sums, 20_000)
         assert list(oracles.lattice_mapping(got).items()) == list(want.items())
+
+    @pytest.mark.parametrize("n", [6, 60])
+    def test_runs_keep_narrow_counts_and_histogram_in_blocks(self, n):
+        """A (B, B') run of 1e5 trials keeps 2 bytes per trial, and its histogram one block of int64 cells.
+
+        Int64 sums held 16 bytes per trial, and a histogram over a whole-run
+        cell array peaked at 8 more.  The histogram's own bound is one block's
+        int64 cells plus its grid's counts, at most 3 arrays of 8 bytes per cell.
+        The slack covers numpy's ufunc buffers (8192 elements) and small objects.
+        """
+        trials = 100_000
+        # numpy.random's first import stays in memory; make it before tracing.
+        run_pr_scenario(spec(ScenarioKind.PR_BOX, n, mode=RunMode.MONTE_CARLO, trials=1)).empirical()
+        tracemalloc.start()
+        try:
+            run = run_pr_scenario(spec(ScenarioKind.PR_BOX, n, mode=RunMode.MONTE_CARLO, trials=trials))
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = run.empirical()
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        slack = 128 << 10
+        assert held <= 2 * trials + slack
+        assert peak <= 8 * ensembles._HISTOGRAM_TRIALS + 3 * 8 * (n + 1) ** 2 + slack
+        assert run.negatives.dtype == np.uint8
+        assert list(oracles.lattice_mapping(got).items()) == list(oracles.empirical_by_row_unique(run.sums, n).items())
 
     def test_empirical_pmf(self):
         run = run_pr_scenario(
@@ -730,9 +766,11 @@ class TestTableLookupSampler:
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_table_lookup(self, pmf, n, trials, seed):
-        want_sums, want_rounds = oracles.sums_by_table_lookup(pmf, n, trials, seed, SAMPLER_STREAM)
+        _, want_rounds = oracles.sums_by_table_lookup(pmf, n, trials, seed, SAMPLER_STREAM)
         round_pmf = round_distribution(pmf)
-        assert np.array_equal(_sample_outcome_rows(round_pmf, n, trials, seed, SAMPLER_STREAM), want_sums)
+        got = _sample_outcome_rows(round_pmf, n, trials, seed, SAMPLER_STREAM)
+        assert got.dtype == np.min_scalar_type(n)
+        assert np.array_equal(got, oracles.minus_one_counts(want_rounds))
         words, _ = sampled_words(round_pmf, n, trials, seed)
         assert np.array_equal(words, oracles.minus_one_words(want_rounds))
 
@@ -745,8 +783,8 @@ class TestTableLookupSampler:
     def test_draws_do_not_depend_on_word_budget(self, monkeypatch, words, chunk):
         monkeypatch.setattr(ensembles, "_SAMPLE_WORDS", words)
         pmf = ghz_round_pmf("p")
-        want_sums, want_rounds = oracles.sums_by_table_lookup(oracles.lattice_mapping(pmf), 130, 53, 11, SAMPLER_STREAM)
-        assert np.array_equal(_sample_outcome_rows(pmf, 130, 53, 11, SAMPLER_STREAM), want_sums)
+        _, want_rounds = oracles.sums_by_table_lookup(oracles.lattice_mapping(pmf), 130, 53, 11, SAMPLER_STREAM)
+        assert np.array_equal(_sample_outcome_rows(pmf, 130, 53, 11, SAMPLER_STREAM), oracles.minus_one_counts(want_rounds))
         words, chunks = sampled_words(pmf, 130, 53, 11)
         assert chunks == [min(chunk, 53 - done) for done in range(0, 53, chunk)]
         assert np.array_equal(words, oracles.minus_one_words(want_rounds))

@@ -97,6 +97,7 @@ UNCALLED_PUBLIC_NAMES = {
     "scenario_exact_distribution": "README API: the Python example calls it",
     "sequential_measure": "benchmark entry point: perfbench's small-reports batches call it",
     "boost": "paper object: the Lorentz boost of the README's causal-geometry toolkit",
+    "sums": "benchmark contract: perfbench/spans.py:_observe_scenario reads result.sums",
 }
 
 

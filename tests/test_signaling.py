@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from corrlab import ensembles
 from corrlab.ensembles import (
     EXACT_MAX_ROUNDS,
     ExactDistribution,
@@ -241,6 +242,24 @@ class TestSampledVerdicts:
                 for seed in range(100)
             )
             assert agree >= 99, f"{kind.value}: {agree}/100"
+
+
+class TestVerdictBoundaries:
+    def test_rare_event_match_needs_both_events(self, monkeypatch):
+        """A primed round pmf with P(1, -1) = 1/4 keeps P(B = B' = 1 | u) at 2^-N but moves P(B = 1, B' = -1 | p) to 4^-N."""
+        pr_round_pmf = ensembles.pr_round_pmf
+        primed = ExactDistribution.from_mapping({(1, -1): Fraction(1, 4), (-1, 1): Fraction(3, 4)}, ("B", "B_prime"), 1)
+        monkeypatch.setattr(ensembles, "pr_round_pmf", lambda choice: primed if choice == "p" else pr_round_pmf(choice))
+        v = pr_verdict(3, RunMode.EXACT)
+        assert v.results["rare_events"] == {"p_both_plus_under_u": Fraction(1, 8), "p_plus_minus_under_p": Fraction(1, 64)}
+        assert v.checks["rare_event_match"] is False
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_total_variation_at_the_threshold_is_distinguishable(self, seed):
+        """At N = 1 the two choices' (B, B') supports are disjoint, so TV is exactly 1.0, and so is 5/sqrt(25)."""
+        v = pr_verdict(1, RunMode.MONTE_CARLO, trials=25, seed=seed)
+        assert v.values[1] == v.threshold == 1.0
+        assert v.distinguishable is True
 
 
 def assert_same_distribution(got, want):

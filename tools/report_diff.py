@@ -89,6 +89,12 @@ def commands(config_dir: str) -> list[list[str]]:
                     for seed in ("0", "5")
                 ]
             cmds.append([command, "--mode", "mc", "--n", "20000", "--trials", "50", "--format", fmt])
+            # The last N of uint8 and uint16 counts of -1 rounds, and the first of uint16 and uint32.
+            cmds += [[command, "--mode", "mc", "--n", n, "--trials", "50", "--format", fmt] for n in ("255", "256", "65535", "65536")]
+            # Trial counts one below, at and one above a histogram block of 2^14 trials.
+            cmds += [[command, "--mode", "mc", "--n", "6", "--trials", str(t), "--format", fmt] for t in (16383, 16384, 16385)]
+        # Two histogram blocks, the second of one trial: the sorted (B, B') and (A_x, B_x) grids merge them.
+        cmds.append([command, "--mode", "mc", "--n", "1000", "--trials", "16385"])
         cmds += [
             [command, "--mode", "mc"],
             [command, "--mode", "mc", "--n", "60"],
