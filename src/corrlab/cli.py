@@ -182,7 +182,7 @@ def cmd_ghz_algebra(args) -> tuple[dict, str | None]:
         "stabilizers_match": all(
             abs(s["expectation"] - s["expected"]) < 1e-12 for s in stabilizers
         ),
-        "commutators_vanish": all(v < 1e-12 for v in commutators.values()),
+        "commutators_vanish": all(v == 0.0 for v in commutators.values()),
         "pair_products_match": abs(products["xx_times_yy"] + 1.0) < 1e-12
         and abs(products["xy_times_yx"] - 1.0) < 1e-12,
         "no_consistent_assignment": len(full_search) == 0,

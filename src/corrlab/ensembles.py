@@ -38,6 +38,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -161,7 +162,7 @@ class ExactDistribution:
             raise ValueError(f"{len(self.cells)} cells for {len(self.weights)} weights")
         if not self.cells or self.cells[0] < 0 or self.cells[-1] >= size:
             raise ValueError(f"cells must lie in the {size} cells of the N={self.n_rounds} grid")
-        if any(a >= b for a, b in zip(self.cells, self.cells[1:])):
+        if not all(map(operator.lt, self.cells, self.cells[1:])):
             raise ValueError("a cell appears twice or out of order")
         if min(self.weights) <= 0:
             raise ValueError(f"weight {min(self.weights)} is negative or zero")
@@ -469,12 +470,14 @@ def _sample_outcome_rows(
 
 
 def _run_from_round_pmf(
-    spec: ScenarioSpec, round_pmf: ExactDistribution, stream: tuple[int, ...]
+    spec: ScenarioSpec, round_pmf: ExactDistribution, *axis: int
 ) -> ExactDistribution | EnsembleRun:
+    """The exact or sampled run of ``round_pmf``; a sample draws the stream of its kind, choice and ``axis``."""
     n = spec.n_rounds
     if spec.mode is RunMode.EXACT:
         weights = convolve_iid_rounds(round_pmf, n)
         return ExactDistribution.from_grid(round_pmf.labels, n, weights, round_pmf.denominator**n)
+    stream = (_KIND_STREAM[spec.kind], _CHOICE_INDEX[spec.sender_choice], *axis)
     negatives = _sample_outcome_rows(round_pmf, n, spec.trials, spec.seed, stream)
     return EnsembleRun(labels=round_pmf.labels, negatives=negatives, n_rounds=n)
 
@@ -516,8 +519,7 @@ def run_pr_scenario(spec: ScenarioSpec) -> ExactDistribution | EnsembleRun:
     """
     if spec.kind is not ScenarioKind.PR_BOX:
         raise ValueError("spec.kind must be PR_BOX")
-    stream = (_KIND_STREAM[spec.kind], _CHOICE_INDEX[spec.sender_choice])
-    return _run_from_round_pmf(spec, pr_round_pmf(spec.sender_choice), stream)
+    return _run_from_round_pmf(spec, pr_round_pmf(spec.sender_choice))
 
 
 def ghz_round_pmf(sender_choice: str) -> ExactDistribution:
@@ -543,8 +545,7 @@ def run_ghz_scenario(spec: ScenarioSpec, receivers_only: bool = False) -> ExactD
     pmf = ghz_round_pmf(spec.sender_choice)
     if receivers_only:
         pmf = pmf.marginal(GHZ_RECEIVERS)
-    stream = (_KIND_STREAM[spec.kind], _CHOICE_INDEX[spec.sender_choice])
-    return _run_from_round_pmf(spec, pmf, stream)
+    return _run_from_round_pmf(spec, pmf)
 
 
 def tsirelson_round_pmf(sender_choice: str, bob_axis: str) -> ExactDistribution:
@@ -566,13 +567,8 @@ def run_tsirelson_scenario(
     """Bob's collective for one of his rescaled sum/difference observables."""
     if spec.kind is not ScenarioKind.TSIRELSON:
         raise ValueError("spec.kind must be TSIRELSON")
-    pmf = tsirelson_round_pmf(spec.sender_choice, bob_axis)
-    stream = (
-        _KIND_STREAM[spec.kind],
-        _CHOICE_INDEX[spec.sender_choice],
-        0 if bob_axis == "z" else 1,
-    )
-    return _run_from_round_pmf(spec, pmf, stream)
+    axis = 0 if bob_axis == "z" else 1
+    return _run_from_round_pmf(spec, tsirelson_round_pmf(spec.sender_choice, bob_axis), axis)
 
 
 SCENARIO_RUNNERS = {

@@ -226,7 +226,7 @@ class TestGhzAlgebraCommand:
         expectations = {s["observable"]: s["expectation"] for s in results["stabilizers"]}
         assert expectations["Y*X*Y"] == pytest.approx(1.0)
         assert expectations["X*X*X"] == pytest.approx(-1.0)
-        assert all(v < 1e-12 for v in results["commutator_norms"].values())
+        assert all(v == 0.0 for v in results["commutator_norms"].values())
         assert results["pair_products"]["xx_times_yy"] == pytest.approx(-1.0)
         assert results["pair_products"]["xy_times_yx"] == pytest.approx(1.0)
         assert results["assignment_search"] == {

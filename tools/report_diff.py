@@ -116,6 +116,9 @@ def commands(config_dir: str) -> list[list[str]]:
             [command, "--help"],
         ]
     cmds.append(["ghz-signal", "--mode", "mc", "--n", "400"])
+    # A joint (A_x, B_x, J) run on a grid past 2^62 cells: CSV prints all three components,
+    # and the histogram reads the receivers' (A_x, B_x) marginal, on int64 cells.
+    cmds.append(["ghz-signal", "--mode", "mc", "--n", "2000000", "--trials", "3", "--format", "csv"])
     # Trial counts past numpy's largest array: 2 int64 sums per trial, and 3 indicator words per 64 triplets.
     cmds += [["pr-signal", "--mode", "mc", "--n", "1", "--trials", str(t)] for t in (2**63, 2**62)]
     cmds.append(["jamming", "--jim", "x", "--trials", str(10**30)])
