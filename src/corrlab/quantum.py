@@ -13,6 +13,14 @@ Phys. Rev. A 70, 052328 (2004)), and each tilted site adds one diagonal
 and one bit-flip term.  Commutator norms need no state at all: each
 site's pair of factors contributes its Bloch vectors' dot and cross
 products to a closed form, exact on Pauli letters and linear in the sites.
+
+The float simulator (``PureState``, the state builders, the expectations
+and the Born branches and pmfs) imports numpy inside its functions, on
+first use.  Observables, commutator norms, ``pauli_weights`` and the
+assignment search are pure Python, so a process that needs only exact
+Born weights, as the exact ``pr-signal`` and ``ghz-signal`` commands and
+``causal`` do, never loads numpy; ``tsirelson`` (its tilted box) and
+``ghz-algebra`` (the GHZ state vector) load it.
 """
 
 from __future__ import annotations
@@ -21,10 +29,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvariantViolation, NonCommutingError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_QUBITS = 12
 _COMMUTATOR_TOL = 1e-10
@@ -91,6 +101,8 @@ def _signed_permutation(observable: PauliObservable) -> tuple[np.ndarray, np.nda
     term), as (rows, [[c], [-c]], s) for the site's (rows, 2, -1) view of
     the vector.
     """
+    import numpy as np
+
     n = observable.n_qubits
     basis = np.arange(2**n)
     mask = 0
@@ -139,6 +151,8 @@ class PureState:
     n_qubits: int = field(init=False)
 
     def __post_init__(self):
+        import numpy as np
+
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.ndim != 1:
             amps = amps.reshape(-1)
@@ -171,15 +185,21 @@ GHZ_ROOT2 = (1, 0, 0, 0, 0, 0, 0, -1)
 
 def bell_state() -> PureState:
     """(|up,up> + |down,down>)/sqrt(2) on two qubits."""
+    import numpy as np
+
     return PureState(np.array(BELL_ROOT2, complex) / math.sqrt(2.0))
 
 
 def ghz_state() -> PureState:
     """(|up,up,up> - |down,down,down>)/sqrt(2) on three qubits."""
+    import numpy as np
+
     return PureState(np.array(GHZ_ROOT2, complex) / math.sqrt(2.0))
 
 
 def expectation(state: PureState, observable: PauliObservable) -> float:
+    import numpy as np
+
     return float(np.vdot(state.amplitudes, _apply(observable, state.amplitudes)).real)
 
 
@@ -225,6 +245,8 @@ def _born_branches(key: bytes, observable: PauliObservable) -> tuple[float, Pure
     it again when measured next; a branch of norm below 1e-9 is None.  An entry holds
     at most three 2^n-amplitude vectors, 192 KiB at MAX_QUBITS, so about 12 MiB in all.
     """
+    import numpy as np
+
     amps = np.frombuffer(key, complex)
     applied = _apply(observable, amps)
     p_plus = min(1.0, max(0.0, (1.0 + float(np.vdot(amps, applied).real)) / 2.0))
@@ -288,6 +310,8 @@ def product_expectation(state: PureState, a: PauliObservable, b: PauliObservable
     the operator product has a definite value even though neither factor
     does.
     """
+    import numpy as np
+
     value = np.vdot(_apply(a, state.amplitudes), _apply(b, state.amplitudes))
     if abs(value.imag) > 1e-12:
         raise InvariantViolation(f"product expectation has imaginary part {value.imag!r}")
@@ -348,6 +372,8 @@ def _born_pmf(key: bytes, factors: tuple[str | float, ...]) -> dict[tuple[int, .
     floats keyed by the shared outcome tuples and its 2^n amplitude bytes,
     about 0.3 MiB at MAX_QUBITS, so about 20 MiB in all.
     """
+    import numpy as np
+
     n = len(factors)
     vecs = _projections(np.frombuffer(key, complex), factors)
     probs = {outcome: float(np.vdot(vec, vec).real) / 4**n for outcome, vec in zip(outcome_tuples(n), vecs)}
@@ -361,10 +387,15 @@ def pauli_weights(amplitudes: tuple[int, ...], factors: tuple[str, ...]) -> list
     """The exact weights |prod_k (I + o_k P_k) c|^2 of an integer vector c, in ``outcome_tuples`` order.
 
     Pauli letters act as signed permutations with phases in {+-1, +-i}, so
-    amplitudes stay Gaussian integers, and p(o) on c/|c| is the weight over
-    |c|^2 * 4^n.  Integer-valued complex128 arithmetic is exact below 2^53,
-    which bounds every value here, so |c|^2 * 4^n >= 2^53 raises ValueError,
-    as do a factor other than I, X, Y, Z and a length other than 2^n.
+    amplitudes stay Gaussian integers, held here as (re, im) pairs of Python
+    ints: site k's letter maps amplitude i to amplitude i, or i with k's bit
+    flipped for X and Y, turned by a power of i (Y: +i where k's bit of i is
+    set, -i where clear; Z: -1 where set).  Each weight is then a sum of
+    re^2 + im^2, and p(o) on c/|c| is the weight over |c|^2 * 4^n.  Integer
+    arithmetic is exact at any size, but |c|^2 * 4^n >= 2^53 raises
+    ValueError, so every weight is also exact in the complex128 arithmetic
+    of ``joint_probabilities``; a factor other than I, X, Y, Z and a length
+    other than 2^n raise as well.
     """
     n = len(factors)
     if any(f not in ("I", "X", "Y", "Z") for f in factors):
@@ -373,7 +404,23 @@ def pauli_weights(amplitudes: tuple[int, ...], factors: tuple[str, ...]) -> list
         raise ValueError(f"{len(amplitudes)} amplitudes for {n} factors")
     if sum(a * a for a in amplitudes) * 4**n >= 2**53:
         raise ValueError("weights reach 2^53, past exact float arithmetic")
-    return [int(np.vdot(vec, vec).real) for vec in _projections(np.array(amplitudes, complex), factors)]
+    weights = []
+    for outcome in outcome_tuples(n):
+        vec = [(a, 0) for a in amplitudes]
+        for k, (o, letter) in enumerate(zip(outcome, factors)):
+            bit = 1 << (n - 1 - k)
+            flip = bit if letter in ("X", "Y") else 0
+            # Quarter turns of the image where k's bit is set and where it is clear.
+            turns = {"Y": (1, 3), "Z": (2, 0)}.get(letter, (0, 0))
+            summed = []
+            for i, (re, im) in enumerate(vec):
+                pre, pim = vec[i ^ flip]
+                for _ in range(turns[0] if i & bit else turns[1]):
+                    pre, pim = -pim, pre
+                summed.append((re + o * pre, im + o * pim))
+            vec = summed
+        weights.append(sum(re * re + im * im for re, im in vec))
+    return weights
 
 
 # Three-party correlation facts used by the ensemble and algebra layers.

@@ -24,6 +24,7 @@ import numpy as np
 import sympy as sp
 
 from corrlab.ensembles import EnsembleRun, ExactDistribution, JammingRecords, RunMode
+from corrlab.quantum import _projections
 
 
 def pr_bruteforce_joint(n: int, choice: str) -> dict[tuple[Fraction, Fraction], Fraction]:
@@ -277,6 +278,15 @@ def measure_by_matmul(amps: np.ndarray, observable, rng: np.random.Generator) ->
     outcome = 1 if rng.random() < p_plus else -1
     projected = (amps + outcome * applied) / 2.0
     return outcome, projected / np.linalg.norm(projected)
+
+def pauli_weights_by_float(amplitudes: tuple[int, ...], factors: tuple[str, ...]) -> list[int]:
+    """corrlab's former ``quantum.pauli_weights``: each weight as a complex128 squared norm of ``_projections``.
+
+    Exact only while |c|^2 * 4^n < 2^53, where every value is an integer-valued float.
+    """
+    vecs = _projections(np.array(amplitudes, complex), tuple(factors))
+    return [int(np.vdot(vec, vec).real) for vec in vecs]
+
 
 def iid_sum_bruteforce(
     round_pmf: dict[tuple[int, ...], Fraction], n: int

@@ -909,6 +909,55 @@ def test_warm_process_reports_match_fresh_processes(tmp_path):
             assert out.read_bytes() == expected[args], args
 
 
+_NUMPY_FREE_PROBE = """
+import contextlib, io, json, sys
+steps = []
+import corrlab.cli
+steps.append(["import corrlab.cli", None, "numpy" in sys.modules])
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = corrlab.cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    steps.append([" ".join(argv), rc, "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+_NUMPY_FREE_COMMANDS = [
+    *(
+        [command, "--n", "24", "--format", fmt]
+        for command in ("pr-signal", "ghz-signal")
+        for fmt in ("json", "csv")
+    ),
+    *(["causal", "--config", str(SCENARIOS / name)] for name in sorted(p.name for p in SCENARIOS.glob("*.json"))),
+    ["--help"],
+    ["pr-signal", "--n", "25"],
+]
+
+
+def test_exact_commands_never_import_numpy():
+    """Importing the CLI, exact pr-signal and ghz-signal, causal, --help and a refused --n leave numpy unloaded.
+
+    One child interpreter runs every command in turn; a last ``tsirelson``
+    run, whose tilted box needs the float simulator, shows the probe sees
+    numpy once something loads it.
+    """
+    assert len(_NUMPY_FREE_COMMANDS) == 4 + 5 + 2
+    argvs = [*_NUMPY_FREE_COMMANDS, ["tsirelson", "--n", "2"]]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_PROBE, json.dumps(argvs)], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)
+    *numpy_free, last = steps
+    assert numpy_free == [
+        ["import corrlab.cli", None, False],
+        *([" ".join(argv), 2 if argv[-1] == "25" else 0, False] for argv in _NUMPY_FREE_COMMANDS),
+    ]
+    assert last == ["tsirelson --n 2", 0, True]
+
+
 class TestDeterminismAndErrors:
     def test_reports_are_byte_identical(self, tmp_path):
         _, first = run_cli(tmp_path, "pr-signal", "--n", "4")

@@ -76,6 +76,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="trials"):
             spec(ScenarioKind.PR_BOX, 4, mode=RunMode.MONTE_CARLO, trials=0)
 
+    def test_largest_array_is_numpys(self):
+        """The module sets the limit without importing numpy; it must stay numpy's, or the --trials refusals drift."""
+        assert ensembles._MAX_ARRAY_BYTES == np.iinfo(np.intp).max
+
     @pytest.mark.parametrize("kind", list(ScenarioKind))
     def test_rejects_trials_past_the_largest_sums_array(self, kind):
         """A sampled run's k int64 sums per trial must fit numpy's largest array; exact runs ignore trials."""

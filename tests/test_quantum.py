@@ -435,6 +435,19 @@ class TestPauliWeights:
         with pytest.raises(ValueError, match="2\\^53"):
             pauli_weights((2**25, 2**25), ("Z",))
 
+    @given(st.data())
+    @settings(max_examples=40)
+    def test_matches_the_float_projections_on_every_pauli_tuple(self, data):
+        """Integer vectors on 1-4 qubits under the 2^53 guard: the Gaussian-integer weights equal the complex128 ones."""
+        n = data.draw(st.integers(min_value=1, max_value=4), label="n")
+        # Every weight is at most |c|^2 * 4^n <= 2^n * bound^2 * 4^n < 2^53.
+        bound = math.isqrt((2**53 - 1) // 8**n)
+        amplitudes = data.draw(
+            st.tuples(*[st.integers(min_value=-bound, max_value=bound)] * 2**n), label="amplitudes"
+        )
+        for factors in itertools.product("IXYZ", repeat=n):
+            assert pauli_weights(amplitudes, factors) == oracles.pauli_weights_by_float(amplitudes, factors), factors
+
 
 class TestAssignmentSearch:
     def test_constraints_are_the_stabilizers_read_as_local_values(self):
