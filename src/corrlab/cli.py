@@ -4,6 +4,10 @@ Subcommands run the ensemble scenarios, the three-party algebra checks,
 and the causal-geometry analyses, emitting deterministic JSON (or CSV
 sample tables) so identical invocations produce byte-identical reports.
 
+Each ``cmd_*`` handler returns its report's results, checks and CSV text;
+``main`` alone builds the JSON envelope, whose ``config`` echoes every
+parsed flag except ``--out``, plus the object ``causal`` read.
+
 Importing this module, parsing the arguments and running exact
 ``pr-signal`` or ``ghz-signal`` or ``causal`` never load numpy.  The
 sampled tables here, like the sampled runs behind them, import it inside
@@ -31,16 +35,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 _MODES = {"exact": RunMode.EXACT, "mc": RunMode.MONTE_CARLO}
-
-
-def _envelope(command: str, config: dict, results: dict, checks: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "config": config,
-        "results": results,
-        "checks": checks,
-    }
 
 
 def _index_digits(rows: int) -> list[np.ndarray]:
@@ -136,25 +130,23 @@ def _jamming_csv(records: JammingRecords) -> str:
     return "triplet,a_x,b_x,j\n" + _table_lines("", sign_fields, records.outcomes + 1)
 
 
-_SCENARIOS = {"pr-signal": ScenarioKind.PR_BOX, "tsirelson": ScenarioKind.TSIRELSON, "ghz-signal": ScenarioKind.GHZ}
+# Each scenario subcommand: the box it runs and its help text.
+_SCENARIOS = {
+    "pr-signal": (ScenarioKind.PR_BOX, "classical-limit signaling test for the maximal bipartite box"),
+    "tsirelson": (ScenarioKind.TSIRELSON, "classical-limit signaling test for the Bell-state box"),
+    "ghz-signal": (ScenarioKind.GHZ, "three-party rare-event signaling test"),
+}
 
 
-def cmd_scenario(args) -> tuple[dict, str | None]:
+def cmd_scenario(args) -> tuple[dict, dict, str | None]:
     """pr-signal, tsirelson and ghz-signal: one verdict, which holds the report's results and checks."""
+    kind = _SCENARIOS[args.command][0]
     # A CSV report prints each run's every component; a JSON one only what its verdict compared.
-    v = verdict(_SCENARIOS[args.command], args.n, _MODES[args.mode], args.trials, args.seed, joint=args.format == "csv")
-    config = {
-        "n": args.n,
-        "trials": args.trials,
-        "seed": args.seed,
-        "mode": args.mode,
-        "format": args.format,
-    }
-    report = _envelope(args.command, config, {**v.results, "verdict": v.to_json_obj()}, v.checks)
-    return report, _dist_csv(v) if args.format == "csv" else None
+    v = verdict(kind, args.n, _MODES[args.mode], args.trials, args.seed, joint=args.format == "csv")
+    return {**v.results, "verdict": v.to_json_obj()}, v.checks, _dist_csv(v) if args.format == "csv" else None
 
 
-def cmd_ghz_algebra(args) -> tuple[dict, str | None]:
+def cmd_ghz_algebra(args) -> tuple[dict, dict, str | None]:
     state = quantum.ghz_state()
     stabilizers = [
         {
@@ -201,13 +193,10 @@ def cmd_ghz_algebra(args) -> tuple[dict, str | None]:
         and abs(products["xy_times_yx"] - 1.0) < 1e-12,
         "no_consistent_assignment": len(full_search) == 0,
     }
-    report = _envelope(
-        "ghz-algebra", {"format": args.format}, results, checks
-    )
-    return report, None
+    return results, checks, None
 
 
-def cmd_jamming(args) -> tuple[dict, str | None]:
+def cmd_jamming(args) -> tuple[dict, dict, str | None]:
     records = run_jamming_scenario(args.n, args.jim, args.trials, args.seed)
     counts, binned, overall = records.correlations()
     bin_counts = {str(j): c for j, c in counts.items()}
@@ -232,19 +221,12 @@ def cmd_jamming(args) -> tuple[dict, str | None]:
             for j, c in binned.items()
         )
         checks["uncorrelated"] = abs(overall) < bound and per_bin_ok
-    config = {
-        "n": args.n,
-        "trials": args.trials,
-        "seed": args.seed,
-        "jim": args.jim,
-        "format": args.format,
-    }
-    report = _envelope("jamming", config, results, checks)
-    return report, _jamming_csv(records) if args.format == "csv" else None
+    return results, checks, _jamming_csv(records) if args.format == "csv" else None
 
 
-def cmd_causal(args) -> tuple[dict, str | None]:
-    path = Path(args.config)
+def cmd_causal(args) -> tuple[dict, dict, str | None]:
+    """Analyse the config file at --config, and set ``args.config`` to the object read, for the report to echo."""
+    path = Path(args.config_path)
     try:
         data = json.loads(path.read_text())
     except OSError as exc:
@@ -318,9 +300,8 @@ def cmd_causal(args) -> tuple[dict, str | None]:
 
     if not results:
         raise ValueError("config contains no analyzable sections")
-    config_echo = {"config_path": str(path), "config": data, "format": args.format}
-    report = _envelope("causal", config_echo, results, checks)
-    return report, None
+    args.config = data
+    return results, checks, None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -331,9 +312,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 _COMMANDS = {
-    "pr-signal": cmd_scenario,
-    "tsirelson": cmd_scenario,
-    "ghz-signal": cmd_scenario,
+    **dict.fromkeys(_SCENARIOS, cmd_scenario),
     "ghz-algebra": cmd_ghz_algebra,
     "jamming": cmd_jamming,
     "causal": cmd_causal,
@@ -371,17 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("pr-signal", help="classical-limit signaling test for the maximal bipartite box")
-    _add_scenario_flags(sp)
+    for command, (_, help_text) in _SCENARIOS.items():
+        _add_scenario_flags(sub.add_parser(command, help=help_text))
 
-    sp = sub.add_parser("tsirelson", help="classical-limit signaling test for the Bell-state box")
-    _add_scenario_flags(sp)
-
-    sp = sub.add_parser("ghz-signal", help="three-party rare-event signaling test")
-    _add_scenario_flags(sp)
-
-    sp = sub.add_parser("ghz-algebra", help="stabilizer, commutator, and assignment-search identities")
-    _add_output_flags(sp)
+    _add_output_flags(sub.add_parser("ghz-algebra", help="stabilizer, commutator, and assignment-search identities"))
 
     sp = sub.add_parser("jamming", help="binned third-party jamming statistics")
     sp.add_argument("--jim", choices=("x", "z"), required=True, help="Jim's measurement axis")
@@ -391,7 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sp)
 
     sp = sub.add_parser("causal", help="light-cone geometry and causal-loop analysis")
-    sp.add_argument("--config", required=True, help="JSON file with events, boost, and device maps")
+    # Parsed to the text of its Path, so ./x.json reads and echoes as x.json.
+    sp.add_argument(
+        "--config", dest="config_path", metavar="CONFIG", type=lambda text: str(Path(text)), required=True,
+        help="JSON file with events, boost, and device maps",
+    )
     _add_output_flags(sp)
 
     return parser
@@ -404,9 +380,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.format == "csv" and args.command not in _CSV_COMMANDS:
             raise ValueError(f"csv output is not available for {args.command}")
-        report, text = handler(args)
+        results, checks, text = handler(args)
         if args.format != "csv":
-            text = dump_report(report)
+            config = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+            report = {"schema_version": SCHEMA_VERSION, "command": args.command, "config": config}
+            text = dump_report({**report, "results": results, "checks": checks})
         _emit(text, args.out)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

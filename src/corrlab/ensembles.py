@@ -435,7 +435,6 @@ def _indicator_chunks(
     scratch_rows = int(any(len(p) != 1 for p in planes_of))
     d = round_pmf.denominator.bit_length() - 1
     words = -(-n_rounds // 64)
-    tail = n_rounds % 64
     chunk_trials = min(trials, max(1, _SAMPLE_WORDS // (words * (d + scratch_rows + 1))))
     scratch = np.empty((scratch_rows * chunk_trials, words), dtype=np.uint64)
     bit_counts = np.empty((chunk_trials, words), dtype=np.uint8)
@@ -443,9 +442,8 @@ def _indicator_chunks(
     for done in range(0, trials, chunk_trials):
         chunk = min(chunk_trials, trials - done)
         planes = bitgen.random_raw((chunk, d, words))
-        if tail:
-            # Rounds past N read as row 0, where every indicator is clear.
-            planes[:, :, -1] &= np.uint64((1 << tail) - 1)
+        # Rounds past N read as row 0, where every indicator is clear.
+        _clear_tail(planes, n_rounds)
         for c, column in enumerate(planes_of):
             if len(column) == 1:
                 x = planes[:, column[0]]

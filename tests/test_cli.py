@@ -446,11 +446,13 @@ class TestJsonMatchesOracle:
         assert_same_text(reportio.dump_report(tree), oracles.dump_by_json(tree))
 
     @pytest.mark.parametrize("args", SHIPPED_REPORTS, ids=" ".join)
-    def test_shipped_reports(self, monkeypatch, args):
+    def test_shipped_reports(self, monkeypatch, tmp_path, args):
         monkeypatch.chdir(SCENARIOS.parent)
-        parsed = cli.build_parser().parse_args(list(args))
-        report, _ = cli._COMMANDS[parsed.command](parsed)
-        assert_same_text(reportio.dump_report(report), oracles.dump_by_json(report))
+        dumps = spy_calls(monkeypatch, cli, "dump_report")
+        code, text = run_cli(tmp_path, *args)
+        assert code == 0
+        ((report,),) = dumps
+        assert_same_text(text, oracles.dump_by_json(report))
 
     @pytest.mark.parametrize("obj", [SpacetimeEvent(t=0.0, x=1.0), make_pr_box()], ids=["event", "box"])
     def test_dataclasses_are_not_encoded(self, obj):
@@ -473,6 +475,36 @@ class TestJsonMatchesOracle:
         assert out == oracles.dump_by_json(report)
 
 
+# One argv per subcommand, each flag at a value other than its default where it has one.
+ECHO_ARGVS = [
+    ["pr-signal", "--n", "3", "--seed", "2"],
+    ["tsirelson", "--mode", "mc", "--n", "2", "--trials", "30", "--seed", "4"],
+    ["ghz-signal", "--n", "2", "--trials", "7"],
+    ["ghz-algebra"],
+    ["jamming", "--jim", "z", "--n", "2", "--trials", "20", "--seed", "1"],
+    ["causal", "--config", "./scenarios/causal_loop.json"],
+]
+
+
+def test_echo_argvs_cover_every_subcommand():
+    assert [argv[0] for argv in ECHO_ARGVS] == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", ECHO_ARGVS, ids=" ".join)
+def test_config_echoes_every_parsed_flag_but_out(monkeypatch, tmp_path, argv):
+    """The echo is the parsed flags minus the subcommand and --out; causal adds the object its file held."""
+    monkeypatch.chdir(SCENARIOS.parent)
+    parsed = vars(cli.build_parser().parse_args(argv))
+    code, text = run_cli(tmp_path, *argv)
+    assert code == 0
+    want = {flag: value for flag, value in parsed.items() if flag not in ("command", "out")}
+    if argv[0] == "causal":
+        assert want["config_path"] == "scenarios/causal_loop.json"
+        want["config"] = json.loads((SCENARIOS / "causal_loop.json").read_text())
+    assert json.loads(text)["config"] == want
+    assert str(tmp_path) not in text
+
+
 # Each component column of a scenario CSV: the runs' shared label, or the stem
 # before the axis where the runs measure different axes.
 CSV_COMPONENT_COLUMNS = {
@@ -485,7 +517,7 @@ CSV_COMPONENT_COLUMNS = {
 @pytest.mark.parametrize("mode", ["exact", "mc"])
 @pytest.mark.parametrize("command", list(CSV_COMPONENT_COLUMNS))
 def test_csv_header_holds_for_every_run(command, mode):
-    kind = cli._SCENARIOS[command]
+    kind, _ = cli._SCENARIOS[command]
     v = verdict(kind, 2, cli._MODES[mode], 50, 0, joint=True)
     header = cli._dist_csv(v).split("\n", 1)[0].split(",")
     columns = header[1:-2] if mode == "exact" else header[2:]
@@ -1146,22 +1178,24 @@ _NUMBERS = st.one_of(
     st.integers(-3, 3),
     st.sampled_from([*_EDGE_INTS, 10**400, True, False, "0", "-1.5", "1e400", "nan", "t"]),
 )
-_JSON_TREES = st.recursive(
-    st.one_of(st.none(), _NUMBERS, st.text(max_size=6)),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["t", "x", "y"]), inner, max_size=3),
-    max_leaves=6,
-)
+
+
+def _config_branches(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["t", "x", "y"]), inner, max_size=3)
+
+
+_CONFIG_TREES = st.recursive(st.one_of(st.none(), _NUMBERS, st.text(max_size=6)), _config_branches, max_leaves=6)
 _EVENTS = st.one_of(
     st.fixed_dictionaries({"t": _NUMBERS, "x": _NUMBERS}),
     st.fixed_dictionaries({}, optional={"t": _NUMBERS, "x": _NUMBERS, "y": _NUMBERS}),
-    _JSON_TREES,
+    _CONFIG_TREES,
 )
-_MAPS = st.one_of(st.sampled_from(spacetime.MAP_NAMES), _JSON_TREES)
+_MAPS = st.one_of(st.sampled_from(spacetime.MAP_NAMES), _CONFIG_TREES)
 _OPTIONAL_SECTIONS = {"j_hat": _EVENTS, "beta": st.one_of(st.floats(-1, 1), _NUMBERS), "alice_map": _MAPS, "bob_map": _MAPS}
 _CAUSAL_CONFIGS = st.one_of(
     st.fixed_dictionaries({"a_hat": _EVENTS, "b_hat": _EVENTS}, optional=_OPTIONAL_SECTIONS),
     st.fixed_dictionaries({}, optional={"a_hat": _EVENTS, "b_hat": _EVENTS, **_OPTIONAL_SECTIONS}),
-    _JSON_TREES,
+    _CONFIG_TREES,
 )
 
 

@@ -151,17 +151,20 @@ def test_numpy_pin_admits_the_installed_numpy():
 
 
 def test_report_diff_covers_every_subcommand():
-    """tools/report_diff.py runs each subcommand in both formats, and causal on every shipped config."""
+    """tools/report_diff.py runs each subcommand in both formats, through --out too, and causal on every shipped config."""
     spec = importlib.util.spec_from_file_location("report_diff", ROOT / "tools" / "report_diff.py")
     report_diff = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(report_diff)
     cmds = report_diff.commands("edge")
-    formats = {
-        (argv[0], argv[argv.index("--format") + 1] if "--format" in argv else "json")
-        for argv in cmds
-        if argv and argv[0] in cli._COMMANDS
-    }
-    assert formats == {(command, fmt) for command in cli._COMMANDS for fmt in ("json", "csv")}
+
+    def formats(argvs):
+        return {(argv[0], argv[argv.index("--format") + 1] if "--format" in argv else "json") for argv in argvs}
+
+    runs = [argv for argv in cmds if argv and argv[0] in cli._COMMANDS]
+    assert formats(runs) == {(command, fmt) for command in cli._COMMANDS for fmt in ("json", "csv")}
+    # Every report the subcommand can write, also through --out.
+    written = formats(argv for argv in runs if "--out" in argv)
+    assert written == {(command, "json") for command in cli._COMMANDS} | {(command, "csv") for command in cli._CSV_COMMANDS}
     configs = {argv[2] for argv in cmds if argv[:2] == ["causal", "--config"]}
     assert {f"scenarios/{path.name}" for path in (ROOT / "scenarios").glob("*.json")} <= configs
     assert {f"edge/{name}" for name in (*report_diff.EDGE_CONFIGS, *report_diff.EDGE_TEXTS)} <= configs

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from corrlab import ensembles
+from corrlab import ensembles, signaling
 from corrlab.ensembles import (
     EXACT_MAX_ROUNDS,
     ExactDistribution,
@@ -259,6 +259,13 @@ class TestVerdictBoundaries:
         """At N = 1 the two choices' (B, B') supports are disjoint, so TV is exactly 1.0, and so is 5/sqrt(25)."""
         v = pr_verdict(1, RunMode.MONTE_CARLO, trials=25, seed=seed)
         assert v.values[1] == v.threshold == 1.0
+        assert v.distinguishable is True
+
+    def test_values_exactly_a_threshold_apart_are_distinguishable(self):
+        """25 trials make the sampled threshold 5/sqrt(25) exactly 1.0, the distance between the values (0.0, 1.0)."""
+        spec = ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=1, trials=25, mode=RunMode.MONTE_CARLO)
+        v = signaling._verdict(spec, Statistic.TOTAL_VARIATION, (0.0, 1.0), {})
+        assert v.threshold == 1.0
         assert v.distinguishable is True
 
 

@@ -7,8 +7,10 @@ checkout's ``src/``, with the checkout as working directory, and compares
 the sha256 of stdout, the exit code and stderr.  The commands cover every
 subcommand in json and csv, at default and small ``--trials``, and the
 refused inputs, including causal configs written to a temporary directory
-that both checkouts read.  Prints one line per command that differs, then
-a summary; exits 1 if any command differs, else 0.
+that both checkouts read, and each subcommand written through
+``--out /dev/stdout``.  Prints one line per command that differs, then a
+summary and ``wc -l src/corrlab/*.py`` of each checkout; exits 1 if any
+command differs, else 0.
 """
 
 from __future__ import annotations
@@ -150,6 +152,10 @@ def commands(config_dir: str) -> list[list[str]]:
     for config in configs:
         cmds += [["causal", "--config", config, "--format", fmt] for fmt in ("json", "csv")]
     cmds += [["--help"], ["ghz-algebra", "--help"], ["jamming", "--help"], ["causal", "--help"], ["frobnicate"], []]
+    # Each subcommand written through --out, in each format it offers; the JSON config echo leaves --out out.
+    cmds += [[c, "--format", fmt, "--out", "/dev/stdout"] for c in SCENARIO_COMMANDS for fmt in ("json", "csv")]
+    cmds += [["jamming", "--jim", "z", "--trials", "300", "--format", fmt, "--out", "/dev/stdout"] for fmt in ("json", "csv")]
+    cmds += [["ghz-algebra", "--out", "/dev/stdout"], ["causal", "--config", "scenarios/causal_loop.json", "--out", "/dev/stdout"]]
     return cmds
 
 
@@ -169,6 +175,12 @@ def run(checkout: Path, argv: list[str]) -> tuple[int, str, str]:
         [sys.executable, "-m", "corrlab", *argv], cwd=checkout, env=env, capture_output=True
     )
     return proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), proc.stderr.decode(errors="replace")
+
+
+def line_counts(checkout: Path) -> str:
+    """The output of ``wc -l src/corrlab/*.py`` in the checkout."""
+    files = sorted(str(f.relative_to(checkout)) for f in (checkout / "src" / "corrlab").glob("*.py"))
+    return subprocess.run(["wc", "-l", *files], cwd=checkout, capture_output=True, text=True, check=True).stdout
 
 
 def describe(parent: tuple[int, str, str], change: tuple[int, str, str]) -> str:
@@ -201,6 +213,8 @@ def main(argv: list[str] | None = None) -> int:
             differ += 1
             print(f"DIFF corrlab {shlex.join(argv)}: {describe(parent, change)}")
     print(f"{len(cmds)} commands, {len(cmds) - differ} identical, {differ} differ")
+    for checkout in checkouts:
+        print(f"\nwc -l src/corrlab/*.py in {checkout}:\n{line_counts(checkout)}", end="")
     return 1 if differ else 0
 
 
