@@ -9,10 +9,10 @@ Each ``cmd_*`` handler returns its report's results, checks and CSV text;
 parsed flag except ``--out``, plus the object ``causal`` read.
 
 Importing this module, parsing the arguments and running exact
-``pr-signal`` or ``ghz-signal`` or ``causal`` never load numpy.  The
-sampled tables here, like the sampled runs behind them, import it inside
-the functions that build them, and ``tsirelson`` and ``ghz-algebra`` load
-it through the float simulator in ``quantum`` on first use.
+``pr-signal`` or ``ghz-signal`` or ``causal`` never load numpy, which
+``_numpy`` loads on first use: the sampled tables here and the sampled
+runs behind them load it, and ``tsirelson`` and ``ghz-algebra`` load it
+through the float simulator in ``quantum``.
 """
 
 from __future__ import annotations
@@ -23,16 +23,13 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import quantum, spacetime
+from ._numpy import np
 from .ensembles import EXACT_MAX_ROUNDS, JammingRecords, RunMode, ScenarioKind, run_jamming_scenario
 from .errors import InvariantViolation
 from .reportio import SCHEMA_VERSION, dump_report
 from .signaling import SignalingVerdict, jamming_unary_exact, verdict
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _MODES = {"exact": RunMode.EXACT, "mc": RunMode.MONTE_CARLO}
 
@@ -43,8 +40,6 @@ def _index_digits(rows: int) -> list[np.ndarray]:
     Digit j of i is i // 10**(w-1-j) % 10 + 48; it is computed once per run
     of equal digits and repeated over the run.
     """
-    import numpy as np
-
     width = len(str(max(rows - 1, 0)))
     columns = []
     for j in range(width):
@@ -67,8 +62,6 @@ def _table_lines(prefix: str, fields: np.ndarray, codes: np.ndarray) -> str:
     fields gathered from ``fields`` (NUL-padded to the widest) and the
     newline.  Dropping every NUL in one pass leaves the text, decoded once.
     """
-    import numpy as np
-
     rows = len(codes)
     head = np.frombuffer(prefix.encode("ascii"), np.uint8)
     matrix = np.concatenate(
@@ -110,8 +103,6 @@ def _dist_csv(v: SignalingVerdict) -> str:
             for point, num, den in dist.atoms()
         ]
     else:
-        import numpy as np
-
         header = ["choice", "trial", *labels]
         lines = []
         for choice, run in v.runs.items():
@@ -123,8 +114,6 @@ def _dist_csv(v: SignalingVerdict) -> str:
 
 def _jamming_csv(records: JammingRecords) -> str:
     """One row per triplet: its index and its (a_x, b_x, j) outcomes, built as one byte matrix by ``_table_lines``."""
-    import numpy as np
-
     # Field text of a +1/-1 outcome, indexed by outcome + 1.
     sign_fields = np.array([b",-1", b",0", b",1"])
     return "triplet,a_x,b_x,j\n" + _table_lines("", sign_fields, records.outcomes + 1)

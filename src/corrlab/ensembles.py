@@ -34,8 +34,8 @@ are tuples, so no caller can change a cached pmf.
 
 Exact runs are pure Python: Born weights, Kronecker-substituted big-int
 powers and tuple distributions.  Only the sampler, sampled runs and their
-histograms and the jamming records import numpy, inside their functions,
-so an exact run never loads it.
+histograms and the jamming records read numpy, through ``_numpy``, so an
+exact run never loads it.
 """
 
 from __future__ import annotations
@@ -48,13 +48,11 @@ import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import Iterator, Mapping
 
+from ._numpy import np
 from .errors import InvariantViolation
 from .quantum import BELL_ROOT2, GHZ_ROOT2, pauli_weights
-
-if TYPE_CHECKING:
-    import numpy as np
 
 EXACT_MAX_ROUNDS = 24
 # Alice's and Bob's components of a three-party run: the receivers of Jim's choice.
@@ -302,8 +300,6 @@ class EnsembleRun:
     @property
     def sums(self) -> np.ndarray:
         """The (trials, k) int64 sums N - 2m of the trials' +1/-1 round outcomes, built anew on each read."""
-        import numpy as np
-
         return self.n_rounds - 2 * self.negatives.T.astype(np.int64)
 
     def empirical(self) -> ExactDistribution:
@@ -324,8 +320,6 @@ def _grid_counts(labels: tuple[str, ...], negatives: np.ndarray, n_rounds: int) 
     trials.  A larger grid sorts each block's cells into distinct cells and
     their counts, then adds the blocks' counts up by distinct cell.
     """
-    import numpy as np
-
     k, trials = negatives.shape
     size = (n_rounds + 1) ** k
     if size <= _COUNT_CELLS_PER_TRIAL * trials:
@@ -352,8 +346,6 @@ def _block_cells(negatives: np.ndarray, n_rounds: int) -> Iterator[np.ndarray]:
     ints (object) on a larger grid, which k = 3 reaches beyond N of about
     1.66e6.
     """
-    import numpy as np
-
     k, trials = negatives.shape
     size = (n_rounds + 1) ** k
     buffer = np.empty(min(trials, _HISTOGRAM_TRIALS), dtype=np.int64 if size < 2**62 else object)
@@ -368,8 +360,6 @@ def _block_cells(negatives: np.ndarray, n_rounds: int) -> Iterator[np.ndarray]:
 
 
 def _stream_rng(seed: int, stream: tuple[int, ...]) -> np.random.Generator:
-    import numpy as np
-
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, *stream)))
 
 
@@ -429,8 +419,6 @@ def _indicator_chunks(
     ``_SAMPLE_WORDS`` live words: the planes, the scratch row if some column
     needs it, and the popcounts.
     """
-    import numpy as np
-
     planes_of, negative_first = _parity_planes(round_pmf)
     scratch_rows = int(any(len(p) != 1 for p in planes_of))
     d = round_pmf.denominator.bit_length() - 1
@@ -475,8 +463,6 @@ def _sample_outcome_rows(
     seeded samples differ from corrlab releases before the bit-sliced
     sampler.
     """
-    import numpy as np
-
     negatives = np.empty((len(round_pmf.labels), trials), dtype=np.min_scalar_type(n_rounds))
     for rows, c, negative_first, _, bit_counts in _indicator_chunks(round_pmf, n_rounds, trials, seed, stream):
         row = negatives[c, rows]
@@ -597,8 +583,6 @@ SCENARIO_RUNNERS = {
 
 def _clear_tail(words: np.ndarray, bits: int) -> None:
     """Clear the bits past the first ``bits`` of each row of 64-bit words."""
-    import numpy as np
-
     if bits % 64:
         words[..., -1] &= np.uint64((1 << bits % 64) - 1)
 
@@ -623,8 +607,6 @@ class JammingRecords:
     @functools.cached_property
     def outcomes(self) -> np.ndarray:
         """The (trials, 3) int8 outcomes of +1/-1, columns (a_x, b_x, j), unpacked from the indicators when first read."""
-        import numpy as np
-
         bytes_ = self.indicators.astype("<u8", copy=False).view(np.uint8)
         bits = np.unpackbits(bytes_, axis=1, count=self.trials, bitorder="little").view(np.int8)
         outcomes = np.multiply(bits.T, np.int8(-2), order="C")
@@ -637,8 +619,6 @@ class JammingRecords:
         A cell's count is the popcount of the AND of the indicators of its
         -1 components and the complements, tail cleared, of its +1 ones.
         """
-        import numpy as np
-
         minus = self.indicators
         plus = ~minus
         _clear_tail(plus, self.trials)
@@ -688,8 +668,6 @@ def run_jamming_scenario(
     Bob on the post-measurement state.  The triplets are the rounds of one
     long sampled trial, and the records keep its three indicator words.
     """
-    import numpy as np
-
     if n_rounds < 1 or trials < 1:
         raise ValueError("n_rounds and trials must be positive")
     # The run holds 3 indicator words per 64 triplets in one array.

@@ -15,11 +15,11 @@ site's pair of factors contributes its Bloch vectors' dot and cross
 products to a closed form, exact on Pauli letters and linear in the sites.
 
 The float simulator (``PureState``, the state builders, the expectations
-and the Born branches and pmfs) imports numpy inside its functions, on
-first use.  Observables, commutator norms, ``pauli_weights`` and the
-assignment search are pure Python, so a process that needs only exact
-Born weights, as the exact ``pr-signal`` and ``ghz-signal`` commands and
-``causal`` do, never loads numpy; ``tsirelson`` (its tilted box) and
+and the Born branches and pmfs) reads numpy through ``_numpy``, which
+loads it on first use.  Observables, commutator norms, ``pauli_weights``
+and the assignment search are pure Python, so a process that needs only
+exact Born weights, as the exact ``pr-signal`` and ``ghz-signal`` commands
+and ``causal`` do, never loads numpy; ``tsirelson`` (its tilted box) and
 ``ghz-algebra`` (the GHZ state vector) load it.
 """
 
@@ -29,12 +29,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
+from ._numpy import np
 from .errors import InvariantViolation, NonCommutingError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 MAX_QUBITS = 12
 _COMMUTATOR_TOL = 1e-10
@@ -101,8 +98,6 @@ def _signed_permutation(observable: PauliObservable) -> tuple[np.ndarray, np.nda
     term), as (rows, [[c], [-c]], s) for the site's (rows, 2, -1) view of
     the vector.
     """
-    import numpy as np
-
     n = observable.n_qubits
     basis = np.arange(2**n)
     mask = 0
@@ -151,8 +146,6 @@ class PureState:
     n_qubits: int = field(init=False)
 
     def __post_init__(self):
-        import numpy as np
-
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.ndim != 1:
             amps = amps.reshape(-1)
@@ -185,21 +178,15 @@ GHZ_ROOT2 = (1, 0, 0, 0, 0, 0, 0, -1)
 
 def bell_state() -> PureState:
     """(|up,up> + |down,down>)/sqrt(2) on two qubits."""
-    import numpy as np
-
     return PureState(np.array(BELL_ROOT2, complex) / math.sqrt(2.0))
 
 
 def ghz_state() -> PureState:
     """(|up,up,up> - |down,down,down>)/sqrt(2) on three qubits."""
-    import numpy as np
-
     return PureState(np.array(GHZ_ROOT2, complex) / math.sqrt(2.0))
 
 
 def expectation(state: PureState, observable: PauliObservable) -> float:
-    import numpy as np
-
     return float(np.vdot(state.amplitudes, _apply(observable, state.amplitudes)).real)
 
 
@@ -245,8 +232,6 @@ def _born_branches(key: bytes, observable: PauliObservable) -> tuple[float, Pure
     it again when measured next; a branch of norm below 1e-9 is None.  An entry holds
     at most three 2^n-amplitude vectors, 192 KiB at MAX_QUBITS, so about 12 MiB in all.
     """
-    import numpy as np
-
     amps = np.frombuffer(key, complex)
     applied = _apply(observable, amps)
     p_plus = min(1.0, max(0.0, (1.0 + float(np.vdot(amps, applied).real)) / 2.0))
@@ -310,8 +295,6 @@ def product_expectation(state: PureState, a: PauliObservable, b: PauliObservable
     the operator product has a definite value even though neither factor
     does.
     """
-    import numpy as np
-
     value = np.vdot(_apply(a, state.amplitudes), _apply(b, state.amplitudes))
     if abs(value.imag) > 1e-12:
         raise InvariantViolation(f"product expectation has imaginary part {value.imag!r}")
@@ -372,8 +355,6 @@ def _born_pmf(key: bytes, factors: tuple[str | float, ...]) -> dict[tuple[int, .
     floats keyed by the shared outcome tuples and its 2^n amplitude bytes,
     about 0.3 MiB at MAX_QUBITS, so about 20 MiB in all.
     """
-    import numpy as np
-
     n = len(factors)
     vecs = _projections(np.frombuffer(key, complex), factors)
     probs = {outcome: float(np.vdot(vec, vec).real) / 4**n for outcome, vec in zip(outcome_tuples(n), vecs)}

@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -942,10 +943,16 @@ def test_warm_process_reports_match_fresh_processes(tmp_path):
 
 
 _NUMPY_FREE_PROBE = """
-import contextlib, io, json, sys
+import contextlib, inspect, io, json, sys
 steps = []
 import corrlab.cli
 steps.append(["import corrlab.cli", None, "numpy" in sys.modules])
+for name, mod in list(sys.modules.items()):
+    if name.startswith("corrlab."):
+        for obj in list(vars(mod).values()):
+            getattr(obj, "__module__", None), inspect.isfunction(obj), inspect.isclass(obj)
+            hasattr(obj, "__wrapped__")
+steps.append(["inspect corrlab attributes", None, "numpy" in sys.modules])
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -971,6 +978,11 @@ _NUMPY_FREE_COMMANDS = [
 def test_exact_commands_never_import_numpy():
     """Importing the CLI, exact pr-signal and ghz-signal, causal, --help and a refused --n leave numpy unloaded.
 
+    So does reading ``__module__``, ``inspect.isfunction`` and
+    ``inspect.isclass`` of every attribute of every loaded corrlab module,
+    as the benchmark's tracer does when it wraps the layers, and looking
+    for a ``__wrapped__`` on each, as ``inspect.unwrap`` does.
+
     One child interpreter runs every command in turn; a last ``tsirelson``
     run, whose tilted box needs the float simulator, shows the probe sees
     numpy once something loads it.
@@ -985,6 +997,7 @@ def test_exact_commands_never_import_numpy():
     *numpy_free, last = steps
     assert numpy_free == [
         ["import corrlab.cli", None, False],
+        ["inspect corrlab attributes", None, False],
         *([" ".join(argv), 2 if argv[-1] == "25" else 0, False] for argv in _NUMPY_FREE_COMMANDS),
     ]
     assert last == ["tsirelson --n 2", 0, True]
@@ -1099,6 +1112,18 @@ class TestDeterminismAndErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: trials must be positive\n"
+
+    def test_invariant_violation_exits_3(self, capsys, monkeypatch):
+        """A round pmf the sampler cannot read as XORs of bit-planes ends with exit 3 and no report."""
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        skewed = ExactDistribution.from_mapping(
+            {(1, 1): half, (1, -1): quarter, (-1, -1): quarter}, ("B", "B_prime"), 1
+        )
+        monkeypatch.setattr(ensembles, "pr_round_pmf", lambda sender_choice: skewed)
+        assert main(["pr-signal", "--mode", "mc", "--n", "2", "--trials", "10"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "invariant violation: round pmf is not uniform over an affine outcome set\n"
 
     def test_large_n_allowed_in_sampled_mode(self, tmp_path):
         report = run_json(

@@ -1,5 +1,5 @@
 """Checks that tie the package to the files around it: README's example, the benchmark's spans,
-a consumer inside the package for every public name, and the numpy pin."""
+a consumer inside the package for every public name, the numpy pin and its one importer."""
 
 from __future__ import annotations
 
@@ -148,6 +148,18 @@ def test_numpy_pin_admits_the_installed_numpy():
     installed = tuple(map(int, re.match(r"(\d+)\.(\d+)", np.__version__).groups()))
     assert (2, 0) <= floor <= installed
     assert hasattr(np, "bitwise_count")
+
+
+def test_only_the_lazy_module_imports_numpy():
+    """``corrlab._numpy`` alone decides when numpy loads; every other module reads its ``np``."""
+    importers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in (SRC / "corrlab").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+    )
+    assert {site.split(":")[0] for site in importers} == {"_numpy.py"}, importers
 
 
 def test_report_diff_covers_every_subcommand():
