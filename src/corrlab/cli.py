@@ -227,25 +227,17 @@ def cmd_causal(args) -> tuple[dict, dict, str | None]:
     if not isinstance(data, dict):
         raise ValueError("causal config must be a JSON object")
 
-    events = {}
-    for key in ("a_hat", "b_hat", "j_hat"):
-        if key in data:
-            events[key] = spacetime.event_from_json_obj(data[key])
+    events = {key: spacetime.event_from_json_obj(data[key]) for key in ("a_hat", "b_hat", "j_hat") if key in data}
     results: dict = {}
     checks: dict = {}
 
     if "a_hat" in events and "b_hat" in events:
+        apex = spacetime.cone_overlap_apex(events["a_hat"], events["b_hat"]).to_json_obj()
+        results["overlap_apex"] = apex
         if "j_hat" in events:
-            config = spacetime.CausalConfig(
-                a_hat=events["a_hat"], b_hat=events["b_hat"], j_hat=events["j_hat"]
-            )
-            binary = spacetime.binary_condition(config)
-            apex = binary["overlap_apex"]
-            results["binary_condition"] = {"holds": binary["holds"], "overlap_apex": apex.to_json_obj()}
-            checks["binary_condition_holds"] = binary["holds"]
-        else:
-            apex = spacetime.cone_overlap_apex(events["a_hat"], events["b_hat"])
-        results["overlap_apex"] = apex.to_json_obj()
+            holds = spacetime.binary_condition(spacetime.CausalConfig(**events))
+            results["binary_condition"] = {"holds": holds, "overlap_apex": apex}
+            checks["binary_condition_holds"] = holds
 
     if "beta" in data:
         if "a_hat" not in events or "b_hat" not in events:
@@ -277,7 +269,7 @@ def cmd_causal(args) -> tuple[dict, dict, str | None]:
             "alice_map": policy.alice_map,
             "bob_map": policy.bob_map,
             "consistent": loop["consistent"],
-            "fixed_points": [list(fp) for fp in loop["fixed_points"]],
+            "fixed_points": loop["fixed_points"],
         }
         results["policy_scan_summary"] = {
             "pairs": len(scan),

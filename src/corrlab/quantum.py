@@ -328,20 +328,14 @@ def joint_probabilities(
 
 
 def _projections(amps: np.ndarray, factors: tuple[str | float, ...]):
-    """prod_k (I + o_k M_k) amps, 2^n times its projection, for each outcome tuple o in ``outcome_tuples`` order.
-
-    Depth first: outcome i redoes only the sites from its lowest set bit on,
-    and site k's image M_k prefix[k] serves both its +1 and -1 branches.
-    """
+    """prod_k (I + o_k M_k) amps, 2^n times its projection, for each outcome tuple o in ``outcome_tuples`` order."""
     n = len(factors)
     sites = [PauliObservable(("I",) * k + (f,) + ("I",) * (n - 1 - k)) for k, f in enumerate(factors)]
-    prefix, applied = [amps] * (n + 1), [amps] * n
-    for i, outcome in enumerate(outcome_tuples(n)):
-        for k in range(n - (i & -i).bit_length() if i else 0, n):
-            if outcome[k] == 1:
-                applied[k] = _apply(sites[k], prefix[k])
-            prefix[k + 1] = prefix[k] + outcome[k] * applied[k]
-        yield prefix[n]
+    for outcome in outcome_tuples(n):
+        vec = amps
+        for site, o in zip(sites, outcome):
+            vec = vec + o * _apply(site, vec)
+        yield vec
 
 
 @lru_cache(maxsize=64)

@@ -1,10 +1,12 @@
 """1+1D Minkowski geometry: boosts, light cones, and causal-loop logic.
 
-Units have c = 1.  Light cones are closed, so lightlike separation counts
-as inside; the containment questions below are stated as closed-cone
-membership.  Cone memberships, overlap apexes and reply times are computed
-exactly on the rationals the float coordinates stand for, and a reported
-coordinate is rounded once, so the boundary is decided without rounding.
+Units have c = 1.  An event's closed future light cone is one thing only:
+in the null coordinates (u, v) = (t - x, t + x) it is the quadrant
+u' >= u, v' >= v, with the event at its corner, so lightlike separation
+counts as inside.  Two such quadrants overlap in a third, whose corner is
+the apex of the overlap.  Null coordinates are computed exactly on the
+rationals the float coordinates stand for, and a reported coordinate is
+rounded once, so every boundary is decided without rounding.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-FIXED_POINT_DOMAIN = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 MAP_NAMES = ("echo", "invert", "const0", "const1")
 _MAP_TABLE = {
@@ -73,11 +73,6 @@ def boost(e: SpacetimeEvent, beta: float) -> SpacetimeEvent:
     )
 
 
-def in_future_cone(apex: SpacetimeEvent, e: SpacetimeEvent) -> bool:
-    """Closed future light cone: (e.t - apex.t) >= |e.x - apex.x|, compared exactly."""
-    return Fraction(e.t) - Fraction(apex.t) >= abs(Fraction(e.x) - Fraction(apex.x))
-
-
 @dataclass(frozen=True)
 class CausalConfig:
     """The three events of the jamming geometry question."""
@@ -93,48 +88,35 @@ def _null_coordinates(e: SpacetimeEvent) -> tuple[Fraction, Fraction]:
     return t - x, t + x
 
 
-def _overlap_corner(a: SpacetimeEvent, b: SpacetimeEvent) -> tuple[Fraction, Fraction]:
-    """The exact (t, x) of the apex of the overlap of a's and b's future cones.
-
-    The intersection of two quadrants is again a quadrant, whose corner has
-    the componentwise maxima of their null coordinates.
-    """
-    (ua, va), (ub, vb) = _null_coordinates(a), _null_coordinates(b)
-    u, v = max(ua, ub), max(va, vb)
-    return (u + v) / 2, (v - u) / 2
-
-
 def cone_overlap_apex(a: SpacetimeEvent, b: SpacetimeEvent) -> SpacetimeEvent:
     """Apex of the intersection of two future light cones in 1+1D.
 
-    The apex is the earliest event causally after both inputs; when it is
-    one of them, it is returned as given.  Otherwise it is computed exactly
-    and each coordinate rounded once, so every apex within float range
-    comes out, and one beyond it is refused.
+    The overlap of two quadrants is the quadrant at the componentwise
+    maxima of their null coordinates.  When that corner is an input's own,
+    the input is returned as given; otherwise the exact corner is rounded
+    once, so every apex within float range comes out, and one beyond it is
+    refused.
     """
-    if in_future_cone(b, a):
+    (ua, va), (ub, vb) = _null_coordinates(a), _null_coordinates(b)
+    u, v = max(ua, ub), max(va, vb)
+    if (u, v) == (ua, va):
         return a
-    if in_future_cone(a, b):
+    if (u, v) == (ub, vb):
         return b
-    t, x = _overlap_corner(a, b)
     what = "the apex of the two cones' overlap"
-    return SpacetimeEvent(t=_round_once(t, what), x=_round_once(x, what))
+    return SpacetimeEvent(t=_round_once((u + v) / 2, what), x=_round_once((v - u) / 2, what))
 
 
-def binary_condition(config: CausalConfig) -> dict:
+def binary_condition(config: CausalConfig) -> bool:
     """Does the overlap of the futures of a_hat and b_hat sit inside j_hat's future?
 
-    In 1+1D the overlap region is itself a (closed) future cone, so it is
-    contained in another future cone exactly when its apex is: when each of
-    the apex's null coordinates, the maxima over a_hat and b_hat, reaches
-    j_hat's.  The verdict is read from these exact values, not from the
-    rounded apex reported, and the apex is computed once, by cone_overlap_apex.
+    The overlap is the quadrant at the maxima of a_hat's and b_hat's null
+    coordinates, so it lies in j_hat's quadrant exactly when each maximum
+    reaches j_hat's.  The verdict is read from these exact values, not
+    from the rounded apex that ``cone_overlap_apex`` reports.
     """
     (ua, va), (ub, vb), (uj, vj) = map(_null_coordinates, (config.a_hat, config.b_hat, config.j_hat))
-    return {
-        "holds": max(ua, ub) >= uj and max(va, vb) >= vj,
-        "overlap_apex": cone_overlap_apex(config.a_hat, config.b_hat),
-    }
+    return max(ua, ub) >= uj and max(va, vb) >= vj
 
 
 @dataclass(frozen=True)
@@ -153,16 +135,13 @@ class DevicePolicy:
 def loop_analysis(policy: DevicePolicy) -> dict:
     """Solve the closed loop i_A = alice(i_B), i_B = bob(i_A) over bits.
 
-    The loop is consistent when at least one fixed point exists.  Zero
-    fixed points is the self-contradictory configuration; two fixed
-    points means the loop is consistent but underdetermined.
+    Each fixed point is (i_A, bob(i_A)) for an i_A = alice(bob(i_A)).  The
+    loop is consistent when at least one fixed point exists.  Zero fixed
+    points is the self-contradictory configuration; two fixed points means
+    the loop is consistent but underdetermined.
     """
     alice, bob = _MAP_TABLE[policy.alice_map], _MAP_TABLE[policy.bob_map]
-    fixed_points = [
-        (i_a, i_b)
-        for i_a, i_b in FIXED_POINT_DOMAIN
-        if alice(i_b) == i_a and bob(i_a) == i_b
-    ]
+    fixed_points = [(i_a, bob(i_a)) for i_a in (0, 1) if alice(bob(i_a)) == i_a]
     return {
         "consistent": len(fixed_points) >= 1,
         "fixed_points": fixed_points,

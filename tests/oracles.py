@@ -19,12 +19,14 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import sympy as sp
 
 from corrlab.ensembles import EnsembleRun, ExactDistribution, JammingRecords, RunMode
 from corrlab.quantum import _projections
+from corrlab.spacetime import SpacetimeEvent
 
 
 def pr_bruteforce_joint(n: int, choice: str) -> dict[tuple[Fraction, Fraction], Fraction]:
@@ -550,24 +552,44 @@ def parity_solution_count(constraints) -> int:
     return 2 ** (n_vars - rank)
 
 
+_LOOP_TABLES = {
+    "echo": {0: 0, 1: 1},
+    "invert": {0: 1, 1: 0},
+    "const0": {0: 0, 1: 0},
+    "const1": {0: 1, 1: 1},
+}
+
+
+def loop_fixed_points_by_scan(alice_map: str, bob_map: str) -> list[tuple[int, int]]:
+    """The fixed points of i_A = alice(i_B), i_B = bob(i_A), by scanning all four bit pairs, via truth tables."""
+    alice, bob = _LOOP_TABLES[alice_map], _LOOP_TABLES[bob_map]
+    return [(i_a, i_b) for i_a in (0, 1) for i_b in (0, 1) if alice[i_b] == i_a and bob[i_a] == i_b]
+
+
 def truth_table_loop_scan() -> dict[tuple[str, str], int]:
     """Fixed-point counts for every device-policy pair, via truth tables."""
-    tables = {
-        "echo": {0: 0, 1: 1},
-        "invert": {0: 1, 1: 0},
-        "const0": {0: 0, 1: 0},
-        "const1": {0: 1, 1: 1},
-    }
-    out = {}
-    for a_name, a_map in tables.items():
-        for b_name, b_map in tables.items():
-            count = 0
-            for i_a in (0, 1):
-                for i_b in (0, 1):
-                    if a_map[i_b] == i_a and b_map[i_a] == i_b:
-                        count += 1
-            out[(a_name, b_name)] = count
-    return out
+    return {(a, b): len(loop_fixed_points_by_scan(a, b)) for a in _LOOP_TABLES for b in _LOOP_TABLES}
+
+
+def in_future_cone_by_interval(apex: SpacetimeEvent, e: SpacetimeEvent) -> bool:
+    """Closed future light cone: (e.t - apex.t) >= |e.x - apex.x|, compared exactly."""
+    return Fraction(e.t) - Fraction(apex.t) >= abs(Fraction(e.x) - Fraction(apex.x))
+
+
+def overlap_corner_by_rays(a: SpacetimeEvent, b: SpacetimeEvent) -> SimpleNamespace:
+    """The exact (t, x) of the earliest event in both closed future cones, as Fractions.
+
+    It is the later input when that one is in the other's cone, and
+    otherwise the crossing of the light ray leaving the left event rightward
+    with the one leaving the right event leftward.
+    """
+    if in_future_cone_by_interval(b, a):
+        return SimpleNamespace(t=Fraction(a.t), x=Fraction(a.x))
+    if in_future_cone_by_interval(a, b):
+        return SimpleNamespace(t=Fraction(b.t), x=Fraction(b.x))
+    left, right = sorted((a, b), key=lambda e: Fraction(e.x))
+    lt, lx, rt, rx = map(Fraction, (left.t, left.x, right.t, right.x))
+    return SimpleNamespace(t=(lt + rt + rx - lx) / 2, x=(lx + rx + rt - lt) / 2)
 
 
 def grid_cone_check(a, b, j, radius: float = 6.0, step: float = 0.5) -> bool:

@@ -270,7 +270,7 @@ def test_cone_overlap_verdicts():
         config = CausalConfig(
             a_hat=SpacetimeEvent(*a), b_hat=SpacetimeEvent(*b), j_hat=SpacetimeEvent(*j)
         )
-        plain_ok &= binary_condition(config)["holds"] is want
+        plain_ok &= binary_condition(config) is want
         for beta in rng.uniform(-0.9, 0.9, size=20):
             beta = float(beta)
             boosted = CausalConfig(
@@ -278,7 +278,7 @@ def test_cone_overlap_verdicts():
                 b_hat=boost(config.b_hat, beta),
                 j_hat=boost(config.j_hat, beta),
             )
-            invariant_ok &= binary_condition(boosted)["holds"] is want
+            invariant_ok &= binary_condition(boosted) is want
     elapsed = time.perf_counter() - t0
     _gate(
         "cone overlap verdicts",

@@ -7,12 +7,14 @@ import ast
 import importlib.util
 import json
 import re
+import shlex
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import corrlab
 from child_env import child_env
@@ -162,11 +164,16 @@ def test_only_the_lazy_module_imports_numpy():
     assert {site.split(":")[0] for site in importers} == {"_numpy.py"}, importers
 
 
-def test_report_diff_covers_every_subcommand():
-    """tools/report_diff.py runs each subcommand in both formats, through --out too, and causal on every shipped config."""
+def _report_diff():
     spec = importlib.util.spec_from_file_location("report_diff", ROOT / "tools" / "report_diff.py")
     report_diff = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(report_diff)
+    return report_diff
+
+
+def test_report_diff_covers_every_subcommand():
+    """tools/report_diff.py runs each subcommand in both formats, through --out too, and causal on every shipped config."""
+    report_diff = _report_diff()
     cmds = report_diff.commands("edge")
 
     def formats(argvs):
@@ -187,3 +194,43 @@ def test_report_diff_covers_every_subcommand():
         for argv in cmds
         if {"mc", "csv", "--n", "--trials"} <= set(argv)
     )
+
+
+_NO_NUMPY_TRACEBACK = (
+    "Traceback (most recent call last):\n"
+    '  File "<frozen runpy>", line 198, in _run_module_as_main\n'
+    "    import numpy\n"
+    "ModuleNotFoundError: No module named 'numpy'\n"
+)
+
+
+@pytest.mark.parametrize(
+    "parent, change, verdict",
+    [
+        ((0, "aa", ""), (0, "aa", ""), "identical"),
+        ((0, "aa", ""), (1, "e3b0", _NO_NUMPY_TRACEBACK), "skipped"),
+        ((1, "e3b0", _NO_NUMPY_TRACEBACK), (1, "e3b0", _NO_NUMPY_TRACEBACK), "skipped"),
+        ((0, "aa", ""), (0, "bb", ""), "differ"),
+        ((2, "e3b0", "error: beta must be a number\n"), (2, "e3b0", "error: beta must be a number.\n"), "differ"),
+        ((0, "aa", ""), (1, "e3b0", _NO_NUMPY_TRACEBACK.replace("'numpy'", "'sympy'")), "differ"),
+        ((0, "aa", ""), (1, "e3b0", _NO_NUMPY_TRACEBACK + "\nDuring handling of the above exception:\nKeyError\n"), "differ"),
+    ],
+    ids=["same", "change-lacks-numpy", "both-lack-numpy", "stdout", "stderr", "other-module", "numpy-not-last"],
+)
+def test_report_diff_skips_only_runs_that_end_for_want_of_numpy(parent, change, verdict):
+    assert _report_diff().compare(parent, change) == verdict
+
+
+def test_report_diff_runs_the_change_side_under_another_interpreter(tmp_path, monkeypatch, capsys):
+    """Under an interpreter whose numpy is missing, a command that needs numpy is skipped and the rest compared."""
+    report_diff = _report_diff()
+    hidden = tmp_path / "hidden"
+    (hidden / "numpy").mkdir(parents=True)
+    (hidden / "numpy" / "__init__.py").write_text("raise ModuleNotFoundError(\"No module named 'numpy'\", name='numpy')\n")
+    interp = tmp_path / "python-without-numpy"
+    interp.write_text(f'#!/bin/sh\nPYTHONPATH="{hidden}:$PYTHONPATH" exec {shlex.quote(sys.executable)} "$@"\n')
+    interp.chmod(0o755)
+    cmds = [["pr-signal", "--mode", "mc", "--n", "1", "--trials", "1"], ["causal", "--config", "scenarios/causal_loop.json"]]
+    monkeypatch.setattr(report_diff, "commands", lambda config_dir: cmds)
+    assert report_diff.main([str(ROOT), str(ROOT), "--python", str(interp)]) == 0
+    assert "2 commands, 1 identical, 0 differ, 1 skipped\n" in capsys.readouterr().out

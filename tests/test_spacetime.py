@@ -16,7 +16,6 @@ from corrlab.spacetime import (
     boost,
     cone_overlap_apex,
     event_from_json_obj,
-    in_future_cone,
     loop_analysis,
     policy_scan,
     round_trip_chronology,
@@ -26,17 +25,23 @@ finite_coords = st.floats(
     min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False
 )
 betas = st.floats(min_value=-0.99, max_value=0.99)
+any_coords = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def ev(t, x):
     return SpacetimeEvent(t=t, x=x)
 
 
+def in_cone(apex, e):
+    """e is in apex's closed future cone: the overlap of e's cone with itself lies in apex's."""
+    return binary_condition(CausalConfig(a_hat=e, b_hat=e, j_hat=apex))
+
+
 class TestEvents:
     def test_interval(self):
         """The origin's closed future cone holds exactly the events with t >= 0 and t^2 - x^2 >= 0."""
         for t, x in [(2.0, 1.0), (1.0, -1.0), (1.0, 2.0), (-2.0, 1.0), (0.0, 0.0)]:
-            assert in_future_cone(ev(0.0, 0.0), ev(t, x)) == (t >= 0 and t * t - x * x >= 0)
+            assert in_cone(ev(0.0, 0.0), ev(t, x)) == (t >= 0 and t * t - x * x >= 0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -92,23 +97,23 @@ class TestBoosts:
 class TestCones:
     def test_memberships(self):
         apex = ev(0.0, 0.0)
-        assert in_future_cone(apex, ev(2.0, 1.0))
-        assert in_future_cone(apex, ev(1.0, 1.0))  # lightlike boundary counts
-        assert in_future_cone(apex, ev(0.0, 0.0))  # the apex itself counts
-        assert not in_future_cone(apex, ev(0.5, 1.0))
-        assert not in_future_cone(apex, ev(-1.0, 0.0))
+        assert in_cone(apex, ev(2.0, 1.0))
+        assert in_cone(apex, ev(1.0, 1.0))  # lightlike boundary counts
+        assert in_cone(apex, ev(0.0, 0.0))  # the apex itself counts
+        assert not in_cone(apex, ev(0.5, 1.0))
+        assert not in_cone(apex, ev(-1.0, 0.0))
 
     def test_memberships_past_overflowing_differences(self):
         # dx = 2e308 overflows while dt = 1.9e308 does not: outside the cone
-        assert not in_future_cone(ev(-9e307, 1e308), ev(1e308, -1e308))
+        assert not in_cone(ev(-9e307, 1e308), ev(1e308, -1e308))
         # dt and dx both overflow to inf; exactly, dt = |dx| and dt > |dx|
-        assert in_future_cone(ev(-1e308, -1e308), ev(1e308, 1e308))
-        assert in_future_cone(ev(-1e308, 0.0), ev(1e308, 1e308))
-        assert not in_future_cone(ev(-1e308, -1e308), ev(1e308, 1e308 + 1e292))
+        assert in_cone(ev(-1e308, -1e308), ev(1e308, 1e308))
+        assert in_cone(ev(-1e308, 0.0), ev(1e308, 1e308))
+        assert not in_cone(ev(-1e308, -1e308), ev(1e308, 1e308 + 1e292))
 
     def test_membership_below_float_resolution(self):
         # dt = 1 - 1e-17 < |dx| = 1, though 1.0 - 1e-17 rounds to 1.0
-        assert not in_future_cone(ev(1e-17, 1.0), ev(1.0, 0.0))
+        assert not in_cone(ev(1e-17, 1.0), ev(1.0, 0.0))
 
     @given(finite_coords, finite_coords, finite_coords, finite_coords, betas)
     @settings(max_examples=120)
@@ -117,7 +122,7 @@ class TestCones:
         # boundary cases can flip under rounding; stay clear of the light cone
         margin = abs(e.t - apex.t) - abs(e.x - apex.x)
         assume(abs(margin) > 1e-6 * max(1.0, abs(at), abs(ax), abs(et), abs(ex)))
-        assert in_future_cone(boost(apex, beta), boost(e, beta)) == in_future_cone(apex, e)
+        assert in_cone(boost(apex, beta), boost(e, beta)) == in_cone(apex, e)
 
 
 class TestConeOverlap:
@@ -138,8 +143,8 @@ class TestConeOverlap:
     def test_apex_is_in_both_cones(self):
         a, b = ev(0.0, -2.0), ev(1.0, 3.0)
         apex = cone_overlap_apex(a, b)
-        assert in_future_cone(a, apex)
-        assert in_future_cone(b, apex)
+        assert oracles.in_future_cone_by_interval(a, apex)
+        assert oracles.in_future_cone_by_interval(b, apex)
 
     @given(*(finite_coords,) * 6)
     @settings(max_examples=80)
@@ -147,7 +152,7 @@ class TestConeOverlap:
         a, b, e = ev(at, ax), ev(bt, bx), ev(et, ex)
         apex = cone_overlap_apex(a, b)
         tol = 1e-9 * max(1.0, *(abs(c) for c in (at, ax, bt, bx, et, ex)))
-        if in_future_cone(a, e) and in_future_cone(b, e):
+        if oracles.in_future_cone_by_interval(a, e) and oracles.in_future_cone_by_interval(b, e):
             # every event in the overlap is in the apex's cone
             assert (e.t - apex.t) >= abs(e.x - apex.x) - tol
 
@@ -173,32 +178,68 @@ class TestConeOverlap:
         with pytest.raises(ValueError, match="beyond the float range"):
             cone_overlap_apex(ev(1e308, 1e308), ev(1e308, -1e308))
 
+    def test_apex_at_an_input_keeps_its_negative_zero(self):
+        a, b = ev(1.0, -0.0), ev(0.0, 0.0)
+        assert cone_overlap_apex(a, b) is a
+        assert math.copysign(1.0, cone_overlap_apex(b, a).x) == -1.0
+
+    def test_lightlike_apex_is_the_later_input(self):
+        a, b = ev(0.0, 0.0), ev(1.0, 1.0)
+        assert cone_overlap_apex(a, b) is b
+        assert cone_overlap_apex(b, a) is b
+
+    def test_apex_of_coincident_inputs_is_the_first(self):
+        a, b = ev(0.0, 0.0), ev(-0.0, -0.0)
+        assert cone_overlap_apex(a, b) is a
+        assert cone_overlap_apex(b, a) is b
+
+    @given(*(any_coords,) * 4)
+    @settings(max_examples=300)
+    @example(1e308, 1e308, 1e308, -1e308)
+    @example(1e308, -1e308, -1e308, 1e308)
+    @example(-1e308, -1e308, 1e308, 1e308)
+    @example(0.0, -5e-324, 0.0, 5e-324)
+    @example(5e-324, 0.0, 0.0, 5e-324)
+    @example(1.0, -0.0, 0.0, 0.0)
+    @example(0.0, -0.0, -0.0, 0.0)
+    def test_apex_is_an_input_exactly_when_the_oracle_puts_it_in_the_others_cone(self, at, ax, bt, bx):
+        a, b = ev(at, ax), ev(bt, bx)
+        a_after_b = oracles.in_future_cone_by_interval(b, a)
+        b_after_a = oracles.in_future_cone_by_interval(a, b)
+        try:
+            apex = cone_overlap_apex(a, b)
+        except ValueError as exc:
+            # only a corner that is neither input is rounded, and so refused
+            assert "beyond the float range" in str(exc)
+            assert not (a_after_b or b_after_a)
+            return
+        assert (apex is a) == a_after_b
+        assert (apex is b) == (b_after_a and not a_after_b)
+
 
 class TestBinaryCondition:
     def _config(self, j_t, j_x, a=(0.0, -1.0), b=(0.0, 1.0)):
         return CausalConfig(a_hat=ev(*a), b_hat=ev(*b), j_hat=ev(j_t, j_x))
 
     def test_jammer_on_time(self):
-        report = binary_condition(self._config(-0.5, 0.0))
-        assert report["holds"] is True
-        assert (report["overlap_apex"].t, report["overlap_apex"].x) == (1.0, 0.0)
+        config = self._config(-0.5, 0.0)
+        assert binary_condition(config) is True
+        assert cone_overlap_apex(config.a_hat, config.b_hat) == ev(1.0, 0.0)
 
     def test_jammer_too_late(self):
-        assert binary_condition(self._config(2.0, 0.0))["holds"] is False
+        assert binary_condition(self._config(2.0, 0.0)) is False
 
     def test_retrocausal_geometry(self):
         # the jammer acts after the overlap apex would allow in its own past
-        report = binary_condition(
-            self._config(1.0, 0.0, a=(0.0, -2.0), b=(0.0, 2.0))
-        )
-        assert report["holds"] is True
-        assert (report["overlap_apex"].t, report["overlap_apex"].x) == (2.0, 0.0)
+        config = self._config(1.0, 0.0, a=(0.0, -2.0), b=(0.0, 2.0))
+        assert binary_condition(config) is True
+        assert cone_overlap_apex(config.a_hat, config.b_hat) == ev(2.0, 0.0)
 
     def test_verdict_reads_the_exact_apex(self):
         # The apex is reported as (0.65, 0.14999999999999997) but lies 3 * 2^-56 earlier, outside a jammer there.
-        report = binary_condition(self._config(0.65, 0.14999999999999997, a=(0.1, 0.7), b=(0.3, -0.2)))
-        assert report["holds"] is False
-        assert report["overlap_apex"] == ev(0.65, 0.14999999999999997)
+        config = self._config(0.65, 0.14999999999999997, a=(0.1, 0.7), b=(0.3, -0.2))
+        assert binary_condition(config) is False
+        assert cone_overlap_apex(config.a_hat, config.b_hat) == config.j_hat
 
     def test_matches_grid_oracle(self):
         cases = [
@@ -211,20 +252,32 @@ class TestBinaryCondition:
         ]
         for a, b, j in cases:
             config = CausalConfig(a_hat=ev(*a), b_hat=ev(*b), j_hat=ev(*j))
-            holds = binary_condition(config)["holds"]
             grid_ok = oracles.grid_cone_check(a, b, j)
-            if holds:
+            if binary_condition(config):
                 assert grid_ok
             else:
                 # the apex itself witnesses the violation
-                apex = binary_condition(config)["overlap_apex"]
-                assert not in_future_cone(config.j_hat, apex)
+                apex = cone_overlap_apex(config.a_hat, config.b_hat)
+                assert not oracles.in_future_cone_by_interval(config.j_hat, apex)
+
+    @given(*(any_coords,) * 6)
+    @settings(max_examples=300)
+    @example(1e308, -1e308, 1e308, 1e308, -1e308, 0.0)
+    @example(1e308, -1e308, 1e308, -1e308, -9e307, 1e308)
+    @example(0.0, -5e-324, 0.0, 5e-324, 0.0, -5e-324)
+    @example(0.0, -5e-324, 0.0, 5e-324, 5e-324, 0.0)
+    @example(1.0, -0.0, 0.0, 0.0, 1.0, 0.0)
+    @example(-0.0, -0.0, 0.0, 0.0, 0.0, -0.0)
+    def test_holds_exactly_when_the_exact_corner_is_in_the_jammers_cone(self, at, ax, bt, bx, jt, jx):
+        config = CausalConfig(a_hat=ev(at, ax), b_hat=ev(bt, bx), j_hat=ev(jt, jx))
+        corner = oracles.overlap_corner_by_rays(config.a_hat, config.b_hat)
+        assert binary_condition(config) is oracles.in_future_cone_by_interval(config.j_hat, corner)
 
     @given(*(st.floats(min_value=-5, max_value=5),) * 6, st.floats(min_value=-0.9, max_value=0.9))
     @settings(max_examples=100)
     def test_verdict_is_boost_invariant(self, at, ax, bt, bx, jt, jx, beta):
         config = CausalConfig(a_hat=ev(at, ax), b_hat=ev(bt, bx), j_hat=ev(jt, jx))
-        apex = binary_condition(config)["overlap_apex"]
+        apex = cone_overlap_apex(config.a_hat, config.b_hat)
         margin = (apex.t - jt) - abs(apex.x - jx)
         assume(abs(margin) > 1e-6 * max(1.0, abs(apex.t), abs(apex.x), abs(jt), abs(jx)))
         boosted = CausalConfig(
@@ -232,7 +285,7 @@ class TestBinaryCondition:
             b_hat=boost(config.b_hat, beta),
             j_hat=boost(config.j_hat, beta),
         )
-        assert binary_condition(boosted)["holds"] == binary_condition(config)["holds"]
+        assert binary_condition(boosted) == binary_condition(config)
 
 
 class TestLoops:
@@ -254,6 +307,14 @@ class TestLoops:
         report = loop_analysis(DevicePolicy(alice_map="const0", bob_map="invert"))
         assert report["consistent"] is True
         assert report["fixed_points"] == [(0, 1)]
+
+    @pytest.mark.parametrize("alice_map", MAP_NAMES)
+    @pytest.mark.parametrize("bob_map", MAP_NAMES)
+    def test_fixed_points_match_the_four_pair_scan(self, alice_map, bob_map):
+        report = loop_analysis(DevicePolicy(alice_map=alice_map, bob_map=bob_map))
+        want = oracles.loop_fixed_points_by_scan(alice_map, bob_map)
+        assert report["fixed_points"] == want
+        assert report["consistent"] == bool(want)
 
     def test_scan_matches_truth_table_oracle(self):
         want = oracles.truth_table_loop_scan()

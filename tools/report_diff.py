@@ -1,16 +1,19 @@
 """Compare the reports of two corrlab checkouts, command by command.
 
-    python tools/report_diff.py PARENT_CHECKOUT CHANGE_CHECKOUT
+    python tools/report_diff.py PARENT_CHECKOUT CHANGE_CHECKOUT [--python INTERP]
 
 Runs every command of ``commands()`` as ``python -m corrlab`` against each
 checkout's ``src/``, with the checkout as working directory, and compares
-the sha256 of stdout, the exit code and stderr.  The commands cover every
+the sha256 of stdout, the exit code and stderr.  ``--python`` runs the
+change side under another interpreter, so one checkout can be diffed under
+two Pythons; a run that ends in ``ModuleNotFoundError: No module named
+'numpy'`` is then counted as skipped, not as differing.  The commands cover every
 subcommand in json and csv, at default and small ``--trials``, and the
 refused inputs, including causal configs written to a temporary directory
 that both checkouts read, and each subcommand written through
 ``--out /dev/stdout``.  Prints one line per command that differs, then a
-summary and ``wc -l src/corrlab/*.py`` of each checkout; exits 1 if any
-command differs, else 0.
+summary with the skipped count and ``wc -l src/corrlab/*.py`` of each
+checkout; exits 1 if any command differs, else 0.
 """
 
 from __future__ import annotations
@@ -53,6 +56,14 @@ EDGE_CONFIGS = {
         "a_hat": {"t": 1e308, "x": -1e308},
         "b_hat": {"t": 1e308, "x": -1e308},
         "j_hat": {"t": -9e307, "x": 1e308},
+    },
+    # The apex is a_hat as given, x = -0.0; the corner recomputed would print 0.0.
+    "negative-zero-apex.json": {"a_hat": {"t": 1, "x": -0.0}, "b_hat": _ORIGIN},
+    "lightlike-apex.json": {"a_hat": _ORIGIN, "b_hat": {"t": 1, "x": 1}, "j_hat": {"t": 1, "x": 1}},
+    "beyond-apex-jammer.json": {
+        "a_hat": {"t": 1e308, "x": 1e308},
+        "b_hat": {"t": 1e308, "x": -1e308},
+        "j_hat": _ORIGIN,
     },
     "subnormal-apex.json": {"a_hat": {"t": 0, "x": -5e-324}, "b_hat": {"t": 0, "x": 5e-324}, "j_hat": {"t": 0, "x": -5e-324}},
     "wide-reply.json": {"a_hat": {"t": 0, "x": -1e308}, "b_hat": {"t": 0, "x": 1e308}, "beta": 0.1},
@@ -166,13 +177,13 @@ def write_configs(config_dir: str) -> None:
         Path(config_dir, name).write_text(text)
 
 
-def run(checkout: Path, argv: list[str]) -> tuple[int, str, str]:
+def run(checkout: Path, argv: list[str], python: str = sys.executable) -> tuple[int, str, str]:
     """(exit code, sha256 of stdout, stderr) of ``python -m corrlab`` on the checkout's source."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONPATH"] = str(checkout / "src")
     env["COLUMNS"] = "80"
     proc = subprocess.run(
-        [sys.executable, "-m", "corrlab", *argv], cwd=checkout, env=env, capture_output=True
+        [python, "-m", "corrlab", *argv], cwd=checkout, env=env, capture_output=True
     )
     return proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), proc.stderr.decode(errors="replace")
 
@@ -181,6 +192,16 @@ def line_counts(checkout: Path) -> str:
     """The output of ``wc -l src/corrlab/*.py`` in the checkout."""
     files = sorted(str(f.relative_to(checkout)) for f in (checkout / "src" / "corrlab").glob("*.py"))
     return subprocess.run(["wc", "-l", *files], cwd=checkout, capture_output=True, text=True, check=True).stdout
+
+
+NO_NUMPY = "ModuleNotFoundError: No module named 'numpy'\n"
+
+
+def compare(parent: tuple[int, str, str], change: tuple[int, str, str]) -> str:
+    """The verdict on one command: "skipped" when either run ended for want of numpy, else "identical" or "differ"."""
+    if any(run[2].endswith(NO_NUMPY) for run in (parent, change)):
+        return "skipped"
+    return "identical" if parent == change else "differ"
 
 
 def describe(parent: tuple[int, str, str], change: tuple[int, str, str]) -> str:
@@ -198,24 +219,27 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--python", default=sys.executable, metavar="INTERP", help="interpreter for the change side")
     args = parser.parse_args(argv)
     checkouts = (args.parent.resolve(), args.change.resolve())
+    sides = tuple(zip(checkouts, (sys.executable, args.python)))
     with tempfile.TemporaryDirectory(prefix="report_diff_") as config_dir:
         write_configs(config_dir)
         cmds = commands(config_dir)
-        # Two processes at a time: each command in both checkouts.
+        # Two processes at a time: each command on both sides.
         with ThreadPoolExecutor(max_workers=2) as pool:
-            results = list(pool.map(lambda job: run(*job), [(c, argv) for argv in cmds for c in checkouts]))
-    differ = 0
+            results = list(pool.map(lambda job: run(*job), [(c, argv, py) for argv in cmds for c, py in sides]))
+    verdicts = {"identical": 0, "differ": 0, "skipped": 0}
     for i, argv in enumerate(cmds):
         parent, change = results[2 * i], results[2 * i + 1]
-        if parent != change:
-            differ += 1
+        verdict = compare(parent, change)
+        verdicts[verdict] += 1
+        if verdict == "differ":
             print(f"DIFF corrlab {shlex.join(argv)}: {describe(parent, change)}")
-    print(f"{len(cmds)} commands, {len(cmds) - differ} identical, {differ} differ")
+    print(f"{len(cmds)} commands, " + ", ".join(f"{n} {verdict}" for verdict, n in verdicts.items()))
     for checkout in checkouts:
         print(f"\nwc -l src/corrlab/*.py in {checkout}:\n{line_counts(checkout)}", end="")
-    return 1 if differ else 0
+    return 1 if verdicts["differ"] else 0
 
 
 if __name__ == "__main__":
