@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -32,6 +34,19 @@ from .reportio import SCHEMA_VERSION, dump_report
 from .signaling import SignalingVerdict, jamming_unary_exact, verdict
 
 _MODES = {"exact": RunMode.EXACT, "mc": RunMode.MONTE_CARLO}
+
+# The deepest causal config read, the outer value being level 1: far below the depth
+# at which any supported interpreter's json.loads, or the report writer echoing the
+# config, runs out of stack, so every interpreter refuses the same configs.
+_MAX_CONFIG_DEPTH = 512
+_JSON_STRINGS = re.compile(r'"(?:[^"\\]|\\.)*"')
+_NOT_BRACKETS = re.compile(r"[^\[\]{}]+")
+
+
+def _nesting_depth(text: str) -> int:
+    """How deep the brackets of a JSON text nest, the outer value being level 1; brackets in strings do not count."""
+    brackets = _NOT_BRACKETS.sub("", _JSON_STRINGS.sub("", text))
+    return max(itertools.accumulate(1 if c in "[{" else -1 for c in brackets), default=0)
 
 
 def _index_digits(rows: int) -> list[np.ndarray]:
@@ -217,13 +232,15 @@ def cmd_causal(args) -> tuple[dict, dict, str | None]:
     """Analyse the config file at --config, and set ``args.config`` to the object read, for the report to echo."""
     path = Path(args.config_path)
     try:
-        data = json.loads(path.read_text())
+        text = path.read_text()
+        # A text of at most _MAX_CONFIG_DEPTH characters cannot nest deeper, so it is not scanned.
+        if len(text) > _MAX_CONFIG_DEPTH and _nesting_depth(text) > _MAX_CONFIG_DEPTH:
+            raise ValueError(f"config file {path} nests more than {_MAX_CONFIG_DEPTH} levels deep")
+        data = json.loads(text)
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise ValueError(f"config file {path} nests too deeply to read") from None
     if not isinstance(data, dict):
         raise ValueError("causal config must be a JSON object")
 

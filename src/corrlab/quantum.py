@@ -139,27 +139,26 @@ class PureState:
     """Normalized pure state of ``n_qubits`` qubits, read from the vector's length.
 
     Amplitudes are stored flat, basis index with qubit 0 most significant
-    and spin-up mapped to bit 0.
+    and spin-up mapped to bit 0.  The state copies them once into ``key``,
+    the bytes that key its cached Born branches and pmfs, and reads them
+    through ``amplitudes``, a read-only view of those bytes.
     """
 
     amplitudes: np.ndarray = field(repr=False)
     n_qubits: int = field(init=False)
+    key: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1:
-            amps = amps.reshape(-1)
         n = int(amps.size).bit_length() - 1
         if 2**n != amps.size or not (1 <= n <= MAX_QUBITS):
             raise ValueError(f"amplitude vector length {amps.size} is not a supported qubit count")
         norm = math.sqrt(np.vdot(amps, amps).real)
         if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"state is not normalized (norm={norm!r})")
-        # A read-only vector that owns its memory cannot change under the state; any other is copied.
-        if amps.flags.writeable or not amps.flags.owndata:
-            amps = amps.copy()
-            amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        key = amps.tobytes()
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "amplitudes", np.frombuffer(key, complex))
         object.__setattr__(self, "n_qubits", n)
 
 
@@ -225,42 +224,43 @@ def commutes(a: PauliObservable, b: PauliObservable) -> bool:
 
 
 @lru_cache(maxsize=64)
-def _born_branches(key: bytes, observable: PauliObservable) -> tuple[float, PureState | None, PureState | None]:
-    """(p(+1), post state after +1, post state after -1) of the state whose amplitude bytes are ``key``.
+def _born_branches(
+    key: bytes, factors: tuple[str | float, ...]
+) -> tuple[float, MeasurementRecord | None, MeasurementRecord | None]:
+    """(p(+1), record of +1, record of -1) for measuring ``factors`` on the state whose ``key`` is given.
 
     Keyed on content, so equal states share an entry and a returned post state hits
-    it again when measured next; a branch of norm below 1e-9 is None.  An entry holds
-    at most three 2^n-amplitude vectors, 192 KiB at MAX_QUBITS, so about 12 MiB in all.
+    it again when measured next; a branch of norm below 1e-9 is None.  Every draw of
+    a branch returns its one record.  An entry holds at most three 2^n-amplitude
+    vectors, 192 KiB at MAX_QUBITS, so about 12 MiB in all.
     """
     amps = np.frombuffer(key, complex)
-    applied = _apply(observable, amps)
+    applied = _apply(PauliObservable(factors), amps)
     p_plus = min(1.0, max(0.0, (1.0 + float(np.vdot(amps, applied).real)) / 2.0))
-    posts = [None, None]
+    records = [None, None]
     # Twice each projection (psi +- O psi) / 2: the factor 2 cancels in the normalisation.
-    for i, doubled in enumerate((amps + applied, amps - applied)):
+    for i, (outcome, doubled) in enumerate(((1, amps + applied), (-1, amps - applied))):
         norm = math.sqrt(np.vdot(doubled, doubled).real)
         if norm >= 2e-9:
-            doubled /= norm
-            doubled.setflags(write=False)
-            posts[i] = PureState(doubled)
-    return p_plus, posts[0], posts[1]
+            records[i] = MeasurementRecord(outcome, PureState(doubled / norm))
+    return p_plus, records[0], records[1]
 
 
 def measure(state: PureState, observable: PauliObservable, rng: np.random.Generator) -> MeasurementRecord:
     """Projective measurement of a dichotomic observable.
 
     Outcome +1 occurs with Born probability (1 + <O>)/2; the post state is
-    the normalized projection onto the sampled eigenspace, shared by every
-    caller measuring an equal state: only the draw differs between calls.
+    the normalized projection onto the sampled eigenspace.  The record is
+    the cached branch's own, shared by every caller measuring an equal
+    state: a call is one lookup and one draw.
     """
-    if observable.n_qubits != state.n_qubits:
+    if len(observable.factors) != state.n_qubits:
         raise ValueError("observable and state act on different qubit counts")
-    p_plus, plus, minus = _born_branches(state.amplitudes.tobytes(), observable)
-    outcome = 1 if rng.random() < p_plus else -1
-    post = plus if outcome == 1 else minus
-    if post is None:
+    p_plus, plus, minus = _born_branches(state.key, observable.factors)
+    record = plus if rng.random() < p_plus else minus
+    if record is None:
         raise InvariantViolation("sampled a branch of vanishing probability")
-    return MeasurementRecord(outcome=outcome, post_state=post)
+    return record
 
 
 def sequential_measure(
@@ -275,16 +275,14 @@ def sequential_measure(
     offending pair otherwise.
     """
     obs = tuple(observables)
-    for i in range(len(obs)):
-        for j in range(i + 1, len(obs)):
-            if not commutes(obs[i], obs[j]):
-                raise NonCommutingError(f"observables {obs[i].label()} and {obs[j].label()} do not commute")
+    for i, a in enumerate(obs):
+        for b in obs[i + 1:]:
+            if not commutes(a, b):
+                raise NonCommutingError(f"observables {a.label()} and {b.label()} do not commute")
     records = []
-    current = state
     for o in obs:
-        rec = measure(current, o, rng)
-        records.append(rec)
-        current = rec.post_state
+        records.append(measure(state, o, rng))
+        state = records[-1].post_state
     return tuple(records)
 
 

@@ -100,14 +100,12 @@ def _write(obj, out: list[str], nl: str) -> None:
 def encode(obj) -> str:
     """JSON text of a report structure: indent 2, keys sorted, exact values as "n/d" strings.
 
-    The writer recurses once per nesting level, so a structure too deep for
-    the interpreter's stack is refused with a ValueError.
+    The writer recurses once per nesting level; the one report that echoes
+    user data, ``causal``'s, nests its config at most ``cli._MAX_CONFIG_DEPTH``
+    levels deep.
     """
     out: list[str] = []
-    try:
-        _write(obj, out, "\n")
-    except RecursionError:
-        raise ValueError("report nests too deeply to write") from None
+    _write(obj, out, "\n")
     return "".join(out)
 
 

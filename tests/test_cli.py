@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -61,6 +62,11 @@ def spy_calls(monkeypatch, owner, name) -> list:
 
     monkeypatch.setattr(owner, name, spy)
     return calls
+
+
+def _nested_config(depth: int) -> str:
+    """A causal config whose "deep" entry is ``depth`` nested arrays."""
+    return '{"a_hat": {"t": 0, "x": 0}, "b_hat": {"t": 0, "x": 1}, "deep": ' + "[" * depth + "]" * depth + "}"
 
 
 def run_proc(*args):
@@ -827,24 +833,34 @@ class TestCausalCommand:
         assert proc.returncode == 2
         assert "no analyzable sections" in proc.stderr
 
-    @pytest.mark.parametrize("depth", [987, 988, 989, 5000])
+    @pytest.mark.parametrize("depth", [cli._MAX_CONFIG_DEPTH, 987, 988, 989, 5000])
     def test_deeply_nested_config(self, tmp_path, depth):
-        """A config too deep to read or to echo into the report is refused, whichever fails first.
+        """A config nested past the bound is refused before it is parsed, with the one message on every interpreter.
 
-        From ``python -m corrlab``, ``json.loads`` still reads 987-989 nested
-        arrays, and the report writer, 3 levels further in, runs out of stack.
+        ``depth`` arrays inside the config object nest it ``depth + 1`` levels
+        deep; 987-989 and 5000 arrays lie where interpreters' stacks run out.
         """
         config = tmp_path / "deep.json"
-        config.write_text(
-            '{"a_hat": {"t": 0, "x": 0}, "b_hat": {"t": 0, "x": 1}, "deep": ' + "[" * depth + "]" * depth + "}"
-        )
+        config.write_text(_nested_config(depth))
         proc = run_proc("causal", "--config", str(config))
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr in (
-            f"error: config file {config} nests too deeply to read\n",
-            "error: report nests too deeply to write\n",
-        )
+        assert proc.stderr == f"error: config file {config} nests more than {cli._MAX_CONFIG_DEPTH} levels deep\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _nested_config(cli._MAX_CONFIG_DEPTH - 1),
+            json.dumps({"a_hat": {"t": 0, "x": 0}, "b_hat": {"t": 0, "x": 1}, "deep": "[{" * 5000}),
+        ],
+        ids=["at-the-bound", "brackets-in-a-string"],
+    )
+    def test_config_at_the_nesting_bound_is_read(self, tmp_path, text):
+        config = tmp_path / "deep.json"
+        config.write_text(text)
+        proc = run_proc("causal", "--config", str(config))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["config"]["config"] == json.loads(text)
 
     def test_loop_needs_both_maps(self, tmp_path):
         config = tmp_path / "half.json"
@@ -994,6 +1010,41 @@ def test_exact_commands_never_import_numpy():
         *([" ".join(argv), 2 if argv[-1] == "25" else 0, False] for argv in _NUMPY_FREE_COMMANDS),
     ]
     assert last == ["tsirelson --n 2", 0, True]
+
+
+def test_numpy_free_commands_run_where_numpy_is_missing(tmp_path):
+    """Each numpy-free command runs under an interpreter that cannot import numpy, and writes its pinned bytes.
+
+    numpy is hidden by a package of its name that raises on import, first on
+    the child's path.  Causal configs are passed relative to the repository
+    root, as their pinned reports echo them.
+    """
+    hidden = tmp_path / "hidden"
+    (hidden / "numpy").mkdir(parents=True)
+    (hidden / "numpy" / "__init__.py").write_text("raise ModuleNotFoundError(\"No module named 'numpy'\", name='numpy')\n")
+    env = child_env()
+    env["PYTHONPATH"] = os.pathsep.join((str(hidden), env["PYTHONPATH"]))
+    pinned = {(*p.values[0], "--format", "json"): p.values[1] for p in JSON_REPORT_DIGESTS}
+    pinned.update({(*args, "--format", "csv"): digest for args, digest in CSV_REPORT_DIGESTS})
+    argvs = [
+        [str(Path(a).relative_to(SCENARIOS.parent)) if a.startswith(str(SCENARIOS)) else a for a in argv]
+        for argv in _NUMPY_FREE_COMMANDS
+    ]
+
+    def child(argv):
+        return subprocess.run([sys.executable, "-m", "corrlab", *argv], capture_output=True, cwd=SCENARIOS.parent, env=env)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        procs = list(pool.map(child, argvs))
+    checked = 0
+    for argv, proc in zip(argvs, procs):
+        assert proc.returncode == (2 if argv[-1] == "25" else 0), (argv, proc.stderr)
+        key = tuple(argv) if "--format" in argv else (*argv, "--format", "json")
+        if key in pinned:
+            assert hashlib.sha256(proc.stdout).hexdigest() == pinned[key], argv
+            checked += 1
+    # pr-signal and ghz-signal --n 24 as JSON, ghz-signal --n 24 as CSV, and the 5 causal configs.
+    assert checked == 3 + 5
 
 
 class TestDeterminismAndErrors:

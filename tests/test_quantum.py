@@ -99,10 +99,12 @@ class TestStates:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
 
-    def test_only_a_vector_nobody_can_write_is_kept_uncopied(self):
+    def test_amplitudes_are_a_read_only_copy(self):
         owned = np.array([1.0, 0.0], dtype=complex)
         owned.setflags(write=False)
-        assert PureState(owned).amplitudes is owned
+        amps = PureState(owned).amplitudes
+        assert amps.tolist() == owned.tolist()
+        assert not amps.flags.writeable
         writable = np.array([1.0, 0.0], dtype=complex)
         view = writable[::-1]
         view.setflags(write=False)
@@ -539,6 +541,32 @@ class TestBornBranchCache:
         for _ in range(3):
             with pytest.raises(InvariantViolation, match="sampled a branch of vanishing probability"):
                 measure(state, obs("Z"), _DrawsOne())
+
+    def test_amplitudes_view_the_key(self):
+        state = ghz_state()
+        assert state.amplitudes.base is state.key
+
+    def test_draws_of_a_branch_share_its_record(self):
+        state = PureState(np.array([1.0, 0.0]))
+        first, second = (measure(state, obs("Z"), np.random.default_rng(seed)) for seed in (0, 1))
+        assert first is second
+
+    def test_warm_batches_build_nothing(self, monkeypatch):
+        """After one warm batch, each GHZ pair measurement is cache hits and draws: no miss, no state, no record."""
+        state = ghz_state()
+        pair = (obs("X", "X", "I"), obs("Y", "Y", "I"))
+        rng = np.random.default_rng(8)
+        for _ in range(1000):
+            sequential_measure(state, pair, rng)
+        built = []
+        for name in ("PureState", "MeasurementRecord"):
+            cls = getattr(quantum, name)
+            monkeypatch.setattr(quantum, name, lambda *a, _cls=cls, **k: built.append(_cls) or _cls(*a, **k))
+        misses = _born_branches.cache_info().misses
+        for _ in range(1000):
+            sequential_measure(state, pair, rng)
+        assert _born_branches.cache_info().misses == misses
+        assert built == []
 
     def test_cache_size_is_bounded(self):
         maxsize = _born_branches.cache_info().maxsize

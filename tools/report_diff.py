@@ -83,10 +83,24 @@ EDGE_CONFIGS = {
     "empty.json": {},
     "list.json": [],
 }
-# Causal config files that are not JSON objects, by file name.
+# The deepest config causal reads, cli._MAX_CONFIG_DEPTH, the outer object being level 1.
+CONFIG_DEPTH_BOUND = 512
+
+
+def _deep(arrays: int) -> str:
+    """A causal config nested arrays + 1 levels deep."""
+    return '{"a_hat": {"t": 0, "x": 0}, "b_hat": {"t": 0, "x": 1}, "deep": ' + "[" * arrays + "]" * arrays + "}"
+
+
+# Causal config files that are not JSON objects, or nest near the interpreters' stack limits, by file name.
 EDGE_TEXTS = {
     "invalid.json": "{not json",
-    "deep.json": '{"a_hat": {"t": 0, "x": 0}, "b_hat": {"t": 0, "x": 1}, "deep": ' + "[" * 988 + "]" * 988 + "}",
+    "deep-at-bound.json": _deep(CONFIG_DEPTH_BOUND - 1),
+    "deep-past-bound.json": _deep(CONFIG_DEPTH_BOUND),
+    "deep.json": _deep(988),
+    "deep-995.json": _deep(995),
+    "deep-1100.json": _deep(1100),
+    "deep-5000.json": _deep(5000),
 }
 
 
