@@ -21,9 +21,10 @@ up to N = 255), never a round-by-round record or an int64 sum, since
 every report reads the collectives alone.  Its histogram builds grid
 cells from the counts in blocks of trials, in one reused int64 buffer.  A
 receivers-only GHZ run samples the receivers' round marginal, which keeps
-the whole pmf's table rows, and a jamming run keeps its indicator words
-and counts its histogram from them.  Seeded draws changed when this
-sampler replaced the one-word-per-round table lookup.
+the whole pmf's table rows, and a jamming run draws its indicator words
+in place, with no popcount, and counts its histogram from them.  Seeded
+draws changed when this sampler replaced the one-word-per-round table
+lookup.
 
 The Born round pmfs (GHZ, Tsirelson with Bob's marginal, and jamming) are
 Pauli measurements on the GHZ or Bell state, whose amplitudes are
@@ -392,33 +393,48 @@ def _parity_planes(round_pmf: ExactDistribution) -> tuple[list[tuple[int, ...]],
     return planes, negative_first
 
 
-def _indicator_chunks(
+def _indicator(planes: np.ndarray, column: tuple[int, ...], scratch: np.ndarray) -> np.ndarray:
+    """Where ``column`` differs from row 0, 64 rounds per word: the XOR of its ``planes[:, j]``.
+
+    A one-plane column is a view of its plane; any other column is XORed
+    into ``scratch``, zeros for no plane, which it returns.
+    """
+    if len(column) == 1:
+        return planes[:, column[0]]
+    scratch.fill(0)
+    for j in column:
+        scratch ^= planes[:, j]
+    return scratch
+
+
+def _sample_outcome_rows(
     round_pmf: ExactDistribution,
     n_rounds: int,
     trials: int,
     seed: int,
     stream: tuple[int, ...],
-) -> Iterator[tuple[slice, int, bool, np.ndarray, np.ndarray]]:
-    """Draw (trials, N) rounds as random bit-planes and yield each chunk's column indicators and their bit counts.
+) -> np.ndarray:
+    """Draw (trials, N) rounds as random bit-planes and count each column's -1 rounds per trial, as a (k, trials) array.
 
     The pmf must be dyadic with common denominator D = 2^d.  A table of D
     rows holds each atom p*D times, in ``outcome_tuples`` order, and a
     round is a uniform row.  A trial draws d bit-planes of ceil(N/64) raw
     PCG64 words, all of its planes in a row, so the stream does not depend
     on the chunk size: bit b of word w of plane j is bit j of the row of
-    round 64*w + b.  Each column's indicator, where it differs from row 0,
-    64 rounds per word, is the XOR of the planes ``_parity_planes`` names,
-    and a popcount per word (Knuth, TAOCP 4A, 7.1.3) counts it.
-
-    Yields, per chunk and column: the chunk's trials, the column, whether
-    row 0 is -1 there, the (chunk, ceil(N/64)) indicator words and their
-    uint8 popcounts, both overwritten after the next yield: scenario runs
-    read the popcounts, and a jamming run copies its one trial's words.  A
-    one-plane column is a view of its plane; any other column is XORed into
-    one scratch row, zeros for no plane.  A chunk holds at most
-    ``_SAMPLE_WORDS`` live words: the planes, the scratch row if some column
-    needs it, and the popcounts.
+    round 64*w + b.  Since every sampled pmf is uniform over an affine
+    outcome set, a column's indicator, where it differs from row 0, is the
+    XOR of the planes ``_parity_planes`` names (``_indicator``).  Its -1
+    rounds are the rounds the indicator marks, or those it leaves clear
+    where row 0 is -1, so a count is the indicator's popcount (Knuth, TAOCP
+    4A, 7.1.3) or N minus it.  Counts are in ``np.min_scalar_type(N)``, the
+    narrowest unsigned dtype that holds N.  A chunk of trials holds at most
+    ``_SAMPLE_WORDS`` live words: the planes, one scratch row if some column
+    needs it, and the uint8 popcounts.  A jamming run draws one trial of
+    this stream in place, with no popcount.  These draws replaced a table
+    lookup on one raw word per round, so seeded samples differ from corrlab
+    releases before the bit-sliced sampler.
     """
+    negatives = np.empty((len(round_pmf.labels), trials), dtype=np.min_scalar_type(n_rounds))
     planes_of, negative_first = _parity_planes(round_pmf)
     scratch_rows = int(any(len(p) != 1 for p in planes_of))
     d = round_pmf.denominator.bit_length() - 1
@@ -433,42 +449,12 @@ def _indicator_chunks(
         # Rounds past N read as row 0, where every indicator is clear.
         _clear_tail(planes, n_rounds)
         for c, column in enumerate(planes_of):
-            if len(column) == 1:
-                x = planes[:, column[0]]
-            else:
-                x = scratch[:chunk]
-                x.fill(0)
-                for j in column:
-                    x ^= planes[:, j]
-            yield slice(done, done + chunk), c, negative_first[c], x, np.bitwise_count(x, out=bit_counts[:chunk])
+            x = _indicator(planes, column, scratch[:chunk])
+            row = negatives[c, done : done + chunk]
+            np.sum(np.bitwise_count(x, out=bit_counts[:chunk]), axis=1, dtype=negatives.dtype, out=row)
+            if negative_first[c]:
+                np.subtract(n_rounds, row, out=row)
         del planes, x  # free this chunk's planes before the next draw
-
-
-def _sample_outcome_rows(
-    round_pmf: ExactDistribution,
-    n_rounds: int,
-    trials: int,
-    seed: int,
-    stream: tuple[int, ...],
-) -> np.ndarray:
-    """Each column's count of -1 rounds in each trial, as a (k, trials) array, from ``_indicator_chunks``.
-
-    A column's indicator, 64 rounds per word, is an XOR of the random
-    bit-planes, since every sampled pmf is uniform over an affine outcome
-    set (see ``_parity_planes``).  Its -1 rounds are the rounds the
-    indicator marks, or those it leaves clear where row 0 is -1, so a
-    count is the indicator's popcount or N minus it.  Counts are in
-    ``np.min_scalar_type(N)``, the narrowest unsigned dtype that holds N.
-    These draws replaced a table lookup on one raw word per round, so
-    seeded samples differ from corrlab releases before the bit-sliced
-    sampler.
-    """
-    negatives = np.empty((len(round_pmf.labels), trials), dtype=np.min_scalar_type(n_rounds))
-    for rows, c, negative_first, _, bit_counts in _indicator_chunks(round_pmf, n_rounds, trials, seed, stream):
-        row = negatives[c, rows]
-        np.sum(bit_counts, axis=1, dtype=negatives.dtype, out=row)
-        if negative_first:
-            np.subtract(n_rounds, row, out=row)
     return negatives
 
 
@@ -593,7 +579,8 @@ class JammingRecords:
 
     Bit b of word w of row c of ``indicators``, a (3, ceil(trials/64))
     uint64 array, is set where component c of triplet 64*w + b is -1; the
-    bits past ``trials`` are clear.
+    bits past ``trials`` are clear.  The run draws them in place, with no
+    popcount.
     """
 
     jim_choice: str
@@ -666,7 +653,9 @@ def run_jamming_scenario(
     All three single-site observables commute, so sampling the joint Born
     distribution is equivalent to measuring Jim first and then Alice and
     Bob on the post-measurement state.  The triplets are the rounds of one
-    long sampled trial, and the records keep its three indicator words.
+    long sampled trial, whose d planes it draws after allocating the three
+    indicator rows and XORs or inverts straight into them, with no popcount
+    and no scratch row: it peaks at (d + 3) * 8 * ceil(triplets/64) bytes.
     """
     if n_rounds < 1 or trials < 1:
         raise ValueError("n_rounds and trials must be positive")
@@ -678,13 +667,18 @@ def run_jamming_scenario(
     pmf = jamming_round_pmf(jim_choice)
     stream = (_JAMMING_STREAM, 0 if jim_choice == "x" else 1)
     triplets = n_rounds * trials
-    indicators = np.empty((3, -(-triplets // 64)), dtype=np.uint64)
-    for _, c, negative_first, indicator, _ in _indicator_chunks(pmf, triplets, 1, seed, stream):
+    words = -(-triplets // 64)
+    indicators = np.empty((3, words), dtype=np.uint64)
+    planes_of, negative_first = _parity_planes(pmf)
+    planes = _stream_rng(seed, stream).bit_generator.random_raw((1, pmf.denominator.bit_length() - 1, words))
+    for c, column in enumerate(planes_of):
+        row = indicators[c : c + 1]
+        x = _indicator(planes, column, row)
         # The indicator marks where c differs from row 0: its -1 triplets, or its +1 ones where row 0 is -1.
-        if negative_first:
-            np.invert(indicator[0], out=indicators[c])
-        else:
-            indicators[c] = indicator[0]
+        if negative_first[c]:
+            np.invert(x, out=row)
+        elif x is not row:
+            row[...] = x
     _clear_tail(indicators, triplets)
     return JammingRecords(jim_choice=jim_choice, trials=triplets, indicators=indicators)
 

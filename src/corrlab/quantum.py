@@ -322,7 +322,7 @@ def joint_probabilities(
     """
     if len(factors) != state.n_qubits:
         raise ValueError("need exactly one factor per qubit")
-    return dict(_born_pmf(state.amplitudes.tobytes(), tuple(factors)))
+    return dict(_born_pmf(state.key, tuple(factors)))
 
 
 def _projections(amps: np.ndarray, factors: tuple[str | float, ...]):
@@ -338,14 +338,15 @@ def _projections(amps: np.ndarray, factors: tuple[str | float, ...]):
 
 @lru_cache(maxsize=64)
 def _born_pmf(key: bytes, factors: tuple[str | float, ...]) -> dict[tuple[int, ...], float]:
-    """The ``joint_probabilities`` pmf of the state whose amplitude bytes are ``key``.
+    """The ``joint_probabilities`` pmf of the state whose ``key`` is given.
 
     Keyed on content, as ``_born_branches`` is.  Each probability is a
     ``_projections`` squared norm over 4^n, equal to the bit to halving each
     site's projector, since scaling by a power of two is exact.  A pmf that
     does not sum to 1 raises, so it is never cached.  An entry holds 2^n
-    floats keyed by the shared outcome tuples and its 2^n amplitude bytes,
-    about 0.3 MiB at MAX_QUBITS, so about 20 MiB in all.
+    floats keyed by the shared outcome tuples and the state's own ``key``,
+    not a copy: about 0.3 MiB at MAX_QUBITS once the state is gone, so
+    about 20 MiB in all.
     """
     n = len(factors)
     vecs = _projections(np.frombuffer(key, complex), factors)

@@ -13,7 +13,6 @@ text built once per distribution.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -55,8 +54,6 @@ def _write(obj, out: list[str], nl: str) -> None:
     """Append the JSON text of ``obj`` to ``out``; ``nl`` is the newline and indent of its first line."""
     if isinstance(obj, Fraction):
         out.append(f'"{obj.numerator}/{obj.denominator}"')
-    elif isinstance(obj, Enum):
-        _write(obj.value, out, nl)
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None:

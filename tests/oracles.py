@@ -17,7 +17,6 @@ import math
 import os
 from collections import defaultdict
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -449,14 +448,13 @@ def render_csv_by_writer(source) -> str:
 def plain_values(obj):
     """A report structure as plain JSON values, by one converted copy of every node.
 
-    Fractions become "n/d" strings, enums their values, and each
-    ``ExactDistribution`` the list of its atoms read through
-    ``lattice_mapping``.  The report writer's former first pass.
+    Fractions become "n/d" strings and each ``ExactDistribution`` the list
+    of its atoms read through ``lattice_mapping``; an Enum, which no report
+    holds, raises as the report writer does.  The writer's former first
+    pass.
     """
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, Enum):
-        return obj.value
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
     if isinstance(obj, ExactDistribution):

@@ -6,6 +6,7 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -731,17 +732,38 @@ class TestMonteCarlo:
 SAMPLER_STREAM = (7, 1)
 
 
-def sampled_words(round_pmf: ExactDistribution, n: int, trials: int, seed: int) -> tuple[np.ndarray, list[int]]:
-    """The -1 indicator words ``_indicator_chunks`` yields, as (k, trials, ceil(N/64)) words, and its chunk sizes."""
-    words = np.empty((len(round_pmf.labels), trials, -(-n // 64)), dtype=np.uint64)
-    chunks = []
-    for rows, c, negative_first, indicator, _ in ensembles._indicator_chunks(round_pmf, n, trials, seed, SAMPLER_STREAM):
-        # Copied before the next yield overwrites them; where row 0 is -1, the indicator marks the +1 rounds.
-        words[c, rows] = ~indicator if negative_first else indicator
-        if c == 0:
-            chunks.append(rows.stop - rows.start)
-    ensembles._clear_tail(words, n)
-    return words, chunks
+def indicator_words(round_pmf: ExactDistribution, n: int, trials: int, seed: int) -> np.ndarray:
+    """Each column's -1 indicator words, from ``_indicator`` on the trials' planes, as (k, trials, ceil(N/64)) words."""
+    planes_of, negative_first = ensembles._parity_planes(round_pmf)
+    d, words = round_pmf.denominator.bit_length() - 1, -(-n // 64)
+    planes = ensembles._stream_rng(seed, SAMPLER_STREAM).bit_generator.random_raw((trials, d, words))
+    scratch = np.empty((trials, words), dtype=np.uint64)
+    got = []
+    for column, negative in zip(planes_of, negative_first):
+        x = ensembles._indicator(planes, column, scratch)
+        # Where row 0 is -1, the indicator marks the +1 rounds; copied before the next column reuses the scratch rows.
+        got.append(~x if negative else x.copy())
+    got = np.stack(got)
+    ensembles._clear_tail(got, n)
+    return got
+
+
+def record_draws(monkeypatch) -> list[tuple[int, ...]]:
+    """The shapes of the ``random_raw`` draws of every sampler stream made after this call, in order."""
+    shapes = []
+    stream_rng = ensembles._stream_rng
+
+    def recording_rng(seed, stream):
+        bitgen = stream_rng(seed, stream).bit_generator
+
+        def random_raw(size):
+            shapes.append(size)
+            return bitgen.random_raw(size)
+
+        return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=random_raw))
+
+    monkeypatch.setattr(ensembles, "_stream_rng", recording_rng)
+    return shapes
 
 
 class TestTableLookupSampler:
@@ -775,8 +797,7 @@ class TestTableLookupSampler:
         got = _sample_outcome_rows(round_pmf, n, trials, seed, SAMPLER_STREAM)
         assert got.dtype == np.min_scalar_type(n)
         assert np.array_equal(got, oracles.minus_one_counts(want_rounds))
-        words, _ = sampled_words(round_pmf, n, trials, seed)
-        assert np.array_equal(words, oracles.minus_one_words(want_rounds))
+        assert np.array_equal(indicator_words(round_pmf, n, trials, seed), oracles.minus_one_words(want_rounds))
 
     # A trial of 130 rounds of the Jim-on-y pmf keeps 3 words of each of its
     # 3 planes live, plus 3 words of popcounts; it needs no scratch row,
@@ -788,10 +809,9 @@ class TestTableLookupSampler:
         monkeypatch.setattr(ensembles, "_SAMPLE_WORDS", words)
         pmf = ghz_round_pmf("p")
         _, want_rounds = oracles.sums_by_table_lookup(oracles.lattice_mapping(pmf), 130, 53, 11, SAMPLER_STREAM)
+        draws = record_draws(monkeypatch)
         assert np.array_equal(_sample_outcome_rows(pmf, 130, 53, 11, SAMPLER_STREAM), oracles.minus_one_counts(want_rounds))
-        words, chunks = sampled_words(pmf, 130, 53, 11)
-        assert chunks == [min(chunk, 53 - done) for done in range(0, 53, chunk)]
-        assert np.array_equal(words, oracles.minus_one_words(want_rounds))
+        assert draws == [(min(chunk, 53 - done), 3, 3) for done in range(0, 53, chunk)]
 
     @pytest.mark.parametrize("choice", ["x", "z"])
     def test_jamming_triplets_are_the_table_rows_of_their_bits(self, choice):
@@ -994,6 +1014,21 @@ class TestJamming:
         assert records.outcomes.dtype == np.int8
         want = oracles.empirical_by_row_unique(records.outcomes, 1)
         assert list(oracles.lattice_mapping(records.empirical()).items()) == list(want.items())
+
+    @pytest.mark.parametrize("choice", ["x", "z"])
+    def test_peak_memory_is_planes_and_indicators(self, choice):
+        """A run peaks at its d planes and 3 indicator rows of ceil(triplets/64) words: no popcounts, no scratch row."""
+        d = jamming_round_pmf(choice).denominator.bit_length() - 1
+        words = -(-6 * 1_000_000 // 64)
+        # numpy.random's first import and the round pmf stay in memory; make them before tracing.
+        run_jamming_scenario(1, choice, 1, 0)
+        tracemalloc.start()
+        try:
+            run_jamming_scenario(6, choice, 1_000_000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (d + 3) * 8 * words + (16 << 10)
 
     def test_replay(self):
         a = run_jamming_scenario(3, "z", 100, seed=12)

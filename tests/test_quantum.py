@@ -42,6 +42,15 @@ from corrlab.quantum import (
 RT2 = math.sqrt(2.0)
 
 
+def slipped_state(amplitudes: list[complex]) -> PureState:
+    """A two-qubit state that slipped past the normalisation check: its ``key`` holds ``amplitudes``."""
+    state = bell_state()
+    key = np.array(amplitudes, dtype=complex).tobytes()
+    object.__setattr__(state, "key", key)
+    object.__setattr__(state, "amplitudes", np.frombuffer(key, complex))
+    return state
+
+
 def obs(*factors):
     return PauliObservable(tuple(factors))
 
@@ -396,9 +405,7 @@ class TestJointProbabilities:
                 assert p == pytest.approx(float(exact[outcome]), abs=1e-12)
 
     def test_rejects_probabilities_that_are_not_numbers(self):
-        state = bell_state()
-        # A state that slipped past the normalisation check.
-        object.__setattr__(state, "amplitudes", np.array([math.nan, 0.0, 0.0, 0.0], dtype=complex))
+        state = slipped_state([math.nan, 0.0, 0.0, 0.0])
         with pytest.raises(InvariantViolation, match="sum to nan"):
             joint_probabilities(state, ("Z", "Z"))
 
@@ -593,9 +600,7 @@ class TestBornPmfCache:
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     def test_unnormalised_state_raises_on_every_call(self):
-        state = bell_state()
-        # A state that slipped past the normalisation check.
-        object.__setattr__(state, "amplitudes", np.array([1.0, 0.0, 0.0, 1.0], dtype=complex))
+        state = slipped_state([1.0, 0.0, 0.0, 1.0])
         size = _born_pmf.cache_info().currsize
         for _ in range(3):
             with pytest.raises(InvariantViolation, match="sum to 2.0"):

@@ -164,6 +164,8 @@ def commands(config_dir: str) -> list[list[str]]:
             # Triplet counts that are not a multiple of 64: 63 and 65.
             ["jamming", "--jim", jim, "--n", "7", "--trials", "9"],
             ["jamming", "--jim", jim, "--n", "1", "--trials", "65"],
+            # The fewest triplets whose last word has no tail: 64.
+            *[["jamming", "--jim", jim, "--n", "1", "--trials", "64", "--format", fmt] for fmt in ("json", "csv")],
             ["jamming", "--jim", jim, "--trials", "300", "--format", "csv"],
             # Triplet indices of one to six digits.
             ["jamming", "--jim", jim, "--format", "csv"],
