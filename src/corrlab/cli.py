@@ -4,9 +4,12 @@ Subcommands run the ensemble scenarios, the three-party algebra checks,
 and the causal-geometry analyses, emitting deterministic JSON (or CSV
 sample tables) so identical invocations produce byte-identical reports.
 
-Each ``cmd_*`` handler returns its report's results, checks and CSV text;
-``main`` alone builds the JSON envelope, whose ``config`` echoes every
-parsed flag except ``--out``, plus the object ``causal`` read.
+Each ``cmd_*`` handler returns its report's results, checks and CSV
+blocks, having done all of its report's work; ``main`` alone builds the
+JSON envelope, whose ``config`` echoes every parsed flag except ``--out``,
+plus the object ``causal`` read.  ``main`` writes a CSV report block by
+block as ``_table_blocks`` builds it, 10^4 sampled rows at a time, so its
+memory is the run's per-trial counts plus one block, not the whole text.
 
 Importing this module, parsing the arguments and running exact
 ``pr-signal`` or ``ghz-signal`` or ``causal`` never load numpy, which
@@ -24,6 +27,7 @@ import json
 import math
 import re
 import sys
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
 from . import quantum, spacetime
@@ -49,46 +53,51 @@ def _nesting_depth(text: str) -> int:
     return max(itertools.accumulate(1 if c in "[{" else -1 for c in brackets), default=0)
 
 
-def _index_digits(rows: int) -> list[np.ndarray]:
-    """The decimal text of 0..rows-1 as right-aligned (rows, 1) uint8 digit columns, NUL for a leading zero.
+# Rows per CSV block.  A power of ten, so the low digits of every block's row indices
+# are the same 0..9999: past block 0 they are zero-padded and the block number leads them.
+_BLOCK_ROWS = 10_000
+_BLOCK_DIGITS = 4
 
-    Digit j of i is i // 10**(w-1-j) % 10 + 48; it is computed once per run
-    of equal digits and repeated over the run.
+
+@functools.cache
+def _block_digits(padded: bool) -> np.ndarray:
+    """The read-only (10^4, 4) uint8 text of 0..9999, each leading zero a ``0`` if ``padded`` else a NUL."""
+    places = 10 ** np.arange(_BLOCK_DIGITS - 1, -1, -1)
+    rows = np.arange(_BLOCK_ROWS)[:, None]
+    digits = (rows // places % 10 + ord("0")).astype(np.uint8)
+    if not padded:
+        digits[(rows < places) & (places > 1)] = 0
+    digits.flags.writeable = False
+    return digits
+
+
+def _table_blocks(
+    prefix: str, tables: list[np.ndarray], rows: int, codes: Callable[[int, int], Iterable[np.ndarray]]
+) -> Iterator[str]:
+    """The text of ``rows`` lines, 10^4 at a time: ``prefix``, the line's index, then ``tables[c][code]`` for each c.
+
+    ``codes(start, stop)`` gives each table's codes for the lines start..stop-1.
+    A table is an ``S`` array of field text, leading comma included and the
+    last table's newline too, so the text of a value is built once, not once
+    per line.  A block is one (lines, width) uint8 matrix: the prefix, with
+    the block number after it past block 0, the lines' low index digits read
+    from ``_block_digits`` and one gather per table, NUL-padded to its widest
+    field.  Dropping every NUL in one pass leaves the block's text.
     """
-    width = len(str(max(rows - 1, 0)))
-    columns = []
-    for j in range(width):
-        place = 10 ** (width - 1 - j)
-        runs = np.arange(-(-rows // place)) % 10 + ord("0")
-        column = np.repeat(runs.astype(np.uint8), place)[:rows]
-        if j < width - 1:
-            column[:place] = 0
-        columns.append(column[:, None])
-    return columns
-
-
-def _table_lines(prefix: str, fields: np.ndarray, codes: np.ndarray) -> str:
-    """One line per row of ``codes``: ``prefix``, the row's index, then ``fields[code]`` for each column.
-
-    ``fields`` is an ``S`` array of each value's field text, leading comma
-    included, so the text of a lattice value is built once, not once per
-    row.  The lines are one (rows, width) uint8 matrix, stacked from a fixed
-    number of blocks: the prefix's bytes, the index digits, each column's
-    fields gathered from ``fields`` (NUL-padded to the widest) and the
-    newline.  Dropping every NUL in one pass leaves the text, decoded once.
-    """
-    rows = len(codes)
-    head = np.frombuffer(prefix.encode("ascii"), np.uint8)
-    matrix = np.concatenate(
-        [
-            np.broadcast_to(head, (rows, head.size)),
-            *_index_digits(rows),
-            *(fields.take(c).view(np.uint8).reshape(rows, fields.itemsize) for c in codes.T),
-            np.broadcast_to(np.uint8(ord("\n")), (rows, 1)),
-        ],
-        axis=1,
-    ).ravel()
-    return str(matrix[matrix != 0], "ascii")
+    width = sum(table.itemsize for table in tables)
+    for start in range(0, rows, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, rows)
+        block = start // _BLOCK_ROWS
+        head = np.frombuffer(f"{prefix}{block or ''}".encode("ascii"), np.uint8)
+        column = head.size + _BLOCK_DIGITS
+        matrix = np.empty((stop - start, column + width), np.uint8)
+        matrix[:, : head.size] = head
+        matrix[:, head.size : column] = _block_digits(block > 0)[: stop - start]
+        for table, code in zip(tables, codes(start, stop)):
+            matrix[:, column : column + table.itemsize] = table.take(code).view(np.uint8).reshape(-1, table.itemsize)
+            column += table.itemsize
+        text = matrix.ravel()
+        yield str(text[text != 0], "ascii")
 
 
 def _csv_columns(runs) -> list[str]:
@@ -101,37 +110,57 @@ def _csv_columns(runs) -> list[str]:
     return [col[0] if len(set(col)) == 1 else col[0].rsplit("_", 1)[0] for col in columns]
 
 
-def _dist_csv(v: SignalingVerdict) -> str:
-    """Exact pmf rows, or one row per sampled trial, for each run.
+def _dist_csv(v: SignalingVerdict) -> Iterator[str]:
+    """The CSV blocks of exact pmf rows, or of one row per sampled trial, for each run.
 
-    A sampled run's rows are one byte matrix built by ``_table_lines``: the
+    A sampled run's rows come 10^4 at a time from ``_table_blocks``: the
     choice, the trial index and each component's collective, looked up by
     its count m of -1 rounds in the field text of (N - 2m) / N for only the
     counts from the run's least to its greatest.
     """
     labels = _csv_columns(v.runs.values())
     if v.mode is RunMode.EXACT:
-        header = ["choice", *labels, "numerator", "denominator"]
-        lines = [
+        yield ",".join(["choice", *labels, "numerator", "denominator"]) + "\n"
+        yield "".join(
             ",".join([choice, *point, str(num), str(den)]) + "\n"
             for choice, dist in v.runs.items()
             for point, num, den in dist.atoms()
-        ]
-    else:
-        header = ["choice", "trial", *labels]
-        lines = []
-        for choice, run in v.runs.items():
-            n, lo, hi = run.n_rounds, int(run.negatives.min()), int(run.negatives.max())
-            fields = np.array([f",{(n - 2 * m) / n!r}".encode("ascii") for m in range(lo, hi + 1)])
-            lines.append(_table_lines(f"{choice},", fields, (run.negatives - lo).T))
-    return ",".join(header) + "\n" + "".join(lines)
+        )
+        return
+    yield ",".join(["choice", "trial", *labels]) + "\n"
+    for choice, run in v.runs.items():
+        negatives = run.negatives
+        n, lo, hi = run.n_rounds, int(negatives.min()), int(negatives.max())
+        fields = [f",{(n - 2 * m) / n!r}" for m in range(lo, hi + 1)]
+        table = np.array([field.encode("ascii") for field in fields])
+        last = np.array([f"{field}\n".encode("ascii") for field in fields])
+        tables = [table] * (len(negatives) - 1) + [last]
+        yield from _table_blocks(f"{choice},", tables, negatives.shape[1], lambda i, j: negatives[:, i:j] - lo)
 
 
-def _jamming_csv(records: JammingRecords) -> str:
-    """One row per triplet: its index and its (a_x, b_x, j) outcomes, built as one byte matrix by ``_table_lines``."""
-    # Field text of a +1/-1 outcome, indexed by outcome + 1.
-    sign_fields = np.array([b",-1", b",0", b",1"])
-    return "triplet,a_x,b_x,j\n" + _table_lines("", sign_fields, records.outcomes + 1)
+# Each triplet's row text after its index, by its code 4*[a_x = -1] + 2*[b_x = -1] + [j = -1].
+_JAMMING_ROWS = [f",{a},{b},{j}\n".encode("ascii") for a in (1, -1) for b in (1, -1) for j in (1, -1)]
+
+
+def _jamming_csv(records: JammingRecords) -> Iterator[str]:
+    """The CSV blocks of one row per triplet: its index and its (a_x, b_x, j) outcomes.
+
+    Each block of ``_table_blocks`` unpacks only its own triplets' bits of
+    the indicator words.  10^4 triplets are 1250 bytes, so every block
+    starts on a byte, though it may start mid-word.  The three bits make
+    each triplet's code into ``_JAMMING_ROWS``.
+    """
+    yield "triplet,a_x,b_x,j\n"
+    bytes_ = records.indicators.astype("<u8", copy=False).view(np.uint8)
+
+    def codes(start: int, stop: int) -> list[np.ndarray]:
+        bits = np.unpackbits(bytes_[:, start // 8 : -(-stop // 8)], axis=1, count=stop - start, bitorder="little")
+        code = bits[0] << 2
+        code |= bits[1] << 1
+        code |= bits[2]
+        return [code]
+
+    yield from _table_blocks("", [np.array(_JAMMING_ROWS)], records.trials, codes)
 
 
 # Each scenario subcommand: the box it runs and its help text.
@@ -142,7 +171,7 @@ _SCENARIOS = {
 }
 
 
-def cmd_scenario(args) -> tuple[dict, dict, str | None]:
+def cmd_scenario(args) -> tuple[dict, dict, Iterable[str] | None]:
     """pr-signal, tsirelson and ghz-signal: one verdict, which holds the report's results and checks."""
     kind = _SCENARIOS[args.command][0]
     # A CSV report prints each run's every component; a JSON one only what its verdict compared.
@@ -150,7 +179,7 @@ def cmd_scenario(args) -> tuple[dict, dict, str | None]:
     return {**v.results, "verdict": v.to_json_obj()}, v.checks, _dist_csv(v) if args.format == "csv" else None
 
 
-def cmd_ghz_algebra(args) -> tuple[dict, dict, str | None]:
+def cmd_ghz_algebra(args) -> tuple[dict, dict, Iterable[str] | None]:
     state = quantum.ghz_state()
     stabilizers = [
         {
@@ -200,7 +229,7 @@ def cmd_ghz_algebra(args) -> tuple[dict, dict, str | None]:
     return results, checks, None
 
 
-def cmd_jamming(args) -> tuple[dict, dict, str | None]:
+def cmd_jamming(args) -> tuple[dict, dict, Iterable[str] | None]:
     records = run_jamming_scenario(args.n, args.jim, args.trials, args.seed)
     counts, binned, overall = records.correlations()
     bin_counts = {str(j): c for j, c in counts.items()}
@@ -228,7 +257,7 @@ def cmd_jamming(args) -> tuple[dict, dict, str | None]:
     return results, checks, _jamming_csv(records) if args.format == "csv" else None
 
 
-def cmd_causal(args) -> tuple[dict, dict, str | None]:
+def cmd_causal(args) -> tuple[dict, dict, Iterable[str] | None]:
     """Analyse the config file at --config, and set ``args.config`` to the object read, for the report to echo."""
     path = Path(args.config_path)
     try:
@@ -302,11 +331,15 @@ def cmd_causal(args) -> tuple[dict, dict, str | None]:
     return results, checks, None
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(blocks: Iterable[str], out: str | None) -> None:
+    """Write each block as it comes, to stdout or to ``out``, which opens only once its report's work is done."""
     if out is None:
-        sys.stdout.write(text)
+        for block in blocks:
+            sys.stdout.write(block)
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as file:
+            for block in blocks:
+                file.write(block)
 
 
 _COMMANDS = {
@@ -378,12 +411,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.format == "csv" and args.command not in _CSV_COMMANDS:
             raise ValueError(f"csv output is not available for {args.command}")
-        results, checks, text = handler(args)
+        results, checks, blocks = handler(args)
         if args.format != "csv":
             config = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
             report = {"schema_version": SCHEMA_VERSION, "command": args.command, "config": config}
-            text = dump_report({**report, "results": results, "checks": checks})
-        _emit(text, args.out)
+            blocks = [dump_report({**report, "results": results, "checks": checks})]
+        _emit(blocks, args.out)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3

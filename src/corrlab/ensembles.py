@@ -593,7 +593,11 @@ class JammingRecords:
 
     @functools.cached_property
     def outcomes(self) -> np.ndarray:
-        """The (trials, 3) int8 outcomes of +1/-1, columns (a_x, b_x, j), unpacked from the indicators when first read."""
+        """The (trials, 3) int8 outcomes of +1/-1, columns (a_x, b_x, j), unpacked from the indicators when first read.
+
+        No report reads it: the CSV unpacks each block's bits from ``indicators``
+        itself.  It is kept for the benchmark's jamming observer and the tests.
+        """
         bytes_ = self.indicators.astype("<u8", copy=False).view(np.uint8)
         bits = np.unpackbits(bytes_, axis=1, count=self.trials, bitorder="little").view(np.int8)
         outcomes = np.multiply(bits.T, np.int8(-2), order="C")

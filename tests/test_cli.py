@@ -305,6 +305,16 @@ def assert_same_text(text: str, expected: str) -> None:
     )
 
 
+class _CountingSink(io.TextIOBase):
+    """A stdout that keeps only the count of the lines written to it."""
+
+    lines = 0
+
+    def write(self, text: str) -> int:
+        self.lines += text.count("\n")
+        return len(text)
+
+
 class TestCsvMatchesWriter:
     """CSV reports are byte-identical to the ``csv.writer`` rendering of one row per record."""
 
@@ -332,6 +342,15 @@ class TestCsvMatchesWriter:
     @example(k=3, n=7, trials=20, runs=2, seed=9, flips=(3, 3))
     # Sums from -4 to 2: the span is not centred on zero.
     @example(k=2, n=6, trials=30, runs=3, seed=10, flips=(2, 5))
+    # Trial counts across the 10^4-row CSV block, where the index's low digits restart zero-padded.
+    @example(k=1, n=6, trials=9999, runs=2, seed=11, flips=(0, 200))
+    @example(k=1, n=6, trials=10000, runs=2, seed=12, flips=(0, 200))
+    @example(k=1, n=6, trials=10001, runs=2, seed=13, flips=(0, 200))
+    @example(k=1, n=6, trials=20001, runs=2, seed=14, flips=(0, 200))
+    @example(k=3, n=6, trials=9999, runs=1, seed=15, flips=(0, 200))
+    @example(k=3, n=6, trials=10000, runs=1, seed=16, flips=(0, 200))
+    @example(k=3, n=6, trials=10001, runs=1, seed=17, flips=(0, 200))
+    @example(k=3, n=6, trials=20001, runs=1, seed=18, flips=(0, 200))
     def test_sampled(self, k, n, trials, runs, seed, flips):
         """``flips`` bounds each trial's count of -1 rounds, so the sums span all of the lattice or part of it."""
         rng = np.random.default_rng(seed)
@@ -344,7 +363,7 @@ class TestCsvMatchesWriter:
             negatives[0, 0], negatives[-1, -1] = fewest, most
             samples[choice] = EnsembleRun(labels=labels, negatives=negatives, n_rounds=n)
         v = sampled_verdict(samples)
-        assert_same_text(cli._dist_csv(v), oracles.render_csv_by_writer(v))
+        assert_same_text("".join(cli._dist_csv(v)), oracles.render_csv_by_writer(v))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -360,20 +379,60 @@ class TestCsvMatchesWriter:
     @example(jim="x", n=1, trials=11, seed=3)
     @example(jim="z", n=10, trials=10, seed=4)
     @example(jim="x", n=7, trials=143, seed=5)
+    # Triplet counts across the 10^4-row CSV block.  Blocks 1, 2 and 3 start at bits 16, 32 and 48 of a word.
+    @example(jim="x", n=1, trials=10000, seed=6)
+    @example(jim="z", n=1, trials=10001, seed=7)
+    @example(jim="x", n=1, trials=20003, seed=8)
+    @example(jim="z", n=1, trials=30001, seed=9)
     def test_jamming(self, jim, n, trials, seed):
         records = run_jamming_scenario(n, jim, trials, seed)
-        assert_same_text(cli._jamming_csv(records), oracles.render_csv_by_writer(records))
+        assert_same_text("".join(cli._jamming_csv(records)), oracles.render_csv_by_writer(records))
+
+    def test_block_digits_are_read_only(self):
+        for padded in (False, True):
+            digits = cli._block_digits(padded)
+            assert digits.shape == (cli._BLOCK_ROWS, 4)
+            assert not digits.flags.writeable
+            with pytest.raises(ValueError):
+                digits[0, 0] = ord("1")
 
     def test_jamming_peak_memory(self):
-        """6e5 triplets: the text builder's peak stays under six times the text it returns."""
-        records = run_jamming_scenario(6, "z", 100_000, 0)
-        tracemalloc.start()
-        try:
-            text = cli._jamming_csv(records)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * len(text)
+        """Draining the blocks of 2.4e6 triplets peaks no higher than 6e5 do, but for the larger indicator words and 64 KiB."""
+        # Two blocks, so both digit matrices are built before the runs measured.
+        assert "".join(cli._jamming_csv(run_jamming_scenario(1, "z", 10_001, 0))).count("\n") == 10_002
+        peaks, words = [], []
+        for trials in (100_000, 400_000):
+            records = run_jamming_scenario(6, "z", trials, 0)
+            tracemalloc.start()
+            try:
+                rows = sum(block.count("\n") for block in cli._jamming_csv(records))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert rows == 6 * trials + 1
+            words.append(records.indicators.nbytes)
+        assert peaks[1] - peaks[0] <= words[1] - words[0] + 64 * 1024, (peaks, words)
+
+    def test_streamed_report_peak_memory(self, monkeypatch):
+        """A sampled CSV report written by ``main`` peaks higher at 2^19 trials than at 2^17 only by its larger uint8 counts and 64 KiB.
+
+        The report has two runs of two components, so 4 bytes of counts per trial.
+        """
+        sink = _CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        peaks = []
+        # The first run builds what later runs reuse: the parser, the round pmfs and both digit matrices.
+        for trials in (10_001, 2**17, 2**19):
+            argv = ["pr-signal", "--mode", "mc", "--n", "6", "--trials", str(trials), "--format", "csv"]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert sink.lines == 2 * trials + 1
+            sink.lines = 0
+        assert peaks[2] - peaks[1] <= 4 * (2**19 - 2**17) + 64 * 1024, peaks
 
     @settings(max_examples=25, deadline=None)
     @given(kind=st.sampled_from(list(ScenarioKind)), n=st.integers(1, 24))
@@ -382,7 +441,7 @@ class TestCsvMatchesWriter:
     @example(kind=ScenarioKind.PR_BOX, n=7)
     def test_exact(self, kind, n):
         v = verdict(kind, n, RunMode.EXACT, joint=True)
-        assert_same_text(cli._dist_csv(v), oracles.render_csv_by_writer(v))
+        assert_same_text("".join(cli._dist_csv(v)), oracles.render_csv_by_writer(v))
 
 
 @st.composite
@@ -521,7 +580,7 @@ CSV_COMPONENT_COLUMNS = {
 def test_csv_header_holds_for_every_run(command, mode):
     kind, _ = cli._SCENARIOS[command]
     v = verdict(kind, 2, cli._MODES[mode], 50, 0, joint=True)
-    header = cli._dist_csv(v).split("\n", 1)[0].split(",")
+    header = "".join(cli._dist_csv(v)).split("\n", 1)[0].split(",")
     columns = header[1:-2] if mode == "exact" else header[2:]
     assert columns == CSV_COMPONENT_COLUMNS[command]
     for run in v.runs.values():
@@ -1106,6 +1165,9 @@ class TestDeterminismAndErrors:
         [
             ("pr-signal", "--mode", "mc", "--n", "1"),
             ("jamming", "--jim", "z"),
+            # A CSV report is written as it is built, but only after the run has sampled.
+            ("pr-signal", "--mode", "mc", "--n", "1", "--format", "csv"),
+            ("jamming", "--jim", "z", "--format", "csv"),
         ],
     )
     def test_out_of_memory_exits_2(self, args):
@@ -1115,6 +1177,31 @@ class TestDeterminismAndErrors:
         assert proc.stderr.startswith("error: out of memory")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("pr-signal", "--mode", "mc", "--trials", "0"),
+            ("ghz-signal", "--mode", "mc", "--n", "1", "--trials", str(10**15)),
+            ("jamming", "--jim", "z", "--trials", str(10**15)),
+        ],
+        ids=["trials-0", "ghz-out-of-memory", "jamming-out-of-memory"],
+    )
+    def test_refused_csv_run_leaves_out_file_unchanged(self, tmp_path, args):
+        """``--out`` opens its file only once the report's work is done, so a refusal never truncates it."""
+        out = tmp_path / "report.csv"
+        out.write_bytes(b"an earlier report\n")
+        proc = run_proc(*args, "--format", "csv", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert out.read_bytes() == b"an earlier report\n"
+
+    def test_out_into_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.csv"
+        argv = ["jamming", "--jim", "x", "--n", "1", "--trials", "10", "--format", "csv", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: {str(out)!r}\n")
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize(
         "args",

@@ -100,6 +100,7 @@ UNCALLED_PUBLIC_NAMES = {
     "sequential_measure": "benchmark entry point: perfbench's small-reports batches call it",
     "boost": "paper object: the Lorentz boost of the README's causal-geometry toolkit",
     "sums": "benchmark contract: perfbench/spans.py:_observe_scenario reads result.sums",
+    "outcomes": "benchmark contract: perfbench/spans.py:_observe_jamming reads result.outcomes",
 }
 
 

@@ -10,8 +10,9 @@ two Pythons; a run that ends in ``ModuleNotFoundError: No module named
 'numpy'`` is then counted as skipped, not as differing.  The commands cover every
 subcommand in json and csv, at default and small ``--trials``, and the
 refused inputs, including causal configs written to a temporary directory
-that both checkouts read, and each subcommand written through
-``--out /dev/stdout``.  Prints one line per command that differs, then a
+that both checkouts read, each subcommand written through
+``--out /dev/stdout``, CSV reports across the 10^4-row block through both,
+and an ``--out`` into a missing directory.  Prints one line per command that differs, then a
 summary with the skipped count and ``wc -l src/corrlab/*.py`` of each
 checkout; exits 1 if any command differs, else 0.
 """
@@ -183,6 +184,20 @@ def commands(config_dir: str) -> list[list[str]]:
     cmds += [[c, "--format", fmt, "--out", "/dev/stdout"] for c in SCENARIO_COMMANDS for fmt in ("json", "csv")]
     cmds += [["jamming", "--jim", "z", "--trials", "300", "--format", fmt, "--out", "/dev/stdout"] for fmt in ("json", "csv")]
     cmds += [["ghz-algebra", "--out", "/dev/stdout"], ["causal", "--config", "scenarios/causal_loop.json", "--out", "/dev/stdout"]]
+    # CSV rows one below, at and one above a 10^4-row block, and into a third block, through stdout and --out.
+    block_csv = [
+        [command, "--mode", "mc", "--n", "6", "--trials", str(t), "--format", "csv"]
+        for command in ("pr-signal", "ghz-signal")
+        for t in (9999, 10000, 10001, 20001)
+    ]
+    block_csv += [
+        ["jamming", "--jim", jim, "--n", n, "--trials", t, "--format", "csv"]
+        for jim in ("x", "z")
+        for n, t in (("1", "10001"), ("7", "1429"))
+    ]
+    cmds += block_csv + [[*argv, "--out", "/dev/stdout"] for argv in block_csv]
+    # --out into a directory that does not exist: exit 2, and no file.
+    cmds.append(["pr-signal", "--mode", "mc", "--trials", "10001", "--format", "csv", "--out", os.path.join(config_dir, "no-such-dir", "report.csv")])
     return cmds
 
 
