@@ -7,60 +7,55 @@ weights over one denominator, by N-fold convolution of the single-round
 pmf; Monte Carlo mode samples trials with reproducible per-(seed,
 scenario, choice) random streams and histograms them on the same grid:
 its cells are counted, or the trials' cells sorted where it dwarfs them.
-A sampled trial is a few random bit-planes, each word of which holds one
-bit of the table rows of 64 rounds.  Every sampled pmf is a Pauli
-measurement on a stabilizer state, or the maximal box's B' = +-B pair, so
-it is uniform over an affine set of outcomes (S. Aaronson and D.
-Gottesman, "Improved simulation of stabilizer circuits", Phys. Rev. A 70,
-052328, 2004).  Each component's indicator, the rounds where it differs
-from row 0, is then an XOR of bit-planes, and its count of -1 rounds
-follows from the popcount of that indicator (D. E. Knuth, TAOCP 4A,
-7.1.3).  A scenario run keeps only those narrow -1 counts, one per
-component and trial in the narrowest unsigned dtype that holds N (uint8
-up to N = 255), never a round-by-round record or an int64 sum, since
-every report reads the collectives alone.  Its histogram builds grid
-cells from the counts in blocks of trials, in one reused int64 buffer.  A
-receivers-only GHZ run samples the receivers' round marginal, which keeps
-the whole pmf's table rows, and a jamming run draws its indicator words
-in place, with no popcount, and counts its histogram from them.  Seeded
-draws changed when this sampler replaced the one-word-per-round table
-lookup.
 
-The Born round pmfs (GHZ, Tsirelson with Bob's marginal, and jamming) are
-Pauli measurements on the GHZ or Bell state, whose amplitudes are
-integers over sqrt(2), so each is exact from the start: integer weights
-from ``quantum.pauli_weights``.  They are built once per process, in a
-16-entry cache that their 8 pmfs fit.  A distribution's cells and weights
-are tuples, so no caller can change a cached pmf.
+Every round pmf is a Pauli measurement on a stabilizer state (the Bell
+pair, the GHZ triplet) or the maximal box's B' = +-B pair, so it is
+uniform over an affine set of outcomes (S. Aaronson and D. Gottesman,
+"Improved simulation of stabilizer circuits", Phys. Rev. A 70, 052328,
+2004).  Each has one affine form, built once per process: the Born ones
+from the state's stabilizer group, in a 16-entry cache that their 10
+forms fit, the box's by hand.  A form holds the one-round pmf, whose
+cells and weights are tuples so that no caller can change it, and each
+component's bit-planes.  A sampled trial draws random bit-planes, each
+word of which holds one bit of the table rows of 64 rounds.  A
+component's indicator, the rounds where it differs from row 0, is the
+XOR of its planes, and its count of -1 rounds follows from the popcount
+of that indicator (D. E. Knuth, TAOCP 4A, 7.1.3).  A scenario run keeps
+only those narrow -1 counts, one per component and trial in the
+narrowest unsigned dtype that holds N, never a round-by-round record or
+an int64 sum.  Its histogram builds grid cells from the counts in blocks
+of trials, in one reused int64 buffer.  A receivers-only GHZ run samples
+the receivers' round marginal, which keeps the whole pmf's table rows,
+and a jamming run draws its indicator words in place and counts its
+histogram from them.
 
-Exact runs are pure Python: Born weights, Kronecker-substituted big-int
-powers and tuple distributions.  Only the sampler, sampled runs and their
-histograms and the jamming records read numpy, through ``_numpy``, so an
-exact run never loads it.
+Exact runs are pure Python: stabilizer groups, Kronecker-substituted
+big-int powers and tuple distributions.  Only the sampler, sampled runs
+and their histograms and the jamming records read numpy, through
+``_numpy``, so an exact run never loads it.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import operator
 import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from ._numpy import np
-from .errors import InvariantViolation
-from .quantum import BELL_ROOT2, GHZ_ROOT2, pauli_weights
+from .quantum import GHZ_STABILIZERS, _BELL_STABILIZERS, _stabilizer_group, outcome_tuples
 
 EXACT_MAX_ROUNDS = 24
 # Alice's and Bob's components of a three-party run: the receivers of Jim's choice.
 GHZ_RECEIVERS = (0, 1)
 # Live 64-bit words per sampled chunk (2 MiB), so sampling memory stays flat in N.
 _SAMPLE_WORDS = 1 << 18
-_MAX_TABLE_CELLS = 1 << 16
 # Grid cells per trial up to which a histogram counts every cell, so counts never outgrow the trials.
 _COUNT_CELLS_PER_TRIAL = 4
 # Trials per block of a histogram, whose cells share one reused buffer (128 KiB of int64).
@@ -280,6 +275,63 @@ def convolve_iid_rounds(round_pmf: ExactDistribution, n_rounds: int) -> list[int
 
 
 @dataclass(frozen=True, eq=False)
+class _AffineForm:
+    """A round pmf uniform over an affine outcome set, and the bit-planes that sample it.
+
+    ``pmf`` is over a table of D = 2^d rows, D its denominator.
+    ``planes[c]`` names the planes whose XOR marks the rows where component
+    c differs from row 0, and ``negative_first[c]`` whether row 0 is -1 there.
+    """
+
+    pmf: ExactDistribution
+    planes: tuple[tuple[int, ...], ...]
+    negative_first: tuple[bool, ...]
+
+
+def _affine_form(atoms: Sequence[tuple], labels: tuple[str, ...], keep: tuple[int, ...] | None = None) -> _AffineForm:
+    """The form of the pmf uniform over ``atoms``, an affine outcome set in ``outcome_tuples`` order.
+
+    With ``keep``, the form of those components' marginal: their projected
+    atoms, on the whole pmf's table.  The table lists the 2^r atoms in
+    outcome order (+1 first, the reverse of grid order), each 2^(d-r)
+    times, so atom index i sits in row bits d-r .. d-1.  Sorted, an affine
+    set's outcomes are affine in i: column c is atom 0's value flipped by
+    the parity of the bits j of i where atom 2^j differs from atom 0 at c,
+    so its indicator is the XOR of planes d - r + j over those j.
+    """
+    pmf = ExactDistribution.from_mapping(dict.fromkeys(atoms, Fraction(1, len(atoms))), labels, 1)
+    if keep is not None:
+        pmf = pmf.marginal(keep)
+        atoms = sorted({tuple(atom[i] for i in keep) for atom in atoms}, reverse=True)
+    d, r = pmf.denominator.bit_length() - 1, len(atoms).bit_length() - 1
+    planes = tuple(tuple(d - r + j for j in range(r) if atoms[1 << j][c] != atoms[0][c]) for c in range(len(atoms[0])))
+    return _AffineForm(pmf, planes, tuple(v < 0 for v in atoms[0]))
+
+
+# The maximal box's (B, B') pair: b is Alice's unbiased outcome, and b' is b under "u" and -b under "p".
+_PR_FORMS = {choice: _affine_form(((1, s), (-1, -s)), ("B", "B_prime")) for choice, s in (("u", 1), ("p", -1))}
+
+
+@functools.lru_cache(maxsize=16)
+def _born_form(generators: tuple, factors: tuple, labels: tuple, keep: tuple | None = None) -> _AffineForm:
+    """The form of one round of the Pauli letters ``factors`` on the stabilizer state of ``generators``.
+
+    A site set T whose product string (I elsewhere) is in the state's
+    stabilizer group with sign s fixes prod_{k in T} o_k = s, and the
+    outcomes that meet every such constraint, an affine set, are equally
+    likely (Aaronson & Gottesman); an "I" site is always +1.  Pure and
+    immutable, so each is built once per process: the 10 Born forms are 2
+    GHZ, 2 GHZ receivers, 4 Tsirelson and 2 jamming ones.
+    """
+    group = _stabilizer_group(generators)
+    subsets = itertools.product((False, True), repeat=len(factors))
+    constraints = [(t, group.get(tuple(f if on else "I" for f, on in zip(factors, t)))) for t in subsets]
+    outcomes = outcome_tuples(len(factors))
+    atoms = [o for o in outcomes if all(s is None or math.prod(itertools.compress(o, t)) == s for t, s in constraints)]
+    return _affine_form(atoms, labels, keep)
+
+
+@dataclass(frozen=True, eq=False)
 class EnsembleRun:
     """Monte Carlo samples of collective variables.
 
@@ -364,35 +416,6 @@ def _stream_rng(seed: int, stream: tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, *stream)))
 
 
-def _parity_planes(round_pmf: ExactDistribution) -> tuple[list[tuple[int, ...]], list[bool]]:
-    """Per column, the bit-planes whose XOR marks the table rows differing from row 0, and whether row 0 is -1 there.
-
-    The table of D = 2^d rows lists the 2^r atoms in ``outcome_tuples``
-    order (+1 first), the reverse of grid cell order, so a uniform pmf puts
-    atom index i in row bits d-r .. d-1.  Sorted, the outcomes of an affine
-    set are an affine function of i: column c is -1 where row 0's value XOR
-    the parity of i's bits in c's mask is, so its indicator is the XOR of
-    planes d - r + j over the bits j of that mask, none where c is
-    constant.  A pmf that is not uniform over an affine outcome set raises.
-    """
-    denom = round_pmf.denominator
-    if denom & (denom - 1) or denom > _MAX_TABLE_CELLS:
-        raise InvariantViolation(f"round pmf with denominator {denom} is not dyadic over <= {_MAX_TABLE_CELLS} cells")
-    # Equal weights summing to D = 2^d leave 2^r atoms.
-    affine = min(round_pmf.weights) == max(round_pmf.weights)
-    d, r = denom.bit_length() - 1, len(round_pmf.weights).bit_length() - 1
-    planes, negative_first = [], []
-    for column in round_pmf._digit_columns():
-        negative = [digit == 0 for digit in reversed(column)]
-        mask = sum(1 << j for j in range(r) if negative[1 << j] != negative[0])
-        affine &= all(neg == negative[0] ^ (i & mask).bit_count() % 2 for i, neg in enumerate(negative))
-        planes.append(tuple(d - r + j for j in range(r) if mask >> j & 1))
-        negative_first.append(negative[0])
-    if not affine:
-        raise InvariantViolation("round pmf is not uniform over an affine outcome set")
-    return planes, negative_first
-
-
 def _indicator(planes: np.ndarray, column: tuple[int, ...], scratch: np.ndarray) -> np.ndarray:
     """Where ``column`` differs from row 0, 64 rounds per word: the XOR of its ``planes[:, j]``.
 
@@ -407,37 +430,28 @@ def _indicator(planes: np.ndarray, column: tuple[int, ...], scratch: np.ndarray)
     return scratch
 
 
-def _sample_outcome_rows(
-    round_pmf: ExactDistribution,
-    n_rounds: int,
-    trials: int,
-    seed: int,
-    stream: tuple[int, ...],
-) -> np.ndarray:
-    """Draw (trials, N) rounds as random bit-planes and count each column's -1 rounds per trial, as a (k, trials) array.
+def _sample_outcome_rows(form: _AffineForm, n_rounds: int, trials: int, seed: int, stream: tuple) -> np.ndarray:
+    """Draw (trials, N) rounds of ``form`` as bit-planes and count each column's -1 rounds per trial, as (k, trials).
 
-    The pmf must be dyadic with common denominator D = 2^d.  A table of D
-    rows holds each atom p*D times, in ``outcome_tuples`` order, and a
-    round is a uniform row.  A trial draws d bit-planes of ceil(N/64) raw
-    PCG64 words, all of its planes in a row, so the stream does not depend
-    on the chunk size: bit b of word w of plane j is bit j of the row of
-    round 64*w + b.  Since every sampled pmf is uniform over an affine
-    outcome set, a column's indicator, where it differs from row 0, is the
-    XOR of the planes ``_parity_planes`` names (``_indicator``).  Its -1
-    rounds are the rounds the indicator marks, or those it leaves clear
-    where row 0 is -1, so a count is the indicator's popcount (Knuth, TAOCP
-    4A, 7.1.3) or N minus it.  Counts are in ``np.min_scalar_type(N)``, the
-    narrowest unsigned dtype that holds N.  A chunk of trials holds at most
-    ``_SAMPLE_WORDS`` live words: the planes, one scratch row if some column
-    needs it, and the uint8 popcounts.  A jamming run draws one trial of
-    this stream in place, with no popcount.  These draws replaced a table
-    lookup on one raw word per round, so seeded samples differ from corrlab
-    releases before the bit-sliced sampler.
+    A table of D = 2^d rows, D the pmf's denominator, holds each atom p*D
+    times, in ``outcome_tuples`` order, and a round is a uniform row.  A
+    trial draws d bit-planes of ceil(N/64) raw PCG64 words, all of its
+    planes in a row, so the stream does not depend on the chunk size: bit b
+    of word w of plane j is bit j of the row of round 64*w + b.  A column's
+    indicator, where it differs from row 0, is the XOR of the form's planes
+    (``_indicator``).  Its -1 rounds are the rounds the indicator marks, or
+    those it leaves clear where row 0 is -1, so a count is the indicator's
+    popcount or N minus it, in ``np.min_scalar_type(N)``.  A chunk of
+    trials holds at most ``_SAMPLE_WORDS`` live words: the planes, one
+    scratch row if some column needs it, and the uint8 popcounts.  A
+    jamming run draws one trial of this stream in place, with no popcount.
+    These draws replaced a table lookup on one raw word per round, so
+    seeded samples differ from corrlab releases before the bit-sliced
+    sampler.
     """
-    negatives = np.empty((len(round_pmf.labels), trials), dtype=np.min_scalar_type(n_rounds))
-    planes_of, negative_first = _parity_planes(round_pmf)
-    scratch_rows = int(any(len(p) != 1 for p in planes_of))
-    d = round_pmf.denominator.bit_length() - 1
+    negatives = np.empty((len(form.planes), trials), dtype=np.min_scalar_type(n_rounds))
+    scratch_rows = int(any(len(p) != 1 for p in form.planes))
+    d = form.pmf.denominator.bit_length() - 1
     words = -(-n_rounds // 64)
     chunk_trials = min(trials, max(1, _SAMPLE_WORDS // (words * (d + scratch_rows + 1))))
     scratch = np.empty((scratch_rows * chunk_trials, words), dtype=np.uint64)
@@ -448,56 +462,25 @@ def _sample_outcome_rows(
         planes = bitgen.random_raw((chunk, d, words))
         # Rounds past N read as row 0, where every indicator is clear.
         _clear_tail(planes, n_rounds)
-        for c, column in enumerate(planes_of):
+        for c, column in enumerate(form.planes):
             x = _indicator(planes, column, scratch[:chunk])
             row = negatives[c, done : done + chunk]
             np.sum(np.bitwise_count(x, out=bit_counts[:chunk]), axis=1, dtype=negatives.dtype, out=row)
-            if negative_first[c]:
+            if form.negative_first[c]:
                 np.subtract(n_rounds, row, out=row)
         del planes, x  # free this chunk's planes before the next draw
     return negatives
 
 
-def _run_from_round_pmf(
-    spec: ScenarioSpec, round_pmf: ExactDistribution, *axis: int
-) -> ExactDistribution | EnsembleRun:
-    """The exact or sampled run of ``round_pmf``; a sample draws the stream of its kind, choice and ``axis``."""
+def _run_from_form(spec: ScenarioSpec, form: _AffineForm, *axis: int) -> ExactDistribution | EnsembleRun:
+    """The exact or sampled run of ``form``; a sample draws the stream of its kind, choice and ``axis``."""
     n = spec.n_rounds
     if spec.mode is RunMode.EXACT:
-        weights = convolve_iid_rounds(round_pmf, n)
-        return ExactDistribution.from_grid(round_pmf.labels, n, weights, round_pmf.denominator**n)
+        weights = convolve_iid_rounds(form.pmf, n)
+        return ExactDistribution.from_grid(form.pmf.labels, n, weights, form.pmf.denominator**n)
     stream = (_KIND_STREAM[spec.kind], _CHOICE_INDEX[spec.sender_choice], *axis)
-    negatives = _sample_outcome_rows(round_pmf, n, spec.trials, spec.seed, stream)
-    return EnsembleRun(labels=round_pmf.labels, negatives=negatives, n_rounds=n)
-
-
-@functools.lru_cache(maxsize=16)
-def _born_round_pmf(
-    state: tuple[int, ...], factors: tuple[str, ...], labels: tuple[str, ...], keep: tuple[int, ...] | None = None
-) -> ExactDistribution:
-    """The exact Born pmf of one round of ``factors`` on the integer state ``state``, labelled ``labels``.
-
-    Its weights are ``pauli_weights`` in grid order, the reverse of outcome
-    order, over their gcd.  With ``keep``, the round marginal of those
-    components.  Pure and immutable, so each is built once per process: the
-    8 Born round pmfs are 2 GHZ, 4 Tsirelson and 2 jamming ones.
-    """
-    weights = pauli_weights(state, factors)[::-1]
-    scale = math.gcd(*weights)
-    pmf = ExactDistribution.from_grid(labels, 1, [w // scale for w in weights], sum(weights) // scale)
-    return pmf if keep is None else pmf.marginal(keep)
-
-
-def pr_round_pmf(sender_choice: str) -> ExactDistribution:
-    """Per-round pmf of Bob's jointly read (B, B') pair.
-
-    The four perfect (anti)correlations of the maximal box fix the pair
-    from Alice's unbiased outcome: b equals it, and b' equals it under the
-    unprimed choice and is its negative under the primed one.
-    """
-    sign = 1 if sender_choice == "u" else -1
-    half = Fraction(1, 2)
-    return ExactDistribution.from_mapping({(1, sign): half, (-1, -sign): half}, ("B", "B_prime"), 1)
+    negatives = _sample_outcome_rows(form, n, spec.trials, spec.seed, stream)
+    return EnsembleRun(labels=form.pmf.labels, negatives=negatives, n_rounds=n)
 
 
 def run_pr_scenario(spec: ScenarioSpec) -> ExactDistribution | EnsembleRun:
@@ -508,13 +491,14 @@ def run_pr_scenario(spec: ScenarioSpec) -> ExactDistribution | EnsembleRun:
     """
     if spec.kind is not ScenarioKind.PR_BOX:
         raise ValueError("spec.kind must be PR_BOX")
-    return _run_from_round_pmf(spec, pr_round_pmf(spec.sender_choice))
+    return _run_from_form(spec, _PR_FORMS[spec.sender_choice])
 
 
-def ghz_round_pmf(sender_choice: str) -> ExactDistribution:
-    """Born pmf of (A_x, B_x, J) for one triplet, Jim on x ("u") or y ("p")."""
+def _ghz_form(sender_choice: str, receivers_only: bool = False) -> _AffineForm:
+    """The form of (A_x, B_x, J) for one triplet, Jim on x ("u") or y ("p"), or of (A_x, B_x) alone."""
     jim_factor = "X" if sender_choice == "u" else "Y"
-    return _born_round_pmf(GHZ_ROOT2, ("X", "X", jim_factor), ("A_x", "B_x", f"J_{jim_factor.lower()}"))
+    labels = ("A_x", "B_x", f"J_{jim_factor.lower()}")
+    return _born_form(GHZ_STABILIZERS, ("X", "X", jim_factor), labels, GHZ_RECEIVERS if receivers_only else None)
 
 
 def run_ghz_scenario(spec: ScenarioSpec, receivers_only: bool = False) -> ExactDistribution | EnsembleRun:
@@ -531,14 +515,11 @@ def run_ghz_scenario(spec: ScenarioSpec, receivers_only: bool = False) -> ExactD
     """
     if spec.kind is not ScenarioKind.GHZ:
         raise ValueError("spec.kind must be GHZ")
-    pmf = ghz_round_pmf(spec.sender_choice)
-    if receivers_only:
-        pmf = pmf.marginal(GHZ_RECEIVERS)
-    return _run_from_round_pmf(spec, pmf)
+    return _run_from_form(spec, _ghz_form(spec.sender_choice, receivers_only))
 
 
-def tsirelson_round_pmf(sender_choice: str, bob_axis: str) -> ExactDistribution:
-    """Bob's exact per-round marginal on a Bell pair.
+def _tsirelson_form(sender_choice: str, bob_axis: str) -> _AffineForm:
+    """The form of Bob's round marginal on a Bell pair.
 
     Alice measures Z ("u") or X ("p"); Bob measures Z or X per
     ``bob_axis``.  The z and x observables are the sum and difference
@@ -547,17 +528,15 @@ def tsirelson_round_pmf(sender_choice: str, bob_axis: str) -> ExactDistribution:
     if bob_axis not in ("z", "x"):
         raise ValueError("bob_axis must be 'z' or 'x'")
     alice_factor = "Z" if sender_choice == "u" else "X"
-    return _born_round_pmf(BELL_ROOT2, (alice_factor, bob_axis.upper()), ("alice", f"bob_{bob_axis}"), (1,))
+    return _born_form(_BELL_STABILIZERS, (alice_factor, bob_axis.upper()), ("alice", f"bob_{bob_axis}"), (1,))
 
 
-def run_tsirelson_scenario(
-    spec: ScenarioSpec, bob_axis: str = "z"
-) -> ExactDistribution | EnsembleRun:
+def run_tsirelson_scenario(spec: ScenarioSpec, bob_axis: str = "z") -> ExactDistribution | EnsembleRun:
     """Bob's collective for one of his rescaled sum/difference observables."""
     if spec.kind is not ScenarioKind.TSIRELSON:
         raise ValueError("spec.kind must be TSIRELSON")
     axis = 0 if bob_axis == "z" else 1
-    return _run_from_round_pmf(spec, tsirelson_round_pmf(spec.sender_choice, bob_axis), axis)
+    return _run_from_form(spec, _tsirelson_form(spec.sender_choice, bob_axis), axis)
 
 
 SCENARIO_RUNNERS = {
@@ -642,16 +621,19 @@ class JammingRecords:
         return counts, binned, (agree[1] + agree[-1]) / self.trials
 
 
-def jamming_round_pmf(jim_choice: str) -> ExactDistribution:
-    """Exact Born pmf of (a_x, b_x, j) with Jim on x or z."""
+def _jamming_form(jim_choice: str) -> _AffineForm:
+    """The form of (a_x, b_x, j) with Jim on x or z."""
     if jim_choice not in ("x", "z"):
         raise ValueError("jim_choice must be 'x' or 'z'")
-    return _born_round_pmf(GHZ_ROOT2, ("X", "X", jim_choice.upper()), ("a_x", "b_x", f"j_{jim_choice}"))
+    return _born_form(GHZ_STABILIZERS, ("X", "X", jim_choice.upper()), ("a_x", "b_x", f"j_{jim_choice}"))
 
 
-def run_jamming_scenario(
-    n_rounds: int, jim_choice: str, trials: int, seed: int
-) -> JammingRecords:
+def jamming_round_pmf(jim_choice: str) -> ExactDistribution:
+    """Exact Born pmf of (a_x, b_x, j) with Jim on x or z."""
+    return _jamming_form(jim_choice).pmf
+
+
+def run_jamming_scenario(n_rounds: int, jim_choice: str, trials: int, seed: int) -> JammingRecords:
     """Sample trials*n_rounds independent triplets and record (a_x, b_x, j).
 
     All three single-site observables commute, so sampling the joint Born
@@ -668,18 +650,17 @@ def run_jamming_scenario(
     if trials > most:
         raise ValueError(f"trials must be at most {most} at n={n_rounds} to hold 3 indicator words per 64 triplets")
     _check_seed(seed)
-    pmf = jamming_round_pmf(jim_choice)
+    form = _jamming_form(jim_choice)
     stream = (_JAMMING_STREAM, 0 if jim_choice == "x" else 1)
     triplets = n_rounds * trials
     words = -(-triplets // 64)
     indicators = np.empty((3, words), dtype=np.uint64)
-    planes_of, negative_first = _parity_planes(pmf)
-    planes = _stream_rng(seed, stream).bit_generator.random_raw((1, pmf.denominator.bit_length() - 1, words))
-    for c, column in enumerate(planes_of):
+    planes = _stream_rng(seed, stream).bit_generator.random_raw((1, form.pmf.denominator.bit_length() - 1, words))
+    for c, column in enumerate(form.planes):
         row = indicators[c : c + 1]
         x = _indicator(planes, column, row)
         # The indicator marks where c differs from row 0: its -1 triplets, or its +1 ones where row 0 is -1.
-        if negative_first[c]:
+        if form.negative_first[c]:
             np.invert(x, out=row)
         elif x is not row:
             row[...] = x

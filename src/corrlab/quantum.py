@@ -13,14 +13,17 @@ Phys. Rev. A 70, 052328 (2004)), and each tilted site adds one diagonal
 and one bit-flip term.  Commutator norms need no state at all: each
 site's pair of factors contributes its Bloch vectors' dot and cross
 products to a closed form, exact on Pauli letters and linear in the sites.
+Signed Pauli strings multiply as XY = iZ and its cyclic images, so the
+Bell and GHZ stabilizers close on the groups that give the ensemble
+layer its exact round pmfs.
 
 The float simulator (``PureState``, the state builders, the expectations
 and the Born branches and pmfs) reads numpy through ``_numpy``, which
-loads it on first use.  Observables, commutator norms, ``pauli_weights``
-and the assignment search are pure Python, so a process that needs only
-exact Born weights, as the exact ``pr-signal`` and ``ghz-signal`` commands
-and ``causal`` do, never loads numpy; ``tsirelson`` (its tilted box) and
-``ghz-algebra`` (the GHZ state vector) load it.
+loads it on first use.  Observables, commutator norms, the stabilizer
+group and the assignment search are pure Python, so a process that needs
+only exact round pmfs, as the exact ``pr-signal`` and ``ghz-signal``
+commands and ``causal`` do, never loads numpy; ``tsirelson`` (its tilted
+box) and ``ghz-algebra`` (the GHZ state vector) load it.
 """
 
 from __future__ import annotations
@@ -357,45 +360,40 @@ def _born_pmf(key: bytes, factors: tuple[str | float, ...]) -> dict[tuple[int, .
     return probs
 
 
-def pauli_weights(amplitudes: tuple[int, ...], factors: tuple[str, ...]) -> list[int]:
-    """The exact weights |prod_k (I + o_k P_k) c|^2 of an integer vector c, in ``outcome_tuples`` order.
+def _letter_product(a: str, b: str) -> tuple[int, str]:
+    """The product ab of two Pauli letters as (quarter turns of its phase, letter): XY = iZ and its cyclic images.
 
-    Pauli letters act as signed permutations with phases in {+-1, +-i}, so
-    amplitudes stay Gaussian integers, held here as (re, im) pairs of Python
-    ints: site k's letter maps amplitude i to amplitude i, or i with k's bit
-    flipped for X and Y, turned by a power of i (Y: +i where k's bit of i is
-    set, -i where clear; Z: -1 where set).  Each weight is then a sum of
-    re^2 + im^2, and p(o) on c/|c| is the weight over |c|^2 * 4^n.  Integer
-    arithmetic is exact at any size, but |c|^2 * 4^n >= 2^53 raises
-    ValueError, so every weight is also exact in the complex128 arithmetic
-    of ``joint_probabilities``; a factor other than I, X, Y, Z and a length
-    other than 2^n raise as well.
+    "IXZY" lists the letters by their (X, Z) bits, so the product's letter is at the XOR of the factors' indices.
     """
-    n = len(factors)
-    if any(f not in ("I", "X", "Y", "Z") for f in factors):
-        raise ValueError(f"factors {factors!r} are not all Pauli letters")
-    if len(amplitudes) != 2**n:
-        raise ValueError(f"{len(amplitudes)} amplitudes for {n} factors")
-    if sum(a * a for a in amplitudes) * 4**n >= 2**53:
-        raise ValueError("weights reach 2^53, past exact float arithmetic")
-    weights = []
-    for outcome in outcome_tuples(n):
-        vec = [(a, 0) for a in amplitudes]
-        for k, (o, letter) in enumerate(zip(outcome, factors)):
-            bit = 1 << (n - 1 - k)
-            flip = bit if letter in ("X", "Y") else 0
-            # Quarter turns of the image where k's bit is set and where it is clear.
-            turns = {"Y": (1, 3), "Z": (2, 0)}.get(letter, (0, 0))
-            summed = []
-            for i, (re, im) in enumerate(vec):
-                pre, pim = vec[i ^ flip]
-                for _ in range(turns[0] if i & bit else turns[1]):
-                    pre, pim = -pim, pre
-                summed.append((re + o * pre, im + o * pim))
-            vec = summed
-        weights.append(sum(re * re + im * im for re, im in vec))
-    return weights
+    c = "IXZY"["IXZY".index(a) ^ "IXZY".index(b)]
+    return (0 if c in (a, b, "I") else 1 if a + b in "XYZX" else 3), c
 
+
+def _stabilizer_group(generators: tuple) -> dict[tuple[str, ...], int]:
+    """Each Pauli string of the group that the signed Pauli strings ``generators`` generate, and its sign.
+
+    Each generator multiplies every member so far.  Two generators that do
+    not commute multiply to an odd power of i, and a set that reaches one
+    string with both signs, or closes on fewer than 2^n strings, fixes no
+    n-qubit state: each raises InvariantViolation.
+    """
+    n = generators[0][0].n_qubits
+    group = {("I",) * n: 1}
+    for observable, sign in generators:
+        for letters, s in list(group.items()):
+            turns, product = zip(*map(_letter_product, letters, observable.factors))
+            if sum(turns) % 2:
+                raise InvariantViolation(f"stabilizers {observable.label()}, {'*'.join(letters)} do not commute")
+            value = s * sign * (1 - sum(turns) % 4)
+            if group.setdefault(product, value) != value:
+                raise InvariantViolation(f"stabilizers give {'*'.join(product)} both signs")
+    if len(group) != 2**n:
+        raise InvariantViolation(f"stabilizers close on {len(group)} strings, which fix no {n}-qubit state")
+    return group
+
+
+# The Bell state's stabilizers: XX and ZZ fix it with +1.
+_BELL_STABILIZERS = ((PauliObservable(("X", "X")), 1), (PauliObservable(("Z", "Z")), 1))
 
 # Three-party correlation facts used by the ensemble and algebra layers.
 # Party order is (Alice, Bob, Jim) throughout.

@@ -24,6 +24,7 @@ import numpy as np
 import sympy as sp
 
 from corrlab.ensembles import EnsembleRun, ExactDistribution, JammingRecords, RunMode
+from corrlab.errors import InvariantViolation
 from corrlab.quantum import _projections
 from corrlab.spacetime import SpacetimeEvent
 
@@ -287,6 +288,77 @@ def pauli_weights_by_float(amplitudes: tuple[int, ...], factors: tuple[str, ...]
     """
     vecs = _projections(np.array(amplitudes, complex), tuple(factors))
     return [int(np.vdot(vec, vec).real) for vec in vecs]
+
+
+def pauli_weights(amplitudes: tuple[int, ...], factors: tuple[str, ...]) -> list[int]:
+    """The exact weights |prod_k (I + o_k P_k) c|^2 of an integer vector c, in ``outcome_tuples`` order.
+
+    corrlab's former ``quantum.pauli_weights``.  Pauli letters act as signed
+    permutations with phases in {+-1, +-i}, so amplitudes stay Gaussian
+    integers, held here as (re, im) pairs of Python ints: site k's letter
+    maps amplitude i to amplitude i, or i with k's bit flipped for X and Y,
+    turned by a power of i (Y: +i where k's bit of i is set, -i where clear;
+    Z: -1 where set).  Each weight is then a sum of re^2 + im^2, and p(o) on
+    c/|c| is the weight over |c|^2 * 4^n.  |c|^2 * 4^n >= 2^53 raises
+    ValueError, so every weight is also exact in complex128 arithmetic
+    (``pauli_weights_by_float``); a factor other than I, X, Y, Z and a
+    length other than 2^n raise as well.
+    """
+    n = len(factors)
+    if any(f not in ("I", "X", "Y", "Z") for f in factors):
+        raise ValueError(f"factors {factors!r} are not all Pauli letters")
+    if len(amplitudes) != 2**n:
+        raise ValueError(f"{len(amplitudes)} amplitudes for {n} factors")
+    if sum(a * a for a in amplitudes) * 4**n >= 2**53:
+        raise ValueError("weights reach 2^53, past exact float arithmetic")
+    weights = []
+    for outcome in itertools.product((1, -1), repeat=n):
+        vec = [(a, 0) for a in amplitudes]
+        for k, (o, letter) in enumerate(zip(outcome, factors)):
+            bit = 1 << (n - 1 - k)
+            flip = bit if letter in ("X", "Y") else 0
+            # Quarter turns of the image where k's bit is set and where it is clear.
+            turns = {"Y": (1, 3), "Z": (2, 0)}.get(letter, (0, 0))
+            summed = []
+            for i, (re, im) in enumerate(vec):
+                pre, pim = vec[i ^ flip]
+                for _ in range(turns[0] if i & bit else turns[1]):
+                    pre, pim = -pim, pre
+                summed.append((re + o * pre, im + o * pim))
+            vec = summed
+        weights.append(sum(re * re + im * im for re, im in vec))
+    return weights
+
+
+def parity_planes(round_pmf: ExactDistribution) -> tuple[list[tuple[int, ...]], list[bool]]:
+    """Per column, the bit-planes whose XOR marks the table rows differing from row 0, and whether row 0 is -1 there.
+
+    corrlab's former ``ensembles._parity_planes``, which read a sampled
+    round pmf's affine form back out of the pmf.  The table of D = 2^d rows
+    lists the 2^r atoms in ``outcome_tuples`` order (+1 first), the reverse
+    of grid cell order, so a uniform pmf puts atom index i in row bits
+    d-r .. d-1.  Column c is -1 where row 0's value XOR the parity of i's
+    bits in c's mask is, so its indicator is the XOR of planes d - r + j
+    over the bits j of that mask.  A pmf that is not dyadic over at most
+    2^16 rows, or not uniform over an affine outcome set, raises
+    InvariantViolation.
+    """
+    denom = round_pmf.denominator
+    if denom & (denom - 1) or denom > 1 << 16:
+        raise InvariantViolation(f"round pmf with denominator {denom} is not dyadic over <= {1 << 16} cells")
+    # Equal weights summing to D = 2^d leave 2^r atoms.
+    affine = min(round_pmf.weights) == max(round_pmf.weights)
+    d, r = denom.bit_length() - 1, len(round_pmf.weights).bit_length() - 1
+    planes, negative_first = [], []
+    for column in round_pmf._digit_columns():
+        negative = [digit == 0 for digit in reversed(column)]
+        mask = sum(1 << j for j in range(r) if negative[1 << j] != negative[0])
+        affine &= all(neg == negative[0] ^ (i & mask).bit_count() % 2 for i, neg in enumerate(negative))
+        planes.append(tuple(d - r + j for j in range(r) if mask >> j & 1))
+        negative_first.append(negative[0])
+    if not affine:
+        raise InvariantViolation("round pmf is not uniform over an affine outcome set")
+    return planes, negative_first
 
 
 def iid_sum_bruteforce(

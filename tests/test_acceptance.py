@@ -22,7 +22,6 @@ from corrlab.ensembles import (
     RunMode,
     ScenarioKind,
     ScenarioSpec,
-    ghz_round_pmf,
     run_ghz_scenario,
     run_jamming_scenario,
     run_pr_scenario,
@@ -409,7 +408,7 @@ def test_sampled_gate_rejects_shifted_round_pmf():
         for n in (5, 6)
     }
     shift = Fraction(1, 2**7)
-    true_round = ghz_round_pmf("p")
+    true_round = scenario_exact_distribution(ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=1, sender_choice="p"))
     mapping = oracles.lattice_mapping(true_round)
     mapping[(1, 1, 1)] -= shift
     mapping[(-1, -1, -1)] += shift
@@ -417,7 +416,7 @@ def test_sampled_gate_rejects_shifted_round_pmf():
     # The GHZ scenario's stream under Jim's y choice.
     stream = (2, 1)
     with pytest.raises(InvariantViolation, match="affine"):
-        ensembles._sample_outcome_rows(shifted, 5, 10, 0, stream)
+        oracles.parity_planes(shifted)
     rows = []
     caught = True
     for n, exact in exacts.items():

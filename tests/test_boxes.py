@@ -21,12 +21,17 @@ from corrlab.boxes import (
     make_pr_box,
     make_tsirelson_box,
 )
-from corrlab.ensembles import pr_round_pmf
+from corrlab.ensembles import ExactDistribution, ScenarioKind, ScenarioSpec, scenario_exact_distribution
 from corrlab.errors import BoxValidationError
 from corrlab.quantum import bell_state
 
 RT2 = math.sqrt(2.0)
 HALF = Fraction(1, 2)
+
+
+def pr_round_pmf(choice: str) -> ExactDistribution:
+    """The maximal box's round pmf: its exact run of one round."""
+    return scenario_exact_distribution(ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=1, sender_choice=choice))
 
 
 class TestMaximalBox:

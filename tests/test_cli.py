@@ -11,7 +11,6 @@ import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -208,17 +207,16 @@ class TestEachDistributionRunsOnce:
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_receiver_marginals(self, tmp_path, monkeypatch, command, runs, mode):
-        """No JSON report projects an N-round distribution: only round pmfs are projected, once per run.
+        """No JSON report projects an N-round distribution: only round pmfs are projected, once per form.
 
         tsirelson takes Bob's round marginal and ghz-signal its receivers' in both modes, and
-        pr-signal projects nothing.  Bob's marginals are cached round pmfs, so a second report
-        in the same process projects only ghz-signal's receivers again.
+        pr-signal projects nothing.  Each marginal is a cached form, so a second report in the
+        same process projects nothing.
         """
-        ensembles._born_round_pmf.cache_clear()
+        ensembles._born_form.cache_clear()
         calls = spy_calls(monkeypatch, ExactDistribution, "marginal")
         cold = runs if command in ("tsirelson", "ghz-signal") else 0
-        warm = runs if command == "ghz-signal" else 0
-        for projected in (cold, warm):
+        for projected in (cold, 0):
             calls.clear()
             code, _ = run_cli(tmp_path, command, "--n", "3", "--mode", mode, "--trials", "200")
             assert code == 0
@@ -998,7 +996,7 @@ def test_warm_process_reports_match_fresh_processes(tmp_path):
         expected = dict(zip(WARM_COMMANDS, pool.map(fresh, WARM_COMMANDS)))
     out = tmp_path / "report.out"
     for order in (WARM_COMMANDS, WARM_COMMANDS[::-1]):
-        ensembles._born_round_pmf.cache_clear()
+        ensembles._born_form.cache_clear()
         quantum._born_pmf.cache_clear()
         for args in order:
             assert main([*args, "--out", str(out)]) == 0
@@ -1240,16 +1238,13 @@ class TestDeterminismAndErrors:
         assert err == "error: trials must be positive\n"
 
     def test_invariant_violation_exits_3(self, capsys, monkeypatch):
-        """A round pmf the sampler cannot read as XORs of bit-planes ends with exit 3 and no report."""
-        half, quarter = Fraction(1, 2), Fraction(1, 4)
-        skewed = ExactDistribution.from_mapping(
-            {(1, 1): half, (1, -1): quarter, (-1, -1): quarter}, ("B", "B_prime"), 1
-        )
-        monkeypatch.setattr(ensembles, "pr_round_pmf", lambda sender_choice: skewed)
-        assert main(["pr-signal", "--mode", "mc", "--n", "2", "--trials", "10"]) == 3
+        """Stabilizers that fix no state end with exit 3 and no report: XXX = +1 contradicts the other three."""
+        xxx, _ = quantum.GHZ_STABILIZERS[3]
+        monkeypatch.setattr(ensembles, "GHZ_STABILIZERS", (*quantum.GHZ_STABILIZERS[:3], (xxx, 1)))
+        assert main(["ghz-signal", "--mode", "mc", "--n", "2", "--trials", "10"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "invariant violation: round pmf is not uniform over an affine outcome set\n"
+        assert err == "invariant violation: stabilizers give X*X*X both signs\n"
 
     def test_large_n_allowed_in_sampled_mode(self, tmp_path):
         report = run_json(

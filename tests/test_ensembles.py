@@ -24,17 +24,15 @@ from corrlab.ensembles import (
     ScenarioSpec,
     _sample_outcome_rows,
     convolve_iid_rounds,
-    ghz_round_pmf,
     jamming_round_pmf,
-    pr_round_pmf,
     run_ghz_scenario,
     run_jamming_scenario,
     run_pr_scenario,
     run_tsirelson_scenario,
     scenario_exact_distribution,
-    tsirelson_round_pmf,
 )
 from corrlab.errors import InvariantViolation
+from corrlab.quantum import _BELL_STABILIZERS
 from corrlab.reportio import encode
 from corrlab.signaling import total_variation
 
@@ -45,6 +43,25 @@ LABELS = ("c0", "c1", "c2")
 def round_distribution(pmf: dict) -> ExactDistribution:
     """A one-round pmf {outcome tuple: probability} as an N=1 lattice distribution."""
     return ExactDistribution.from_mapping(pmf, LABELS[: len(next(iter(pmf)))], 1)
+
+
+# The round pmfs of the forms the runners read, under the builder names that parametrized test ids carry.
+def pr_round_pmf(choice: str) -> ExactDistribution:
+    return ensembles._PR_FORMS[choice].pmf
+
+
+def ghz_round_pmf(choice: str) -> ExactDistribution:
+    return ensembles._ghz_form(choice).pmf
+
+
+def tsirelson_round_pmf(choice: str, axis: str) -> ExactDistribution:
+    return ensembles._tsirelson_form(choice, axis).pmf
+
+
+def affine_form(round_pmf: ExactDistribution) -> ensembles._AffineForm:
+    """The sampler's form of ``round_pmf``, with the planes and row-0 signs ``oracles.parity_planes`` reads from it."""
+    planes, negative_first = oracles.parity_planes(round_pmf)
+    return ensembles._AffineForm(round_pmf, tuple(planes), tuple(negative_first))
 
 
 def dense_weights(mapping: dict, n: int, k: int, denominator: int) -> list[int]:
@@ -267,12 +284,36 @@ class TestRoundPmfCache:
             pmf.cells = ()
 
     def test_every_scenario_fits_the_bounded_cache(self):
-        ensembles._born_round_pmf.cache_clear()
-        for builder, args in self.BUILDERS * 2:
+        """The 10 Born forms: 2 GHZ, 2 GHZ receivers, 4 Tsirelson and 2 jamming ones."""
+        ensembles._born_form.cache_clear()
+        for builder, args in [*self.BUILDERS, *((ensembles._ghz_form, (c, True)) for c in "up")] * 2:
             builder(*args)
-        info = ensembles._born_round_pmf.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (8, 8, 8)
-        assert info.maxsize is not None and info.maxsize >= 8
+        info = ensembles._born_form.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (10, 10, 10)
+        assert info.maxsize == 16
+
+    @pytest.mark.parametrize(
+        "marginal, joint, keep",
+        [
+            *((ensembles._ghz_form(c, True), ensembles._ghz_form(c), ensembles.GHZ_RECEIVERS) for c in "up"),
+            *(
+                (
+                    ensembles._tsirelson_form(c, axis),
+                    ensembles._born_form(_BELL_STABILIZERS, (alice, axis.upper()), ("alice", f"bob_{axis}")),
+                    (1,),
+                )
+                for c, alice in (("u", "Z"), ("p", "X"))
+                for axis in "zx"
+            ),
+        ],
+        ids=[*(f"ghz-receivers-{c}" for c in "up"), *(f"tsirelson-{c}{axis}" for c in "up" for axis in "zx")],
+    )
+    def test_marginal_form_is_the_marginal_of_its_joint_form(self, marginal, joint, keep):
+        """A marginal form keeps its joint's denominator, so it draws as many planes as the joint."""
+        want = joint.pmf.marginal(keep)
+        got = marginal.pmf
+        assert (got.labels, got.cells, got.weights) == (want.labels, want.cells, want.weights)
+        assert got.denominator == want.denominator == joint.pmf.denominator
 
     def test_constructor_takes_any_sequence_and_keeps_tuples(self):
         dist = ExactDistribution(("B",), 1, [0, 1], [1, 1], 2)
@@ -734,7 +775,7 @@ SAMPLER_STREAM = (7, 1)
 
 def indicator_words(round_pmf: ExactDistribution, n: int, trials: int, seed: int) -> np.ndarray:
     """Each column's -1 indicator words, from ``_indicator`` on the trials' planes, as (k, trials, ceil(N/64)) words."""
-    planes_of, negative_first = ensembles._parity_planes(round_pmf)
+    planes_of, negative_first = oracles.parity_planes(round_pmf)
     d, words = round_pmf.denominator.bit_length() - 1, -(-n // 64)
     planes = ensembles._stream_rng(seed, SAMPLER_STREAM).bit_generator.random_raw((trials, d, words))
     scratch = np.empty((trials, words), dtype=np.uint64)
@@ -794,7 +835,7 @@ class TestTableLookupSampler:
     def test_matches_table_lookup(self, pmf, n, trials, seed):
         _, want_rounds = oracles.sums_by_table_lookup(pmf, n, trials, seed, SAMPLER_STREAM)
         round_pmf = round_distribution(pmf)
-        got = _sample_outcome_rows(round_pmf, n, trials, seed, SAMPLER_STREAM)
+        got = _sample_outcome_rows(affine_form(round_pmf), n, trials, seed, SAMPLER_STREAM)
         assert got.dtype == np.min_scalar_type(n)
         assert np.array_equal(got, oracles.minus_one_counts(want_rounds))
         assert np.array_equal(indicator_words(round_pmf, n, trials, seed), oracles.minus_one_words(want_rounds))
@@ -810,7 +851,8 @@ class TestTableLookupSampler:
         pmf = ghz_round_pmf("p")
         _, want_rounds = oracles.sums_by_table_lookup(oracles.lattice_mapping(pmf), 130, 53, 11, SAMPLER_STREAM)
         draws = record_draws(monkeypatch)
-        assert np.array_equal(_sample_outcome_rows(pmf, 130, 53, 11, SAMPLER_STREAM), oracles.minus_one_counts(want_rounds))
+        got = _sample_outcome_rows(affine_form(pmf), 130, 53, 11, SAMPLER_STREAM)
+        assert np.array_equal(got, oracles.minus_one_counts(want_rounds))
         assert draws == [(min(chunk, 53 - done), 3, 3) for done in range(0, 53, chunk)]
 
     @pytest.mark.parametrize("choice", ["x", "z"])
@@ -848,7 +890,7 @@ class TestTableLookupSampler:
     )
     def test_rejects_pmfs_without_a_small_dyadic_table(self, pmf):
         with pytest.raises(InvariantViolation, match="dyadic"):
-            _sample_outcome_rows(round_distribution(pmf), 4, 10, 0, SAMPLER_STREAM)
+            oracles.parity_planes(round_distribution(pmf))
 
     @pytest.mark.parametrize(
         "pmf",
@@ -884,23 +926,23 @@ class TestTableLookupSampler:
     )
     def test_rejects_pmfs_not_uniform_over_an_affine_set(self, pmf):
         with pytest.raises(InvariantViolation, match="affine"):
-            _sample_outcome_rows(round_distribution(pmf), 4, 10, 0, SAMPLER_STREAM)
+            oracles.parity_planes(round_distribution(pmf))
 
     @pytest.mark.parametrize(
-        "round_pmf, planes",
+        "form, planes",
         [
-            (pr_round_pmf("u"), ([(0,), (0,)], [False, False])),
-            (pr_round_pmf("p"), ([(0,), (0,)], [False, True])),
-            (tsirelson_round_pmf("u", "z"), ([(0,)], [False])),
-            (tsirelson_round_pmf("u", "x"), ([(1,)], [False])),
-            (tsirelson_round_pmf("p", "z"), ([(1,)], [False])),
-            (tsirelson_round_pmf("p", "x"), ([(0,)], [False])),
-            (ghz_round_pmf("u"), ([(1,), (0,), (0, 1)], [False, False, True])),
-            (ghz_round_pmf("p"), ([(2,), (1,), (0,)], [False, False, False])),
-            (ghz_round_pmf("u").marginal(ensembles.GHZ_RECEIVERS), ([(1,), (0,)], [False, False])),
-            (ghz_round_pmf("p").marginal(ensembles.GHZ_RECEIVERS), ([(2,), (1,)], [False, False])),
-            (jamming_round_pmf("x"), ([(1,), (0,), (0, 1)], [False, False, True])),
-            (jamming_round_pmf("z"), ([(2,), (1,), (0,)], [False, False, False])),
+            (ensembles._PR_FORMS["u"], ([(0,), (0,)], [False, False])),
+            (ensembles._PR_FORMS["p"], ([(0,), (0,)], [False, True])),
+            (ensembles._tsirelson_form("u", "z"), ([(0,)], [False])),
+            (ensembles._tsirelson_form("u", "x"), ([(1,)], [False])),
+            (ensembles._tsirelson_form("p", "z"), ([(1,)], [False])),
+            (ensembles._tsirelson_form("p", "x"), ([(0,)], [False])),
+            (ensembles._ghz_form("u"), ([(1,), (0,), (0, 1)], [False, False, True])),
+            (ensembles._ghz_form("p"), ([(2,), (1,), (0,)], [False, False, False])),
+            (ensembles._ghz_form("u", True), ([(1,), (0,)], [False, False])),
+            (ensembles._ghz_form("p", True), ([(2,), (1,)], [False, False])),
+            (ensembles._jamming_form("x"), ([(1,), (0,), (0, 1)], [False, False, True])),
+            (ensembles._jamming_form("z"), ([(2,), (1,), (0,)], [False, False, False])),
         ],
         ids=[
             *(f"pr-{c}" for c in "up"),
@@ -910,15 +952,17 @@ class TestTableLookupSampler:
             *(f"jamming-{c}" for c in "xz"),
         ],
     )
-    def test_every_sampled_round_pmf_is_a_parity(self, round_pmf, planes):
+    def test_every_sampled_round_pmf_is_a_parity(self, form, planes):
         """Each round pmf a CLI command samples marks its components with these planes' XORs.
 
         A one-plane column is a view of its plane, and only the Jim-on-x
         third component XORs two.  Where the table has more rows than
         atoms (Tsirelson u on x and p on z, the Jim-on-y receivers) the
-        atom index sits in the top planes.
+        atom index sits in the top planes.  The oracle reads the same
+        planes back out of the form's pmf.
         """
-        assert ensembles._parity_planes(round_pmf) == planes
+        assert (list(form.planes), list(form.negative_first)) == planes
+        assert oracles.parity_planes(form.pmf) == planes
 
 
 class TestJamming:

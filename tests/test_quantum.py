@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from corrlab import quantum
+from corrlab import ensembles, quantum
 from corrlab.errors import InvariantViolation, NonCommutingError
 from corrlab.quantum import (
     BELL_ROOT2,
@@ -22,9 +21,11 @@ from corrlab.quantum import (
     MAX_QUBITS,
     PauliObservable,
     PureState,
+    _BELL_STABILIZERS,
     _apply,
     _born_branches,
     _born_pmf,
+    _stabilizer_group,
     bell_state,
     commutator_norm,
     commutes,
@@ -34,7 +35,6 @@ from corrlab.quantum import (
     joint_probabilities,
     measure,
     outcome_tuples,
-    pauli_weights,
     product_expectation,
     sequential_measure,
 )
@@ -415,34 +415,40 @@ class TestJointProbabilities:
 
 
 _PAULI_CASES = [
-    *((oracles.bell_vector, BELL_ROOT2, f) for f in itertools.product("IXYZ", repeat=2)),
-    *((oracles.ghz_vector, GHZ_ROOT2, f) for f in itertools.product("IXYZ", repeat=3)),
+    *((oracles.bell_vector, BELL_ROOT2, _BELL_STABILIZERS, f) for f in itertools.product("IXYZ", repeat=2)),
+    *((oracles.ghz_vector, GHZ_ROOT2, GHZ_STABILIZERS, f) for f in itertools.product("IXYZ", repeat=3)),
 ]
 
 
 class TestPauliWeights:
-    @pytest.mark.parametrize("vector, root2, factors", _PAULI_CASES, ids=["".join(f) for _, _, f in _PAULI_CASES])
-    def test_matches_symbolic_born_rule(self, vector, root2, factors):
-        weights = pauli_weights(root2, factors)
-        total = sum(a * a for a in root2) * 4 ** len(factors)
-        assert sum(weights) == total
-        got = {o: Fraction(w, total) for o, w in zip(outcome_tuples(len(factors)), weights)}
-        assert got == oracles.symbolic_joint_pmf(vector(), factors)
+    """Affine forms of Pauli measurements on Bell and GHZ, and the ``oracles.pauli_weights`` oracle."""
+
+    @pytest.mark.parametrize(
+        "vector, root2, stabilizers, factors", _PAULI_CASES, ids=["".join(f) for *_, f in _PAULI_CASES]
+    )
+    def test_matches_symbolic_born_rule(self, vector, root2, stabilizers, factors):
+        """The form's pmf, uniform over the stabilizer group's atoms, is the Born pmf and the oracle's support."""
+        labels = tuple(f"c{k}" for k in range(len(factors)))
+        pmf = ensembles._born_form(stabilizers, factors, labels).pmf
+        want = {o: p for o, p in oracles.symbolic_joint_pmf(vector(), factors).items() if p}
+        assert oracles.lattice_mapping(pmf) == want
+        weights = oracles.pauli_weights(root2, factors)
+        assert {o for o, w in zip(outcome_tuples(len(factors)), weights) if w} == set(want)
 
     def test_rejects_a_tilted_factor(self):
         with pytest.raises(ValueError, match="Pauli letters"):
-            pauli_weights(BELL_ROOT2, ("Z", math.pi / 4))
+            oracles.pauli_weights(BELL_ROOT2, ("Z", math.pi / 4))
 
     def test_rejects_a_length_other_than_two_to_the_n(self):
         with pytest.raises(ValueError, match="8 amplitudes for 2 factors"):
-            pauli_weights(GHZ_ROOT2, ("X", "X"))
+            oracles.pauli_weights(GHZ_ROOT2, ("X", "X"))
 
     def test_rejects_weights_past_exact_floats(self):
         # |c|^2 * 4^n = 2^52 is exact; twice that reaches 2^53.
-        assert pauli_weights((2**25, 0), ("Z",)) == [2**52, 0]
-        assert pauli_weights((2**25, 0), ("X",)) == [2**51, 2**51]
+        assert oracles.pauli_weights((2**25, 0), ("Z",)) == [2**52, 0]
+        assert oracles.pauli_weights((2**25, 0), ("X",)) == [2**51, 2**51]
         with pytest.raises(ValueError, match="2\\^53"):
-            pauli_weights((2**25, 2**25), ("Z",))
+            oracles.pauli_weights((2**25, 2**25), ("Z",))
 
     @given(st.data())
     @settings(max_examples=40)
@@ -455,7 +461,38 @@ class TestPauliWeights:
             st.tuples(*[st.integers(min_value=-bound, max_value=bound)] * 2**n), label="amplitudes"
         )
         for factors in itertools.product("IXYZ", repeat=n):
-            assert pauli_weights(amplitudes, factors) == oracles.pauli_weights_by_float(amplitudes, factors), factors
+            assert oracles.pauli_weights(amplitudes, factors) == oracles.pauli_weights_by_float(amplitudes, factors), factors
+
+
+def _strings(group: dict[tuple[str, ...], int]) -> dict[str, int]:
+    return {"".join(letters): sign for letters, sign in group.items()}
+
+
+class TestStabilizerGroup:
+    def test_bell_group(self):
+        assert _strings(_stabilizer_group(_BELL_STABILIZERS)) == {"II": 1, "XX": 1, "ZZ": 1, "YY": -1}
+
+    def test_ghz_group_closes_on_eight_strings(self):
+        """The four GHZ stabilizers are dependent: XXX = -1 is the product of the three +1 ones."""
+        group = _strings(_stabilizer_group(GHZ_STABILIZERS))
+        assert len(group) == 8
+        assert (group["XXX"], group["ZZI"], group["IZZ"], group["ZIZ"]) == (-1, 1, 1, 1)
+        for observable, sign in GHZ_STABILIZERS:
+            assert group["".join(observable.factors)] == sign
+
+    def test_rejects_generators_that_do_not_commute(self):
+        generators = ((PauliObservable(("X", "I")), 1), (PauliObservable(("Z", "I")), 1))
+        with pytest.raises(InvariantViolation, match="Z\\*I, X\\*I do not commute"):
+            _stabilizer_group(generators)
+
+    def test_rejects_a_string_with_both_signs(self):
+        generators = ((PauliObservable(("Z", "Z")), 1), (PauliObservable(("Z", "Z")), -1))
+        with pytest.raises(InvariantViolation, match="Z\\*Z both signs"):
+            _stabilizer_group(generators)
+
+    def test_rejects_too_few_generators(self):
+        with pytest.raises(InvariantViolation, match="close on 2 strings, which fix no 2-qubit state"):
+            _stabilizer_group(((PauliObservable(("Z", "Z")), 1),))
 
 
 class TestAssignmentSearch:

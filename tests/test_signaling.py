@@ -3,6 +3,7 @@ from __future__ import annotations
 import inspect
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -247,9 +248,9 @@ class TestSampledVerdicts:
 class TestVerdictBoundaries:
     def test_rare_event_match_needs_both_events(self, monkeypatch):
         """A primed round pmf with P(1, -1) = 1/4 keeps P(B = B' = 1 | u) at 2^-N but moves P(B = 1, B' = -1 | p) to 4^-N."""
-        pr_round_pmf = ensembles.pr_round_pmf
         primed = ExactDistribution.from_mapping({(1, -1): Fraction(1, 4), (-1, 1): Fraction(3, 4)}, ("B", "B_prime"), 1)
-        monkeypatch.setattr(ensembles, "pr_round_pmf", lambda choice: primed if choice == "p" else pr_round_pmf(choice))
+        # An exact run reads only its form's pmf.
+        monkeypatch.setitem(ensembles._PR_FORMS, "p", SimpleNamespace(pmf=primed))
         v = pr_verdict(3, RunMode.EXACT)
         assert v.results["rare_events"] == {"p_both_plus_under_u": Fraction(1, 8), "p_plus_minus_under_p": Fraction(1, 64)}
         assert v.checks["rare_event_match"] is False

@@ -151,9 +151,10 @@ def commands(config_dir: str) -> list[list[str]]:
     cmds += [["pr-signal", "--mode", "mc", "--n", "1", "--trials", str(t)] for t in (2**63, 2**62)]
     cmds.append(["jamming", "--jim", "x", "--trials", str(10**30)])
     # Rounds that fill one word, one word and a bit, and two words and two bits.
-    for n in ("64", "65", "130"):
-        for seed in ("0", "5"):
-            cmds += [["ghz-signal", "--mode", "mc", "--n", n, "--seed", seed, "--format", fmt] for fmt in ("json", "csv")]
+    for command in SCENARIO_COMMANDS:
+        for n in ("64", "65", "130"):
+            for seed in ("0", "5"):
+                cmds += [[command, "--mode", "mc", "--n", n, "--seed", seed, "--format", fmt] for fmt in ("json", "csv")]
     # One sampled trial of one component per run: each run's CSV field table holds a single value.
     cmds.append(["tsirelson", "--mode", "mc", "--n", "3", "--trials", "1", "--format", "csv"])
     for fmt in ("json", "csv"):
