@@ -238,11 +238,13 @@ class ExactDistribution:
     def atoms(self) -> Iterator[tuple[tuple[str, ...], int, int]]:
         """Each nonzero cell in grid order: its values as "n/d" text, then its reduced probability."""
         n, d = self.n_rounds, self.denominator
-        texts = []
-        for s in range(-n, n + 1, 2):
-            g = math.gcd(s, n)
-            texts.append(f"{s // g}/{n // g}")
-        columns = [[texts[digit] for digit in column] for column in self._digit_columns()]
+        columns = self._digit_columns()
+        # Texts only for the digits that occur, of the N + 1: a sampled histogram at large N holds few.
+        texts = {}
+        for digit in set().union(*columns):
+            g = math.gcd(2 * digit - n, n)
+            texts[digit] = f"{(2 * digit - n) // g}/{n // g}"
+        columns = [[texts[digit] for digit in column] for column in columns]
         gcds = [math.gcd(w, d) for w in self.weights]
         return zip(zip(*columns), [w // g for w, g in zip(self.weights, gcds)], [d // g for g in gcds])
 
@@ -396,8 +398,8 @@ def _block_cells(negatives: np.ndarray, n_rounds: int) -> Iterator[np.ndarray]:
     (N+1)^k - 1 - sum_c m_c (N+1)^(k-1-c).  Every block is built in one
     reused buffer, overwritten after the next yield, so no per-trial array
     outlives a block: int64 on a grid of fewer than 2^62 cells, and Python
-    ints (object) on a larger grid, which k = 3 reaches beyond N of about
-    1.66e6.
+    ints (object) on a larger grid.  No report histograms a 3-component
+    run, so in reports only k = 2 runs with N >= 2^31 - 1 reach the latter.
     """
     k, trials = negatives.shape
     size = (n_rounds + 1) ** k

@@ -6,16 +6,16 @@ Observables are tensor products of single-site spin operators, each a
 Pauli letter or an angle in the xz-plane, so every observable squares
 to the identity and measurements are dichotomic with outcomes +1/-1.
 
-An observable acts on the flat vector as a signed permutation: its Pauli
-letters flip the bits of their sites and multiply by a phase in
-{+1, -1, +i, -i} (the stabilizer-simulation view of Aaronson & Gottesman,
-Phys. Rev. A 70, 052328 (2004)), and each tilted site adds one diagonal
-and one bit-flip term.  Commutator norms need no state at all: each
-site's pair of factors contributes its Bloch vectors' dot and cross
-products to a closed form, exact on Pauli letters and linear in the sites.
-Signed Pauli strings multiply as XY = iZ and its cyclic images, so the
-Bell and GHZ stabilizers close on the groups that give the ensemble
-layer its exact round pmfs.
+An observable acts on the flat vector one site at a time, on axis 1 of
+the site's (2^k, 2, -1) view: X flips it, Y flips it and scales its halves
+by -i and +i, Z scales them by +1 and -1 (the signed permutations of
+Aaronson & Gottesman, Phys. Rev. A 70, 052328 (2004)), and a tilted site
+adds one diagonal and one flip term.  Commutator norms need no state at
+all: each site's pair of factors contributes its Bloch vectors' dot and
+cross products to a closed form, exact on Pauli letters and linear in
+the sites.  Signed Pauli strings multiply as XY = iZ and its cyclic
+images, so the Bell and GHZ stabilizers close on the groups that give
+the ensemble layer its exact round pmfs.
 
 The float simulator (``PureState``, the state builders, the expectations
 and the Born branches and pmfs) reads numpy through ``_numpy``, which
@@ -90,51 +90,34 @@ class PauliObservable:
         return "*".join(parts)
 
 
-@lru_cache(maxsize=256)
-def _signed_permutation(observable: PauliObservable) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """The observable as (index, phase, tilted sites) over the 2^n basis states.
+def _apply_site(factor: str | float, vec: np.ndarray, rows: int) -> np.ndarray:
+    """``factor`` on axis 1 of the (rows, 2, -1) view of ``vec``, for the site with ``rows`` slower basis states.
 
-    The Pauli letters give (O psi)[i] = phase[i] * psi[index[i]]
-    with index[i] = i ^ mask: X and Y flip their site's bit, Y and Z
-    contribute +-1 or +-i by the bit of i.  Each tilted site then adds, in
-    turn, cos(theta) * Z (one diagonal term) and sin(theta) * X (one flip
-    term), as (rows, [[c], [-c]], s) for the site's (rows, 2, -1) view of
-    the vector.
+    Angle theta adds cos(theta) * Z (one diagonal term) and sin(theta) * X
+    (one flip term).  "I" returns ``vec`` itself.
     """
-    n = observable.n_qubits
-    basis = np.arange(2**n)
-    mask = 0
-    phase = np.ones(2**n, dtype=complex)
-    tilted = []
-    for k, factor in enumerate(observable.factors):
-        bit = 1 << (n - 1 - k)
-        down = (basis & bit) != 0
-        if factor == "X":
-            mask |= bit
-        elif factor == "Y":
-            mask |= bit
-            phase *= np.where(down, 1j, -1j)
-        elif factor == "Z":
-            phase[down] *= -1
-        elif factor != "I":
-            c, s = _tilt(factor)
-            tilted.append((2**k, np.array([[c], [-c]], dtype=complex), s))
-    index = basis ^ mask
-    index.setflags(write=False)
-    phase.setflags(write=False)
-    return index, phase, tuple(tilted)
+    if factor == "I":
+        return vec
+    tilt = _tilt(factor)
+    view = vec.reshape(rows, 2, -1)
+    if tilt is not None:
+        out = np.array([[tilt[0]], [-tilt[0]]], dtype=complex) * view + tilt[1] * view[:, ::-1]
+    elif factor == "X":
+        out = view[:, ::-1]
+    elif factor == "Y":
+        out = np.array([[-1j], [1j]]) * view[:, ::-1]
+    else:
+        out = np.array([[1], [-1]], dtype=complex) * view
+    return out.reshape(-1)
 
 
 def _apply(observable: PauliObservable, amps: np.ndarray) -> np.ndarray:
-    """O|psi> on the flat amplitude vector."""
-    index, phase, tilted = _signed_permutation(observable)
-    if index.size != len(amps):
+    """O|psi> on the flat amplitude vector, one site at a time, qubit 0 first."""
+    if 2**observable.n_qubits != len(amps):
         raise ValueError("observable and state act on different qubit counts")
-    out = phase * amps[index]
-    for rows, diag, s in tilted:
-        view = out.reshape(rows, 2, -1)
-        out = (diag * view + s * view[:, ::-1]).reshape(-1)
-    return out
+    for k, factor in enumerate(observable.factors):
+        amps = _apply_site(factor, amps, 2**k)
+    return amps
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +156,7 @@ class MeasurementRecord:
     post_state: PureState
 
 
-# The Bell and GHZ states times sqrt(2): integer amplitudes, so Pauli projections of them stay exact.
+# The Bell and GHZ states times sqrt(2), as integers: each builder divides them by sqrt(2) once.
 BELL_ROOT2 = (1, 0, 0, 1)
 GHZ_ROOT2 = (1, 0, 0, 0, 0, 0, 0, -1)
 
@@ -330,12 +313,10 @@ def joint_probabilities(
 
 def _projections(amps: np.ndarray, factors: tuple[str | float, ...]):
     """prod_k (I + o_k M_k) amps, 2^n times its projection, for each outcome tuple o in ``outcome_tuples`` order."""
-    n = len(factors)
-    sites = [PauliObservable(("I",) * k + (f,) + ("I",) * (n - 1 - k)) for k, f in enumerate(factors)]
-    for outcome in outcome_tuples(n):
+    for outcome in outcome_tuples(len(factors)):
         vec = amps
-        for site, o in zip(sites, outcome):
-            vec = vec + o * _apply(site, vec)
+        for k, (f, o) in enumerate(zip(factors, outcome)):
+            vec = vec + o * _apply_site(f, vec, 2**k)
         yield vec
 
 

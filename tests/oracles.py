@@ -281,6 +281,47 @@ def measure_by_matmul(amps: np.ndarray, observable, rng: np.random.Generator) ->
     projected = (amps + outcome * applied) / 2.0
     return outcome, projected / np.linalg.norm(projected)
 
+
+def signed_permutation(observable) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """corrlab's former ``quantum._signed_permutation``, uncached: the observable as (index, phase, tilted sites).
+
+    The Pauli letters give (O psi)[i] = phase[i] * psi[index[i]]
+    with index[i] = i ^ mask: X and Y flip their site's bit, Y and Z
+    contribute +-1 or +-i by the bit of i.  Each tilted site then adds, in
+    turn, cos(theta) * Z (one diagonal term) and sin(theta) * X (one flip
+    term), as (rows, [[c], [-c]], s) for the site's (rows, 2, -1) view of
+    the vector.
+    """
+    n = observable.n_qubits
+    basis = np.arange(2**n)
+    mask = 0
+    phase = np.ones(2**n, dtype=complex)
+    tilted = []
+    for k, factor in enumerate(observable.factors):
+        bit = 1 << (n - 1 - k)
+        down = (basis & bit) != 0
+        if factor == "X":
+            mask |= bit
+        elif factor == "Y":
+            mask |= bit
+            phase *= np.where(down, 1j, -1j)
+        elif factor == "Z":
+            phase[down] *= -1
+        elif factor != "I":
+            c, s = math.cos(float(factor)), math.sin(float(factor))
+            tilted.append((2**k, np.array([[c], [-c]], dtype=complex), s))
+    return basis ^ mask, phase, tuple(tilted)
+
+
+def apply_by_signed_permutation(observable, amps: np.ndarray) -> np.ndarray:
+    """O|psi> as corrlab's former ``quantum._apply`` built it: the signed permutation, then each tilted site."""
+    index, phase, tilted = signed_permutation(observable)
+    out = phase * amps[index]
+    for rows, diag, s in tilted:
+        view = out.reshape(rows, 2, -1)
+        out = (diag * view + s * view[:, ::-1]).reshape(-1)
+    return out
+
 def pauli_weights_by_float(amplitudes: tuple[int, ...], factors: tuple[str, ...]) -> list[int]:
     """corrlab's former ``quantum.pauli_weights``: each weight as a complex128 squared norm of ``_projections``.
 

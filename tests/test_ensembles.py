@@ -478,6 +478,20 @@ class TestLatticeAgainstFractionOracle:
         dist = ExactDistribution.from_mapping(mapping, LABELS[:k], n)
         assert list(dist.atoms()) == oracles.FractionDistribution.from_mapping(mapping, LABELS[:k], n).atoms()
 
+    def test_atoms_at_a_billion_rounds_build_texts_only_for_their_digits(self):
+        """A 2-cell histogram at N = 10^9 renders its atoms in small memory, not a text per lattice value."""
+        n = 10**9
+        mapping = {(Fraction(-1), Fraction(2 - n, n)): Fraction(1, 4), (Fraction(0), Fraction(1)): Fraction(3, 4)}
+        dist = ExactDistribution.from_mapping(mapping, LABELS[:2], n)
+        tracemalloc.start()
+        try:
+            atoms = list(dist.atoms())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert atoms == [(("-1/1", "-499999999/500000000"), 1, 4), (("0/1", "1/1"), 3, 4)]
+        assert peak < 64 << 10
+
 
 class TestMaximalBoxScenario:
     def test_readout_identity_under_each_choice(self):
@@ -705,6 +719,28 @@ class TestMonteCarlo:
         got = EnsembleRun(labels=LABELS, negatives=negatives.T.astype(np.min_scalar_type(n)), n_rounds=n).empirical()
         want = oracles.empirical_by_row_unique(n - 2 * negatives, n)
         assert list(oracles.lattice_mapping(got).items()) == list(want.items())
+
+    @pytest.mark.parametrize("k, n", [(3, 2_000_000), (2, 2**31 + 5)])
+    def test_grid_counts_on_python_int_cells(self, k, n):
+        """Grids of 2^62 cells or more hold their cells as Python ints; the counts match a pure-Python count.
+
+        Reports reach this with k = 2 from N = 2^31 - 1 on.
+        """
+        rng = np.random.default_rng(k)
+        drawn = rng.integers(0, n + 1, size=(40, k)).tolist()
+        # Both grid ends, and every drawn trial twice, so cells repeat.
+        trials = [[0] * k, [n] * k, *drawn, *drawn[::-1]]
+        negatives = np.array(trials).T.astype(np.min_scalar_type(n))
+        assert next(ensembles._block_cells(negatives, n)).dtype == object
+        got = ensembles._grid_counts(LABELS[:k], negatives, n)
+        want: dict[int, int] = {}
+        for counts in trials:
+            cell = 0
+            for m in counts:
+                cell = cell * (n + 1) + n - m
+            want[cell] = want.get(cell, 0) + 1
+        assert (got.labels, got.denominator) == (LABELS[:k], len(trials))
+        assert list(zip(got.cells, got.weights)) == sorted(want.items())
 
     def test_empirical_never_allocates_the_whole_grid(self):
         """N = 20000 has 4e8 (B, B') cells, 3.2 GB of counts, which 50 trials must not allocate."""

@@ -685,8 +685,8 @@ _TWELVE = ["X", 0.3, "Y", "Z", -2.5, "I", "Y", 1.0, "X", -0.1, "Z", 7.0]
 )
 @example(n=MAX_QUBITS, seed=0, a_factors=_TWELVE, b_factors=_TWELVE[::-1])
 @settings(max_examples=150)
-def test_signed_permutation_matches_matmul(n, seed, a_factors, b_factors):
-    """Every operation on the signed-permutation kernel agrees with the 2x2-matmul oracle to 1e-12."""
+def test_site_kernel_matches_matmul(n, seed, a_factors, b_factors):
+    """Every operation on the site-by-site kernel agrees with the 2x2-matmul oracle to 1e-12."""
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     state = PureState(vec / np.linalg.norm(vec))
@@ -720,6 +720,22 @@ def test_signed_permutation_matches_matmul(n, seed, a_factors, b_factors):
         np.testing.assert_allclose(rec.post_state.amplitudes, post, rtol=0, atol=1e-12)
         # Cached post states are shared between callers, so none of them may write.
         assert not rec.post_state.amplitudes.flags.writeable
+
+
+_AMPLITUDES = st.lists(
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False), min_size=32, max_size=32
+)
+
+
+@given(n=st.integers(min_value=1, max_value=5), factors=_SITE_FACTORS, amplitudes=_AMPLITUDES)
+@example(n=3, factors=["Y", 0.7, "X", *_TWELVE[3:]], amplitudes=[*GHZ_ROOT2, *[0j] * 24])
+@example(n=5, factors=[-2.5, "Y", "Z", 1.0, "X", *_TWELVE[5:]], amplitudes=[complex(k, -k) for k in range(32)])
+@settings(max_examples=200)
+def test_apply_equals_the_signed_permutation_oracle(n, factors, amplitudes):
+    """Site by site, ``_apply`` gives exactly the values of the former signed permutation and tilted-site pass."""
+    amps = np.array(amplitudes[: 2**n], dtype=complex)
+    observable = PauliObservable(tuple(factors[:n]))
+    assert np.array_equal(_apply(observable, amps), oracles.apply_by_signed_permutation(observable, amps))
 
 
 @given(

@@ -12,7 +12,8 @@ subcommand in json and csv, at default and small ``--trials``, and the
 refused inputs, including causal configs written to a temporary directory
 that both checkouts read, each subcommand written through
 ``--out /dev/stdout``, CSV reports across the 10^4-row block through both,
-and an ``--out`` into a missing directory.  Prints one line per command that differs, then a
+sampled JSON reports of a few trials at N = 10^6, and an ``--out`` into a
+missing directory.  Prints one line per command that differs, then a
 summary with the skipped count and ``wc -l src/corrlab/*.py`` of each
 checkout; exits 1 if any command differs, else 0.
 """
@@ -144,6 +145,8 @@ def commands(config_dir: str) -> list[list[str]]:
             [command, "--help"],
         ]
     cmds.append(["ghz-signal", "--mode", "mc", "--n", "400"])
+    # A few occupied cells of a 10^6-round grid: the atoms' texts cover only the digits that occur.
+    cmds += [[command, "--mode", "mc", "--n", "1000000", "--trials", "20"] for command in SCENARIO_COMMANDS]
     # A joint (A_x, B_x, J) run on a grid past 2^62 cells: CSV prints all three components,
     # and the histogram reads the receivers' (A_x, B_x) marginal, on int64 cells.
     cmds.append(["ghz-signal", "--mode", "mc", "--n", "2000000", "--trials", "3", "--format", "csv"])
