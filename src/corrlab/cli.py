@@ -37,8 +37,6 @@ from .errors import InvariantViolation
 from .reportio import SCHEMA_VERSION, dump_report
 from .signaling import SignalingVerdict, jamming_unary_exact, verdict
 
-_MODES = {"exact": RunMode.EXACT, "mc": RunMode.MONTE_CARLO}
-
 # The deepest causal config read, the outer value being level 1: far below the depth
 # at which any supported interpreter's json.loads, or the report writer echoing the
 # config, runs out of stack, so every interpreter refuses the same configs.
@@ -74,17 +72,17 @@ def _block_digits(padded: bool) -> np.ndarray:
 def _table_blocks(
     prefix: str, tables: list[np.ndarray], rows: int, codes: Callable[[int, int], Iterable[np.ndarray]]
 ) -> Iterator[str]:
-    """The text of ``rows`` lines, 10^4 at a time: ``prefix``, the line's index, then ``tables[c][code]`` for each c.
+    """The text of ``rows`` lines, 10^4 at a time: ``prefix``, the index, ``tables[c][code]`` for each c, a newline.
 
     ``codes(start, stop)`` gives each table's codes for the lines start..stop-1.
-    A table is an ``S`` array of field text, leading comma included and the
-    last table's newline too, so the text of a value is built once, not once
-    per line.  A block is one (lines, width) uint8 matrix: the prefix, with
-    the block number after it past block 0, the lines' low index digits read
-    from ``_block_digits`` and one gather per table, NUL-padded to its widest
-    field.  Dropping every NUL in one pass leaves the block's text.
+    A table is an ``S`` array of field text, leading comma included, so the
+    text of a value is built once, not once per line.  A block is one
+    (lines, width) uint8 matrix: the prefix, with the block number after it
+    past block 0, the lines' low index digits read from ``_block_digits``,
+    one gather per table, NUL-padded to its widest field, and a newline
+    column.  Dropping every NUL in one pass leaves the block's text.
     """
-    width = sum(table.itemsize for table in tables)
+    width = sum(table.itemsize for table in tables) + 1
     for start in range(0, rows, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, rows)
         block = start // _BLOCK_ROWS
@@ -96,6 +94,7 @@ def _table_blocks(
         for table, code in zip(tables, codes(start, stop)):
             matrix[:, column : column + table.itemsize] = table.take(code).view(np.uint8).reshape(-1, table.itemsize)
             column += table.itemsize
+        matrix[:, column] = ord("\n")
         text = matrix.ravel()
         yield str(text[text != 0], "ascii")
 
@@ -131,36 +130,22 @@ def _dist_csv(v: SignalingVerdict) -> Iterator[str]:
     for choice, run in v.runs.items():
         negatives = run.negatives
         n, lo, hi = run.n_rounds, int(negatives.min()), int(negatives.max())
-        fields = [f",{(n - 2 * m) / n!r}" for m in range(lo, hi + 1)]
-        table = np.array([field.encode("ascii") for field in fields])
-        last = np.array([f"{field}\n".encode("ascii") for field in fields])
-        tables = [table] * (len(negatives) - 1) + [last]
+        tables = [np.array([f",{(n - 2 * m) / n!r}".encode("ascii") for m in range(lo, hi + 1)])] * len(negatives)
         yield from _table_blocks(f"{choice},", tables, negatives.shape[1], lambda i, j: negatives[:, i:j] - lo)
 
 
-# Each triplet's row text after its index, by its code 4*[a_x = -1] + 2*[b_x = -1] + [j = -1].
-_JAMMING_ROWS = [f",{a},{b},{j}\n".encode("ascii") for a in (1, -1) for b in (1, -1) for j in (1, -1)]
+# Each triplet's row text after its index, by its code: the outcome it indexes in ``outcome_tuples(3)``.
+_JAMMING_ROWS = [",{},{},{}".format(*outcome).encode("ascii") for outcome in quantum.outcome_tuples(3)]
 
 
 def _jamming_csv(records: JammingRecords) -> Iterator[str]:
     """The CSV blocks of one row per triplet: its index and its (a_x, b_x, j) outcomes.
 
-    Each block of ``_table_blocks`` unpacks only its own triplets' bits of
-    the indicator words.  10^4 triplets are 1250 bytes, so every block
-    starts on a byte, though it may start mid-word.  The three bits make
-    each triplet's code into ``_JAMMING_ROWS``.
+    Each block of ``_table_blocks`` reads only its own triplets' codes from
+    ``JammingRecords.codes``, each the index of its row in ``_JAMMING_ROWS``.
     """
     yield "triplet,a_x,b_x,j\n"
-    bytes_ = records.indicators.astype("<u8", copy=False).view(np.uint8)
-
-    def codes(start: int, stop: int) -> list[np.ndarray]:
-        bits = np.unpackbits(bytes_[:, start // 8 : -(-stop // 8)], axis=1, count=stop - start, bitorder="little")
-        code = bits[0] << 2
-        code |= bits[1] << 1
-        code |= bits[2]
-        return [code]
-
-    yield from _table_blocks("", [np.array(_JAMMING_ROWS)], records.trials, codes)
+    yield from _table_blocks("", [np.array(_JAMMING_ROWS)], records.trials, lambda i, j: [records.codes(i, j)])
 
 
 # Each scenario subcommand: the box it runs and its help text.
@@ -175,7 +160,7 @@ def cmd_scenario(args) -> tuple[dict, dict, Iterable[str] | None]:
     """pr-signal, tsirelson and ghz-signal: one verdict, which holds the report's results and checks."""
     kind = _SCENARIOS[args.command][0]
     # A CSV report prints each run's every component; a JSON one only what its verdict compared.
-    v = verdict(kind, args.n, _MODES[args.mode], args.trials, args.seed, joint=args.format == "csv")
+    v = verdict(kind, args.n, RunMode(args.mode), args.trials, args.seed, joint=args.format == "csv")
     return {**v.results, "verdict": v.to_json_obj()}, v.checks, _dist_csv(v) if args.format == "csv" else None
 
 
@@ -365,7 +350,7 @@ def _add_scenario_flags(sp) -> None:
     )
     sp.add_argument("--trials", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--mode", choices=("exact", "mc"), default="exact")
+    sp.add_argument("--mode", choices=[mode.value for mode in RunMode], default=RunMode.EXACT.value)
     _add_output_flags(sp)
 
 

@@ -24,10 +24,10 @@ of that indicator (D. E. Knuth, TAOCP 4A, 7.1.3).  A scenario run keeps
 only those narrow -1 counts, one per component and trial in the
 narrowest unsigned dtype that holds N, never a round-by-round record or
 an int64 sum.  Its histogram builds grid cells from the counts in blocks
-of trials, in one reused int64 buffer.  A receivers-only GHZ run samples
-the receivers' round marginal, which keeps the whole pmf's table rows,
-and a jamming run draws its indicator words in place and counts its
-histogram from them.
+of trials, in one reused int64 buffer.  A marginal form selects its
+components' columns of the joint form, so it draws the joint's planes.
+A jamming run draws its indicator words in place, counts its histogram
+from them, and unpacks them only in ``JammingRecords.codes``.
 
 Exact runs are pure Python: stabilizer groups, Kronecker-substituted
 big-int powers and tuple distributions.  Only the sampler, sampled runs
@@ -43,7 +43,7 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -54,7 +54,8 @@ from .quantum import GHZ_STABILIZERS, _BELL_STABILIZERS, _stabilizer_group, outc
 EXACT_MAX_ROUNDS = 24
 # Alice's and Bob's components of a three-party run: the receivers of Jim's choice.
 GHZ_RECEIVERS = (0, 1)
-# Live 64-bit words per sampled chunk (2 MiB), so sampling memory stays flat in N.
+# Live 64-bit words per sampled chunk of trials (2 MiB), so memory stays flat in the trials; but a chunk
+# holds at least one trial, (8d + 8s + 1) * ceil(N/64) bytes for d planes and s scratch rows, so not in N.
 _SAMPLE_WORDS = 1 << 18
 # Grid cells per trial up to which a histogram counts every cell, so counts never outgrow the trials.
 _COUNT_CELLS_PER_TRIAL = 4
@@ -290,23 +291,18 @@ class _AffineForm:
     negative_first: tuple[bool, ...]
 
 
-def _affine_form(atoms: Sequence[tuple], labels: tuple[str, ...], keep: tuple[int, ...] | None = None) -> _AffineForm:
+def _affine_form(atoms: Sequence[tuple], labels: tuple[str, ...]) -> _AffineForm:
     """The form of the pmf uniform over ``atoms``, an affine outcome set in ``outcome_tuples`` order.
 
-    With ``keep``, the form of those components' marginal: their projected
-    atoms, on the whole pmf's table.  The table lists the 2^r atoms in
-    outcome order (+1 first, the reverse of grid order), each 2^(d-r)
-    times, so atom index i sits in row bits d-r .. d-1.  Sorted, an affine
+    The table lists the 2^d atoms once each, in outcome order (+1 first,
+    the reverse of grid order), so row i is atom i.  Sorted, an affine
     set's outcomes are affine in i: column c is atom 0's value flipped by
     the parity of the bits j of i where atom 2^j differs from atom 0 at c,
-    so its indicator is the XOR of planes d - r + j over those j.
+    so its indicator is the XOR of planes j over those j.
     """
     pmf = ExactDistribution.from_mapping(dict.fromkeys(atoms, Fraction(1, len(atoms))), labels, 1)
-    if keep is not None:
-        pmf = pmf.marginal(keep)
-        atoms = sorted({tuple(atom[i] for i in keep) for atom in atoms}, reverse=True)
-    d, r = pmf.denominator.bit_length() - 1, len(atoms).bit_length() - 1
-    planes = tuple(tuple(d - r + j for j in range(r) if atoms[1 << j][c] != atoms[0][c]) for c in range(len(atoms[0])))
+    d = len(atoms).bit_length() - 1
+    planes = tuple(tuple(j for j in range(d) if atoms[1 << j][c] != atoms[0][c]) for c in range(len(atoms[0])))
     return _AffineForm(pmf, planes, tuple(v < 0 for v in atoms[0]))
 
 
@@ -321,16 +317,22 @@ def _born_form(generators: tuple, factors: tuple, labels: tuple, keep: tuple | N
     A site set T whose product string (I elsewhere) is in the state's
     stabilizer group with sign s fixes prod_{k in T} o_k = s, and the
     outcomes that meet every such constraint, an affine set, are equally
-    likely (Aaronson & Gottesman); an "I" site is always +1.  Pure and
-    immutable, so each is built once per process: the 10 Born forms are 2
-    GHZ, 2 GHZ receivers, 4 Tsirelson and 2 jamming ones.
+    likely (Aaronson & Gottesman); an "I" site is always +1.  With
+    ``keep``, the marginal form: the joint form's columns ``keep`` and its
+    pmf's ``.marginal(keep)``.  Pure and immutable, so each is built once
+    per process: the 10 Born forms are 2 GHZ, 2 GHZ receivers, 4 Tsirelson
+    and 2 jamming ones.
     """
     group = _stabilizer_group(generators)
     subsets = itertools.product((False, True), repeat=len(factors))
     constraints = [(t, group.get(tuple(f if on else "I" for f, on in zip(factors, t)))) for t in subsets]
     outcomes = outcome_tuples(len(factors))
     atoms = [o for o in outcomes if all(s is None or math.prod(itertools.compress(o, t)) == s for t, s in constraints)]
-    return _affine_form(atoms, labels, keep)
+    form = _affine_form(atoms, labels)
+    if keep is None:
+        return form
+    columns = (tuple(column[i] for i in keep) for column in (form.planes, form.negative_first))
+    return _AffineForm(form.pmf.marginal(keep), *columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,16 +343,16 @@ class EnsembleRun:
     count m of -1 rounds of component c, in the narrowest unsigned dtype
     that holds N (uint8 up to N = 255), so a trial's sum is N - 2m and its
     collective (N - 2m) / N; no run keeps a round-by-round record.
-    ``sums`` is derived from the counts on each read, and ``rounds`` is
-    always None.  Both are kept only because the benchmark's
-    ``perfbench/spans.py:_observe_scenario`` reads ``result.sums`` and
-    ``result.rounds``, and go together with those reads.
+    ``sums`` is derived from the counts on each read, and the class
+    attribute ``rounds`` is None.  Both are kept only because the
+    benchmark's ``perfbench/spans.py:_observe_scenario`` reads
+    ``result.sums`` and ``result.rounds``, and go together with those reads.
     """
 
     labels: tuple[str, ...]
     negatives: np.ndarray
     n_rounds: int
-    rounds: None = field(default=None, repr=False)
+    rounds = None
 
     @property
     def sums(self) -> np.ndarray:
@@ -444,9 +446,10 @@ def _sample_outcome_rows(form: _AffineForm, n_rounds: int, trials: int, seed: in
     (``_indicator``).  Its -1 rounds are the rounds the indicator marks, or
     those it leaves clear where row 0 is -1, so a count is the indicator's
     popcount or N minus it, in ``np.min_scalar_type(N)``.  A chunk of
-    trials holds at most ``_SAMPLE_WORDS`` live words: the planes, one
-    scratch row if some column needs it, and the uint8 popcounts.  A
-    jamming run draws one trial of this stream in place, with no popcount.
+    trials holds the planes, s = 1 scratch row if some column needs it
+    (else 0) and the uint8 popcounts: at most ``_SAMPLE_WORDS`` words, but
+    at least one trial's (8d + 8s + 1) * ceil(N/64) bytes.  A jamming run
+    draws one trial of this stream in place, with no popcount.
     These draws replaced a table lookup on one raw word per round, so
     seeded samples differ from corrlab releases before the bit-sliced
     sampler.
@@ -510,10 +513,9 @@ def run_ghz_scenario(spec: ScenarioSpec, receivers_only: bool = False) -> ExactD
     ``sender_choice``.  Components are (A_x, B_x, J_<axis>), or with
     ``receivers_only`` the receivers' (A_x, B_x) alone: the run then uses
     their round marginal, since the marginal of an i.i.d. sum is the i.i.d.
-    sum of the round marginal.  That marginal keeps the denominator, and
-    (A_x, B_x) are the leading digits, so each of its atoms holds the same
-    table rows as the whole pmf's atoms it merges: a sampled receivers-only
-    run draws the receivers' columns of a whole run on the same seed.
+    sum of the round marginal.  Its form selects the receivers' columns of
+    the whole form, so a sampled receivers-only run draws the receivers'
+    columns of a whole run on the same seed.
     """
     if spec.kind is not ScenarioKind.GHZ:
         raise ValueError("spec.kind must be GHZ")
@@ -526,11 +528,12 @@ def _tsirelson_form(sender_choice: str, bob_axis: str) -> _AffineForm:
     Alice measures Z ("u") or X ("p"); Bob measures Z or X per
     ``bob_axis``.  The z and x observables are the sum and difference
     combinations of his two tilted settings, rescaled to unit length.
+    Bob's site comes first, so his column is the joint's leading plane.
     """
     if bob_axis not in ("z", "x"):
         raise ValueError("bob_axis must be 'z' or 'x'")
     alice_factor = "Z" if sender_choice == "u" else "X"
-    return _born_form(_BELL_STABILIZERS, (alice_factor, bob_axis.upper()), ("alice", f"bob_{bob_axis}"), (1,))
+    return _born_form(_BELL_STABILIZERS, (bob_axis.upper(), alice_factor), (f"bob_{bob_axis}", "alice"), (0,))
 
 
 def run_tsirelson_scenario(spec: ScenarioSpec, bob_axis: str = "z") -> ExactDistribution | EnsembleRun:
@@ -561,7 +564,8 @@ class JammingRecords:
     Bit b of word w of row c of ``indicators``, a (3, ceil(trials/64))
     uint64 array, is set where component c of triplet 64*w + b is -1; the
     bits past ``trials`` are clear.  The run draws them in place, with no
-    popcount.
+    popcount.  ``codes`` alone unpacks them: each triplet's code indexes
+    its outcome in ``outcome_tuples(3)``.
     """
 
     jim_choice: str
@@ -572,18 +576,23 @@ class JammingRecords:
     def labels(self) -> tuple[str, str, str]:
         return ("a_x", "b_x", f"j_{self.jim_choice}")
 
+    def codes(self, start: int, stop: int) -> np.ndarray:
+        """The uint8 code 4*[a_x = -1] + 2*[b_x = -1] + [j = -1] of each triplet start..stop-1.
+
+        Unpacks only their bytes, and drops the ``start % 8`` bits before ``start``.
+        """
+        bytes_ = self.indicators.astype("<u8", copy=False).view(np.uint8)[:, start // 8 : -(-stop // 8)]
+        bits = np.unpackbits(bytes_, axis=1, count=stop - start + start % 8, bitorder="little")[:, start % 8 :]
+        return bits[0] << 2 | bits[1] << 1 | bits[2]
+
     @functools.cached_property
     def outcomes(self) -> np.ndarray:
-        """The (trials, 3) int8 outcomes of +1/-1, columns (a_x, b_x, j), unpacked from the indicators when first read.
+        """The (trials, 3) int8 outcomes of +1/-1, columns (a_x, b_x, j), looked up by code when first read.
 
-        No report reads it: the CSV unpacks each block's bits from ``indicators``
-        itself.  It is kept for the benchmark's jamming observer and the tests.
+        No report reads it: the CSV looks up each block's ``codes`` itself.
+        It is kept for the benchmark's jamming observer and the tests.
         """
-        bytes_ = self.indicators.astype("<u8", copy=False).view(np.uint8)
-        bits = np.unpackbits(bytes_, axis=1, count=self.trials, bitorder="little").view(np.int8)
-        outcomes = np.multiply(bits.T, np.int8(-2), order="C")
-        outcomes += 1
-        return outcomes
+        return np.array(outcome_tuples(3), dtype=np.int8).take(self.codes(0, self.trials), axis=0)
 
     def empirical(self) -> ExactDistribution:
         """Counts of the 8 (a_x, b_x, j) outcomes over the triplets.

@@ -5,14 +5,15 @@ survive serialization; keys are sorted and no timestamps are embedded, so
 identical inputs produce byte-identical reports.
 
 The text is the one the standard ``json`` module writes with ``indent=2``
-and ``sort_keys=True``, written in one pass.  Each distribution's atoms
-are filled into one template for their indent, with each lattice value's
-text built once per distribution.
+and ``sort_keys=True``, written in one pass; strings and floats are
+``json``'s own text of them.  Each distribution's atoms are filled into
+one template for their indent, with each lattice value's text built once
+per distribution.
 """
 
 from __future__ import annotations
 
-import math
+import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -21,17 +22,6 @@ from .ensembles import ExactDistribution
 SCHEMA_VERSION = 1
 
 _INDENT = "  "
-
-
-def _float_text(x: float) -> str:
-    """A float as json writes it, non-finite values included."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
 
 
 def _distribution_text(dist: ExactDistribution, nl: str) -> str:
@@ -63,7 +53,7 @@ def _write(obj, out: list[str], nl: str) -> None:
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
     elif isinstance(obj, float):
-        out.append(_float_text(obj))
+        out.append(json.dumps(obj))
     elif isinstance(obj, ExactDistribution):
         out.append(_distribution_text(obj, nl))
     elif isinstance(obj, dict):

@@ -577,7 +577,7 @@ CSV_COMPONENT_COLUMNS = {
 @pytest.mark.parametrize("command", list(CSV_COMPONENT_COLUMNS))
 def test_csv_header_holds_for_every_run(command, mode):
     kind, _ = cli._SCENARIOS[command]
-    v = verdict(kind, 2, cli._MODES[mode], 50, 0, joint=True)
+    v = verdict(kind, 2, RunMode(mode), 50, 0, joint=True)
     header = "".join(cli._dist_csv(v)).split("\n", 1)[0].split(",")
     columns = header[1:-2] if mode == "exact" else header[2:]
     assert columns == CSV_COMPONENT_COLUMNS[command]

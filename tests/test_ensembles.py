@@ -299,8 +299,8 @@ class TestRoundPmfCache:
             *(
                 (
                     ensembles._tsirelson_form(c, axis),
-                    ensembles._born_form(_BELL_STABILIZERS, (alice, axis.upper()), ("alice", f"bob_{axis}")),
-                    (1,),
+                    ensembles._born_form(_BELL_STABILIZERS, (axis.upper(), alice), (f"bob_{axis}", "alice")),
+                    (0,),
                 )
                 for c, alice in (("u", "Z"), ("p", "X"))
                 for axis in "zx"
@@ -309,11 +309,16 @@ class TestRoundPmfCache:
         ids=[*(f"ghz-receivers-{c}" for c in "up"), *(f"tsirelson-{c}{axis}" for c in "up" for axis in "zx")],
     )
     def test_marginal_form_is_the_marginal_of_its_joint_form(self, marginal, joint, keep):
-        """A marginal form keeps its joint's denominator, so it draws as many planes as the joint."""
+        """A marginal form keeps its joint's denominator and selects its joint's columns, so it draws the joint's planes.
+
+        Bob's site leads each Tsirelson joint, so his column is its leading plane.
+        """
         want = joint.pmf.marginal(keep)
         got = marginal.pmf
         assert (got.labels, got.cells, got.weights) == (want.labels, want.cells, want.weights)
         assert got.denominator == want.denominator == joint.pmf.denominator
+        assert marginal.planes == tuple(joint.planes[i] for i in keep)
+        assert marginal.negative_first == tuple(joint.negative_first[i] for i in keep)
 
     def test_constructor_takes_any_sequence_and_keeps_tuples(self):
         dist = ExactDistribution(("B",), 1, [0, 1], [1, 1], 2)
@@ -782,6 +787,30 @@ class TestMonteCarlo:
         assert run.negatives.dtype == np.uint8
         assert list(oracles.lattice_mapping(got).items()) == list(oracles.empirical_by_row_unique(run.sums, n).items())
 
+    def test_sampling_memory_floor_is_one_trial(self):
+        """A sampled chunk holds at least one whole trial: (8d + 8s + 1) * ceil(N/64) bytes, past the word budget.
+
+        The (B, B') form has d = 1 plane and s = 0 scratch rows, so at N = 2^25
+        one trial's planes and popcounts are 4.5 MiB, twice the 2 MiB chunk
+        budget.  The sampler does not split a trial's words, so memory is flat
+        in the trials but not in N; a sampler that chunks by words changes this bound.
+        """
+        n, form = 2**25, ensembles._PR_FORMS["u"]
+        d = form.pmf.denominator.bit_length() - 1
+        s = int(any(len(column) != 1 for column in form.planes))
+        assert (d, s) == (1, 0)
+        floor = (8 * d + 8 * s + 1) * -(-n // 64)
+        assert floor > 8 * ensembles._SAMPLE_WORDS
+        # numpy.random's first import stays in memory; make it before tracing.
+        run_pr_scenario(spec(ScenarioKind.PR_BOX, 64, mode=RunMode.MONTE_CARLO, trials=1))
+        tracemalloc.start()
+        try:
+            run_pr_scenario(spec(ScenarioKind.PR_BOX, n, mode=RunMode.MONTE_CARLO, trials=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert floor <= peak <= floor + (64 << 10)
+
     def test_empirical_pmf(self):
         run = run_pr_scenario(
             spec(ScenarioKind.PR_BOX, 2, mode=RunMode.MONTE_CARLO, trials=400, seed=2)
@@ -1058,6 +1087,16 @@ class TestJamming:
         for j in (1, -1):
             rows = records.outcomes[records.outcomes[:, 2] == j].astype(np.int64)
             assert binned[j] == float(np.mean(rows[:, 0] * rows[:, 1]))
+
+    @pytest.mark.parametrize("start", [0, 1, 7, 8, 63, 64, 65])
+    @pytest.mark.parametrize("stop", [147, 150])
+    def test_codes_of_any_triplet_range(self, start, stop):
+        """150 triplets end in a partial third word: 147 stops inside it, 150 at its last triplet."""
+        records = run_jamming_scenario(1, "x", 150, seed=4)
+        got = records.codes(start, stop)
+        assert got.dtype == np.uint8
+        want = (records.outcomes[start:stop] == -1) @ np.array([4, 2, 1])
+        assert np.array_equal(got, want)
 
     def test_outcomes_are_pinned(self):
         records = run_jamming_scenario(6, "z", 100_000, seed=0)

@@ -9,8 +9,8 @@ change side under another interpreter, so one checkout can be diffed under
 two Pythons; a run that ends in ``ModuleNotFoundError: No module named
 'numpy'`` is then counted as skipped, not as differing.  The commands cover every
 subcommand in json and csv, at default and small ``--trials``, and the
-refused inputs, including causal configs written to a temporary directory
-that both checkouts read, each subcommand written through
+refused inputs, an unknown ``--mode`` among them, including causal configs
+written to a temporary directory that both checkouts read, each subcommand written through
 ``--out /dev/stdout``, CSV reports across the 10^4-row block through both,
 sampled JSON reports of a few trials at N = 10^6, and an ``--out`` into a
 missing directory.  Prints one line per command that differs, then a
@@ -137,6 +137,8 @@ def commands(config_dir: str) -> list[list[str]]:
             [command, "--n", "0"],
             [command, "--n", "30", "--mode", "exact"],
             [command, "--n", "x"],
+            # A mode that RunMode does not name: argparse refuses it from the choices.
+            [command, "--mode", "fast"],
             [command, "--mode", "mc", "--trials", "0"],
             [command, "--trials", "0"],
             [command, "--trials", "-1"],
