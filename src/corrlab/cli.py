@@ -266,7 +266,7 @@ def cmd_causal(args) -> tuple[dict, dict, Iterable[str] | None]:
         apex = spacetime.cone_overlap_apex(events["a_hat"], events["b_hat"]).to_json_obj()
         results["overlap_apex"] = apex
         if "j_hat" in events:
-            holds = spacetime.binary_condition(spacetime.CausalConfig(**events))
+            holds = spacetime.binary_condition(**events)
             results["binary_condition"] = {"holds": holds, "overlap_apex": apex}
             checks["binary_condition_holds"] = holds
 
@@ -293,15 +293,8 @@ def cmd_causal(args) -> tuple[dict, dict, Iterable[str] | None]:
     if "alice_map" in data or "bob_map" in data:
         if not ("alice_map" in data and "bob_map" in data):
             raise ValueError("loop analysis needs both alice_map and bob_map")
-        policy = spacetime.DevicePolicy(alice_map=data["alice_map"], bob_map=data["bob_map"])
-        loop = spacetime.loop_analysis(policy)
+        results["loop"] = loop = spacetime.loop_analysis(data["alice_map"], data["bob_map"])
         scan = spacetime.policy_scan()
-        results["loop"] = {
-            "alice_map": policy.alice_map,
-            "bob_map": policy.bob_map,
-            "consistent": loop["consistent"],
-            "fixed_points": loop["fixed_points"],
-        }
         results["policy_scan_summary"] = {
             "pairs": len(scan),
             "contradictory_pairs": sum(1 for r in scan if r["n_fixed_points"] == 0),

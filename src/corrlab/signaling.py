@@ -1,9 +1,11 @@
 """Signaling verdicts: can the receiver's statistics reveal the sender's choice?
 
-Runs a scenario under both of the sender's setting choices and compares
-the receiver's accessible statistics.  Exact mode compares rational
-distributions with a zero threshold; Monte Carlo mode uses a total
-variation threshold of 5/sqrt(trials) as a smoke check.
+Runs a scenario under both of the sender's choices and compares the total
+variation of Bob's (B, B') distributions (PR box), the larger total
+variation of his z and x collectives (Tsirelson), or the receivers' two
+hit probabilities (GHZ).  Exact mode calls any difference a signal; Monte
+Carlo mode calls one of 5/sqrt(trials) or more a signal whatever the
+support size, which misjudges large N (ROADMAP item 1, still open).
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ u' >= u, v' >= v, with the event at its corner, so lightlike separation
 counts as inside.  Two such quadrants overlap in a third, whose corner is
 the apex of the overlap.  Null coordinates are computed exactly on the
 rationals the float coordinates stand for, and a reported coordinate is
-rounded once, so every boundary is decided without rounding.
+rounded once, so every boundary is decided without rounding.  Callers
+pass plain events, floats and device-map names.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-MAP_NAMES = ("echo", "invert", "const0", "const1")
 _MAP_TABLE = {
     "echo": lambda b: b,
     "invert": lambda b: 1 - b,
     "const0": lambda b: 0,
     "const1": lambda b: 1,
 }
+MAP_NAMES = tuple(_MAP_TABLE)
 
 
 @dataclass(frozen=True)
@@ -73,15 +74,6 @@ def boost(e: SpacetimeEvent, beta: float) -> SpacetimeEvent:
     )
 
 
-@dataclass(frozen=True)
-class CausalConfig:
-    """The three events of the jamming geometry question."""
-
-    a_hat: SpacetimeEvent
-    b_hat: SpacetimeEvent
-    j_hat: SpacetimeEvent
-
-
 def _null_coordinates(e: SpacetimeEvent) -> tuple[Fraction, Fraction]:
     """The exact (u, v) = (t - x, t + x): e's closed future cone is the quadrant u' >= u, v' >= v."""
     t, x = Fraction(e.t), Fraction(e.x)
@@ -107,7 +99,7 @@ def cone_overlap_apex(a: SpacetimeEvent, b: SpacetimeEvent) -> SpacetimeEvent:
     return SpacetimeEvent(t=_round_once((u + v) / 2, what), x=_round_once((v - u) / 2, what))
 
 
-def binary_condition(config: CausalConfig) -> bool:
+def binary_condition(a_hat: SpacetimeEvent, b_hat: SpacetimeEvent, j_hat: SpacetimeEvent) -> bool:
     """Does the overlap of the futures of a_hat and b_hat sit inside j_hat's future?
 
     The overlap is the quadrant at the maxima of a_hat's and b_hat's null
@@ -115,41 +107,33 @@ def binary_condition(config: CausalConfig) -> bool:
     reaches j_hat's.  The verdict is read from these exact values, not
     from the rounded apex that ``cone_overlap_apex`` reports.
     """
-    (ua, va), (ub, vb), (uj, vj) = map(_null_coordinates, (config.a_hat, config.b_hat, config.j_hat))
+    (ua, va), (ub, vb), (uj, vj) = map(_null_coordinates, (a_hat, b_hat, j_hat))
     return max(ua, ub) >= uj and max(va, vb) >= vj
 
 
-@dataclass(frozen=True)
-class DevicePolicy:
-    """How each device turns the bit it receives into the bit it emits."""
+def loop_analysis(alice_map: str, bob_map: str) -> dict:
+    """A report's loop section: the closed loop i_A = alice(i_B), i_B = bob(i_A) over bits.
 
-    alice_map: str
-    bob_map: str
-
-    def __post_init__(self):
-        for name in (self.alice_map, self.bob_map):
-            if not isinstance(name, str) or name not in _MAP_TABLE:
-                raise ValueError(f"unknown device map {name!r}; choose from {MAP_NAMES}")
-
-
-def loop_analysis(policy: DevicePolicy) -> dict:
-    """Solve the closed loop i_A = alice(i_B), i_B = bob(i_A) over bits.
-
-    Each fixed point is (i_A, bob(i_A)) for an i_A = alice(bob(i_A)).  The
-    loop is consistent when at least one fixed point exists.  Zero fixed
-    points is the self-contradictory configuration; two fixed points means
-    the loop is consistent but underdetermined.
+    A name outside ``MAP_NAMES`` is a ValueError, Alice's checked first.
+    Each fixed point is (i_A, bob(i_A)) for an i_A = alice(bob(i_A)); the
+    loop is consistent when one exists.  Zero fixed points is the
+    self-contradictory configuration; two means it is underdetermined.
     """
-    alice, bob = _MAP_TABLE[policy.alice_map], _MAP_TABLE[policy.bob_map]
+    for name in (alice_map, bob_map):
+        if not isinstance(name, str) or name not in _MAP_TABLE:
+            raise ValueError(f"unknown device map {name!r}; choose from {MAP_NAMES}")
+    alice, bob = _MAP_TABLE[alice_map], _MAP_TABLE[bob_map]
     fixed_points = [(i_a, bob(i_a)) for i_a in (0, 1) if alice(bob(i_a)) == i_a]
     return {
+        "alice_map": alice_map,
+        "bob_map": bob_map,
         "consistent": len(fixed_points) >= 1,
         "fixed_points": fixed_points,
     }
 
 
 def policy_scan() -> list[dict]:
-    """loop_analysis over all 16 (alice_map, bob_map) pairs.
+    """loop_analysis over all 16 (alice_map, bob_map) pairs, each row with its n_fixed_points.
 
     Exactly the four pairs where both maps are bijective fail to have a
     unique fixed point: the two opposite-parity pairs (echo with invert)
@@ -158,17 +142,8 @@ def policy_scan() -> list[dict]:
     rows = []
     for alice_map in MAP_NAMES:
         for bob_map in MAP_NAMES:
-            policy = DevicePolicy(alice_map=alice_map, bob_map=bob_map)
-            result = loop_analysis(policy)
-            rows.append(
-                {
-                    "alice_map": alice_map,
-                    "bob_map": bob_map,
-                    "consistent": result["consistent"],
-                    "n_fixed_points": len(result["fixed_points"]),
-                    "fixed_points": result["fixed_points"],
-                }
-            )
+            loop = loop_analysis(alice_map, bob_map)
+            rows.append({**loop, "n_fixed_points": len(loop["fixed_points"])})
     return rows
 
 

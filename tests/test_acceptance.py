@@ -46,8 +46,6 @@ from corrlab.signaling import (
     tsirelson_verdict,
 )
 from corrlab.spacetime import (
-    CausalConfig,
-    DevicePolicy,
     SpacetimeEvent,
     binary_condition,
     boost,
@@ -266,18 +264,12 @@ def test_cone_overlap_verdicts():
     invariant_ok = True
     rng = np.random.default_rng(7)
     for a, b, j, want in cases:
-        config = CausalConfig(
-            a_hat=SpacetimeEvent(*a), b_hat=SpacetimeEvent(*b), j_hat=SpacetimeEvent(*j)
-        )
-        plain_ok &= binary_condition(config) is want
+        events = (SpacetimeEvent(*a), SpacetimeEvent(*b), SpacetimeEvent(*j))
+        plain_ok &= binary_condition(*events) is want
         for beta in rng.uniform(-0.9, 0.9, size=20):
             beta = float(beta)
-            boosted = CausalConfig(
-                a_hat=boost(config.a_hat, beta),
-                b_hat=boost(config.b_hat, beta),
-                j_hat=boost(config.j_hat, beta),
-            )
-            invariant_ok &= binary_condition(boosted) is want
+            boosted = [boost(e, beta) for e in events]
+            invariant_ok &= binary_condition(*boosted) is want
     elapsed = time.perf_counter() - t0
     _gate(
         "cone overlap verdicts",
@@ -292,7 +284,7 @@ def test_causal_loop_analysis():
     t0 = time.perf_counter()
     chrono = round_trip_chronology(alice_x=0.0, bob_x=1.0, send_t=0.0, beta=0.5)
     chrono_ok = chrono["reply_arrival"].t == -0.5 and chrono["retrocausal"]
-    loop = loop_analysis(DevicePolicy(alice_map="echo", bob_map="invert"))
+    loop = loop_analysis("echo", "invert")
     loop_ok = not loop["consistent"] and loop["fixed_points"] == []
     rows = policy_scan()
     n_zero = sum(1 for r in rows if r["n_fixed_points"] == 0)

@@ -781,6 +781,22 @@ class TestCausalCommand:
             "pairs_without_unique_fixed_point": 4,
         }
 
+    @pytest.mark.parametrize("alice_map", spacetime.MAP_NAMES)
+    @pytest.mark.parametrize("bob_map", spacetime.MAP_NAMES)
+    def test_loop_section_of_every_map_pair(self, tmp_path, alice_map, bob_map):
+        config = tmp_path / "maps.json"
+        config.write_text(json.dumps({"alice_map": alice_map, "bob_map": bob_map}))
+        report = run_json(tmp_path, "causal", "--config", str(config))
+        want = oracles.loop_fixed_points_by_scan(alice_map, bob_map)
+        loop = report["results"]["loop"]
+        assert loop == {
+            "alice_map": alice_map,
+            "bob_map": bob_map,
+            "consistent": bool(want),
+            "fixed_points": [list(point) for point in want],
+        }
+        assert report["checks"]["loop_consistent"] is bool(want)
+
     @pytest.mark.parametrize(
         "beta", [None, [1], {}, 10**400, True, False], ids=["null", "list", "object", "huge-int", "true", "false"]
     )
@@ -922,13 +938,14 @@ class TestCausalCommand:
         assert "both alice_map and bob_map" in proc.stderr
 
 
-    @pytest.mark.parametrize("bad", [[], {}])
-    def test_map_name_must_be_a_string(self, tmp_path, bad):
+    @pytest.mark.parametrize("side", ["alice_map", "bob_map"])
+    @pytest.mark.parametrize("bad", [[], {}, "copy"])
+    def test_map_name_must_be_a_string(self, tmp_path, side, bad):
         config = tmp_path / "maps.json"
-        config.write_text(json.dumps({"alice_map": bad, "bob_map": "echo"}))
+        config.write_text(json.dumps({"alice_map": "echo", "bob_map": "echo", side: bad}))
         proc = run_proc("causal", "--config", str(config))
         assert proc.returncode == 2
-        assert "unknown device map" in proc.stderr
+        assert proc.stderr == f"error: unknown device map {bad!r}; choose from ('echo', 'invert', 'const0', 'const1')\n"
 
 
 class TestSharedParser:

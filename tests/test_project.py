@@ -234,4 +234,7 @@ def test_report_diff_runs_the_change_side_under_another_interpreter(tmp_path, mo
     cmds = [["pr-signal", "--mode", "mc", "--n", "1", "--trials", "1"], ["causal", "--config", "scenarios/causal_loop.json"]]
     monkeypatch.setattr(report_diff, "commands", lambda config_dir: cmds)
     assert report_diff.main([str(ROOT), str(ROOT), "--python", str(interp)]) == 0
-    assert "2 commands, 1 identical, 0 differ, 1 skipped\n" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "2 commands, 1 identical, 0 differ, 1 skipped\n" in out
+    total = sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "corrlab").glob("*.py"))
+    assert f"1 skipped\nsrc/corrlab/*.py: {total} -> {total} lines (+0)\n" in out

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 import oracles
 from corrlab.spacetime import (
     MAP_NAMES,
-    CausalConfig,
-    DevicePolicy,
     SpacetimeEvent,
     binary_condition,
     boost,
@@ -34,7 +32,7 @@ def ev(t, x):
 
 def in_cone(apex, e):
     """e is in apex's closed future cone: the overlap of e's cone with itself lies in apex's."""
-    return binary_condition(CausalConfig(a_hat=e, b_hat=e, j_hat=apex))
+    return binary_condition(e, e, apex)
 
 
 class TestEvents:
@@ -218,28 +216,28 @@ class TestConeOverlap:
 
 
 class TestBinaryCondition:
-    def _config(self, j_t, j_x, a=(0.0, -1.0), b=(0.0, 1.0)):
-        return CausalConfig(a_hat=ev(*a), b_hat=ev(*b), j_hat=ev(j_t, j_x))
+    def _events(self, j_t, j_x, a=(0.0, -1.0), b=(0.0, 1.0)):
+        return ev(*a), ev(*b), ev(j_t, j_x)
 
     def test_jammer_on_time(self):
-        config = self._config(-0.5, 0.0)
-        assert binary_condition(config) is True
-        assert cone_overlap_apex(config.a_hat, config.b_hat) == ev(1.0, 0.0)
+        a_hat, b_hat, j_hat = self._events(-0.5, 0.0)
+        assert binary_condition(a_hat, b_hat, j_hat) is True
+        assert cone_overlap_apex(a_hat, b_hat) == ev(1.0, 0.0)
 
     def test_jammer_too_late(self):
-        assert binary_condition(self._config(2.0, 0.0)) is False
+        assert binary_condition(*self._events(2.0, 0.0)) is False
 
     def test_retrocausal_geometry(self):
         # the jammer acts after the overlap apex would allow in its own past
-        config = self._config(1.0, 0.0, a=(0.0, -2.0), b=(0.0, 2.0))
-        assert binary_condition(config) is True
-        assert cone_overlap_apex(config.a_hat, config.b_hat) == ev(2.0, 0.0)
+        a_hat, b_hat, j_hat = self._events(1.0, 0.0, a=(0.0, -2.0), b=(0.0, 2.0))
+        assert binary_condition(a_hat, b_hat, j_hat) is True
+        assert cone_overlap_apex(a_hat, b_hat) == ev(2.0, 0.0)
 
     def test_verdict_reads_the_exact_apex(self):
         # The apex is reported as (0.65, 0.14999999999999997) but lies 3 * 2^-56 earlier, outside a jammer there.
-        config = self._config(0.65, 0.14999999999999997, a=(0.1, 0.7), b=(0.3, -0.2))
-        assert binary_condition(config) is False
-        assert cone_overlap_apex(config.a_hat, config.b_hat) == config.j_hat
+        a_hat, b_hat, j_hat = self._events(0.65, 0.14999999999999997, a=(0.1, 0.7), b=(0.3, -0.2))
+        assert binary_condition(a_hat, b_hat, j_hat) is False
+        assert cone_overlap_apex(a_hat, b_hat) == j_hat
 
     def test_matches_grid_oracle(self):
         cases = [
@@ -251,14 +249,14 @@ class TestBinaryCondition:
             ((-1.0, 0.0), (1.0, 1.0), (0.0, -0.5)),
         ]
         for a, b, j in cases:
-            config = CausalConfig(a_hat=ev(*a), b_hat=ev(*b), j_hat=ev(*j))
+            a_hat, b_hat, j_hat = ev(*a), ev(*b), ev(*j)
             grid_ok = oracles.grid_cone_check(a, b, j)
-            if binary_condition(config):
+            if binary_condition(a_hat, b_hat, j_hat):
                 assert grid_ok
             else:
                 # the apex itself witnesses the violation
-                apex = cone_overlap_apex(config.a_hat, config.b_hat)
-                assert not oracles.in_future_cone_by_interval(config.j_hat, apex)
+                apex = cone_overlap_apex(a_hat, b_hat)
+                assert not oracles.in_future_cone_by_interval(j_hat, apex)
 
     @given(*(any_coords,) * 6)
     @settings(max_examples=300)
@@ -269,49 +267,48 @@ class TestBinaryCondition:
     @example(1.0, -0.0, 0.0, 0.0, 1.0, 0.0)
     @example(-0.0, -0.0, 0.0, 0.0, 0.0, -0.0)
     def test_holds_exactly_when_the_exact_corner_is_in_the_jammers_cone(self, at, ax, bt, bx, jt, jx):
-        config = CausalConfig(a_hat=ev(at, ax), b_hat=ev(bt, bx), j_hat=ev(jt, jx))
-        corner = oracles.overlap_corner_by_rays(config.a_hat, config.b_hat)
-        assert binary_condition(config) is oracles.in_future_cone_by_interval(config.j_hat, corner)
+        a_hat, b_hat, j_hat = ev(at, ax), ev(bt, bx), ev(jt, jx)
+        corner = oracles.overlap_corner_by_rays(a_hat, b_hat)
+        assert binary_condition(a_hat, b_hat, j_hat) is oracles.in_future_cone_by_interval(j_hat, corner)
 
     @given(*(st.floats(min_value=-5, max_value=5),) * 6, st.floats(min_value=-0.9, max_value=0.9))
     @settings(max_examples=100)
     def test_verdict_is_boost_invariant(self, at, ax, bt, bx, jt, jx, beta):
-        config = CausalConfig(a_hat=ev(at, ax), b_hat=ev(bt, bx), j_hat=ev(jt, jx))
-        apex = cone_overlap_apex(config.a_hat, config.b_hat)
+        events = ev(at, ax), ev(bt, bx), ev(jt, jx)
+        apex = cone_overlap_apex(events[0], events[1])
         margin = (apex.t - jt) - abs(apex.x - jx)
         assume(abs(margin) > 1e-6 * max(1.0, abs(apex.t), abs(apex.x), abs(jt), abs(jx)))
-        boosted = CausalConfig(
-            a_hat=boost(config.a_hat, beta),
-            b_hat=boost(config.b_hat, beta),
-            j_hat=boost(config.j_hat, beta),
-        )
-        assert binary_condition(boosted) == binary_condition(config)
+        boosted = [boost(e, beta) for e in events]
+        assert binary_condition(*boosted) == binary_condition(*events)
 
 
 class TestLoops:
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="unknown device map"):
-            DevicePolicy(alice_map="copy", bob_map="echo")
+            loop_analysis("copy", "echo")
+        # Alice's name is checked first.
+        with pytest.raises(ValueError, match="'copy'"):
+            loop_analysis("copy", "mirror")
 
     def test_crossed_bijective_pair_has_no_fixed_point(self):
-        report = loop_analysis(DevicePolicy(alice_map="echo", bob_map="invert"))
+        report = loop_analysis("echo", "invert")
         assert report["consistent"] is False
         assert report["fixed_points"] == []
 
     def test_matched_bijective_pair_is_underdetermined(self):
-        report = loop_analysis(DevicePolicy(alice_map="echo", bob_map="echo"))
+        report = loop_analysis("echo", "echo")
         assert report["consistent"] is True
         assert report["fixed_points"] == [(0, 0), (1, 1)]
 
     def test_constant_map_pins_the_loop(self):
-        report = loop_analysis(DevicePolicy(alice_map="const0", bob_map="invert"))
+        report = loop_analysis("const0", "invert")
         assert report["consistent"] is True
         assert report["fixed_points"] == [(0, 1)]
 
     @pytest.mark.parametrize("alice_map", MAP_NAMES)
     @pytest.mark.parametrize("bob_map", MAP_NAMES)
     def test_fixed_points_match_the_four_pair_scan(self, alice_map, bob_map):
-        report = loop_analysis(DevicePolicy(alice_map=alice_map, bob_map=bob_map))
+        report = loop_analysis(alice_map, bob_map)
         want = oracles.loop_fixed_points_by_scan(alice_map, bob_map)
         assert report["fixed_points"] == want
         assert report["consistent"] == bool(want)

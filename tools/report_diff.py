@@ -14,8 +14,9 @@ written to a temporary directory that both checkouts read, each subcommand writt
 ``--out /dev/stdout``, CSV reports across the 10^4-row block through both,
 sampled JSON reports of a few trials at N = 10^6, and an ``--out`` into a
 missing directory.  Prints one line per command that differs, then a
-summary with the skipped count and ``wc -l src/corrlab/*.py`` of each
-checkout; exits 1 if any command differs, else 0.
+summary with the skipped count, the change in the line count of
+``src/corrlab/*.py``, and ``wc -l src/corrlab/*.py`` of each checkout;
+exits 1 if any command differs, else 0.
 """
 
 from __future__ import annotations
@@ -81,6 +82,11 @@ EDGE_CONFIGS = {
     "missing-x.json": {"a_hat": {"t": 0}, "b_hat": _EAST},
     "half-loop.json": {"alice_map": "echo"},
     "bad-map.json": {"alice_map": [], "bob_map": "echo"},
+    "unknown-map.json": {"alice_map": "copy", "bob_map": "echo"},
+    "unknown-bob-map.json": {"alice_map": "echo", "bob_map": "copy"},
+    # A loop section alone: no event is needed.
+    "maps-only.json": {"alice_map": "echo", "bob_map": "echo"},
+    "beyond-reply.json": {"a_hat": {"t": 1e308, "x": -1e308}, "b_hat": {"t": 0, "x": 1e308}, "beta": -0.9},
     "beta-alone.json": {"beta": 0.5},
     "empty.json": {},
     "list.json": [],
@@ -274,8 +280,12 @@ def main(argv: list[str] | None = None) -> int:
         if verdict == "differ":
             print(f"DIFF corrlab {shlex.join(argv)}: {describe(parent, change)}")
     print(f"{len(cmds)} commands, " + ", ".join(f"{n} {verdict}" for verdict, n in verdicts.items()))
-    for checkout in checkouts:
-        print(f"\nwc -l src/corrlab/*.py in {checkout}:\n{line_counts(checkout)}", end="")
+    counts = [line_counts(checkout) for checkout in checkouts]
+    # wc's last line is the total over the files.
+    before, after = (int(table.splitlines()[-1].split()[0]) for table in counts)
+    print(f"src/corrlab/*.py: {before} -> {after} lines ({after - before:+d})")
+    for checkout, table in zip(checkouts, counts):
+        print(f"\nwc -l src/corrlab/*.py in {checkout}:\n{table}", end="")
     return 1 if verdicts["differ"] else 0
 
 
