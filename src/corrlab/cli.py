@@ -4,12 +4,15 @@ Subcommands run the ensemble scenarios, the three-party algebra checks,
 and the causal-geometry analyses, emitting deterministic JSON (or CSV
 sample tables) so identical invocations produce byte-identical reports.
 
-Each ``cmd_*`` handler returns its report's results, checks and CSV
-blocks, having done all of its report's work; ``main`` alone builds the
-JSON envelope, whose ``config`` echoes every parsed flag except ``--out``,
-plus the object ``causal`` read.  ``main`` writes a CSV report block by
-block as ``_table_blocks`` builds it, 10^4 sampled rows at a time, so its
-memory is the run's per-trial counts plus one block, not the whole text.
+Each command's results, checks and CSV runs come from the module that
+owns them: ``signaling.verdict`` and ``jamming_verdict``,
+``quantum.algebra_report`` and ``spacetime.causal_report``.  ``cli`` is
+transport: the parser, reading the causal config with its depth guard,
+the envelope, whose ``config`` echoes every parsed flag except ``--out``
+plus the object ``causal`` read, the CSV tables and writing.  ``main``
+writes a CSV report block by block as ``_table_blocks`` builds it, 10^4
+sampled rows at a time, so its memory is the run's per-trial counts plus
+one block, not the whole text.
 
 Importing this module, parsing the arguments and running exact
 ``pr-signal`` or ``ghz-signal`` or ``causal`` never load numpy, which
@@ -24,7 +27,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
@@ -32,10 +34,10 @@ from pathlib import Path
 
 from . import quantum, spacetime
 from ._numpy import np
-from .ensembles import EXACT_MAX_ROUNDS, JammingRecords, RunMode, ScenarioKind, run_jamming_scenario
+from .ensembles import EXACT_MAX_ROUNDS, JammingRecords, RunMode, ScenarioKind
 from .errors import InvariantViolation
 from .reportio import SCHEMA_VERSION, dump_report
-from .signaling import SignalingVerdict, jamming_unary_exact, verdict
+from .signaling import jamming_verdict, verdict
 
 # The deepest causal config read, the outer value being level 1: far below the depth
 # at which any supported interpreter's json.loads, or the report writer echoing the
@@ -109,7 +111,7 @@ def _csv_columns(runs) -> list[str]:
     return [col[0] if len(set(col)) == 1 else col[0].rsplit("_", 1)[0] for col in columns]
 
 
-def _dist_csv(v: SignalingVerdict) -> Iterator[str]:
+def _dist_csv(runs: dict, mode: RunMode) -> Iterator[str]:
     """The CSV blocks of exact pmf rows, or of one row per sampled trial, for each run.
 
     A sampled run's rows come 10^4 at a time from ``_table_blocks``: the
@@ -117,17 +119,17 @@ def _dist_csv(v: SignalingVerdict) -> Iterator[str]:
     its count m of -1 rounds in the field text of (N - 2m) / N for only the
     counts from the run's least to its greatest.
     """
-    labels = _csv_columns(v.runs.values())
-    if v.mode is RunMode.EXACT:
+    labels = _csv_columns(runs.values())
+    if mode is RunMode.EXACT:
         yield ",".join(["choice", *labels, "numerator", "denominator"]) + "\n"
         yield "".join(
             ",".join([choice, *point, str(num), str(den)]) + "\n"
-            for choice, dist in v.runs.items()
+            for choice, dist in runs.items()
             for point, num, den in dist.atoms()
         )
         return
     yield ",".join(["choice", "trial", *labels]) + "\n"
-    for choice, run in v.runs.items():
+    for choice, run in runs.items():
         negatives = run.negatives
         n, lo, hi = run.n_rounds, int(negatives.min()), int(negatives.max())
         tables = [np.array([f",{(n - 2 * m) / n!r}".encode("ascii") for m in range(lo, hi + 1)])] * len(negatives)
@@ -156,94 +158,21 @@ _SCENARIOS = {
 }
 
 
-def cmd_scenario(args) -> tuple[dict, dict, Iterable[str] | None]:
-    """pr-signal, tsirelson and ghz-signal: one verdict, which holds the report's results and checks."""
-    kind = _SCENARIOS[args.command][0]
+def _scenario(args) -> tuple[dict, dict, Iterable[str] | None]:
+    mode = RunMode(args.mode)
+    csv = args.format == "csv"
     # A CSV report prints each run's every component; a JSON one only what its verdict compared.
-    v = verdict(kind, args.n, RunMode(args.mode), args.trials, args.seed, joint=args.format == "csv")
-    return {**v.results, "verdict": v.to_json_obj()}, v.checks, _dist_csv(v) if args.format == "csv" else None
+    results, checks, runs = verdict(_SCENARIOS[args.command][0], args.n, mode, args.trials, args.seed, joint=csv)
+    return results, checks, _dist_csv(runs, mode) if csv else None
 
 
-def cmd_ghz_algebra(args) -> tuple[dict, dict, Iterable[str] | None]:
-    state = quantum.ghz_state()
-    stabilizers = [
-        {
-            "observable": obs.label(),
-            "expected": expected,
-            "expectation": quantum.expectation(state, obs),
-        }
-        for obs, expected in quantum.GHZ_STABILIZERS
-    ]
-    xx = quantum.PauliObservable(("X", "X", "I"))
-    yy = quantum.PauliObservable(("Y", "Y", "I"))
-    xy = quantum.PauliObservable(("X", "Y", "I"))
-    yx = quantum.PauliObservable(("Y", "X", "I"))
-    zz = quantum.PauliObservable(("Z", "Z", "I"))
-
-    commutators = {
-        "[XX,YY]": quantum.commutator_norm(xx, yy),
-        "[XY,YX]": quantum.commutator_norm(xy, yx),
-    }
-    products = {
-        "xx_times_yy": quantum.product_expectation(state, xx, yy),
-        "xy_times_yx": quantum.product_expectation(state, xy, yx),
-        "zz": quantum.expectation(state, zz),
-    }
-    full_search = quantum.ghz_assignment_search()
-    positive_only = quantum.ghz_assignment_search(
-        tuple(c for c in quantum.GHZ_PRODUCT_CONSTRAINTS if c[1] == 1)
-    )
-    results = {
-        "stabilizers": stabilizers,
-        "commutator_norms": commutators,
-        "pair_products": products,
-        "assignment_search": {
-            "full_constraints_solutions": len(full_search),
-            "positive_constraints_solutions": len(positive_only),
-        },
-    }
-    checks = {
-        "stabilizers_match": all(
-            abs(s["expectation"] - s["expected"]) < 1e-12 for s in stabilizers
-        ),
-        "commutators_vanish": all(v == 0.0 for v in commutators.values()),
-        "pair_products_match": abs(products["xx_times_yy"] + 1.0) < 1e-12
-        and abs(products["xy_times_yx"] - 1.0) < 1e-12,
-        "no_consistent_assignment": len(full_search) == 0,
-    }
-    return results, checks, None
-
-
-def cmd_jamming(args) -> tuple[dict, dict, Iterable[str] | None]:
-    records = run_jamming_scenario(args.n, args.jim, args.trials, args.seed)
-    counts, binned, overall = records.correlations()
-    bin_counts = {str(j): c for j, c in counts.items()}
-    unary = jamming_unary_exact()
-    total = records.trials
-    results = {
-        "jim_choice": args.jim,
-        "triplets": total,
-        "bin_counts": bin_counts,
-        "binned_correlation": {str(j): c for j, c in binned.items()},
-        "overall_correlation": overall,
-        "unary_condition": unary,
-    }
-    checks = {"unary_holds": unary["holds"]}
-    if args.jim == "x":
-        ok = all(c is not None and c == -float(j) for j, c in binned.items())
-        checks["binned_constraint_ok"] = ok
-    else:
-        bound = 4.0 / math.sqrt(total)
-        per_bin_ok = all(
-            c is None or abs(c) < 4.0 / math.sqrt(counts[j])
-            for j, c in binned.items()
-        )
-        checks["uncorrelated"] = abs(overall) < bound and per_bin_ok
+def _jamming(args) -> tuple[dict, dict, Iterable[str] | None]:
+    results, checks, records = jamming_verdict(args.n, args.jim, args.trials, args.seed)
     return results, checks, _jamming_csv(records) if args.format == "csv" else None
 
 
-def cmd_causal(args) -> tuple[dict, dict, Iterable[str] | None]:
-    """Analyse the config file at --config, and set ``args.config`` to the object read, for the report to echo."""
+def _causal(args) -> tuple[dict, dict, Iterable[str] | None]:
+    """Read the --config file for ``spacetime.causal_report``, and set ``args.config`` to its object, for the echo."""
     path = Path(args.config_path)
     try:
         text = path.read_text()
@@ -255,58 +184,8 @@ def cmd_causal(args) -> tuple[dict, dict, Iterable[str] | None]:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError("causal config must be a JSON object")
-
-    events = {key: spacetime.event_from_json_obj(data[key]) for key in ("a_hat", "b_hat", "j_hat") if key in data}
-    results: dict = {}
-    checks: dict = {}
-
-    if "a_hat" in events and "b_hat" in events:
-        apex = spacetime.cone_overlap_apex(events["a_hat"], events["b_hat"]).to_json_obj()
-        results["overlap_apex"] = apex
-        if "j_hat" in events:
-            holds = spacetime.binary_condition(**events)
-            results["binary_condition"] = {"holds": holds, "overlap_apex": apex}
-            checks["binary_condition_holds"] = holds
-
-    if "beta" in data:
-        if "a_hat" not in events or "b_hat" not in events:
-            raise ValueError("round-trip chronology needs a_hat and b_hat events")
-        try:
-            beta = spacetime.json_number(data["beta"])
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError("beta must be a number") from None
-        chrono = spacetime.round_trip_chronology(
-            alice_x=events["a_hat"].x,
-            bob_x=events["b_hat"].x,
-            send_t=events["a_hat"].t,
-            beta=beta,
-        )
-        results["round_trip"] = {
-            "reply_arrival": chrono["reply_arrival"].to_json_obj(),
-            "retrocausal": chrono["retrocausal"],
-            "beta": beta,
-        }
-        checks["retrocausal"] = chrono["retrocausal"]
-
-    if "alice_map" in data or "bob_map" in data:
-        if not ("alice_map" in data and "bob_map" in data):
-            raise ValueError("loop analysis needs both alice_map and bob_map")
-        results["loop"] = loop = spacetime.loop_analysis(data["alice_map"], data["bob_map"])
-        scan = spacetime.policy_scan()
-        results["policy_scan_summary"] = {
-            "pairs": len(scan),
-            "contradictory_pairs": sum(1 for r in scan if r["n_fixed_points"] == 0),
-            "underdetermined_pairs": sum(1 for r in scan if r["n_fixed_points"] == 2),
-            "pairs_without_unique_fixed_point": sum(1 for r in scan if r["n_fixed_points"] != 1),
-        }
-        checks["loop_consistent"] = loop["consistent"]
-
-    if not results:
-        raise ValueError("config contains no analyzable sections")
     args.config = data
-    return results, checks, None
+    return (*spacetime.causal_report(data), None)
 
 
 def _emit(blocks: Iterable[str], out: str | None) -> None:
@@ -321,10 +200,10 @@ def _emit(blocks: Iterable[str], out: str | None) -> None:
 
 
 _COMMANDS = {
-    **dict.fromkeys(_SCENARIOS, cmd_scenario),
-    "ghz-algebra": cmd_ghz_algebra,
-    "jamming": cmd_jamming,
-    "causal": cmd_causal,
+    **dict.fromkeys(_SCENARIOS, _scenario),
+    "ghz-algebra": lambda args: (*quantum.algebra_report(), None),
+    "jamming": _jamming,
+    "causal": _causal,
 }
 
 

@@ -15,7 +15,8 @@ all: each site's pair of factors contributes its Bloch vectors' dot and
 cross products to a closed form, exact on Pauli letters and linear in
 the sites.  Signed Pauli strings multiply as XY = iZ and its cyclic
 images, so the Bell and GHZ stabilizers close on the groups that give
-the ensemble layer its exact round pmfs.
+the ensemble layer its exact round pmfs.  ``algebra_report`` reads them
+into the ``ghz-algebra`` report, with its float tolerances.
 
 The float simulator (``PureState``, the state builders, the expectations
 and the Born branches and pmfs) reads numpy through ``_numpy``, which
@@ -413,3 +414,50 @@ def ghz_assignment_search(
         if all(math.prod(assignment[v] for v in variables) == required for variables, required in constraints):
             solutions.append(assignment)
     return solutions
+
+
+def algebra_report() -> tuple[dict, dict]:
+    """The ``ghz-algebra`` report's results and checks; a float matches its exact value within 1e-12."""
+    state = ghz_state()
+    stabilizers = [
+        {
+            "observable": obs.label(),
+            "expected": expected,
+            "expectation": expectation(state, obs),
+        }
+        for obs, expected in GHZ_STABILIZERS
+    ]
+    xx, yy, xy, yx, zz = (PauliObservable((a, b, "I")) for a, b in ("XX", "YY", "XY", "YX", "ZZ"))
+
+    commutators = {
+        "[XX,YY]": commutator_norm(xx, yy),
+        "[XY,YX]": commutator_norm(xy, yx),
+    }
+    products = {
+        "xx_times_yy": product_expectation(state, xx, yy),
+        "xy_times_yx": product_expectation(state, xy, yx),
+        "zz": expectation(state, zz),
+    }
+    full_search = ghz_assignment_search()
+    positive_only = ghz_assignment_search(
+        tuple(c for c in GHZ_PRODUCT_CONSTRAINTS if c[1] == 1)
+    )
+    results = {
+        "stabilizers": stabilizers,
+        "commutator_norms": commutators,
+        "pair_products": products,
+        "assignment_search": {
+            "full_constraints_solutions": len(full_search),
+            "positive_constraints_solutions": len(positive_only),
+        },
+    }
+    checks = {
+        "stabilizers_match": all(
+            abs(s["expectation"] - s["expected"]) < 1e-12 for s in stabilizers
+        ),
+        "commutators_vanish": all(v == 0.0 for v in commutators.values()),
+        "pair_products_match": abs(products["xx_times_yy"] + 1.0) < 1e-12
+        and abs(products["xy_times_yx"] - 1.0) < 1e-12,
+        "no_consistent_assignment": len(full_search) == 0,
+    }
+    return results, checks

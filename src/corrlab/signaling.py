@@ -6,13 +6,17 @@ variation of his z and x collectives (Tsirelson), or the receivers' two
 hit probabilities (GHZ).  Exact mode calls any difference a signal; Monte
 Carlo mode calls one of 5/sqrt(trials) or more a signal whatever the
 support size, which misjudges large N (ROADMAP item 1, still open).
+
+Each verdict returns its report section as (results, checks, runs), each
+statistic read from the per-choice distributions compared (exact, or the
+sampled runs' empirical pmfs), a rational in exact mode and a float in
+sampled mode; ``runs`` are as a CSV report prints them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from enum import Enum
+from dataclasses import replace
 from fractions import Fraction
 
 from . import boxes
@@ -21,60 +25,14 @@ from .ensembles import (
     SCENARIO_RUNNERS,
     EnsembleRun,
     ExactDistribution,
+    JammingRecords,
     RunMode,
     ScenarioKind,
     ScenarioSpec,
     jamming_round_pmf,
+    run_jamming_scenario,
 )
 from .errors import LatticeMismatchError
-
-
-class Statistic(Enum):
-    TOTAL_VARIATION = "total_variation"
-    CONDITIONAL_PROBABILITY = "conditional_probability"
-
-
-@dataclass(frozen=True, eq=False)
-class SignalingVerdict:
-    """Outcome of comparing receiver statistics across the sender's choices.
-
-    ``values`` holds the designated statistic evaluated under choice 0 and
-    choice 1; the receiver can tell the choices apart exactly when the two
-    values differ by more than ``threshold``.  ``results`` and ``checks``
-    are the scenario's whole report section besides the verdict itself:
-    every statistic in them is read from the per-choice distributions the
-    verdict compared (exact ones, or the empirical pmfs of sampled runs),
-    as a rational in exact mode and a float in sampled mode.  ``runs``
-    holds the runs under the keys of those distributions (sender choice,
-    prefixed by Bob's axis for the Tsirelson box), as a CSV report prints
-    them: exact distributions, or sampled runs with their per-trial -1 counts.
-    The three-party box compares only the receivers' (A_x, B_x), while its
-    runs asked for as ``joint`` keep Jim's component too.
-    """
-
-    scenario: ScenarioKind
-    n_rounds: int
-    mode: RunMode
-    statistic: Statistic
-    values: tuple[Fraction | float, Fraction | float]
-    distinguishable: bool
-    threshold: Fraction | float
-    seed: int
-    results: dict = field(default_factory=dict, repr=False)
-    checks: dict = field(default_factory=dict)
-    runs: dict[str, ExactDistribution | EnsembleRun] = field(default_factory=dict, repr=False)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "scenario": self.scenario.value,
-            "N": self.n_rounds,
-            "mode": self.mode.value,
-            "statistic": self.statistic.value,
-            "values": list(self.values),
-            "distinguishable": self.distinguishable,
-            "threshold": self.threshold,
-            "seed": self.seed,
-        }
 
 
 def total_variation(p: ExactDistribution, q: ExactDistribution) -> Fraction:
@@ -100,12 +58,6 @@ def variance_signature(dist: ExactDistribution) -> dict[str, Fraction]:
         "var_sum": dist.variance((1, 1)),
         "var_diff": dist.variance((1, -1)),
     }
-
-
-def _passes(tv, threshold) -> bool:
-    if threshold == 0:
-        return tv == 0
-    return tv < threshold
 
 
 def unary_condition_check(dist_0: ExactDistribution, dist_1: ExactDistribution) -> dict:
@@ -148,6 +100,32 @@ def jamming_unary_exact() -> dict:
     return unary_condition_check(jamming_round_pmf("x"), jamming_round_pmf("z"))
 
 
+def jamming_verdict(n_rounds: int, jim_choice: str, trials: int, seed: int) -> tuple[dict, dict, JammingRecords]:
+    """The jamming report's results and checks, and the sampled triplets they read.
+
+    Jim on x fixes a_x*b_x = -j, so each occupied bin's correlation must be exactly -j.  Jim on z leaves
+    them uncorrelated: overall and in each occupied bin, below 4/sqrt(count) of its triplets.
+    """
+    records = run_jamming_scenario(n_rounds, jim_choice, trials, seed)
+    counts, binned, overall = records.correlations()
+    unary = jamming_unary_exact()
+    results = {
+        "jim_choice": jim_choice,
+        "triplets": records.trials,
+        "bin_counts": {str(j): c for j, c in counts.items()},
+        "binned_correlation": {str(j): c for j, c in binned.items()},
+        "overall_correlation": overall,
+        "unary_condition": unary,
+    }
+    checks = {"unary_holds": unary["holds"]}
+    if jim_choice == "x":
+        checks["binned_constraint_ok"] = all(c is None or c == -j for j, c in binned.items())
+    else:
+        per_bin_ok = all(c is None or abs(c) < 4.0 / math.sqrt(counts[j]) for j, c in binned.items())
+        checks["uncorrelated"] = abs(overall) < 4.0 / math.sqrt(records.trials) and per_bin_ok
+    return results, checks, records
+
+
 def _mode_value(value, mode: RunMode):
     """Report rationals in exact mode, floats in sampled mode, through nested dicts.
 
@@ -173,28 +151,25 @@ def _distributions(runs: dict, mode: RunMode) -> dict[str, ExactDistribution]:
     return {key: run.empirical() for key, run in runs.items()}
 
 
-def _verdict(spec: ScenarioSpec, statistic: Statistic, values: tuple, runs: dict) -> SignalingVerdict:
-    """The verdict on ``values``, thresholded as the spec's mode requires.
-
-    Its ``results`` and ``checks`` start empty for the scenario to fill in.
-    """
+def _verdict(spec: ScenarioSpec, statistic: str, values: tuple) -> dict:
+    """A ``verdict`` entry: ``values`` that differ by the sampled threshold, or at all if exact, are distinguishable."""
     threshold = 5.0 / math.sqrt(spec.trials) if spec.mode is RunMode.MONTE_CARLO else Fraction(0)
-    return SignalingVerdict(
-        scenario=spec.kind,
-        n_rounds=spec.n_rounds,
-        mode=spec.mode,
-        statistic=statistic,
-        values=values,
-        distinguishable=not _passes(abs(values[1] - values[0]), threshold),
-        threshold=threshold,
-        seed=spec.seed,
-        runs=runs,
-    )
+    difference = abs(values[1] - values[0])
+    return {
+        "scenario": spec.kind.value,
+        "N": spec.n_rounds,
+        "mode": spec.mode.value,
+        "statistic": statistic,
+        "values": list(values),
+        "distinguishable": difference != 0 if threshold == 0 else difference >= threshold,
+        "threshold": threshold,
+        "seed": spec.seed,
+    }
 
 
 def pr_verdict(
     n_rounds: int, mode: RunMode, trials: int = 100_000, seed: int = 0, joint: bool = False
-) -> SignalingVerdict:
+) -> tuple[dict, dict, dict[str, ExactDistribution | EnsembleRun]]:
     """Distinguishability of Alice's choice from Bob's joint (B, B') readout.
 
     The statistic is total variation against the choice-0 reference, so
@@ -209,24 +184,24 @@ def pr_verdict(
     dists = _distributions(runs, mode)
     tv = total_variation(dists["u"], dists["p"])
     variance = _mode_value({c: variance_signature(dist) for c, dist in dists.items()}, mode)
-    v = _verdict(spec, Statistic.TOTAL_VARIATION, (_mode_value(Fraction(0), mode), _mode_value(tv, mode)), runs)
-    v.results.update(joint_distribution=dists, variance_signature=variance)
-    v.checks.update(
-        distinguishable=v.distinguishable,
-        variance_collapse=variance["u"]["var_diff"] == 0 and variance["p"]["var_sum"] == 0,
-    )
+    v = _verdict(spec, "total_variation", (_mode_value(Fraction(0), mode), _mode_value(tv, mode)))
+    results = {"verdict": v, "joint_distribution": dists, "variance_signature": variance}
+    checks = {
+        "distinguishable": v["distinguishable"],
+        "variance_collapse": variance["u"]["var_diff"] == 0 and variance["p"]["var_sum"] == 0,
+    }
     if mode is RunMode.EXACT:
         p_joint = dists["u"].probability((1, 1))
         p_anti = dists["p"].probability((1, -1))
-        v.results["rare_events"] = {"p_both_plus_under_u": p_joint, "p_plus_minus_under_p": p_anti}
+        results["rare_events"] = {"p_both_plus_under_u": p_joint, "p_plus_minus_under_p": p_anti}
         rare = Fraction(1, 2**n_rounds)
-        v.checks["rare_event_match"] = p_joint == rare and p_anti == rare
-    return v
+        checks["rare_event_match"] = p_joint == rare and p_anti == rare
+    return results, checks, runs
 
 
 def tsirelson_verdict(
     n_rounds: int, mode: RunMode, trials: int = 100_000, seed: int = 0, joint: bool = False
-) -> SignalingVerdict:
+) -> tuple[dict, dict, dict[str, ExactDistribution | EnsembleRun]]:
     """Distinguishability of Alice's choice from Bob's two collectives.
 
     Bob's accessible collectives are the z and x ensemble averages (the
@@ -244,27 +219,28 @@ def tsirelson_verdict(
     dists = _distributions(runs, mode)
     tvs = _mode_value({axis: total_variation(dists[f"{axis}|u"], dists[f"{axis}|p"]) for axis in ("z", "x")}, mode)
     variances = {axis: {c: dists[f"{axis}|{c}"].variance((1,)) for c in ("u", "p")} for axis in ("z", "x")}
-    v = _verdict(spec, Statistic.TOTAL_VARIATION, (_mode_value(Fraction(0), mode), max(tvs.values())), runs)
+    v = _verdict(spec, "total_variation", (_mode_value(Fraction(0), mode), max(tvs.values())))
     box = boxes.make_tsirelson_box()
     chsh = boxes.chsh_value(box)
-    v.results.update(
-        box_correlations={f"{a}|{b}": boxes.correlation(box, (a, b)) for a in ("u", "p") for b in ("u", "p")},
-        chsh=chsh,
-        bob_distribution=dists,
-        tv_per_axis=tvs,
-        collective_variance=_mode_value(variances, mode),
-    )
-    v.checks.update(
-        no_signaling=not v.distinguishable,
-        chsh_saturates_quantum_bound=abs(float(chsh) - 2.0 * math.sqrt(2.0)) < 1e-12,
-        no_signaling_box=boxes.check_no_signaling(box)["holds"],
-    )
-    return v
+    results = {
+        "verdict": v,
+        "box_correlations": {f"{a}|{b}": boxes.correlation(box, (a, b)) for a in ("u", "p") for b in ("u", "p")},
+        "chsh": chsh,
+        "bob_distribution": dists,
+        "tv_per_axis": tvs,
+        "collective_variance": _mode_value(variances, mode),
+    }
+    checks = {
+        "no_signaling": not v["distinguishable"],
+        "chsh_saturates_quantum_bound": abs(float(chsh) - 2.0 * math.sqrt(2.0)) < 1e-12,
+        "no_signaling_box": boxes.check_no_signaling(box)["holds"],
+    }
+    return results, checks, runs
 
 
 def ghz_verdict(
     n_rounds: int, mode: RunMode, trials: int = 100_000, seed: int = 0, joint: bool = False
-) -> SignalingVerdict:
+) -> tuple[dict, dict, dict[str, ExactDistribution | EnsembleRun]]:
     """Can Alice and Bob learn Jim's basis choice from their x collectives?
 
     The statistic follows the rare-event argument: the probability that
@@ -286,19 +262,20 @@ def ghz_verdict(
     receivers = {c: run.marginal(GHZ_RECEIVERS) for c, run in runs.items()} if joint else runs
     receivers = _distributions(receivers, mode)
     hits = _mode_value({c: dist.probability((1, 1)) for c, dist in receivers.items()}, mode)
-    v = _verdict(spec, Statistic.CONDITIONAL_PROBABILITY, (hits["u"], hits["p"]), runs)
-    v.results.update(
-        hit_probability=hits,
-        receiver_distribution=receivers,
-        tv_joint_receiver=_mode_value(total_variation(receivers["u"], receivers["p"]), mode),
-    )
-    v.checks["no_signaling"] = not v.distinguishable
+    v = _verdict(spec, "conditional_probability", (hits["u"], hits["p"]))
+    results = {
+        "verdict": v,
+        "hit_probability": hits,
+        "receiver_distribution": receivers,
+        "tv_joint_receiver": _mode_value(total_variation(receivers["u"], receivers["p"]), mode),
+    }
+    checks = {"no_signaling": not v["distinguishable"]}
     if mode is RunMode.EXACT:
         # Sampled hit probabilities are two noisy estimates; only the
         # thresholded no_signaling check compares them.
-        v.checks["hit_probabilities_equal"] = hits["u"] == hits["p"]
-        v.checks["hit_probability_matches"] = hits["u"] == Fraction(1, 4**n_rounds)
-    return v
+        checks["hit_probabilities_equal"] = hits["u"] == hits["p"]
+        checks["hit_probability_matches"] = hits["u"] == Fraction(1, 4**n_rounds)
+    return results, checks, runs
 
 
 _VERDICTS = {
@@ -315,8 +292,8 @@ def verdict(
     trials: int = 100_000,
     seed: int = 0,
     joint: bool = False,
-) -> SignalingVerdict:
-    """Run both sender choices for a scenario and render its verdict.
+) -> tuple[dict, dict, dict[str, ExactDistribution | EnsembleRun]]:
+    """Run both sender choices for a scenario: its report's results and checks, and the runs they read.
 
     ``joint`` asks for runs that hold every component, as a CSV report prints them.
     """

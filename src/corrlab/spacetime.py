@@ -7,7 +7,8 @@ counts as inside.  Two such quadrants overlap in a third, whose corner is
 the apex of the overlap.  Null coordinates are computed exactly on the
 rationals the float coordinates stand for, and a reported coordinate is
 rounded once, so every boundary is decided without rounding.  Callers
-pass plain events, floats and device-map names.
+pass plain events, floats and device-map names; ``causal_report`` a
+parsed ``causal`` config, which it reads into the report's section.
 """
 
 from __future__ import annotations
@@ -147,6 +148,16 @@ def policy_scan() -> list[dict]:
     return rows
 
 
+# A report's policy-scan summary is the same for every config, so it is counted once, at import.
+_SCAN = policy_scan()
+_POLICY_SCAN_SUMMARY = {
+    "pairs": len(_SCAN),
+    "contradictory_pairs": sum(1 for r in _SCAN if r["n_fixed_points"] == 0),
+    "underdetermined_pairs": sum(1 for r in _SCAN if r["n_fixed_points"] == 2),
+    "pairs_without_unique_fixed_point": sum(1 for r in _SCAN if r["n_fixed_points"] != 1),
+}
+
+
 def round_trip_chronology(alice_x: float, bob_x: float, send_t: float, beta: float) -> dict:
     """Where and when does the reply to a two-leg superluminal exchange land?
 
@@ -167,3 +178,54 @@ def round_trip_chronology(alice_x: float, bob_x: float, send_t: float, beta: flo
         "reply_arrival": reply,
         "retrocausal": exact < send_t,
     }
+
+
+def causal_report(data) -> tuple[dict, dict]:
+    """The ``causal`` report's results and checks from a parsed config: a section for each part it holds.
+
+    A config that is not an object, is malformed or holds no section is a ValueError.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("causal config must be a JSON object")
+    events = {key: event_from_json_obj(data[key]) for key in ("a_hat", "b_hat", "j_hat") if key in data}
+    results: dict = {}
+    checks: dict = {}
+
+    if "a_hat" in events and "b_hat" in events:
+        apex = cone_overlap_apex(events["a_hat"], events["b_hat"]).to_json_obj()
+        results["overlap_apex"] = apex
+        if "j_hat" in events:
+            holds = binary_condition(**events)
+            results["binary_condition"] = {"holds": holds, "overlap_apex": apex}
+            checks["binary_condition_holds"] = holds
+
+    if "beta" in data:
+        if "a_hat" not in events or "b_hat" not in events:
+            raise ValueError("round-trip chronology needs a_hat and b_hat events")
+        try:
+            beta = json_number(data["beta"])
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("beta must be a number") from None
+        chrono = round_trip_chronology(
+            alice_x=events["a_hat"].x,
+            bob_x=events["b_hat"].x,
+            send_t=events["a_hat"].t,
+            beta=beta,
+        )
+        results["round_trip"] = {
+            "reply_arrival": chrono["reply_arrival"].to_json_obj(),
+            "retrocausal": chrono["retrocausal"],
+            "beta": beta,
+        }
+        checks["retrocausal"] = chrono["retrocausal"]
+
+    if "alice_map" in data or "bob_map" in data:
+        if not ("alice_map" in data and "bob_map" in data):
+            raise ValueError("loop analysis needs both alice_map and bob_map")
+        results["loop"] = loop = loop_analysis(data["alice_map"], data["bob_map"])
+        results["policy_scan_summary"] = dict(_POLICY_SCAN_SUMMARY)
+        checks["loop_consistent"] = loop["consistent"]
+
+    if not results:
+        raise ValueError("config contains no analyzable sections")
+    return results, checks

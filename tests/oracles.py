@@ -23,7 +23,7 @@ from types import SimpleNamespace
 import numpy as np
 import sympy as sp
 
-from corrlab.ensembles import EnsembleRun, ExactDistribution, JammingRecords, RunMode
+from corrlab.ensembles import EnsembleRun, ExactDistribution, JammingRecords
 from corrlab.errors import InvariantViolation
 from corrlab.quantum import _projections
 from corrlab.spacetime import SpacetimeEvent
@@ -524,7 +524,7 @@ def jamming_correlations_by_rows(rows: np.ndarray) -> tuple[dict[int, int], dict
 
 
 def render_csv_by_writer(source) -> str:
-    """CSV report of a scenario verdict or of jamming records through ``csv.writer``.
+    """CSV report of a scenario verdict's runs or of jamming records through ``csv.writer``.
 
     Builds one Python row list per exact atom, sampled trial or triplet,
     with floats for the sampled collectives and ints for jamming outcomes,
@@ -534,21 +534,21 @@ def render_csv_by_writer(source) -> str:
         header = ["triplet", "a_x", "b_x", "j"]
         rows = [[i, int(r[0]), int(r[1]), int(r[2])] for i, r in enumerate(source.outcomes)]
     else:
-        v = source
+        runs = source
         # A column's runs share its label, or name it by the stem before their axes.
         labels = [
             os.path.commonprefix(col).rstrip("_") if len(set(col)) > 1 else col[0]
-            for col in zip(*(run.labels for run in v.runs.values()))
+            for col in zip(*(run.labels for run in runs.values()))
         ]
         rows = []
-        if v.mode is RunMode.EXACT:
+        if all(isinstance(run, ExactDistribution) for run in runs.values()):
             header = ["choice", *labels, "numerator", "denominator"]
-            for choice, dist in v.runs.items():
+            for choice, dist in runs.items():
                 for point, prob in lattice_mapping(dist).items():
                     rows.append([choice, *plain_values(point), prob.numerator, prob.denominator])
         else:
             header = ["choice", "trial", *labels]
-            for choice, run in v.runs.items():
+            for choice, run in runs.items():
                 for trial, row in enumerate(run.sums / run.n_rounds):
                     rows.append([choice, trial, *[float(x) for x in row]])
     buf = io.StringIO()

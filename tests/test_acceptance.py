@@ -105,9 +105,10 @@ def test_ghz_assignment_search_is_empty():
 
 def test_collective_readout_signals():
     t0 = time.perf_counter()
-    verdict = pr_verdict(6, RunMode.EXACT)
-    sig = verdict.results["variance_signature"]
-    tv = verdict.values[1]
+    results, _, _ = pr_verdict(6, RunMode.EXACT)
+    verdict = results["verdict"]
+    sig = results["variance_signature"]
+    tv = verdict["values"][1]
     var_b = scenario_exact_distribution(
         ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=6, sender_choice="u")
     ).marginal((0,)).variance((1,))
@@ -120,13 +121,13 @@ def test_collective_readout_signals():
     )
     tv_ok = tv == Fraction(1) - Fraction(math.comb(6, 3), 2**6) == Fraction(11, 16)
     elapsed = time.perf_counter() - t0
-    ok = var_ok and tv_ok and verdict.distinguishable
+    ok = var_ok and tv_ok and verdict["distinguishable"]
     _gate(
         "collective readout signals at N=6",
         ok,
         f"TV={tv} (=11/16), Var(B)={var_b}, Var(B+B')|u={sig['u']['var_sum']} (=4 Var(B)), "
         f"Var(B-B')|u={sig['u']['var_diff']}, roles swap under the primed choice, "
-        f"distinguishable={verdict.distinguishable}",
+        f"distinguishable={verdict['distinguishable']}",
         elapsed,
         1.0,
     )
@@ -151,15 +152,16 @@ def test_rare_event_probabilities():
 
 def test_tsirelson_statistics_are_silent():
     t0 = time.perf_counter()
-    verdict = tsirelson_verdict(6, RunMode.EXACT)
-    tvs = verdict.results["tv_per_axis"]
+    results, _, _ = tsirelson_verdict(6, RunMode.EXACT)
+    verdict = results["verdict"]
+    tvs = results["tv_per_axis"]
     exact_zero = all(isinstance(tv, Fraction) and tv == 0 for tv in tvs.values())
     elapsed = time.perf_counter() - t0
-    ok = exact_zero and not verdict.distinguishable
+    ok = exact_zero and not verdict["distinguishable"]
     _gate(
         "bell-state collectives are silent",
         ok,
-        f"TV(z)={tvs['z']}, TV(x)={tvs['x']} exactly, distinguishable={verdict.distinguishable}",
+        f"TV(z)={tvs['z']}, TV(x)={tvs['x']} exactly, distinguishable={verdict['distinguishable']}",
         elapsed,
         1.0,
     )
@@ -167,19 +169,20 @@ def test_tsirelson_statistics_are_silent():
 
 def test_ghz_rare_events_are_equal():
     t0 = time.perf_counter()
-    verdict = ghz_verdict(5, RunMode.EXACT)
-    tv = verdict.results["tv_joint_receiver"]
+    results, _, _ = ghz_verdict(5, RunMode.EXACT)
+    verdict = results["verdict"]
+    tv = results["tv_joint_receiver"]
     elapsed = time.perf_counter() - t0
     ok = (
-        verdict.values == (Fraction(1, 1024), Fraction(1, 1024))
+        verdict["values"] == [Fraction(1, 1024), Fraction(1, 1024)]
         and isinstance(tv, Fraction)
         and tv == 0
-        and not verdict.distinguishable
+        and not verdict["distinguishable"]
     )
     _gate(
         "three-party rare events at N=5",
         ok,
-        f"P(A_x=1,B_x=1) = {verdict.values[0]} under x and {verdict.values[1]} under y, "
+        f"P(A_x=1,B_x=1) = {verdict['values'][0]} under x and {verdict['values'][1]} under y, "
         f"receiver joint TV={tv}",
         elapsed,
         10.0,
@@ -189,15 +192,16 @@ def test_ghz_rare_events_are_equal():
 def test_ghz_rare_events_at_exact_limit():
     n = ensembles.EXACT_MAX_ROUNDS
     t0 = time.perf_counter()
-    verdict = ghz_verdict(n, RunMode.EXACT)
-    tv = verdict.results["tv_joint_receiver"]
+    results, _, _ = ghz_verdict(n, RunMode.EXACT)
+    verdict = results["verdict"]
+    tv = results["tv_joint_receiver"]
     elapsed = time.perf_counter() - t0
     want = Fraction(1, 4**n)
-    ok = verdict.values == (want, want) and isinstance(tv, Fraction) and tv == 0
+    ok = verdict["values"] == [want, want] and isinstance(tv, Fraction) and tv == 0
     _gate(
         f"three-party rare events at N={n}",
         ok,
-        f"P(A_x=1,B_x=1) = {verdict.values[0]} under x and {verdict.values[1]} under y "
+        f"P(A_x=1,B_x=1) = {verdict['values'][0]} under x and {verdict['values'][1]} under y "
         f"(want {want}), receiver joint TV={tv}",
         elapsed,
         2.5,

@@ -31,7 +31,7 @@ from corrlab.ensembles import (
     ScenarioKind,
     run_jamming_scenario,
 )
-from corrlab.signaling import SignalingVerdict, Statistic, verdict
+from corrlab.signaling import verdict
 from corrlab.spacetime import SpacetimeEvent
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -275,22 +275,6 @@ class TestJammingCommand:
             assert a * b * j == -1
 
 
-def sampled_verdict(runs: dict[str, EnsembleRun]) -> SignalingVerdict:
-    """A sampled verdict that carries the given runs."""
-    run = next(iter(runs.values()))
-    return SignalingVerdict(
-        scenario=ScenarioKind.TSIRELSON,
-        n_rounds=run.n_rounds,
-        mode=RunMode.MONTE_CARLO,
-        statistic=Statistic.TOTAL_VARIATION,
-        values=(0.0, 0.0),
-        distinguishable=False,
-        threshold=0.0,
-        seed=0,
-        runs=runs,
-    )
-
-
 def assert_same_text(text: str, expected: str) -> None:
     """Byte-for-byte equality that reports the first differing line, not a diff of the whole text."""
     if text == expected:
@@ -360,8 +344,7 @@ class TestCsvMatchesWriter:
             # Both ends of the span, in the first and the last column.
             negatives[0, 0], negatives[-1, -1] = fewest, most
             samples[choice] = EnsembleRun(labels=labels, negatives=negatives, n_rounds=n)
-        v = sampled_verdict(samples)
-        assert_same_text("".join(cli._dist_csv(v)), oracles.render_csv_by_writer(v))
+        assert_same_text("".join(cli._dist_csv(samples, RunMode.MONTE_CARLO)), oracles.render_csv_by_writer(samples))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -438,8 +421,8 @@ class TestCsvMatchesWriter:
     @example(kind=ScenarioKind.TSIRELSON, n=1)
     @example(kind=ScenarioKind.PR_BOX, n=7)
     def test_exact(self, kind, n):
-        v = verdict(kind, n, RunMode.EXACT, joint=True)
-        assert_same_text("".join(cli._dist_csv(v)), oracles.render_csv_by_writer(v))
+        _, _, runs = verdict(kind, n, RunMode.EXACT, joint=True)
+        assert_same_text("".join(cli._dist_csv(runs, RunMode.EXACT)), oracles.render_csv_by_writer(runs))
 
 
 @st.composite
@@ -577,11 +560,11 @@ CSV_COMPONENT_COLUMNS = {
 @pytest.mark.parametrize("command", list(CSV_COMPONENT_COLUMNS))
 def test_csv_header_holds_for_every_run(command, mode):
     kind, _ = cli._SCENARIOS[command]
-    v = verdict(kind, 2, RunMode(mode), 50, 0, joint=True)
-    header = "".join(cli._dist_csv(v)).split("\n", 1)[0].split(",")
+    _, _, runs = verdict(kind, 2, RunMode(mode), 50, 0, joint=True)
+    header = "".join(cli._dist_csv(runs, RunMode(mode))).split("\n", 1)[0].split(",")
     columns = header[1:-2] if mode == "exact" else header[2:]
     assert columns == CSV_COMPONENT_COLUMNS[command]
-    for run in v.runs.values():
+    for run in runs.values():
         assert len(run.labels) == len(columns)
         for name, label in zip(columns, run.labels):
             assert label == name or label.startswith(name + "_"), (name, label)
@@ -735,6 +718,27 @@ def test_json_reports_are_pinned(capsys, monkeypatch, args, digest):
     out, err = capsys.readouterr()
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestReportSections:
+    """A command's results and checks are those its owning module returns, as the JSON report prints them."""
+
+    def test_ghz_algebra(self, tmp_path):
+        report = run_json(tmp_path, "ghz-algebra")
+        results, checks = quantum.algebra_report()
+        assert report["results"] == results
+        assert report["checks"] == checks
+
+    @pytest.mark.parametrize("name", [*sorted(path.name for path in SCENARIOS.glob("*.json")), "maps-only"])
+    def test_causal(self, tmp_path, name):
+        path = SCENARIOS / name
+        if name == "maps-only":
+            path = tmp_path / "maps.json"
+            path.write_text(json.dumps({"alice_map": "echo", "bob_map": "invert"}))
+        report = run_json(tmp_path, "causal", "--config", str(path))
+        results, checks = spacetime.causal_report(json.loads(path.read_text()))
+        assert report["results"] == json.loads(reportio.encode(results))
+        assert report["checks"] == checks
 
 
 class TestCausalCommand:

@@ -140,6 +140,18 @@ def test_public_names_have_a_consumer():
     assert not unused, f"public names with no consumer in the package: {unused}"
 
 
+def test_cli_holds_no_tolerance_or_bound():
+    """``cli`` is transport: every tolerance and statistical bound lives in the module that owns the report section."""
+    tree = ast.parse((SRC / "corrlab" / "cli.py").read_text())
+    floats = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, float)]
+    sqrts = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "sqrt" or isinstance(node, ast.Name) and node.id == "sqrt"
+    ]
+    assert floats == [] and sqrts == [], (floats, sqrts)
+
+
 def test_numpy_pin_admits_the_installed_numpy():
     """pyproject's numpy floor is met by the numpy under test and has the ``bitwise_count`` sampling needs.
 

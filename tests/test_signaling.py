@@ -24,10 +24,9 @@ from corrlab.ensembles import (
 )
 from corrlab.errors import LatticeMismatchError
 from corrlab.signaling import (
-    SignalingVerdict,
-    Statistic,
     ghz_verdict,
     jamming_unary_exact,
+    jamming_verdict,
     pr_verdict,
     total_variation,
     tsirelson_verdict,
@@ -127,37 +126,39 @@ class TestVarianceSignature:
 
 class TestExactVerdicts:
     def test_pr_is_distinguishable(self):
-        v = pr_verdict(6, RunMode.EXACT)
-        assert v.distinguishable is True
-        assert v.statistic is Statistic.TOTAL_VARIATION
-        assert v.values == (Fraction(0), Fraction(11, 16))
-        assert v.threshold == Fraction(0)
-        sig = v.results["variance_signature"]
+        results, _, _ = pr_verdict(6, RunMode.EXACT)
+        v = results["verdict"]
+        assert v["distinguishable"] is True
+        assert v["statistic"] == "total_variation"
+        assert v["values"] == [Fraction(0), Fraction(11, 16)]
+        assert v["threshold"] == Fraction(0)
+        sig = results["variance_signature"]
         assert sig["u"] == {"var_sum": Fraction(2, 3), "var_diff": Fraction(0)}
         assert sig["p"] == {"var_sum": Fraction(0), "var_diff": Fraction(2, 3)}
 
     def test_tsirelson_is_exactly_silent(self):
-        v = tsirelson_verdict(6, RunMode.EXACT)
-        assert v.distinguishable is False
+        results, _, _ = tsirelson_verdict(6, RunMode.EXACT)
+        assert results["verdict"]["distinguishable"] is False
         for axis in ("z", "x"):
-            tv = v.results["tv_per_axis"][axis]
+            tv = results["tv_per_axis"][axis]
             # identically zero, not merely below threshold
             assert isinstance(tv, Fraction) and tv == 0
             for choice in ("u", "p"):
-                assert v.results["collective_variance"][axis][choice] == Fraction(1, 6)
+                assert results["collective_variance"][axis][choice] == Fraction(1, 6)
 
     def test_ghz_rare_event_probabilities_are_equal(self):
-        v = ghz_verdict(5, RunMode.EXACT)
-        assert v.statistic is Statistic.CONDITIONAL_PROBABILITY
-        assert v.values == (Fraction(1, 1024), Fraction(1, 1024))
-        assert v.distinguishable is False
-        tv = v.results["tv_joint_receiver"]
+        results, _, _ = ghz_verdict(5, RunMode.EXACT)
+        v = results["verdict"]
+        assert v["statistic"] == "conditional_probability"
+        assert v["values"] == [Fraction(1, 1024), Fraction(1, 1024)]
+        assert v["distinguishable"] is False
+        tv = results["tv_joint_receiver"]
         assert isinstance(tv, Fraction) and tv == 0
 
     def test_dispatcher(self):
-        assert verdict(ScenarioKind.PR_BOX, 4).scenario is ScenarioKind.PR_BOX
-        assert verdict(ScenarioKind.TSIRELSON, 4).scenario is ScenarioKind.TSIRELSON
-        assert verdict(ScenarioKind.GHZ, 4).scenario is ScenarioKind.GHZ
+        assert verdict(ScenarioKind.PR_BOX, 4)[0]["verdict"]["scenario"] == ScenarioKind.PR_BOX.value
+        assert verdict(ScenarioKind.TSIRELSON, 4)[0]["verdict"]["scenario"] == ScenarioKind.TSIRELSON.value
+        assert verdict(ScenarioKind.GHZ, 4)[0]["verdict"]["scenario"] == ScenarioKind.GHZ.value
         with pytest.raises(ValueError, match="unknown scenario kind"):
             verdict("pr-box", 4)
 
@@ -167,13 +168,13 @@ class TestExactVerdicts:
         assert len(signatures) == 1
         assert list(signatures.pop().parameters) == ["n_rounds", "mode", "trials", "seed", "joint"]
         widths = {
-            kind: {len(run.labels) for run in verdict(kind, 2, RunMode.EXACT, joint=True).runs.values()}
+            kind: {len(run.labels) for run in verdict(kind, 2, RunMode.EXACT, joint=True)[2].values()}
             for kind in ScenarioKind
         }
         assert widths == {ScenarioKind.PR_BOX: {2}, ScenarioKind.TSIRELSON: {1}, ScenarioKind.GHZ: {3}}
 
     def test_report_shape(self):
-        obj = pr_verdict(6, RunMode.EXACT).to_json_obj()
+        obj = pr_verdict(6, RunMode.EXACT)[0]["verdict"]
         assert set(obj) == {
             "scenario",
             "N",
@@ -191,14 +192,14 @@ class TestExactVerdicts:
 
 class TestSampledVerdicts:
     def test_pr_monte_carlo_flags_the_channel(self):
-        v = pr_verdict(6, RunMode.MONTE_CARLO, trials=20_000, seed=3)
-        assert v.distinguishable is True
-        assert v.threshold == pytest.approx(5.0 / math.sqrt(20_000))
-        assert float(v.values[1]) > 0.6
+        v = pr_verdict(6, RunMode.MONTE_CARLO, trials=20_000, seed=3)[0]["verdict"]
+        assert v["distinguishable"] is True
+        assert v["threshold"] == pytest.approx(5.0 / math.sqrt(20_000))
+        assert float(v["values"][1]) > 0.6
 
     def test_silent_scenarios_stay_silent(self):
-        assert tsirelson_verdict(6, RunMode.MONTE_CARLO, trials=20_000, seed=3).distinguishable is False
-        assert ghz_verdict(6, RunMode.MONTE_CARLO, trials=20_000, seed=3).distinguishable is False
+        assert tsirelson_verdict(6, RunMode.MONTE_CARLO, trials=20_000, seed=3)[0]["verdict"]["distinguishable"] is False
+        assert ghz_verdict(6, RunMode.MONTE_CARLO, trials=20_000, seed=3)[0]["verdict"]["distinguishable"] is False
 
     @pytest.mark.parametrize("trials", [1, 2, 3, 300])
     def test_variances_are_the_samples_exact_variances(self, trials):
@@ -209,27 +210,27 @@ class TestSampledVerdicts:
             mean = sum(values) / len(values)
             return float(sum((x - mean) ** 2 for x in values) / len(values))
 
-        pr = pr_verdict(6, RunMode.MONTE_CARLO, trials, seed=5)
-        for choice, run in pr.runs.items():
-            assert pr.results["variance_signature"][choice] == {
+        pr, _, pr_runs = pr_verdict(6, RunMode.MONTE_CARLO, trials, seed=5)
+        for choice, run in pr_runs.items():
+            assert pr["variance_signature"][choice] == {
                 "var_sum": sample_variance(run.sums, (1, 1), 6),
                 "var_diff": sample_variance(run.sums, (1, -1), 6),
             }
-        ts = tsirelson_verdict(6, RunMode.MONTE_CARLO, trials, seed=5)
-        for key, run in ts.runs.items():
+        ts, _, ts_runs = tsirelson_verdict(6, RunMode.MONTE_CARLO, trials, seed=5)
+        for key, run in ts_runs.items():
             axis, choice = key.split("|")
-            assert ts.results["collective_variance"][axis][choice] == sample_variance(run.sums, (1,), 6)
+            assert ts["collective_variance"][axis][choice] == sample_variance(run.sums, (1,), 6)
         if trials == 1:
-            assert pr.results["variance_signature"]["u"]["var_sum"] == 0.0
+            assert pr["variance_signature"]["u"]["var_sum"] == 0.0
 
     def test_agreement_with_exact_across_seeds(self):
         # sampled verdicts at trials = 10^5 must match the exact verdicts in
         # at least 99 of the 100 seeds 0..99, per scenario kind
         trials = 100_000
         exact = {
-            ScenarioKind.PR_BOX: pr_verdict(6, RunMode.EXACT).distinguishable,
-            ScenarioKind.TSIRELSON: tsirelson_verdict(6, RunMode.EXACT).distinguishable,
-            ScenarioKind.GHZ: ghz_verdict(6, RunMode.EXACT).distinguishable,
+            ScenarioKind.PR_BOX: pr_verdict(6, RunMode.EXACT)[0]["verdict"]["distinguishable"],
+            ScenarioKind.TSIRELSON: tsirelson_verdict(6, RunMode.EXACT)[0]["verdict"]["distinguishable"],
+            ScenarioKind.GHZ: ghz_verdict(6, RunMode.EXACT)[0]["verdict"]["distinguishable"],
         }
         runners = {
             ScenarioKind.PR_BOX: pr_verdict,
@@ -238,7 +239,7 @@ class TestSampledVerdicts:
         }
         for kind, runner in runners.items():
             agree = sum(
-                runner(6, RunMode.MONTE_CARLO, trials=trials, seed=seed).distinguishable
+                runner(6, RunMode.MONTE_CARLO, trials=trials, seed=seed)[0]["verdict"]["distinguishable"]
                 == exact[kind]
                 for seed in range(100)
             )
@@ -251,23 +252,59 @@ class TestVerdictBoundaries:
         primed = ExactDistribution.from_mapping({(1, -1): Fraction(1, 4), (-1, 1): Fraction(3, 4)}, ("B", "B_prime"), 1)
         # An exact run reads only its form's pmf.
         monkeypatch.setitem(ensembles._PR_FORMS, "p", SimpleNamespace(pmf=primed))
-        v = pr_verdict(3, RunMode.EXACT)
-        assert v.results["rare_events"] == {"p_both_plus_under_u": Fraction(1, 8), "p_plus_minus_under_p": Fraction(1, 64)}
-        assert v.checks["rare_event_match"] is False
+        results, checks, _ = pr_verdict(3, RunMode.EXACT)
+        assert results["rare_events"] == {"p_both_plus_under_u": Fraction(1, 8), "p_plus_minus_under_p": Fraction(1, 64)}
+        assert checks["rare_event_match"] is False
 
     @pytest.mark.parametrize("seed", range(5))
     def test_total_variation_at_the_threshold_is_distinguishable(self, seed):
         """At N = 1 the two choices' (B, B') supports are disjoint, so TV is exactly 1.0, and so is 5/sqrt(25)."""
-        v = pr_verdict(1, RunMode.MONTE_CARLO, trials=25, seed=seed)
-        assert v.values[1] == v.threshold == 1.0
-        assert v.distinguishable is True
+        v = pr_verdict(1, RunMode.MONTE_CARLO, trials=25, seed=seed)[0]["verdict"]
+        assert v["values"][1] == v["threshold"] == 1.0
+        assert v["distinguishable"] is True
 
     def test_values_exactly_a_threshold_apart_are_distinguishable(self):
         """25 trials make the sampled threshold 5/sqrt(25) exactly 1.0, the distance between the values (0.0, 1.0)."""
         spec = ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=1, trials=25, mode=RunMode.MONTE_CARLO)
-        v = signaling._verdict(spec, Statistic.TOTAL_VARIATION, (0.0, 1.0), {})
-        assert v.threshold == 1.0
-        assert v.distinguishable is True
+        v = signaling._verdict(spec, "total_variation", (0.0, 1.0))
+        assert v["threshold"] == 1.0
+        assert v["distinguishable"] is True
+
+
+def jamming_with_rows(monkeypatch, rows, jim_choice):
+    """The jamming verdict on hand-built triplets: (a_x, b_x, j) rows of +1/-1."""
+    records = oracles.jamming_records_from_rows(np.array(rows), jim_choice)
+    monkeypatch.setattr(signaling, "run_jamming_scenario", lambda *args: records)
+    return jamming_verdict(1, jim_choice, len(rows), 0)
+
+
+class TestJammingVerdict:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_x_triplet_leaves_a_bin_empty_and_the_constraint_whole(self, seed):
+        results, checks, _ = jamming_verdict(1, "x", 1, seed)
+        assert sorted(results["bin_counts"].values()) == [0, 1]
+        assert checks == {"unary_holds": True, "binned_constraint_ok": True}
+
+    def test_x_bin_off_its_constraint_breaks_it(self, monkeypatch):
+        """Jim on x requires a_x*b_x = -j; a +1 bin whose triplet has a_x*b_x = +1 breaks that."""
+        results, checks, _ = jamming_with_rows(monkeypatch, [[1, 1, 1]], "x")
+        assert results["binned_correlation"] == {"1": 1.0, "-1": None}
+        assert checks["binned_constraint_ok"] is False
+
+    def test_bins_at_their_bound_are_correlated(self, monkeypatch):
+        """16 agreeing triplets with j = +1 and 16 disagreeing with j = -1: each bin sits at 4/sqrt(16) = 1.0, overall at 0."""
+        results, checks, _ = jamming_with_rows(monkeypatch, [[1, 1, 1]] * 16 + [[1, -1, -1]] * 16, "z")
+        assert results["binned_correlation"] == {"1": 1.0, "-1": -1.0}
+        assert results["overall_correlation"] == 0.0
+        assert checks["uncorrelated"] is False
+
+    def test_overall_at_its_bound_is_correlated(self, monkeypatch):
+        """64 triplets, each bin's 32 at correlation 0.5: overall 0.5 = 4/sqrt(64), each bin under 4/sqrt(32)."""
+        rows = [[1, 1, 1]] * 24 + [[1, -1, 1]] * 8 + [[1, 1, -1]] * 24 + [[-1, 1, -1]] * 8
+        results, checks, _ = jamming_with_rows(monkeypatch, rows, "z")
+        assert results["binned_correlation"] == {"1": 0.5, "-1": 0.5}
+        assert results["overall_correlation"] == 0.5 == 4 / math.sqrt(64)
+        assert checks["uncorrelated"] is False
 
 
 def assert_same_distribution(got, want):
@@ -282,9 +319,9 @@ class TestGhzReceivers:
 
     @pytest.mark.parametrize("n", range(1, EXACT_MAX_ROUNDS + 1))
     def test_exact(self, n):
-        v = ghz_verdict(n, RunMode.EXACT)
-        assert set(v.results["receiver_distribution"]) == {"u", "p"}
-        for choice, receivers in v.results["receiver_distribution"].items():
+        results, _, _ = ghz_verdict(n, RunMode.EXACT)
+        assert set(results["receiver_distribution"]) == {"u", "p"}
+        for choice, receivers in results["receiver_distribution"].items():
             joint = run_ghz_scenario(ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=n, sender_choice=choice))
             assert_same_distribution(receivers, joint.marginal((0, 1)))
 
@@ -294,16 +331,16 @@ class TestGhzReceivers:
     @example(n=200, trials=300, seed=2**64 - 1)
     def test_sampled(self, n, trials, seed):
         """A receivers-only sampled run sums the first two columns of the joint run on the same seed."""
-        v = ghz_verdict(n, RunMode.MONTE_CARLO, trials, seed)
-        joint = ghz_verdict(n, RunMode.MONTE_CARLO, trials, seed, joint=True)
-        receivers = v.results["receiver_distribution"]
-        assert set(receivers) == set(v.runs) == set(joint.runs) == {"u", "p"}
-        for choice, run in v.runs.items():
-            whole = joint.runs[choice]
+        results, _, runs = ghz_verdict(n, RunMode.MONTE_CARLO, trials, seed)
+        joint_results, _, joint_runs = ghz_verdict(n, RunMode.MONTE_CARLO, trials, seed, joint=True)
+        receivers = results["receiver_distribution"]
+        assert set(receivers) == set(runs) == set(joint_runs) == {"u", "p"}
+        for choice, run in runs.items():
+            whole = joint_runs[choice]
             assert run.labels == whole.labels[:2] == ("A_x", "B_x") and len(whole.labels) == 3
             assert np.array_equal(run.sums, whole.sums[:, :2])
             assert_same_distribution(receivers[choice], oracles.receivers_by_full_empirical(whole))
-            assert_same_distribution(joint.results["receiver_distribution"][choice], receivers[choice])
+            assert_same_distribution(joint_results["receiver_distribution"][choice], receivers[choice])
 
 
 class TestUnaryCondition:
@@ -356,16 +393,7 @@ class TestUnaryCondition:
 
 
 def test_verdict_fields_round_trip():
-    v = SignalingVerdict(
-        scenario=ScenarioKind.PR_BOX,
-        n_rounds=2,
-        mode=RunMode.EXACT,
-        statistic=Statistic.TOTAL_VARIATION,
-        values=(Fraction(0), Fraction(1, 2)),
-        distinguishable=True,
-        threshold=Fraction(0),
-        seed=0,
-    )
-    obj = v.to_json_obj()
+    spec = ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=2, mode=RunMode.EXACT)
+    obj = signaling._verdict(spec, "total_variation", (Fraction(0), Fraction(1, 2)))
     assert obj["values"] == [Fraction(0), Fraction(1, 2)]
     assert obj["distinguishable"] is True

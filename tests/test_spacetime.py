@@ -1,17 +1,22 @@
 from __future__ import annotations
 
+import json
 import math
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from corrlab import spacetime
 from corrlab.spacetime import (
     MAP_NAMES,
     SpacetimeEvent,
     binary_condition,
     boost,
+    causal_report,
     cone_overlap_apex,
     event_from_json_obj,
     loop_analysis,
@@ -343,6 +348,22 @@ class TestLoops:
 
     def test_map_names_are_exposed(self):
         assert set(MAP_NAMES) == {"echo", "invert", "const0", "const1"}
+
+    def test_report_reads_the_summary_counted_at_import(self, monkeypatch):
+        """A causal report with device maps runs its own loop, but not the 16 of the scan, whose summary is a constant."""
+        calls = []
+        monkeypatch.setattr(spacetime, "policy_scan", lambda: calls.append(1))
+        config = json.loads((Path(__file__).resolve().parent.parent / "scenarios" / "causal_loop.json").read_text())
+        results, _ = causal_report(config)
+        assert calls == []
+        by_count = Counter(row["n_fixed_points"] for row in policy_scan())
+        assert results["policy_scan_summary"] == spacetime._POLICY_SCAN_SUMMARY == {
+            "pairs": by_count.total(),
+            "contradictory_pairs": by_count[0],
+            "underdetermined_pairs": by_count[2],
+            "pairs_without_unique_fixed_point": by_count.total() - by_count[1],
+        }
+        assert results["policy_scan_summary"] is not spacetime._POLICY_SCAN_SUMMARY
 
 
 class TestChronology:

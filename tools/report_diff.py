@@ -174,6 +174,8 @@ def commands(config_dir: str) -> list[list[str]]:
         cmds += [
             ["jamming", "--jim", jim],
             ["jamming", "--jim", jim, "--n", "1", "--trials", "1"],
+            # One triplet on other seeds: with seed 0, each axis has a run whose +1 bin is empty and one whose -1 bin is.
+            *[["jamming", "--jim", jim, "--n", "1", "--trials", "1", "--seed", seed] for seed in ("1", "2")],
             # Triplet counts that are not a multiple of 64: 63 and 65.
             ["jamming", "--jim", jim, "--n", "7", "--trials", "9"],
             ["jamming", "--jim", jim, "--n", "1", "--trials", "65"],
