@@ -2,8 +2,8 @@
 
 A box stores P(outcomes | settings) for two or three parties, each party
 holding one dichotomic observable per setting label ("u" unprimed, "p"
-primed).  Probabilities are exact rationals for hand-built boxes and
-floats for Born-rule boxes.
+primed).  Probabilities may be exact rationals or floats; the one box
+the package builds, the Tsirelson box, is a Born-rule box of floats.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BoxValidationError
-from .quantum import PureState, bell_state, ghz_state, joint_probabilities, outcome_tuples
+from .quantum import PureState, bell_state, joint_probabilities, outcome_tuples
 
 
 LABELS: tuple[str, str] = ("u", "p")
@@ -130,40 +130,6 @@ def check_no_signaling(box: DichotomicBox) -> dict:
     return {"holds": bool(max_dev <= PROB_TOL), "max_marginal_deviation": max_dev}
 
 
-def make_pr_box() -> DichotomicBox:
-    """The maximally CHSH-violating no-signaling box.
-
-    C(u,u) = C(u,p) = C(p,u) = 1 and C(p,p) = -1 with unbiased marginals,
-    so outcomes agree with probability 1/2 each except under (p,p) where
-    they disagree.
-    """
-    half = Fraction(1, 2)
-    zero = Fraction(0)
-    agree = (half, zero, zero, half)
-    disagree = (zero, half, half, zero)
-    table = {
-        ("u", "u"): agree,
-        ("u", "p"): agree,
-        ("p", "u"): agree,
-        ("p", "p"): disagree,
-    }
-    return DichotomicBox(parties=2, table=table)
-
-
-def make_local_deterministic_box(responses: tuple[dict[str, int], ...]) -> DichotomicBox:
-    """Box where each party outputs a fixed +1/-1 per setting label.
-
-    ``responses`` holds one {label: outcome} dict per party.
-    """
-    parties = len(responses)
-    outcomes = outcome_tuples(parties)
-    table = {}
-    for key in itertools.product(LABELS, repeat=parties):
-        fixed = tuple(responses[i][key[i]] for i in range(parties))
-        table[key] = tuple(Fraction(1) if o == fixed else Fraction(0) for o in outcomes)
-    return DichotomicBox(parties=parties, table=table)
-
-
 def box_from_quantum(
     state: PureState, observables: tuple[tuple[str | float, str | float], ...]
 ) -> DichotomicBox:
@@ -193,11 +159,6 @@ def make_tsirelson_box() -> DichotomicBox:
     the xz-plane observables at angles +45 and -45 degrees.
     """
     return box_from_quantum(bell_state(), (("Z", "X"), (math.pi / 4, -math.pi / 4)))
-
-
-def make_ghz_box() -> DichotomicBox:
-    """Three-party box from the GHZ state with X as unprimed, Y as primed."""
-    return box_from_quantum(ghz_state(), (("X", "Y"),) * 3)
 
 
 def chsh_value(box: DichotomicBox) -> Fraction | float:

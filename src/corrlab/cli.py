@@ -24,6 +24,7 @@ through the float simulator in ``quantum``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -188,11 +189,25 @@ def _causal(args) -> tuple[dict, dict, Iterable[str] | None]:
     return (*spacetime.causal_report(data), None)
 
 
+def _close_refused(stream) -> None:
+    """Close a standard stream that refused a write, dropping the bytes it holds, so the interpreter's flush at exit cannot fail on them again."""
+    with contextlib.suppress(OSError):
+        stream.close()
+
+
 def _emit(blocks: Iterable[str], out: str | None) -> None:
-    """Write each block as it comes, to stdout or to ``out``, which opens only once its report's work is done."""
+    """Write each block as it comes, to stdout or to ``out``, which opens only once its report's work is done.
+
+    Stdout is flushed here, so a write it refuses fails the report, not the interpreter's exit.
+    """
     if out is None:
-        for block in blocks:
-            sys.stdout.write(block)
+        try:
+            for block in blocks:
+                sys.stdout.write(block)
+            sys.stdout.flush()
+        except OSError:
+            _close_refused(sys.stdout)
+            raise
     else:
         with open(out, "w") as file:
             for block in blocks:
@@ -261,11 +276,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _complain(line: str) -> None:
+    """Print ``line`` on stderr, unless stderr is closed or refuses it: the exit code still tells."""
+    if sys.stderr is None:
+        return
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        _close_refused(sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = _COMMANDS[args.command]
     try:
+        # A process started with stdout closed has None for it: refused before any work.
+        if args.out is None and sys.stdout is None:
+            raise ValueError("stdout is closed; write the report with --out")
         if args.format == "csv" and args.command not in _CSV_COMMANDS:
             raise ValueError(f"csv output is not available for {args.command}")
         results, checks, blocks = handler(args)
@@ -275,13 +303,13 @@ def main(argv: list[str] | None = None) -> int:
             blocks = [dump_report({**report, "results": results, "checks": checks})]
         _emit(blocks, args.out)
     except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
+        _complain(f"invariant violation: {exc}")
         return 3
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _complain(f"error: {exc}")
         return 2
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        _complain(f"error: out of memory: {exc}")
         return 2
     return 0
 

@@ -678,8 +678,3 @@ def run_jamming_scenario(n_rounds: int, jim_choice: str, trials: int, seed: int)
     _clear_tail(indicators, triplets)
     return JammingRecords(jim_choice=jim_choice, trials=triplets, indicators=indicators)
 
-
-def scenario_exact_distribution(spec: ScenarioSpec, **kwargs) -> ExactDistribution:
-    """Exact-mode result for any scenario kind, regardless of spec.mode."""
-    exact_spec = replace(spec, mode=RunMode.EXACT)
-    return SCENARIO_RUNNERS[spec.kind](exact_spec, **kwargs)  # type: ignore[return-value]

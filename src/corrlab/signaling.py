@@ -15,6 +15,7 @@ sampled mode; ``runs`` are as a CSV report prints them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -100,6 +101,12 @@ def jamming_unary_exact() -> dict:
     return unary_condition_check(jamming_round_pmf("x"), jamming_round_pmf("z"))
 
 
+@functools.cache
+def _jamming_unary() -> dict:
+    """``jamming_unary_exact()``, the same for every jamming report, so counted once per process, on first use."""
+    return jamming_unary_exact()
+
+
 def jamming_verdict(n_rounds: int, jim_choice: str, trials: int, seed: int) -> tuple[dict, dict, JammingRecords]:
     """The jamming report's results and checks, and the sampled triplets they read.
 
@@ -108,7 +115,9 @@ def jamming_verdict(n_rounds: int, jim_choice: str, trials: int, seed: int) -> t
     """
     records = run_jamming_scenario(n_rounds, jim_choice, trials, seed)
     counts, binned, overall = records.correlations()
-    unary = jamming_unary_exact()
+    unary = _jamming_unary()
+    # Each report gets its own dicts, so a caller that changes one report's changes no later one.
+    unary = {**unary, "per_component": dict(unary["per_component"])}
     results = {
         "jim_choice": jim_choice,
         "triplets": records.trials,

@@ -1,4 +1,4 @@
-"""1+1D Minkowski geometry: boosts, light cones, and causal-loop logic.
+"""1+1D Minkowski geometry: light cones, round-trip chronology, and causal-loop logic.
 
 Units have c = 1.  An event's closed future light cone is one thing only:
 in the null coordinates (u, v) = (t - x, t + x) it is the quadrant
@@ -62,17 +62,6 @@ def _round_once(value: Fraction, what: str) -> float:
         return float(value)
     except OverflowError:
         raise ValueError(f"{what} lies beyond the float range") from None
-
-
-def boost(e: SpacetimeEvent, beta: float) -> SpacetimeEvent:
-    """The event in the frame moving with velocity beta, |beta| < 1."""
-    if not math.isfinite(beta) or abs(beta) >= 1:
-        raise ValueError("boost velocity must satisfy |beta| < 1")
-    g = 1.0 / math.sqrt(1.0 - beta * beta)
-    return SpacetimeEvent(
-        t=g * (e.t - beta * e.x),
-        x=g * (e.x - beta * e.t),
-    )
 
 
 def _null_coordinates(e: SpacetimeEvent) -> tuple[Fraction, Fraction]:

@@ -3,7 +3,9 @@
 Everything here is deliberately written from scratch against the same
 definitions, using different routes (brute-force enumeration, symbolic
 Born rule, GF(2) linear algebra, grid geometry) so the main code and the
-tests cannot share a bug.
+tests cannot share a bug.  The paper's boxes that no report reads (the
+PR box, the GHZ box and the local deterministic boxes) and the Lorentz
+boost live here too, as the references the package is checked against.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from types import SimpleNamespace
 import numpy as np
 import sympy as sp
 
+from corrlab.boxes import LABELS, DichotomicBox, box_from_quantum
 from corrlab.ensembles import EnsembleRun, ExactDistribution, JammingRecords
 from corrlab.errors import InvariantViolation
-from corrlab.quantum import _projections
+from corrlab.quantum import _projections, ghz_state, outcome_tuples
 from corrlab.spacetime import SpacetimeEvent
 
 
@@ -43,6 +46,45 @@ def pr_bruteforce_joint(n: int, choice: str) -> dict[tuple[Fraction, Fraction], 
         key = (Fraction(b_sum, n), Fraction(bp_sum, n))
         out[key] += weight
     return dict(out)
+
+
+def make_pr_box() -> DichotomicBox:
+    """The maximally CHSH-violating no-signaling box.
+
+    C(u,u) = C(u,p) = C(p,u) = 1 and C(p,p) = -1 with unbiased marginals,
+    so outcomes agree with probability 1/2 each except under (p,p) where
+    they disagree.
+    """
+    half = Fraction(1, 2)
+    zero = Fraction(0)
+    agree = (half, zero, zero, half)
+    disagree = (zero, half, half, zero)
+    table = {
+        ("u", "u"): agree,
+        ("u", "p"): agree,
+        ("p", "u"): agree,
+        ("p", "p"): disagree,
+    }
+    return DichotomicBox(parties=2, table=table)
+
+
+def make_local_deterministic_box(responses: tuple[dict[str, int], ...]) -> DichotomicBox:
+    """Box where each party outputs a fixed +1/-1 per setting label.
+
+    ``responses`` holds one {label: outcome} dict per party.
+    """
+    parties = len(responses)
+    outcomes = outcome_tuples(parties)
+    table = {}
+    for key in itertools.product(LABELS, repeat=parties):
+        fixed = tuple(responses[i][key[i]] for i in range(parties))
+        table[key] = tuple(Fraction(1) if o == fixed else Fraction(0) for o in outcomes)
+    return DichotomicBox(parties=parties, table=table)
+
+
+def make_ghz_box() -> DichotomicBox:
+    """Three-party box from the GHZ state with X as unprimed, Y as primed."""
+    return box_from_quantum(ghz_state(), (("X", "Y"),) * 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -680,6 +722,17 @@ def loop_fixed_points_by_scan(alice_map: str, bob_map: str) -> list[tuple[int, i
 def truth_table_loop_scan() -> dict[tuple[str, str], int]:
     """Fixed-point counts for every device-policy pair, via truth tables."""
     return {(a, b): len(loop_fixed_points_by_scan(a, b)) for a in _LOOP_TABLES for b in _LOOP_TABLES}
+
+
+def boost(e: SpacetimeEvent, beta: float) -> SpacetimeEvent:
+    """The event in the frame moving with velocity beta, |beta| < 1."""
+    if not math.isfinite(beta) or abs(beta) >= 1:
+        raise ValueError("boost velocity must satisfy |beta| < 1")
+    g = 1.0 / math.sqrt(1.0 - beta * beta)
+    return SpacetimeEvent(
+        t=g * (e.t - beta * e.x),
+        x=g * (e.x - beta * e.t),
+    )
 
 
 def in_future_cone_by_interval(apex: SpacetimeEvent, e: SpacetimeEvent) -> bool:

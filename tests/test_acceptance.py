@@ -17,6 +17,7 @@ import pytest
 import oracles
 from corrlab import ensembles
 from corrlab.ensembles import (
+    SCENARIO_RUNNERS,
     EnsembleRun,
     ExactDistribution,
     RunMode,
@@ -26,7 +27,6 @@ from corrlab.ensembles import (
     run_jamming_scenario,
     run_pr_scenario,
     run_tsirelson_scenario,
-    scenario_exact_distribution,
 )
 from corrlab.errors import InvariantViolation
 from corrlab.quantum import (
@@ -48,11 +48,11 @@ from corrlab.signaling import (
 from corrlab.spacetime import (
     SpacetimeEvent,
     binary_condition,
-    boost,
     loop_analysis,
     policy_scan,
     round_trip_chronology,
 )
+from oracles import boost
 
 
 def _gate(name: str, ok: bool, detail: str, elapsed: float | None = None, budget: float | None = None) -> None:
@@ -109,7 +109,7 @@ def test_collective_readout_signals():
     verdict = results["verdict"]
     sig = results["variance_signature"]
     tv = verdict["values"][1]
-    var_b = scenario_exact_distribution(
+    var_b = run_pr_scenario(
         ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=6, sender_choice="u")
     ).marginal((0,)).variance((1,))
     var_ok = (
@@ -134,10 +134,10 @@ def test_collective_readout_signals():
 
 
 def test_rare_event_probabilities():
-    du = scenario_exact_distribution(
+    du = run_pr_scenario(
         ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=8, sender_choice="u")
     )
-    dp = scenario_exact_distribution(
+    dp = run_pr_scenario(
         ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=8, sender_choice="p")
     )
     p_joint = du.probability((1, 1))
@@ -359,7 +359,7 @@ def test_sampled_distributions_match_exact():
                 kwargs = {} if axis is None else {"bob_axis": axis}
                 tag = kind.value + (f"/{axis}" if axis else "")
                 for n in range(1, 7):
-                    exact = scenario_exact_distribution(
+                    exact = SCENARIO_RUNNERS[kind](
                         ScenarioSpec(kind=kind, n_rounds=n, sender_choice=choice),
                         **kwargs,
                     )
@@ -398,13 +398,13 @@ def test_sampled_gate_rejects_shifted_round_pmf():
     t0 = time.perf_counter()
     trials = GATE_TRIALS
     exacts = {
-        n: scenario_exact_distribution(
+        n: run_ghz_scenario(
             ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=n, sender_choice="p")
         )
         for n in (5, 6)
     }
     shift = Fraction(1, 2**7)
-    true_round = scenario_exact_distribution(ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=1, sender_choice="p"))
+    true_round = run_ghz_scenario(ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=1, sender_choice="p"))
     mapping = oracles.lattice_mapping(true_round)
     mapping[(1, 1, 1)] -= shift
     mapping[(-1, -1, -1)] += shift

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from corrlab import ensembles
 from corrlab.boxes import (
     LABELS,
     DichotomicBox,
@@ -16,14 +17,12 @@ from corrlab.boxes import (
     check_no_signaling,
     chsh_value,
     correlation,
-    make_ghz_box,
-    make_local_deterministic_box,
-    make_pr_box,
     make_tsirelson_box,
 )
-from corrlab.ensembles import ExactDistribution, ScenarioKind, ScenarioSpec, scenario_exact_distribution
+from corrlab.ensembles import ExactDistribution, ScenarioKind, ScenarioSpec, run_pr_scenario
 from corrlab.errors import BoxValidationError
-from corrlab.quantum import bell_state
+from corrlab.quantum import GHZ_STABILIZERS, bell_state, outcome_tuples
+from oracles import make_ghz_box, make_local_deterministic_box, make_pr_box
 
 RT2 = math.sqrt(2.0)
 HALF = Fraction(1, 2)
@@ -31,7 +30,7 @@ HALF = Fraction(1, 2)
 
 def pr_round_pmf(choice: str) -> ExactDistribution:
     """The maximal box's round pmf: its exact run of one round."""
-    return scenario_exact_distribution(ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=1, sender_choice=choice))
+    return run_pr_scenario(ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=1, sender_choice=choice))
 
 
 class TestMaximalBox:
@@ -161,6 +160,15 @@ class TestQuantumBoxes:
         ):
             assert correlation(box, key) == pytest.approx(want, abs=1e-12)
 
+    def test_ghz_rows_are_the_born_forms(self):
+        """Each X/Y row of the oracle GHZ box is the ensemble layer's exact form pmf on the GHZ stabilizers."""
+        box = make_ghz_box()
+        for key in itertools.product(LABELS, repeat=3):
+            factors = tuple("X" if label == "u" else "Y" for label in key)
+            pmf = ensembles._born_form(GHZ_STABILIZERS, factors, ("c0", "c1", "c2")).pmf
+            want = [float(pmf.probability(o)) for o in outcome_tuples(3)]
+            assert box.row(key) == pytest.approx(want, abs=1e-12), key
+
     def test_ghz_pairwise_marginals_are_flat(self):
         box = make_ghz_box()
         for key in itertools.product(LABELS, repeat=3):
@@ -225,6 +233,15 @@ class TestJointReadout:
     def test_round_pmf(self):
         assert oracles.lattice_mapping(pr_round_pmf("u")) == {(1, 1): HALF, (-1, -1): HALF}
         assert oracles.lattice_mapping(pr_round_pmf("p")) == {(1, -1): HALF, (-1, 1): HALF}
+
+    def test_pr_forms_are_the_oracle_box(self):
+        """Under Alice's a, Bob's (B, B') is uniform over +-(C(a, u), C(a, p)), each PR correlation being +-1."""
+        box = make_pr_box()
+        for a in LABELS:
+            c = tuple(correlation(box, (a, s)) for s in LABELS)
+            assert all(abs(v) == 1 for v in c)
+            want = {c: HALF, tuple(-v for v in c): HALF}
+            assert oracles.lattice_mapping(ensembles._PR_FORMS[a].pmf) == want
 
     def test_pmf_reproduces_box_correlations(self):
         # the round pmf is exactly the maximal box's conditional law with

@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 
 import oracles
 from child_env import child_env
-from corrlab import cli, ensembles, quantum, reportio, spacetime
-from corrlab.boxes import make_pr_box
+from corrlab import cli, ensembles, quantum, reportio, signaling, spacetime
 from corrlab.cli import main
 from corrlab.ensembles import (
     EXACT_MAX_ROUNDS,
@@ -33,6 +32,7 @@ from corrlab.ensembles import (
 )
 from corrlab.signaling import verdict
 from corrlab.spacetime import SpacetimeEvent
+from oracles import make_pr_box
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -997,14 +997,16 @@ WARM_COMMANDS = [
         for fmt in ("json", "csv")
         for n in ("1", "6")
     ),
+    ("ghz-algebra",),
 ]
 
 
 def test_warm_process_reports_match_fresh_processes(tmp_path):
     """Every scenario report, made in turn in one process from cold caches, in two orders, has a fresh interpreter's bytes.
 
-    Round pmfs and Born pmfs are cached per process, so a report that left
-    state behind for the next would differ from the one-command processes.
+    Round pmfs, Born pmfs and the jamming and algebra reports' constants
+    are cached per process, so a report that left state behind for the next
+    would differ from the one-command processes.
     """
     env = child_env()
 
@@ -1019,9 +1021,63 @@ def test_warm_process_reports_match_fresh_processes(tmp_path):
     for order in (WARM_COMMANDS, WARM_COMMANDS[::-1]):
         ensembles._born_form.cache_clear()
         quantum._born_pmf.cache_clear()
+        quantum._assignment_counts.cache_clear()
+        signaling._jamming_unary.cache_clear()
         for args in order:
             assert main([*args, "--out", str(out)]) == 0
             assert out.read_bytes() == expected[args], args
+
+
+_ONCE_PROBE = """
+import collections, json, os, sys
+calls = collections.Counter()
+
+def count(frame, event, arg):
+    if event == "call" and frame.f_code.co_name in ("jamming_unary_exact", "ghz_assignment_search"):
+        calls[frame.f_code.co_name] += 1
+
+sys.setprofile(count)
+import corrlab.cli
+steps = [dict(calls)]
+for argv in json.loads(sys.argv[1]):
+    assert corrlab.cli.main([*argv, "--out", os.devnull]) == 0
+    steps.append(dict(calls))
+sys.setprofile(None)
+print(json.dumps(steps))
+"""
+
+
+def test_report_constants_are_counted_once_per_process_on_first_use():
+    """Importing the CLI runs neither the jamming unary check nor the GHZ assignment search; reports run each once.
+
+    The search runs once per constraint set: the full set and the positive one.
+    """
+    jamming = ["jamming", "--jim", "z", "--n", "2", "--trials", "50"]
+    argvs = [jamming, ["jamming", "--jim", "x", "--n", "3", "--trials", "20"], ["ghz-algebra"], ["ghz-algebra"]]
+    proc = subprocess.run(
+        [sys.executable, "-c", _ONCE_PROBE, json.dumps(argvs)], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    unary, both = {"jamming_unary_exact": 1}, {"jamming_unary_exact": 1, "ghz_assignment_search": 2}
+    assert json.loads(proc.stdout) == [{}, unary, unary, both, both]
+
+
+def test_a_changed_report_section_leaves_the_next_report_unchanged(tmp_path):
+    """A caller that changes the dicts of one report's results changes no later report's bytes."""
+    jamming = ["jamming", "--jim", "z", "--n", "2", "--trials", "50"]
+    out = tmp_path / "report.json"
+
+    def reports():
+        for argv in (jamming, ["ghz-algebra"]):
+            assert main([*argv, "--out", str(out)]) == 0
+            yield out.read_bytes()
+
+    before = list(reports())
+    unary = signaling.jamming_verdict(2, "z", 50, 0)[0]["unary_condition"]
+    unary["holds"] = False
+    unary["per_component"]["a_x"] = 1
+    quantum.algebra_report()[0]["assignment_search"]["full_constraints_solutions"] = 7
+    assert list(reports()) == before
 
 
 _NUMPY_FREE_PROBE = """

@@ -17,6 +17,7 @@ import oracles
 from corrlab import ensembles
 from corrlab.ensembles import (
     EXACT_MAX_ROUNDS,
+    SCENARIO_RUNNERS,
     EnsembleRun,
     ExactDistribution,
     RunMode,
@@ -29,7 +30,6 @@ from corrlab.ensembles import (
     run_jamming_scenario,
     run_pr_scenario,
     run_tsirelson_scenario,
-    scenario_exact_distribution,
 )
 from corrlab.errors import InvariantViolation
 from corrlab.quantum import _BELL_STABILIZERS
@@ -101,7 +101,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("kind", list(ScenarioKind))
     def test_rejects_trials_past_the_largest_sums_array(self, kind):
         """A sampled run's k int64 sums per trial must fit numpy's largest array; exact runs ignore trials."""
-        k = len(scenario_exact_distribution(spec(kind, 1)).labels)
+        k = len(SCENARIO_RUNNERS[kind](spec(kind, 1)).labels)
         most = np.iinfo(np.intp).max // (8 * k)
         spec(kind, 4, mode=RunMode.MONTE_CARLO, trials=most)
         spec(kind, 4, trials=most + 1)
@@ -327,7 +327,7 @@ class TestRoundPmfCache:
 
 class TestExactDistribution:
     def _pr_n2(self):
-        return scenario_exact_distribution(spec(ScenarioKind.PR_BOX, 2))
+        return run_pr_scenario(spec(ScenarioKind.PR_BOX, 2))
 
     def test_support_is_sorted_and_normalized(self):
         dist = self._pr_n2()
@@ -501,14 +501,14 @@ class TestLatticeAgainstFractionOracle:
 class TestMaximalBoxScenario:
     def test_readout_identity_under_each_choice(self):
         for n in (1, 3, 6):
-            du = scenario_exact_distribution(spec(ScenarioKind.PR_BOX, n, "u"))
-            dp = scenario_exact_distribution(spec(ScenarioKind.PR_BOX, n, "p"))
+            du = run_pr_scenario(spec(ScenarioKind.PR_BOX, n, "u"))
+            dp = run_pr_scenario(spec(ScenarioKind.PR_BOX, n, "p"))
             assert all(v[1] == v[0] for v in oracles.lattice_mapping(du))
             assert all(v[1] == -v[0] for v in oracles.lattice_mapping(dp))
 
     def test_collective_marginal_is_binomial(self):
         for choice in ("u", "p"):
-            dist = scenario_exact_distribution(spec(ScenarioKind.PR_BOX, 6, choice))
+            dist = run_pr_scenario(spec(ScenarioKind.PR_BOX, 6, choice))
             marg = oracles.lattice_mapping(dist.marginal((0,)))
             want = {(k,): v for k, v in oracles.binomial_collective_pmf(6).items()}
             assert marg == want
@@ -516,11 +516,11 @@ class TestMaximalBoxScenario:
     def test_matches_bruteforce_joint(self):
         for choice in ("u", "p"):
             for n in (1, 2, 5):
-                dist = scenario_exact_distribution(spec(ScenarioKind.PR_BOX, n, choice))
+                dist = run_pr_scenario(spec(ScenarioKind.PR_BOX, n, choice))
                 assert oracles.lattice_mapping(dist) == oracles.pr_bruteforce_joint(n, choice)
 
     def test_labels(self):
-        dist = scenario_exact_distribution(spec(ScenarioKind.PR_BOX, 2))
+        dist = run_pr_scenario(spec(ScenarioKind.PR_BOX, 2))
         assert dist.labels == ("B", "B_prime")
 
     def test_kind_guard(self):
@@ -549,12 +549,12 @@ class TestGhzScenario:
         assert set(pmf.values()) == {Fraction(1, 8)}
 
     def test_labels_follow_jim_axis(self):
-        assert scenario_exact_distribution(spec(ScenarioKind.GHZ, 1, "u")).labels == (
+        assert run_ghz_scenario(spec(ScenarioKind.GHZ, 1, "u")).labels == (
             "A_x",
             "B_x",
             "J_x",
         )
-        assert scenario_exact_distribution(spec(ScenarioKind.GHZ, 1, "p")).labels == (
+        assert run_ghz_scenario(spec(ScenarioKind.GHZ, 1, "p")).labels == (
             "A_x",
             "B_x",
             "J_y",
@@ -578,7 +578,7 @@ class TestTsirelsonScenario:
             tsirelson_round_pmf("u", "y")
 
     def test_collective_is_binomial(self):
-        dist = scenario_exact_distribution(spec(ScenarioKind.TSIRELSON, 6))
+        dist = run_tsirelson_scenario(spec(ScenarioKind.TSIRELSON, 6))
         want = {(k,): v for k, v in oracles.binomial_collective_pmf(6).items()}
         assert oracles.lattice_mapping(dist) == want
         assert dist.labels == ("bob_z",)
@@ -831,7 +831,7 @@ class TestMonteCarlo:
         trials = 40_000
         s = spec(ScenarioKind.PR_BOX, 4, mode=RunMode.MONTE_CARLO, trials=trials, seed=3)
         run = run_pr_scenario(s)
-        tv = total_variation(run.empirical(), scenario_exact_distribution(s))
+        tv = total_variation(run.empirical(), run_pr_scenario(spec(ScenarioKind.PR_BOX, 4)))
         assert float(tv) < 5.0 / math.sqrt(trials)
 
 

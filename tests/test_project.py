@@ -93,12 +93,7 @@ def test_benchmark_spans_find_their_functions():
 
 # Public names that no code in the package calls, each kept for its reason.
 UNCALLED_PUBLIC_NAMES = {
-    "make_pr_box": "paper object: the Popescu-Rohrlich box",
-    "make_ghz_box": "paper object: the three-party GHZ box",
-    "make_local_deterministic_box": "paper object: the local deterministic boxes, whose CHSH value is at most 2",
-    "scenario_exact_distribution": "README API: the Python example calls it",
     "sequential_measure": "benchmark entry point: perfbench's small-reports batches call it",
-    "boost": "paper object: the Lorentz boost of the README's causal-geometry toolkit",
     "sums": "benchmark contract: perfbench/spans.py:_observe_scenario reads result.sums",
     "outcomes": "benchmark contract: perfbench/spans.py:_observe_jamming reads result.outcomes",
 }

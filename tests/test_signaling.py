@@ -20,7 +20,8 @@ from corrlab.ensembles import (
     ScenarioSpec,
     jamming_round_pmf,
     run_ghz_scenario,
-    scenario_exact_distribution,
+    run_pr_scenario,
+    run_tsirelson_scenario,
 )
 from corrlab.errors import LatticeMismatchError
 from corrlab.signaling import (
@@ -39,7 +40,7 @@ HALF = Fraction(1, 2)
 
 
 def exact_pr(n, choice):
-    return scenario_exact_distribution(
+    return run_pr_scenario(
         ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=n, sender_choice=choice)
     )
 
@@ -75,7 +76,7 @@ class TestTotalVariation:
 
     def test_label_mismatch(self):
         pr = exact_pr(1, "u")
-        ghz = scenario_exact_distribution(
+        ghz = run_ghz_scenario(
             ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=1, sender_choice="u")
         ).marginal((0, 1))
         with pytest.raises(LatticeMismatchError, match="components"):
@@ -117,7 +118,7 @@ class TestVarianceSignature:
         assert sig == {"var_sum": Fraction(0), "var_diff": Fraction(1)}
 
     def test_needs_two_components(self):
-        one = scenario_exact_distribution(
+        one = run_tsirelson_scenario(
             ScenarioSpec(kind=ScenarioKind.TSIRELSON, n_rounds=4)
         )
         with pytest.raises(ValueError, match="two components"):
@@ -375,7 +376,7 @@ class TestUnaryCondition:
 
     def test_needs_shared_labels(self):
         pr = exact_pr(1, "u")
-        ghz = scenario_exact_distribution(
+        ghz = run_ghz_scenario(
             ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=1, sender_choice="u")
         )
         with pytest.raises(ValueError, match="share no component labels"):

@@ -15,7 +15,6 @@ from corrlab.spacetime import (
     MAP_NAMES,
     SpacetimeEvent,
     binary_condition,
-    boost,
     causal_report,
     cone_overlap_apex,
     event_from_json_obj,
@@ -23,6 +22,7 @@ from corrlab.spacetime import (
     policy_scan,
     round_trip_chronology,
 )
+from oracles import boost
 
 finite_coords = st.floats(
     min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False
