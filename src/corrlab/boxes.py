@@ -4,6 +4,7 @@ A box stores P(outcomes | settings) for two or three parties, each party
 holding one dichotomic observable per setting label ("u" unprimed, "p"
 primed).  Probabilities may be exact rationals or floats; the one box
 the package builds, the Tsirelson box, is a Born-rule box of floats.
+A malformed table, label or party count raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BoxValidationError
 from .quantum import PureState, bell_state, joint_probabilities, outcome_tuples
 
 
@@ -24,7 +24,7 @@ PROB_TOL = 1e-12
 def _as_label(value) -> str:
     if value in LABELS:
         return value
-    raise BoxValidationError(f"unknown setting label {value!r}")
+    raise ValueError(f"unknown setting label {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,27 +41,27 @@ class DichotomicBox:
 
     def __post_init__(self):
         if self.parties not in (2, 3):
-            raise BoxValidationError("only 2- and 3-party boxes are supported")
+            raise ValueError("only 2- and 3-party boxes are supported")
         expected = set(itertools.product(LABELS, repeat=self.parties))
         clean: dict[tuple[str, ...], tuple[Fraction | float, ...]] = {}
         for key, row in self.table.items():
             key = tuple(_as_label(k) for k in key)
             if key not in expected:
-                raise BoxValidationError(f"unexpected setting key {key!r}")
+                raise ValueError(f"unexpected setting key {key!r}")
             row = tuple(row)
             if len(row) != 2**self.parties:
-                raise BoxValidationError(f"row for {key!r} has length {len(row)}")
+                raise ValueError(f"row for {key!r} has length {len(row)}")
             for p in row:
                 if p < 0 or p > 1:
-                    raise BoxValidationError(f"probability {p!r} outside [0,1]")
+                    raise ValueError(f"probability {p!r} outside [0,1]")
             total = sum(row)
             exact = all(isinstance(p, Fraction) for p in row)
             if (exact and total != 1) or (not exact and abs(float(total) - 1.0) > PROB_TOL):
-                raise BoxValidationError(f"row for {key!r} sums to {total!r}")
+                raise ValueError(f"row for {key!r} sums to {total!r}")
             clean[key] = row
         missing = expected - set(clean)
         if missing:
-            raise BoxValidationError(f"missing setting keys: {sorted(missing)}")
+            raise ValueError(f"missing setting keys: {sorted(missing)}")
         object.__setattr__(self, "table", clean)
 
     @property
@@ -71,7 +71,7 @@ class DichotomicBox:
     def row(self, labels) -> tuple[Fraction | float, ...]:
         key = tuple(_as_label(k) for k in labels)
         if len(key) != self.parties:
-            raise BoxValidationError(f"need {self.parties} labels, got {len(key)}")
+            raise ValueError(f"need {self.parties} labels, got {len(key)}")
         return self.table[key]
 
     def marginal(self, labels, keep: tuple[int, ...]) -> tuple[Fraction | float, ...]:
@@ -140,7 +140,7 @@ def box_from_quantum(
     """
     parties = len(observables)
     if state.n_qubits != parties:
-        raise BoxValidationError(
+        raise ValueError(
             f"state has {state.n_qubits} qubits but {parties} parties were configured"
         )
     outcomes = outcome_tuples(parties)
@@ -164,7 +164,7 @@ def make_tsirelson_box() -> DichotomicBox:
 def chsh_value(box: DichotomicBox) -> Fraction | float:
     """C(u,u) + C(u,p) + C(p,u) - C(p,p) for a bipartite box."""
     if box.parties != 2:
-        raise BoxValidationError("CHSH is defined for bipartite boxes")
+        raise ValueError("CHSH is defined for bipartite boxes")
     val = (
         correlation(box, ("u", "u"))
         + correlation(box, ("u", "p"))

@@ -241,13 +241,21 @@ def _add_scenario_flags(sp) -> None:
     _add_output_flags(sp)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals ``_complain`` writes, so none reaches stdout; its subparsers share the class."""
+
+    def error(self, message: str):
+        _complain(f"{self.format_usage()}{self.prog}: error: {message}")
+        raise SystemExit(2)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by every later one.
 
     Parsing leaves no state on it: each parse fills a fresh namespace.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="corrlab",
         description="Ensemble signaling experiments and causal-geometry checks for correlation boxes.",
     )
@@ -287,8 +295,11 @@ def _complain(line: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code, never raising it: 0 for a report or ``--help``, 2 for a refused input, 3 for an internal fault."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     handler = _COMMANDS[args.command]
     try:
         # A process started with stdout closed has None for it: refused before any work.

@@ -1,23 +1,7 @@
-"""Shared exception types."""
+"""Exception types: a refused input raises ``ValueError`` (CLI exit code 2); only an internal fault has its own type."""
 
 from __future__ import annotations
 
 
-class CorrlabError(Exception):
-    """Base class for errors raised by this package."""
-
-
-class InvariantViolation(CorrlabError):
+class InvariantViolation(Exception):
     """An internal consistency check failed (CLI exit code 3)."""
-
-
-class BoxValidationError(CorrlabError, ValueError):
-    """A correlation-box table is malformed (bad keys, negative or unnormalized rows)."""
-
-
-class LatticeMismatchError(CorrlabError, ValueError):
-    """Two distributions live on incompatible support lattices."""
-
-
-class NonCommutingError(CorrlabError, ValueError):
-    """A joint measurement was requested for observables that do not commute."""

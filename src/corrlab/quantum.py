@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
 from ._numpy import np
-from .errors import InvariantViolation, NonCommutingError
+from .errors import InvariantViolation
 
 MAX_QUBITS = 12
 _COMMUTATOR_TOL = 1e-10
@@ -260,14 +260,14 @@ def sequential_measure(
     """Measure several observables in order on the evolving state.
 
     Requires every pair to commute so that the joint outcome distribution
-    is order independent; raises NonCommutingError naming the first
-    offending pair otherwise.
+    is order independent; raises ValueError naming the first offending
+    pair otherwise.
     """
     obs = tuple(observables)
     for i, a in enumerate(obs):
         for b in obs[i + 1:]:
             if not commutes(a, b):
-                raise NonCommutingError(f"observables {a.label()} and {b.label()} do not commute")
+                raise ValueError(f"observables {a.label()} and {b.label()} do not commute")
     records = []
     for o in obs:
         records.append(measure(state, o, rng))

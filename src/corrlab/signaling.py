@@ -33,18 +33,17 @@ from .ensembles import (
     jamming_round_pmf,
     run_jamming_scenario,
 )
-from .errors import LatticeMismatchError
 
 
 def total_variation(p: ExactDistribution, q: ExactDistribution) -> Fraction:
     """(1/2) * sum over the grid of |p - q|, exactly.
 
-    The two distributions must share their round count and component labels.
+    The two distributions must share their round count and component labels, or it raises ``ValueError``.
     """
     if p.n_rounds != q.n_rounds:
-        raise LatticeMismatchError(f"round counts differ: {p.n_rounds} vs {q.n_rounds}")
+        raise ValueError(f"round counts differ: {p.n_rounds} vs {q.n_rounds}")
     if p.labels != q.labels:
-        raise LatticeMismatchError(f"components differ: {p.labels} vs {q.labels}")
+        raise ValueError(f"components differ: {p.labels} vs {q.labels}")
     dp, dq = p.denominator, q.denominator
     rest = dict(zip(q.cells, q.weights))
     total = sum(abs(a * dq - rest.pop(cell, 0) * dp) for cell, a in zip(p.cells, p.weights))

@@ -20,7 +20,6 @@ from corrlab.boxes import (
     make_tsirelson_box,
 )
 from corrlab.ensembles import ExactDistribution, ScenarioKind, ScenarioSpec, run_pr_scenario
-from corrlab.errors import BoxValidationError
 from corrlab.quantum import GHZ_STABILIZERS, bell_state, outcome_tuples
 from oracles import make_ghz_box, make_local_deterministic_box, make_pr_box
 
@@ -181,7 +180,7 @@ class TestQuantumBoxes:
         assert report["holds"] is True
 
     def test_party_count_mismatch(self):
-        with pytest.raises(BoxValidationError, match="parties"):
+        with pytest.raises(ValueError, match="parties"):
             box_from_quantum(bell_state(), (("X", "Y"),) * 3)
 
 
@@ -192,7 +191,7 @@ class TestValidation:
             for key in itertools.product(LABELS, repeat=2)
         }
         table[("u", "u")] = (HALF, HALF, HALF, Fraction(0))
-        with pytest.raises(BoxValidationError, match="sums to"):
+        with pytest.raises(ValueError, match="sums to"):
             DichotomicBox(parties=2, table=table)
 
     def test_probabilities_in_range(self):
@@ -200,32 +199,32 @@ class TestValidation:
             key: (Fraction(3, 2), -HALF, Fraction(0), Fraction(0))
             for key in itertools.product(LABELS, repeat=2)
         }
-        with pytest.raises(BoxValidationError, match="outside"):
+        with pytest.raises(ValueError, match="outside"):
             DichotomicBox(parties=2, table=table)
 
     def test_missing_key(self):
         table = {("u", "u"): (HALF, Fraction(0), Fraction(0), HALF)}
-        with pytest.raises(BoxValidationError, match="missing"):
+        with pytest.raises(ValueError, match="missing"):
             DichotomicBox(parties=2, table=table)
 
     def test_unknown_key(self):
         box = make_pr_box()
         table = dict(box.table)
         table[("q", "u")] = table[("u", "u")]
-        with pytest.raises(BoxValidationError, match="unknown setting label"):
+        with pytest.raises(ValueError, match="unknown setting label"):
             DichotomicBox(parties=2, table=table)
 
     def test_party_count(self):
-        with pytest.raises(BoxValidationError, match="2- and 3-party"):
+        with pytest.raises(ValueError, match="2- and 3-party"):
             DichotomicBox(parties=4, table={})
 
     def test_row_length(self):
         table = {key: (HALF, HALF) for key in itertools.product(LABELS, repeat=2)}
-        with pytest.raises(BoxValidationError, match="length"):
+        with pytest.raises(ValueError, match="length"):
             DichotomicBox(parties=2, table=table)
 
     def test_chsh_needs_two_parties(self):
-        with pytest.raises(BoxValidationError, match="bipartite"):
+        with pytest.raises(ValueError, match="bipartite"):
             chsh_value(make_ghz_box())
 
 

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -972,10 +973,7 @@ class TestSharedParser:
         ]
         codes = []
         for args in calls:
-            try:
-                code = main(list(args))
-            except SystemExit as exc:
-                code = exc.code
+            code = main(list(args))
             out, err = capsys.readouterr()
             proc = run_proc(*args)
             assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), args
@@ -1093,10 +1091,7 @@ for name, mod in list(sys.modules.items()):
 steps.append(["inspect corrlab attributes", None, "numpy" in sys.modules])
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            rc = corrlab.cli.main(argv)
-        except SystemExit as exc:
-            rc = exc.code
+        rc = corrlab.cli.main(argv)
     steps.append([" ".join(argv), rc, "numpy" in sys.modules])
 print(json.dumps(steps))
 """
@@ -1361,31 +1356,46 @@ def _argvs(draw):
     return argv + ["--format", draw(st.sampled_from(["json", "csv"]))]
 
 
-def _assert_clean_exit(argv: list[str]) -> None:
-    """``main(argv)`` exits 0 with a report that parses, or 2 or 3 with one ``error:`` or ``invariant violation:`` line.
+def _assert_clean_exit(argv: list[str]) -> int:
+    """``main(argv)`` returns 0 with its help or a report that parses, or 2 or 3 with one ``error:`` or ``invariant violation:`` line.
 
-    An argparse usage error exits 2 through SystemExit, after its usage text.
+    An argparse refusal returns 2 with its usage text before a ``<prog>: error:`` line.
     """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            assert exc.code == 2 and out.getvalue() == ""
-            assert ": error: " in err.getvalue().splitlines()[-1]
-            return
+        code = main(argv)
     assert code in (0, 2, 3)
+    options = dict(zip(argv, argv[1:]))
     if code:
         assert out.getvalue() == ""
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith(("error:", "invariant violation:")), err.getvalue()
-    elif argv[-1] == "csv":
-        rows = list(csv.reader(io.StringIO(out.getvalue())))
-        assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}
-        assert err.getvalue() == ""
+        *usage, line = err.getvalue().splitlines()
+        if usage:
+            assert code == 2 and usage[0].startswith("usage: corrlab") and ": error: " in line, err.getvalue()
+        else:
+            assert line.startswith(("error:", "invariant violation:")), err.getvalue()
+        return code
+    assert err.getvalue() == ""
+    if "--help" in argv:
+        assert out.getvalue().startswith("usage: corrlab")
+        return code
+    text = Path(options["--out"]).read_text() if "--out" in options else out.getvalue()
+    if options.get("--format") == "csv":
+        # No field is quoted, so a row's commas count its fields as csv.reader would.
+        lines = text.splitlines()
+        assert len(lines) > 1 and len({line.count(",") for line in lines}) == 1 and '"' not in text
     else:
-        json.loads(out.getvalue())
-        assert err.getvalue() == ""
+        json.loads(text)
+    return code
+
+
+def test_report_diff_commands_return_their_exit_codes(tmp_path, monkeypatch):
+    """Every ``tools/report_diff.py`` command returns 0 or 2 from ``main`` in process, raising nothing; a refusal writes no stdout."""
+    report_diff = runpy.run_path(str(SCENARIOS.parent / "tools" / "report_diff.py"))
+    report_diff["write_configs"](str(tmp_path))
+    monkeypatch.chdir(SCENARIOS.parent)
+    out = str(tmp_path / "report.out")
+    for argv in report_diff["commands"](str(tmp_path)):
+        assert _assert_clean_exit([out if arg == "/dev/stdout" else arg for arg in argv]) in (0, 2), argv
 
 
 @given(_argvs())

@@ -95,6 +95,16 @@ class TestStandardStreams:
         proc = _child(["pr-signal", "--n", "-1"], _close_stderr)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"")
 
+    @pytest.mark.parametrize("argv", (["pr-signal", "--n", "x"], []), ids=("bad-value", "no-command"))
+    def test_closed_stderr_keeps_usage_off_stdout(self, argv):
+        proc = _child(argv, _close_stderr)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"")
+
+    def test_closed_stderr_still_prints_help(self):
+        proc = _child(["pr-signal", "--help"], _close_stderr)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith(b"usage: corrlab pr-signal ")
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", (False, True), ids=("buffered", "unbuffered"))
     def test_full_stderr_still_exits_2(self, unbuffered):

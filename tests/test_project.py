@@ -96,6 +96,7 @@ UNCALLED_PUBLIC_NAMES = {
     "sequential_measure": "benchmark entry point: perfbench's small-reports batches call it",
     "sums": "benchmark contract: perfbench/spans.py:_observe_scenario reads result.sums",
     "outcomes": "benchmark contract: perfbench/spans.py:_observe_jamming reads result.outcomes",
+    "error": "argparse hook: ArgumentParser calls cli._Parser.error on every refused argument",
 }
 
 
@@ -133,6 +134,28 @@ def test_public_names_have_a_consumer():
         if node.name not in UNCALLED_PUBLIC_NAMES and read[node.name] == _references(node)[node.name]
     ]
     assert not unused, f"public names with no consumer in the package: {unused}"
+
+
+def test_exception_types_are_caught():
+    """Every exception class the package defines is named by an ``except`` clause in it.
+
+    The public-name check counts ``raise X(...)`` as a read, so it cannot
+    find a type that is raised but never told apart from ``ValueError``.
+    """
+    caught = Counter()
+    for path in (SRC / "corrlab").glob("*.py"):
+        for handler in ast.walk(ast.parse(path.read_text())):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                caught += _references(handler.type)
+    modules = [importlib.import_module(f"corrlab.{path.stem}") for path in (SRC / "corrlab").glob("*.py") if path.stem != "__main__"]
+    defined = [
+        (module.__name__, name)
+        for module in modules
+        for name, value in vars(module).items()
+        if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == module.__name__
+    ]
+    uncaught = sorted(f"{module}.{name}" for module, name in defined if not caught[name])
+    assert defined and not uncaught, f"exception types no except clause names: {uncaught}"
 
 
 def test_cli_holds_no_tolerance_or_bound():
@@ -188,7 +211,8 @@ def test_report_diff_covers_every_subcommand():
         return {(argv[0], argv[argv.index("--format") + 1] if "--format" in argv else "json") for argv in argvs}
 
     runs = [argv for argv in cmds if argv and argv[0] in cli._COMMANDS]
-    assert formats(runs) == {(command, fmt) for command in cli._COMMANDS for fmt in ("json", "csv")}
+    # Besides the one format argparse refuses.
+    assert formats(runs) == {(command, fmt) for command in cli._COMMANDS for fmt in ("json", "csv")} | {("pr-signal", "xml")}
     # Every report the subcommand can write, also through --out.
     written = formats(argv for argv in runs if "--out" in argv)
     assert written == {(command, "json") for command in cli._COMMANDS} | {(command, "csv") for command in cli._CSV_COMMANDS}

@@ -23,7 +23,6 @@ from corrlab.ensembles import (
     run_pr_scenario,
     run_tsirelson_scenario,
 )
-from corrlab.errors import LatticeMismatchError
 from corrlab.signaling import (
     ghz_verdict,
     jamming_unary_exact,
@@ -71,7 +70,7 @@ class TestTotalVariation:
         assert total_variation(exact_pr(4, "u"), exact_pr(4, "p")) == Fraction(5, 8)
 
     def test_round_count_mismatch(self):
-        with pytest.raises(LatticeMismatchError, match="round counts"):
+        with pytest.raises(ValueError, match="round counts"):
             total_variation(exact_pr(4, "u"), exact_pr(6, "u"))
 
     def test_label_mismatch(self):
@@ -79,7 +78,7 @@ class TestTotalVariation:
         ghz = run_ghz_scenario(
             ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=1, sender_choice="u")
         ).marginal((0, 1))
-        with pytest.raises(LatticeMismatchError, match="components"):
+        with pytest.raises(ValueError, match="components"):
             total_variation(pr, ghz)
 
     def test_rejects_unnormalized_mapping(self):
@@ -371,7 +370,7 @@ class TestUnaryCondition:
         assert report["holds"] is False
 
     def test_round_count_mismatch(self):
-        with pytest.raises(LatticeMismatchError, match="round counts"):
+        with pytest.raises(ValueError, match="round counts"):
             unary_condition_check(exact_pr(4, "u"), exact_pr(6, "p"))
 
     def test_needs_shared_labels(self):

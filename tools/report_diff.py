@@ -194,6 +194,8 @@ def commands(config_dir: str) -> list[list[str]]:
     for config in configs:
         cmds += [["causal", "--config", config, "--format", fmt] for fmt in ("json", "csv")]
     cmds += [["--help"], ["ghz-algebra", "--help"], ["jamming", "--help"], ["causal", "--help"], ["frobnicate"], []]
+    # Arguments argparse refuses: a required one missing, an unknown one, a value outside the choices.
+    cmds += [["jamming"], ["causal"], ["pr-signal", "--bogus", "1"], ["jamming", "--jim", "y"], ["pr-signal", "--format", "xml"]]
     # Each subcommand written through --out, in each format it offers; the JSON config echo leaves --out out.
     cmds += [[c, "--format", fmt, "--out", "/dev/stdout"] for c in SCENARIO_COMMANDS for fmt in ("json", "csv")]
     cmds += [["jamming", "--jim", "z", "--trials", "300", "--format", fmt, "--out", "/dev/stdout"] for fmt in ("json", "csv")]
