@@ -30,9 +30,13 @@ A jamming run draws its indicator words in place, counts its histogram
 from them, and unpacks them only in ``JammingRecords.codes``.
 
 Exact runs are pure Python: stabilizer groups, Kronecker-substituted
-big-int powers and tuple distributions.  Only the sampler, sampled runs
-and their histograms and the jamming records read numpy, through
-``_numpy``, so an exact run never loads it.
+big-int powers unpacked as 64-bit words and tuple distributions.  An exact
+run reduces its round pmf to lowest terms and reads its N-round pmf from
+a one-entry memo, so the two choices of a report whose round pmfs are
+equal there (Bob's on each axis, the GHZ receivers') share one run, one
+object.  Only the sampler, sampled runs and their histograms and the
+jamming records read numpy, through ``_numpy``, so an exact run never
+loads it.
 """
 
 from __future__ import annotations
@@ -145,8 +149,9 @@ class ExactDistribution:
     lexicographic value order.  ``cells`` holds the cells of nonzero
     probability in increasing order and ``weights`` their positive integer
     weights, both as tuples; a cell's probability is its weight over
-    ``denominator``.  Exact runs hold weights over denom^N, sampled
-    histograms counts over the trials, and neither stores the empty cells.
+    ``denominator``.  Exact runs hold weights over D^N, D the round pmf's
+    denominator in lowest terms, sampled histograms counts over the trials,
+    and neither stores the empty cells.
     """
 
     labels: tuple[str, ...]
@@ -258,8 +263,11 @@ def convolve_iid_rounds(round_pmf: ExactDistribution, n_rounds: int) -> list[int
     Kronecker substitution (Harvey, arXiv:0712.4046) turns that into one
     big-int power: component 0 gets the most significant stride (N+1)^(k-1),
     and every integer weight gets a byte slot wide enough for any
-    coefficient of the power.  The slots come out in grid order, empty
-    cells included.
+    coefficient of the power.  Each slot's bytes are then spread over
+    whole 64-bit words, bit_length(D**N) // 64 + 1 of them, and read back
+    as one list of native words; a slot of more than one word ORs its
+    higher words in.  The slots come out in grid order, empty cells
+    included.
     """
     if round_pmf.n_rounds != 1:
         raise ValueError(f"round pmf is an N={round_pmf.n_rounds} distribution, not a single round")
@@ -274,7 +282,17 @@ def convolve_iid_rounds(round_pmf: ExactDistribution, n_rounds: int) -> list[int
             exponent = exponent * base + d
         poly += w << (8 * width * exponent)
     data = (poly**n_rounds).to_bytes(width * base**k, "little")
-    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    # The power is raised on narrow byte slots, the cheaper to square.  Byte j of a slot is byte j % 8 of
+    # its word j // 8: offset j among the slot's words in little-endian order, j ^ 7 in big-endian.
+    words = -(-width // 8)
+    padded = bytearray(8 * words * base**k)
+    for j in range(width):
+        padded[j if sys.byteorder == "little" else j ^ 7 :: 8 * words] = data[j::width]
+    values = memoryview(padded).cast("Q").tolist()
+    slots = values[::words]
+    for j in range(1, words):
+        slots = [low | high << (64 * j) for low, high in zip(slots, values[j::words])]
+    return slots
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,12 +495,25 @@ def _sample_outcome_rows(form: _AffineForm, n_rounds: int, trials: int, seed: in
     return negatives
 
 
+@functools.lru_cache(maxsize=1)
+def _exact_run(labels: tuple, cells: tuple, weights: tuple, denominator: int, n: int) -> ExactDistribution:
+    """The N-round pmf of the round pmf (``labels``, ``cells``, ``weights`` over ``denominator``), in lowest terms.
+
+    One entry: a scenario runs its two choices in turn, so equal round
+    pmfs of the two share one run, one object.
+    """
+    round_pmf = ExactDistribution(labels, 1, cells, weights, denominator)
+    return ExactDistribution.from_grid(labels, n, convolve_iid_rounds(round_pmf, n), denominator**n)
+
+
 def _run_from_form(spec: ScenarioSpec, form: _AffineForm, *axis: int) -> ExactDistribution | EnsembleRun:
     """The exact or sampled run of ``form``; a sample draws the stream of its kind, choice and ``axis``."""
     n = spec.n_rounds
     if spec.mode is RunMode.EXACT:
-        weights = convolve_iid_rounds(form.pmf, n)
-        return ExactDistribution.from_grid(form.pmf.labels, n, weights, form.pmf.denominator**n)
+        pmf = form.pmf
+        # The weights sum to the denominator, so their gcd divides it too.
+        g = math.gcd(*pmf.weights)
+        return _exact_run(pmf.labels, pmf.cells, tuple(w // g for w in pmf.weights), pmf.denominator // g, n)
     stream = (_KIND_STREAM[spec.kind], _CHOICE_INDEX[spec.sender_choice], *axis)
     negatives = _sample_outcome_rows(form, n, spec.trials, spec.seed, stream)
     return EnsembleRun(labels=form.pmf.labels, negatives=negatives, n_rounds=n)

@@ -8,11 +8,15 @@ The text is the one the standard ``json`` module writes with ``indent=2``
 and ``sort_keys=True``, written in one pass; strings and floats are
 ``json``'s own text of them.  Each distribution's atoms are filled into
 one template for their indent, with each lattice value's text built once
-per distribution.
+per distribution.  A distribution object that a report holds twice at
+one indent, as exact reports do where both choices share a run, is
+written once: its text is kept in a one-entry memo until ``encode``
+returns.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -24,10 +28,12 @@ SCHEMA_VERSION = 1
 _INDENT = "  "
 
 
+@functools.lru_cache(maxsize=1)
 def _distribution_text(dist: ExactDistribution, nl: str) -> str:
     """A distribution's atoms as a JSON list, one {denominator, numerator, value} object each.
 
-    ``nl`` is the newline and indent of the line the list opens on.
+    ``nl`` is the newline and indent of the line the list opens on.  One
+    entry, keyed on the object, which ``encode`` clears.
     """
     atom, field = nl + _INDENT, nl + 2 * _INDENT
     value = field + _INDENT
@@ -92,7 +98,11 @@ def encode(obj) -> str:
     levels deep.
     """
     out: list[str] = []
-    _write(obj, out, "\n")
+    try:
+        _write(obj, out, "\n")
+    finally:
+        # No distribution's text outlives its report.
+        _distribution_text.cache_clear()
     return "".join(out)
 
 

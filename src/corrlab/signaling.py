@@ -44,6 +44,9 @@ def total_variation(p: ExactDistribution, q: ExactDistribution) -> Fraction:
         raise ValueError(f"round counts differ: {p.n_rounds} vs {q.n_rounds}")
     if p.labels != q.labels:
         raise ValueError(f"components differ: {p.labels} vs {q.labels}")
+    # Equal weights sum to equal denominators: a shared run, or an equal copy, is 0 with no walk.
+    if p.cells == q.cells and p.weights == q.weights:
+        return Fraction(0)
     dp, dq = p.denominator, q.denominator
     rest = dict(zip(q.cells, q.weights))
     total = sum(abs(a * dq - rest.pop(cell, 0) * dp) for cell, a in zip(p.cells, p.weights))
@@ -217,6 +220,9 @@ def tsirelson_verdict(
     verdict statistic is the worse of the two total variations.  The
     Bell-state box's correlations and CHSH value ride along.  ``joint``
     changes nothing: each run holds Bob's one component, all there is.
+    Bob's round pmfs on one axis are equal in lowest terms under both
+    choices, so exact runs share one object per axis: "z|u" is "z|p" and
+    "x|u" is "x|p".
     """
     spec = ScenarioSpec(kind=ScenarioKind.TSIRELSON, n_rounds=n_rounds, trials=trials, seed=seed, mode=mode)
     runs = {
@@ -263,7 +269,10 @@ def ghz_verdict(
     and take the receivers' marginal of each run.  The receivers' round
     marginal keeps the round pmf's table rows, so sampled draws do not
     depend on what a report prints: a joint run's first two components
-    are the receivers-only run's counts.
+    are the receivers-only run's counts.  The receivers' round marginals
+    are equal in lowest terms under both choices, so exact receivers-only
+    runs are one object; the whole joints' J labels differ, so joint runs
+    never are.
     """
     spec = ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=n_rounds, trials=trials, seed=seed, mode=mode)
     runs = _run_choices(spec, receivers_only=not joint)

@@ -173,11 +173,15 @@ class TestGhzSignalCommand:
         assert "hit_probabilities_equal" not in report["checks"]
 
     def test_exact_json_convolves_only_the_receivers(self, tmp_path, monkeypatch):
+        """The receivers' round pmfs are equal in lowest terms under both choices, so one run serves both."""
+        ensembles._exact_run.cache_clear()
         calls = spy_calls(monkeypatch, ensembles, "convolve_iid_rounds")
         run_json(tmp_path, "ghz-signal", "--n", "4")
-        assert [len(round_pmf.labels) for round_pmf, _ in calls] == [2, 2]
+        assert [len(round_pmf.labels) for round_pmf, _ in calls] == [2]
 
     def test_exact_csv_prints_the_whole_joint(self, tmp_path, monkeypatch):
+        """The whole joints' labels differ (J_x, J_y), so the two choices never share a run."""
+        ensembles._exact_run.cache_clear()
         calls = spy_calls(monkeypatch, ensembles, "convolve_iid_rounds")
         code, text = run_cli(tmp_path, "ghz-signal", "--n", "4", "--format", "csv")
         assert code == 0
@@ -190,12 +194,14 @@ class TestGhzSignalCommand:
 
 @pytest.mark.parametrize("command, runs", [("pr-signal", 2), ("tsirelson", 4), ("ghz-signal", 2)])
 class TestEachDistributionRunsOnce:
-    """A scenario report computes each of its distributions exactly once."""
+    """A scenario report computes each distinct distribution exactly once."""
 
     def test_exact(self, tmp_path, monkeypatch, command, runs):
+        """Exact runs of round pmfs equal in lowest terms are one run: Bob's per axis, the GHZ receivers'."""
+        ensembles._exact_run.cache_clear()
         calls = spy_calls(monkeypatch, ensembles, "convolve_iid_rounds")
         assert run_cli(tmp_path, command, "--n", "3")[0] == 0
-        assert len(calls) == runs
+        assert len(calls) == {"pr-signal": 2, "tsirelson": 2, "ghz-signal": 1}[command]
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_sampled(self, tmp_path, monkeypatch, command, runs, fmt):
@@ -1002,9 +1008,11 @@ WARM_COMMANDS = [
 def test_warm_process_reports_match_fresh_processes(tmp_path):
     """Every scenario report, made in turn in one process from cold caches, in two orders, has a fresh interpreter's bytes.
 
-    Round pmfs, Born pmfs and the jamming and algebra reports' constants
-    are cached per process, so a report that left state behind for the next
-    would differ from the one-command processes.
+    Round pmfs, Born pmfs, the last exact N-round run and the jamming and
+    algebra reports' constants are cached per process, so a report that
+    left state behind for the next would differ from the one-command
+    processes.  Each exact report is made twice in a row, so the second
+    reads the run the first left in the memo.
     """
     env = child_env()
 
@@ -1018,12 +1026,15 @@ def test_warm_process_reports_match_fresh_processes(tmp_path):
     out = tmp_path / "report.out"
     for order in (WARM_COMMANDS, WARM_COMMANDS[::-1]):
         ensembles._born_form.cache_clear()
+        ensembles._exact_run.cache_clear()
+        reportio._distribution_text.cache_clear()
         quantum._born_pmf.cache_clear()
         quantum._assignment_counts.cache_clear()
         signaling._jamming_unary.cache_clear()
         for args in order:
-            assert main([*args, "--out", str(out)]) == 0
-            assert out.read_bytes() == expected[args], args
+            for _ in range(2 if "exact" in args else 1):
+                assert main([*args, "--out", str(out)]) == 0
+                assert out.read_bytes() == expected[args], args
 
 
 _ONCE_PROBE = """

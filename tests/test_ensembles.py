@@ -179,6 +179,12 @@ class TestConvolution:
     @example({(-1, 1, -1): Fraction(1)}, 7)
     @example({(1,): Fraction(1023, 1024), (-1,): Fraction(1, 1024)}, 12)
     @example({(1, 1, 1): Fraction(1, 1024), (-1, -1, -1): Fraction(1023, 1024)}, 12)
+    # Each side of a step in the slot's word count, bit_length(D**N) // 64 + 1: D**N = 2^62 and 2^63,
+    # 2^126 and 2^127.  The last two fill a slot's second word, where the weights near D**N lie.
+    @example({(1,): Fraction(1, 2**31), (-1,): 1 - Fraction(1, 2**31)}, 2)
+    @example({(1, -1): Fraction(1, 2**21), (-1, 1): 1 - Fraction(1, 2**21)}, 3)
+    @example({(1,): Fraction(1, 2**63), (-1,): 1 - Fraction(1, 2**63)}, 2)
+    @example({(1, 1, -1): Fraction(3, 2**127), (-1, 1, 1): 1 - Fraction(3, 2**127)}, 1)
     @settings(max_examples=200)
     def test_matches_dict_convolution(self, pmf, n):
         round_pmf = round_distribution(pmf)

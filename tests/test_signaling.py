@@ -81,6 +81,32 @@ class TestTotalVariation:
         with pytest.raises(ValueError, match="components"):
             total_variation(pr, ghz)
 
+    def test_equal_weights_are_zero(self):
+        dist = exact_pr(4, "p")
+        copy = ExactDistribution(dist.labels, dist.n_rounds, list(dist.cells), list(dist.weights), dist.denominator)
+        assert copy is not dist
+        for other in (dist, copy):
+            tv = total_variation(dist, other)
+            assert type(tv) is Fraction and tv == 0
+
+    def test_unreduced_weights_walk_to_zero(self):
+        """(2, 2)/4 against (1, 1)/2: the weights differ, so the walk runs, and finds no difference."""
+        unreduced = ExactDistribution(("B",), 1, (0, 1), (2, 2), 4)
+        reduced = ExactDistribution(("B",), 1, (0, 1), (1, 1), 2)
+        assert total_variation(unreduced, reduced) == total_variation(reduced, unreduced) == 0
+
+    @given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=4), st.data())
+    @settings(max_examples=40)
+    def test_one_weight_apart(self, weights, data):
+        """Distributions on the same cells whose weights differ in one cell give the dict oracle's TV."""
+        i = data.draw(st.integers(min_value=0, max_value=len(weights) - 1))
+        bumped = [w + (j == i) for j, w in enumerate(weights)]
+        p, q = (ExactDistribution(("c",), 3, range(len(ws)), ws, sum(ws)) for ws in (weights, bumped))
+        p_oracle, q_oracle = (
+            oracles.FractionDistribution.from_mapping(oracles.lattice_mapping(d), d.labels, 3) for d in (p, q)
+        )
+        assert total_variation(p, q) == oracles.total_variation_by_union(p_oracle, q_oracle)
+
     def test_rejects_unnormalized_mapping(self):
         # An unnormalized pmf cannot become a distribution, so no TV ever sees one.
         with pytest.raises(ValueError, match="sum to exactly 1"):
@@ -305,6 +331,55 @@ class TestJammingVerdict:
         assert results["binned_correlation"] == {"1": 0.5, "-1": 0.5}
         assert results["overall_correlation"] == 0.5 == 4 / math.sqrt(64)
         assert checks["uncorrelated"] is False
+
+
+def lowest_terms(pmf: ExactDistribution) -> tuple:
+    """A round pmf's labels, cells, and weights and denominator divided by the weights' gcd."""
+    g = math.gcd(*pmf.weights)
+    return pmf.labels, pmf.cells, tuple(w // g for w in pmf.weights), pmf.denominator // g
+
+
+# Each shipped pair of round forms by choice, and whether the two are equal in lowest terms.
+FORM_PAIRS = {
+    "pr": (lambda c: ensembles._PR_FORMS[c], False),
+    "tsirelson-z": (lambda c: ensembles._tsirelson_form(c, "z"), True),
+    "tsirelson-x": (lambda c: ensembles._tsirelson_form(c, "x"), True),
+    "ghz-receivers": (lambda c: ensembles._ghz_form(c, receivers_only=True), True),
+    "ghz-joint": (lambda c: ensembles._ghz_form(c), False),
+}
+
+
+class TestSharedRuns:
+    """Round forms equal in lowest terms under both choices give one N-round run, at every N."""
+
+    @pytest.mark.parametrize("pair", sorted(FORM_PAIRS))
+    def test_lowest_terms_of_the_forms(self, pair):
+        form, shared = FORM_PAIRS[pair]
+        u, p = form("u").pmf, form("p").pmf
+        assert (lowest_terms(u) == lowest_terms(p)) is shared
+        if shared:
+            # Only the reduction makes them equal: their table denominators differ.
+            assert u.denominator != p.denominator
+
+    @pytest.mark.parametrize("n", range(1, EXACT_MAX_ROUNDS + 1))
+    def test_exact_verdicts_share_exactly_the_equal_runs(self, n):
+        """Each shared run is the dict oracle's N-fold convolution of the unreduced "p" round pmf."""
+        cases = [
+            (ScenarioKind.PR_BOX, False, {"pr": ("u", "p")}),
+            (ScenarioKind.TSIRELSON, False, {f"tsirelson-{a}": (f"{a}|u", f"{a}|p") for a in "zx"}),
+            (ScenarioKind.GHZ, False, {"ghz-receivers": ("u", "p")}),
+            (ScenarioKind.GHZ, True, {"ghz-joint": ("u", "p")}),
+        ]
+        for kind, joint, pairs in cases:
+            runs = verdict(kind, n, RunMode.EXACT, joint=joint)[2]
+            for pair, (key_u, key_p) in pairs.items():
+                form, shared = FORM_PAIRS[pair]
+                assert (runs[key_u] is runs[key_p]) is shared, (pair, n)
+                if shared:
+                    oracle = oracles.convolve_by_dict(oracles.lattice_mapping(form("p").pmf), n)
+                    assert oracles.lattice_mapping(runs[key_p]) == {
+                        tuple(s / n for s in sums): prob for sums, prob in oracle.items()
+                    }
 
 
 def assert_same_distribution(got, want):

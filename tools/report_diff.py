@@ -8,8 +8,9 @@ the sha256 of stdout, the exit code and stderr.  ``--python`` runs the
 change side under another interpreter, so one checkout can be diffed under
 two Pythons; a run that ends in ``ModuleNotFoundError: No module named
 'numpy'`` is then counted as skipped, not as differing.  The commands cover every
-subcommand in json and csv, at default and small ``--trials``, and the
-refused inputs, an unknown ``--mode`` among them, including causal configs
+subcommand in json and csv, the scenario commands at every exact N, at
+default and small ``--trials``, and the refused inputs, an unknown
+``--mode`` among them, including causal configs
 written to a temporary directory that both checkouts read, each subcommand written through
 ``--out /dev/stdout``, CSV reports across the 10^4-row block through both,
 sampled JSON reports of a few trials at N = 10^6, and an ``--out`` into a
@@ -117,7 +118,8 @@ def commands(config_dir: str) -> list[list[str]]:
     cmds: list[list[str]] = []
     for command in SCENARIO_COMMANDS:
         for fmt in ("json", "csv"):
-            cmds += [[command, "--n", str(n), "--format", fmt] for n in (1, 2, 6, 7, 24)]
+            # Every exact N: CSV's whole GHZ joint takes two-word Kronecker slots from N = 21.
+            cmds += [[command, "--n", str(n), "--format", fmt] for n in range(1, 25)]
             for trials in (1, 2, 3, 300, 10_000):
                 cmds += [
                     [command, "--mode", "mc", "--n", "6", "--trials", str(trials), "--seed", seed, "--format", fmt]
