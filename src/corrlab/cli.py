@@ -35,10 +35,10 @@ from pathlib import Path
 
 from . import quantum, spacetime
 from ._numpy import np
-from .ensembles import EXACT_MAX_ROUNDS, JammingRecords, RunMode, ScenarioKind
+from .ensembles import EXACT_MAX_ROUNDS, JammingRecords, RunMode
 from .errors import InvariantViolation
 from .reportio import SCHEMA_VERSION, dump_report
-from .signaling import jamming_verdict, verdict
+from .signaling import ScenarioKind, jamming_verdict, verdict
 
 # The deepest causal config read, the outer value being level 1: far below the depth
 # at which any supported interpreter's json.loads, or the report writer echoing the

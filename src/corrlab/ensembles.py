@@ -5,8 +5,10 @@ variables, the per-component averages (1/N)*sum of +1/-1 round outcomes.
 Exact mode computes the full joint pmf of the collectives, as integer
 weights over one denominator, by N-fold convolution of the single-round
 pmf; Monte Carlo mode samples trials with reproducible per-(seed,
-scenario, choice) random streams and histograms them on the same grid:
-its cells are counted, or the trials' cells sorted where it dwarfs them.
+runner, choice) random streams, each runner owning its stream id (PR box 0,
+Tsirelson 1 and Bob's axis, GHZ 2, jamming 3), and histograms them on the
+same grid: its cells are counted, or the trials' cells sorted where it
+dwarfs them.
 
 Every round pmf is a Pauli measurement on a stabilizer state (the Bell
 pair, the GHZ triplet) or the maximal box's B' = +-B pair, so it is
@@ -67,23 +69,14 @@ _COUNT_CELLS_PER_TRIAL = 4
 _HISTOGRAM_TRIALS = 1 << 14
 
 
-class ScenarioKind(Enum):
-    PR_BOX = "pr-box"
-    TSIRELSON = "tsirelson"
-    GHZ = "ghz"
-
-
 class RunMode(Enum):
     EXACT = "exact"
     MONTE_CARLO = "mc"
 
 
-_KIND_STREAM = {ScenarioKind.PR_BOX: 0, ScenarioKind.TSIRELSON: 1, ScenarioKind.GHZ: 2}
-# Components k of a scenario's sampled run: (B, B'), Bob's one axis, and a whole GHZ run's (A_x, B_x, J).
-_KIND_COMPONENTS = {ScenarioKind.PR_BOX: 2, ScenarioKind.TSIRELSON: 1, ScenarioKind.GHZ: 3}
 # The most bytes numpy lets one array hold: the largest np.intp, which is sys.maxsize.
 _MAX_ARRAY_BYTES = sys.maxsize
-_JAMMING_STREAM = 3
+_PR_STREAM, _TSIRELSON_STREAM, _GHZ_STREAM, _JAMMING_STREAM = range(4)  # each runner's stream id
 _CHOICE_INDEX = {"u": 0, "p": 1}
 
 
@@ -93,10 +86,9 @@ class ScenarioSpec:
 
     ``sender_choice`` is the signaling party's setting label: Alice's
     unprimed/primed observable for the bipartite scenarios, Jim's x/y
-    basis for the three-party one.
+    basis for the three-party one.  The runner it is handed is the scenario.
     """
 
-    kind: ScenarioKind
     n_rounds: int
     sender_choice: str = "u"
     trials: int = 100_000
@@ -112,10 +104,6 @@ class ScenarioSpec:
             raise ValueError("sender_choice must be 'u' or 'p'")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        # A sampled run's sums, as ``EnsembleRun.sums`` builds them, hold k int64 per trial in one array.
-        k = _KIND_COMPONENTS[self.kind]
-        if self.mode is RunMode.MONTE_CARLO and self.trials > _MAX_ARRAY_BYTES // (8 * k):
-            raise ValueError(f"trials must be at most {_MAX_ARRAY_BYTES // (8 * k)} to hold {k} int64 sums per trial")
         _check_seed(self.seed)
 
 
@@ -506,15 +494,19 @@ def _exact_run(labels: tuple, cells: tuple, weights: tuple, denominator: int, n:
     return ExactDistribution.from_grid(labels, n, convolve_iid_rounds(round_pmf, n), denominator**n)
 
 
-def _run_from_form(spec: ScenarioSpec, form: _AffineForm, *axis: int) -> ExactDistribution | EnsembleRun:
-    """The exact or sampled run of ``form``; a sample draws the stream of its kind, choice and ``axis``."""
+def _run_from_form(spec: ScenarioSpec, form: _AffineForm, stream_id: int, *axis: int) -> ExactDistribution | EnsembleRun:
+    """The exact or sampled run of ``form``; a sample draws the stream (``stream_id``, choice, ``*axis``)."""
     n = spec.n_rounds
     if spec.mode is RunMode.EXACT:
         pmf = form.pmf
         # The weights sum to the denominator, so their gcd divides it too.
         g = math.gcd(*pmf.weights)
         return _exact_run(pmf.labels, pmf.cells, tuple(w // g for w in pmf.weights), pmf.denominator // g, n)
-    stream = (_KIND_STREAM[spec.kind], _CHOICE_INDEX[spec.sender_choice], *axis)
+    # Refused before any allocation: ``EnsembleRun.sums`` holds k int64 per trial, for the form's k components.
+    k = len(form.planes)
+    if spec.trials > _MAX_ARRAY_BYTES // (8 * k):
+        raise ValueError(f"trials must be at most {_MAX_ARRAY_BYTES // (8 * k)} to hold {k} int64 sums per trial")
+    stream = (stream_id, _CHOICE_INDEX[spec.sender_choice], *axis)
     negatives = _sample_outcome_rows(form, n, spec.trials, spec.seed, stream)
     return EnsembleRun(labels=form.pmf.labels, negatives=negatives, n_rounds=n)
 
@@ -523,11 +515,9 @@ def run_pr_scenario(spec: ScenarioSpec) -> ExactDistribution | EnsembleRun:
     """Collective (B, B') statistics for the maximal bipartite box.
 
     Under the unprimed choice B' = B identically and under the primed
-    choice B' = -B.
+    choice B' = -B.  Its sampled runs draw stream 0.
     """
-    if spec.kind is not ScenarioKind.PR_BOX:
-        raise ValueError("spec.kind must be PR_BOX")
-    return _run_from_form(spec, _PR_FORMS[spec.sender_choice])
+    return _run_from_form(spec, _PR_FORMS[spec.sender_choice], _PR_STREAM)
 
 
 def _ghz_form(sender_choice: str, receivers_only: bool = False) -> _AffineForm:
@@ -546,11 +536,9 @@ def run_ghz_scenario(spec: ScenarioSpec, receivers_only: bool = False) -> ExactD
     their round marginal, since the marginal of an i.i.d. sum is the i.i.d.
     sum of the round marginal.  Its form selects the receivers' columns of
     the whole form, so a sampled receivers-only run draws the receivers'
-    columns of a whole run on the same seed.
+    columns of a whole run, on the same seed and stream 2.
     """
-    if spec.kind is not ScenarioKind.GHZ:
-        raise ValueError("spec.kind must be GHZ")
-    return _run_from_form(spec, _ghz_form(spec.sender_choice, receivers_only))
+    return _run_from_form(spec, _ghz_form(spec.sender_choice, receivers_only), _GHZ_STREAM)
 
 
 def _tsirelson_form(sender_choice: str, bob_axis: str) -> _AffineForm:
@@ -568,18 +556,9 @@ def _tsirelson_form(sender_choice: str, bob_axis: str) -> _AffineForm:
 
 
 def run_tsirelson_scenario(spec: ScenarioSpec, bob_axis: str = "z") -> ExactDistribution | EnsembleRun:
-    """Bob's collective for one of his rescaled sum/difference observables."""
-    if spec.kind is not ScenarioKind.TSIRELSON:
-        raise ValueError("spec.kind must be TSIRELSON")
+    """Bob's collective for one of his rescaled sum/difference observables; samples draw stream 1 and his axis."""
     axis = 0 if bob_axis == "z" else 1
-    return _run_from_form(spec, _tsirelson_form(spec.sender_choice, bob_axis), axis)
-
-
-SCENARIO_RUNNERS = {
-    ScenarioKind.PR_BOX: run_pr_scenario,
-    ScenarioKind.TSIRELSON: run_tsirelson_scenario,
-    ScenarioKind.GHZ: run_ghz_scenario,
-}
+    return _run_from_form(spec, _tsirelson_form(spec.sender_choice, bob_axis), _TSIRELSON_STREAM, axis)
 
 
 def _clear_tail(words: np.ndarray, bits: int) -> None:

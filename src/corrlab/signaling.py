@@ -18,21 +18,29 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import replace
+from enum import Enum
 from fractions import Fraction
 
 from . import boxes
 from .ensembles import (
     GHZ_RECEIVERS,
-    SCENARIO_RUNNERS,
     EnsembleRun,
     ExactDistribution,
     JammingRecords,
     RunMode,
-    ScenarioKind,
     ScenarioSpec,
     jamming_round_pmf,
+    run_ghz_scenario,
     run_jamming_scenario,
+    run_pr_scenario,
+    run_tsirelson_scenario,
 )
+
+
+class ScenarioKind(Enum):
+    PR_BOX = "pr-box"
+    TSIRELSON = "tsirelson"
+    GHZ = "ghz"
 
 
 def total_variation(p: ExactDistribution, q: ExactDistribution) -> Fraction:
@@ -149,9 +157,8 @@ def _mode_value(value, mode: RunMode):
     return value if mode is RunMode.EXACT else float(value)
 
 
-def _run_choices(spec: ScenarioSpec, **kwargs) -> dict[str, ExactDistribution | EnsembleRun]:
-    """Run the scenario once under each of the sender's choices."""
-    run = SCENARIO_RUNNERS[spec.kind]
+def _run_choices(spec: ScenarioSpec, run, **kwargs) -> dict[str, ExactDistribution | EnsembleRun]:
+    """Run the scenario runner ``run`` once under each of the sender's choices."""
     return {choice: run(replace(spec, sender_choice=choice), **kwargs) for choice in ("u", "p")}
 
 
@@ -162,12 +169,12 @@ def _distributions(runs: dict, mode: RunMode) -> dict[str, ExactDistribution]:
     return {key: run.empirical() for key, run in runs.items()}
 
 
-def _verdict(spec: ScenarioSpec, statistic: str, values: tuple) -> dict:
+def _verdict(kind: ScenarioKind, spec: ScenarioSpec, statistic: str, values: tuple) -> dict:
     """A ``verdict`` entry: ``values`` that differ by the sampled threshold, or at all if exact, are distinguishable."""
     threshold = 5.0 / math.sqrt(spec.trials) if spec.mode is RunMode.MONTE_CARLO else Fraction(0)
     difference = abs(values[1] - values[0])
     return {
-        "scenario": spec.kind.value,
+        "scenario": kind.value,
         "N": spec.n_rounds,
         "mode": spec.mode.value,
         "statistic": statistic,
@@ -190,12 +197,12 @@ def pr_verdict(
     2^-N.  ``joint`` changes nothing: the runs already hold both of Bob's
     components.
     """
-    spec = ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=n_rounds, trials=trials, seed=seed, mode=mode)
-    runs = _run_choices(spec)
+    spec = ScenarioSpec(n_rounds=n_rounds, trials=trials, seed=seed, mode=mode)
+    runs = _run_choices(spec, run_pr_scenario)
     dists = _distributions(runs, mode)
     tv = total_variation(dists["u"], dists["p"])
     variance = _mode_value({c: variance_signature(dist) for c, dist in dists.items()}, mode)
-    v = _verdict(spec, "total_variation", (_mode_value(Fraction(0), mode), _mode_value(tv, mode)))
+    v = _verdict(ScenarioKind.PR_BOX, spec, "total_variation", (_mode_value(Fraction(0), mode), _mode_value(tv, mode)))
     results = {"verdict": v, "joint_distribution": dists, "variance_signature": variance}
     checks = {
         "distinguishable": v["distinguishable"],
@@ -224,16 +231,16 @@ def tsirelson_verdict(
     choices, so exact runs share one object per axis: "z|u" is "z|p" and
     "x|u" is "x|p".
     """
-    spec = ScenarioSpec(kind=ScenarioKind.TSIRELSON, n_rounds=n_rounds, trials=trials, seed=seed, mode=mode)
+    spec = ScenarioSpec(n_rounds=n_rounds, trials=trials, seed=seed, mode=mode)
     runs = {
         f"{axis}|{choice}": run
         for axis in ("z", "x")
-        for choice, run in _run_choices(spec, bob_axis=axis).items()
+        for choice, run in _run_choices(spec, run_tsirelson_scenario, bob_axis=axis).items()
     }
     dists = _distributions(runs, mode)
     tvs = _mode_value({axis: total_variation(dists[f"{axis}|u"], dists[f"{axis}|p"]) for axis in ("z", "x")}, mode)
     variances = {axis: {c: dists[f"{axis}|{c}"].variance((1,)) for c in ("u", "p")} for axis in ("z", "x")}
-    v = _verdict(spec, "total_variation", (_mode_value(Fraction(0), mode), max(tvs.values())))
+    v = _verdict(ScenarioKind.TSIRELSON, spec, "total_variation", (_mode_value(Fraction(0), mode), max(tvs.values())))
     box = boxes.make_tsirelson_box()
     chsh = boxes.chsh_value(box)
     results = {
@@ -274,12 +281,12 @@ def ghz_verdict(
     runs are one object; the whole joints' J labels differ, so joint runs
     never are.
     """
-    spec = ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=n_rounds, trials=trials, seed=seed, mode=mode)
-    runs = _run_choices(spec, receivers_only=not joint)
+    spec = ScenarioSpec(n_rounds=n_rounds, trials=trials, seed=seed, mode=mode)
+    runs = _run_choices(spec, run_ghz_scenario, receivers_only=not joint)
     receivers = {c: run.marginal(GHZ_RECEIVERS) for c, run in runs.items()} if joint else runs
     receivers = _distributions(receivers, mode)
     hits = _mode_value({c: dist.probability((1, 1)) for c, dist in receivers.items()}, mode)
-    v = _verdict(spec, "conditional_probability", (hits["u"], hits["p"]))
+    v = _verdict(ScenarioKind.GHZ, spec, "conditional_probability", (hits["u"], hits["p"]))
     results = {
         "verdict": v,
         "hit_probability": hits,

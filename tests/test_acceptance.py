@@ -17,11 +17,9 @@ import pytest
 import oracles
 from corrlab import ensembles
 from corrlab.ensembles import (
-    SCENARIO_RUNNERS,
     EnsembleRun,
     ExactDistribution,
     RunMode,
-    ScenarioKind,
     ScenarioSpec,
     run_ghz_scenario,
     run_jamming_scenario,
@@ -39,13 +37,16 @@ from corrlab.quantum import (
     sequential_measure,
 )
 from corrlab.signaling import (
+    ScenarioKind,
     ghz_verdict,
     jamming_unary_exact,
     pr_verdict,
     total_variation,
     tsirelson_verdict,
+    verdict,
 )
 from corrlab.spacetime import (
+    MAP_NAMES,
     SpacetimeEvent,
     binary_condition,
     loop_analysis,
@@ -110,7 +111,7 @@ def test_collective_readout_signals():
     sig = results["variance_signature"]
     tv = verdict["values"][1]
     var_b = run_pr_scenario(
-        ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=6, sender_choice="u")
+        ScenarioSpec(n_rounds=6, sender_choice="u")
     ).marginal((0,)).variance((1,))
     var_ok = (
         var_b == Fraction(1, 6)
@@ -135,10 +136,10 @@ def test_collective_readout_signals():
 
 def test_rare_event_probabilities():
     du = run_pr_scenario(
-        ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=8, sender_choice="u")
+        ScenarioSpec(n_rounds=8, sender_choice="u")
     )
     dp = run_pr_scenario(
-        ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=8, sender_choice="p")
+        ScenarioSpec(n_rounds=8, sender_choice="p")
     )
     p_joint = du.probability((1, 1))
     p_anti = dp.probability((1, -1))
@@ -307,6 +308,87 @@ def test_causal_loop_analysis():
     )
 
 
+# Each scenario's exact report distributions, by results key, as (choice u, choice p) pairs of Bob's readouts.
+LOOP_READOUTS = {
+    ScenarioKind.PR_BOX: ("joint_distribution", [("u", "p")]),
+    ScenarioKind.TSIRELSON: ("bob_distribution", [("z|u", "z|p"), ("x|u", "x|p")]),
+    ScenarioKind.GHZ: ("receiver_distribution", [("u", "p")]),
+}
+# A deterministic channel from the sender's bit (u = 0, p = 1) to the guessed bit, as a device map.
+CHANNEL_MAPS = {(0, 1): "echo", (1, 0): "invert", (0, 0): "const0", (1, 1): "const1"}
+
+
+def _guess_channel(u: ExactDistribution, p: ExactDistribution) -> tuple[Fraction, str | None]:
+    """The receivers' maximum-likelihood guess of the sender's bit from one readout, ties going to u.
+
+    Returns its exact success probability under a fair choice, and the
+    device map it is when each choice leads to one guess with certainty,
+    else None.
+    """
+    pu = {cell: Fraction(w, u.denominator) for cell, w in zip(u.cells, u.weights)}
+    pp = {cell: Fraction(w, p.denominator) for cell, w in zip(p.cells, p.weights)}
+    guess = {cell: int(pp.get(cell, 0) > pu.get(cell, 0)) for cell in pu.keys() | pp.keys()}
+    success = sum(max(pu.get(cell, 0), pp.get(cell, 0)) for cell in guess) / 2
+    guesses = [{guess[cell] for cell in pmf} for pmf in (pu, pp)]
+    channel = CHANNEL_MAPS[guesses[0].pop(), guesses[1].pop()] if all(len(g) == 1 for g in guesses) else None
+    return success, channel
+
+
+def test_loops_close_only_through_signaling_boxes():
+    """The abstract's contrast: a retrocausal loop through the PR box contradicts itself, one through GHZ does not.
+
+    For each scenario at every exact N, the receivers' best guess of the
+    sender's choice is a channel.  Bob's reply reaches Alice retrocausally,
+    so her device map (each of the four in turn) closes the loop
+    i_A = reply(channel(i_A)).  Only a channel that follows the choice, the
+    PR box's at odd N, lets the reply ``invert`` leave no fixed point; a
+    channel that ignores it (Tsirelson, GHZ) leaves one fixed point for
+    every reply.  At even N the PR guess fails on the tied cell B = B' = 0,
+    so it is no deterministic loop: its success is stated, not closed.
+    """
+    t0 = time.perf_counter()
+    chrono = round_trip_chronology(alice_x=0.0, bob_x=1.0, send_t=0.0, beta=0.5)
+    failures = []
+    closed = {kind: 0 for kind in ScenarioKind}
+    even_pr = 0
+    for kind, (key, pairs) in LOOP_READOUTS.items():
+        for n in range(1, ensembles.EXACT_MAX_ROUNDS + 1):
+            dists = verdict(kind, n)[0][key]
+            for u, p in pairs:
+                cell = f"{kind.value} N={n} {u}/{p}"
+                tv = total_variation(dists[u], dists[p])
+                success, channel = _guess_channel(dists[u], dists[p])
+                if success != (1 + tv) / 2:
+                    failures.append(f"{cell}: success {success} is not (1 + TV)/2 at TV {tv}")
+                if kind is ScenarioKind.PR_BOX and n % 2 == 0:
+                    tie = Fraction(math.comb(n, n // 2), 2**n)
+                    if (tv, success, channel) == (1 - tie, 1 - tie / 2, None):
+                        even_pr += 1
+                    else:
+                        failures.append(f"{cell}: TV {tv}, success {success}, channel {channel}")
+                    continue
+                want_tv, want_channel = (1, "echo") if kind is ScenarioKind.PR_BOX else (0, "const0")
+                if (tv, channel) != (want_tv, want_channel):
+                    failures.append(f"{cell}: TV {tv}, channel {channel}")
+                    continue
+                fixed = {reply: len(loop_analysis(reply, channel)["fixed_points"]) for reply in MAP_NAMES}
+                want = {"echo": 2, "invert": 0, "const0": 1, "const1": 1} if channel == "echo" else dict.fromkeys(MAP_NAMES, 1)
+                if fixed != want:
+                    failures.append(f"{cell}: fixed points {fixed}")
+                closed[kind] += 1
+    elapsed = time.perf_counter() - t0
+    _gate(
+        "loops close only through signaling boxes",
+        chrono["retrocausal"] and not failures,
+        f"reply retrocausal at t={chrono['reply_arrival'].t}; PR odd N: TV=1, channel echo, invert leaves 0 fixed "
+        f"points in {closed[ScenarioKind.PR_BOX]}/12 loops; PR even N: success 1 - C(N,N/2)/2^(N+1), "
+        f"no deterministic loop, in {even_pr}/12; TV=0, channel const0, 1 fixed point for each of the 4 "
+        f"replies in Tsirelson {closed[ScenarioKind.TSIRELSON]}/48 (z and x) and GHZ {closed[ScenarioKind.GHZ]}/24"
+        + ("; " + "; ".join(failures[:5]) if failures else ""),
+        elapsed,
+    )
+
+
 GATE_TRIALS = 100_000
 GATE_SEEDS = range(10)
 
@@ -325,12 +407,11 @@ def _cell_bound(exact, trials: int) -> tuple[float, float]:
     return e_cell, max(5.0 / math.sqrt(trials), e_cell + 2.5 / math.sqrt(trials))
 
 
-def _sampled_tvs(runner, kind, choice, n, exact, trials, **kwargs) -> list[float]:
+def _sampled_tvs(runner, choice, n, exact, trials, **kwargs) -> list[float]:
     """TV of each seed's sampled cell against the exact pmf."""
     tvs = []
     for seed in GATE_SEEDS:
         spec = ScenarioSpec(
-            kind=kind,
             n_rounds=n,
             sender_choice=choice,
             trials=trials,
@@ -359,12 +440,9 @@ def test_sampled_distributions_match_exact():
                 kwargs = {} if axis is None else {"bob_axis": axis}
                 tag = kind.value + (f"/{axis}" if axis else "")
                 for n in range(1, 7):
-                    exact = SCENARIO_RUNNERS[kind](
-                        ScenarioSpec(kind=kind, n_rounds=n, sender_choice=choice),
-                        **kwargs,
-                    )
+                    exact = runner(ScenarioSpec(n_rounds=n, sender_choice=choice), **kwargs)
                     e_cell, threshold = _cell_bound(exact, trials)
-                    tvs = _sampled_tvs(runner, kind, choice, n, exact, trials, **kwargs)
+                    tvs = _sampled_tvs(runner, choice, n, exact, trials, **kwargs)
                     good = sum(tv < threshold for tv in tvs)
                     cells += 1
                     cell = f"{tag} choice={choice} N={n}"
@@ -399,12 +477,12 @@ def test_sampled_gate_rejects_shifted_round_pmf():
     trials = GATE_TRIALS
     exacts = {
         n: run_ghz_scenario(
-            ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=n, sender_choice="p")
+            ScenarioSpec(n_rounds=n, sender_choice="p")
         )
         for n in (5, 6)
     }
     shift = Fraction(1, 2**7)
-    true_round = run_ghz_scenario(ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=1, sender_choice="p"))
+    true_round = run_ghz_scenario(ScenarioSpec(n_rounds=1, sender_choice="p"))
     mapping = oracles.lattice_mapping(true_round)
     mapping[(1, 1, 1)] -= shift
     mapping[(-1, -1, -1)] += shift

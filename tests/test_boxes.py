@@ -19,7 +19,7 @@ from corrlab.boxes import (
     correlation,
     make_tsirelson_box,
 )
-from corrlab.ensembles import ExactDistribution, ScenarioKind, ScenarioSpec, run_pr_scenario
+from corrlab.ensembles import ExactDistribution, ScenarioSpec, run_pr_scenario
 from corrlab.quantum import GHZ_STABILIZERS, bell_state, outcome_tuples
 from oracles import make_ghz_box, make_local_deterministic_box, make_pr_box
 
@@ -29,7 +29,7 @@ HALF = Fraction(1, 2)
 
 def pr_round_pmf(choice: str) -> ExactDistribution:
     """The maximal box's round pmf: its exact run of one round."""
-    return run_pr_scenario(ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=1, sender_choice=choice))
+    return run_pr_scenario(ScenarioSpec(n_rounds=1, sender_choice=choice))
 
 
 class TestMaximalBox:

@@ -28,10 +28,9 @@ from corrlab.ensembles import (
     EnsembleRun,
     ExactDistribution,
     RunMode,
-    ScenarioKind,
     run_jamming_scenario,
 )
-from corrlab.signaling import verdict
+from corrlab.signaling import ScenarioKind, verdict
 from corrlab.spacetime import SpacetimeEvent
 from oracles import make_pr_box
 
@@ -1300,6 +1299,23 @@ class TestDeterminismAndErrors:
         assert out == ""
         assert err.startswith("error: trials must be at most ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, fmt, k",
+        [("ghz-signal", "csv", 3), ("ghz-signal", "json", 2), ("tsirelson", "json", 1)],
+        ids=["ghz-whole", "ghz-receivers", "tsirelson"],
+    )
+    def test_each_run_bounds_trials_by_its_own_components(self, capsys, command, fmt, k):
+        """A sampled run's bound is sys.maxsize // (8k) for the k components it holds: a CSV GHZ run holds 3, a JSON one 2."""
+        most = sys.maxsize // (8 * k)
+        assert main([command, "--mode", "mc", "--trials", str(most + 1), "--format", fmt]) == 2
+        assert capsys.readouterr() == ("", f"error: trials must be at most {most} to hold {k} int64 sums per trial\n")
+
+    def test_receivers_only_run_takes_trials_past_the_whole_joints_bound(self, capsys):
+        """Past the whole GHZ joint's bound but within the receivers': numpy refuses the allocation."""
+        assert main(["ghz-signal", "--mode", "mc", "--trials", "384307168202282326"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: out of memory: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     @pytest.mark.parametrize(
         "args", [("jamming", "--jim", "z"), ("pr-signal", "--mode", "mc")], ids=["jamming", "pr-signal"]
@@ -1309,6 +1325,11 @@ class TestDeterminismAndErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: seed must fit in 64 bits\n"
+
+    def test_bad_seed_is_named_before_trials_past_every_run(self, capsys):
+        """The spec checks the seed; only a run, after it, knows how many trials its sums can hold."""
+        assert main(["pr-signal", "--mode", "mc", "--trials", str(sys.maxsize), "--seed", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: seed must fit in 64 bits\n")
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     @pytest.mark.parametrize("mode", ["exact", "mc"])

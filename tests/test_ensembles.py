@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -17,11 +18,9 @@ import oracles
 from corrlab import ensembles
 from corrlab.ensembles import (
     EXACT_MAX_ROUNDS,
-    SCENARIO_RUNNERS,
     EnsembleRun,
     ExactDistribution,
     RunMode,
-    ScenarioKind,
     ScenarioSpec,
     _sample_outcome_rows,
     convolve_iid_rounds,
@@ -70,43 +69,69 @@ def dense_weights(mapping: dict, n: int, k: int, denominator: int) -> list[int]:
     return [mapping.get(cell, 0) * denominator for cell in cells]
 
 
-def spec(kind, n, choice="u", mode=RunMode.EXACT, trials=1000, seed=0, **kw):
-    return ScenarioSpec(
-        kind=kind, n_rounds=n, sender_choice=choice, trials=trials, seed=seed, mode=mode, **kw
-    )
+def spec(n, choice="u", mode=RunMode.EXACT, trials=1000, seed=0, **kw):
+    return ScenarioSpec(n_rounds=n, sender_choice=choice, trials=trials, seed=seed, mode=mode, **kw)
 
 
 class TestSpecValidation:
     def test_rejects_zero_rounds(self):
         with pytest.raises(ValueError, match="at least 1"):
-            spec(ScenarioKind.PR_BOX, 0)
+            spec(0)
 
     def test_exact_round_cap(self):
         with pytest.raises(ValueError, match=str(EXACT_MAX_ROUNDS)):
-            spec(ScenarioKind.PR_BOX, EXACT_MAX_ROUNDS + 1)
-        assert spec(ScenarioKind.PR_BOX, 30, mode=RunMode.MONTE_CARLO).n_rounds == 30
+            spec(EXACT_MAX_ROUNDS + 1)
+        assert spec(30, mode=RunMode.MONTE_CARLO).n_rounds == 30
 
     def test_rejects_bad_choice(self):
         with pytest.raises(ValueError, match="sender_choice"):
-            spec(ScenarioKind.PR_BOX, 4, choice="x")
+            spec(4, choice="x")
 
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError, match="trials"):
-            spec(ScenarioKind.PR_BOX, 4, mode=RunMode.MONTE_CARLO, trials=0)
+            spec(4, mode=RunMode.MONTE_CARLO, trials=0)
 
     def test_largest_array_is_numpys(self):
         """The module sets the limit without importing numpy; it must stay numpy's, or the --trials refusals drift."""
         assert ensembles._MAX_ARRAY_BYTES == np.iinfo(np.intp).max
 
-    @pytest.mark.parametrize("kind", list(ScenarioKind))
-    def test_rejects_trials_past_the_largest_sums_array(self, kind):
-        """A sampled run's k int64 sums per trial must fit numpy's largest array; exact runs ignore trials."""
-        k = len(SCENARIO_RUNNERS[kind](spec(kind, 1)).labels)
+    @pytest.mark.parametrize(
+        "runner, kwargs, k",
+        [
+            (run_pr_scenario, {}, 2),
+            (run_tsirelson_scenario, {"bob_axis": "x"}, 1),
+            (run_ghz_scenario, {"receivers_only": True}, 2),
+            (run_ghz_scenario, {}, 3),
+        ],
+        ids=["pr", "tsirelson", "ghz-receivers", "ghz-whole"],
+    )
+    def test_rejects_trials_past_the_largest_sums_array(self, monkeypatch, runner, kwargs, k):
+        """A sampled run's k int64 sums per trial, k its own components, must fit numpy's largest array.
+
+        The run refuses one trial past that before the sampler allocates,
+        and hands the bound itself to the sampler; exact runs ignore trials.
+        """
+        sampled = []
+
+        def stub(form, n, trials, seed, stream):
+            sampled.append(trials)
+            return np.zeros((len(form.planes), 1), np.uint8)
+
+        monkeypatch.setattr(ensembles, "_sample_outcome_rows", stub)
         most = np.iinfo(np.intp).max // (8 * k)
-        spec(kind, 4, mode=RunMode.MONTE_CARLO, trials=most)
-        spec(kind, 4, trials=most + 1)
+        assert len(runner(spec(4, mode=RunMode.MONTE_CARLO, trials=most), **kwargs).labels) == k
+        assert sampled == [most]
+        assert runner(spec(4, trials=most + 1), **kwargs).labels == runner(spec(4), **kwargs).labels
         with pytest.raises(ValueError, match=f"trials must be at most {most} to hold {k} int64 sums per trial"):
-            spec(kind, 4, mode=RunMode.MONTE_CARLO, trials=most + 1)
+            runner(spec(4, mode=RunMode.MONTE_CARLO, trials=most + 1), **kwargs)
+        assert sampled == [most]
+
+    def test_spec_holds_trials_past_every_run_and_checks_the_seed_first(self):
+        """The spec names no run, so it keeps any positive trials; a bad seed is refused when the spec is built."""
+        past = sys.maxsize // 8 + 1
+        assert spec(4, mode=RunMode.MONTE_CARLO, trials=past).trials == past
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            spec(4, mode=RunMode.MONTE_CARLO, trials=sys.maxsize, seed=-1)
 
     @pytest.mark.parametrize("n", [1, 6, 7])
     def test_jamming_rejects_trials_past_the_largest_indicator_array(self, n):
@@ -118,9 +143,9 @@ class TestSpecValidation:
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError, match="seed"):
-            spec(ScenarioKind.PR_BOX, 4, seed=-1)
+            spec(4, seed=-1)
         with pytest.raises(ValueError, match="seed"):
-            spec(ScenarioKind.PR_BOX, 4, seed=2**64)
+            spec(4, seed=2**64)
 
 
 SHIPPED_ROUND_PMFS = {
@@ -216,7 +241,7 @@ class TestConvolution:
 
     def test_rejects_a_round_pmf_over_more_rounds(self):
         with pytest.raises(ValueError, match="single round"):
-            convolve_iid_rounds(run_pr_scenario(spec(ScenarioKind.PR_BOX, 2)), 2)
+            convolve_iid_rounds(run_pr_scenario(spec(2)), 2)
 
     def test_matches_bruteforce_for_pr_rounds(self):
         for choice in ("u", "p"):
@@ -333,7 +358,7 @@ class TestRoundPmfCache:
 
 class TestExactDistribution:
     def _pr_n2(self):
-        return run_pr_scenario(spec(ScenarioKind.PR_BOX, 2))
+        return run_pr_scenario(spec(2))
 
     def test_support_is_sorted_and_normalized(self):
         dist = self._pr_n2()
@@ -507,14 +532,14 @@ class TestLatticeAgainstFractionOracle:
 class TestMaximalBoxScenario:
     def test_readout_identity_under_each_choice(self):
         for n in (1, 3, 6):
-            du = run_pr_scenario(spec(ScenarioKind.PR_BOX, n, "u"))
-            dp = run_pr_scenario(spec(ScenarioKind.PR_BOX, n, "p"))
+            du = run_pr_scenario(spec(n, "u"))
+            dp = run_pr_scenario(spec(n, "p"))
             assert all(v[1] == v[0] for v in oracles.lattice_mapping(du))
             assert all(v[1] == -v[0] for v in oracles.lattice_mapping(dp))
 
     def test_collective_marginal_is_binomial(self):
         for choice in ("u", "p"):
-            dist = run_pr_scenario(spec(ScenarioKind.PR_BOX, 6, choice))
+            dist = run_pr_scenario(spec(6, choice))
             marg = oracles.lattice_mapping(dist.marginal((0,)))
             want = {(k,): v for k, v in oracles.binomial_collective_pmf(6).items()}
             assert marg == want
@@ -522,16 +547,12 @@ class TestMaximalBoxScenario:
     def test_matches_bruteforce_joint(self):
         for choice in ("u", "p"):
             for n in (1, 2, 5):
-                dist = run_pr_scenario(spec(ScenarioKind.PR_BOX, n, choice))
+                dist = run_pr_scenario(spec(n, choice))
                 assert oracles.lattice_mapping(dist) == oracles.pr_bruteforce_joint(n, choice)
 
     def test_labels(self):
-        dist = run_pr_scenario(spec(ScenarioKind.PR_BOX, 2))
+        dist = run_pr_scenario(spec(2))
         assert dist.labels == ("B", "B_prime")
-
-    def test_kind_guard(self):
-        with pytest.raises(ValueError, match="PR_BOX"):
-            run_pr_scenario(spec(ScenarioKind.GHZ, 2))
 
 
 class TestGhzScenario:
@@ -555,20 +576,16 @@ class TestGhzScenario:
         assert set(pmf.values()) == {Fraction(1, 8)}
 
     def test_labels_follow_jim_axis(self):
-        assert run_ghz_scenario(spec(ScenarioKind.GHZ, 1, "u")).labels == (
+        assert run_ghz_scenario(spec(1, "u")).labels == (
             "A_x",
             "B_x",
             "J_x",
         )
-        assert run_ghz_scenario(spec(ScenarioKind.GHZ, 1, "p")).labels == (
+        assert run_ghz_scenario(spec(1, "p")).labels == (
             "A_x",
             "B_x",
             "J_y",
         )
-
-    def test_kind_guard(self):
-        with pytest.raises(ValueError, match="GHZ"):
-            run_ghz_scenario(spec(ScenarioKind.PR_BOX, 2))
 
 
 class TestTsirelsonScenario:
@@ -584,18 +601,14 @@ class TestTsirelsonScenario:
             tsirelson_round_pmf("u", "y")
 
     def test_collective_is_binomial(self):
-        dist = run_tsirelson_scenario(spec(ScenarioKind.TSIRELSON, 6))
+        dist = run_tsirelson_scenario(spec(6))
         want = {(k,): v for k, v in oracles.binomial_collective_pmf(6).items()}
         assert oracles.lattice_mapping(dist) == want
         assert dist.labels == ("bob_z",)
 
     def test_axis_label(self):
-        run = run_tsirelson_scenario(spec(ScenarioKind.TSIRELSON, 2), bob_axis="x")
+        run = run_tsirelson_scenario(spec(2), bob_axis="x")
         assert run.labels == ("bob_x",)
-
-    def test_kind_guard(self):
-        with pytest.raises(ValueError, match="TSIRELSON"):
-            run_tsirelson_scenario(spec(ScenarioKind.GHZ, 2))
 
 
 def grid_at_switch(k: int, m: int, past: bool) -> dict:
@@ -614,44 +627,44 @@ def grid_at_switch(k: int, m: int, past: bool) -> dict:
 
 class TestMonteCarlo:
     def test_deterministic_replay(self):
-        s = spec(ScenarioKind.PR_BOX, 6, mode=RunMode.MONTE_CARLO, trials=500, seed=9)
+        s = spec(6, mode=RunMode.MONTE_CARLO, trials=500, seed=9)
         a = run_pr_scenario(s)
         b = run_pr_scenario(s)
         assert np.array_equal(a.sums, b.sums)
 
     def test_streams_differ_by_seed_and_choice(self):
         base = dict(mode=RunMode.MONTE_CARLO, trials=500, seed=9)
-        a = run_pr_scenario(spec(ScenarioKind.PR_BOX, 6, "u", **base))
+        a = run_pr_scenario(spec(6, "u", **base))
         b = run_pr_scenario(
-            spec(ScenarioKind.PR_BOX, 6, "u", mode=RunMode.MONTE_CARLO, trials=500, seed=10)
+            spec(6, "u", mode=RunMode.MONTE_CARLO, trials=500, seed=10)
         )
         assert not np.array_equal(a.sums, b.sums)
         # the "p" stream is distinct, not a reuse of the "u" stream
-        c = run_pr_scenario(spec(ScenarioKind.PR_BOX, 6, "p", **base))
+        c = run_pr_scenario(spec(6, "p", **base))
         assert not np.array_equal(a.sums[:, 0], c.sums[:, 0])
 
     def test_scenario_streams_are_separate(self):
         base = dict(mode=RunMode.MONTE_CARLO, trials=500, seed=9)
-        pr = run_pr_scenario(spec(ScenarioKind.PR_BOX, 6, "u", **base))
-        ts = run_tsirelson_scenario(spec(ScenarioKind.TSIRELSON, 6, "u", **base))
+        pr = run_pr_scenario(spec(6, "u", **base))
+        ts = run_tsirelson_scenario(spec(6, "u", **base))
         assert not np.array_equal(pr.sums[:, 0], ts.sums[:, 0])
 
     def test_readout_identity_survives_sampling(self):
         base = dict(mode=RunMode.MONTE_CARLO, trials=2000, seed=4)
-        ru = run_pr_scenario(spec(ScenarioKind.PR_BOX, 5, "u", **base))
-        rp = run_pr_scenario(spec(ScenarioKind.PR_BOX, 5, "p", **base))
+        ru = run_pr_scenario(spec(5, "u", **base))
+        rp = run_pr_scenario(spec(5, "p", **base))
         assert np.array_equal(ru.sums[:, 1], ru.sums[:, 0])
         assert np.array_equal(rp.sums[:, 1], -rp.sums[:, 0])
 
     def test_ghz_x_parity_survives_sampling(self):
         run = run_ghz_scenario(
-            spec(ScenarioKind.GHZ, 1, "u", mode=RunMode.MONTE_CARLO, trials=2000, seed=4)
+            spec(1, "u", mode=RunMode.MONTE_CARLO, trials=2000, seed=4)
         )
         prods = run.sums[:, 0] * run.sums[:, 1] * run.sums[:, 2]
         assert np.all(prods == -1)
 
     def test_marginal_keeps_the_chosen_columns(self):
-        s = spec(ScenarioKind.GHZ, 3, "p", mode=RunMode.MONTE_CARLO, trials=50, seed=1)
+        s = spec(3, "p", mode=RunMode.MONTE_CARLO, trials=50, seed=1)
         run = run_ghz_scenario(s)
         marg = run.marginal((2, 0))
         assert marg.labels == ("J_y", "A_x")
@@ -659,26 +672,26 @@ class TestMonteCarlo:
         assert marg.n_rounds == run.n_rounds
 
     @pytest.mark.parametrize(
-        "runner, kind, n, choice, kwargs, digest",
+        "runner, n, choice, kwargs, digest",
         [
-            (run_pr_scenario, ScenarioKind.PR_BOX, 60, "p", {},
+            (run_pr_scenario, 60, "p", {},
              "8c15111cff5594f424d56790e428f7c88f8a0bf20350a0a0afb025128c4e4d00"),
-            (run_tsirelson_scenario, ScenarioKind.TSIRELSON, 6, "u", {"bob_axis": "x"},
+            (run_tsirelson_scenario, 6, "u", {"bob_axis": "x"},
              "fbb43d5dd70a5cf88a115f2b09925ce6b18a3380464bc84427150b289a2e5a25"),
-            (run_tsirelson_scenario, ScenarioKind.TSIRELSON, 6, "p", {"bob_axis": "x"},
+            (run_tsirelson_scenario, 6, "p", {"bob_axis": "x"},
              "e55b75020ae8b0b72a853ebb459387aa2591b02c8aefe05775298ce4d5ab84dc"),
-            (run_ghz_scenario, ScenarioKind.GHZ, 60, "p", {},
+            (run_ghz_scenario, 60, "p", {},
              "7bec7772185ab8a29db67dfff02473e51094e144f116b2a543817a9c8e7177f0"),
         ],
         ids=["pr-p-60", "tsirelson-x-u-6", "tsirelson-x-p-6", "ghz-p-60"],
     )
-    def test_sampled_sums_are_pinned(self, runner, kind, n, choice, kwargs, digest):
+    def test_sampled_sums_are_pinned(self, runner, n, choice, kwargs, digest):
         """The seeded draws and their per-trial sums never change silently.
 
         The digests are those of the bit-sliced sampler, recorded when it
         replaced the one-word-per-round table lookup.
         """
-        s = spec(kind, n, choice, mode=RunMode.MONTE_CARLO, trials=100_000, seed=0)
+        s = spec(n, choice, mode=RunMode.MONTE_CARLO, trials=100_000, seed=0)
         run = runner(s, **kwargs)
         assert run.sums.dtype == np.int64
         assert hashlib.sha256(run.sums.tobytes()).hexdigest() == digest
@@ -755,7 +768,7 @@ class TestMonteCarlo:
 
     def test_empirical_never_allocates_the_whole_grid(self):
         """N = 20000 has 4e8 (B, B') cells, 3.2 GB of counts, which 50 trials must not allocate."""
-        run = run_pr_scenario(spec(ScenarioKind.PR_BOX, 20_000, mode=RunMode.MONTE_CARLO, trials=50))
+        run = run_pr_scenario(spec(20_000, mode=RunMode.MONTE_CARLO, trials=50))
         tracemalloc.start()
         try:
             got = run.empirical()
@@ -777,10 +790,10 @@ class TestMonteCarlo:
         """
         trials = 100_000
         # numpy.random's first import stays in memory; make it before tracing.
-        run_pr_scenario(spec(ScenarioKind.PR_BOX, n, mode=RunMode.MONTE_CARLO, trials=1)).empirical()
+        run_pr_scenario(spec(n, mode=RunMode.MONTE_CARLO, trials=1)).empirical()
         tracemalloc.start()
         try:
-            run = run_pr_scenario(spec(ScenarioKind.PR_BOX, n, mode=RunMode.MONTE_CARLO, trials=trials))
+            run = run_pr_scenario(spec(n, mode=RunMode.MONTE_CARLO, trials=trials))
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             got = run.empirical()
@@ -808,10 +821,10 @@ class TestMonteCarlo:
         floor = (8 * d + 8 * s + 1) * -(-n // 64)
         assert floor > 8 * ensembles._SAMPLE_WORDS
         # numpy.random's first import stays in memory; make it before tracing.
-        run_pr_scenario(spec(ScenarioKind.PR_BOX, 64, mode=RunMode.MONTE_CARLO, trials=1))
+        run_pr_scenario(spec(64, mode=RunMode.MONTE_CARLO, trials=1))
         tracemalloc.start()
         try:
-            run_pr_scenario(spec(ScenarioKind.PR_BOX, n, mode=RunMode.MONTE_CARLO, trials=3))
+            run_pr_scenario(spec(n, mode=RunMode.MONTE_CARLO, trials=3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -819,7 +832,7 @@ class TestMonteCarlo:
 
     def test_empirical_pmf(self):
         run = run_pr_scenario(
-            spec(ScenarioKind.PR_BOX, 2, mode=RunMode.MONTE_CARLO, trials=400, seed=2)
+            spec(2, mode=RunMode.MONTE_CARLO, trials=400, seed=2)
         )
         emp = run.empirical()
         assert sum(emp.weights) == emp.denominator == 400
@@ -828,16 +841,16 @@ class TestMonteCarlo:
 
     def test_mean_and_variance_match_numpy(self):
         run = run_pr_scenario(
-            spec(ScenarioKind.PR_BOX, 3, mode=RunMode.MONTE_CARLO, trials=300, seed=8)
+            spec(3, mode=RunMode.MONTE_CARLO, trials=300, seed=8)
         )
         combo = (run.sums / 3.0) @ np.array([1.0, -1.0])
         assert float(run.empirical().variance((1, -1))) == pytest.approx(float(combo.var()))
 
     def test_convergence_to_exact(self):
         trials = 40_000
-        s = spec(ScenarioKind.PR_BOX, 4, mode=RunMode.MONTE_CARLO, trials=trials, seed=3)
+        s = spec(4, mode=RunMode.MONTE_CARLO, trials=trials, seed=3)
         run = run_pr_scenario(s)
-        tv = total_variation(run.empirical(), run_pr_scenario(spec(ScenarioKind.PR_BOX, 4)))
+        tv = total_variation(run.empirical(), run_pr_scenario(spec(4)))
         assert float(tv) < 5.0 / math.sqrt(trials)
 
 
@@ -944,7 +957,7 @@ class TestTableLookupSampler:
         def peak_bytes(n):
             tracemalloc.start()
             try:
-                run_pr_scenario(spec(ScenarioKind.PR_BOX, n, mode=RunMode.MONTE_CARLO, trials=20_000))
+                run_pr_scenario(spec(n, mode=RunMode.MONTE_CARLO, trials=20_000))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

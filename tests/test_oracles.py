@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from corrlab.ensembles import ScenarioKind, ScenarioSpec, run_ghz_scenario
+from corrlab.ensembles import ScenarioSpec, run_ghz_scenario
 
 DYADIC_PMFS = (
     (Fraction(1, 2), Fraction(1, 2)),
@@ -44,7 +44,7 @@ def test_expected_sampling_tv_of_point_mass_is_zero():
 def test_expected_sampling_tv_matches_normal_approximation(choice, n):
     trials = 100_000
     probs = oracles.lattice_mapping(
-        run_ghz_scenario(ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=n, sender_choice=choice))
+        run_ghz_scenario(ScenarioSpec(n_rounds=n, sender_choice=choice))
     ).values()
     normal = sum(
         math.sqrt(2 * float(p) * (1 - float(p)) / (math.pi * trials)) for p in probs

@@ -66,7 +66,9 @@ def test_benchmark_spans_find_their_functions():
     function fails here instead of zeroing its metric.  The exact Tsirelson
     report is the one whose box rows reach ``joint_probabilities``.  Each JSON report is
     one ``dump_report`` span around one ``encode`` span, so a writer that
-    skips ``encode``, or reaches it once per node, fails here too.
+    skips ``encode``, or reaches it once per node, fails here too.  Every
+    pinned runner and verdict span the three reports reach must fire, so a
+    report that routes around one fails here, not only under ``--trace 1``.
     """
     proc = subprocess.run(
         [sys.executable, "-c", _TRACED_REPORTS, str(ROOT / "perfbench")],
@@ -85,6 +87,15 @@ def test_benchmark_spans_find_their_functions():
         "ensembles.ExactDistribution.__post_init__",
         "ensembles.EnsembleRun.empirical",
         "signaling.total_variation",
+        "ensembles.run_ghz_scenario[exact]",
+        "ensembles.run_tsirelson_scenario[exact]",
+        "ensembles.run_pr_scenario[mc]",
+        "signaling.pr_verdict",
+        "signaling.tsirelson_verdict",
+        "signaling.ghz_verdict",
+        "signaling.verdict",
+        "boxes.chsh_value",
+        "boxes.check_no_signaling",
     ):
         assert result["calls"].get(name, 0) > 0, name
     for name in ("reportio.dump_report", "reportio.encode"):
@@ -168,6 +179,44 @@ def test_cli_holds_no_tolerance_or_bound():
         if isinstance(node, ast.Attribute) and node.attr == "sqrt" or isinstance(node, ast.Name) and node.id == "sqrt"
     ]
     assert floats == [] and sqrts == [], (floats, sqrts)
+
+
+def _scenario_tables(path: Path):
+    """Each dict display or comprehension in the module that names ``ScenarioKind``, by the name it is bound to."""
+    tree = ast.parse(path.read_text())
+    bound = {
+        id(node.value): target.id
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Dict, ast.DictComp)) and _references(node)["ScenarioKind"]:
+            yield f"{path.stem}.{bound.get(id(node), f'<line {node.lineno}>')}"
+
+
+def test_only_the_verdict_layer_and_cli_name_scenarios():
+    """The run layer takes a spec that names no scenario: ``ScenarioKind`` is read only by ``signaling`` and ``cli``.
+
+    And only two tables are keyed on it: the verdict of each scenario and
+    the subcommand of each.
+    """
+    paths = sorted((SRC / "corrlab").glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text()) for path in paths}
+    naming = {
+        name
+        for name, tree in trees.items()
+        if _references(tree)["ScenarioKind"]
+        or any(
+            isinstance(node, ast.ClassDef) and node.name == "ScenarioKind"
+            or isinstance(node, ast.ImportFrom) and any(alias.name == "ScenarioKind" for alias in node.names)
+            for node in ast.walk(tree)
+        )
+    }
+    assert naming == {"signaling.py", "cli.py"}, naming
+    tables = sorted(table for path in paths for table in _scenario_tables(path))
+    assert tables == ["cli._SCENARIOS", "signaling._VERDICTS"], tables
 
 
 def test_numpy_pin_admits_the_installed_numpy():

@@ -16,7 +16,6 @@ from corrlab.ensembles import (
     EXACT_MAX_ROUNDS,
     ExactDistribution,
     RunMode,
-    ScenarioKind,
     ScenarioSpec,
     jamming_round_pmf,
     run_ghz_scenario,
@@ -24,6 +23,7 @@ from corrlab.ensembles import (
     run_tsirelson_scenario,
 )
 from corrlab.signaling import (
+    ScenarioKind,
     ghz_verdict,
     jamming_unary_exact,
     jamming_verdict,
@@ -40,7 +40,7 @@ HALF = Fraction(1, 2)
 
 def exact_pr(n, choice):
     return run_pr_scenario(
-        ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=n, sender_choice=choice)
+        ScenarioSpec(n_rounds=n, sender_choice=choice)
     )
 
 
@@ -76,7 +76,7 @@ class TestTotalVariation:
     def test_label_mismatch(self):
         pr = exact_pr(1, "u")
         ghz = run_ghz_scenario(
-            ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=1, sender_choice="u")
+            ScenarioSpec(n_rounds=1, sender_choice="u")
         ).marginal((0, 1))
         with pytest.raises(ValueError, match="components"):
             total_variation(pr, ghz)
@@ -144,7 +144,7 @@ class TestVarianceSignature:
 
     def test_needs_two_components(self):
         one = run_tsirelson_scenario(
-            ScenarioSpec(kind=ScenarioKind.TSIRELSON, n_rounds=4)
+            ScenarioSpec(n_rounds=4)
         )
         with pytest.raises(ValueError, match="two components"):
             variance_signature(one)
@@ -291,8 +291,8 @@ class TestVerdictBoundaries:
 
     def test_values_exactly_a_threshold_apart_are_distinguishable(self):
         """25 trials make the sampled threshold 5/sqrt(25) exactly 1.0, the distance between the values (0.0, 1.0)."""
-        spec = ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=1, trials=25, mode=RunMode.MONTE_CARLO)
-        v = signaling._verdict(spec, "total_variation", (0.0, 1.0))
+        spec = ScenarioSpec(n_rounds=1, trials=25, mode=RunMode.MONTE_CARLO)
+        v = signaling._verdict(ScenarioKind.PR_BOX, spec, "total_variation", (0.0, 1.0))
         assert v["threshold"] == 1.0
         assert v["distinguishable"] is True
 
@@ -397,7 +397,7 @@ class TestGhzReceivers:
         results, _, _ = ghz_verdict(n, RunMode.EXACT)
         assert set(results["receiver_distribution"]) == {"u", "p"}
         for choice, receivers in results["receiver_distribution"].items():
-            joint = run_ghz_scenario(ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=n, sender_choice=choice))
+            joint = run_ghz_scenario(ScenarioSpec(n_rounds=n, sender_choice=choice))
             assert_same_distribution(receivers, joint.marginal((0, 1)))
 
     @settings(max_examples=60, deadline=None)
@@ -451,7 +451,7 @@ class TestUnaryCondition:
     def test_needs_shared_labels(self):
         pr = exact_pr(1, "u")
         ghz = run_ghz_scenario(
-            ScenarioSpec(kind=ScenarioKind.GHZ, n_rounds=1, sender_choice="u")
+            ScenarioSpec(n_rounds=1, sender_choice="u")
         )
         with pytest.raises(ValueError, match="share no component labels"):
             unary_condition_check(pr, ghz)
@@ -468,7 +468,7 @@ class TestUnaryCondition:
 
 
 def test_verdict_fields_round_trip():
-    spec = ScenarioSpec(kind=ScenarioKind.PR_BOX, n_rounds=2, mode=RunMode.EXACT)
-    obj = signaling._verdict(spec, "total_variation", (Fraction(0), Fraction(1, 2)))
+    spec = ScenarioSpec(n_rounds=2, mode=RunMode.EXACT)
+    obj = signaling._verdict(ScenarioKind.PR_BOX, spec, "total_variation", (Fraction(0), Fraction(1, 2)))
     assert obj["values"] == [Fraction(0), Fraction(1, 2)]
     assert obj["distinguishable"] is True

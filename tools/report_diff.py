@@ -162,6 +162,12 @@ def commands(config_dir: str) -> list[list[str]]:
     cmds.append(["ghz-signal", "--mode", "mc", "--n", "2000000", "--trials", "3", "--format", "csv"])
     # Trial counts past numpy's largest array: 2 int64 sums per trial, and 3 indicator words per 64 triplets.
     cmds += [["pr-signal", "--mode", "mc", "--n", "1", "--trials", str(t)] for t in (2**63, 2**62)]
+    # Each run's own bound on its k int64 sums per trial, one trial past it: a whole GHZ joint's k = 3
+    # (CSV), the receivers' k = 2 (JSON), and Bob's k = 1; a seed past 64 bits is named before them.
+    cmds += [["ghz-signal", "--mode", "mc", "--trials", "384307168202282326", "--format", fmt] for fmt in ("json", "csv")]
+    cmds.append(["ghz-signal", "--mode", "mc", "--trials", "576460752303423488"])
+    cmds.append(["tsirelson", "--mode", "mc", "--trials", "1152921504606846976"])
+    cmds.append(["pr-signal", "--mode", "mc", "--trials", "9223372036854775807", "--seed", "-1"])
     cmds.append(["jamming", "--jim", "x", "--trials", str(10**30)])
     # Rounds that fill one word, one word and a bit, and two words and two bits.
     for command in SCENARIO_COMMANDS:
