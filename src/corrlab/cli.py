@@ -14,11 +14,11 @@ writes a CSV report block by block as ``_table_blocks`` builds it, 10^4
 sampled rows at a time, so its memory is the run's per-trial counts plus
 one block, not the whole text.
 
-Importing this module, parsing the arguments and running exact
-``pr-signal`` or ``ghz-signal`` or ``causal`` never load numpy, which
-``_numpy`` loads on first use: the sampled tables here and the sampled
-runs behind them load it, and ``tsirelson`` and ``ghz-algebra`` load it
-through the float simulator in ``quantum``.
+Importing this module loads only ``errors`` and ``_numpy``: handlers,
+parser and JSON writer import their modules when they run.  Parsing and
+exact ``pr-signal``, ``ghz-signal`` or ``causal`` never load numpy, which
+``_numpy`` loads on first use: sampled runs and tables load it, and
+``tsirelson`` and ``ghz-algebra`` through the float simulator in ``quantum``.
 """
 
 from __future__ import annotations
@@ -33,12 +33,8 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
-from . import quantum, spacetime
 from ._numpy import np
-from .ensembles import EXACT_MAX_ROUNDS, JammingRecords, RunMode
 from .errors import InvariantViolation
-from .reportio import SCHEMA_VERSION, dump_report
-from .signaling import ScenarioKind, jamming_verdict, verdict
 
 # The deepest causal config read, the outer value being level 1: far below the depth
 # at which any supported interpreter's json.loads, or the report writer echoing the
@@ -120,6 +116,7 @@ def _dist_csv(runs: dict, mode: RunMode) -> Iterator[str]:
     its count m of -1 rounds in the field text of (N - 2m) / N for only the
     counts from the run's least to its greatest.
     """
+    from .ensembles import RunMode
     labels = _csv_columns(runs.values())
     if mode is RunMode.EXACT:
         yield ",".join(["choice", *labels, "numerator", "denominator"]) + "\n"
@@ -137,43 +134,55 @@ def _dist_csv(runs: dict, mode: RunMode) -> Iterator[str]:
         yield from _table_blocks(f"{choice},", tables, negatives.shape[1], lambda i, j: negatives[:, i:j] - lo)
 
 
-# Each triplet's row text after its index, by its code: the outcome it indexes in ``outcome_tuples(3)``.
-_JAMMING_ROWS = [",{},{},{}".format(*outcome).encode("ascii") for outcome in quantum.outcome_tuples(3)]
+@functools.cache
+def _jamming_rows() -> tuple[bytes, ...]:
+    """Each triplet's row text after its index, by its code: the outcome it indexes in ``outcome_tuples(3)``."""
+    from .quantum import outcome_tuples
+    return tuple(",{},{},{}".format(*outcome).encode("ascii") for outcome in outcome_tuples(3))
 
 
 def _jamming_csv(records: JammingRecords) -> Iterator[str]:
     """The CSV blocks of one row per triplet: its index and its (a_x, b_x, j) outcomes.
 
     Each block of ``_table_blocks`` reads only its own triplets' codes from
-    ``JammingRecords.codes``, each the index of its row in ``_JAMMING_ROWS``.
+    ``JammingRecords.codes``, each the index of its row in ``_jamming_rows()``.
     """
     yield "triplet,a_x,b_x,j\n"
-    yield from _table_blocks("", [np.array(_JAMMING_ROWS)], records.trials, lambda i, j: [records.codes(i, j)])
+    yield from _table_blocks("", [np.array(_jamming_rows())], records.trials, lambda i, j: [records.codes(i, j)])
 
 
-# Each scenario subcommand: the box it runs and its help text.
+# Each scenario subcommand: the name of the ``ScenarioKind`` member it runs, and its help text.
 _SCENARIOS = {
-    "pr-signal": (ScenarioKind.PR_BOX, "classical-limit signaling test for the maximal bipartite box"),
-    "tsirelson": (ScenarioKind.TSIRELSON, "classical-limit signaling test for the Bell-state box"),
-    "ghz-signal": (ScenarioKind.GHZ, "three-party rare-event signaling test"),
+    "pr-signal": ("PR_BOX", "classical-limit signaling test for the maximal bipartite box"),
+    "tsirelson": ("TSIRELSON", "classical-limit signaling test for the Bell-state box"),
+    "ghz-signal": ("GHZ", "three-party rare-event signaling test"),
 }
 
 
 def _scenario(args) -> tuple[dict, dict, Iterable[str] | None]:
+    from .ensembles import RunMode
+    from .signaling import ScenarioKind, verdict
     mode = RunMode(args.mode)
     csv = args.format == "csv"
     # A CSV report prints each run's every component; a JSON one only what its verdict compared.
-    results, checks, runs = verdict(_SCENARIOS[args.command][0], args.n, mode, args.trials, args.seed, joint=csv)
+    results, checks, runs = verdict(ScenarioKind[_SCENARIOS[args.command][0]], args.n, mode, args.trials, args.seed, joint=csv)
     return results, checks, _dist_csv(runs, mode) if csv else None
 
 
 def _jamming(args) -> tuple[dict, dict, Iterable[str] | None]:
+    from .signaling import jamming_verdict
     results, checks, records = jamming_verdict(args.n, args.jim, args.trials, args.seed)
     return results, checks, _jamming_csv(records) if args.format == "csv" else None
 
 
+def _algebra(args) -> tuple[dict, dict, None]:
+    from .quantum import algebra_report
+    return (*algebra_report(), None)
+
+
 def _causal(args) -> tuple[dict, dict, Iterable[str] | None]:
     """Read the --config file for ``spacetime.causal_report``, and set ``args.config`` to its object, for the echo."""
+    from .spacetime import causal_report
     path = Path(args.config_path)
     try:
         text = path.read_text()
@@ -186,7 +195,7 @@ def _causal(args) -> tuple[dict, dict, Iterable[str] | None]:
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
     args.config = data
-    return (*spacetime.causal_report(data), None)
+    return (*causal_report(data), None)
 
 
 def _close_refused(stream) -> None:
@@ -216,7 +225,7 @@ def _emit(blocks: Iterable[str], out: str | None) -> None:
 
 _COMMANDS = {
     **dict.fromkeys(_SCENARIOS, _scenario),
-    "ghz-algebra": lambda args: (*quantum.algebra_report(), None),
+    "ghz-algebra": _algebra,
     "jamming": _jamming,
     "causal": _causal,
 }
@@ -232,6 +241,7 @@ def _add_output_flags(sp) -> None:
 
 
 def _add_scenario_flags(sp) -> None:
+    from .ensembles import EXACT_MAX_ROUNDS, RunMode
     sp.add_argument(
         "--n", type=int, default=6, help=f"rounds per trial (exact mode: at most {EXACT_MAX_ROUNDS})"
     )
@@ -309,6 +319,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"csv output is not available for {args.command}")
         results, checks, blocks = handler(args)
         if args.format != "csv":
+            from .reportio import SCHEMA_VERSION, dump_report
             config = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
             report = {"schema_version": SCHEMA_VERSION, "command": args.command, "config": config}
             blocks = [dump_report({**report, "results": results, "checks": checks})]

@@ -36,9 +36,9 @@ big-int powers unpacked as 64-bit words and tuple distributions.  An exact
 run reduces its round pmf to lowest terms and reads its N-round pmf from
 a one-entry memo, so the two choices of a report whose round pmfs are
 equal there (Bob's on each axis, the GHZ receivers') share one run, one
-object.  Only the sampler, sampled runs and their histograms and the
-jamming records read numpy, through ``_numpy``, so an exact run never
-loads it.
+object.  Only sampling, histograms and jamming records read numpy (through
+``_numpy``), and only Born forms and ``JammingRecords.outcomes`` import
+``quantum``, so an exact run never loads numpy, nor a PR run ``quantum``.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from ._numpy import np
-from .quantum import GHZ_STABILIZERS, _BELL_STABILIZERS, _stabilizer_group, outcome_tuples
 
 EXACT_MAX_ROUNDS = 24
 # Alice's and Bob's components of a three-party run: the receivers of Jim's choice.
@@ -329,6 +328,7 @@ def _born_form(generators: tuple, factors: tuple, labels: tuple, keep: tuple | N
     per process: the 10 Born forms are 2 GHZ, 2 GHZ receivers, 4 Tsirelson
     and 2 jamming ones.
     """
+    from .quantum import _stabilizer_group, outcome_tuples
     group = _stabilizer_group(generators)
     subsets = itertools.product((False, True), repeat=len(factors))
     constraints = [(t, group.get(tuple(f if on else "I" for f, on in zip(factors, t)))) for t in subsets]
@@ -522,6 +522,7 @@ def run_pr_scenario(spec: ScenarioSpec) -> ExactDistribution | EnsembleRun:
 
 def _ghz_form(sender_choice: str, receivers_only: bool = False) -> _AffineForm:
     """The form of (A_x, B_x, J) for one triplet, Jim on x ("u") or y ("p"), or of (A_x, B_x) alone."""
+    from .quantum import GHZ_STABILIZERS
     jim_factor = "X" if sender_choice == "u" else "Y"
     labels = ("A_x", "B_x", f"J_{jim_factor.lower()}")
     return _born_form(GHZ_STABILIZERS, ("X", "X", jim_factor), labels, GHZ_RECEIVERS if receivers_only else None)
@@ -549,6 +550,7 @@ def _tsirelson_form(sender_choice: str, bob_axis: str) -> _AffineForm:
     combinations of his two tilted settings, rescaled to unit length.
     Bob's site comes first, so his column is the joint's leading plane.
     """
+    from .quantum import _BELL_STABILIZERS
     if bob_axis not in ("z", "x"):
         raise ValueError("bob_axis must be 'z' or 'x'")
     alice_factor = "Z" if sender_choice == "u" else "X"
@@ -602,6 +604,7 @@ class JammingRecords:
         No report reads it: the CSV looks up each block's ``codes`` itself.
         It is kept for the benchmark's jamming observer and the tests.
         """
+        from .quantum import outcome_tuples
         return np.array(outcome_tuples(3), dtype=np.int8).take(self.codes(0, self.trials), axis=0)
 
     def empirical(self) -> ExactDistribution:
@@ -644,6 +647,7 @@ class JammingRecords:
 
 def _jamming_form(jim_choice: str) -> _AffineForm:
     """The form of (a_x, b_x, j) with Jim on x or z."""
+    from .quantum import GHZ_STABILIZERS
     if jim_choice not in ("x", "z"):
         raise ValueError("jim_choice must be 'x' or 'z'")
     return _born_form(GHZ_STABILIZERS, ("X", "X", jim_choice.upper()), ("a_x", "b_x", f"j_{jim_choice}"))

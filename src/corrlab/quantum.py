@@ -24,9 +24,9 @@ The float simulator (``PureState``, the state builders, the expectations
 and the Born branches and pmfs) reads numpy through ``_numpy``, which
 loads it on first use.  Observables, commutator norms, the stabilizer
 group and the assignment search are pure Python, so a process that needs
-only exact round pmfs, as the exact ``pr-signal`` and ``ghz-signal``
-commands and ``causal`` do, never loads numpy; ``tsirelson`` (its tilted
-box) and ``ghz-algebra`` (the GHZ state vector) load it.
+only exact round pmfs, as the exact ``ghz-signal`` command does, never
+loads numpy; ``tsirelson`` (its tilted box) and ``ghz-algebra`` (the GHZ
+state vector) load it.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from dataclasses import replace
 from enum import Enum
 from fractions import Fraction
 
-from . import boxes
 from .ensembles import (
     GHZ_RECEIVERS,
     EnsembleRun,
@@ -231,6 +230,7 @@ def tsirelson_verdict(
     choices, so exact runs share one object per axis: "z|u" is "z|p" and
     "x|u" is "x|p".
     """
+    from . import boxes
     spec = ScenarioSpec(n_rounds=n_rounds, trials=trials, seed=seed, mode=mode)
     runs = {
         f"{axis}|{choice}": run

@@ -13,6 +13,7 @@ parsed ``causal`` config, which it reads into the report's section.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -137,14 +138,16 @@ def policy_scan() -> list[dict]:
     return rows
 
 
-# A report's policy-scan summary is the same for every config, so it is counted once, at import.
-_SCAN = policy_scan()
-_POLICY_SCAN_SUMMARY = {
-    "pairs": len(_SCAN),
-    "contradictory_pairs": sum(1 for r in _SCAN if r["n_fixed_points"] == 0),
-    "underdetermined_pairs": sum(1 for r in _SCAN if r["n_fixed_points"] == 2),
-    "pairs_without_unique_fixed_point": sum(1 for r in _SCAN if r["n_fixed_points"] != 1),
-}
+@functools.cache
+def _policy_scan_summary() -> dict:
+    """A report's policy-scan summary, the same for every config: counted once per process, on first use; each report copies it."""
+    counts = [row["n_fixed_points"] for row in policy_scan()]
+    return {
+        "pairs": len(counts),
+        "contradictory_pairs": counts.count(0),
+        "underdetermined_pairs": counts.count(2),
+        "pairs_without_unique_fixed_point": len(counts) - counts.count(1),
+    }
 
 
 def round_trip_chronology(alice_x: float, bob_x: float, send_t: float, beta: float) -> dict:
@@ -212,7 +215,7 @@ def causal_report(data) -> tuple[dict, dict]:
         if not ("alice_map" in data and "bob_map" in data):
             raise ValueError("loop analysis needs both alice_map and bob_map")
         results["loop"] = loop = loop_analysis(data["alice_map"], data["bob_map"])
-        results["policy_scan_summary"] = dict(_POLICY_SCAN_SUMMARY)
+        results["policy_scan_summary"] = dict(_policy_scan_summary())
         checks["loop_consistent"] = loop["consistent"]
 
     if not results:

@@ -494,7 +494,7 @@ class TestJsonMatchesOracle:
     @pytest.mark.parametrize("args", SHIPPED_REPORTS, ids=" ".join)
     def test_shipped_reports(self, monkeypatch, tmp_path, args):
         monkeypatch.chdir(SCENARIOS.parent)
-        dumps = spy_calls(monkeypatch, cli, "dump_report")
+        dumps = spy_calls(monkeypatch, reportio, "dump_report")
         code, text = run_cli(tmp_path, *args)
         assert code == 0
         ((report,),) = dumps
@@ -566,7 +566,7 @@ CSV_COMPONENT_COLUMNS = {
 @pytest.mark.parametrize("command", list(CSV_COMPONENT_COLUMNS))
 def test_csv_header_holds_for_every_run(command, mode):
     kind, _ = cli._SCENARIOS[command]
-    _, _, runs = verdict(kind, 2, RunMode(mode), 50, 0, joint=True)
+    _, _, runs = verdict(ScenarioKind[kind], 2, RunMode(mode), 50, 0, joint=True)
     header = "".join(cli._dist_csv(runs, RunMode(mode))).split("\n", 1)[0].split(",")
     columns = header[1:-2] if mode == "exact" else header[2:]
     assert columns == CSV_COMPONENT_COLUMNS[command]
@@ -987,6 +987,7 @@ class TestSharedParser:
 
 
 WARM_COMMANDS = [
+    *(("causal", "--config", str(path)) for path in sorted(SCENARIOS.glob("*.json"))),
     *(
         (command, "--mode", mode, "--format", fmt, "--n", n, "--trials", "3000")
         for command in ("pr-signal", "tsirelson", "ghz-signal")
@@ -1005,13 +1006,15 @@ WARM_COMMANDS = [
 
 
 def test_warm_process_reports_match_fresh_processes(tmp_path):
-    """Every scenario report, made in turn in one process from cold caches, in two orders, has a fresh interpreter's bytes.
+    """Every report, made in turn in one process from cold caches, in two orders, has a fresh interpreter's bytes.
 
-    Round pmfs, Born pmfs, the last exact N-round run and the jamming and
-    algebra reports' constants are cached per process, so a report that
-    left state behind for the next would differ from the one-command
-    processes.  Each exact report is made twice in a row, so the second
-    reads the run the first left in the memo.
+    Round pmfs, Born pmfs, the last exact N-round run, the jamming rows and
+    the jamming, algebra and policy-scan reports' constants are cached per
+    process, so a report that left state behind for the next would differ
+    from the one-command processes.  Each exact report is made twice in a
+    row, so the second reads the run the first left in the memo.  One order
+    starts with the causal reports and the other ends with them, so the
+    policy-scan summary is counted both first and last in a process.
     """
     env = child_env()
 
@@ -1030,6 +1033,8 @@ def test_warm_process_reports_match_fresh_processes(tmp_path):
         quantum._born_pmf.cache_clear()
         quantum._assignment_counts.cache_clear()
         signaling._jamming_unary.cache_clear()
+        spacetime._policy_scan_summary.cache_clear()
+        cli._jamming_rows.cache_clear()
         for args in order:
             for _ in range(2 if "exact" in args else 1):
                 assert main([*args, "--out", str(out)]) == 0
@@ -1041,7 +1046,7 @@ import collections, json, os, sys
 calls = collections.Counter()
 
 def count(frame, event, arg):
-    if event == "call" and frame.f_code.co_name in ("jamming_unary_exact", "ghz_assignment_search"):
+    if event == "call" and frame.f_code.co_name in ("jamming_unary_exact", "ghz_assignment_search", "policy_scan"):
         calls[frame.f_code.co_name] += 1
 
 sys.setprofile(count)
@@ -1056,27 +1061,35 @@ print(json.dumps(steps))
 
 
 def test_report_constants_are_counted_once_per_process_on_first_use():
-    """Importing the CLI runs neither the jamming unary check nor the GHZ assignment search; reports run each once.
+    """Importing the CLI runs neither the jamming unary check, the GHZ assignment search nor the policy scan; reports run each once.
 
-    The search runs once per constraint set: the full set and the positive one.
+    The search runs once per constraint set: the full set and the positive
+    one.  The scan runs for the first causal report with device maps, and
+    for no config without them.
     """
     jamming = ["jamming", "--jim", "z", "--n", "2", "--trials", "50"]
-    argvs = [jamming, ["jamming", "--jim", "x", "--n", "3", "--trials", "20"], ["ghz-algebra"], ["ghz-algebra"]]
+    loop, no_maps = (["causal", "--config", str(SCENARIOS / name)] for name in ("causal_loop.json", "jammer_inside_overlap.json"))
+    argvs = [
+        jamming, ["jamming", "--jim", "x", "--n", "3", "--trials", "20"], ["ghz-algebra"], ["ghz-algebra"],
+        no_maps, loop, loop, no_maps,
+    ]
     proc = subprocess.run(
         [sys.executable, "-c", _ONCE_PROBE, json.dumps(argvs)], capture_output=True, text=True, env=child_env()
     )
     assert proc.returncode == 0, proc.stderr
     unary, both = {"jamming_unary_exact": 1}, {"jamming_unary_exact": 1, "ghz_assignment_search": 2}
-    assert json.loads(proc.stdout) == [{}, unary, unary, both, both]
+    scanned = {**both, "policy_scan": 1}
+    assert json.loads(proc.stdout) == [{}, unary, unary, both, both, both, scanned, scanned, scanned]
 
 
 def test_a_changed_report_section_leaves_the_next_report_unchanged(tmp_path):
     """A caller that changes the dicts of one report's results changes no later report's bytes."""
     jamming = ["jamming", "--jim", "z", "--n", "2", "--trials", "50"]
+    loop = SCENARIOS / "causal_loop.json"
     out = tmp_path / "report.json"
 
     def reports():
-        for argv in (jamming, ["ghz-algebra"]):
+        for argv in (jamming, ["ghz-algebra"], ["causal", "--config", str(loop)]):
             assert main([*argv, "--out", str(out)]) == 0
             yield out.read_bytes()
 
@@ -1085,6 +1098,7 @@ def test_a_changed_report_section_leaves_the_next_report_unchanged(tmp_path):
     unary["holds"] = False
     unary["per_component"]["a_x"] = 1
     quantum.algebra_report()[0]["assignment_search"]["full_constraints_solutions"] = 7
+    spacetime.causal_report(json.loads(loop.read_text()))[0]["policy_scan_summary"]["pairs"] = 0
     assert list(reports()) == before
 
 
@@ -1144,6 +1158,58 @@ def test_exact_commands_never_import_numpy():
         *([" ".join(argv), 2 if argv[-1] == "25" else 0, False] for argv in _NUMPY_FREE_COMMANDS),
     ]
     assert last == ["tsirelson --n 2", 0, True]
+
+
+_CLOSURE_PROBE = """
+import contextlib, io, json, sys
+import corrlab.cli
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert corrlab.cli.main(argv) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("corrlab"))))
+"""
+
+# The corrlab modules a child holds after importing the CLI, and after one default run of each subcommand.
+_BASE_MODULES = ["corrlab", "corrlab._numpy", "corrlab.cli", "corrlab.errors"]
+_IMPORT_CLOSURES = {
+    (): [],
+    ("pr-signal",): ["ensembles", "reportio", "signaling"],
+    ("tsirelson",): ["boxes", "ensembles", "quantum", "reportio", "signaling"],
+    ("ghz-signal",): ["ensembles", "quantum", "reportio", "signaling"],
+    ("ghz-algebra",): ["ensembles", "quantum", "reportio"],
+    ("jamming", "--jim", "z"): ["ensembles", "quantum", "reportio", "signaling"],
+    ("causal", "--config", str(SCENARIOS / "causal_loop.json")): ["ensembles", "reportio", "spacetime"],
+}
+
+
+def test_each_command_imports_only_the_layers_it_runs():
+    """Importing the CLI loads no layer module, and each subcommand loads only the layers it runs.
+
+    Each case runs in its own child interpreter.  Only ``causal`` loads
+    ``spacetime`` and only ``tsirelson`` loads ``boxes``; ``causal`` and
+    ``pr-signal`` never load ``quantum``, and ``causal`` and
+    ``ghz-algebra`` never load ``signaling``.  A JSON report loads
+    ``reportio``, and with it ``ensembles``, whose types it writes.
+    """
+
+    def child(argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", _CLOSURE_PROBE, json.dumps(argv)], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+        return json.loads(proc.stdout)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        loaded = dict(zip(_IMPORT_CLOSURES, pool.map(child, _IMPORT_CLOSURES)))
+    for argv, layers in _IMPORT_CLOSURES.items():
+        assert loaded[argv] == sorted([*_BASE_MODULES, *(f"corrlab.{layer}" for layer in layers)]), argv
+
+    def holders(layer):
+        return {argv[0] for argv, layers in _IMPORT_CLOSURES.items() if layer in layers}
+
+    assert holders("spacetime") == {"causal"} and holders("boxes") == {"tsirelson"}
+    assert not holders("quantum") & {"causal", "pr-signal"} and not holders("signaling") & {"causal", "ghz-algebra"}
 
 
 def test_numpy_free_commands_run_where_numpy_is_missing(tmp_path):
@@ -1344,7 +1410,7 @@ class TestDeterminismAndErrors:
     def test_invariant_violation_exits_3(self, capsys, monkeypatch):
         """Stabilizers that fix no state end with exit 3 and no report: XXX = +1 contradicts the other three."""
         xxx, _ = quantum.GHZ_STABILIZERS[3]
-        monkeypatch.setattr(ensembles, "GHZ_STABILIZERS", (*quantum.GHZ_STABILIZERS[:3], (xxx, 1)))
+        monkeypatch.setattr(quantum, "GHZ_STABILIZERS", (*quantum.GHZ_STABILIZERS[:3], (xxx, 1)))
         assert main(["ghz-signal", "--mode", "mc", "--n", "2", "--trials", "10"]) == 3
         out, err = capsys.readouterr()
         assert out == ""

@@ -349,21 +349,25 @@ class TestLoops:
     def test_map_names_are_exposed(self):
         assert set(MAP_NAMES) == {"echo", "invert", "const0", "const1"}
 
-    def test_report_reads_the_summary_counted_at_import(self, monkeypatch):
-        """A causal report with device maps runs its own loop, but not the 16 of the scan, whose summary is a constant."""
+    def test_report_reads_the_summary_counted_once(self, monkeypatch):
+        """A causal report with device maps runs its own loop; the 16 of the scan run once, for the first such report.
+
+        Each report gets its own copy of the summary.
+        """
+        spacetime._policy_scan_summary.cache_clear()
         calls = []
-        monkeypatch.setattr(spacetime, "policy_scan", lambda: calls.append(1))
+        monkeypatch.setattr(spacetime, "policy_scan", lambda: calls.append(1) or policy_scan())
         config = json.loads((Path(__file__).resolve().parent.parent / "scenarios" / "causal_loop.json").read_text())
-        results, _ = causal_report(config)
-        assert calls == []
+        first, second = (causal_report(config)[0]["policy_scan_summary"] for _ in range(2))
+        assert calls == [1]
         by_count = Counter(row["n_fixed_points"] for row in policy_scan())
-        assert results["policy_scan_summary"] == spacetime._POLICY_SCAN_SUMMARY == {
+        assert first == second == spacetime._policy_scan_summary() == {
             "pairs": by_count.total(),
             "contradictory_pairs": by_count[0],
             "underdetermined_pairs": by_count[2],
             "pairs_without_unique_fixed_point": by_count.total() - by_count[1],
         }
-        assert results["policy_scan_summary"] is not spacetime._POLICY_SCAN_SUMMARY
+        assert len({id(first), id(second), id(spacetime._policy_scan_summary())}) == 3
 
 
 class TestChronology:
